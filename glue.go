@@ -14,8 +14,10 @@ import (
 
 // Thin indirections keeping the pipeline stages free of backend imports.
 
-func validateCheck(l *kernel.Lifted, optimized *expr.Expr) error {
-	return validate.Check(l, optimized)
+// newValidator returns a translation validator for l's specification that
+// normalizes the spec once across every program it checks.
+func newValidator(l *kernel.Lifted) func(optimized *expr.Expr) error {
+	return validate.NewChecker(l).Check
 }
 
 func codegenC(ir *vir.Program) string { return codegen.ToC(ir) }

@@ -27,7 +27,8 @@ type ChildInfo struct {
 
 // Model prices a single e-node given its children's chosen implementations.
 // The returned value is the node's own cost, excluding children (which the
-// extractor sums separately); it must be strictly positive.
+// extractor sums separately); it must be strictly positive. The extractor
+// reuses the children slice between calls, so a model must not retain it.
 type Model interface {
 	NodeCost(n egraph.ENode, children []ChildInfo) float64
 }

@@ -25,6 +25,8 @@ type Extractor struct {
 	g     *egraph.EGraph
 	model cost.Model
 	best  map[egraph.ClassID]*Choice
+	// children is nodeCost's scratch buffer, reused across every call.
+	children []cost.ChildInfo
 }
 
 // New prepares an extractor and runs the fixpoint computation. Models that
@@ -42,10 +44,13 @@ func New(g *egraph.EGraph, model cost.Model) *Extractor {
 func (ex *Extractor) run() {
 	// Relax until no class's best cost improves. Costs only decrease, and
 	// each node's own cost is strictly positive, so cyclic choices can
-	// never undercut acyclic ones and the loop terminates.
+	// never undercut acyclic ones and the loop terminates. Extraction never
+	// adds or merges classes, so one snapshot serves every pass and each
+	// pass visits classes in ascending canonical ID, which fixes tie-breaks.
+	classes := ex.g.CanonicalClasses()
 	for {
 		changed := false
-		ex.g.Classes(func(cls *egraph.EClass) {
+		for _, cls := range classes {
 			cur := ex.best[cls.ID]
 			for _, n := range cls.Nodes {
 				c, ok := ex.nodeCost(n)
@@ -58,7 +63,7 @@ func (ex *Extractor) run() {
 					changed = true
 				}
 			}
-		})
+		}
 		if !changed {
 			return
 		}
@@ -67,16 +72,17 @@ func (ex *Extractor) run() {
 
 // nodeCost prices node n using the current best choices of its children.
 func (ex *Extractor) nodeCost(n egraph.ENode) (float64, bool) {
-	children := make([]cost.ChildInfo, len(n.Args))
+	children := ex.children[:0]
 	sum := 0.0
-	for i, a := range n.Args {
+	for _, a := range n.Args {
 		b := ex.best[ex.g.Find(a)]
 		if b == nil || !b.ok {
 			return 0, false
 		}
-		children[i] = cost.ChildInfo{Cost: b.Cost, Node: b.Node}
+		children = append(children, cost.ChildInfo{Cost: b.Cost, Node: b.Node})
 		sum += b.Cost
 	}
+	ex.children = children
 	own := ex.model.NodeCost(n, children)
 	total := sum + own
 	if math.IsInf(total, 0) || math.IsNaN(total) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -142,6 +143,52 @@ func TestCacheHitOnRepeatCompile(t *testing.T) {
 	resp3, _ := postCompile(t, ts.URL, strings.ReplaceAll(dotprod, "\n", "\r\n"), "text/plain")
 	if got := resp3.Header.Get("X-Dios-Cache"); got != "hit" {
 		t.Errorf("CRLF re-encoding missed the cache: X-Dios-Cache = %q", got)
+	}
+}
+
+// cacheStateWriter records, at the moment the handler starts its reply,
+// whether the compile cache already stores key and has no flight open.
+type cacheStateWriter struct {
+	*httptest.ResponseRecorder
+	c              *compileCache
+	key            string
+	stored, closed bool
+}
+
+func (w *cacheStateWriter) WriteHeader(code int) {
+	w.c.mu.Lock()
+	_, w.stored = w.c.entries[w.key]
+	w.closed = len(w.c.flights) == 0
+	w.c.mu.Unlock()
+	w.ResponseRecorder.WriteHeader(code)
+}
+
+// TestCacheLeaderPublishesBeforeReply pins the leader's ordering: its
+// result is in the cache and its flight closed before any byte of the
+// reply, so a client repeating the request right after reading a miss is
+// always served a hit, never a coalesced wait on the finished flight.
+func TestCacheLeaderPublishesBeforeReply(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	s.compileFn = func(context.Context, string, diospyros.Options) (*diospyros.Result, error) {
+		return fakeResult(64), nil
+	}
+	for i := 0; i < 20; i++ {
+		src := fmt.Sprintf("%s\n// variant %d", dotprod, i)
+		w := &cacheStateWriter{ResponseRecorder: httptest.NewRecorder(), c: s.cache,
+			key: compileCacheKey(src, diospyros.Options{})}
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/compile", strings.NewReader(src)))
+		if w.Code != http.StatusOK || w.Header().Get("X-Dios-Cache") != "miss" {
+			t.Fatalf("variant %d: status %d, X-Dios-Cache %q, want 200 miss",
+				i, w.Code, w.Header().Get("X-Dios-Cache"))
+		}
+		if !w.stored || !w.closed {
+			t.Fatalf("variant %d: at reply time stored=%v flight closed=%v, want both",
+				i, w.stored, w.closed)
+		}
+		if resp, _ := postCompile(t, ts.URL, src, "text/plain"); resp.Header.Get("X-Dios-Cache") != "hit" {
+			t.Fatalf("variant %d: sequential repeat X-Dios-Cache = %q, want hit",
+				i, resp.Header.Get("X-Dios-Cache"))
+		}
 	}
 }
 

@@ -335,13 +335,13 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 	// Content-addressed compile cache (cache.go): a hit or a coalesced
 	// result answers before admission, without taking a worker slot. A miss
-	// makes this request the flight's leader; the deferred finish publishes
-	// its result — or, on failure, releases the followers to compile for
-	// themselves.
+	// makes this request the flight's leader. A successful leader publishes
+	// its result before writing the reply, so a client that repeats the
+	// request after reading it finds a stored entry; on every other exit the
+	// deferred release lets the followers compile for themselves.
 	var (
 		flight    *cacheFlight
 		flightKey string
-		flightRes *diospyros.Result
 	)
 	if s.cache != nil && !wantsStream(r) && cacheableRequest(opts) {
 		flightKey = compileCacheKey(src, opts)
@@ -373,13 +373,9 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		case cacheLeader:
 			flight = fl
 			defer func() {
-				evicted := s.cache.finish(flightKey, flight, flightRes)
-				if evicted > 0 {
-					s.cacheCount("evictions", float64(evicted))
+				if flight != nil {
+					s.finishFlight(flightKey, flight, nil)
 				}
-				s.reg.GaugeSet("diospyros_serve_cache_bytes",
-					"Estimated bytes held by the compile cache.", nil,
-					float64(s.cache.sizeBytes()))
 			}()
 		}
 		ph.Outcome = "miss"
@@ -481,9 +477,23 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.writePhased(w, code, resp, ph)
 		return
 	}
-	flightRes = res // publish to the cache and any coalesced followers
+	if flight != nil { // publish to the cache and any coalesced followers
+		s.finishFlight(flightKey, flight, res)
+		flight = nil
+	}
 	resp := s.successResponse(r, id, res)
 	s.writePhased(w, http.StatusOK, resp, ph)
+}
+
+// finishFlight completes a cache leader's flight with res (nil when the
+// compile failed) and refreshes the cache metrics.
+func (s *Server) finishFlight(key string, fl *cacheFlight, res *diospyros.Result) {
+	if evicted := s.cache.finish(key, fl, res); evicted > 0 {
+		s.cacheCount("evictions", float64(evicted))
+	}
+	s.reg.GaugeSet("diospyros_serve_cache_bytes",
+		"Estimated bytes held by the compile cache.", nil,
+		float64(s.cache.sizeBytes()))
 }
 
 // serveCached answers a compile request from a cached Result, marking the

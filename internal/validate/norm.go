@@ -10,13 +10,25 @@
 // their arguments (matching the paper's uninterpreted-function treatment).
 // Equality of rational functions is checked by cross-multiplication, which
 // is sound and complete for formal rational expressions.
+//
+// Encoding. A monomial is a map-keyable string of sorted, fixed-width
+// big-endian uint32 atom IDs, so multiplying two monomials is a linear
+// merge and no decimal text is parsed or printed on the arithmetic path.
+// Decimal text appears only in canon(), the key of an opaque atom.
+// Polynomials are immutable once built, so coefficients are shared between
+// a polynomial and the sums built from it.
+//
+// A Checker normalizes the specification once per compile: it keeps one
+// atom table and caches each spec lane's normal form the first time a
+// target's program reaches it, so every further target only normalizes
+// its own program.
 package validate
 
 import (
 	"fmt"
 	"math/big"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 )
 
 // maxTerms bounds polynomial size during normalization. Kernels whose
@@ -32,50 +44,61 @@ var ErrInconclusive = fmt.Errorf("validate: normal form too large; exact check i
 // atoms interns the indeterminates of the polynomial ring: input elements,
 // free symbols, and opaque (uninterpreted/irrational) subterms.
 type atoms struct {
-	byKey map[string]int
-	keys  []string
+	byKey map[string]uint32
+	n     uint32
 }
 
-func newAtoms() *atoms { return &atoms{byKey: map[string]int{}} }
+func newAtoms() *atoms { return &atoms{byKey: map[string]uint32{}} }
 
-func (a *atoms) id(key string) int {
+func (a *atoms) id(key string) uint32 {
 	if id, ok := a.byKey[key]; ok {
 		return id
 	}
-	id := len(a.keys)
+	id := a.n
 	a.byKey[key] = id
-	a.keys = append(a.keys, key)
+	a.n++
 	return id
 }
 
-// monomial is a sorted multiset of atom ids, encoded canonically.
+// atomWidth is the byte width of one packed atom ID in a monomial.
+const atomWidth = 4
+
+// monomial is a sorted multiset of atom IDs, each packed as atomWidth
+// big-endian bytes. Byte order equals numeric order, so sortedness is
+// string order of the fixed-width chunks. The empty monomial is 1.
 type monomial string
 
-func mkMonomial(factors []int) monomial {
-	sort.Ints(factors)
-	var b strings.Builder
-	for i, f := range factors {
-		if i > 0 {
-			b.WriteByte('.')
+func atomMonomial(id uint32) monomial {
+	return monomial([]byte{byte(id >> 24), byte(id >> 16), byte(id >> 8), byte(id)})
+}
+
+// appendProduct appends the packed product a·b to dst: the merge of the
+// two sorted atom sequences.
+func appendProduct(dst []byte, a, b monomial) []byte {
+	for len(a) > 0 && len(b) > 0 {
+		if a[:atomWidth] <= b[:atomWidth] {
+			dst, a = append(dst, a[:atomWidth]...), a[atomWidth:]
+		} else {
+			dst, b = append(dst, b[:atomWidth]...), b[atomWidth:]
 		}
-		fmt.Fprintf(&b, "%d", f)
 	}
-	return monomial(b.String())
+	return append(append(dst, a...), b...)
 }
 
-func (m monomial) factors() []int {
-	if m == "" {
-		return nil
+// appendDecimal renders m as dot-separated decimal atom IDs.
+func (m monomial) appendDecimal(dst []byte) []byte {
+	for i := 0; i < len(m); i += atomWidth {
+		if i > 0 {
+			dst = append(dst, '.')
+		}
+		id := uint32(m[i])<<24 | uint32(m[i+1])<<16 | uint32(m[i+2])<<8 | uint32(m[i+3])
+		dst = strconv.AppendUint(dst, uint64(id), 10)
 	}
-	parts := strings.Split(string(m), ".")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		fmt.Sscanf(p, "%d", &out[i])
-	}
-	return out
+	return dst
 }
 
-// poly is a multivariate polynomial: monomial → coefficient.
+// poly is a multivariate polynomial: monomial → coefficient. A poly and
+// its coefficients are never mutated once built, so they may be shared.
 type poly map[monomial]*big.Rat
 
 func polyConst(v *big.Rat) poly {
@@ -86,42 +109,38 @@ func polyConst(v *big.Rat) poly {
 	return p
 }
 
-func polyAtom(id int) poly {
-	return poly{mkMonomial([]int{id}): big.NewRat(1, 1)}
-}
-
-func (p poly) clone() poly {
-	q := make(poly, len(p))
-	for m, c := range p {
-		q[m] = new(big.Rat).Set(c)
-	}
-	return q
+func polyAtom(id uint32) poly {
+	return poly{atomMonomial(id): big.NewRat(1, 1)}
 }
 
 func (p poly) isZero() bool { return len(p) == 0 }
 
-func (p poly) isConst() (*big.Rat, bool) {
-	if len(p) == 0 {
-		return big.NewRat(0, 1), true
-	}
-	if len(p) == 1 {
-		if c, ok := p[""]; ok {
-			return c, true
-		}
-	}
-	return nil, false
+var (
+	ratOne  = big.NewRat(1, 1)
+	polyOne = poly{"": ratOne}
+)
+
+// isOne reports whether p is the constant 1.
+func (p poly) isOne() bool {
+	c, ok := p[""]
+	return len(p) == 1 && ok && c.Cmp(ratOne) == 0
 }
 
 func polyAdd(a, b poly) (poly, error) {
-	out := a.clone()
+	out := make(poly, len(a)+len(b))
+	for m, c := range a {
+		out[m] = c
+	}
 	for m, c := range b {
-		if cur, ok := out[m]; ok {
-			cur.Add(cur, c)
-			if cur.Sign() == 0 {
-				delete(out, m)
-			}
+		cur, ok := out[m]
+		if !ok {
+			out[m] = c
+			continue
+		}
+		if s := new(big.Rat).Add(cur, c); s.Sign() == 0 {
+			delete(out, m)
 		} else {
-			out[m] = new(big.Rat).Set(c)
+			out[m] = s
 		}
 	}
 	if len(out) > maxTerms {
@@ -142,19 +161,28 @@ func polyMul(a, b poly) (poly, error) {
 	if len(a)*len(b) > 4*maxTerms {
 		return nil, ErrInconclusive
 	}
-	out := poly{}
+	switch {
+	case b.isOne():
+		return a, nil
+	case a.isOne():
+		return b, nil
+	}
+	out := make(poly, max(len(a), len(b)))
+	var (
+		key []byte
+		c   big.Rat
+	)
 	for ma, ca := range a {
-		fa := ma.factors()
 		for mb, cb := range b {
-			m := mkMonomial(append(append([]int{}, fa...), mb.factors()...))
-			c := new(big.Rat).Mul(ca, cb)
-			if cur, ok := out[m]; ok {
-				cur.Add(cur, c)
-				if cur.Sign() == 0 {
-					delete(out, m)
+			key = appendProduct(key[:0], ma, mb)
+			c.Mul(ca, cb)
+			// The coefficients in out are fresh, so they update in place.
+			if cur, ok := out[monomial(key)]; ok {
+				if cur.Add(cur, &c); cur.Sign() == 0 {
+					delete(out, monomial(key))
 				}
 			} else if c.Sign() != 0 {
-				out[m] = c
+				out[monomial(key)] = new(big.Rat).Set(&c)
 			}
 		}
 	}
@@ -177,26 +205,27 @@ func polyEqual(a, b poly) bool {
 	return true
 }
 
-// canonScaled renders the polynomial with every coefficient multiplied by
-// scale, in sorted monomial order.
-func (p poly) canonScaled(scale *big.Rat) string {
+// appendCanonScaled renders the polynomial with every coefficient
+// multiplied by scale, in ascending packed monomial order.
+func (p poly) appendCanonScaled(dst []byte, scale *big.Rat) []byte {
 	if len(p) == 0 {
-		return "0"
+		return append(dst, '0')
 	}
-	ms := make([]string, 0, len(p))
+	ms := make([]monomial, 0, len(p))
 	for m := range p {
-		ms = append(ms, string(m))
+		ms = append(ms, m)
 	}
-	sort.Strings(ms)
-	var b strings.Builder
+	slices.Sort(ms)
+	var c big.Rat
 	for i, m := range ms {
 		if i > 0 {
-			b.WriteByte('+')
+			dst = append(dst, '+')
 		}
-		c := new(big.Rat).Mul(p[monomial(m)], scale)
-		fmt.Fprintf(&b, "%s*[%s]", c.RatString(), m)
+		dst = append(dst, c.Mul(p[m], scale).RatString()...)
+		dst = append(dst, "*["...)
+		dst = append(m.appendDecimal(dst), ']')
 	}
-	return b.String()
+	return dst
 }
 
 // ratfn is a formal rational function num/den.
@@ -205,11 +234,11 @@ type ratfn struct {
 }
 
 func rfConst(v *big.Rat) ratfn {
-	return ratfn{num: polyConst(v), den: polyConst(big.NewRat(1, 1))}
+	return ratfn{num: polyConst(v), den: polyOne}
 }
 
-func rfAtom(id int) ratfn {
-	return ratfn{num: polyAtom(id), den: polyConst(big.NewRat(1, 1))}
+func rfAtom(id uint32) ratfn {
+	return ratfn{num: polyAtom(id), den: polyOne}
 }
 
 func rfAdd(a, b ratfn) (ratfn, error) {
@@ -286,19 +315,23 @@ func rfEqual(a, b ratfn) (bool, error) {
 
 // canon renders a canonical atom key for a rational function: both
 // numerator and denominator are scaled by the same factor — the inverse of
-// the denominator's lexicographically-least coefficient — so that P/Q and
-// (cP)/(cQ) share a key. (Representations differing by a polynomial factor
-// remain distinct; that only costs completeness for nested opaque terms,
-// never soundness.)
+// the coefficient of the denominator's least monomial in packed order — so
+// that P/Q and (cP)/(cQ) share a key. Any fixed monomial order works here,
+// because scale-equivalent forms have the same monomial set. (Forms
+// differing by a polynomial factor remain distinct; that only costs
+// completeness for nested opaque terms, never soundness.)
 func (r ratfn) canon() string {
 	if r.num.isZero() {
 		return "0"
 	}
-	ms := make([]string, 0, len(r.den))
+	least, first := monomial(""), true
 	for m := range r.den {
-		ms = append(ms, string(m))
+		if first || m < least {
+			least, first = m, false
+		}
 	}
-	sort.Strings(ms)
-	scale := new(big.Rat).Inv(r.den[monomial(ms[0])])
-	return r.num.canonScaled(scale) + "/" + r.den.canonScaled(scale)
+	scale := new(big.Rat).Inv(r.den[least])
+	b := r.num.appendCanonScaled(nil, scale)
+	b = append(b, '/')
+	return string(r.den.appendCanonScaled(b, scale))
 }

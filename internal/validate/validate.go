@@ -17,14 +17,7 @@ import (
 // differential testing, mirroring how the paper treats validation as an
 // optional, best-effort safety net outside the trusted core.
 func Check(l *kernel.Lifted, optimized *expr.Expr) error {
-	err := Equivalent(l.Spec, optimized, l.OutputLen())
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, ErrInconclusive) {
-		return Randomized(l, optimized, 64, 1)
-	}
-	return err
+	return NewChecker(l).Check(optimized)
 }
 
 // Equivalent decides, over the theory of real arithmetic, whether the
@@ -33,49 +26,135 @@ func Check(l *kernel.Lifted, optimized *expr.Expr) error {
 // arguments), exactly as in the paper's validator: programs that are equal
 // only because of special function semantics are reported inequivalent.
 func Equivalent(spec, optimized *expr.Expr, n int) error {
-	specLanes, err := Lanes(spec)
-	if err != nil {
-		return fmt.Errorf("validate: spec: %w", err)
+	return newChecker(spec, n).Equivalent(optimized)
+}
+
+// Checker validates any number of programs against one specification,
+// normalizing each spec lane at most once. It is meant for the targets of
+// one compile; a Checker is not safe for concurrent use.
+type Checker struct {
+	l     *kernel.Lifted // nil when built by Equivalent; needed for fallback
+	n     int
+	atoms *atoms
+	// The spec's lanes and their normalizer. Lane normal forms are filled
+	// in lazily, the first time Equivalent reaches each lane.
+	lanes    []specLane
+	lanesErr error
+	specNorm *normalizer
+}
+
+// specLane is one spec output and, once computed, its normal form or the
+// error normalizing it gave.
+type specLane struct {
+	e    *expr.Expr
+	nf   ratfn
+	err  error
+	done bool
+}
+
+// NewChecker prepares a Checker for the kernel's specification.
+func NewChecker(l *kernel.Lifted) *Checker {
+	c := newChecker(l.Spec, l.OutputLen())
+	c.l = l
+	return c
+}
+
+func newChecker(spec *expr.Expr, n int) *Checker {
+	at := newAtoms()
+	c := &Checker{n: n, atoms: at, specNorm: newNormalizer(at)}
+	var es []*expr.Expr
+	if es, c.lanesErr = Lanes(spec); c.lanesErr == nil {
+		c.lanes = make([]specLane, len(es))
+		for i, e := range es {
+			c.lanes[i].e = e
+		}
+	}
+	return c
+}
+
+// Check validates optimized like the package-level Check, reusing the
+// spec normal forms earlier calls computed.
+func (c *Checker) Check(optimized *expr.Expr) error {
+	err := c.Equivalent(optimized)
+	if errors.Is(err, ErrInconclusive) && c.l != nil {
+		return Randomized(c.l, optimized, 64, 1)
+	}
+	return err
+}
+
+// Equivalent decides like the package-level Equivalent whether the first
+// n outputs of optimized equal the spec's. It stops at the first lane that
+// differs or cannot be normalized.
+func (c *Checker) Equivalent(optimized *expr.Expr) error {
+	if c.lanesErr != nil {
+		return fmt.Errorf("validate: spec: %w", c.lanesErr)
 	}
 	optLanes, err := Lanes(optimized)
 	if err != nil {
 		return fmt.Errorf("validate: optimized program: %w", err)
 	}
-	if len(specLanes) < n || len(optLanes) < n {
+	if len(c.lanes) < c.n || len(optLanes) < c.n {
 		return fmt.Errorf("validate: need %d outputs; spec has %d, optimized has %d",
-			n, len(specLanes), len(optLanes))
+			c.n, len(c.lanes), len(optLanes))
 	}
-	at := newAtoms()
-	nm := &normalizer{atoms: at, memo: map[*expr.Expr]ratfn{}}
-	for i := 0; i < n; i++ {
-		a, err := nm.norm(specLanes[i])
+	// The optimized program's normal forms are not kept past this call;
+	// only the atom table, whose keys are canonical, is shared with the spec.
+	optNorm := newNormalizer(c.atoms)
+	for i := 0; i < c.n; i++ {
+		sl := &c.lanes[i]
+		if !sl.done {
+			sl.nf, sl.err = c.specNorm.norm(sl.e)
+			sl.done = true
+		}
+		if sl.err != nil {
+			return sl.err
+		}
+		b, err := optNorm.norm(optLanes[i])
 		if err != nil {
 			return err
 		}
-		b, err := nm.norm(optLanes[i])
-		if err != nil {
-			return err
-		}
-		eq, err := rfEqual(a, b)
+		eq, err := rfEqual(sl.nf, b)
 		if err != nil {
 			return err
 		}
 		if !eq {
 			return fmt.Errorf("validate: output %d differs:\n  spec: %s\n  opt:  %s",
-				i, specLanes[i], optLanes[i])
+				i, sl.e, optLanes[i])
 		}
 	}
 	return nil
 }
 
 // Lanes flattens a program into one scalar expression per output element,
-// expanding vector operations lane-wise.
+// expanding vector operations lane-wise. A vector subterm shared in the
+// program's DAG expands once, so its lanes are shared pointers too, which
+// the normalizer's memo then hits.
 func Lanes(e *expr.Expr) ([]*expr.Expr, error) {
+	return laneMemo{}.lanes(e)
+}
+
+// laneMemo maps each expanded subterm to its lanes. A memoized slice is
+// shared by every use, so it is never appended to or modified.
+type laneMemo map[*expr.Expr][]*expr.Expr
+
+func (lm laneMemo) lanes(e *expr.Expr) ([]*expr.Expr, error) {
+	if ls, ok := lm[e]; ok {
+		return ls, nil
+	}
+	ls, err := lm.expand(e)
+	if err != nil {
+		return nil, err
+	}
+	lm[e] = ls
+	return ls, nil
+}
+
+func (lm laneMemo) expand(e *expr.Expr) ([]*expr.Expr, error) {
 	switch e.Op {
 	case expr.OpList, expr.OpVec:
 		var out []*expr.Expr
 		for _, a := range e.Args {
-			ls, err := Lanes(a)
+			ls, err := lm.lanes(a)
 			if err != nil {
 				return nil, err
 			}
@@ -83,22 +162,22 @@ func Lanes(e *expr.Expr) ([]*expr.Expr, error) {
 		}
 		return out, nil
 	case expr.OpConcat:
-		l, err := Lanes(e.Args[0])
+		l, err := lm.lanes(e.Args[0])
 		if err != nil {
 			return nil, err
 		}
-		r, err := Lanes(e.Args[1])
+		r, err := lm.lanes(e.Args[1])
 		if err != nil {
 			return nil, err
 		}
-		return append(l, r...), nil
+		return append(append(make([]*expr.Expr, 0, len(l)+len(r)), l...), r...), nil
 	case expr.OpVecAdd, expr.OpVecMinus, expr.OpVecMul, expr.OpVecDiv:
 		sop, _ := e.Op.ScalarEquivalent()
-		a, err := Lanes(e.Args[0])
+		a, err := lm.lanes(e.Args[0])
 		if err != nil {
 			return nil, err
 		}
-		b, err := Lanes(e.Args[1])
+		b, err := lm.lanes(e.Args[1])
 		if err != nil {
 			return nil, err
 		}
@@ -111,15 +190,15 @@ func Lanes(e *expr.Expr) ([]*expr.Expr, error) {
 		}
 		return out, nil
 	case expr.OpVecMAC:
-		acc, err := Lanes(e.Args[0])
+		acc, err := lm.lanes(e.Args[0])
 		if err != nil {
 			return nil, err
 		}
-		b, err := Lanes(e.Args[1])
+		b, err := lm.lanes(e.Args[1])
 		if err != nil {
 			return nil, err
 		}
-		c, err := Lanes(e.Args[2])
+		c, err := lm.lanes(e.Args[2])
 		if err != nil {
 			return nil, err
 		}
@@ -133,7 +212,7 @@ func Lanes(e *expr.Expr) ([]*expr.Expr, error) {
 		return out, nil
 	case expr.OpVecNeg, expr.OpVecSqrt, expr.OpVecSgn:
 		sop, _ := e.Op.ScalarEquivalent()
-		a, err := Lanes(e.Args[0])
+		a, err := lm.lanes(e.Args[0])
 		if err != nil {
 			return nil, err
 		}
@@ -146,7 +225,7 @@ func Lanes(e *expr.Expr) ([]*expr.Expr, error) {
 		var argLanes [][]*expr.Expr
 		n := -1
 		for _, a := range e.Args {
-			ls, err := Lanes(a)
+			ls, err := lm.lanes(a)
 			if err != nil {
 				return nil, err
 			}
@@ -175,6 +254,10 @@ func Lanes(e *expr.Expr) ([]*expr.Expr, error) {
 type normalizer struct {
 	atoms *atoms
 	memo  map[*expr.Expr]ratfn
+}
+
+func newNormalizer(at *atoms) *normalizer {
+	return &normalizer{atoms: at, memo: map[*expr.Expr]ratfn{}}
 }
 
 func (nm *normalizer) norm(e *expr.Expr) (ratfn, error) {

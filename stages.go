@@ -268,11 +268,13 @@ func stageSimulate(_ context.Context, st *compileState) error {
 }
 
 // stageValidate runs translation validation (§3.4) on every target's
-// extracted program against the lifted specification.
+// extracted program against the lifted specification, which one validator
+// normalizes once for all targets.
 func stageValidate(_ context.Context, st *compileState) error {
+	check := newValidator(st.lifted)
 	for i, t := range st.targets {
 		tr := &st.perTarget[i]
-		if err := validateCheck(st.lifted, tr.Optimized); err != nil {
+		if err := check(tr.Optimized); err != nil {
 			return fmt.Errorf("translation validation failed for %s: %w", t, err)
 		}
 		tr.Validated = true
