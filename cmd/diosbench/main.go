@@ -11,7 +11,6 @@
 //	diosbench -cost-ablation # extraction cost-model ablation
 //	diosbench -theia        # §5.7 Theia case study
 //	diosbench -validate     # translation validation of all 21 kernels
-//	diosbench -match-sweep  # parallel e-matching saturate-stage speedup
 //
 // Use -only <substrings> (comma-separated) to restrict kernel-suite
 // experiments, and -v for per-kernel progress (structured log lines;
@@ -69,9 +68,6 @@ func main() {
 		logLevel   = flag.String("log-level", "warn", "structured log level: debug, info, warn, error (debug logs every pipeline stage)")
 		logJSON    = flag.Bool("log-json", false, "emit structured logs as JSON lines instead of text")
 		timeout    = flag.Duration("timeout", 0, "equality saturation timeout (default: paper's 180s)")
-		matchWork  = flag.Int("match-workers", 0, "parallel e-matching workers for every experiment (default: one per CPU; 1 forces serial)")
-		matchSweep = flag.Bool("match-sweep", false, "sweep -match-workers over {1,2,4,GOMAXPROCS} per kernel and report parallel saturate-stage speedup")
-		sweepReps  = flag.Int("sweep-repeat", 3, "compiles per (kernel, workers) cell for -match-sweep; fastest run wins")
 		trace      = flag.Bool("trace", false, "print per-kernel pipeline stage tables with Table 1")
 		jsonOut    = flag.Bool("json", false, "emit Table 1 rows (with traces) as JSON")
 		profile    = flag.Bool("profile", false, "print per-kernel simulated cycle profiles (hotspots, slots, stalls)")
@@ -93,7 +89,7 @@ func main() {
 
 	exporting := *traceOut != "" || *metricOut != "" || *benchJSON != "" || *profile || *compare != "" || *memProfile != ""
 	if !(*all || *table1 || *figure5 || *figure6 || *motivating || *expertCmp ||
-		*ablation || *costAbl || *theiaCase || *validate || *matchSweep ||
+		*ablation || *costAbl || *theiaCase || *validate ||
 		*targets != "" || exporting) {
 		flag.Usage()
 		os.Exit(2)
@@ -115,7 +111,7 @@ func main() {
 	// traces every stage of every kernel compile.
 	ctx = telemetry.WithLogger(ctx, logger)
 
-	opts := diospyros.Options{Timeout: *timeout, MatchWorkers: *matchWork}
+	opts := diospyros.Options{Timeout: *timeout}
 	progress := func(string) {}
 	if *verbose {
 		progress = func(s string) { logger.Info("progress", "detail", s) }
@@ -278,16 +274,6 @@ func main() {
 			fail(err)
 		}
 		fmt.Println(bench.FormatCostAblation(rows))
-	}
-	if *matchSweep {
-		fmt.Println("== match-worker sweep: parallel e-matching speedup ==")
-		rows, err := bench.MatchSweep(bench.MSOptions{
-			Opts: opts, Only: *only, Repeat: *sweepReps, Progress: progress, Context: ctx,
-		})
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.FormatMatchSweep(rows))
 	}
 	if *all || *theiaCase {
 		res, err := bench.Theia()

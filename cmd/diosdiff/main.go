@@ -15,7 +15,7 @@
 // diffed; option tokens are comma-separated:
 //
 //	no-vector | ac | backoff | width=N | target=NAME | timeout=DUR |
-//	node-limit=N | match-workers=N | cost:OP=V
+//	node-limit=N | cost:OP=V
 //
 // Like diff(1), the exit status distinguishes outcomes: 0 when the runs
 // are equivalent, 1 when they diverge, 2 on usage or artifact errors.
@@ -254,12 +254,6 @@ func parseOpts(tokens string) (diospyros.Options, error) {
 				return opts, fmt.Errorf("bad node-limit %q", val)
 			}
 			opts.NodeLimit = n
-		case key == "match-workers" && hasVal:
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return opts, fmt.Errorf("bad match-workers %q", val)
-			}
-			opts.MatchWorkers = n
 		case strings.HasPrefix(key, "cost:") && hasVal:
 			op := strings.TrimPrefix(key, "cost:")
 			v, err := strconv.ParseFloat(val, 64)

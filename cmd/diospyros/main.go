@@ -65,7 +65,6 @@ func main() {
 		backoff   = flag.Bool("backoff", false, "schedule rules with the backoff policy (ban over-matching rules); useful with -ac")
 		timeout   = flag.Duration("timeout", 0, "equality saturation timeout (default 180s)")
 		nodeLimit = flag.Int("node-limit", 0, "e-graph node limit (default 10,000,000)")
-		matchWork = flag.Int("match-workers", 0, "parallel e-matching workers (default: one per CPU; 1 forces the serial matcher; results are identical at any setting)")
 		targets   = flag.String("targets", "", "comma-separated machine targets (e.g. fg3lite-4,fg3lite-8,scalar): one saturation search, one extraction per target; the first is primary")
 		stats     = flag.Bool("stats", false, "print compilation statistics to stderr")
 		trace     = flag.Bool("trace", false, "print the per-stage pipeline trace to stderr")
@@ -135,7 +134,6 @@ func main() {
 	opts := diospyros.Options{
 		Timeout:            *timeout,
 		NodeLimit:          *nodeLimit,
-		MatchWorkers:       *matchWork,
 		DisableVectorRules: *noVector,
 		EnableAC:           *enableAC,
 		UseBackoff:         *backoff,

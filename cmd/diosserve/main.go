@@ -63,7 +63,6 @@ func main() {
 		wdWall     = flag.Duration("watchdog-wall", 0, "abort compiles running longer than this (0 disables)")
 		wdHeap     = flag.Int64("watchdog-heap", 0, "abort compiles once the process live heap exceeds this many bytes (0 disables)")
 		satTimeout = flag.Duration("timeout", 0, "default equality-saturation timeout (default 180s)")
-		matchWork  = flag.Int("match-workers", 0, "parallel e-matching workers per compile (default: one per CPU; 1 forces serial; output is identical at any setting)")
 		cacheBytes = flag.Int64("cache-bytes", 0, "content-addressed compile cache budget in bytes (default 64 MiB, negative disables)")
 		enableAC   = flag.Bool("ac", false, "enable full associativity/commutativity rules")
 		backoff    = flag.Bool("backoff", false, "schedule rules with the backoff policy (ban over-matching rules); useful with -ac")
@@ -96,10 +95,9 @@ func main() {
 		TraceLog:       *traceLog,
 		CacheBytes:     *cacheBytes,
 		Options: diospyros.Options{
-			Timeout:      *satTimeout,
-			EnableAC:     *enableAC,
-			UseBackoff:   *backoff,
-			MatchWorkers: *matchWork,
+			Timeout:    *satTimeout,
+			EnableAC:   *enableAC,
+			UseBackoff: *backoff,
 		},
 		Logger: log,
 	})

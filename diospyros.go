@@ -98,13 +98,6 @@ type Options struct {
 	// Create with egraph.NewJournal; nil keeps the recorder fully off.
 	Journal *egraph.Journal
 
-	// MatchWorkers bounds the worker pool for equality saturation's
-	// read-only match phase. 0 means one worker per CPU
-	// (egraph.DefaultMatchWorkers); 1 forces the serial matcher. The
-	// setting trades wall-clock time only: compiled output, extraction
-	// costs, and search telemetry counts are bit-for-bit identical at
-	// every worker count (DESIGN.md §9).
-	MatchWorkers int
 	// ExtraRules appends user-defined syntactic rewrite rules to the
 	// search, the paper's §6 extension mechanism. For example, a DSP with
 	// a fast reciprocal is taught with

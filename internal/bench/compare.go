@@ -98,15 +98,8 @@ type CompareRow struct {
 	Status CompareStatus
 }
 
-// CompareBench judges rows' simulated cycles against a -bench-json baseline
-// with the given relative tolerance (0.15 means +15% cycles fails); see
-// CompareBenchMetric.
-func CompareBench(baseline []byte, rows []T1Row, tolerance float64) ([]CompareRow, error) {
-	return CompareBenchMetric(baseline, rows, tolerance, MetricCycles)
-}
-
 // CompareBenchMetric judges one metric of rows against a -bench-json
-// baseline with the given relative tolerance. Rows are returned in baseline
+// baseline with the given relative tolerance (0.15 means +15% fails). Rows are returned in baseline
 // order, then new kernels, then baseline kernels missing from this run.
 // Baseline rows whose metric is zero get CompareNoBaseline (informational):
 // a relative delta against zero would be ±Inf, and an older baseline that
@@ -157,12 +150,6 @@ func CountRegressions(rows []CompareRow) int {
 		}
 	}
 	return n
-}
-
-// FormatCompare renders the cycle comparison as a table with a one-line
-// verdict; see FormatCompareMetric.
-func FormatCompare(rows []CompareRow, tolerance float64) string {
-	return FormatCompareMetric(rows, tolerance, MetricCycles.Name)
 }
 
 // FormatCompareMetric renders one metric's comparison as a table with a

@@ -19,7 +19,7 @@ func compareFixture(t *testing.T) []CompareRow {
 		{Kernel: Kernel{ID: "faster"}, Cycles: 700},  // -30%, improvement
 		{Kernel: Kernel{ID: "fresh"}, Cycles: 42},    // not in baseline
 	}
-	out, err := CompareBench(baseline, rows, 0.15)
+	out, err := CompareBenchMetric(baseline, rows, 0.15, MetricCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +50,8 @@ func TestCompareBenchStatuses(t *testing.T) {
 
 func TestCompareBenchBoundary(t *testing.T) {
 	// Exactly at tolerance is not a regression: the gate is strict-greater.
-	rows, err := CompareBench([]byte(`[{"id":"k","cycles":100}]`),
-		[]T1Row{{Kernel: Kernel{ID: "k"}, Cycles: 115}}, 0.15)
+	rows, err := CompareBenchMetric([]byte(`[{"id":"k","cycles":100}]`),
+		[]T1Row{{Kernel: Kernel{ID: "k"}, Cycles: 115}}, 0.15, MetricCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +61,10 @@ func TestCompareBenchBoundary(t *testing.T) {
 }
 
 func TestCompareBenchErrors(t *testing.T) {
-	if _, err := CompareBench([]byte(`{not json`), nil, 0.15); err == nil {
+	if _, err := CompareBenchMetric([]byte(`{not json`), nil, 0.15, MetricCycles); err == nil {
 		t.Error("bad baseline JSON accepted")
 	}
-	if _, err := CompareBench([]byte(`[]`), nil, -1); err == nil {
+	if _, err := CompareBenchMetric([]byte(`[]`), nil, -1, MetricCycles); err == nil {
 		t.Error("negative tolerance accepted")
 	}
 }
@@ -144,7 +144,7 @@ func TestCompareBenchMetricPeakBytes(t *testing.T) {
 
 func TestFormatCompare(t *testing.T) {
 	rows := compareFixture(t)
-	out := FormatCompare(rows, 0.15)
+	out := FormatCompareMetric(rows, 0.15, MetricCycles.Name)
 	for _, want := range []string{
 		"slower", "+20.0%", "regressed",
 		"faster", "-30.0%", "improved",
@@ -154,7 +154,7 @@ func TestFormatCompare(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
 	}
-	ok := FormatCompare(rows[:1], 0.15)
+	ok := FormatCompareMetric(rows[:1], 0.15, MetricCycles.Name)
 	if !strings.Contains(ok, "OK: no kernel regressed") {
 		t.Errorf("clean run lacks OK verdict:\n%s", ok)
 	}

@@ -43,11 +43,11 @@ func TestRegressedIDsBoundaries(t *testing.T) {
 		{"id": "zero-baseline", "cycles": 0},
 		{"id": "improved", "cycles": 100}
 	]`)
-	rows, err := CompareBench(baseline, []T1Row{
+	rows, err := CompareBenchMetric(baseline, []T1Row{
 		{Kernel: Kernel{ID: "at-tolerance"}, Cycles: 115}, // exactly +15%
 		{Kernel: Kernel{ID: "zero-baseline"}, Cycles: 50}, // no-baseline
 		{Kernel: Kernel{ID: "improved"}, Cycles: 70},      // -30%
-	}, 0.15)
+	}, 0.15, MetricCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,9 +55,9 @@ func TestRegressedIDsBoundaries(t *testing.T) {
 		t.Fatalf("boundary rows spawned forensics for %v:\n%+v", ids, rows)
 	}
 	// Crossing the boundary by one cycle does trigger.
-	rows, err = CompareBench(baseline, []T1Row{
+	rows, err = CompareBenchMetric(baseline, []T1Row{
 		{Kernel: Kernel{ID: "at-tolerance"}, Cycles: 116},
-	}, 0.15)
+	}, 0.15, MetricCycles)
 	if err != nil {
 		t.Fatal(err)
 	}

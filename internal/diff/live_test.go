@@ -56,16 +56,17 @@ func compileMM(t *testing.T, opts diospyros.Options, ringCap int) (diff.Input, *
 }
 
 // TestLiveSelfDiffEmpty checks the determinism anchor on real compiles: the
-// same kernel compiled twice — and across match-worker counts — diffs empty.
+// same kernel compiled twice — and again at GOMAXPROCS 8 — diffs empty.
 func TestLiveSelfDiffEmpty(t *testing.T) {
 	a, _ := compileMM(t, diospyros.Options{}, 0)
 	b, _ := compileMM(t, diospyros.Options{}, 0)
 	if d := diff.Compare(a, b); !d.Empty() {
 		t.Errorf("identical compiles diverged:\n%s", d.Format())
 	}
-	p, _ := compileMM(t, diospyros.Options{MatchWorkers: 8}, 0)
+	withProcs(t, 8)
+	p, _ := compileMM(t, diospyros.Options{}, 0)
 	if d := diff.Compare(a, p); !d.Empty() {
-		t.Errorf("workers=1 vs workers=8 diverged:\n%s", d.Format())
+		t.Errorf("default vs GOMAXPROCS=8 diverged:\n%s", d.Format())
 	}
 }
 

@@ -3,6 +3,7 @@ package diff_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -12,27 +13,36 @@ import (
 	"diospyros/internal/egraph"
 )
 
-// TestSelfDiffEmptyAcrossSuite is the tentpole's suite-wide invariant: every
-// kernel of the 21-kernel suite, compiled with the journal armed, self-diffs
-// empty — against itself and across -match-workers 1 vs 8. Any divergence
-// here means either the determinism contract (DESIGN.md §9) broke or the
-// diff is counting an informational field as semantic.
+// withProcs sets GOMAXPROCS, and with it the e-matching pool size, for the
+// rest of the test.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestSelfDiffEmptyAcrossSuite is the suite-wide determinism invariant:
+// every kernel of the 21-kernel suite, compiled with the journal armed,
+// self-diffs empty and emits identical C — against itself and across
+// GOMAXPROCS 1 vs 8 (the inline matcher vs the pool). Any divergence here
+// means either the determinism contract (DESIGN.md §9) broke or the diff is
+// counting an informational field as semantic.
 func TestSelfDiffEmptyAcrossSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite run")
 	}
-	compileAt := func(k bench.Kernel, workers int) diff.Input {
+	compileAt := func(k bench.Kernel, procs int) (diff.Input, string) {
+		withProcs(t, procs)
 		jr := egraph.NewJournal(0)
 		res, err := diospyros.Compile(k.Lift(), diospyros.Options{
-			Timeout:      time.Minute,
-			MatchWorkers: workers,
-			Journal:      jr,
+			Timeout: time.Minute,
+			Journal: jr,
 		})
 		if err != nil {
-			t.Fatalf("%s (workers=%d): %v", k.ID, workers, err)
+			t.Fatalf("%s (GOMAXPROCS=%d): %v", k.ID, procs, err)
 		}
 		in := diff.Input{
-			Label:  fmt.Sprintf("workers=%d", workers),
+			Label:  fmt.Sprintf("GOMAXPROCS=%d", procs),
 			Kernel: k.ID,
 			Trace:  res.Trace,
 		}
@@ -42,16 +52,20 @@ func TestSelfDiffEmptyAcrossSuite(t *testing.T) {
 				in.Cycles = sres.Cycles
 			}
 		}
-		return in
+		return in, res.C
 	}
 	for _, k := range bench.Suite() {
-		serial := compileAt(k, 1)
-		parallel := compileAt(k, 8)
+		serial, serialC := compileAt(k, 1)
+		parallel, parallelC := compileAt(k, 8)
 		if d := diff.Compare(serial, serial); !d.Empty() {
 			t.Errorf("%s: self-diff not empty:\n%s", k.ID, d.Format())
 		}
 		if d := diff.Compare(serial, parallel); !d.Empty() {
-			t.Errorf("%s: workers=1 vs workers=8 diverged:\n%s", k.ID, d.Format())
+			t.Errorf("%s: GOMAXPROCS=1 vs GOMAXPROCS=8 diverged:\n%s", k.ID, d.Format())
+		}
+		// diff.Compare does not look at the emitted C; compare it directly.
+		if serialC != parallelC {
+			t.Errorf("%s: C output differs between GOMAXPROCS=1 and GOMAXPROCS=8", k.ID)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package egraph
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -44,36 +46,37 @@ func BenchmarkSaturationThroughput(b *testing.B) {
 	b.ReportMetric(float64(applied)*float64(b.N)/b.Elapsed().Seconds(), "applies/s")
 }
 
-// BenchmarkSaturateSerial measures one full serial saturation run
-// (MatchWorkers=1) of the explosive workload — the end-to-end number the
-// §14 data-layout work (interned symbols, binary hashcons, indexed
-// dispatch) moves. allocs/op here is dominated by hashcons probes.
-func BenchmarkSaturateSerial(b *testing.B) {
+// BenchmarkSaturate measures one full saturation run of the explosive
+// workload — the end-to-end number the §14 data-layout work (interned
+// symbols, binary hashcons, indexed dispatch) moves. allocs/op here is
+// dominated by hashcons probes. The match pool follows GOMAXPROCS, so
+// -cpu 1,2 yields a serial row and a two-worker row.
+func BenchmarkSaturate(b *testing.B) {
 	e, rules := saturationWorkload(12)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		g := New()
 		g.AddExpr(e)
-		Run(g, rules, Limits{MaxIterations: 4, MaxNodes: 50_000, MatchWorkers: 1})
+		Run(g, rules, Limits{MaxIterations: 4, MaxNodes: 50_000})
 	}
 }
 
 // BenchmarkMatchPhase isolates the read-only match phase on a saturated
 // graph: one indexed search of every rule over every canonical class, the
-// inner loop the head-op dispatch index (DESIGN.md §14) prunes.
+// inner loop the head-op dispatch index (DESIGN.md §14) prunes, on a pool
+// of GOMAXPROCS workers.
 func BenchmarkMatchPhase(b *testing.B) {
 	e, rules := saturationWorkload(12)
 	g := New()
 	g.AddExpr(e)
-	Run(g, rules, Limits{MaxIterations: 4, MaxNodes: 50_000, MatchWorkers: 1})
-	g.CompressPaths()
+	Run(g, rules, Limits{MaxIterations: 4, MaxNodes: 50_000})
 	b.ReportAllocs()
 	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {
-		ix := HeadIndex(g.CanonicalClasses())
-		for _, r := range rules {
-			total += len(searchIndexed(g, ix, r))
+		found, _ := searchParallel(context.Background(), g, rules, runtime.GOMAXPROCS(0))
+		for _, f := range found {
+			total += len(f.matches)
 		}
 	}
 	b.ReportMetric(float64(total)/float64(b.N), "matches")

@@ -147,8 +147,8 @@ func (g *EGraph) Find(id ClassID) ClassID {
 // CompressPaths fully compresses the union-find so every ID points directly
 // at its canonical root. After it returns, Find never mutates the structure
 // until the next Union, making the e-graph safe for concurrent read-only
-// searchers. The saturation runner calls it once per iteration before
-// fanning the match phase out across workers.
+// searchers. The saturation runner calls it at the start of every
+// iteration's match phase.
 func (g *EGraph) CompressPaths() {
 	for i := range g.uf {
 		id := ClassID(i)

@@ -108,13 +108,3 @@ func (ix *ClassIndex) Candidates(r Rewrite) []*EClass {
 	}
 	return out
 }
-
-// searchIndexed runs one rule's search through the index: shardable rules
-// scan only their candidate classes; opaque rules fall back to their own
-// whole-graph Search.
-func searchIndexed(g *EGraph, ix *ClassIndex, r Rewrite) []Match {
-	if sr, ok := r.(ShardedRewrite); ok {
-		return sr.SearchClasses(g, ix.Candidates(r))
-	}
-	return r.Search(g)
-}

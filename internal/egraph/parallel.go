@@ -2,21 +2,20 @@ package egraph
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// The parallel match phase. Equality saturation alternates a read-only
-// search phase (every rule matched against every e-class) with a mutating
-// apply/rebuild phase. The search phase dominates compile time on large
-// kernels and is embarrassingly parallel: this file shards the canonical
-// e-class list across a bounded worker pool, collects matches into
-// per-(rule, shard) buffers, and merges them in canonical (rule, e-class
-// ID) order, so the runner's apply phase — and therefore the extracted
-// program, the Journal, and rewrite provenance — is bit-for-bit identical
-// at any worker count.
+// The match phase. Equality saturation alternates a read-only search phase
+// (every rule matched against every e-class) with a mutating apply/rebuild
+// phase. The search phase dominates compile time on large kernels and is
+// embarrassingly parallel: this file shards the canonical e-class list
+// across a worker pool sized by the runner to GOMAXPROCS, collects matches
+// into per-(rule, shard) buffers, and merges them in canonical (rule,
+// e-class ID) order, so the runner's apply phase — and therefore the
+// extracted program, the Journal, and rewrite provenance — is bit-for-bit
+// identical at any GOMAXPROCS.
 //
 // Safety rests on two invariants, both enforced by the runner:
 //
@@ -54,21 +53,18 @@ func (r *patternRewrite) SearchClasses(g *EGraph, classes []*EClass) []Match {
 	return out
 }
 
-// DefaultMatchWorkers is the worker-pool size used when Limits.MatchWorkers
-// is zero: one worker per available CPU.
-func DefaultMatchWorkers() int { return runtime.GOMAXPROCS(0) }
-
 // matchShardMin is the smallest shard handed to one match task. Shards
 // cheaper than this cost more in scheduling than they win in parallelism.
 const matchShardMin = 32
 
-// matchParallelMinClasses gates the parallel matcher: graphs smaller than
-// this search faster serially than the pool spins up. The cutover is
+// matchParallelMinClasses gates the worker pool: graphs smaller than this
+// search faster inline than the pool spins up. The cutover is
 // behavior-neutral — results are identical on both paths.
 const matchParallelMinClasses = 64
 
 // ruleMatches is one rule's merged search result for one iteration.
 type ruleMatches struct {
+	rule    Rewrite
 	matches []Match
 	// searchDur sums the rule's per-shard search times — attributed CPU
 	// time, not wall time (shards run concurrently). The iteration wall
@@ -76,123 +72,123 @@ type ruleMatches struct {
 	searchDur time.Duration
 }
 
-// searchParallel runs the read-only match phase for rules over g on a
-// bounded worker pool, returning per-rule matches in the same order and
-// with the same contents the serial matcher would produce: within each
-// rule, matches appear in canonical e-class order. The caller must pass
-// only rules eligible to search this iteration (bans already filtered).
+// searchParallel is the runner's match phase: it searches rules over g on
+// a pool of up to workers goroutines and returns per-rule matches in rule
+// order, each rule's matches in canonical e-class order, so the result is
+// identical at any pool size. The pool only spins up for graphs of at
+// least matchParallelMinClasses classes; otherwise (or when workers is 1)
+// the tasks run inline, one per rule. The caller must pass only rules
+// eligible to search this iteration (bans already filtered).
 //
-// cancelled reports that ctx fired before every task completed; partial
-// results are discarded and the caller stops the run, mirroring the serial
-// matcher's between-rules cancellation check.
+// cancelled reports that ctx fired during the phase (it is polled between
+// tasks and once after the last); partial results are discarded and the
+// caller stops the run.
 func searchParallel(ctx context.Context, g *EGraph, rules []Rewrite, workers int) (out []ruleMatches, cancelled bool) {
 	// Serial prologue: after this, Find is write-free until the next Union.
 	g.CompressPaths()
 	classes := g.CanonicalClasses()
 	ix := HeadIndex(classes)
 
-	// Shard granularity is derived from the full class count, not per-rule
-	// candidate counts, so the cost of one shard is comparable across rules
-	// regardless of how selective their head-op filters are.
-	shardSize := len(classes) / (workers * 4)
-	if shardSize < matchShardMin {
-		shardSize = matchShardMin
+	// Inline runs give each rule a single task. Pool runs derive shard
+	// granularity from the full class count, not per-rule candidate counts,
+	// so the cost of one shard is comparable across rules regardless of how
+	// selective their head-op filters are.
+	inline := workers <= 1 || len(classes) < matchParallelMinClasses
+	shardSize := len(classes) + 1
+	if !inline {
+		shardSize = max(len(classes)/(workers*4), matchShardMin)
 	}
 
-	type task struct{ rule, shard int }
-	var tasks []task
-	results := make([][][]Match, len(rules))
-	durs := make([][]time.Duration, len(rules))
+	// A task searches one rule over candidates[rule][lo:hi] (the whole
+	// graph for rules that are not shardable). Tasks are rule-major, shards
+	// in canonical class order.
+	type task struct{ rule, lo, hi int }
+	tasks := make([]task, 0, len(rules))
 	candidates := make([][]*EClass, len(rules))
 	for i, r := range rules {
-		shards := 1
-		if _, ok := r.(ShardedRewrite); ok {
-			// Shardable rules scan only their head-op candidates, split into
-			// contiguous runs of the (ID-ordered) candidate list. Shard
-			// boundaries differ from the pre-index layout, but the rule-major,
-			// class-ordered merge below is unchanged, so the merged match
-			// lists — and everything downstream — are bit-identical.
-			candidates[i] = ix.Candidates(r)
-			shards = (len(candidates[i]) + shardSize - 1) / shardSize
-			if shards < 1 {
-				shards = 1
+		if _, ok := r.(ShardedRewrite); !ok {
+			tasks = append(tasks, task{rule: i})
+			continue
+		}
+		// Shardable rules scan only their head-op candidates, split into
+		// contiguous runs of the (ID-ordered) candidate list; the
+		// rule-major, class-ordered merge below makes the shard layout
+		// invisible downstream.
+		cand := ix.Candidates(r)
+		candidates[i] = cand
+		for lo := 0; ; lo += shardSize {
+			tasks = append(tasks, task{i, lo, min(lo+shardSize, len(cand))})
+			if lo+shardSize >= len(cand) {
+				break
 			}
 		}
-		results[i] = make([][]Match, shards)
-		durs[i] = make([]time.Duration, shards)
-		for s := 0; s < shards; s++ {
-			tasks = append(tasks, task{rule: i, shard: s})
-		}
 	}
+	results := make([][]Match, len(tasks))
+	durs := make([]time.Duration, len(tasks))
 
-	var next atomic.Int64
-	var stopped atomic.Bool
 	done := ctx.Done()
-	run := func(t task) {
-		r := rules[t.rule]
-		start := time.Now()
-		var ms []Match
-		if sr, ok := r.(ShardedRewrite); ok {
-			cand := candidates[t.rule]
-			lo := t.shard * shardSize
-			hi := lo + shardSize
-			if hi > len(cand) {
-				hi = len(cand)
-			}
-			ms = sr.SearchClasses(g, cand[lo:hi])
-		} else {
-			ms = r.Search(g)
+	stop := func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
 		}
-		results[t.rule][t.shard] = ms
-		durs[t.rule][t.shard] = time.Since(start)
 	}
-
-	n := workers
-	if n > len(tasks) {
-		n = len(tasks)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if stopped.Load() {
-					return
-				}
-				select {
-				case <-done:
-					stopped.Store(true)
-					return
-				default:
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				run(tasks[i])
+	var next atomic.Int64
+	// work claims and runs tasks until none remain or ctx fires.
+	work := func() {
+		for !stop() {
+			k := int(next.Add(1)) - 1
+			if k >= len(tasks) {
+				return
 			}
-		}()
+			t := tasks[k]
+			start := time.Now()
+			if sr, ok := rules[t.rule].(ShardedRewrite); ok {
+				results[k] = sr.SearchClasses(g, candidates[t.rule][t.lo:t.hi])
+			} else {
+				results[k] = rules[t.rule].Search(g)
+			}
+			durs[k] = time.Since(start)
+		}
 	}
-	wg.Wait()
-	if stopped.Load() {
+	if inline {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < min(workers, len(tasks)); w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	}
+	if stop() {
 		return nil, true
 	}
 
 	// Deterministic merge: rule order, then shard (= canonical class) order.
 	out = make([]ruleMatches, len(rules))
-	for i := range rules {
-		total := 0
-		for _, ms := range results[i] {
-			total += len(ms)
+	for k := 0; k < len(tasks); {
+		i, end, total := tasks[k].rule, k, 0
+		for ; end < len(tasks) && tasks[end].rule == i; end++ {
+			total += len(results[end])
 		}
-		merged := make([]Match, 0, total)
-		var d time.Duration
-		for s, ms := range results[i] {
-			merged = append(merged, ms...)
-			d += durs[i][s]
+		rm := ruleMatches{rule: rules[i], matches: results[k]}
+		if end-k > 1 {
+			rm.matches = make([]Match, 0, total)
+			for _, ms := range results[k:end] {
+				rm.matches = append(rm.matches, ms...)
+			}
 		}
-		out[i] = ruleMatches{matches: merged, searchDur: d}
+		for _, d := range durs[k:end] {
+			rm.searchDur += d
+		}
+		out[i] = rm
+		k = end
 	}
 	return out, false
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"diospyros/internal/expr"
@@ -29,50 +30,58 @@ func testRules() []Rewrite {
 	}
 }
 
-// runWorkers saturates a fresh graph over deepExpr with the given worker
-// count and returns the report plus a canonical dump of the final graph.
-func runWorkers(t *testing.T, workers int, jr *Journal) (Report, string) {
+// withProcs sets GOMAXPROCS, and with it the match pool size, for the
+// rest of the test.
+func withProcs(t *testing.T, n int) {
 	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// runProcs saturates a fresh graph over deepExpr at the given GOMAXPROCS
+// and returns the report plus a canonical dump of the final graph.
+func runProcs(t *testing.T, procs int, jr *Journal) (Report, string) {
+	t.Helper()
+	withProcs(t, procs)
 	g := New()
 	g.AddExpr(deepExpr(48))
 	rep := Run(g, testRules(), Limits{
 		MaxIterations: 4,
 		MaxNodes:      20_000,
-		MatchWorkers:  workers,
 		Journal:       jr,
 	})
 	return rep, g.ToDot()
 }
 
-// TestParallelMatchDeterminism checks the tentpole contract: any worker
-// count produces the same iteration count, application counts, per-rule
-// attribution, and — via the dot dump — the same final e-graph as the
-// serial matcher.
+// TestParallelMatchDeterminism checks the determinism contract: any
+// GOMAXPROCS produces the same iteration count, application counts,
+// per-rule attribution, and — via the dot dump — the same final e-graph as
+// the inline matcher.
 func TestParallelMatchDeterminism(t *testing.T) {
-	repSerial, dotSerial := runWorkers(t, 1, nil)
-	for _, workers := range []int{2, 4, 8} {
-		rep, dot := runWorkers(t, workers, nil)
+	repSerial, dotSerial := runProcs(t, 1, nil)
+	for _, procs := range []int{2, 4, 8} {
+		rep, dot := runProcs(t, procs, nil)
 		if rep.Iterations != repSerial.Iterations || rep.Applied != repSerial.Applied ||
 			rep.Nodes != repSerial.Nodes || rep.Classes != repSerial.Classes ||
 			rep.Reason != repSerial.Reason {
-			t.Fatalf("workers=%d report diverged: %+v vs serial %+v", workers, rep, repSerial)
+			t.Fatalf("GOMAXPROCS=%d report diverged: %+v vs serial %+v", procs, rep, repSerial)
 		}
 		if !reflect.DeepEqual(rep.PerRule, repSerial.PerRule) {
-			t.Fatalf("workers=%d per-rule counts diverged:\n%v\nvs serial\n%v",
-				workers, rep.PerRule, repSerial.PerRule)
+			t.Fatalf("GOMAXPROCS=%d per-rule counts diverged:\n%v\nvs serial\n%v",
+				procs, rep.PerRule, repSerial.PerRule)
 		}
 		if dot != dotSerial {
-			t.Fatalf("workers=%d produced a different final e-graph", workers)
+			t.Fatalf("GOMAXPROCS=%d produced a different final e-graph", procs)
 		}
 	}
 }
 
 // TestParallelMatchGauges checks that the per-iteration gauges (the trace
-// the server and bench read) are identical at different worker counts,
+// the server and bench read) are identical at different GOMAXPROCS,
 // modulo wall-time fields.
 func TestParallelMatchGauges(t *testing.T) {
-	repSerial, _ := runWorkers(t, 1, nil)
-	repPar, _ := runWorkers(t, 8, nil)
+	repSerial, _ := runProcs(t, 1, nil)
+	repPar, _ := runProcs(t, 8, nil)
 	if len(repSerial.Iters) != len(repPar.Iters) {
 		t.Fatalf("iteration gauge counts differ: %d vs %d", len(repSerial.Iters), len(repPar.Iters))
 	}
@@ -87,7 +96,7 @@ func TestParallelMatchGauges(t *testing.T) {
 
 // TestParallelMatchJournalCounts checks that the flight recorder's rule
 // attribution (matches, applications, new nodes) is identical at different
-// worker counts; only Duration fields may differ.
+// GOMAXPROCS; only Duration fields may differ.
 func TestParallelMatchJournalCounts(t *testing.T) {
 	type key struct {
 		kind JournalEventKind
@@ -105,9 +114,9 @@ func TestParallelMatchJournalCounts(t *testing.T) {
 		return out
 	}
 	jrSerial := NewJournal(0)
-	runWorkers(t, 1, jrSerial)
+	runProcs(t, 1, jrSerial)
 	jrPar := NewJournal(0)
-	runWorkers(t, 8, jrPar)
+	runProcs(t, 8, jrPar)
 	if jrSerial.Total() != jrPar.Total() {
 		t.Fatalf("journal event totals differ: %d vs %d", jrSerial.Total(), jrPar.Total())
 	}
@@ -150,28 +159,36 @@ func TestCompressPathsMakesFindReadOnly(t *testing.T) {
 	}
 }
 
-// TestParallelSearchCancellation checks that a cancelled context stops the
-// parallel matcher and reports StopCancelled.
-func TestParallelSearchCancellation(t *testing.T) {
-	g := New()
-	g.AddExpr(deepExpr(64))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	rep := RunContext(ctx, g, testRules(), Limits{MaxIterations: 6, MatchWorkers: 4})
-	if rep.Reason != StopCancelled {
-		t.Fatalf("reason = %s, want %s", rep.Reason, StopCancelled)
-	}
-}
+// cancelRule is a whole-graph rewrite whose search cancels the run's
+// context, so the cancellation lands inside the match phase.
+type cancelRule struct{ cancel context.CancelFunc }
 
-// TestMatchWorkersResolution covers the Limits.MatchWorkers defaulting.
-func TestMatchWorkersResolution(t *testing.T) {
-	if got := (Limits{}).matchWorkers(); got != DefaultMatchWorkers() {
-		t.Fatalf("zero MatchWorkers resolved to %d, want %d", got, DefaultMatchWorkers())
-	}
-	if got := (Limits{MatchWorkers: -3}).matchWorkers(); got != 1 {
-		t.Fatalf("negative MatchWorkers resolved to %d, want 1", got)
-	}
-	if got := (Limits{MatchWorkers: 5}).matchWorkers(); got != 5 {
-		t.Fatalf("MatchWorkers=5 resolved to %d", got)
+func (r cancelRule) Name() string              { return "cancel" }
+func (r cancelRule) Search(*EGraph) []Match    { r.cancel(); return nil }
+func (r cancelRule) Apply(*EGraph, Match) bool { return false }
+
+// TestParallelSearchCancellation checks that a context cancelled during the
+// match phase stops the run inside its first iteration — inline at
+// GOMAXPROCS 1, in the pool at 4 — discarding the iteration's matches and
+// leaving the graph rebuilt.
+func TestParallelSearchCancellation(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		withProcs(t, procs)
+		g := New()
+		g.AddExpr(deepExpr(64))
+		if n := g.NumClasses(); n < matchParallelMinClasses {
+			t.Fatalf("graph has %d classes, below the pool gate %d", n, matchParallelMinClasses)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		rules := append([]Rewrite{cancelRule{cancel}}, testRules()...)
+		rep := RunContext(ctx, g, rules, Limits{MaxIterations: 6})
+		cancel()
+		if rep.Reason != StopCancelled || rep.Iterations != 1 || rep.Applied != 0 {
+			t.Errorf("GOMAXPROCS=%d: reason %s after %d iterations (%d applied), want %s after 1 (0 applied)",
+				procs, rep.Reason, rep.Iterations, rep.Applied, StopCancelled)
+		}
+		if g.NeedsRebuild() {
+			t.Errorf("GOMAXPROCS=%d: cancelled run left the graph needing a rebuild", procs)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"diospyros/internal/telemetry"
@@ -15,8 +16,8 @@ import (
 // vectorization rules use custom Go searchers.
 //
 // Search must treat the graph as read-only — all mutation belongs in Apply.
-// The runner relies on this to match rules concurrently (Limits.
-// MatchWorkers); a Search that adds nodes or unions classes would race.
+// The runner relies on this to match rules concurrently (one worker per
+// GOMAXPROCS); a Search that adds nodes or unions classes would race.
 // Rewrites that additionally implement ShardedRewrite let the runner split
 // one rule's search across workers.
 type Rewrite interface {
@@ -128,26 +129,6 @@ type Limits struct {
 	// best-cost trajectory per root. Other goroutines may read the journal
 	// while the run writes. Nil costs one branch per rule per iteration.
 	Journal *Journal
-	// MatchWorkers bounds the worker pool for the read-only match phase.
-	// 0 means DefaultMatchWorkers (one per CPU); 1 forces the serial
-	// matcher; higher values cap the pool. The setting never changes
-	// results: per-worker match buffers are merged in canonical (rule,
-	// e-class ID) order before the serial apply phase, so the extracted
-	// program, Report counts, and Journal rule attribution are identical
-	// at every worker count (rule search Durations, which attribute
-	// concurrent CPU time, are the one telemetry field that may differ).
-	MatchWorkers int
-}
-
-// matchWorkers resolves the effective match-phase pool size.
-func (l Limits) matchWorkers() int {
-	if l.MatchWorkers == 0 {
-		return DefaultMatchWorkers()
-	}
-	if l.MatchWorkers < 1 {
-		return 1
-	}
-	return l.MatchWorkers
 }
 
 // Report summarizes a saturation run (feeds the paper's Table 1).
@@ -188,11 +169,11 @@ func Run(g *EGraph, rules []Rewrite, lim Limits) Report {
 // rule application order within an iteration cannot hide matches (the
 // phase-ordering-free property of equality saturation, paper §3.3).
 //
-// The context is honored in both the search phase (between rules) and the
-// apply phase (every ctxCheckInterval applies), so cancelling it stops the
-// run well within one iteration. A cancelled run reports StopCancelled
-// (StopTimeout when the context's deadline expired) and always leaves the
-// e-graph rebuilt, so partial results remain extractable.
+// The context is honored in both the search phase (between match tasks)
+// and the apply phase (every ctxCheckInterval applies), so cancelling it
+// stops the run well within one iteration. A cancelled run reports
+// StopCancelled (StopTimeout when the context's deadline expired) and
+// always leaves the e-graph rebuilt, so partial results remain extractable.
 func RunContext(ctx context.Context, g *EGraph, rules []Rewrite, lim Limits) Report {
 	if lim.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -268,101 +249,49 @@ loop:
 			PerRuleApplied: map[string]int{},
 		}
 
-		type found struct {
-			rule      Rewrite
-			matches   []Match
-			searchDur time.Duration
-		}
+		// Match phase: search every eligible rule over a read-only view of
+		// the graph before any match is applied (parallel.go). Banned rules
+		// sit the iteration out.
 		ruleSkipped := false
-		all := make([]found, 0, len(rules))
-
-		// Parallel match phase: search every eligible rule over a sharded,
-		// read-only view of the graph before any matches are applied. The
-		// merged results are exactly what the serial branch below would
-		// produce (parallel.go), so the backoff and journal bookkeeping in
-		// the shared loop behaves identically on both paths.
-		var par []ruleMatches
-		if w := lim.matchWorkers(); w > 1 && g.NumClasses() >= matchParallelMinClasses {
-			eligible := make([]Rewrite, 0, len(rules))
-			for _, r := range rules {
-				if lim.Backoff != nil && lim.Backoff.banned(r.Name(), iter) {
-					continue
-				}
-				eligible = append(eligible, r)
-			}
-			var cancelled bool
-			if par, cancelled = searchParallel(ctx, g, eligible, w); cancelled {
-				reason, _ := ctxStop()
-				if reason == "" {
-					reason = StopCancelled
-				}
-				rep.Reason = reason
-				flushGauge()
-				break loop
-			}
-		}
-		// The serial match phase shares the parallel phase's head-op index:
-		// one class snapshot + index build per iteration, then every rule
-		// scans only its candidate classes (searchIndexed falls back to the
-		// rule's own whole-graph Search for non-shardable rewrites).
-		var ix *ClassIndex
-		if par == nil {
-			ix = HeadIndex(g.CanonicalClasses())
-		}
-		k := 0 // cursor into par, advanced once per eligible rule
+		eligible := make([]Rewrite, 0, len(rules))
 		for _, r := range rules {
-			if jr != nil && lim.Backoff != nil {
-				// A rule whose ban expires exactly this iteration rejoins
-				// the search; make the transition visible in the journal.
-				if bans, until := lim.Backoff.Stat(r.Name()); bans > 0 && until == iter {
-					jr.append(JournalEvent{Kind: JournalUnban, Iteration: iter + 1,
-						Rule: r.Name(), Bans: bans})
-				}
-			}
 			if lim.Backoff != nil && lim.Backoff.banned(r.Name(), iter) {
 				ruleSkipped = true
 				continue
 			}
-			var ms []Match
-			var searchDur time.Duration
-			if par != nil {
-				ms, searchDur = par[k].matches, par[k].searchDur
-				k++
-			} else {
-				var searchStart time.Time
-				if jr != nil {
-					searchStart = time.Now()
-				}
-				ms = searchIndexed(g, ix, r)
-				if jr != nil {
-					searchDur = time.Since(searchStart)
+			eligible = append(eligible, r)
+		}
+		found, cancelled := searchParallel(ctx, g, eligible, runtime.GOMAXPROCS(0))
+		if cancelled {
+			rep.Reason, _ = ctxStop()
+			flushGauge()
+			break loop
+		}
+		all := found[:0] // rules whose matches survive Backoff, in rule order
+		for _, f := range found {
+			name := f.rule.Name()
+			if jr != nil && lim.Backoff != nil {
+				// A rule whose ban expires exactly this iteration rejoins
+				// the search; make the transition visible in the journal.
+				if bans, until := lim.Backoff.Stat(name); bans > 0 && until == iter {
+					jr.append(JournalEvent{Kind: JournalUnban, Iteration: iter + 1,
+						Rule: name, Bans: bans})
 				}
 			}
-			if lim.Backoff != nil && lim.Backoff.record(r.Name(), len(ms), iter) {
+			if lim.Backoff != nil && lim.Backoff.record(name, len(f.matches), iter) {
 				if jr != nil {
-					bans, until := lim.Backoff.Stat(r.Name())
+					bans, until := lim.Backoff.Stat(name)
 					jr.append(JournalEvent{Kind: JournalBan, Iteration: iter + 1,
-						Rule: r.Name(), Matches: len(ms),
-						BannedUntil: until + 1, Bans: bans, Duration: searchDur})
+						Rule: name, Matches: len(f.matches),
+						BannedUntil: until + 1, Bans: bans, Duration: f.searchDur})
 				}
 				ruleSkipped = true
 				continue
 			}
-			if len(ms) > 0 {
-				all = append(all, found{r, ms, searchDur})
-				gauge.Matches += len(ms)
-				gauge.PerRuleMatches[r.Name()] += len(ms)
-			}
-			if par == nil {
-				if reason, stop := ctxStop(); stop {
-					// Searching can be the expensive phase for custom
-					// searchers; honor cancellation between rules. (The
-					// parallel matcher polls the context inside its worker
-					// pool instead.)
-					rep.Reason = reason
-					flushGauge()
-					break loop
-				}
+			if len(f.matches) > 0 {
+				all = append(all, f)
+				gauge.Matches += len(f.matches)
+				gauge.PerRuleMatches[name] += len(f.matches)
 			}
 		}
 
@@ -371,7 +300,7 @@ loop:
 		prov := g.ProvenanceEnabled()
 		// flushRule emits one rule-attribution event covering the rule's
 		// search and (possibly cut-short) apply phase this iteration.
-		flushRule := func(f found, applyStart time.Time, nodesBefore int) {
+		flushRule := func(f ruleMatches, applyStart time.Time, nodesBefore int) {
 			jr.append(JournalEvent{
 				Kind: JournalRule, Iteration: iter + 1, Rule: f.rule.Name(),
 				Matches: len(f.matches), Applied: gauge.PerRuleApplied[f.rule.Name()],

@@ -19,8 +19,7 @@ import (
 //
 //   - the cache key is a SHA-256 over the normalized kernel source and a
 //     canonical rendering of every Options field that can change the
-//     compiled output — notably NOT MatchWorkers, whose results are
-//     bit-for-bit identical at any worker count;
+//     compiled output;
 //   - a byte-budgeted LRU bounds memory: each stored Result is charged an
 //     estimated response size and the least-recently-used entries are
 //     evicted until the new one fits;
@@ -210,10 +209,7 @@ func normalizeSource(src string) string {
 }
 
 // canonicalOptions renders every output-affecting Options field in a fixed
-// order. MatchWorkers is deliberately absent: DESIGN.md §9's determinism
-// contract makes its output identical at every setting, so requests that
-// differ only in worker count share an entry. Map iteration order is
-// neutralized by sorting OpCost keys.
+// order. Map iteration order is neutralized by sorting OpCost keys.
 func canonicalOptions(o diospyros.Options) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "width=%d;timeout=%d;nodes=%d;iters=%d;novec=%t;ac=%t;backoff=%t;validate=%t;explain=%t;",

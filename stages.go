@@ -135,7 +135,6 @@ func stageSaturate(ctx context.Context, st *compileState) error {
 		Timeout:       st.opts.Timeout,
 		Progress:      st.opts.Progress,
 		Journal:       st.opts.Journal,
-		MatchWorkers:  st.opts.MatchWorkers,
 	}
 	if st.opts.UseBackoff {
 		limits.Backoff = &egraph.Backoff{}
