@@ -14,7 +14,7 @@
 // the search journal armed, then simulated, and the two flight records are
 // diffed; option tokens are comma-separated:
 //
-//	no-vector | ac | backoff | width=N | target=NAME | timeout=DUR |
+//	no-vector | ac | backoff | target=NAME | timeout=DUR |
 //	node-limit=N | cost:OP=V
 //
 // Like diff(1), the exit status distinguishes outcomes: 0 when the runs
@@ -234,14 +234,8 @@ func parseOpts(tokens string) (diospyros.Options, error) {
 			opts.EnableAC = true
 		case tok == "backoff":
 			opts.UseBackoff = true
-		case key == "width" && hasVal:
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return opts, fmt.Errorf("bad width %q", val)
-			}
-			opts.Width = n
 		case key == "target" && hasVal:
-			opts.Target = val
+			opts.Targets = []string{val}
 		case key == "timeout" && hasVal:
 			d, err := time.ParseDuration(val)
 			if err != nil {

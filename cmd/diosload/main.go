@@ -32,6 +32,7 @@ import (
 	"syscall"
 	"time"
 
+	"diospyros/internal/bench"
 	"diospyros/internal/buildinfo"
 	"diospyros/internal/loadgen"
 	"diospyros/internal/telemetry"
@@ -141,9 +142,9 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		gateText = loadgen.FormatGate(rows, slo)
+		gateText = slo.Gate().Format(rows)
 		fmt.Print(gateText)
-		gateFailed = loadgen.CountRegressions(rows) > 0
+		gateFailed = bench.CountRegressions(rows) > 0
 	}
 
 	if *reportOut != "" {

@@ -42,21 +42,15 @@ import (
 // 10M-node limit (the paper's §5.2 settings), vector rules enabled, full
 // associativity/commutativity disabled.
 type Options struct {
-	// Width is the legacy way to pick a vector width. 0 means the default
-	// target's width (4). Nonzero widths resolve to the matching registered
-	// target ("fg3lite-<w>", or "scalar" for width 1). Ignored when Target
-	// or Targets is set.
-	Width int
-	// Target names a single machine target from the isa registry
+	// Targets names the machine targets from the isa registry
 	// ("fg3lite-4", "fg3lite-8", "scalar", or any width via "fg3lite-<w>").
-	// Empty means the Width-derived default. Ignored when Targets is set.
-	Target string
-	// Targets requests multi-target compilation: one equality-saturation
-	// search whose e-graph holds decompositions for every requested vector
-	// width simultaneously, then one extraction per target under that
-	// target's cost model. Result.Targets carries the per-target programs
-	// (and simulated cycle counts when more than one target is requested).
-	// The first entry is the primary target that fills Result.Program/C.
+	// Empty means isa.Default() (fg3lite-4). Several targets share one
+	// equality-saturation search whose e-graph holds decompositions for
+	// every requested vector width simultaneously, then one extraction per
+	// target under that target's cost model. Result.Targets carries the
+	// per-target programs (and simulated cycle counts when more than one
+	// target is requested). The first entry is the primary target that
+	// fills Result.Program/C; repeated names count once.
 	Targets []string
 	// Timeout bounds equality saturation wall-clock time. 0 means 180 s.
 	// Negative means no timeout.
@@ -123,9 +117,6 @@ type RewriteRule struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Width == 0 {
-		o.Width = isa.Width
-	}
 	if o.Timeout == 0 {
 		o.Timeout = 180 * time.Second
 	}
@@ -294,23 +285,12 @@ func compile(ctx context.Context, st *compileState) (*Result, error) {
 	}, nil
 }
 
-// resolveTargets materializes the requested target list from the options,
-// in request order, deduplicated by name. Precedence: Targets, then Target,
-// then the legacy Width (width 1 meaning the scalar target).
+// resolveTargets materializes opts.Targets from the registry, in request
+// order, deduplicated by name; an empty list means isa.Default().
 func resolveTargets(opts Options) ([]*isa.Target, error) {
 	names := opts.Targets
-	if len(names) == 0 && opts.Target != "" {
-		names = []string{opts.Target}
-	}
 	if len(names) == 0 {
-		switch {
-		case opts.Width == isa.Width:
-			return []*isa.Target{isa.Default()}, nil
-		case opts.Width == 1:
-			names = []string{"scalar"}
-		default:
-			names = []string{fmt.Sprintf("fg3lite-%d", opts.Width)}
-		}
+		return []*isa.Target{isa.Default()}, nil
 	}
 	seen := map[string]bool{}
 	out := make([]*isa.Target, 0, len(names))

@@ -3,7 +3,9 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -87,15 +89,20 @@ func JudgeDelta(baseline, current, tolerance float64) (float64, CompareStatus) {
 	return delta, CompareOK
 }
 
-// CompareRow is one kernel's verdict.
+// CompareRow is one gated metric's verdict: a kernel's cycles or peak
+// bytes in the diosbench gates, a serving metric in the diosload SLO gate.
 type CompareRow struct {
-	ID       string
-	Baseline int64
-	Current  int64
+	Name     string
+	Baseline float64
+	Current  float64
 	// Delta is the relative metric change, (current-baseline)/baseline;
-	// positive means worse. Zero for new/missing/no-baseline rows.
+	// positive means worse. Zero for new/missing/no-baseline rows. Budget
+	// rows carry the absolute excess current-budget instead.
 	Delta  float64
 	Status CompareStatus
+	// Budget marks rows judged against an absolute budget (shown in the
+	// baseline column) rather than a baseline value.
+	Budget bool
 }
 
 // CompareBenchMetric judges one metric of rows against a -bench-json
@@ -112,32 +119,32 @@ func CompareBenchMetric(baseline []byte, rows []T1Row, tolerance float64, metric
 	if err := json.Unmarshal(baseline, &base); err != nil {
 		return nil, fmt.Errorf("bad baseline: %w", err)
 	}
-	cur := make(map[string]int64, len(rows))
+	cur := make(map[string]float64, len(rows))
 	for _, r := range rows {
-		cur[r.Kernel.ID] = metric.Current(r)
+		cur[r.Kernel.ID] = float64(metric.Current(r))
 	}
 
 	var out []CompareRow
 	seen := map[string]bool{}
 	for _, b := range base {
 		seen[b.ID] = true
-		bv := metric.Baseline(b)
+		bv := float64(metric.Baseline(b))
 		c, ok := cur[b.ID]
 		if !ok {
-			out = append(out, CompareRow{ID: b.ID, Baseline: bv, Status: CompareMissing})
+			out = append(out, CompareRow{Name: b.ID, Baseline: bv, Status: CompareMissing})
 			continue
 		}
-		row := CompareRow{ID: b.ID, Baseline: bv, Current: c}
-		row.Delta, row.Status = JudgeDelta(float64(bv), float64(c), tolerance)
+		row := CompareRow{Name: b.ID, Baseline: bv, Current: c}
+		row.Delta, row.Status = JudgeDelta(bv, c, tolerance)
 		out = append(out, row)
 	}
 	var fresh []CompareRow
 	for id, c := range cur {
 		if !seen[id] {
-			fresh = append(fresh, CompareRow{ID: id, Current: c, Status: CompareNew})
+			fresh = append(fresh, CompareRow{Name: id, Current: c, Status: CompareNew})
 		}
 	}
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i].ID < fresh[j].ID })
+	sort.Slice(fresh, func(i, j int) bool { return fresh[i].Name < fresh[j].Name })
 	return append(out, fresh...), nil
 }
 
@@ -152,37 +159,66 @@ func CountRegressions(rows []CompareRow) int {
 	return n
 }
 
-// FormatCompareMetric renders one metric's comparison as a table with a
-// one-line verdict.
-func FormatCompareMetric(rows []CompareRow, tolerance float64, metricName string) string {
+// Gate frames one gate's verdict table; Format renders it. Every gate in
+// the repo prints through it, so they share one layout.
+type Gate struct {
+	Heading string // shown as "== Heading =="
+	Label   string // header of the row-name column ("kernel", "metric")
+	Fail    string // verdict after "FAIL: <n> " when any row regressed
+	OK      string // verdict after "OK: " when none did
+}
+
+// Format renders rows as an aligned table under the heading, closed by
+// the one-line verdict.
+func (g Gate) Format(rows []CompareRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "== %s regression check (tolerance %+.0f%%) ==\n", metricName, tolerance*100)
-	w := len("kernel")
+	fmt.Fprintf(&b, "== %s ==\n", g.Heading)
+	w := len(g.Label)
 	for _, r := range rows {
-		if len(r.ID) > w {
-			w = len(r.ID)
-		}
+		w = max(w, len(r.Name))
 	}
-	fmt.Fprintf(&b, "%-*s  %12s  %12s  %8s  %s\n", w, "kernel", "baseline", "current", "delta", "status")
+	fmt.Fprintf(&b, "%-*s  %12s  %12s  %9s  %s\n", w, g.Label, "baseline", "current", "delta", "status")
 	for _, r := range rows {
+		base, cur := trimFloat(r.Baseline, 3), trimFloat(r.Current, 3)
 		delta := fmt.Sprintf("%+.1f%%", r.Delta*100)
-		if r.Status == CompareNew || r.Status == CompareMissing || r.Status == CompareNoBaseline {
-			delta = "-"
+		switch r.Status {
+		case CompareNew, CompareNoBaseline:
+			base, delta = "-", "-"
+		case CompareMissing:
+			cur, delta = "-", "-"
 		}
-		fmt.Fprintf(&b, "%-*s  %12s  %12s  %8s  %s\n",
-			w, r.ID, metricCell(r.Baseline), metricCell(r.Current), delta, r.Status)
+		if r.Budget {
+			base, delta = "<="+base, fmt.Sprintf("%+.3f", r.Delta)
+		}
+		fmt.Fprintf(&b, "%-*s  %12s  %12s  %9s  %s\n", w, r.Name, base, cur, delta, r.Status)
 	}
 	if n := CountRegressions(rows); n > 0 {
-		fmt.Fprintf(&b, "FAIL: %d kernel(s) regressed beyond %.0f%%\n", n, tolerance*100)
+		fmt.Fprintf(&b, "FAIL: %d %s\n", n, g.Fail)
 	} else {
-		fmt.Fprintf(&b, "OK: no kernel regressed beyond %.0f%%\n", tolerance*100)
+		fmt.Fprintf(&b, "OK: %s\n", g.OK)
 	}
 	return b.String()
 }
 
-func metricCell(v int64) string {
-	if v == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%d", v)
+// FormatCompareMetric renders one metric's comparison as a table with a
+// one-line verdict.
+func FormatCompareMetric(rows []CompareRow, tolerance float64, metricName string) string {
+	tol := Pct(tolerance) + "%"
+	return Gate{
+		Heading: fmt.Sprintf("%s regression check (tolerance +%s)", metricName, tol),
+		Label:   "kernel",
+		Fail:    "kernel(s) regressed beyond " + tol,
+		OK:      "no kernel regressed beyond " + tol,
+	}.Format(rows)
+}
+
+// Pct renders a 0..1 ratio as a percentage number with at most two
+// decimals and no trailing zeros: 0.15 → "15", 0.005 → "0.5".
+func Pct(ratio float64) string { return trimFloat(ratio*100, 2) }
+
+// trimFloat renders v rounded to at most places decimals, without
+// trailing zeros.
+func trimFloat(v float64, places int) string {
+	p := math.Pow10(places)
+	return strconv.FormatFloat(math.Round(v*p)/p, 'f', -1, 64)
 }

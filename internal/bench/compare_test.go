@@ -39,8 +39,8 @@ func TestCompareBenchStatuses(t *testing.T) {
 		t.Fatalf("got %d rows, want %d: %+v", len(rows), len(want), rows)
 	}
 	for _, r := range rows {
-		if r.Status != want[r.ID] {
-			t.Errorf("%s: status %s, want %s (delta %+.2f)", r.ID, r.Status, want[r.ID], r.Delta)
+		if r.Status != want[r.Name] {
+			t.Errorf("%s: status %s, want %s (delta %+.2f)", r.Name, r.Status, want[r.Name], r.Delta)
 		}
 	}
 	if n := CountRegressions(rows); n != 1 {
@@ -127,8 +127,8 @@ func TestCompareBenchMetricPeakBytes(t *testing.T) {
 		"slimmer": CompareImproved,
 	}
 	for _, r := range rows {
-		if r.Status != want[r.ID] {
-			t.Errorf("%s: status %s, want %s (delta %+.2f)", r.ID, r.Status, want[r.ID], r.Delta)
+		if r.Status != want[r.Name] {
+			t.Errorf("%s: status %s, want %s (delta %+.2f)", r.Name, r.Status, want[r.Name], r.Delta)
 		}
 	}
 	out := FormatCompareMetric(rows, 0.25, MetricPeakBytes.Name)
@@ -144,14 +144,26 @@ func TestCompareBenchMetricPeakBytes(t *testing.T) {
 
 func TestFormatCompare(t *testing.T) {
 	rows := compareFixture(t)
-	out := FormatCompareMetric(rows, 0.15, MetricCycles.Name)
-	for _, want := range []string{
-		"slower", "+20.0%", "regressed",
-		"faster", "-30.0%", "improved",
-		"FAIL: 1 kernel(s) regressed beyond 15%",
+	for _, tc := range []struct {
+		tolerance float64
+		want      []string
+	}{
+		{0.15, []string{
+			"slower", "+20.0%", "regressed",
+			"faster", "-30.0%", "improved",
+			"FAIL: 1 kernel(s) regressed beyond 15%",
+		}},
+		// Sub-percent tolerances keep their digits.
+		{0.005, []string{
+			"(tolerance +0.5%)",
+			"FAIL: 1 kernel(s) regressed beyond 0.5%",
+		}},
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in:\n%s", want, out)
+		out := FormatCompareMetric(rows, tc.tolerance, MetricCycles.Name)
+		for _, want := range tc.want {
+			if !strings.Contains(out, want) {
+				t.Errorf("tolerance %v: missing %q in:\n%s", tc.tolerance, want, out)
+			}
 		}
 	}
 	ok := FormatCompareMetric(rows[:1], 0.15, MetricCycles.Name)

@@ -29,9 +29,9 @@ func RegressedIDs(verdicts ...[]CompareRow) []string {
 	var out []string
 	for _, rows := range verdicts {
 		for _, r := range rows {
-			if r.Status == CompareRegressed && !seen[r.ID] {
-				seen[r.ID] = true
-				out = append(out, r.ID)
+			if r.Status == CompareRegressed && !seen[r.Name] {
+				seen[r.Name] = true
+				out = append(out, r.Name)
 			}
 		}
 	}

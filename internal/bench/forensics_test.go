@@ -13,16 +13,16 @@ import (
 
 func TestRegressedIDsFilterAndDedup(t *testing.T) {
 	cycleRows := []CompareRow{
-		{ID: "ok-kernel", Status: CompareOK},
-		{ID: "slow", Status: CompareRegressed},
-		{ID: "fast", Status: CompareImproved},
-		{ID: "fresh", Status: CompareNew},
-		{ID: "gone", Status: CompareMissing},
-		{ID: "old-format", Status: CompareNoBaseline},
+		{Name: "ok-kernel", Status: CompareOK},
+		{Name: "slow", Status: CompareRegressed},
+		{Name: "fast", Status: CompareImproved},
+		{Name: "fresh", Status: CompareNew},
+		{Name: "gone", Status: CompareMissing},
+		{Name: "old-format", Status: CompareNoBaseline},
 	}
 	memRows := []CompareRow{
-		{ID: "slow", Status: CompareRegressed},    // dup across gates
-		{ID: "bloated", Status: CompareRegressed}, // second gate's own find
+		{Name: "slow", Status: CompareRegressed},    // dup across gates
+		{Name: "bloated", Status: CompareRegressed}, // second gate's own find
 	}
 	got := RegressedIDs(cycleRows, memRows)
 	if len(got) != 2 || got[0] != "slow" || got[1] != "bloated" {

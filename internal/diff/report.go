@@ -13,35 +13,29 @@ import (
 // The side-by-side HTML autopsy: a self-contained page for one Diff —
 // verdict banner, attributed divergence list, overlaid best-cost and
 // e-graph-size trajectories (baseline vs current on one chart), the stage
-// waterfall, and the diverged rule/extraction/memory/cycle tables. Charts
-// come from the shared telemetry line-chart machinery (telemetry.ChartHTML)
-// so this report, the compile report, and the soak report render from one
-// SVG template.
+// waterfall, and the diverged rule/extraction/memory/cycle tables. The page
+// is a body on the shared telemetry page (telemetry.NewPage), so this
+// report, the compile report and the soak report share one skeleton,
+// stylesheet and chart partial.
 
 //go:embed diff.tmpl.html
 var diffTmplSrc string
 
-var diffTmpl = template.Must(template.New("diff").
-	Funcs(telemetry.ChartTemplateFuncs).
-	Funcs(template.FuncMap{
-		// dur renders a nanosecond reading as a rounded duration string.
-		"dur": func(ns int64) string { return roundNS(ns).String() },
-		// mulpct renders a 0..1 ratio as a percentage number.
-		"mulpct": func(v float64) float64 { return v * 100 },
-	}).
-	Parse(diffTmplSrc))
+var diffTmpl = telemetry.NewPage("diff", diffTmplSrc, template.FuncMap{
+	// dur renders a nanosecond reading as a rounded duration string.
+	"dur": func(ns int64) string { return roundNS(ns).String() },
+})
 
 // reportView is the template model; everything is precomputed in Go so the
 // template stays logic-free.
 type reportView struct {
 	D           *Diff
 	GeneratedAt string
-	ChartCSS    template.CSS
-	CostChart   template.HTML // baseline vs current best-cost trajectories
-	SizeChart   template.HTML // baseline vs current node-count trajectories
-	Diverged    []RuleDelta   // rules with semantic deltas, pre-filtered
-	Agreeing    int           // rules with identical counts
-	DivergedOps []OpDelta     // opcode rows with semantic deltas
+	CostChart   *telemetry.LineChart // baseline vs current best-cost trajectories
+	SizeChart   *telemetry.LineChart // baseline vs current node-count trajectories
+	Diverged    []RuleDelta          // rules with semantic deltas, pre-filtered
+	Agreeing    int                  // rules with identical counts
+	DivergedOps []OpDelta            // opcode rows with semantic deltas
 }
 
 // Report renders the self-contained HTML autopsy for d. base and cur are
@@ -51,14 +45,12 @@ func Report(d *Diff, base, cur Input) ([]byte, error) {
 	v := &reportView{
 		D:           d,
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		ChartCSS:    template.CSS(telemetry.ChartCSS),
-	}
-	var err error
-	if v.CostChart, err = costChart(d, base.Trace, cur.Trace); err != nil {
-		return nil, err
-	}
-	if v.SizeChart, err = sizeChart(d, base.Trace, cur.Trace); err != nil {
-		return nil, err
+		CostChart: overlayChart(d, base.Trace, cur.Trace, costSeries, func(x, y float64) string {
+			return fmt.Sprintf("iteration %.0f: cost %.2f", x, y)
+		}),
+		SizeChart: overlayChart(d, base.Trace, cur.Trace, nodeSeries, func(x, y float64) string {
+			return fmt.Sprintf("iteration %.0f: %.0f nodes", x, y)
+		}),
 	}
 	for _, r := range d.Rules {
 		if r.Diverged() {
@@ -81,64 +73,35 @@ func Report(d *Diff, base, cur Input) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// costChart overlays the two best-cost trajectories on one lane, baseline
-// in series-1, current in series-2, so the split iteration is visible as
-// the point where the lines part.
-func costChart(d *Diff, base, cur *telemetry.Trace) (template.HTML, error) {
-	bXs, bYs := costSeries(base)
-	cXs, cYs := costSeries(cur)
+// overlayChart overlays one trajectory of the two runs on one lane,
+// baseline in series-1 and current in series-2, so the split iteration is
+// visible as the point where the lines part. series extracts the
+// trajectory from a trace; title renders a point's tooltip. Nil when
+// neither side has two points to draw.
+func overlayChart(d *Diff, base, cur *telemetry.Trace,
+	series func(*telemetry.Trace) (xs, ys []float64), title func(x, y float64) string) *telemetry.LineChart {
+	bXs, bYs := series(base)
+	cXs, cYs := series(cur)
 	if len(bXs) < 2 && len(cXs) < 2 {
-		return "", nil
+		return nil
 	}
-	xs := longer(bXs, cXs)
 	hi := 0.0
 	for _, y := range append(append([]float64{}, bYs...), cYs...) {
 		hi = max(hi, y)
 	}
-	c := telemetry.NewLineChart(xs)
+	c := telemetry.NewLineChart(longer(bXs, cXs))
 	c.XLabel = "iteration"
 	c.SetYRange(0, hi*1.05)
-	if len(bXs) >= 2 {
-		c.AddSeries(d.BaseLabel, "s1", bXs, bYs, func(i int) string {
-			return fmt.Sprintf("iteration %.0f: cost %.2f", bXs[i], bYs[i])
-		})
-	}
-	if len(cXs) >= 2 {
-		c.AddSeries(d.CurLabel, "s2", cXs, cYs, func(i int) string {
-			return fmt.Sprintf("iteration %.0f: cost %.2f", cXs[i], cYs[i])
-		})
+	for _, s := range []struct {
+		label, class string
+		xs, ys       []float64
+	}{{d.BaseLabel, "s1", bXs, bYs}, {d.CurLabel, "s2", cXs, cYs}} {
+		if len(s.xs) >= 2 {
+			c.AddSeries(s.label, s.class, s.xs, s.ys, func(i int) string { return title(s.xs[i], s.ys[i]) })
+		}
 	}
 	c.Legend = true
-	return telemetry.ChartHTML(c.LineChart)
-}
-
-// sizeChart overlays the two node-count trajectories.
-func sizeChart(d *Diff, base, cur *telemetry.Trace) (template.HTML, error) {
-	bXs, bYs := nodeSeries(base)
-	cXs, cYs := nodeSeries(cur)
-	if len(bXs) < 2 && len(cXs) < 2 {
-		return "", nil
-	}
-	xs := longer(bXs, cXs)
-	hi := 0.0
-	for _, y := range append(append([]float64{}, bYs...), cYs...) {
-		hi = max(hi, y)
-	}
-	c := telemetry.NewLineChart(xs)
-	c.XLabel = "iteration"
-	c.SetYRange(0, hi*1.05)
-	if len(bXs) >= 2 {
-		c.AddSeries(d.BaseLabel, "s1", bXs, bYs, func(i int) string {
-			return fmt.Sprintf("iteration %.0f: %.0f nodes", bXs[i], bYs[i])
-		})
-	}
-	if len(cXs) >= 2 {
-		c.AddSeries(d.CurLabel, "s2", cXs, cYs, func(i int) string {
-			return fmt.Sprintf("iteration %.0f: %.0f nodes", cXs[i], cYs[i])
-		})
-	}
-	c.Legend = true
-	return telemetry.ChartHTML(c.LineChart)
+	return c.LineChart
 }
 
 // costSeries extracts the best-cost trajectory as chart series.

@@ -18,7 +18,6 @@
 package egraph
 
 import (
-	"bytes"
 	"sort"
 	"strconv"
 
@@ -77,10 +76,9 @@ type EGraph struct {
 	// syms interns every symbol payload the graph has seen (symbols.go).
 	syms SymbolTable
 
-	// keyBuf backs the overflow bytes of wide-node keys and the legacy-key
-	// encodings repair sorts by. Both users copy out of it before the next
-	// use (string conversion copies; repair materializes its sort keys), so
-	// a single buffer per graph is safe to reuse across every key build.
+	// keyBuf backs the overflow bytes of wide-node keys. makeKey copies
+	// out of it (string conversion copies), so a single buffer per graph is
+	// safe to reuse across every key build.
 	keyBuf []byte
 
 	// prov, when non-nil, records rewrite provenance (see provenance.go).
@@ -334,12 +332,10 @@ func (g *EGraph) Rebuild() {
 	g.canonicalizeClasses()
 }
 
-// repairEntry is one rebuilt parent, carrying the legacy byte encoding the
-// emit order sorts by (see below).
+// repairEntry is one rebuilt parent and its re-canonicalized hashcons key.
 type repairEntry struct {
-	key    memoKey
-	legacy []byte
-	par    parent
+	key memoKey
+	par parent
 }
 
 func (g *EGraph) repair(id ClassID) {
@@ -374,24 +370,17 @@ func (g *EGraph) repair(id ClassID) {
 			continue
 		}
 		newParents[key] = len(entries)
-		g.keyBuf = g.appendLegacyKey(g.keyBuf[:0], p.node)
 		entries = append(entries, repairEntry{
-			key:    key,
-			legacy: append([]byte(nil), g.keyBuf...),
-			par:    parent{node: p.node, class: g.Find(p.class)},
+			key: key,
+			par: parent{node: p.node, class: g.Find(p.class)},
 		})
 	}
 	// The class may have been merged away by the unions above.
 	cls = g.classes[g.Find(id)]
-	// Emit rebuilt parents in the legacy (string-key) byte order. Any
-	// deterministic order would keep runs reproducible, but this specific
-	// order is what the string-keyed layout produced, and parent order
-	// feeds congruence-union order, class node order, and ultimately
-	// extraction tie-breaks — preserving it is what makes the layout change
-	// bit-identical on every artifact (DESIGN.md §14).
-	sort.Slice(entries, func(i, j int) bool {
-		return bytes.Compare(entries[i].legacy, entries[j].legacy) < 0
-	})
+	// Emit rebuilt parents in first-occurrence order of the old parent
+	// list. Parent order feeds congruence-union order, class node order and
+	// extraction tie-breaks, so it only has to be deterministic, which
+	// insertion order is (DESIGN.md §14.4).
 	for i := range entries {
 		e := &entries[i]
 		e.par.class = g.Find(e.par.class)

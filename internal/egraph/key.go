@@ -30,8 +30,8 @@ import (
 // explicit, the symbol ID is a per-graph bijection with the symbol string,
 // and zero-padding cannot collide because arity disambiguates how many
 // child slots are meaningful (ClassID 0 is a valid child). The property
-// test in key_test.go fuzzes this equivalence against the retained legacy
-// encoder.
+// test in key_test.go fuzzes this equivalence against the legacy encoder,
+// kept there as the oracle.
 type memoKey struct {
 	head uint64
 	w0   uint64
@@ -140,32 +140,3 @@ func (g *EGraph) lookupKey(n ENode) memoKey {
 // restBytes is the key's overflow payload size — the only part of a key the
 // byte-exact footprint accounting (§13) cannot derive from the struct size.
 func (k memoKey) restBytes() int64 { return int64(len(k.rest)) }
-
-// appendLegacyKey appends the pre-§14 string hashcons encoding of n:
-// operator byte, then the payload (literal bits, symbol bytes, Get index,
-// length-prefixed function name), then the child class IDs little-endian.
-// The binary hashcons made this encoding obsolete for equality, but it is
-// retained for two jobs: congruence repair emits rebuilt parents in this
-// byte order (the determinism anchor that keeps artifacts bit-identical to
-// the string-keyed layout — DESIGN.md §14), and the key-equivalence
-// property test uses it as the collision oracle.
-func (g *EGraph) appendLegacyKey(b []byte, n ENode) []byte {
-	b = append(b, byte(n.Op))
-	switch n.Op {
-	case expr.OpLit:
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(n.Lit))
-	case expr.OpSym:
-		b = append(b, g.syms.Name(n.Sym)...)
-	case expr.OpGet:
-		b = binary.LittleEndian.AppendUint32(b, uint32(int32(n.Idx)))
-		b = append(b, g.syms.Name(n.Sym)...)
-	case expr.OpFunc, expr.OpVecFunc:
-		sym := g.syms.Name(n.Sym)
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(sym)))
-		b = append(b, sym...)
-	}
-	for _, a := range n.Args {
-		b = binary.LittleEndian.AppendUint32(b, uint32(a))
-	}
-	return b
-}

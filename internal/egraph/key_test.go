@@ -1,6 +1,7 @@
 package egraph
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -176,6 +177,32 @@ func FuzzMemoKeyEquivalence(f *testing.F) {
 func minInt(a, b int) int {
 	if a < b {
 		return a
+	}
+	return b
+}
+
+// appendLegacyKey appends the pre-§14 string hashcons encoding of n:
+// operator byte, then the payload (literal bits, symbol bytes, Get index,
+// length-prefixed function name), then the child class IDs little-endian.
+// The binary hashcons made this encoding obsolete; it survives here only as
+// the collision oracle for the key-equivalence tests.
+func (g *EGraph) appendLegacyKey(b []byte, n ENode) []byte {
+	b = append(b, byte(n.Op))
+	switch n.Op {
+	case expr.OpLit:
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(n.Lit))
+	case expr.OpSym:
+		b = append(b, g.syms.Name(n.Sym)...)
+	case expr.OpGet:
+		b = binary.LittleEndian.AppendUint32(b, uint32(int32(n.Idx)))
+		b = append(b, g.syms.Name(n.Sym)...)
+	case expr.OpFunc, expr.OpVecFunc:
+		sym := g.syms.Name(n.Sym)
+		b = binary.LittleEndian.AppendUint16(b, uint16(len(sym)))
+		b = append(b, sym...)
+	}
+	for _, a := range n.Args {
+		b = binary.LittleEndian.AppendUint32(b, uint32(a))
 	}
 	return b
 }

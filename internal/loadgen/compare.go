@@ -3,7 +3,6 @@ package loadgen
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"diospyros/internal/bench"
 )
@@ -41,21 +40,9 @@ type SLO struct {
 // tight enough to catch a real serving regression.
 var DefaultSLO = SLO{LatencyTolerance: 0.50, ErrorBudget: 0.01, ShedBudget: 0.05, LatencyFloorMS: 5}
 
-// GateRow is one gated metric's verdict.
-type GateRow struct {
-	Metric   string
-	Baseline float64
-	Current  float64
-	Delta    float64
-	Status   bench.CompareStatus
-	// Budget marks rows judged against an absolute budget (shown in the
-	// baseline column) rather than a baseline value.
-	Budget bool
-}
-
 // Compare judges current against a JSON-encoded baseline SoakResult under
 // the SLO.
-func Compare(baseline []byte, current *SoakResult, slo SLO) ([]GateRow, error) {
+func Compare(baseline []byte, current *SoakResult, slo SLO) ([]bench.CompareRow, error) {
 	var base SoakResult
 	if err := json.Unmarshal(baseline, &base); err != nil {
 		return nil, fmt.Errorf("bad baseline: %w", err)
@@ -67,8 +54,8 @@ func Compare(baseline []byte, current *SoakResult, slo SLO) ([]GateRow, error) {
 }
 
 // CompareResults judges current against a parsed baseline under the SLO.
-func CompareResults(base, current *SoakResult, slo SLO) []GateRow {
-	rows := []GateRow{}
+func CompareResults(base, current *SoakResult, slo SLO) []bench.CompareRow {
+	rows := []bench.CompareRow{}
 	latency := []struct {
 		name string
 		b, c float64
@@ -81,8 +68,8 @@ func CompareResults(base, current *SoakResult, slo SLO) []GateRow {
 	for _, m := range latency {
 		delta, status := bench.JudgeDelta(
 			max(m.b, slo.LatencyFloorMS), max(m.c, slo.LatencyFloorMS), slo.LatencyTolerance)
-		rows = append(rows, GateRow{
-			Metric: m.name, Baseline: m.b, Current: m.c, Delta: delta, Status: status,
+		rows = append(rows, bench.CompareRow{
+			Name: m.name, Baseline: m.b, Current: m.c, Delta: delta, Status: status,
 		})
 	}
 
@@ -94,8 +81,8 @@ func CompareResults(base, current *SoakResult, slo SLO) []GateRow {
 	case bench.CompareImproved:
 		status = bench.CompareRegressed
 	}
-	rows = append(rows, GateRow{
-		Metric: "throughput rps", Baseline: base.ThroughputRPS,
+	rows = append(rows, bench.CompareRow{
+		Name: "throughput rps", Baseline: base.ThroughputRPS,
 		Current: current.ThroughputRPS, Delta: delta, Status: status,
 	})
 
@@ -112,55 +99,22 @@ func CompareResults(base, current *SoakResult, slo SLO) []GateRow {
 		if m.rate > m.budget {
 			st = bench.CompareRegressed
 		}
-		rows = append(rows, GateRow{
-			Metric: m.name, Baseline: m.budget, Current: m.rate,
+		rows = append(rows, bench.CompareRow{
+			Name: m.name, Baseline: m.budget, Current: m.rate,
 			Delta: m.rate - m.budget, Status: st, Budget: true,
 		})
 	}
 	return rows
 }
 
-// CountRegressions returns how many gate rows fail.
-func CountRegressions(rows []GateRow) int {
-	n := 0
-	for _, r := range rows {
-		if r.Status == bench.CompareRegressed {
-			n++
-		}
+// Gate frames the SLO verdict table (bench.Gate.Format renders it), in
+// the same layout as the diosbench gates.
+func (s SLO) Gate() bench.Gate {
+	return bench.Gate{
+		Heading: fmt.Sprintf("serving SLO check (latency +%s%%, error budget %.2f%%, shed budget %.2f%%)",
+			bench.Pct(s.LatencyTolerance), s.ErrorBudget*100, s.ShedBudget*100),
+		Label: "metric",
+		Fail:  "serving metric(s) outside the SLO",
+		OK:    "serving SLO held",
 	}
-	return n
-}
-
-// FormatGate renders the SLO verdict as a table, mirroring the diosbench
-// gates' output shape.
-func FormatGate(rows []GateRow, slo SLO) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== serving SLO check (latency %+.0f%%, error budget %.2f%%, shed budget %.2f%%) ==\n",
-		slo.LatencyTolerance*100, slo.ErrorBudget*100, slo.ShedBudget*100)
-	w := len("metric")
-	for _, r := range rows {
-		if len(r.Metric) > w {
-			w = len(r.Metric)
-		}
-	}
-	fmt.Fprintf(&b, "%-*s  %12s  %12s  %9s  %s\n", w, "metric", "baseline", "current", "delta", "status")
-	for _, r := range rows {
-		base := fmt.Sprintf("%.3f", r.Baseline)
-		if r.Budget {
-			base = fmt.Sprintf("<=%.3f", r.Baseline)
-		}
-		delta := fmt.Sprintf("%+.1f%%", r.Delta*100)
-		if r.Budget {
-			delta = fmt.Sprintf("%+.3f", r.Delta)
-		} else if r.Status == bench.CompareNoBaseline {
-			delta = "-"
-		}
-		fmt.Fprintf(&b, "%-*s  %12s  %12.3f  %9s  %s\n", w, r.Metric, base, r.Current, delta, r.Status)
-	}
-	if n := CountRegressions(rows); n > 0 {
-		fmt.Fprintf(&b, "FAIL: %d serving metric(s) outside the SLO\n", n)
-	} else {
-		fmt.Fprintf(&b, "OK: serving SLO held\n")
-	}
-	return b.String()
 }

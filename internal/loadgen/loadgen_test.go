@@ -302,11 +302,11 @@ func TestSLOGateTable(t *testing.T) {
 			cur := baselineResult()
 			c.mutate(cur)
 			rows := CompareResults(baselineResult(), cur, slo)
-			if got := CountRegressions(rows); got != c.regressions {
+			if got := bench.CountRegressions(rows); got != c.regressions {
 				t.Fatalf("regressions = %d, want %d\n%s",
-					got, c.regressions, FormatGate(rows, slo))
+					got, c.regressions, slo.Gate().Format(rows))
 			}
-			text := FormatGate(rows, slo)
+			text := slo.Gate().Format(rows)
 			if c.regressions == 0 {
 				if !strings.Contains(text, "OK: serving SLO held") {
 					t.Errorf("missing OK verdict:\n%s", text)
@@ -318,7 +318,7 @@ func TestSLOGateTable(t *testing.T) {
 			}
 			found := false
 			for _, r := range rows {
-				if r.Metric == c.failMetric && r.Status == bench.CompareRegressed {
+				if r.Name == c.failMetric && r.Status == bench.CompareRegressed {
 					found = true
 				}
 			}
@@ -340,7 +340,7 @@ func TestSLOGateLatencyFloor(t *testing.T) {
 	// 0.6 ms -> 4.4 ms is +633%, but both sit under the 5 ms floor: ok.
 	cur := baselineResult()
 	cur.Latency.P50 = 4.4
-	if n := CountRegressions(CompareResults(base, cur, slo)); n != 0 {
+	if n := bench.CountRegressions(CompareResults(base, cur, slo)); n != 0 {
 		t.Errorf("sub-floor jitter regressed the gate (%d)", n)
 	}
 
@@ -348,8 +348,8 @@ func TestSLOGateLatencyFloor(t *testing.T) {
 	cur = baselineResult()
 	cur.Latency.P50 = 40
 	rows := CompareResults(base, cur, slo)
-	if n := CountRegressions(rows); n != 1 {
-		t.Errorf("past-floor jump did not regress:\n%s", FormatGate(rows, slo))
+	if n := bench.CountRegressions(rows); n != 1 {
+		t.Errorf("past-floor jump did not regress:\n%s", slo.Gate().Format(rows))
 	}
 
 	// Without the floor the jitter fails — the case the floor exists for.
@@ -357,7 +357,7 @@ func TestSLOGateLatencyFloor(t *testing.T) {
 	noFloor.LatencyFloorMS = 0
 	cur = baselineResult()
 	cur.Latency.P50 = 4.4
-	if n := CountRegressions(CompareResults(base, cur, noFloor)); n != 1 {
+	if n := bench.CountRegressions(CompareResults(base, cur, noFloor)); n != 1 {
 		t.Error("floorless gate should flag the +633% move")
 	}
 }
@@ -417,7 +417,7 @@ func TestReportRendersSoak(t *testing.T) {
 			P50: 10 + float64(i), P99: 40 + float64(i),
 		})
 	}
-	gate := FormatGate(CompareResults(baselineResult(), res, DefaultSLO), DefaultSLO)
+	gate := DefaultSLO.Gate().Format(CompareResults(baselineResult(), res, DefaultSLO))
 
 	page, err := Report(res, gate)
 	if err != nil {

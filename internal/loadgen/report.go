@@ -4,7 +4,6 @@ import (
 	"bytes"
 	_ "embed"
 	"fmt"
-	"html/template"
 	"strings"
 	"time"
 
@@ -14,28 +13,22 @@ import (
 // The HTML soak report: a self-contained page for one SoakResult —
 // latency-over-time lanes (p50/p99), the throughput and shed/error
 // timeline, whole-run percentile tiles, and per-phase / per-kernel /
-// per-cache breakdowns. The charts are the shared telemetry line-chart
-// machinery (telemetry.ChartHTML), so this report and the diospyros
-// -report compile report render from one SVG template.
+// per-cache breakdowns. The page is a body on the shared telemetry page
+// (telemetry.NewPage), so this report, the diospyros -report compile
+// report and the diosdiff autopsy share one skeleton, stylesheet and chart
+// partial.
 
 //go:embed soak.tmpl.html
 var soakTmplSrc string
 
-var soakTmpl = template.Must(template.New("soak").
-	Funcs(telemetry.ChartTemplateFuncs).
-	Funcs(template.FuncMap{
-		// mulpct renders a 0..1 rate as a percentage number.
-		"mulpct": func(v float64) float64 { return v * 100 },
-	}).
-	Parse(soakTmplSrc))
+var soakTmpl = telemetry.NewPage("soak", soakTmplSrc, nil)
 
 // soakView is the template model.
 type soakView struct {
 	Res         *SoakResult
 	GeneratedAt string
-	ChartCSS    template.CSS
-	Latency     template.HTML // p50/p99 over time
-	Throughput  template.HTML // rps + sheds/s + errors/s over time
+	Latency     *telemetry.LineChart // p50/p99 over time
+	Throughput  *telemetry.LineChart // rps + sheds/s + errors/s over time
 	Phases      []phaseRow
 	Gate        string // optional -compare verdict, preformatted
 }
@@ -46,22 +39,16 @@ type phaseRow struct {
 }
 
 // Report renders the soak report page for res. gate, when non-empty, is a
-// preformatted FormatGate verdict embedded verbatim.
+// preformatted SLO gate table (SLO.Gate) embedded verbatim.
 func Report(res *SoakResult, gate string) ([]byte, error) {
 	v := &soakView{
 		Res:         res,
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		ChartCSS:    template.CSS(telemetry.ChartCSS),
 		Gate:        gate,
 	}
 	if len(res.Series) >= 2 {
-		var err error
-		if v.Latency, err = latencyChart(res.Series); err != nil {
-			return nil, err
-		}
-		if v.Throughput, err = throughputChart(res.Series); err != nil {
-			return nil, err
-		}
+		v.Latency = latencyChart(res.Series)
+		v.Throughput = throughputChart(res.Series)
 	}
 	// Phases in pipeline order, not map order.
 	for _, name := range []string{"queue", "cache", "compile", "serialize"} {
@@ -77,7 +64,7 @@ func Report(res *SoakResult, gate string) ([]byte, error) {
 }
 
 // latencyChart plots per-window p50 and p99 in milliseconds.
-func latencyChart(series []Window) (template.HTML, error) {
+func latencyChart(series []Window) *telemetry.LineChart {
 	xs := make([]float64, len(series))
 	p50 := make([]float64, len(series))
 	p99 := make([]float64, len(series))
@@ -96,13 +83,13 @@ func latencyChart(series []Window) (template.HTML, error) {
 		return fmt.Sprintf("t=%.0fs: p99 %.1f ms", xs[i], p99[i])
 	})
 	c.Legend = true
-	return telemetry.ChartHTML(c.LineChart)
+	return c.LineChart
 }
 
 // throughputChart plots per-window completion rate with the shed and error
 // rates on the same lane — overload shows as the orange line rising into
 // the blue one.
-func throughputChart(series []Window) (template.HTML, error) {
+func throughputChart(series []Window) *telemetry.LineChart {
 	xs := make([]float64, len(series))
 	rps := make([]float64, len(series))
 	sheds := make([]float64, len(series))
@@ -134,7 +121,7 @@ func throughputChart(series []Window) (template.HTML, error) {
 		return fmt.Sprintf("t=%.0fs: %.1f errors/s", xs[i], errs[i])
 	})
 	c.Legend = true
-	return telemetry.ChartHTML(c.LineChart)
+	return c.LineChart
 }
 
 // kernelList joins the config's kernel names for the report header.

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	diospyros "diospyros"
+	"diospyros/internal/isa"
 )
 
 // This file is the content-addressed compile cache behind POST /compile:
@@ -209,15 +210,25 @@ func normalizeSource(src string) string {
 }
 
 // canonicalOptions renders every output-affecting Options field in a fixed
-// order. Map iteration order is neutralized by sorting OpCost keys.
+// order. Map iteration order is neutralized by sorting OpCost keys. Targets
+// are keyed as the compile resolves them: deduplicated in request order,
+// with an empty list meaning the default target, so spellings that compile
+// identically share one entry.
 func canonicalOptions(o diospyros.Options) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "width=%d;timeout=%d;nodes=%d;iters=%d;novec=%t;ac=%t;backoff=%t;validate=%t;explain=%t;",
-		o.Width, int64(o.Timeout), o.NodeLimit, o.MaxIterations,
+	fmt.Fprintf(&b, "timeout=%d;nodes=%d;iters=%d;novec=%t;ac=%t;backoff=%t;validate=%t;explain=%t;",
+		int64(o.Timeout), o.NodeLimit, o.MaxIterations,
 		o.DisableVectorRules, o.EnableAC, o.UseBackoff, o.Validate, o.Explain)
-	fmt.Fprintf(&b, "target=%q;", o.Target)
-	for _, t := range o.Targets {
-		fmt.Fprintf(&b, "targets=%q;", t)
+	targets := o.Targets
+	if len(targets) == 0 {
+		targets = []string{isa.Default().Name}
+	}
+	seen := map[string]bool{}
+	for _, t := range targets {
+		if !seen[t] {
+			seen[t] = true
+			fmt.Fprintf(&b, "target=%q;", t)
+		}
 	}
 	for _, r := range o.ExtraRules {
 		fmt.Fprintf(&b, "rule=%q|%q|%q;", r.Name, r.LHS, r.RHS)

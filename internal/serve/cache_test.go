@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -137,6 +138,35 @@ func TestCacheHitOnRepeatCompile(t *testing.T) {
 	resp3, _ := postCompile(t, ts.URL, strings.ReplaceAll(dotprod, "\n", "\r\n"), "text/plain")
 	if got := resp3.Header.Get("X-Dios-Cache"); got != "hit" {
 		t.Errorf("CRLF re-encoding missed the cache: X-Dios-Cache = %q", got)
+	}
+}
+
+// TestCacheHitAcrossTargetSpellings pins that the cache keys on the
+// targets a compile resolves, not on how the request spelled them: a plain
+// request (default target), a JSON request naming that target, and one
+// naming it twice compile identically and so share one entry.
+func TestCacheHitAcrossTargetSpellings(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+
+	resp, cr := postCompile(t, ts.URL, dotprod, "text/plain")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("plain compile: %d (%s)", resp.StatusCode, cr.Error)
+	}
+	if got := resp.Header.Get("X-Dios-Cache"); got != "miss" {
+		t.Fatalf("plain compile X-Dios-Cache = %q, want miss", got)
+	}
+	for _, targets := range [][]string{{"fg3lite-4"}, {"fg3lite-4", "fg3lite-4"}} {
+		body, _ := json.Marshal(CompileRequest{Source: dotprod, Targets: targets})
+		resp, got := postCompile(t, ts.URL, string(body), "application/json")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%v: status %d (%s)", targets, resp.StatusCode, got.Error)
+		}
+		if h := resp.Header.Get("X-Dios-Cache"); h != "hit" {
+			t.Errorf("%v after a plain request: X-Dios-Cache = %q, want hit", targets, h)
+		}
+		if got.C != cr.C || got.Assembly != cr.Assembly {
+			t.Errorf("%v: cached artifacts differ from the plain compile's", targets)
+		}
 	}
 }
 

@@ -427,14 +427,18 @@ func TestMultiTargetCompile(t *testing.T) {
 	}
 
 	// And the key derivation itself: target set membership and order are
-	// part of the content address.
+	// part of the content address; naming the default target explicitly
+	// is not.
 	base := compileCacheKey(dotprod, diospyros.Options{})
 	multi := compileCacheKey(dotprod, diospyros.Options{Targets: []string{"fg3lite-4", "fg3lite-8"}})
 	if multi == base {
 		t.Error("targets did not change the cache key")
 	}
-	if one := compileCacheKey(dotprod, diospyros.Options{Targets: []string{"fg3lite-4"}}); one == multi || one == base {
-		t.Error("single-entry targets key collides")
+	if swapped := compileCacheKey(dotprod, diospyros.Options{Targets: []string{"fg3lite-8", "fg3lite-4"}}); swapped == multi {
+		t.Error("target order did not change the cache key")
+	}
+	if one := compileCacheKey(dotprod, diospyros.Options{Targets: []string{"fg3lite-4"}}); one == multi || one != base {
+		t.Error("single default target must key like the empty target list, apart from the multi-target set")
 	}
 }
 

@@ -2,16 +2,15 @@ package telemetry
 
 import (
 	"fmt"
-	"html/template"
 	"strings"
 )
 
-// Reusable SVG line-chart machinery, shared by every HTML report this
-// package renders (the -report compile report) and by other packages'
-// reports (the diosload soak report embeds charts through ChartHTML).
-// All geometry is computed in Go; the chart.tmpl.html partial only places
-// precomputed coordinates, so rendered charts need no JavaScript — hover
-// detail rides on SVG <title> tooltips.
+// Reusable SVG line-chart machinery, shared by every HTML report (the
+// -report compile report, the diosdiff autopsy, the diosload soak page):
+// each passes a *LineChart to the linechart partial of the shared page
+// (page.tmpl.html, see NewPage). All geometry is computed in Go; the
+// partial only places precomputed coordinates, so rendered charts need no
+// JavaScript — hover detail rides on SVG <title> tooltips.
 
 // LineChart is the template-facing model of one chart: canvas and plot
 // geometry, axis labels, grid lines, and one or more series of
@@ -123,40 +122,3 @@ func (c *ChartBuilder) AddSeries(name, class string, xs, ys []float64, title fun
 	s.LastY = sy(ys[len(ys)-1]) + 4
 	c.Series = append(c.Series, s)
 }
-
-// ChartHTML renders one chart through the shared linechart partial,
-// returning markup another template may embed verbatim. This is how
-// reports outside this package (the diosload soak report) reuse the chart
-// machinery without duplicating its SVG template.
-func ChartHTML(c *LineChart) (template.HTML, error) {
-	if c == nil {
-		return "", nil
-	}
-	var b strings.Builder
-	if err := reportTmpl.ExecuteTemplate(&b, "linechart", c); err != nil {
-		return "", err
-	}
-	return template.HTML(b.String()), nil
-}
-
-// ChartCSS is the style block the linechart partial assumes: series
-// colors, grid strokes, and the legend chips, in both light and dark
-// schemes. Reports embedding ChartHTML output include it once in their
-// <style>.
-const ChartCSS = `
-  svg text { font: 11px system-ui, -apple-system, "Segoe UI", sans-serif; fill: var(--text-muted); }
-  svg text.dl { fill: var(--text-secondary); font-size: 11px; }
-  polyline.s1 { fill: none; stroke: var(--series-1); stroke-width: 2; stroke-linejoin: round; }
-  polyline.s2 { fill: none; stroke: var(--series-2); stroke-width: 2; stroke-linejoin: round; }
-  polyline.s3 { fill: none; stroke: var(--series-3); stroke-width: 2; stroke-linejoin: round; }
-  circle.s1 { fill: var(--series-1); stroke: var(--surface-1); stroke-width: 2; }
-  circle.s2 { fill: var(--series-2); stroke: var(--surface-1); stroke-width: 2; }
-  circle.s3 { fill: var(--series-3); stroke: var(--surface-1); stroke-width: 2; }
-  line.grid { stroke: var(--grid); stroke-width: 1; }
-  line.axis { stroke: var(--axis); stroke-width: 1; }
-  .legend { display: flex; gap: 16px; margin: 4px 0 0; font-size: 12px; color: var(--text-secondary); }
-  .legend .chip { display: inline-block; width: 10px; height: 10px; border-radius: 3px; margin-right: 5px; vertical-align: -1px; }
-  .chip.s1 { background: var(--series-1); }
-  .chip.s2 { background: var(--series-2); }
-  .chip.s3 { background: var(--series-3); }
-`

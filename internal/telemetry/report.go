@@ -1,7 +1,7 @@
 package telemetry
 
 import (
-	"embed"
+	_ "embed"
 	"fmt"
 	"html/template"
 	"io"
@@ -55,22 +55,36 @@ type ReportData struct {
 	Generated time.Time
 }
 
-//go:embed report.tmpl.html chart.tmpl.html
-var reportFS embed.FS
+//go:embed page.tmpl.html
+var pageSrc string
 
-// ChartTemplateFuncs are the helpers the linechart partial (and the
-// templates embedding it) need; reports outside this package register the
-// same map so shared geometry helpers behave identically everywhere.
-var ChartTemplateFuncs = template.FuncMap{
+//go:embed report.tmpl.html
+var reportBodySrc string
+
+// pageFuncs are the helpers the shared page and its linechart partial
+// need, available to every page body.
+var pageFuncs = template.FuncMap{
 	"add":  func(a, b int) int { return a + b },
 	"sub":  func(a, b int) int { return a - b },
 	"half": func(a int) int { return a / 2 },
 	"addf": func(a, b float64) float64 { return a + b },
+	// mulpct renders a 0..1 ratio as a percentage number.
+	"mulpct": func(v float64) float64 { return v * 100 },
 }
 
-var reportTmpl = template.Must(template.New("report.tmpl.html").
-	Funcs(ChartTemplateFuncs).
-	ParseFS(reportFS, "report.tmpl.html", "chart.tmpl.html"))
+// NewPage parses a report page body on top of the shared page
+// (page.tmpl.html): the doctype and head, one palette, the base, table and
+// chart stylesheet, and the "linechart" partial, which renders a
+// *LineChart. The body defines "title", "body" and optionally "style"
+// (page-only CSS appended after the shared rules); funcs adds helpers to
+// the shared ones. Executing the result renders one self-contained page.
+// It panics if body does not parse, like template.Must.
+func NewPage(name, body string, funcs template.FuncMap) *template.Template {
+	t := template.Must(template.New(name).Funcs(pageFuncs).Funcs(funcs).Parse(pageSrc))
+	return template.Must(t.Parse(body))
+}
+
+var reportTmpl = NewPage("report", reportBodySrc, nil)
 
 // RenderReport writes the self-contained HTML report for d to w.
 func RenderReport(w io.Writer, d ReportData) error {

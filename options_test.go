@@ -1,6 +1,7 @@
 package diospyros
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -94,7 +95,7 @@ func TestWidthParametric(t *testing.T) {
 	for _, w := range []int{2, 8} {
 		l := kernels.MatMul(2, 2, 2)
 		opts := testOpts()
-		opts.Width = w
+		opts.Targets = []string{fmt.Sprintf("fg3lite-%d", w)}
 		res, err := Compile(l, opts)
 		if err != nil {
 			t.Fatalf("width %d: %v", w, err)
@@ -188,7 +189,7 @@ func TestWidthParametricSemantics(t *testing.T) {
 	for _, w := range []int{2, 8} {
 		l := kernels.Conv2D(3, 3, 2, 2)
 		opts := testOpts()
-		opts.Width = w
+		opts.Targets = []string{fmt.Sprintf("fg3lite-%d", w)}
 		res, err := Compile(l, opts)
 		if err != nil {
 			t.Fatalf("width %d: %v", w, err)

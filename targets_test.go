@@ -102,21 +102,24 @@ func TestMultiTargetDedup(t *testing.T) {
 	}
 }
 
-func TestResolveTargetsLegacyWidth(t *testing.T) {
+// TestResolveTargetsByName: Targets is the only selector, an empty list
+// means the default target, and any registered or width-parametric name
+// resolves to itself.
+func TestResolveTargetsByName(t *testing.T) {
 	for _, tc := range []struct {
-		width int
-		want  string
-	}{{0, "fg3lite-4"}, {4, "fg3lite-4"}, {8, "fg3lite-8"}, {2, "fg3lite-2"}, {1, "scalar"}} {
-		opts := Options{Width: tc.width}.withDefaults()
-		targets, err := resolveTargets(opts)
+		targets []string
+		want    string
+	}{{nil, "fg3lite-4"}, {[]string{"fg3lite-4"}, "fg3lite-4"}, {[]string{"fg3lite-8"}, "fg3lite-8"},
+		{[]string{"fg3lite-2"}, "fg3lite-2"}, {[]string{"scalar"}, "scalar"}} {
+		targets, err := resolveTargets(Options{Targets: tc.targets}.withDefaults())
 		if err != nil {
-			t.Fatalf("width %d: %v", tc.width, err)
+			t.Fatalf("%v: %v", tc.targets, err)
 		}
 		if len(targets) != 1 || targets[0].Name != tc.want {
-			t.Fatalf("width %d resolved to %v, want %s", tc.width, targets, tc.want)
+			t.Fatalf("%v resolved to %v, want %s", tc.targets, targets, tc.want)
 		}
 	}
-	if _, err := resolveTargets(Options{Target: "no-such-machine"}.withDefaults()); err == nil {
+	if _, err := resolveTargets(Options{Targets: []string{"no-such-machine"}}.withDefaults()); err == nil {
 		t.Fatal("unknown target accepted")
 	}
 }
@@ -134,7 +137,7 @@ func TestNoBackendError(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := testOpts()
-	opts.Target = "cc-only-4"
+	opts.Targets = []string{"cc-only-4"}
 	res, err := Compile(kernels.MatMul(2, 2, 2), opts)
 	if err != nil {
 		t.Fatal(err)
