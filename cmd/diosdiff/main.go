@@ -8,11 +8,15 @@
 //	diosdiff -json d.json -html d.html base.json cur.json
 //
 // Artifacts are compile trace JSONs (diospyros -json) or per-kernel bench
-// arrays (diosbench -json / -bench-json); stale artifacts without the
-// diospyros/trace/v1 schema stamp are rejected. In -compile mode the same
-// kernel source is compiled twice — under -base-opts and -cur-opts — with
-// the search journal armed, then simulated, and the two flight records are
-// diffed; option tokens are comma-separated:
+// arrays (diosbench -json / -bench-json); artifacts without the
+// diospyros/trace/v2 schema stamp (including v1 traces, whose rule
+// attribution lived in a journal-only section) are rejected. Rule
+// attribution comes from the iteration gauges' rule rows, so any trace
+// carries it, journal or not. In -compile mode the same kernel source is
+// compiled twice — under -base-opts and -cur-opts — with the flight
+// recorder armed (adding the best-cost trajectory and extraction
+// decisions), then simulated, and the two records are diffed; option
+// tokens are comma-separated:
 //
 //	no-vector | ac | backoff | target=NAME | timeout=DUR |
 //	node-limit=N | cost:OP=V
@@ -203,7 +207,7 @@ func compileSide(ctx context.Context, src, label, tokens string, seed int64) (di
 	if err != nil {
 		return diff.Input{}, err
 	}
-	opts.Journal = egraph.NewJournal(0)
+	opts.Journal = egraph.NewJournal()
 	res, err := diospyros.CompileSourceContext(ctx, src, opts)
 	if err != nil {
 		return diff.Input{}, err

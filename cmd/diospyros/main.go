@@ -148,9 +148,9 @@ func main() {
 		}
 	}
 	if *reportOut != "" {
-		// The HTML report renders the flight-recorder sections, so a
-		// report compile always runs with the journal on.
-		opts.Journal = egraph.NewJournal(0)
+		// The HTML report renders the best-cost trajectory and the
+		// extraction decisions, so a report compile runs with the journal on.
+		opts.Journal = egraph.NewJournal()
 	}
 	var profiler *telemetry.MemProfiler
 	if *memProf != "" {

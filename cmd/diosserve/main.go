@@ -13,10 +13,11 @@
 //	curl -sS -X POST --data-binary @testdata/dotprod8.dios localhost:8175/compile
 //	curl -sS localhost:8175/metrics | grep diospyros_serve
 //
-// A POST /compile with "Accept: text/event-stream" streams the search
-// flight recorder live as Server-Sent Events — one event per rewrite-rule
-// firing, Backoff ban, iteration summary, and best-cost sample — ending
-// with a "result" event carrying the usual JSON response:
+// A POST /compile with "Accept: text/event-stream" streams the search live
+// as Server-Sent Events — one "iteration" event per saturation iteration,
+// carrying that iteration's gauge (diospyros/trace/v2: e-graph size, one
+// rule row per matching rule with Backoff bans marked, best cost) —
+// ending with a "result" event carrying the usual JSON response:
 //
 //	curl -sSN -H 'Accept: text/event-stream' \
 //	     --data-binary @testdata/conv3x5.dios localhost:8175/compile

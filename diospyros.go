@@ -83,13 +83,15 @@ type Options struct {
 	// *telemetry.AbortError cause; the abort reason then lands in the
 	// trace's StopReason as "aborted:<reason>".
 	Progress *egraph.Progress
-	// Journal, when non-nil, turns on the search flight recorder: the
-	// saturation run records per-iteration per-rule attribution, Backoff
-	// ban/unban events, and a best-cost trajectory into it (readable live
-	// from other goroutines — diosserve's SSE stream), extraction records
-	// its decision trace, and the completed trace carries both as
-	// Result.Trace.Search / Result.Trace.Extraction (the -report HTML).
-	// Create with egraph.NewJournal; nil keeps the recorder fully off.
+	// Journal, when non-nil, turns on the flight recorder. The saturation
+	// run relays each iteration's gauge through it as the iteration
+	// completes (readable live from other goroutines — diosserve's SSE
+	// stream), each gauge carries the root's best extractable cost under
+	// the primary target's model, and the completed trace carries the
+	// extraction decision trace as Result.Trace.Extraction (the -report
+	// HTML). Per-rule attribution needs no journal: every trace's
+	// iteration gauges carry their rule rows. Create with
+	// egraph.NewJournal; nil keeps the recorder off.
 	Journal *egraph.Journal
 
 	// ExtraRules appends user-defined syntactic rewrite rules to the
@@ -228,21 +230,16 @@ func compile(ctx context.Context, st *compileState) (*Result, error) {
 		mt.GCPauseTotal = gcPause
 		rec.SetMemory(mt)
 	}
-	if st.opts.Journal != nil {
-		// The search flight record attaches even to failed and aborted
-		// compiles — explaining what the watchdog killed is its job.
-		rec.SetSearch(searchTraceFromJournal(st.opts.Journal))
-		if st.extractor != nil {
-			rec.SetExtraction(extractionTrace(st.extractor, st.root))
-		}
+	if st.opts.Journal != nil && len(st.extractors) > 0 && st.extractors[0] != nil {
+		rec.SetExtraction(extractionTrace(st.extractors[0], st.root))
 	}
 	if st.report.Reason != "" {
 		rec.Count("saturate.applied", int64(st.report.Applied))
 		rec.Count("saturate.nodes", int64(st.report.Nodes))
 		rec.Count("saturate.classes", int64(st.report.Classes))
 	}
-	if st.ir != nil {
-		rec.Count("vir.instrs", int64(len(st.ir.Instrs)))
+	if len(st.perTarget) > 0 && st.perTarget[0].VIR != nil {
+		rec.Count("vir.instrs", int64(len(st.perTarget[0].VIR.Instrs)))
 	}
 	if runErr != nil {
 		// A watchdog abort arrives as the context-cancellation cause; name
@@ -261,8 +258,9 @@ func compile(ctx context.Context, st *compileState) (*Result, error) {
 			AllocBytes: trace.AllocBytes,
 		}, fmt.Errorf("diospyros: %w", runErr)
 	}
+	primary := st.perTarget[0]
 	if st.opts.Explain {
-		rec.SetExplanation(buildExplanation(st.g, st.extractor, st.root, st.ir))
+		rec.SetExplanation(buildExplanation(st.g, st.extractors[0], st.root, primary.VIR))
 		pn, pu := st.g.ProvenanceStats()
 		rec.Count("provenance.nodes", int64(pn))
 		rec.Count("provenance.unions", int64(pu))
@@ -271,17 +269,17 @@ func compile(ctx context.Context, st *compileState) (*Result, error) {
 
 	return &Result{
 		Kernel:     st.lifted,
-		Optimized:  st.optimized,
-		VIR:        st.ir,
-		Program:    st.program,
-		C:          st.cText,
+		Optimized:  primary.Optimized,
+		VIR:        primary.VIR,
+		Program:    primary.Program,
+		C:          primary.C,
 		Targets:    st.perTarget,
 		Saturation: st.report,
 		Trace:      trace,
-		Cost:       st.extractor.Cost(st.root),
+		Cost:       primary.Cost,
 		Compile:    trace.Duration,
 		AllocBytes: trace.AllocBytes,
-		Validated:  st.validated,
+		Validated:  primary.Validated,
 	}, nil
 }
 

@@ -1,73 +1,18 @@
 package diospyros
 
 import (
-	"sort"
-
 	"diospyros/internal/egraph"
 	"diospyros/internal/extract"
 	"diospyros/internal/sim"
 	"diospyros/internal/telemetry"
 )
 
-// The flight-recorder glue: folds the raw search journal (internal/egraph)
-// and the extraction decision trace (internal/extract) into the
-// trace-serializable telemetry types, which is what the -report HTML, the
-// -json trace, and diosserve's SSE stream all consume.
-
-// searchTraceFromJournal aggregates the journal into per-rule attribution,
-// the ban timeline, and the best-cost trajectory.
-func searchTraceFromJournal(j *egraph.Journal) *telemetry.SearchTrace {
-	if j == nil {
-		return nil
-	}
-	st := &telemetry.SearchTrace{Events: j.Total(), EventsDropped: j.Dropped()}
-	rules := map[string]*telemetry.RuleAttribution{}
-	order := []string{}
-	ruleFor := func(name string) *telemetry.RuleAttribution {
-		r := rules[name]
-		if r == nil {
-			r = &telemetry.RuleAttribution{Rule: name}
-			rules[name] = r
-			order = append(order, name)
-		}
-		return r
-	}
-	for _, ev := range j.Events() {
-		switch ev.Kind {
-		case egraph.JournalRule:
-			r := ruleFor(ev.Rule)
-			r.Matches += ev.Matches
-			r.Applied += ev.Applied
-			r.NewNodes += ev.NewNodes
-			r.Duration += ev.Duration
-		case egraph.JournalBan:
-			r := ruleFor(ev.Rule)
-			r.Bans++
-			r.Matches += ev.Matches
-			r.Duration += ev.Duration
-			st.Bans = append(st.Bans, telemetry.BanSpan{
-				Rule: ev.Rule, Iteration: ev.Iteration, Until: ev.BannedUntil,
-				Matches: ev.Matches, Bans: ev.Bans,
-			})
-		case egraph.JournalCost:
-			st.BestCost = append(st.BestCost, telemetry.CostPoint{
-				Iteration: ev.Iteration, Cost: ev.Cost,
-			})
-		}
-	}
-	for _, name := range order {
-		st.Rules = append(st.Rules, *rules[name])
-	}
-	// Biggest node growth first — the rules that grew the e-graph are the
-	// ones a saturation blowup post-mortem needs on top.
-	sort.SliceStable(st.Rules, func(i, k int) bool {
-		if st.Rules[i].NewNodes != st.Rules[k].NewNodes {
-			return st.Rules[i].NewNodes > st.Rules[k].NewNodes
-		}
-		return st.Rules[i].Matches > st.Rules[k].Matches
-	})
-	return st
-}
+// The flight-recorder glue: converts the saturation report's peak
+// footprint (internal/egraph), the extraction decision trace
+// (internal/extract) and the simulator's cycle profile into the
+// trace-serializable telemetry types, which is what the -report HTML and
+// the -json trace consume. The search itself needs no conversion: its
+// record is the iteration gauges, rule rows included.
 
 // memoryTraceFromReport converts the saturation report's peak footprint
 // into the trace-serializable memory record (telemetry cannot import the
@@ -89,7 +34,6 @@ func memoryTraceFromReport(rep egraph.Report) *telemetry.MemoryTrace {
 		{"classes", fp.Classes},
 		{"parents", fp.Parents},
 		{"provenance", fp.Provenance},
-		{"journal", fp.Journal},
 	} {
 		if c.comp.Entries == 0 && c.comp.Bytes == 0 {
 			continue

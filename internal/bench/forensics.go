@@ -15,11 +15,10 @@ import (
 
 // Gate-failure forensics: when -compare trips, this file turns each
 // regressed row into a diff artifact pair automatically. The committed
-// baselines carry values only (cycles, profile, peak bytes — no traces:
-// Table 1 runs journal-off so the journal ring does not count against the
-// memory gate), so the regressed kernels are recompiled here with the
-// flight recorder armed on demand, and the diff gracefully notes what the
-// value-only baseline side cannot attribute.
+// baselines carry values only (cycles, profile, peak bytes — no traces),
+// so the regressed kernels are recompiled here with the flight recorder
+// armed on demand, and the diff gracefully notes what the value-only
+// baseline side cannot attribute.
 
 // RegressedIDs collects the kernel IDs of every regressed row across the
 // given verdicts, deduplicated in first-seen order. Rows that are ok,
@@ -102,10 +101,9 @@ func Forensics(opt FOptions, baseline []byte, ids []string) ([]string, error) {
 			progress(fmt.Sprintf("forensics: %s: not in the baseline, skipped", id))
 			continue
 		}
-		// Recompile with the flight recorder armed: the gated Table 1 run is
-		// journal-off (the ring would count against the memory gate), so the
-		// attribution data is captured fresh, on demand.
-		opts.Journal = egraph.NewJournal(0)
+		// Recompile with the flight recorder armed, so the captured trace
+		// also carries the best-cost trajectory and extraction decisions.
+		opts.Journal = egraph.NewJournal()
 		res, err := diospyros.CompileContext(ctx, k.Lift(), opts)
 		if err != nil {
 			return written, fmt.Errorf("forensics: %s: %w", id, err)

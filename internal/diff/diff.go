@@ -3,7 +3,7 @@
 // diosbench's -forensics mode. Given two compile artifacts (telemetry
 // traces, simulator cycle profiles, or the value-only rows of a committed
 // bench baseline) it produces a structured Diff: the per-stage latency
-// waterfall, per-rule journal divergence, Backoff ban-timeline alignment,
+// waterfall, per-rule divergence, Backoff ban-timeline alignment,
 // the first iteration where the best-cost trajectories split, extraction
 // decision flips, e-graph memory-component deltas, and per-opcode/per-slot
 // simulated cycle deltas.
@@ -109,7 +109,7 @@ type SaturationDiff struct {
 	SplitIteration int `json:"split_iteration,omitempty"`
 }
 
-// RuleDelta is one rewrite rule's journal divergence across the two runs.
+// RuleDelta is one rewrite rule's divergence across the two runs.
 type RuleDelta struct {
 	Rule     string `json:"rule"`
 	Matches  Pair   `json:"matches"`
@@ -121,9 +121,8 @@ type RuleDelta struct {
 	CurNS  int64 `json:"cur_ns,omitempty"`
 	// OnlyIn marks a rule that ran on one side only.
 	OnlyIn string `json:"only_in,omitempty"`
-	// SplitIteration is the first 1-based iteration whose per-rule
-	// match/apply counts differ; 0 when per-iteration data agrees or is
-	// unavailable.
+	// SplitIteration is the first 1-based iteration whose rule row
+	// differs; 0 when the per-iteration rows agree.
 	SplitIteration int `json:"split_iteration,omitempty"`
 }
 
@@ -135,8 +134,8 @@ func (r RuleDelta) Diverged() bool {
 
 // BanDiff aligns the Backoff ban timelines of the two runs.
 type BanDiff struct {
-	Base []telemetry.BanSpan `json:"base,omitempty"`
-	Cur  []telemetry.BanSpan `json:"cur,omitempty"`
+	Base []telemetry.Ban `json:"base,omitempty"`
+	Cur  []telemetry.Ban `json:"cur,omitempty"`
 	// FirstDivergence is the 0-based index of the first misaligned ban
 	// (-1 when the timelines agree).
 	FirstDivergence int `json:"first_divergence"`
@@ -216,15 +215,6 @@ type CycleDiff struct {
 	Slots        []SlotDelta `json:"slots,omitempty"`
 }
 
-// Truncation flags that at least one side's journal ring evicted events,
-// so the per-rule comparison covers an incomplete window and must not be
-// read as full-run attribution.
-type Truncation struct {
-	BaseDropped uint64 `json:"base_dropped,omitempty"`
-	CurDropped  uint64 `json:"cur_dropped,omitempty"`
-	Note        string `json:"note"`
-}
-
 // Diff is the structured, attributed delta between two compilations — the
 // diospyros/diff/v1 artifact. Divergences lists every semantic difference;
 // the section fields carry the data behind them plus the informational
@@ -256,9 +246,6 @@ type Diff struct {
 	Extraction *ExtractionDiff `json:"extraction,omitempty"`
 	Memory     *MemoryDiff     `json:"memory,omitempty"`
 	Cycles     *CycleDiff      `json:"cycles,omitempty"`
-
-	// Truncation is set when either journal ring dropped events.
-	Truncation *Truncation `json:"truncation,omitempty"`
 
 	// Notes lists sections that could not be compared (e.g. the baseline
 	// artifact carries no trace) — context, not divergence.
@@ -405,33 +392,12 @@ func compareSaturation(d *Diff, base, cur *telemetry.Trace) {
 	}
 }
 
-// compareSearch diffs the flight-recorder sections: per-rule attribution,
-// the ban timeline, the best-cost trajectory, and journal truncation.
+// compareSearch diffs the saturation record: per-rule attribution, the
+// ban timeline and the best-cost trajectory, all derived from the
+// iteration gauges' rule rows.
 func compareSearch(d *Diff, base, cur *telemetry.Trace) {
-	bs, cs := base.Search, cur.Search
-	switch {
-	case bs == nil && cs == nil:
-		d.Notes = append(d.Notes, "neither run recorded a search journal; rule attribution unavailable")
-		return
-	case bs == nil || cs == nil:
-		side := d.BaseLabel
-		if cs == nil {
-			side = d.CurLabel
-		}
-		d.Notes = append(d.Notes,
-			fmt.Sprintf("%s recorded no search journal; rule attribution unavailable", side))
-		return
-	}
-
-	if bs.EventsDropped > 0 || cs.EventsDropped > 0 {
-		d.Truncation = &Truncation{
-			BaseDropped: bs.EventsDropped,
-			CurDropped:  cs.EventsDropped,
-			Note: fmt.Sprintf("journal ring evicted events (%d baseline, %d current): "+
-				"per-rule attribution covers an incomplete window and deltas may be under-counted",
-				bs.EventsDropped, cs.EventsDropped),
-		}
-	}
+	bRules, bBans := telemetry.Attribution(base.Iterations)
+	cRules, cBans := telemetry.Attribution(cur.Iterations)
 
 	// Per-rule attribution, keyed by rule name, baseline order first.
 	type side struct{ b, c *telemetry.RuleAttribution }
@@ -446,11 +412,11 @@ func compareSearch(d *Diff, base, cur *telemetry.Trace) {
 		}
 		return s
 	}
-	for i := range bs.Rules {
-		at(bs.Rules[i].Rule).b = &bs.Rules[i]
+	for i := range bRules {
+		at(bRules[i].Rule).b = &bRules[i]
 	}
-	for i := range cs.Rules {
-		at(cs.Rules[i].Rule).c = &cs.Rules[i]
+	for i := range cRules {
+		at(cRules[i].Rule).c = &cRules[i]
 	}
 	for _, name := range order {
 		s := rules[name]
@@ -507,36 +473,43 @@ func compareSearch(d *Diff, base, cur *telemetry.Trace) {
 		}
 	}
 
-	compareBans(d, bs.Bans, cs.Bans)
-	compareCostTrajectory(d, bs.BestCost, cs.BestCost)
+	compareBans(d, bBans, cBans)
+	compareCostTrajectory(d, costSamples(base.Iterations), costSamples(cur.Iterations))
 }
 
-// ruleSplitIteration finds the first 1-based iteration whose per-rule
-// match/apply counts differ between the runs (0 when aligned or unknown).
+// ruleSplitIteration finds the first 1-based iteration whose rule row —
+// banned steps included, wall time excluded — differs between the runs (0
+// when aligned).
 func ruleSplitIteration(rule string, base, cur []telemetry.IterationGauge) int {
-	n := min(len(base), len(cur))
-	for i := 0; i < n; i++ {
-		b, c := base[i], cur[i]
-		if b.PerRuleMatches[rule] != c.PerRuleMatches[rule] ||
-			b.PerRuleApplied[rule] != c.PerRuleApplied[rule] {
-			return b.Iteration
+	for i := 0; i < max(len(base), len(cur)); i++ {
+		var b, c telemetry.RuleStep
+		if i < len(base) {
+			b = ruleStep(base[i], rule)
 		}
-	}
-	for i := n; i < len(base); i++ {
-		if base[i].PerRuleMatches[rule] > 0 || base[i].PerRuleApplied[rule] > 0 {
-			return base[i].Iteration
+		if i < len(cur) {
+			c = ruleStep(cur[i], rule)
 		}
-	}
-	for i := n; i < len(cur); i++ {
-		if cur[i].PerRuleMatches[rule] > 0 || cur[i].PerRuleApplied[rule] > 0 {
-			return cur[i].Iteration
+		if b != c {
+			return i + 1
 		}
 	}
 	return 0
 }
 
+// ruleStep returns the gauge's row for rule with its wall time zeroed (the
+// zero step when the rule did not match that iteration).
+func ruleStep(g telemetry.IterationGauge, rule string) telemetry.RuleStep {
+	for _, s := range g.Rules {
+		if s.Rule == rule {
+			s.Duration = 0
+			return s
+		}
+	}
+	return telemetry.RuleStep{}
+}
+
 // compareBans aligns the Backoff ban timelines.
-func compareBans(d *Diff, base, cur []telemetry.BanSpan) {
+func compareBans(d *Diff, base, cur []telemetry.Ban) {
 	if len(base) == 0 && len(cur) == 0 {
 		return
 	}
@@ -544,7 +517,7 @@ func compareBans(d *Diff, base, cur []telemetry.BanSpan) {
 	n := min(len(base), len(cur))
 	for i := 0; i < n; i++ {
 		b, c := base[i], cur[i]
-		if b.Rule != c.Rule || b.Iteration != c.Iteration || b.Until != c.Until || b.Matches != c.Matches {
+		if b.Rule != c.Rule || b.Iteration != c.Iteration || b.BannedUntil != c.BannedUntil || b.Matches != c.Matches {
 			bd.FirstDivergence = i
 			break
 		}
@@ -561,41 +534,53 @@ func compareBans(d *Diff, base, cur []telemetry.BanSpan) {
 	case i >= len(base):
 		b := cur[i]
 		d.diverge("ban", b.Rule, "extra ban in %s: %s at iteration %d (until %d)",
-			d.CurLabel, b.Rule, b.Iteration, b.Until)
+			d.CurLabel, b.Rule, b.Iteration, b.BannedUntil)
 	case i >= len(cur):
 		b := base[i]
 		d.diverge("ban", b.Rule, "ban missing from %s: %s at iteration %d (until %d)",
-			d.CurLabel, b.Rule, b.Iteration, b.Until)
+			d.CurLabel, b.Rule, b.Iteration, b.BannedUntil)
 	default:
 		b, c := base[i], cur[i]
 		d.diverge("ban", c.Rule, "ban timelines diverge at entry %d: %s@%d(until %d) → %s@%d(until %d)",
-			i, b.Rule, b.Iteration, b.Until, c.Rule, c.Iteration, c.Until)
+			i, b.Rule, b.Iteration, b.BannedUntil, c.Rule, c.Iteration, c.BannedUntil)
 	}
+}
+
+// costSamples returns the gauges that carry a best-cost sample: the
+// best-cost trajectory.
+func costSamples(gs []telemetry.IterationGauge) []telemetry.IterationGauge {
+	var out []telemetry.IterationGauge
+	for _, g := range gs {
+		if g.BestCost != nil {
+			out = append(out, g)
+		}
+	}
+	return out
 }
 
 // compareCostTrajectory finds the first iteration where the best-cost
 // trajectories split.
-func compareCostTrajectory(d *Diff, base, cur []telemetry.CostPoint) {
+func compareCostTrajectory(d *Diff, base, cur []telemetry.IterationGauge) {
 	n := min(len(base), len(cur))
 	for i := 0; i < n; i++ {
 		b, c := base[i], cur[i]
-		if b.Iteration != c.Iteration || b.Cost != c.Cost {
-			d.CostSplit = &CostSplit{Iteration: c.Iteration, Base: b.Cost, Cur: c.Cost}
+		if b.Iteration != c.Iteration || *b.BestCost != *c.BestCost {
+			d.CostSplit = &CostSplit{Iteration: c.Iteration, Base: *b.BestCost, Cur: *c.BestCost}
 			d.diverge("cost", "", "best-cost trajectories split at iteration %d: %g → %g",
-				c.Iteration, b.Cost, c.Cost)
+				c.Iteration, *b.BestCost, *c.BestCost)
 			return
 		}
 	}
 	if len(base) != len(cur) && n > 0 {
-		var p telemetry.CostPoint
+		var it int
 		if len(base) > n {
-			p = base[n]
-			d.CostSplit = &CostSplit{Iteration: p.Iteration, Base: p.Cost}
+			it = base[n].Iteration
+			d.CostSplit = &CostSplit{Iteration: it, Base: *base[n].BestCost}
 		} else {
-			p = cur[n]
-			d.CostSplit = &CostSplit{Iteration: p.Iteration, Cur: p.Cost}
+			it = cur[n].Iteration
+			d.CostSplit = &CostSplit{Iteration: it, Cur: *cur[n].BestCost}
 		}
-		d.diverge("cost", "", "best-cost trajectories split at iteration %d: one run stopped sampling", p.Iteration)
+		d.diverge("cost", "", "best-cost trajectories split at iteration %d: one run stopped sampling", it)
 	}
 }
 
@@ -676,31 +661,14 @@ func compareMemory(d *Diff, base, cur Input) {
 		comparePeakValues(d, base, cur)
 		return
 	}
-	// Asymmetric comparisons (a traced side vs a value-only side) exclude
-	// the journal ring from the traced side's peak: value-only baselines
-	// are measured journal-off (the ring would count against the memory
-	// gate), so comparing raw peaks would mis-attribute the flight
-	// recorder's own footprint as a regression.
-	oneSided := (bm == nil) != (cm == nil)
-	adjusted := func(m *telemetry.MemoryTrace) int64 {
-		if !oneSided {
-			return m.PeakBytes
-		}
-		if jb := journalComponentBytes(m); jb > 0 {
-			d.Notes = append(d.Notes, fmt.Sprintf(
-				"journal ring bytes (%d) excluded from the footprint comparison: the value-only side was measured journal-off", jb))
-			return m.PeakBytes - jb
-		}
-		return m.PeakBytes
-	}
 	md := &MemoryDiff{}
 	if bm != nil {
-		md.PeakBytes.Base, md.PeakIteration.Base = adjusted(bm), int64(bm.PeakIteration)
+		md.PeakBytes.Base, md.PeakIteration.Base = bm.PeakBytes, int64(bm.PeakIteration)
 	} else {
 		md.PeakBytes.Base = base.PeakBytes
 	}
 	if cm != nil {
-		md.PeakBytes.Cur, md.PeakIteration.Cur = adjusted(cm), int64(cm.PeakIteration)
+		md.PeakBytes.Cur, md.PeakIteration.Cur = cm.PeakBytes, int64(cm.PeakIteration)
 	} else {
 		md.PeakBytes.Cur = cur.PeakBytes
 	}
@@ -761,17 +729,6 @@ func comparePeakValues(d *Diff, base, cur Input) {
 	if b != c && b != 0 && c != 0 {
 		d.diverge("memory", "", "peak e-graph footprint %d → %d bytes (%+d)", b, c, c-b)
 	}
-}
-
-// journalComponentBytes returns the footprint share of the journal ring
-// at the peak (0 when the run had no journal).
-func journalComponentBytes(m *telemetry.MemoryTrace) int64 {
-	for _, c := range m.Components {
-		if c.Name == "journal" {
-			return c.Bytes
-		}
-	}
-	return 0
 }
 
 // traceMemory returns the side's memory trace, if any.

@@ -20,23 +20,18 @@ func synthTrace() *telemetry.Trace {
 			{Name: "extract", Duration: 100 * time.Microsecond},
 		},
 		Iterations: []telemetry.IterationGauge{
-			{Iteration: 1, Nodes: 10, Classes: 8, Matches: 4, Applied: 3,
-				PerRuleMatches: map[string]int{"vec-mac": 2, "add-zero": 2},
-				PerRuleApplied: map[string]int{"vec-mac": 2, "add-zero": 1}},
-			{Iteration: 2, Nodes: 14, Classes: 9, Matches: 2, Applied: 1,
-				PerRuleMatches: map[string]int{"vec-mac": 2},
-				PerRuleApplied: map[string]int{"vec-mac": 1}},
+			{Iteration: 1, Nodes: 10, Classes: 8, Matches: 4, Applied: 3, BestCost: cost(20),
+				Rules: []telemetry.RuleStep{
+					{Rule: "vec-mac", Matches: 2, Applied: 2, NewNodes: 3, Duration: time.Microsecond},
+					{Rule: "add-zero", Matches: 2, Applied: 1},
+				}},
+			{Iteration: 2, Nodes: 14, Classes: 9, Matches: 2, Applied: 1, BestCost: cost(12),
+				Rules: []telemetry.RuleStep{
+					{Rule: "assoc-add", Matches: 8, BannedUntil: 4, Bans: 1},
+					{Rule: "vec-mac", Matches: 2, Applied: 1, NewNodes: 2},
+				}},
 		},
 		StopReason: "saturated",
-		Search: &telemetry.SearchTrace{
-			Rules: []telemetry.RuleAttribution{
-				{Rule: "vec-mac", Matches: 4, Applied: 3, NewNodes: 5, Duration: time.Microsecond},
-				{Rule: "add-zero", Matches: 2, Applied: 1, NewNodes: 0},
-			},
-			Bans:     []telemetry.BanSpan{{Rule: "vec-mac", Iteration: 2, Until: 4, Matches: 4, Bans: 1}},
-			BestCost: []telemetry.CostPoint{{Iteration: 1, Cost: 20}, {Iteration: 2, Cost: 12}},
-			Events:   9,
-		},
 		Extraction: &telemetry.ExtractionTrace{
 			TotalCost: 12, Classes: 9, Contested: 2,
 			Decisions: []telemetry.ExtractionDecision{
@@ -49,12 +44,14 @@ func synthTrace() *telemetry.Trace {
 			PeakBytes: 2000, PeakIteration: 2,
 			Components: []telemetry.MemoryComponent{
 				{Name: "nodes", Entries: 14, Bytes: 1400},
-				{Name: "journal", Entries: 9, Bytes: 600},
+				{Name: "hashcons", Entries: 14, Bytes: 600},
 			},
 		},
 		Duration: time.Millisecond,
 	}
 }
+
+func cost(c float64) *float64 { return &c }
 
 // synthProfile builds a matching simulator cycle profile.
 func synthProfile() *sim.Profile {
@@ -90,11 +87,8 @@ func TestSelfCompareEmpty(t *testing.T) {
 	if d.Schema != Schema {
 		t.Errorf("schema = %q, want %q", d.Schema, Schema)
 	}
-	if d.Truncation != nil {
-		t.Errorf("unexpected truncation: %+v", d.Truncation)
-	}
-	if len(d.Rules) != 2 {
-		t.Fatalf("rules = %d, want 2", len(d.Rules))
+	if len(d.Rules) != 3 {
+		t.Fatalf("rules = %d, want 3", len(d.Rules))
 	}
 	for _, r := range d.Rules {
 		if r.Diverged() {
@@ -122,8 +116,10 @@ func TestWallTimeNeverDiverges(t *testing.T) {
 		cur.Trace.Stages[i].Duration *= 7
 		cur.Trace.Stages[i].AllocBytes += 12345
 	}
-	for i := range cur.Trace.Search.Rules {
-		cur.Trace.Search.Rules[i].Duration += time.Millisecond
+	for _, g := range cur.Trace.Iterations {
+		for i := range g.Rules {
+			g.Rules[i].Duration += time.Millisecond
+		}
 	}
 	d := Compare(base, cur)
 	if !d.Empty() {
@@ -143,9 +139,8 @@ func TestWallTimeNeverDiverges(t *testing.T) {
 
 func TestRuleDivergenceSplitIteration(t *testing.T) {
 	base, cur := synthInput("a"), synthInput("b")
-	cur.Trace.Search.Rules[0].Applied = 4 // vec-mac: 3 -> 4
-	cur.Trace.Search.Rules[0].NewNodes = 6
-	cur.Trace.Iterations[1].PerRuleApplied["vec-mac"] = 2
+	step := &cur.Trace.Iterations[1].Rules[1] // vec-mac: 3 -> 4 applied overall
+	step.Applied, step.NewNodes = 2, 3
 	d := Compare(base, cur)
 	if d.Empty() {
 		t.Fatal("rule count change not flagged")
@@ -180,22 +175,30 @@ func TestStopReasonAndSaturationDivergence(t *testing.T) {
 	}
 }
 
-// TestTruncationFlagged pins the ring-eviction caveat: dropped journal
-// events set Truncation (surfaced as a warning) but are not themselves a
-// semantic divergence.
-func TestTruncationFlagged(t *testing.T) {
+// TestBannedMatchesSplitIteration: two runs that differ only in a banned
+// step's discarded match count. The gauges' Matches agree, but the rule's
+// totals and its row diverge, so the autopsy names the split iteration.
+func TestBannedMatchesSplitIteration(t *testing.T) {
 	base, cur := synthInput("a"), synthInput("b")
-	cur.Trace.Search.EventsDropped = 7
+	cur.Trace.Iterations[1].Rules[0].Matches = 9 // assoc-add's banned step: 8 -> 9
 	d := Compare(base, cur)
-	if d.Truncation == nil || d.Truncation.CurDropped != 7 || d.Truncation.BaseDropped != 0 {
-		t.Fatalf("truncation = %+v, want CurDropped 7", d.Truncation)
+	var rd *RuleDelta
+	for i := range d.Rules {
+		if d.Rules[i].Rule == "assoc-add" {
+			rd = &d.Rules[i]
+		}
 	}
-	if !d.Empty() {
-		t.Errorf("truncation alone counted as divergence:\n%s", d.Format())
+	if rd == nil || rd.Matches != (Pair{8, 9}) || rd.SplitIteration != 2 {
+		t.Fatalf("assoc-add delta = %+v, want matches 8 -> 9 split at iteration 2", rd)
 	}
-	out := d.Format()
-	if !strings.Contains(out, "warning:") || !strings.Contains(out, "evicted") {
-		t.Errorf("Format lacks the truncation warning:\n%s", out)
+	var detail string
+	for _, dv := range d.Divergences {
+		if dv.Kind == "rule" && dv.Subject == "assoc-add" {
+			detail = dv.Detail
+		}
+	}
+	if !strings.Contains(detail, "(diverging from iteration 2)") {
+		t.Errorf("rule divergence %q does not name the split iteration", detail)
 	}
 }
 
@@ -226,7 +229,7 @@ func TestExtractionFlipNamesWinner(t *testing.T) {
 
 func TestBanTimelineDivergence(t *testing.T) {
 	base, cur := synthInput("a"), synthInput("b")
-	cur.Trace.Search.Bans[0].Until = 5
+	cur.Trace.Iterations[1].Rules[0].BannedUntil = 5
 	d := Compare(base, cur)
 	if !kinds(d)["ban"] {
 		t.Fatalf("no ban divergence in %+v", d.Divergences)
@@ -238,7 +241,7 @@ func TestBanTimelineDivergence(t *testing.T) {
 
 func TestCostTrajectorySplit(t *testing.T) {
 	base, cur := synthInput("a"), synthInput("b")
-	cur.Trace.Search.BestCost[1].Cost = 13
+	cur.Trace.Iterations[1].BestCost = cost(13)
 	d := Compare(base, cur)
 	if !kinds(d)["cost"] {
 		t.Fatalf("no cost divergence in %+v", d.Divergences)
@@ -250,33 +253,28 @@ func TestCostTrajectorySplit(t *testing.T) {
 }
 
 // TestOneSidedJournalExclusion pins the forensics asymmetry: a value-only
-// baseline (measured journal-off) compared against a journal-armed recompile
-// must not see the flight recorder's own ring bytes as a memory regression.
+// baseline (measured journal-off) against a journal-armed recompile compares
+// raw peaks, because the flight recorder is excluded from the footprint by
+// construction — equal peaks agree, and any difference is a real one.
 func TestOneSidedJournalExclusion(t *testing.T) {
-	base := Input{Label: "BENCH.json", Kernel: "k", Cycles: 9, PeakBytes: 1400}
-	cur := synthInput("current") // peak 2000, of which 600 is the journal ring
-	d := Compare(base, cur)
+	base := Input{Label: "BENCH.json", Kernel: "k", Cycles: 9, PeakBytes: 2000}
+	d := Compare(base, synthInput("current")) // peak 2000
 	if !d.Empty() {
-		t.Fatalf("journal ring bytes counted as divergence:\n%s", d.Format())
+		t.Fatalf("equal peaks counted as divergence:\n%s", d.Format())
 	}
-	if d.Memory == nil || d.Memory.PeakBytes != (Pair{1400, 1400}) {
-		t.Fatalf("memory = %+v, want adjusted peaks {1400 1400}", d.Memory)
+	if d.Memory == nil || d.Memory.PeakBytes != (Pair{2000, 2000}) {
+		t.Fatalf("memory = %+v, want raw peaks {2000 2000}", d.Memory)
 	}
-	var noted bool
-	for _, n := range d.Notes {
-		if strings.Contains(n, "journal ring bytes (600) excluded") {
-			noted = true
-		}
-	}
-	if !noted {
-		t.Errorf("missing journal-exclusion note in %v", d.Notes)
+	base.PeakBytes = 1400
+	if d := Compare(base, synthInput("current")); !kinds(d)["memory"] {
+		t.Fatalf("a 600-byte peak delta was not flagged: %+v", d.Divergences)
 	}
 }
 
 // TestOneSidedCyclesDivergence is the forensics happy path: a value-only
 // baseline that genuinely regressed produces exactly the cycles divergence.
 func TestOneSidedCyclesDivergence(t *testing.T) {
-	base := Input{Label: "BENCH.json", Kernel: "k", Cycles: 4, PeakBytes: 1400}
+	base := Input{Label: "BENCH.json", Kernel: "k", Cycles: 4, PeakBytes: 2000}
 	d := Compare(base, synthInput("current"))
 	if len(d.Divergences) != 1 || d.Divergences[0].Kind != "cycles" {
 		t.Fatalf("divergences = %+v, want exactly one cycles divergence", d.Divergences)

@@ -18,9 +18,6 @@ func (d *Diff) Format() string {
 	b.WriteString(header)
 	b.WriteByte('\n')
 
-	if d.Truncation != nil {
-		fmt.Fprintf(&b, "warning: %s\n", d.Truncation.Note)
-	}
 	for _, n := range d.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}

@@ -15,20 +15,17 @@ import (
 // These tests exercise the diff package against real compilations of the
 // matmul2x2 testdata kernel: the self-diff-empty invariant, the induced
 // regressions the acceptance criteria pin (a nerfed cost weight must name
-// the responsible op; a disabled rule family must name the missing rules),
-// and the journal-truncation caveat on a real wrapped ring.
+// the responsible op; a disabled rule family must name the missing rules).
 
-// compileMM compiles testdata/matmul2x2.dios with the journal armed (ring
-// capacity ringCap; 0 means the default) and simulates it, returning the
-// diff input and the journal.
-func compileMM(t *testing.T, opts diospyros.Options, ringCap int) (diff.Input, *egraph.Journal) {
+// compileMM compiles testdata/matmul2x2.dios with the journal armed and
+// simulates it, returning the diff input.
+func compileMM(t *testing.T, opts diospyros.Options) diff.Input {
 	t.Helper()
 	src, err := os.ReadFile("../../testdata/matmul2x2.dios")
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr := egraph.NewJournal(ringCap)
-	opts.Journal = jr
+	opts.Journal = egraph.NewJournal()
 	if opts.Timeout == 0 {
 		opts.Timeout = time.Minute
 	}
@@ -52,19 +49,19 @@ func compileMM(t *testing.T, opts diospyros.Options, ringCap int) (diff.Input, *
 			in.Cycles = sres.Cycles
 		}
 	}
-	return in, jr
+	return in
 }
 
 // TestLiveSelfDiffEmpty checks the determinism anchor on real compiles: the
 // same kernel compiled twice — and again at GOMAXPROCS 8 — diffs empty.
 func TestLiveSelfDiffEmpty(t *testing.T) {
-	a, _ := compileMM(t, diospyros.Options{}, 0)
-	b, _ := compileMM(t, diospyros.Options{}, 0)
+	a := compileMM(t, diospyros.Options{})
+	b := compileMM(t, diospyros.Options{})
 	if d := diff.Compare(a, b); !d.Empty() {
 		t.Errorf("identical compiles diverged:\n%s", d.Format())
 	}
 	withProcs(t, 8)
-	p, _ := compileMM(t, diospyros.Options{}, 0)
+	p := compileMM(t, diospyros.Options{})
 	if d := diff.Compare(a, p); !d.Empty() {
 		t.Errorf("default vs GOMAXPROCS=8 diverged:\n%s", d.Format())
 	}
@@ -75,8 +72,8 @@ func TestLiveSelfDiffEmpty(t *testing.T) {
 // that names VecMAC in the divergence list, the JSON artifact, and the HTML
 // report.
 func TestInducedCostRegressionNamesRule(t *testing.T) {
-	base, _ := compileMM(t, diospyros.Options{}, 0)
-	cur, _ := compileMM(t, diospyros.Options{OpCost: map[string]float64{"VecMAC": 50}}, 0)
+	base := compileMM(t, diospyros.Options{})
+	cur := compileMM(t, diospyros.Options{OpCost: map[string]float64{"VecMAC": 50}})
 	d := diff.Compare(base, cur)
 	if d.Empty() {
 		t.Fatal("nerfed VecMAC cost produced an empty diff")
@@ -118,8 +115,8 @@ func TestInducedCostRegressionNamesRule(t *testing.T) {
 // disabling the vectorization rules must surface as rules running only in
 // the baseline.
 func TestInducedRuleDisableDivergence(t *testing.T) {
-	base, _ := compileMM(t, diospyros.Options{}, 0)
-	cur, _ := compileMM(t, diospyros.Options{DisableVectorRules: true}, 0)
+	base := compileMM(t, diospyros.Options{})
+	cur := compileMM(t, diospyros.Options{DisableVectorRules: true})
 	d := diff.Compare(base, cur)
 	if d.Empty() {
 		t.Fatal("disabling vector rules produced an empty diff")
@@ -132,26 +129,5 @@ func TestInducedRuleDisableDivergence(t *testing.T) {
 	}
 	if !baselineOnly {
 		t.Errorf("no rule attributed to the baseline only:\n%s", d.Format())
-	}
-}
-
-// TestJournalTruncationRealRun wraps a real compile's journal ring and
-// checks the drop count flows end to end: Journal.Dropped into the trace's
-// EventsDropped and from there into the diff's Truncation caveat.
-func TestJournalTruncationRealRun(t *testing.T) {
-	full, _ := compileMM(t, diospyros.Options{}, 0)
-	short, jr := compileMM(t, diospyros.Options{}, 8)
-	if jr.Dropped() == 0 {
-		t.Fatalf("ring of 8 evicted nothing (total %d events); enlarge the kernel", jr.Total())
-	}
-	if short.Trace.Search == nil || short.Trace.Search.EventsDropped != jr.Dropped() {
-		t.Fatalf("trace EventsDropped = %+v, want %d", short.Trace.Search, jr.Dropped())
-	}
-	d := diff.Compare(full, short)
-	if d.Truncation == nil || d.Truncation.CurDropped != jr.Dropped() {
-		t.Fatalf("truncation = %+v, want CurDropped %d", d.Truncation, jr.Dropped())
-	}
-	if !strings.Contains(d.Format(), "incomplete window") {
-		t.Error("Format lacks the truncation caveat")
 	}
 }

@@ -55,6 +55,11 @@ func TestLoadArtifactRejectsStaleTraces(t *testing.T) {
 	wrong.Schema = "diospyros/trace/v0"
 	wrongRaw, _ := json.Marshal(wrong)
 
+	// v1 traces predate the gauges' rule rows.
+	v1 := synthTrace()
+	v1.Schema = "diospyros/trace/v1"
+	v1Raw, _ := json.Marshal(v1)
+
 	// A bench row embedding a stale trace is rejected too, naming the kernel.
 	row, _ := json.Marshal([]map[string]any{{"id": "MatMul 2x2 2x2", "cycles": 9,
 		"trace": json.RawMessage(staleRaw)}})
@@ -66,6 +71,7 @@ func TestLoadArtifactRejectsStaleTraces(t *testing.T) {
 	}{
 		{"missing stamp", staleRaw, "no schema stamp"},
 		{"wrong version", wrongRaw, telemetry.TraceSchema},
+		{"v1 trace", v1Raw, telemetry.TraceSchema},
 		{"stale row trace", row, "MatMul 2x2 2x2"},
 	}
 	for _, tc := range cases {

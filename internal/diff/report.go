@@ -106,12 +106,12 @@ func overlayChart(d *Diff, base, cur *telemetry.Trace,
 
 // costSeries extracts the best-cost trajectory as chart series.
 func costSeries(t *telemetry.Trace) (xs, ys []float64) {
-	if t == nil || t.Search == nil {
+	if t == nil {
 		return nil, nil
 	}
-	for _, p := range t.Search.BestCost {
-		xs = append(xs, float64(p.Iteration))
-		ys = append(ys, p.Cost)
+	for _, g := range costSamples(t.Iterations) {
+		xs = append(xs, float64(g.Iteration))
+		ys = append(ys, *g.BestCost)
 	}
 	return xs, ys
 }

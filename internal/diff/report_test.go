@@ -9,8 +9,7 @@ import (
 // section: a rule delta, an extraction flip, and a cycles delta.
 func divergentPair() (Input, Input) {
 	base, cur := synthInput("baseline.json"), synthInput("current")
-	cur.Trace.Search.Rules[0].Applied = 4
-	cur.Trace.Iterations[1].PerRuleApplied["vec-mac"] = 2
+	cur.Trace.Iterations[1].Rules[1].Applied = 2 // vec-mac: 3 -> 4 applied
 	cur.Trace.Extraction.Decisions[0].Winner = "(VecAdd /2)"
 	cur.Cycles = 11
 	cur.Profile.Cycles = 11

@@ -3,6 +3,7 @@ package diff_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"diospyros/internal/bench"
 	"diospyros/internal/diff"
 	"diospyros/internal/egraph"
+	"diospyros/internal/telemetry"
 )
 
 // withProcs sets GOMAXPROCS, and with it the e-matching pool size, for the
@@ -23,8 +25,9 @@ func withProcs(t *testing.T, n int) {
 
 // TestSelfDiffEmptyAcrossSuite is the suite-wide determinism invariant:
 // every kernel of the 21-kernel suite, compiled with the journal armed,
-// self-diffs empty and emits identical C — against itself and across
-// GOMAXPROCS 1 vs 8 (the inline matcher vs the pool). Any divergence here
+// self-diffs empty and emits identical C and identical rule rows (wall time
+// aside) — against itself and across GOMAXPROCS 1 vs 8 (the inline matcher
+// vs the pool). Any divergence here
 // means either the determinism contract (DESIGN.md §9) broke or the diff is
 // counting an informational field as semantic.
 func TestSelfDiffEmptyAcrossSuite(t *testing.T) {
@@ -33,10 +36,9 @@ func TestSelfDiffEmptyAcrossSuite(t *testing.T) {
 	}
 	compileAt := func(k bench.Kernel, procs int) (diff.Input, string) {
 		withProcs(t, procs)
-		jr := egraph.NewJournal(0)
 		res, err := diospyros.Compile(k.Lift(), diospyros.Options{
 			Timeout: time.Minute,
-			Journal: jr,
+			Journal: egraph.NewJournal(),
 		})
 		if err != nil {
 			t.Fatalf("%s (GOMAXPROCS=%d): %v", k.ID, procs, err)
@@ -67,5 +69,22 @@ func TestSelfDiffEmptyAcrossSuite(t *testing.T) {
 		if serialC != parallelC {
 			t.Errorf("%s: C output differs between GOMAXPROCS=1 and GOMAXPROCS=8", k.ID)
 		}
+		// Compare runs per-iteration rows only for rules whose totals
+		// diverge; pin every row directly.
+		if a, b := ruleRows(serial.Trace), ruleRows(parallel.Trace); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: rule rows differ between GOMAXPROCS=1 and GOMAXPROCS=8", k.ID)
+		}
 	}
+}
+
+// ruleRows collects a trace's rule rows per iteration with wall time zeroed.
+func ruleRows(tr *telemetry.Trace) [][]telemetry.RuleStep {
+	out := make([][]telemetry.RuleStep, len(tr.Iterations))
+	for i, g := range tr.Iterations {
+		for _, s := range g.Rules {
+			s.Duration = 0
+			out[i] = append(out[i], s)
+		}
+	}
+	return out
 }

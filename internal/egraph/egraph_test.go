@@ -220,8 +220,8 @@ func TestRunSimpleRewrite(t *testing.T) {
 	if g.Find(root) != g.Find(x) {
 		t.Fatal("(+ (+ x 0) 0) not rewritten to x")
 	}
-	if rep.PerRule["add-zero"] < 2 {
-		t.Errorf("expected >=2 applications, got %d", rep.PerRule["add-zero"])
+	if n := ruleApplied(rep)["add-zero"]; n < 2 {
+		t.Errorf("expected >=2 applications, got %d", n)
 	}
 }
 
@@ -427,7 +427,7 @@ func TestBackoffSchedulerBoundsExplosiveRules(t *testing.T) {
 	if g2.Find(root2) != g2.Find(simplified) {
 		t.Fatalf("add-0 did not apply under backoff scheduling (%+v)", rep2)
 	}
-	if rep2.PerRule["add-0"] == 0 {
+	if ruleApplied(rep2)["add-0"] == 0 {
 		t.Fatal("add-0 never applied")
 	}
 }

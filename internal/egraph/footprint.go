@@ -42,9 +42,6 @@ const (
 	memoKeySize   = int64(unsafe.Sizeof(memoKey{}))
 	justSize      = int64(unsafe.Sizeof(Justification{}))
 	unionStepSize = int64(unsafe.Sizeof(UnionStep{}))
-
-	journalEventSize = int64(unsafe.Sizeof(JournalEvent{}))
-	footprintSize    = int64(unsafe.Sizeof(Footprint{}))
 )
 
 // FootprintComponent is one component's share of the e-graph footprint:
@@ -57,9 +54,8 @@ type FootprintComponent struct {
 // Footprint is a per-component breakdown of the e-graph's logical memory:
 // e-node structs and payloads, the hashcons (binary keys plus map entries),
 // the symbol intern table, the union-find arrays, the per-class containers,
-// parent back-references, the provenance store, and — when sampled through
-// a Journal — the journal ring itself. Total is the sum of all component
-// bytes.
+// parent back-references, and the provenance store. Total is the sum of all
+// component bytes.
 type Footprint struct {
 	Nodes      FootprintComponent `json:"nodes"`
 	Hashcons   FootprintComponent `json:"hashcons"`
@@ -68,7 +64,6 @@ type Footprint struct {
 	Classes    FootprintComponent `json:"classes"`
 	Parents    FootprintComponent `json:"parents"`
 	Provenance FootprintComponent `json:"provenance"`
-	Journal    FootprintComponent `json:"journal"`
 	Total      int64              `json:"total"`
 }
 
@@ -90,9 +85,7 @@ func (t *SymbolTable) symbolBytes() int64 {
 
 // Footprint returns the per-component logical footprint. O(1): every value
 // is derived from container lengths and the incrementally maintained
-// counters, never from walking the graph. The Journal component is zero
-// here — sampleMemory fills it in, since the journal is not part of the
-// graph.
+// counters, never from walking the graph.
 func (g *EGraph) Footprint() Footprint {
 	var fp Footprint
 	fp.Nodes = FootprintComponent{
@@ -136,7 +129,7 @@ func (g *EGraph) Footprint() Footprint {
 }
 
 // FootprintBytes returns the e-graph's total logical bytes (the Footprint
-// Total, minus any journal share). It is O(1) and allocation-free, cheap
+// Total). It is O(1) and allocation-free, cheap
 // enough to call at every Progress publish site.
 func (g *EGraph) FootprintBytes() int64 {
 	return int64(g.nodeCount)*enodeSize + g.nodePayload +

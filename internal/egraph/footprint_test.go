@@ -1,7 +1,6 @@
 package egraph
 
 import (
-	"fmt"
 	"testing"
 
 	"diospyros/internal/expr"
@@ -118,82 +117,31 @@ func TestRunReportsPeakFootprint(t *testing.T) {
 	}
 }
 
-// TestJournalRingWrapMemorySamples fills a tiny ring past wraparound with
-// interleaved rule and memory events and checks that (a) the surviving
-// suffix still carries intact per-rule counts and footprint breakdowns, and
-// (b) ByteSize's incremental variable-byte tracking agrees with a recount
-// over the surviving slots.
-func TestJournalRingWrapMemorySamples(t *testing.T) {
-	g := New()
-	g.AddExpr(expr.MustParse("(+ a b)"))
-	j := NewJournal(4)
-	const rounds = 9
-	for i := 1; i <= rounds; i++ {
-		j.append(JournalEvent{Kind: JournalRule, Iteration: i,
-			Rule: fmt.Sprintf("rule-%d", i), Matches: i, Applied: i})
-		j.sampleMemory(g, i)
-	}
-	if got := j.Total(); got != 2*rounds {
-		t.Fatalf("Total = %d, want %d", got, 2*rounds)
-	}
-	evs := j.Events()
-	if len(evs) != 4 {
-		t.Fatalf("surviving events = %d, want ring cap 4", len(evs))
-	}
-	var rules, mems int
-	for _, ev := range evs {
-		switch ev.Kind {
-		case JournalRule:
-			rules++
-			if want := fmt.Sprintf("rule-%d", ev.Iteration); ev.Rule != want || ev.Applied != ev.Iteration {
-				t.Errorf("wrapped rule event corrupted: %+v", ev)
-			}
-		case JournalMemory:
-			mems++
-			if ev.Memory == nil || ev.Bytes != ev.Memory.Total || ev.Memory.Journal.Entries == 0 {
-				t.Errorf("wrapped memory event corrupted: %+v", ev)
-			}
-		}
-	}
-	if rules == 0 || mems == 0 {
-		t.Fatalf("suffix lost a kind: %d rule, %d memory events", rules, mems)
-	}
-
-	// ByteSize must equal a recount of the surviving slots.
-	var varBytes int64
-	for _, ev := range evs {
-		varBytes += eventVarBytes(ev)
-	}
-	want := int64(len(evs))*journalEventSize + varBytes
-	if got := j.ByteSize(); got != want {
-		t.Fatalf("ByteSize = %d, recount = %d", got, want)
-	}
-	if comp := j.Footprint(); comp.Entries != len(evs) || comp.Bytes != want {
-		t.Fatalf("Footprint = %+v, want {%d %d}", comp, len(evs), want)
-	}
-}
-
-// TestFootprintNilJournalSafe checks the memory-accounting entry points a
-// disarmed (nil) journal reaches: sampling is a no-op and byte queries
-// report zero, so runs without a flight recorder pay nothing.
+// TestFootprintNilJournalSafe checks that the flight recorder costs the
+// footprint nothing: a run with a nil journal and one with an armed journal
+// report the same peak, component by component, and the same per-iteration
+// byte trajectory.
 func TestFootprintNilJournalSafe(t *testing.T) {
-	var j *Journal
-	g := New()
-	g.AddExpr(expr.MustParse("(+ a b)"))
-	j.sampleMemory(g, 1)
-	if j.ByteSize() != 0 {
-		t.Fatal("nil journal reported bytes")
+	run := func(j *Journal) Report {
+		g := New()
+		g.AddExpr(expr.MustParse("(* a (+ b (+ c d)))"))
+		return Run(g, []Rewrite{
+			MustRewrite("distribute", "(* ?a (+ ?b ?c))", "(+ (* ?a ?b) (* ?a ?c))"),
+			MustRewrite("comm-add", "(+ ?a ?b)", "(+ ?b ?a)"),
+		}, Limits{MaxIterations: 4, Journal: j})
 	}
-	if comp := j.Footprint(); comp.Entries != 0 || comp.Bytes != 0 {
-		t.Fatalf("nil journal Footprint = %+v, want zero", comp)
+	plain, armed := run(nil), run(NewJournal())
+	if plain.PeakFootprint.Total <= 0 {
+		t.Fatalf("journal-less run lost its peak: %+v", plain.PeakFootprint)
 	}
-	// A run with no journal still reports a peak from the progress flush.
-	rep := Run(g, []Rewrite{MustRewrite("comm-add", "(+ ?a ?b)", "(+ ?b ?a)")},
-		Limits{MaxIterations: 3})
-	if rep.PeakFootprint.Total <= 0 {
-		t.Fatalf("journal-less run lost its peak: %+v", rep.PeakFootprint)
+	if plain.PeakFootprint != armed.PeakFootprint || plain.PeakIteration != armed.PeakIteration {
+		t.Fatalf("armed peak %+v at %d, journal-less %+v at %d",
+			armed.PeakFootprint, armed.PeakIteration, plain.PeakFootprint, plain.PeakIteration)
 	}
-	if rep.PeakFootprint.Journal.Bytes != 0 {
-		t.Fatalf("journal-less run attributed journal bytes: %+v", rep.PeakFootprint.Journal)
+	for i := range plain.Iters {
+		if plain.Iters[i].Bytes != armed.Iters[i].Bytes {
+			t.Fatalf("iteration %d bytes: armed %d, journal-less %d",
+				i+1, armed.Iters[i].Bytes, plain.Iters[i].Bytes)
+		}
 	}
 }

@@ -2,279 +2,91 @@ package egraph
 
 import (
 	"sync"
-	"time"
+
+	"diospyros/internal/telemetry"
 )
 
-// The search flight recorder. A Journal is a bounded, concurrently readable
-// ring buffer of saturation events: per-iteration per-rule attribution
-// (matches, applications, new nodes, rule wall time), Backoff ban/unban
-// events, iteration summaries, and a best-cost trajectory per root. The
-// runner records into it only when Limits.Journal is non-nil — disabled
-// runs pay a single nil check per iteration — and readers (the SSE stream,
-// the HTML report) consume events with Events or EventsSince while the run
-// is still writing.
-
-// JournalEventKind discriminates journal events.
-type JournalEventKind string
-
-const (
-	// JournalRule: one rule's activity within one iteration (emitted only
-	// for rules that matched at least once).
-	JournalRule JournalEventKind = "rule"
-	// JournalBan: the Backoff scheduler banned a rule for over-matching.
-	JournalBan JournalEventKind = "ban"
-	// JournalUnban: a previously banned rule rejoined the search.
-	JournalUnban JournalEventKind = "unban"
-	// JournalIteration: the post-rebuild summary of one iteration.
-	JournalIteration JournalEventKind = "iteration"
-	// JournalCost: the best extractable cost of a root after an iteration.
-	JournalCost JournalEventKind = "cost"
-	// JournalMemory: the e-graph's per-component logical footprint after an
-	// iteration's rebuild — the memory trajectory beside the cost trajectory.
-	JournalMemory JournalEventKind = "memory"
-)
-
-// JournalEvent is one flight-recorder entry. Fields are populated per kind;
-// unused fields are zero and omitted from JSON.
-type JournalEvent struct {
-	// Seq is the event's global sequence number (0-based, monotonically
-	// increasing across the run, including evicted events).
-	Seq uint64 `json:"seq"`
-	// Kind discriminates the event.
-	Kind JournalEventKind `json:"kind"`
-	// Iteration is the 1-based saturation iteration.
-	Iteration int `json:"iteration"`
-
-	// Rule names the rewrite (rule, ban, unban events).
-	Rule string `json:"rule,omitempty"`
-	// Matches is the rule's match count this iteration (rule, ban).
-	Matches int `json:"matches,omitempty"`
-	// Applied counts successful applications this iteration (rule).
-	Applied int `json:"applied,omitempty"`
-	// NewNodes is the e-node growth attributed to this rule's applications
-	// this iteration (rule).
-	NewNodes int `json:"new_nodes,omitempty"`
-	// Duration is the rule's search+apply wall time this iteration (rule),
-	// or the whole iteration's wall time (iteration).
-	Duration time.Duration `json:"duration_ns,omitempty"`
-
-	// BannedUntil is the 1-based iteration at which the ban expires (ban).
-	BannedUntil int `json:"banned_until,omitempty"`
-	// Bans is the rule's lifetime ban count after this event (ban).
-	Bans int `json:"bans,omitempty"`
-
-	// Nodes/Classes are the e-graph size after rebuild (iteration).
-	Nodes   int `json:"nodes,omitempty"`
-	Classes int `json:"classes,omitempty"`
-
-	// Root and Cost carry the best-cost trajectory (cost events).
-	Root ClassID `json:"root,omitempty"`
-	Cost float64 `json:"cost,omitempty"`
-
-	// Bytes is the total logical footprint (memory events), including the
-	// journal ring itself.
-	Bytes int64 `json:"bytes,omitempty"`
-	// Memory is the per-component breakdown behind Bytes (memory events).
-	Memory *Footprint `json:"memory,omitempty"`
-}
-
-// DefaultJournalCap bounds a Journal created with NewJournal(0).
-const DefaultJournalCap = 4096
+// The search flight recorder's live relay. A Journal is an append-only list
+// of a run's iteration gauges — the same records Report.Iters collects,
+// rule rows included — that other goroutines may read while the run is
+// still writing (diosserve's SSE stream polls GaugesSince). It also holds
+// the optional best-cost sampler, whose result lands in each gauge's
+// BestCost. The runner appends to it only when Limits.Journal is non-nil.
 
 // costSampleMaxNodes caps the graph size at which the per-iteration cost
 // sampler still runs: sampling performs a full extraction fixpoint, which
 // is linear in e-nodes per pass and would dominate huge searches.
 const costSampleMaxNodes = 200_000
 
-// Journal is the flight recorder's event buffer. The zero value is not
-// usable; call NewJournal. All methods are safe for concurrent use and
-// nil-receiver safe, so the runner records unconditionally through a nil
-// journal at no cost beyond the nil check.
+// Journal relays a saturation run's gauges to concurrent readers. All
+// methods are safe for concurrent use and nil-receiver safe, so the runner
+// records unconditionally through a nil journal at no cost beyond the nil
+// check.
 type Journal struct {
-	mu   sync.Mutex
-	buf  []JournalEvent
-	next uint64 // total events ever appended; also the next Seq
+	mu     sync.Mutex
+	gauges []telemetry.IterationGauge
 
-	// strBytes tracks the variable bytes (rule-name strings, footprint
-	// breakdowns) held by events currently in the ring, so ByteSize stays
-	// O(1) as events are appended and overwritten.
-	strBytes int64
-
-	costRoots []ClassID
-	costFn    func(*EGraph, ClassID) (float64, bool)
+	costRoot ClassID
+	costFn   func(*EGraph, ClassID) (float64, bool)
 }
 
-// NewJournal creates a journal holding the last capacity events
-// (DefaultJournalCap when capacity <= 0).
-func NewJournal(capacity int) *Journal {
-	if capacity <= 0 {
-		capacity = DefaultJournalCap
-	}
-	return &Journal{buf: make([]JournalEvent, 0, capacity)}
-}
+// NewJournal creates an empty journal.
+func NewJournal() *Journal { return &Journal{} }
 
 // SampleCost arms the per-iteration best-cost trajectory: after each
-// iteration's rebuild the runner calls fn for every root and records a cost
-// event. fn typically runs an extraction fixpoint, so sampling is skipped
-// once the graph exceeds 200k nodes to keep recorder overhead bounded.
-func (j *Journal) SampleCost(roots []ClassID, fn func(g *EGraph, root ClassID) (float64, bool)) {
+// completed iteration's rebuild the runner calls fn for root and records
+// the result as the gauge's BestCost. fn typically runs an extraction
+// fixpoint, so sampling is skipped once the graph exceeds 200k nodes to
+// keep recorder overhead bounded.
+func (j *Journal) SampleCost(root ClassID, fn func(g *EGraph, root ClassID) (float64, bool)) {
 	if j == nil {
 		return
 	}
 	j.mu.Lock()
-	j.costRoots = append([]ClassID(nil), roots...)
-	j.costFn = fn
+	j.costRoot, j.costFn = root, fn
 	j.mu.Unlock()
 }
 
-// append records one event, stamping its sequence number. Older events are
-// evicted once the buffer is full.
-func (j *Journal) append(ev JournalEvent) {
+// append publishes one completed gauge. The runner never mutates a gauge
+// (or its Rules) after appending it, so readers may share its rows.
+func (j *Journal) append(g telemetry.IterationGauge) {
 	if j == nil {
 		return
 	}
 	j.mu.Lock()
-	ev.Seq = j.next
-	j.next++
-	if len(j.buf) < cap(j.buf) {
-		j.strBytes += eventVarBytes(ev)
-		j.buf = append(j.buf, ev)
-	} else {
-		// Ring: overwrite the slot the sequence number maps to.
-		slot := ev.Seq % uint64(cap(j.buf))
-		j.strBytes += eventVarBytes(ev) - eventVarBytes(j.buf[slot])
-		j.buf[slot] = ev
-	}
+	j.gauges = append(j.gauges, g)
 	j.mu.Unlock()
 }
 
-// eventVarBytes is the variable payload one ring slot holds beyond the
-// JournalEvent struct itself.
-func eventVarBytes(ev JournalEvent) int64 {
-	n := int64(len(ev.Rule))
-	if ev.Memory != nil {
-		n += footprintSize
-	}
-	return n
-}
-
-// ByteSize returns the logical bytes held by the journal ring: the occupied
-// slots plus their variable payloads. O(1) and nil-safe (0 when disarmed).
-func (j *Journal) ByteSize() int64 {
+// GaugesSince returns the gauges after the first n, in iteration order.
+// Streaming readers pass the number of gauges they have already seen.
+func (j *Journal) GaugesSince(n int) []telemetry.IterationGauge {
 	if j == nil {
-		return 0
+		return nil
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return int64(len(j.buf))*journalEventSize + j.strBytes
+	if n >= len(j.gauges) {
+		return nil
+	}
+	return append([]telemetry.IterationGauge(nil), j.gauges[n:]...)
 }
 
-// Footprint returns the journal's share of the memory breakdown: buffered
-// event count and ring bytes. Nil-safe; a disarmed journal is zero.
-func (j *Journal) Footprint() FootprintComponent {
+// sampleCost returns the armed root's best cost on g, or nil when the
+// sampler is not armed, the graph is too large, or the root has no finite
+// cost.
+func (j *Journal) sampleCost(g *EGraph) *float64 {
 	if j == nil {
-		return FootprintComponent{}
+		return nil
 	}
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	return FootprintComponent{
-		Entries: len(j.buf),
-		Bytes:   int64(len(j.buf))*journalEventSize + j.strBytes,
-	}
-}
-
-// Total returns how many events were ever recorded (including evicted).
-func (j *Journal) Total() uint64 {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.next
-}
-
-// Dropped returns how many events were evicted by the ring bound.
-func (j *Journal) Dropped() uint64 {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.dropped()
-}
-
-func (j *Journal) dropped() uint64 {
-	if j.next > uint64(len(j.buf)) {
-		return j.next - uint64(len(j.buf))
-	}
-	return 0
-}
-
-// Events returns the buffered events in sequence order (oldest first).
-func (j *Journal) Events() []JournalEvent {
-	evs, _ := j.EventsSince(0)
-	return evs
-}
-
-// EventsSince returns buffered events with Seq >= since, oldest first, plus
-// the sequence cursor to pass next time. Streaming readers poll it while
-// the run is writing; events evicted before the reader caught up are lost
-// (the gap is visible as non-contiguous Seq values).
-func (j *Journal) EventsSince(since uint64) ([]JournalEvent, uint64) {
-	if j == nil {
-		return nil, since
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.next == 0 {
-		return nil, since
-	}
-	oldest := j.dropped()
-	if since < oldest {
-		since = oldest
-	}
-	if since >= j.next {
-		return nil, j.next
-	}
-	out := make([]JournalEvent, 0, j.next-since)
-	for seq := since; seq < j.next; seq++ {
-		if len(j.buf) < cap(j.buf) {
-			out = append(out, j.buf[seq])
-		} else {
-			out = append(out, j.buf[seq%uint64(cap(j.buf))])
-		}
-	}
-	return out, j.next
-}
-
-// sampleCosts records the best-cost trajectory for the armed roots; called
-// by the runner after each iteration's rebuild.
-func (j *Journal) sampleCosts(g *EGraph, iteration int) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	roots, fn := j.costRoots, j.costFn
+	root, fn := j.costRoot, j.costFn
 	j.mu.Unlock()
 	if fn == nil || g.NumNodes() > costSampleMaxNodes {
-		return
+		return nil
 	}
-	for _, root := range roots {
-		if c, ok := fn(g, root); ok {
-			j.append(JournalEvent{Kind: JournalCost, Iteration: iteration, Root: root, Cost: c})
-		}
+	if c, ok := fn(g, root); ok {
+		return &c
 	}
-}
-
-// sampleMemory records one memory event carrying the e-graph's footprint
-// plus the journal's own ring share; called by the runner after each
-// iteration's rebuild. Nil-safe: a disarmed journal records nothing.
-func (j *Journal) sampleMemory(g *EGraph, iteration int) {
-	if j == nil {
-		return
-	}
-	fp := g.Footprint()
-	fp.Journal = j.Footprint()
-	fp.Total += fp.Journal.Bytes
-	j.append(JournalEvent{Kind: JournalMemory, Iteration: iteration, Bytes: fp.Total, Memory: &fp})
+	return nil
 }

@@ -1,86 +1,73 @@
 package egraph
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
 	"diospyros/internal/expr"
+	"diospyros/internal/telemetry"
 )
 
-func TestJournalRingEviction(t *testing.T) {
-	j := NewJournal(4)
-	for i := 0; i < 10; i++ {
-		j.append(JournalEvent{Kind: JournalIteration, Iteration: i + 1})
-	}
-	if got := j.Total(); got != 10 {
-		t.Fatalf("Total = %d, want 10", got)
-	}
-	if got := j.Dropped(); got != 6 {
-		t.Fatalf("Dropped = %d, want 6", got)
-	}
-	evs := j.Events()
-	if len(evs) != 4 {
-		t.Fatalf("Events len = %d, want 4", len(evs))
-	}
-	for i, ev := range evs {
-		wantSeq := uint64(6 + i)
-		if ev.Seq != wantSeq || ev.Iteration != int(wantSeq)+1 {
-			t.Fatalf("event %d = seq %d iter %d, want seq %d iter %d",
-				i, ev.Seq, ev.Iteration, wantSeq, wantSeq+1)
+// ruleApplied sums successful applications per rule over a run's rule rows.
+func ruleApplied(rep Report) map[string]int {
+	out := map[string]int{}
+	for _, it := range rep.Iters {
+		for _, s := range it.Rules {
+			out[s.Rule] += s.Applied
 		}
 	}
+	return out
 }
 
-func TestJournalEventsSinceCursor(t *testing.T) {
-	j := NewJournal(8)
+func TestJournalGaugesSinceCursor(t *testing.T) {
+	j := NewJournal()
 	for i := 0; i < 3; i++ {
-		j.append(JournalEvent{Kind: JournalIteration, Iteration: i + 1})
+		j.append(telemetry.IterationGauge{Iteration: i + 1})
 	}
-	evs, cur := j.EventsSince(0)
-	if len(evs) != 3 || cur != 3 {
-		t.Fatalf("first read = %d events, cursor %d; want 3, 3", len(evs), cur)
+	gs := j.GaugesSince(0)
+	if len(gs) != 3 {
+		t.Fatalf("first read = %d gauges, want 3", len(gs))
 	}
-	evs, cur = j.EventsSince(cur)
-	if len(evs) != 0 || cur != 3 {
-		t.Fatalf("caught-up read = %d events, cursor %d; want 0, 3", len(evs), cur)
+	if gs := j.GaugesSince(3); gs != nil {
+		t.Fatalf("caught-up read = %+v, want none", gs)
 	}
-	j.append(JournalEvent{Kind: JournalIteration, Iteration: 4})
-	evs, cur = j.EventsSince(cur)
-	if len(evs) != 1 || evs[0].Iteration != 4 || cur != 4 {
-		t.Fatalf("incremental read = %+v, cursor %d; want one iteration-4 event, 4", evs, cur)
+	j.append(telemetry.IterationGauge{Iteration: 4})
+	gs = j.GaugesSince(3)
+	if len(gs) != 1 || gs[0].Iteration != 4 {
+		t.Fatalf("incremental read = %+v, want the iteration-4 gauge", gs)
 	}
-	// A cursor that fell behind the ring is clamped to the oldest survivor.
-	small := NewJournal(2)
-	for i := 0; i < 5; i++ {
-		small.append(JournalEvent{Kind: JournalIteration, Iteration: i + 1})
+	if gs := j.GaugesSince(9); gs != nil {
+		t.Fatalf("read past the end = %+v, want none", gs)
 	}
-	evs, _ = small.EventsSince(0)
-	if len(evs) != 2 || evs[0].Seq != 3 {
-		t.Fatalf("lagging read = %+v, want the last two events", evs)
+	if got := len(j.GaugesSince(0)); got != 4 {
+		t.Fatalf("full read = %d gauges, want 4", got)
 	}
 }
 
 func TestJournalNilSafe(t *testing.T) {
 	var j *Journal
-	j.append(JournalEvent{})
-	j.SampleCost(nil, nil)
-	j.sampleCosts(New(), 1)
-	if j.Total() != 0 || j.Dropped() != 0 {
-		t.Fatal("nil journal reported events")
+	j.append(telemetry.IterationGauge{})
+	j.SampleCost(0, nil)
+	if c := j.sampleCost(New()); c != nil {
+		t.Fatalf("nil journal sampled cost %v", *c)
 	}
-	if evs := j.Events(); evs != nil {
-		t.Fatalf("nil journal Events = %v", evs)
+	if gs := j.GaugesSince(0); gs != nil {
+		t.Fatalf("nil journal returned gauges %v", gs)
 	}
 }
 
 // TestRunJournalAttribution drives a real saturation with the journal on
-// and checks that per-rule attribution, iteration summaries, and the cost
-// trajectory all land.
+// and checks that the relayed gauges are the report's, that rule rows
+// land, and that every completed iteration carries a best-cost sample.
 func TestRunJournalAttribution(t *testing.T) {
 	g := New()
 	root := g.AddExpr(expr.MustParse("(+ (* a (+ b c)) 0)"))
-	j := NewJournal(0)
-	j.SampleCost([]ClassID{root}, func(g *EGraph, r ClassID) (float64, bool) {
+	j := NewJournal()
+	j.SampleCost(root, func(g *EGraph, r ClassID) (float64, bool) {
+		if r != root {
+			t.Errorf("sampler called for class %d, want root %d", r, root)
+		}
 		return float64(g.NumNodes()), true
 	})
 	rules := []Rewrite{
@@ -91,89 +78,93 @@ func TestRunJournalAttribution(t *testing.T) {
 	if !rep.Saturated() {
 		t.Fatalf("run did not saturate: %v", rep.Reason)
 	}
-
-	var ruleEvents, iterEvents, costEvents int
-	perRule := map[string]int{}
-	for _, ev := range j.Events() {
-		switch ev.Kind {
-		case JournalRule:
-			ruleEvents++
-			perRule[ev.Rule] += ev.Applied
-			if ev.Matches <= 0 {
-				t.Fatalf("rule event without matches: %+v", ev)
-			}
-		case JournalIteration:
-			iterEvents++
-			if ev.Nodes <= 0 || ev.Classes <= 0 {
-				t.Fatalf("iteration event missing graph size: %+v", ev)
-			}
-		case JournalCost:
-			costEvents++
-			if ev.Root != root || ev.Cost <= 0 {
-				t.Fatalf("bad cost event: %+v", ev)
+	if !reflect.DeepEqual(j.GaugesSince(0), rep.Iters) {
+		t.Fatalf("journal gauges differ from the report's")
+	}
+	steps := 0
+	for _, it := range rep.Iters {
+		if it.BestCost == nil || *it.BestCost != float64(it.Nodes) {
+			t.Fatalf("iteration %d best cost = %v, want %d", it.Iteration, it.BestCost, it.Nodes)
+		}
+		for _, s := range it.Rules {
+			steps++
+			if s.Matches <= 0 {
+				t.Fatalf("rule row without matches: %+v", s)
 			}
 		}
 	}
-	if ruleEvents == 0 {
-		t.Fatal("no rule events recorded")
+	if steps == 0 {
+		t.Fatal("no rule rows recorded")
 	}
-	if iterEvents != rep.Iterations {
-		t.Fatalf("iteration events = %d, want %d", iterEvents, rep.Iterations)
+	rules2, _ := telemetry.Attribution(rep.Iters)
+	applied := 0
+	for _, r := range rules2 {
+		applied += r.Applied
 	}
-	if costEvents != rep.Iterations {
-		t.Fatalf("cost events = %d, want %d (one per iteration)", costEvents, rep.Iterations)
-	}
-	// Journal attribution must agree with the report's per-rule counts.
-	for name, want := range rep.PerRule {
-		if perRule[name] != want {
-			t.Fatalf("journal applied[%s] = %d, report says %d", name, perRule[name], want)
-		}
+	if applied != rep.Applied {
+		t.Fatalf("rule rows sum to %d applications, report says %d", applied, rep.Applied)
 	}
 }
 
 // TestRunJournalBanEvents forces the Backoff scheduler to ban a rule and
-// checks the ban and unban both appear in the journal.
+// checks the gauges' ban steps: the banned row keeps its discarded
+// matches, the rule has no row in the iterations it sits out
+// (Iteration, BannedUntil), and it comes back at BannedUntil.
 func TestRunJournalBanEvents(t *testing.T) {
 	g := New()
 	g.AddExpr(expr.MustParse("(+ (+ a b) (+ c (+ d e)))"))
-	j := NewJournal(0)
 	rules := []Rewrite{
 		MustRewrite("comm-add", "(+ ?a ?b)", "(+ ?b ?a)"),
 	}
 	rep := Run(g, rules, Limits{
 		MaxIterations: 12,
 		Backoff:       &Backoff{MatchLimit: 2, BanLength: 2},
-		Journal:       j,
 	})
-	var bans, unbans int
-	for _, ev := range j.Events() {
-		switch ev.Kind {
-		case JournalBan:
-			bans++
-			if ev.Rule != "comm-add" || ev.BannedUntil <= ev.Iteration || ev.Bans <= 0 {
-				t.Fatalf("malformed ban event: %+v", ev)
+	row := map[int]telemetry.RuleStep{}
+	for _, it := range rep.Iters {
+		for _, s := range it.Rules {
+			if s.Rule != "comm-add" {
+				t.Fatalf("iteration %d: unexpected row %+v", it.Iteration, s)
 			}
-		case JournalUnban:
-			unbans++
-			if ev.Rule != "comm-add" {
-				t.Fatalf("malformed unban event: %+v", ev)
-			}
+			row[it.Iteration] = s
 		}
 	}
-	if bans == 0 {
-		t.Fatalf("no ban events in journal (report: %+v)", rep)
+	_, bans := telemetry.Attribution(rep.Iters)
+	if len(bans) == 0 {
+		t.Fatalf("no ban steps in the gauges (report: %+v)", rep)
 	}
-	if unbans == 0 {
-		t.Fatal("no unban events in journal")
+	returned := 0
+	for _, ban := range bans {
+		if ban.BannedUntil <= ban.Iteration+1 || ban.Bans <= 0 || ban.Matches <= 2 || ban.Applied != 0 {
+			t.Fatalf("malformed ban step at iteration %d: %+v", ban.Iteration, ban.RuleStep)
+		}
+		if it := rep.Iters[ban.Iteration-1]; it.Matches != 0 {
+			t.Errorf("iteration %d counted %d discarded matches", ban.Iteration, it.Matches)
+		}
+		for i := ban.Iteration + 1; i < ban.BannedUntil; i++ {
+			if s, ok := row[i]; ok {
+				t.Errorf("banned rule ran at iteration %d inside [%d, %d): %+v",
+					i, ban.Iteration, ban.BannedUntil, s)
+			}
+		}
+		if ban.BannedUntil <= rep.Iterations {
+			if _, ok := row[ban.BannedUntil]; !ok {
+				t.Errorf("rule did not come back at iteration %d", ban.BannedUntil)
+			}
+			returned++
+		}
+	}
+	if returned == 0 {
+		t.Fatal("no ban expired within the run")
 	}
 }
 
 // TestJournalConcurrentReads exercises the journal under -race: a reader
-// polls EventsSince while a saturation run writes.
+// polls GaugesSince while a saturation run writes.
 func TestJournalConcurrentReads(t *testing.T) {
 	g := New()
 	g.AddExpr(expr.MustParse("(* a (+ b (+ c (+ d e))))"))
-	j := NewJournal(64)
+	j := NewJournal()
 	rules := []Rewrite{
 		MustRewrite("distribute", "(* ?a (+ ?b ?c))", "(+ (* ?a ?b) (* ?a ?c))"),
 		MustRewrite("comm-add", "(+ ?a ?b)", "(+ ?b ?a)"),
@@ -181,53 +172,29 @@ func TestJournalConcurrentReads(t *testing.T) {
 	}
 	done := make(chan struct{})
 	var wg sync.WaitGroup
+	var seen []telemetry.IterationGauge
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		var cursor uint64
 		for {
 			select {
 			case <-done:
+				seen = append(seen, j.GaugesSince(len(seen))...)
 				return
 			default:
 			}
-			var evs []JournalEvent
-			evs, cursor = j.EventsSince(cursor)
-			_ = evs
+			for _, it := range j.GaugesSince(len(seen)) {
+				for _, s := range it.Rules {
+					_ = s.Matches // read rows the runner may still be sharing
+				}
+				seen = append(seen, it)
+			}
 		}
 	}()
-	Run(g, rules, Limits{MaxIterations: 8, Journal: j})
+	rep := Run(g, rules, Limits{MaxIterations: 8, Journal: j})
 	close(done)
 	wg.Wait()
-	if j.Total() == 0 {
-		t.Fatal("no events recorded")
-	}
-}
-
-// TestRunJournalWraparound drives a real saturation through a tiny ring and
-// checks the flight recorder accounts for every evicted event: the drop
-// count plus the surviving window cover the whole run, and the survivors
-// are the contiguous tail of the sequence.
-func TestRunJournalWraparound(t *testing.T) {
-	g := New()
-	g.AddExpr(expr.MustParse("(* a (+ b (+ c (+ d e))))"))
-	j := NewJournal(4)
-	rules := []Rewrite{
-		MustRewrite("distribute", "(* ?a (+ ?b ?c))", "(+ (* ?a ?b) (* ?a ?c))"),
-		MustRewrite("comm-add", "(+ ?a ?b)", "(+ ?b ?a)"),
-	}
-	Run(g, rules, Limits{MaxIterations: 6, Journal: j})
-	if j.Dropped() == 0 {
-		t.Fatalf("run recorded %d events; a ring of 4 should have evicted some", j.Total())
-	}
-	evs := j.Events()
-	if uint64(len(evs))+j.Dropped() != j.Total() {
-		t.Fatalf("accounting broken: %d buffered + %d dropped != %d total",
-			len(evs), j.Dropped(), j.Total())
-	}
-	for i, ev := range evs {
-		if want := j.Dropped() + uint64(i); ev.Seq != want {
-			t.Fatalf("gap in the surviving window: event %d has seq %d, want %d", i, ev.Seq, want)
-		}
+	if !reflect.DeepEqual(seen, rep.Iters) {
+		t.Fatalf("reader saw %d gauges, run recorded %d", len(seen), len(rep.Iters))
 	}
 }

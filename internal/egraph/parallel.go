@@ -14,7 +14,7 @@ import (
 // across a worker pool sized by the runner to GOMAXPROCS, collects matches
 // into per-(rule, shard) buffers, and merges them in canonical (rule,
 // e-class ID) order, so the runner's apply phase — and therefore the
-// extracted program, the Journal, and rewrite provenance — is bit-for-bit
+// extracted program, the rule rows, and rewrite provenance — is bit-for-bit
 // identical at any GOMAXPROCS.
 //
 // Safety rests on two invariants, both enforced by the runner:
@@ -67,8 +67,8 @@ type ruleMatches struct {
 	rule    Rewrite
 	matches []Match
 	// searchDur sums the rule's per-shard search times — attributed CPU
-	// time, not wall time (shards run concurrently). The iteration wall
-	// time in the Journal and the saturate stage span stay wall-clock.
+	// time, not wall time (shards run concurrently). The iteration gauge's
+	// Duration and the saturate stage span stay wall-clock.
 	searchDur time.Duration
 }
 

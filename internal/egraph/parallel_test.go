@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"diospyros/internal/expr"
+	"diospyros/internal/telemetry"
 )
 
 // deepExpr builds a chain (+ (* x_i c) ...) wide enough that the e-graph
@@ -66,9 +67,8 @@ func TestParallelMatchDeterminism(t *testing.T) {
 			rep.Reason != repSerial.Reason {
 			t.Fatalf("GOMAXPROCS=%d report diverged: %+v vs serial %+v", procs, rep, repSerial)
 		}
-		if !reflect.DeepEqual(rep.PerRule, repSerial.PerRule) {
-			t.Fatalf("GOMAXPROCS=%d per-rule counts diverged:\n%v\nvs serial\n%v",
-				procs, rep.PerRule, repSerial.PerRule)
+		if a, b := ruleApplied(rep), ruleApplied(repSerial); !reflect.DeepEqual(a, b) {
+			t.Fatalf("GOMAXPROCS=%d per-rule counts diverged:\n%v\nvs serial\n%v", procs, a, b)
 		}
 		if dot != dotSerial {
 			t.Fatalf("GOMAXPROCS=%d produced a different final e-graph", procs)
@@ -85,43 +85,43 @@ func TestParallelMatchGauges(t *testing.T) {
 	if len(repSerial.Iters) != len(repPar.Iters) {
 		t.Fatalf("iteration gauge counts differ: %d vs %d", len(repSerial.Iters), len(repPar.Iters))
 	}
-	for i := range repSerial.Iters {
-		a, b := repSerial.Iters[i], repPar.Iters[i]
-		a.Duration, b.Duration = 0, 0
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("iteration %d gauges diverged:\n%+v\nvs\n%+v", i, a, b)
+	a, b := untimed(repSerial.Iters), untimed(repPar.Iters)
+	for i := range a {
+		if !reflect.DeepEqual(a[i], b[i]) {
+			t.Fatalf("iteration %d gauges diverged:\n%+v\nvs\n%+v", i+1, a[i], b[i])
 		}
 	}
 }
 
-// TestParallelMatchJournalCounts checks that the flight recorder's rule
-// attribution (matches, applications, new nodes) is identical at different
-// GOMAXPROCS; only Duration fields may differ.
-func TestParallelMatchJournalCounts(t *testing.T) {
-	type key struct {
-		kind JournalEventKind
-		iter int
-		rule string
-	}
-	counts := func(jr *Journal) map[key][3]int {
-		out := map[key][3]int{}
-		for _, ev := range jr.Events() {
-			if ev.Kind != JournalRule {
-				continue
-			}
-			out[key{ev.Kind, ev.Iteration, ev.Rule}] = [3]int{ev.Matches, ev.Applied, ev.NewNodes}
+// untimed copies gauges with every wall-time field zeroed, leaving only
+// the fields the determinism contract pins.
+func untimed(gs []telemetry.IterationGauge) []telemetry.IterationGauge {
+	out := make([]telemetry.IterationGauge, len(gs))
+	for i, g := range gs {
+		g.Duration = 0
+		g.Rules = append([]telemetry.RuleStep(nil), g.Rules...)
+		for k := range g.Rules {
+			g.Rules[k].Duration = 0
 		}
-		return out
+		out[i] = g
 	}
-	jrSerial := NewJournal(0)
-	runProcs(t, 1, jrSerial)
-	jrPar := NewJournal(0)
+	return out
+}
+
+// TestParallelMatchJournalCounts checks that the gauges a journal relays
+// are the report's own, and that their rule rows (matches, applications,
+// new nodes, bans) are identical at different GOMAXPROCS; only Duration
+// fields may differ.
+func TestParallelMatchJournalCounts(t *testing.T) {
+	jrSerial := NewJournal()
+	repSerial, _ := runProcs(t, 1, jrSerial)
+	jrPar := NewJournal()
 	runProcs(t, 8, jrPar)
-	if jrSerial.Total() != jrPar.Total() {
-		t.Fatalf("journal event totals differ: %d vs %d", jrSerial.Total(), jrPar.Total())
+	if !reflect.DeepEqual(jrSerial.GaugesSince(0), repSerial.Iters) {
+		t.Fatal("journal gauges differ from the report's")
 	}
-	if !reflect.DeepEqual(counts(jrSerial), counts(jrPar)) {
-		t.Fatalf("journal rule attribution diverged:\n%v\nvs\n%v", counts(jrSerial), counts(jrPar))
+	if a, b := untimed(jrSerial.GaugesSince(0)), untimed(jrPar.GaugesSince(0)); !reflect.DeepEqual(a, b) {
+		t.Fatalf("journal rule rows diverged:\n%+v\nvs\n%+v", a, b)
 	}
 }
 

@@ -23,8 +23,8 @@ type ProgressSnapshot struct {
 	Iteration int // 1-based; 0 before the first iteration starts
 	Nodes     int
 	Classes   int
-	// Bytes is the e-graph's logical footprint (FootprintBytes plus the
-	// journal ring, when armed) at the last publish.
+	// Bytes is the e-graph's logical footprint (FootprintBytes) at the
+	// last publish.
 	Bytes int64
 }
 

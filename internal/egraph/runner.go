@@ -122,12 +122,11 @@ type Limits struct {
 	// during the run, readable from other goroutines (watchdogs that
 	// cancel the context when a budget is exceeded).
 	Progress *Progress
-	// Journal, when non-nil, turns on the search flight recorder: the run
-	// records per-iteration per-rule attribution (matches, applications,
-	// node growth, wall time), Backoff ban/unban events, iteration
-	// summaries, and — when the journal's cost sampler is armed — a
-	// best-cost trajectory per root. Other goroutines may read the journal
-	// while the run writes. Nil costs one branch per rule per iteration.
+	// Journal, when non-nil, relays the run live: each iteration's gauge
+	// (the same record Report.Iters collects) is appended to it as the
+	// iteration completes, carrying the root's best cost when the journal's
+	// cost sampler is armed. Other goroutines may read the journal while
+	// the run writes.
 	Journal *Journal
 }
 
@@ -139,16 +138,15 @@ type Report struct {
 	Applied    int // total successful rule applications
 	Reason     StopReason
 	Duration   time.Duration
-	// PerRule counts successful applications per rule name.
-	PerRule map[string]int
-	// Iters holds one gauge per iteration (e-graph size after rebuild,
-	// per-rule match/apply counts); it feeds the compilation trace. An
-	// iteration cut short by a limit still contributes a partial gauge.
+	// Iters holds one gauge per iteration (e-graph size after rebuild and
+	// one row per rule that matched); it is the run's record of the search
+	// and feeds the compilation trace. An iteration cut short by a limit
+	// still contributes a partial gauge.
 	Iters []telemetry.IterationGauge
 	// PeakFootprint is the per-component logical footprint at the iteration
-	// where the e-graph's total bytes peaked (including the journal ring
-	// when armed); PeakIteration is that 1-based iteration. Iterations cut
-	// short by a limit still contribute, so aborted runs report their peak.
+	// where the e-graph's total bytes peaked; PeakIteration is that 1-based
+	// iteration. Iterations cut short by a limit still contribute, so
+	// aborted runs report their peak.
 	PeakFootprint Footprint
 	PeakIteration int
 }
@@ -185,7 +183,7 @@ func RunContext(ctx context.Context, g *EGraph, rules []Rewrite, lim Limits) Rep
 	if maxIter == 0 {
 		maxIter = 64
 	}
-	rep := Report{PerRule: map[string]int{}, Reason: StopIterLimit}
+	rep := Report{Reason: StopIterLimit}
 
 	done := ctx.Done()
 	ctxStop := func() (StopReason, bool) {
@@ -202,35 +200,27 @@ func RunContext(ctx context.Context, g *EGraph, rules []Rewrite, lim Limits) Rep
 	nodesOver := func() bool { return lim.MaxNodes > 0 && g.NumNodes() >= lim.MaxNodes }
 
 	jr := lim.Journal
-	// liveBytes is the O(1) logical footprint published to Progress: the
-	// e-graph's counters plus the journal ring when armed.
-	liveBytes := func() int64 { return g.FootprintBytes() + jr.ByteSize() }
 	var gauge telemetry.IterationGauge
 	var iterStart time.Time
-	flushGauge := func() {
+	// flushGauge closes the iteration's gauge — sampling the best cost only
+	// when the iteration ran to completion — and publishes it.
+	flushGauge := func(complete bool) {
 		gauge.Nodes = g.NumNodes()
 		gauge.Classes = g.NumClasses()
 		fp := g.Footprint()
-		fp.Journal = jr.Footprint()
-		fp.Total += fp.Journal.Bytes
 		gauge.Bytes = fp.Total
 		if fp.Total > rep.PeakFootprint.Total {
 			rep.PeakFootprint = fp
 			rep.PeakIteration = gauge.Iteration
 		}
 		gauge.Duration = time.Since(iterStart)
-		rep.Iters = append(rep.Iters, gauge)
-		if jr != nil {
-			jr.append(JournalEvent{
-				Kind: JournalIteration, Iteration: gauge.Iteration,
-				Matches: gauge.Matches, Applied: gauge.Applied,
-				Nodes: gauge.Nodes, Classes: gauge.Classes,
-				Duration: gauge.Duration,
-			})
+		if complete {
+			gauge.BestCost = jr.sampleCost(g)
 		}
+		rep.Iters = append(rep.Iters, gauge)
+		jr.append(gauge)
 	}
 
-loop:
 	for iter := 0; iter < maxIter; iter++ {
 		if nodesOver() {
 			rep.Reason = StopNodeLimit
@@ -241,13 +231,9 @@ loop:
 			break
 		}
 		rep.Iterations = iter + 1
-		lim.Progress.publish(iter+1, g.NumNodes(), g.NumClasses(), liveBytes())
+		lim.Progress.publish(iter+1, g.NumNodes(), g.NumClasses(), g.FootprintBytes())
 		iterStart = time.Now()
-		gauge = telemetry.IterationGauge{
-			Iteration:      iter + 1,
-			PerRuleMatches: map[string]int{},
-			PerRuleApplied: map[string]int{},
-		}
+		gauge = telemetry.IterationGauge{Iteration: iter + 1}
 
 		// Match phase: search every eligible rule over a read-only view of
 		// the graph before any match is applied (parallel.go). Banned rules
@@ -264,57 +250,44 @@ loop:
 		found, cancelled := searchParallel(ctx, g, eligible, runtime.GOMAXPROCS(0))
 		if cancelled {
 			rep.Reason, _ = ctxStop()
-			flushGauge()
-			break loop
+			flushGauge(false)
+			break
 		}
-		all := found[:0] // rules whose matches survive Backoff, in rule order
+		// Every rule that matched gets a row, in rule order: matched[k]
+		// fills gauge.Rules[k]. A rule Backoff bans now keeps its row, its
+		// matches discarded, and sits out the apply phase.
+		matched := found[:0]
 		for _, f := range found {
-			name := f.rule.Name()
-			if jr != nil && lim.Backoff != nil {
-				// A rule whose ban expires exactly this iteration rejoins
-				// the search; make the transition visible in the journal.
-				if bans, until := lim.Backoff.Stat(name); bans > 0 && until == iter {
-					jr.append(JournalEvent{Kind: JournalUnban, Iteration: iter + 1,
-						Rule: name, Bans: bans})
-				}
+			if len(f.matches) > 0 {
+				matched = append(matched, f)
 			}
-			if lim.Backoff != nil && lim.Backoff.record(name, len(f.matches), iter) {
-				if jr != nil {
-					bans, until := lim.Backoff.Stat(name)
-					jr.append(JournalEvent{Kind: JournalBan, Iteration: iter + 1,
-						Rule: name, Matches: len(f.matches),
-						BannedUntil: until + 1, Bans: bans, Duration: f.searchDur})
-				}
+		}
+		gauge.Rules = make([]telemetry.RuleStep, len(matched))
+		for k, f := range matched {
+			step := &gauge.Rules[k]
+			*step = telemetry.RuleStep{Rule: f.rule.Name(), Matches: len(f.matches)}
+			if lim.Backoff != nil && lim.Backoff.record(step.Rule, step.Matches, iter) {
+				bans, until := lim.Backoff.Stat(step.Rule)
+				step.Duration, step.BannedUntil, step.Bans = f.searchDur, until+1, bans
 				ruleSkipped = true
 				continue
 			}
-			if len(f.matches) > 0 {
-				all = append(all, f)
-				gauge.Matches += len(f.matches)
-				gauge.PerRuleMatches[name] += len(f.matches)
-			}
+			gauge.Matches += step.Matches
 		}
 
+		// Apply phase. A node limit or a fired context cuts it short; the
+		// rule being applied still closes its row, and the graph is
+		// rebuilt either way so partial results stay extractable.
+		var stop StopReason
 		changed := false
 		sinceCheck := 0
 		prov := g.ProvenanceEnabled()
-		// flushRule emits one rule-attribution event covering the rule's
-		// search and (possibly cut-short) apply phase this iteration.
-		flushRule := func(f ruleMatches, applyStart time.Time, nodesBefore int) {
-			jr.append(JournalEvent{
-				Kind: JournalRule, Iteration: iter + 1, Rule: f.rule.Name(),
-				Matches: len(f.matches), Applied: gauge.PerRuleApplied[f.rule.Name()],
-				NewNodes: g.NumNodes() - nodesBefore,
-				Duration: f.searchDur + time.Since(applyStart),
-			})
-		}
-		for _, f := range all {
-			var applyStart time.Time
-			var nodesBefore int
-			if jr != nil {
-				applyStart = time.Now()
-				nodesBefore = g.NumNodes()
+		for k, f := range matched {
+			step := &gauge.Rules[k]
+			if step.Banned() {
+				continue
 			}
+			applyStart, nodesBefore := time.Now(), g.NumNodes()
 			for _, m := range f.matches {
 				if prov {
 					// Attribute every node/union the applier creates to
@@ -324,45 +297,37 @@ loop:
 				if f.rule.Apply(g, m) {
 					changed = true
 					rep.Applied++
-					rep.PerRule[f.rule.Name()]++
 					gauge.Applied++
-					gauge.PerRuleApplied[f.rule.Name()]++
+					step.Applied++
 				}
 				if nodesOver() {
-					g.ClearRuleContext()
-					g.Rebuild()
-					rep.Reason = StopNodeLimit
-					if jr != nil {
-						flushRule(f, applyStart, nodesBefore)
-					}
-					flushGauge()
-					break loop
+					stop = StopNodeLimit
+					break
 				}
 				if sinceCheck++; sinceCheck >= ctxCheckInterval {
 					sinceCheck = 0
-					lim.Progress.publish(iter+1, g.NumNodes(), g.NumClasses(), liveBytes())
-					if reason, stop := ctxStop(); stop {
-						g.ClearRuleContext()
-						g.Rebuild()
-						rep.Reason = reason
-						if jr != nil {
-							flushRule(f, applyStart, nodesBefore)
-						}
-						flushGauge()
-						break loop
+					lim.Progress.publish(iter+1, g.NumNodes(), g.NumClasses(), g.FootprintBytes())
+					if reason, fired := ctxStop(); fired {
+						stop = reason
+						break
 					}
 				}
 			}
-			if jr != nil {
-				flushRule(f, applyStart, nodesBefore)
+			step.NewNodes = g.NumNodes() - nodesBefore
+			step.Duration = f.searchDur + time.Since(applyStart)
+			if stop != "" {
+				break
 			}
 		}
 		g.ClearRuleContext()
 		g.Rebuild()
-		lim.Progress.publish(iter+1, g.NumNodes(), g.NumClasses(), liveBytes())
-		flushGauge()
-		jr.sampleCosts(g, iter+1)
-		jr.sampleMemory(g, iter+1)
+		if stop != "" {
+			rep.Reason = stop
+			flushGauge(false)
+			break
+		}
+		lim.Progress.publish(iter+1, g.NumNodes(), g.NumClasses(), g.FootprintBytes())
+		flushGauge(true)
 		if !changed && !ruleSkipped &&
 			(lim.Backoff == nil || !lim.Backoff.anyBanned(iter+1)) {
 			rep.Reason = StopSaturated
@@ -375,7 +340,7 @@ loop:
 	}
 	rep.Nodes = g.NumNodes()
 	rep.Classes = g.NumClasses()
-	lim.Progress.publish(rep.Iterations, rep.Nodes, rep.Classes, liveBytes())
+	lim.Progress.publish(rep.Iterations, rep.Nodes, rep.Classes, g.FootprintBytes())
 	rep.Duration = time.Since(start)
 	return rep
 }

@@ -147,7 +147,15 @@ func TestRunReportsIterationGauges(t *testing.T) {
 	if last.Nodes != rep.Nodes || last.Classes != rep.Classes {
 		t.Errorf("final gauge %+v disagrees with report %d/%d", last, rep.Nodes, rep.Classes)
 	}
-	if rep.Iters[0].PerRuleApplied["add-zero"] != rep.PerRule["add-zero"] {
-		t.Errorf("per-rule gauge %v vs report %v", rep.Iters[0].PerRuleApplied, rep.PerRule)
+	for _, it := range rep.Iters {
+		rowApplied, rowMatches := 0, 0
+		for _, s := range it.Rules {
+			rowApplied += s.Applied
+			rowMatches += s.Matches
+		}
+		if rowApplied != it.Applied || rowMatches != it.Matches {
+			t.Errorf("iteration %d rule rows sum to %d matches / %d applied, gauge says %d / %d",
+				it.Iteration, rowMatches, rowApplied, it.Matches, it.Applied)
+		}
 	}
 }

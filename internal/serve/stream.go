@@ -15,15 +15,15 @@ import (
 
 // Live compile streaming: a POST /compile with "Accept: text/event-stream"
 // watches its own equality saturation as Server-Sent Events. The handler
-// arms the search flight recorder (egraph.Journal), polls it while the
-// compile runs, and relays every journal event — per-iteration per-rule
-// attribution, Backoff bans, iteration summaries, the best-cost and memory
-// trajectories — as an SSE event named by its kind ("rule", "ban", "unban",
-// "iteration", "cost", "memory"). The stream ends with a "result" event carrying the
-// same CompileResponse the plain JSON path returns, plus a "status" field
-// holding the HTTP status the JSON path would have used (SSE commits to
-// 200 before the compile finishes). Keep-alive comments flow every
-// Config.StreamHeartbeat so idle proxies keep the connection open.
+// arms the flight recorder (egraph.Journal), polls it while the compile
+// runs, and relays each completed iteration's gauge — e-graph size and
+// footprint, one rule row per matching rule (Backoff bans marked on their
+// row), the best cost — as an "iteration" event. The stream ends with a
+// "result" event carrying the same CompileResponse the plain JSON path
+// returns, plus a "status" field holding the HTTP status the JSON path
+// would have used (SSE commits to 200 before the compile finishes).
+// Keep-alive comments flow every Config.StreamHeartbeat so idle proxies
+// keep the connection open.
 //
 //	curl -N -H 'Accept: text/event-stream' --data-binary @kernel.dios \
 //	     http://localhost:8080/compile
@@ -46,7 +46,7 @@ func wantsStream(r *http.Request) bool {
 }
 
 // streamCompile runs the compile with the journal armed and streams its
-// events to w. Returns false (without writing anything) when w cannot
+// gauges to w. Returns false (without writing anything) when w cannot
 // stream, letting the caller fall back to the plain JSON path. The caller
 // has already taken a worker slot and armed the watchdog; streamCompile
 // only returns once the compile goroutine has finished, so the deferred
@@ -58,7 +58,7 @@ func (s *Server) streamCompile(w http.ResponseWriter, r *http.Request, cctx cont
 	}
 	log := telemetry.LoggerFrom(r.Context())
 
-	jr := egraph.NewJournal(0)
+	jr := egraph.NewJournal()
 	opts.Journal = jr
 
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -81,16 +81,16 @@ func (s *Server) streamCompile(w http.ResponseWriter, r *http.Request, cctx cont
 		done <- outcome{res, err}
 	}()
 
-	var cursor uint64
+	sent := 0
 	clientGone := false
 	flush := func() {
-		var evs []egraph.JournalEvent
-		evs, cursor = jr.EventsSince(cursor)
-		if clientGone || len(evs) == 0 {
+		gs := jr.GaugesSince(sent)
+		sent += len(gs)
+		if clientGone || len(gs) == 0 {
 			return
 		}
-		for _, ev := range evs {
-			writeSSE(w, string(ev.Kind), ev)
+		for _, g := range gs {
+			writeSSE(w, "iteration", g)
 		}
 		fl.Flush()
 	}

@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	diospyros "diospyros"
+	"diospyros/internal/telemetry"
 )
 
 // sseEvent is one parsed Server-Sent Event.
@@ -62,8 +64,9 @@ func openStream(t *testing.T, url, body string) *http.Response {
 }
 
 // TestStreamCompile is the SSE acceptance path: a compile opened with
-// Accept: text/event-stream streams per-iteration rule attribution and
-// ends with a result event carrying the compiled artifacts.
+// Accept: text/event-stream streams one iteration event per saturation
+// iteration, carrying its rule rows, and ends with a result event carrying
+// the compiled artifacts and the same gauges.
 func TestStreamCompile(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 
@@ -77,23 +80,37 @@ func TestStreamCompile(t *testing.T) {
 	}
 
 	events := readSSE(t, bufio.NewReader(resp.Body))
-	var iterations, rules int
+	var gauges []telemetry.IterationGauge
+	var rows int
 	var result *sseEvent
 	for i, ev := range events {
 		switch ev.Name {
 		case "iteration":
-			iterations++
-		case "rule":
-			rules++
+			var g telemetry.IterationGauge
+			if err := json.Unmarshal([]byte(ev.Data), &g); err != nil {
+				t.Fatalf("iteration event not JSON: %v", err)
+			}
+			if g.Iteration != len(gauges)+1 {
+				t.Errorf("iteration event %d carries iteration %d", len(gauges)+1, g.Iteration)
+			}
+			for _, s := range g.Rules {
+				if s.Rule == "" || s.Matches == 0 {
+					t.Errorf("iteration %d: incomplete rule row %+v", g.Iteration, s)
+				}
+			}
+			rows += len(g.Rules)
+			gauges = append(gauges, g)
 		case "result":
 			result = &events[i]
+		default:
+			t.Errorf("unexpected event kind %q", ev.Name)
 		}
 	}
-	if iterations == 0 {
+	if len(gauges) == 0 {
 		t.Error("no iteration events streamed")
 	}
-	if rules == 0 {
-		t.Error("no per-rule attribution events streamed")
+	if rows == 0 {
+		t.Error("iteration events carry no rule rows")
 	}
 	if result == nil {
 		t.Fatal("stream did not end with a result event")
@@ -109,29 +126,12 @@ func TestStreamCompile(t *testing.T) {
 	if final.C == "" || final.Kernel != "dot4" {
 		t.Errorf("result missing artifacts: kernel=%q, %d bytes of C", final.Kernel, len(final.C))
 	}
-	if final.Trace == nil || final.Trace.Search == nil {
-		t.Error("result trace missing the search flight record")
-	} else if len(final.Trace.Search.Rules) == 0 {
-		t.Error("search flight record has no rule attribution")
+	if final.Trace == nil || len(final.Trace.Iterations) != len(gauges) {
+		t.Fatalf("result trace does not carry the %d streamed gauges", len(gauges))
 	}
-
-	// A rule event must parse and carry attribution fields.
-	for _, ev := range events {
-		if ev.Name != "rule" {
-			continue
-		}
-		var ruleEv struct {
-			Iteration int    `json:"iteration"`
-			Rule      string `json:"rule"`
-			Matches   int    `json:"matches"`
-		}
-		if err := json.Unmarshal([]byte(ev.Data), &ruleEv); err != nil {
-			t.Fatalf("rule event not JSON: %v", err)
-		}
-		if ruleEv.Iteration == 0 || ruleEv.Rule == "" || ruleEv.Matches == 0 {
-			t.Errorf("rule event incomplete: %+v", ruleEv)
-		}
-		break
+	if last, _ := final.Trace.FinalGauge(); !reflect.DeepEqual(gauges[len(gauges)-1], last) {
+		t.Errorf("last iteration event %+v differs from the trace's final gauge %+v",
+			gauges[len(gauges)-1], last)
 	}
 }
 

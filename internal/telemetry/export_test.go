@@ -8,6 +8,8 @@ import (
 	"time"
 )
 
+func costOf(c float64) *float64 { return &c }
+
 // sampleTrace builds a deterministic, fully-populated trace exercising
 // every exporter field.
 func sampleTrace() *Trace {
@@ -19,11 +21,14 @@ func sampleTrace() *Trace {
 		},
 		Iterations: []IterationGauge{
 			{Iteration: 1, Nodes: 100, Classes: 40, Matches: 12, Applied: 9,
-				PerRuleMatches: map[string]int{"vec-mac": 12},
-				PerRuleApplied: map[string]int{"vec-mac": 9},
-				Duration:       4 * time.Millisecond, Bytes: 48 << 10},
+				Rules: []RuleStep{
+					{Rule: "assoc-add", Matches: 40, Duration: time.Millisecond, BannedUntil: 4, Bans: 1},
+					{Rule: "vec-mac", Matches: 12, Applied: 9, NewNodes: 60, Duration: 3 * time.Millisecond},
+				},
+				Duration: 4 * time.Millisecond, Bytes: 48 << 10, BestCost: costOf(120)},
 			{Iteration: 2, Nodes: 180, Classes: 66, Matches: 3, Applied: 1,
-				Duration: 6 * time.Millisecond, Bytes: 80 << 10},
+				Rules:    []RuleStep{{Rule: "vec-mac", Matches: 3, Applied: 1, NewNodes: 20}},
+				Duration: 6 * time.Millisecond, Bytes: 80 << 10, BestCost: costOf(96)},
 		},
 		Memory: &MemoryTrace{
 			PeakBytes:     80 << 10,
@@ -33,7 +38,6 @@ func sampleTrace() *Trace {
 				{Name: "hashcons", Entries: 180, Bytes: 24 << 10},
 				{Name: "union-find", Entries: 200, Bytes: 16 << 10},
 			},
-			StageAllocs:   []StageAlloc{{Stage: "saturate", AllocBytes: 8 << 20}},
 			HeapPeakBytes: 24 << 20,
 			HeapSamples:   3,
 			GCCycles:      2,

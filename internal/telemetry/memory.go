@@ -14,25 +14,17 @@ import (
 // The memory axis of the telemetry spine. MemoryTrace is the per-compile
 // memory record attached to Trace.Memory: the e-graph's peak logical
 // footprint (per-component breakdown, computed by the egraph package's
-// incremental accounting and converted by the root package), per-stage heap
-// allocation deltas (unified with the per-span TotalAlloc probe), and
+// incremental accounting and converted by the root package) and
 // whole-process heap/GC samples from a runtime/metrics-based HeapSampler.
 // MemProfiler additionally captures a pprof heap profile at the e-graph's
 // node-count peak (the -mem-profile CLI flag).
 
 // MemoryComponent is one named component of the e-graph footprint breakdown
-// (e-nodes, hashcons, union-find, classes, parents, provenance, journal).
+// (e-nodes, hashcons, symbols, union-find, classes, parents, provenance).
 type MemoryComponent struct {
 	Name    string `json:"name"`
 	Entries int    `json:"entries"`
 	Bytes   int64  `json:"bytes"`
-}
-
-// StageAlloc is one pipeline stage's heap-allocation delta (cumulative
-// runtime.MemStats.TotalAlloc over the stage, same probe as Span.AllocBytes).
-type StageAlloc struct {
-	Stage      string `json:"stage"`
-	AllocBytes uint64 `json:"alloc_bytes"`
 }
 
 // MemoryTrace is the memory record of one compilation.
@@ -43,9 +35,6 @@ type MemoryTrace struct {
 	PeakIteration int   `json:"peak_iteration,omitempty"`
 	// Components breaks PeakBytes down per data structure, at the peak.
 	Components []MemoryComponent `json:"components,omitempty"`
-	// StageAllocs are per-stage heap-allocation deltas, filled by
-	// Recorder.Finish from the recorded spans.
-	StageAllocs []StageAlloc `json:"stage_allocs,omitempty"`
 	// HeapPeakBytes is the largest live-heap sample (runtime/metrics
 	// /memory/classes/heap/objects:bytes) observed while the pipeline ran;
 	// HeapSamples counts the observations behind it.

@@ -111,14 +111,11 @@ type reportView struct {
 	CostCurve  *LineChart // best extractable cost per iteration
 	MemCurve   *LineChart // e-graph logical footprint per iteration
 
-	Rules        []ruleRow
-	Bans         []banRow
-	JournalNote  string
-	HasSearch    bool
-	HasIterPlot  bool
-	HasCostPlot  bool
-	HasMemPlot   bool
-	SearchFooter string
+	Rules       []ruleRow
+	Bans        []banRow
+	HasIterPlot bool
+	HasCostPlot bool
+	HasMemPlot  bool
 
 	Memory *memoryView
 
@@ -276,59 +273,47 @@ func buildReportView(d ReportData) *reportView {
 
 	v.Trajectory = buildTrajectory(t.Iterations)
 	v.HasIterPlot = v.Trajectory != nil
-	if t.Search != nil {
-		v.HasSearch = true
-		v.CostCurve = buildCostCurve(t.Search.BestCost)
-		v.HasCostPlot = v.CostCurve != nil
-		maxNodes := 0
-		for _, r := range t.Search.Rules {
-			if r.NewNodes > maxNodes {
-				maxNodes = r.NewNodes
-			}
+	v.CostCurve = buildCostCurve(t.Iterations)
+	v.HasCostPlot = v.CostCurve != nil
+	rules, bans := Attribution(t.Iterations)
+	maxNodes := 0
+	for _, r := range rules {
+		maxNodes = max(maxNodes, r.NewNodes)
+	}
+	for _, r := range rules {
+		pct := 0.0
+		if maxNodes > 0 {
+			pct = 100 * float64(r.NewNodes) / float64(maxNodes)
 		}
-		for _, r := range t.Search.Rules {
-			pct := 0.0
-			if maxNodes > 0 {
-				pct = 100 * float64(r.NewNodes) / float64(maxNodes)
-			}
-			v.Rules = append(v.Rules, ruleRow{
-				Rule: r.Rule, Matches: r.Matches, Applied: r.Applied,
-				NewNodes: r.NewNodes,
-				Duration: r.Duration.Round(time.Microsecond).String(),
-				Bans:     r.Bans, BarPct: pct,
-			})
+		v.Rules = append(v.Rules, ruleRow{
+			Rule: r.Rule, Matches: r.Matches, Applied: r.Applied,
+			NewNodes: r.NewNodes,
+			Duration: r.Duration.Round(time.Microsecond).String(),
+			Bans:     r.Bans, BarPct: pct,
+		})
+	}
+	lastIter := len(t.Iterations)
+	for _, ban := range bans {
+		lastIter = max(lastIter, ban.BannedUntil)
+	}
+	for _, ban := range bans {
+		left, width := 0.0, 0.0
+		if lastIter > 1 {
+			span := float64(lastIter - 1)
+			left = 100 * float64(ban.Iteration-1) / span
+			width = 100 * float64(ban.BannedUntil-ban.Iteration) / span
 		}
-		lastIter := len(t.Iterations)
-		for _, ban := range t.Search.Bans {
-			if ban.Until > lastIter {
-				lastIter = ban.Until
-			}
+		if width < 2 {
+			width = 2 // keep sub-pixel bans visible
 		}
-		for _, ban := range t.Search.Bans {
-			left, width := 0.0, 0.0
-			if lastIter > 1 {
-				span := float64(lastIter - 1)
-				left = 100 * float64(ban.Iteration-1) / span
-				width = 100 * float64(ban.Until-ban.Iteration) / span
-			}
-			if width < 2 {
-				width = 2 // keep sub-pixel bans visible
-			}
-			if left+width > 100 {
-				left = 100 - width
-			}
-			v.Bans = append(v.Bans, banRow{
-				Rule: ban.Rule, Iteration: ban.Iteration, Until: ban.Until,
-				Matches: ban.Matches, Bans: ban.Bans,
-				LeftPct: left, WidthPct: width,
-			})
+		if left+width > 100 {
+			left = 100 - width
 		}
-		if t.Search.EventsDropped > 0 {
-			v.JournalNote = fmt.Sprintf(
-				"journal ring evicted %d of %d events; tables cover the surviving suffix",
-				t.Search.EventsDropped, t.Search.Events)
-		}
-		v.SearchFooter = fmt.Sprintf("%d journal events", t.Search.Events)
+		v.Bans = append(v.Bans, banRow{
+			Rule: ban.Rule, Iteration: ban.Iteration, Until: ban.BannedUntil,
+			Matches: ban.Matches, Bans: ban.Bans,
+			LeftPct: left, WidthPct: width,
+		})
 	}
 
 	v.MemCurve = buildMemCurve(t.Iterations)
@@ -375,21 +360,24 @@ func buildTrajectory(gs []IterationGauge) *LineChart {
 	return c.LineChart
 }
 
-func buildCostCurve(pts []CostPoint) *LineChart {
-	if len(pts) < 2 {
-		return nil
+// buildCostCurve plots the best-cost trajectory from the gauges that carry
+// a cost sample; the chart needs two samples.
+func buildCostCurve(gs []IterationGauge) *LineChart {
+	var xs, ys []float64
+	for _, g := range gs {
+		if g.BestCost != nil {
+			xs = append(xs, float64(g.Iteration))
+			ys = append(ys, *g.BestCost)
+		}
 	}
-	xs := make([]float64, len(pts))
-	ys := make([]float64, len(pts))
-	for i, p := range pts {
-		xs[i] = float64(p.Iteration)
-		ys[i] = p.Cost
+	if len(xs) < 2 {
+		return nil
 	}
 	c := NewLineChart(xs)
 	c.XLabel = "iteration"
 	c.SetYRange(0, maxOf(0, ys...))
 	c.AddSeries("best cost", "s1", xs, ys, func(i int) string {
-		return fmt.Sprintf("iteration %d: cost %s", pts[i].Iteration, trimFloat(pts[i].Cost))
+		return fmt.Sprintf("iteration %.0f: cost %s", xs[i], trimFloat(ys[i]))
 	})
 	return c.LineChart
 }

@@ -13,25 +13,17 @@ func reportTrace() *Trace {
 			{Name: "extract", Duration: 20 * time.Millisecond, AllocBytes: 1 << 20},
 		},
 		Iterations: []IterationGauge{
-			{Iteration: 1, Nodes: 100, Classes: 60},
-			{Iteration: 2, Nodes: 400, Classes: 150},
-			{Iteration: 3, Nodes: 900, Classes: 300},
+			{Iteration: 1, Nodes: 100, Classes: 60, BestCost: costOf(300), Rules: []RuleStep{
+				{Rule: "vec-mac", Matches: 40, Applied: 30, NewNodes: 500, Duration: time.Millisecond},
+				{Rule: "assoc-add-l", Matches: 50, Applied: 10, NewNodes: 20},
+			}},
+			{Iteration: 2, Nodes: 400, Classes: 150, BestCost: costOf(120), Rules: []RuleStep{
+				{Rule: "assoc-add-l", Matches: 850, BannedUntil: 4, Bans: 1},
+			}},
+			{Iteration: 3, Nodes: 900, Classes: 300, BestCost: costOf(96.5)},
 		},
 		StopReason: "saturated",
 		Duration:   110 * time.Millisecond,
-		Search: &SearchTrace{
-			Rules: []RuleAttribution{
-				{Rule: "vec-mac", Matches: 40, Applied: 30, NewNodes: 500, Duration: time.Millisecond},
-				{Rule: "assoc-add-l", Matches: 900, Applied: 10, NewNodes: 20, Bans: 1},
-			},
-			Bans: []BanSpan{
-				{Rule: "assoc-add-l", Iteration: 2, Until: 4, Matches: 900, Bans: 1},
-			},
-			BestCost: []CostPoint{
-				{Iteration: 1, Cost: 300}, {Iteration: 2, Cost: 120}, {Iteration: 3, Cost: 96.5},
-			},
-			Events: 42,
-		},
 		Extraction: &ExtractionTrace{
 			TotalCost: 96.5, Classes: 12, Contested: 3,
 			Decisions: []ExtractionDecision{
@@ -120,7 +112,7 @@ func TestRenderReportNeedsTrace(t *testing.T) {
 // HTML in rule names and kernel titles must be escaped, not interpreted.
 func TestRenderReportEscapes(t *testing.T) {
 	tr := reportTrace()
-	tr.Search.Rules[0].Rule = `<script>alert(1)</script>`
+	tr.Iterations[0].Rules[0].Rule = `<script>alert(1)</script>`
 	var b strings.Builder
 	if err := RenderReport(&b, ReportData{Title: `<b>x</b>`, Trace: tr}); err != nil {
 		t.Fatal(err)

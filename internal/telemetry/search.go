@@ -2,17 +2,43 @@ package telemetry
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 )
 
-// The flight-recorder sections of a Trace. SearchTrace distills the
-// equality-saturation journal — which rules grew the e-graph, when the
-// Backoff scheduler banned them, and how the best extractable cost moved —
-// and ExtractionTrace records why extraction chose the program it did.
-// Both are plain data: the egraph and extract packages produce their raw
-// forms, the root package folds them into these types, and the HTML report
-// (report.go) and SSE stream render them.
+// The saturation record and the extraction flight record. Every
+// IterationGauge carries one RuleStep row per rule that matched in that
+// iteration, so a Trace's Iterations are the whole record of the search:
+// Attribution folds them into per-rule totals and the Backoff ban
+// timeline, and the best-cost trajectory is read off the gauges' BestCost.
+// ExtractionTrace records why extraction chose the program it did. Both are
+// plain data: the egraph and extract packages produce them, the root
+// package attaches them to the Trace, and the HTML report (report.go),
+// diosdiff and the SSE stream render them.
+
+// RuleStep is one rule's activity within one saturation iteration.
+type RuleStep struct {
+	Rule string `json:"rule"`
+	// Matches is the rule's match count this iteration. A banned step's
+	// matches were discarded: they count toward the rule's totals, not
+	// toward the iteration's Matches.
+	Matches int `json:"matches"`
+	// Applied counts successful applications; NewNodes is the e-node growth
+	// attributed to them (measured before the rebuild's deduplication).
+	Applied  int `json:"applied,omitempty"`
+	NewNodes int `json:"new_nodes,omitempty"`
+	// Duration is the rule's search+apply time this iteration.
+	Duration time.Duration `json:"duration,omitempty"`
+	// BannedUntil is set when the Backoff scheduler banned the rule for this
+	// iteration's over-matching: the first 1-based iteration at which it
+	// runs again. Bans is the rule's lifetime ban count after this ban.
+	BannedUntil int `json:"banned_until,omitempty"`
+	Bans        int `json:"bans,omitempty"`
+}
+
+// Banned reports whether the Backoff scheduler banned the rule this step.
+func (s RuleStep) Banned() bool { return s.BannedUntil > 0 }
 
 // RuleAttribution aggregates one rewrite rule's activity over a whole
 // saturation run.
@@ -31,42 +57,48 @@ type RuleAttribution struct {
 	Bans int `json:"bans,omitempty"`
 }
 
-// BanSpan is one Backoff ban in the timeline: the rule sat out iterations
-// [Iteration, Until).
-type BanSpan struct {
-	Rule string `json:"rule"`
-	// Iteration is the 1-based iteration whose over-matching triggered the
-	// ban; the rule's matches that iteration were discarded.
+// Ban is one entry of the Backoff ban timeline: the banned step and the
+// 1-based iteration whose over-matching triggered it. The rule sat out
+// iterations [Iteration, BannedUntil).
+type Ban struct {
 	Iteration int `json:"iteration"`
-	// Until is the first 1-based iteration at which the rule runs again.
-	Until int `json:"until"`
-	// Matches is the offending match count.
-	Matches int `json:"matches"`
-	// Bans is the rule's lifetime ban count after this ban (the ban length
-	// and match budget double with each).
-	Bans int `json:"bans"`
+	RuleStep
 }
 
-// CostPoint is one sample of the best-cost trajectory: the cheapest
-// extractable cost of the root after the given iteration.
-type CostPoint struct {
-	Iteration int     `json:"iteration"`
-	Cost      float64 `json:"cost"`
-}
-
-// SearchTrace is the saturation flight record attached to a Trace when the
-// compile ran with the journal enabled.
-type SearchTrace struct {
-	// Rules holds per-rule attribution, biggest node growth first.
-	Rules []RuleAttribution `json:"rules,omitempty"`
-	// Bans is the Backoff ban timeline in journal order.
-	Bans []BanSpan `json:"bans,omitempty"`
-	// BestCost is the per-iteration best-cost trajectory of the root.
-	BestCost []CostPoint `json:"best_cost,omitempty"`
-	// Events and EventsDropped report journal volume: Dropped > 0 means the
-	// ring evicted early events and the aggregates above cover a suffix.
-	Events        uint64 `json:"events"`
-	EventsDropped uint64 `json:"events_dropped,omitempty"`
+// Attribution folds a run's rule rows into per-rule totals, biggest node
+// growth first, and the Backoff ban timeline in iteration order.
+func Attribution(gs []IterationGauge) ([]RuleAttribution, []Ban) {
+	var rules []RuleAttribution
+	var bans []Ban
+	idx := map[string]int{}
+	for _, g := range gs {
+		for _, s := range g.Rules {
+			i, ok := idx[s.Rule]
+			if !ok {
+				i = len(rules)
+				idx[s.Rule] = i
+				rules = append(rules, RuleAttribution{Rule: s.Rule})
+			}
+			r := &rules[i]
+			r.Matches += s.Matches
+			r.Applied += s.Applied
+			r.NewNodes += s.NewNodes
+			r.Duration += s.Duration
+			if s.Banned() {
+				r.Bans++
+				bans = append(bans, Ban{Iteration: g.Iteration, RuleStep: s})
+			}
+		}
+	}
+	// The rules that grew the e-graph are the ones a saturation blowup
+	// post-mortem needs on top.
+	sort.SliceStable(rules, func(i, k int) bool {
+		if rules[i].NewNodes != rules[k].NewNodes {
+			return rules[i].NewNodes > rules[k].NewNodes
+		}
+		return rules[i].Matches > rules[k].Matches
+	})
+	return rules, bans
 }
 
 // ExtractionDecision mirrors extract.Decision in trace-serializable form:
@@ -108,35 +140,6 @@ type ExtractionTrace struct {
 // available programmatically via extract.Extractor.Decisions.
 const MaxDecisions = 32
 
-// Format renders the search flight record as text (rule table + bans).
-func (s *SearchTrace) Format() string {
-	if s == nil {
-		return ""
-	}
-	var b strings.Builder
-	nameW := len("rule")
-	for _, r := range s.Rules {
-		if len(r.Rule) > nameW {
-			nameW = len(r.Rule)
-		}
-	}
-	fmt.Fprintf(&b, "%-*s %9s %9s %9s %12s %5s\n", nameW, "rule",
-		"matches", "applied", "nodes+", "time", "bans")
-	for _, r := range s.Rules {
-		fmt.Fprintf(&b, "%-*s %9d %9d %9d %12v %5d\n", nameW, r.Rule,
-			r.Matches, r.Applied, r.NewNodes, r.Duration.Round(time.Microsecond), r.Bans)
-	}
-	for _, ban := range s.Bans {
-		fmt.Fprintf(&b, "ban: %s at iteration %d (%d matches), until %d\n",
-			ban.Rule, ban.Iteration, ban.Matches, ban.Until)
-	}
-	if s.EventsDropped > 0 {
-		fmt.Fprintf(&b, "journal: %d events (%d evicted by the ring bound)\n",
-			s.Events, s.EventsDropped)
-	}
-	return b.String()
-}
-
 // Format renders the extraction flight record as text.
 func (e *ExtractionTrace) Format() string {
 	if e == nil {
@@ -155,4 +158,27 @@ func (e *ExtractionTrace) Format() string {
 			d.Class, d.Winner, d.WinnerCost, d.RunnerUp, d.RunnerUpCost, d.Margin)
 	}
 	return b.String()
+}
+
+// formatRules renders the per-rule table and the ban timeline of the -trace
+// text; nothing when the run recorded no rule activity.
+func formatRules(b *strings.Builder, gs []IterationGauge) {
+	rules, bans := Attribution(gs)
+	if len(rules) == 0 {
+		return
+	}
+	nameW := len("rule")
+	for _, r := range rules {
+		nameW = max(nameW, len(r.Rule))
+	}
+	fmt.Fprintf(b, "%-*s %9s %9s %9s %12s %5s\n", nameW, "rule",
+		"matches", "applied", "nodes+", "time", "bans")
+	for _, r := range rules {
+		fmt.Fprintf(b, "%-*s %9d %9d %9d %12v %5d\n", nameW, r.Rule,
+			r.Matches, r.Applied, r.NewNodes, r.Duration.Round(time.Microsecond), r.Bans)
+	}
+	for _, ban := range bans {
+		fmt.Fprintf(b, "ban: %s at iteration %d (%d matches), until %d\n",
+			ban.Rule, ban.Iteration, ban.Matches, ban.BannedUntil)
+	}
 }

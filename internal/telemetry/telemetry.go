@@ -1,7 +1,7 @@
 // Package telemetry provides lightweight compilation telemetry: named
 // spans (per-stage wall time and heap-allocation delta), counters, and
-// per-iteration equality-saturation gauges (nodes, classes, per-rule
-// match/apply counts).
+// per-iteration equality-saturation gauges (nodes, classes, one row of
+// match/apply counts per rule).
 //
 // A Recorder collects events while a pipeline runs and is folded into an
 // immutable Trace at the end. The Trace is attached to every compilation
@@ -43,19 +43,25 @@ type Span struct {
 
 // IterationGauge is a per-iteration snapshot of an equality-saturation
 // run: e-graph size after the iteration's rebuild and the iteration's rule
-// activity. Maps hold only rules with nonzero counts.
+// activity. The gauges of a run are its only record of the search.
 type IterationGauge struct {
-	Iteration      int            `json:"iteration"` // 1-based
-	Nodes          int            `json:"nodes"`
-	Classes        int            `json:"classes"`
-	Matches        int            `json:"matches"`
-	Applied        int            `json:"applied"`
-	PerRuleMatches map[string]int `json:"per_rule_matches,omitempty"`
-	PerRuleApplied map[string]int `json:"per_rule_applied,omitempty"`
-	Duration       time.Duration  `json:"duration"`
+	Iteration int `json:"iteration"` // 1-based
+	Nodes     int `json:"nodes"`
+	Classes   int `json:"classes"`
+	// Matches and Applied total the iteration's rule rows, leaving out the
+	// discarded matches of banned steps.
+	Matches int `json:"matches"`
+	Applied int `json:"applied"`
+	// Rules holds one row per rule that matched this iteration, banned
+	// steps included, in rule order.
+	Rules    []RuleStep    `json:"rules,omitempty"`
+	Duration time.Duration `json:"duration"`
 	// Bytes is the e-graph's logical footprint after the iteration (memory
 	// trajectory beside the node/class trajectory); 0 when not measured.
 	Bytes int64 `json:"bytes,omitempty"`
+	// BestCost is the root's cheapest extractable cost after the iteration,
+	// present only when the run's cost sampler was armed.
+	BestCost *float64 `json:"best_cost,omitempty"`
 }
 
 // TraceSchema identifies the Trace JSON format. Every trace serialized by
@@ -63,7 +69,7 @@ type IterationGauge struct {
 // "diosload/serve-soak/v1", so downstream consumers — diosdiff above all —
 // can reject stale or foreign artifacts with a clear error instead of
 // silently mis-reading them.
-const TraceSchema = "diospyros/trace/v1"
+const TraceSchema = "diospyros/trace/v2"
 
 // Trace is the full telemetry record of one compilation: the stage spans
 // in execution order, the saturation iteration gauges, free-form counters,
@@ -81,16 +87,13 @@ type Trace struct {
 	// Explanation, when provenance recording was enabled, is the ordered
 	// rule chain that justifies the extracted program (the -explain report).
 	Explanation *Explanation `json:"explanation,omitempty"`
-	// Search and Extraction are the flight-recorder sections (search.go),
-	// present when the compile ran with a journal (Options.Journal / the
-	// -report flag / an SSE compile): per-rule saturation attribution with
-	// the Backoff ban timeline, and the extraction decision trace.
-	Search     *SearchTrace     `json:"search,omitempty"`
+	// Extraction is the extraction decision trace (search.go), present when
+	// the compile ran with a journal (Options.Journal / the -report flag /
+	// an SSE compile).
 	Extraction *ExtractionTrace `json:"extraction,omitempty"`
 	// Memory is the compile's memory record (memory.go): the e-graph's peak
-	// logical footprint with its per-component breakdown, per-stage heap
-	// allocation deltas, and the runtime heap/GC samples collected while the
-	// pipeline ran.
+	// logical footprint with its per-component breakdown and the runtime
+	// heap/GC samples collected while the pipeline ran.
 	Memory *MemoryTrace `json:"memory,omitempty"`
 	// Duration and AllocBytes cover the whole pipeline, including
 	// per-stage telemetry overhead not attributed to any span.
@@ -151,18 +154,6 @@ func (t *Trace) FinalGauge() (IterationGauge, bool) {
 	return t.Iterations[len(t.Iterations)-1], true
 }
 
-// PerRuleApplied sums successful rule applications per rule name over all
-// iterations.
-func (t *Trace) PerRuleApplied() map[string]int {
-	out := map[string]int{}
-	for _, g := range t.Iterations {
-		for name, n := range g.PerRuleApplied {
-			out[name] += n
-		}
-	}
-	return out
-}
-
 // Saturated reports whether the saturation stage reached a fixpoint.
 func (t *Trace) Saturated() bool { return t.StopReason == "saturated" }
 
@@ -203,6 +194,7 @@ func (t *Trace) Format() string {
 		fmt.Fprintf(&b, "saturation: %d iterations, %d nodes, %d classes, stopped: %s\n",
 			len(t.Iterations), g.Nodes, g.Classes, t.StopReason)
 	}
+	formatRules(&b, t.Iterations)
 	if t.Memory != nil && t.Memory.PeakBytes > 0 {
 		fmt.Fprintf(&b, "memory: e-graph peak %.2f MB at iteration %d",
 			float64(t.Memory.PeakBytes)/1e6, t.Memory.PeakIteration)
@@ -316,16 +308,6 @@ func (r *Recorder) SetStopReason(reason string) {
 	r.mu.Unlock()
 }
 
-// SetSearch attaches the saturation flight record.
-func (r *Recorder) SetSearch(s *SearchTrace) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.trace.Search = s
-	r.mu.Unlock()
-}
-
 // SetExtraction attaches the extraction flight record.
 func (r *Recorder) SetExtraction(e *ExtractionTrace) {
 	if r == nil {
@@ -346,9 +328,7 @@ func (r *Recorder) SetExplanation(e *Explanation) {
 	r.mu.Unlock()
 }
 
-// SetMemory attaches the compile's memory record. Finish derives the
-// per-stage allocation deltas from the recorded spans, so callers only fill
-// the footprint and heap-sampler fields.
+// SetMemory attaches the compile's memory record.
 func (r *Recorder) SetMemory(m *MemoryTrace) {
 	if r == nil {
 		return
@@ -369,15 +349,6 @@ func (r *Recorder) Finish() *Trace {
 	r.trace.Schema = TraceSchema
 	r.trace.Duration = time.Since(r.start)
 	r.trace.AllocBytes = totalAlloc() - r.startAlloc
-	if r.trace.Memory != nil && r.trace.Memory.StageAllocs == nil {
-		// Unify the memory record with the per-span TotalAlloc probe: one
-		// heap-allocation delta per recorded stage, in span order.
-		sa := make([]StageAlloc, 0, len(r.trace.Stages))
-		for _, s := range r.trace.Stages {
-			sa = append(sa, StageAlloc{Stage: s.Name, AllocBytes: s.AllocBytes})
-		}
-		r.trace.Memory.StageAllocs = sa
-	}
 	return &r.trace
 }
 

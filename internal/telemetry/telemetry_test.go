@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -94,32 +95,53 @@ func TestStagesTotalOverlap(t *testing.T) {
 
 func TestTraceIterationHelpers(t *testing.T) {
 	tr := &Trace{Iterations: []IterationGauge{
-		{Iteration: 1, Nodes: 10, Classes: 8, PerRuleApplied: map[string]int{"a": 2, "b": 1}},
-		{Iteration: 2, Nodes: 30, Classes: 20, PerRuleApplied: map[string]int{"a": 3}},
+		{Iteration: 1, Nodes: 10, Classes: 8, Matches: 3, Applied: 3, Rules: []RuleStep{
+			{Rule: "a", Matches: 2, Applied: 2, NewNodes: 1, Duration: time.Millisecond},
+			{Rule: "b", Matches: 1, Applied: 1, NewNodes: 4},
+		}},
+		{Iteration: 2, Nodes: 30, Classes: 20, Matches: 3, Applied: 3, Rules: []RuleStep{
+			{Rule: "a", Matches: 3, Applied: 3, NewNodes: 2, Duration: time.Millisecond},
+			{Rule: "b", Matches: 9, BannedUntil: 5, Bans: 1},
+		}},
 	}}
 	g, ok := tr.FinalGauge()
 	if !ok || g.Nodes != 30 || g.Iteration != 2 {
 		t.Fatalf("FinalGauge = %+v, %v", g, ok)
 	}
-	per := tr.PerRuleApplied()
-	if per["a"] != 5 || per["b"] != 1 {
-		t.Fatalf("PerRuleApplied = %v", per)
-	}
 	if _, ok := (&Trace{}).FinalGauge(); ok {
 		t.Error("FinalGauge on empty trace reported ok")
+	}
+
+	// A banned step's discarded matches count toward its rule's totals;
+	// the biggest node growth sorts first.
+	rules, bans := Attribution(tr.Iterations)
+	want := []RuleAttribution{
+		{Rule: "b", Matches: 10, Applied: 1, NewNodes: 4, Bans: 1},
+		{Rule: "a", Matches: 5, Applied: 5, NewNodes: 3, Duration: 2 * time.Millisecond},
+	}
+	if !reflect.DeepEqual(rules, want) {
+		t.Fatalf("Attribution rules = %+v, want %+v", rules, want)
+	}
+	if len(bans) != 1 || bans[0].Iteration != 2 || bans[0].Rule != "b" || bans[0].BannedUntil != 5 {
+		t.Fatalf("Attribution bans = %+v, want b banned at 2 until 5", bans)
 	}
 }
 
 func TestTraceFormatAndJSON(t *testing.T) {
 	r := NewRecorder()
 	r.StartSpan("lower").End()
-	r.SetIterations([]IterationGauge{{Iteration: 1, Nodes: 5, Classes: 4}})
+	r.SetIterations([]IterationGauge{{Iteration: 1, Nodes: 5, Classes: 4, Matches: 2, Applied: 1,
+		Rules: []RuleStep{
+			{Rule: "vec-mac", Matches: 2, Applied: 1, NewNodes: 3},
+			{Rule: "assoc-add", Matches: 9, BannedUntil: 3, Bans: 1},
+		}}})
 	r.SetStopReason("timeout")
 	r.Count("saturate.applied", 7)
 	tr := r.Finish()
 
 	out := tr.Format()
-	for _, want := range []string{"lower", "total", "stopped: timeout", "saturate.applied"} {
+	for _, want := range []string{"lower", "total", "stopped: timeout", "saturate.applied",
+		"vec-mac", "ban: assoc-add at iteration 1 (9 matches), until 3"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Format() missing %q:\n%s", want, out)
 		}

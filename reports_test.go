@@ -25,7 +25,7 @@ func TestReportsShareOnePage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := diospyros.CompileSource(string(src), diospyros.Options{Journal: egraph.NewJournal(0)})
+	res, err := diospyros.CompileSource(string(src), diospyros.Options{Journal: egraph.NewJournal()})
 	if err != nil {
 		t.Fatal(err)
 	}

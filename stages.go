@@ -7,7 +7,6 @@ import (
 
 	"diospyros/internal/cost"
 	"diospyros/internal/egraph"
-	"diospyros/internal/expr"
 	"diospyros/internal/extract"
 	"diospyros/internal/frontend"
 	"diospyros/internal/isa"
@@ -33,7 +32,7 @@ const (
 // compileState is the shared state threaded through the compile pipeline.
 // Each stage reads the fields of earlier stages and fills in its own. The
 // per-target stages (extract through validate) iterate over targets/
-// perTarget; the legacy single-target fields mirror perTarget[0].
+// perTarget; the first target is the primary one Result describes.
 type compileState struct {
 	opts Options
 
@@ -47,12 +46,6 @@ type compileState struct {
 	report     egraph.Report
 	extractors []*extract.Extractor // after extract, one per target
 	perTarget  []TargetResult       // filled in stage by stage
-	extractor  *extract.Extractor   // = extractors[0]
-	optimized  *expr.Expr
-	ir         *vir.Program // after lower
-	cText      string       // after codegen
-	program    *isa.Program
-	validated  bool // after validate
 }
 
 // compilePipeline assembles the paper's five-stage pipeline. The lift
@@ -144,7 +137,7 @@ func stageSaturate(ctx context.Context, st *compileState) error {
 		// samples what extraction would pay for the root right now, using
 		// the same model the extract stage will use.
 		model := resolveCostModel(st.opts, st.targets[0])
-		st.opts.Journal.SampleCost([]egraph.ClassID{st.root},
+		st.opts.Journal.SampleCost(st.root,
 			func(g *egraph.EGraph, root egraph.ClassID) (float64, bool) {
 				c := extract.New(g, model).Cost(root)
 				if math.IsInf(c, 0) {
@@ -204,8 +197,6 @@ func stageExtract(_ context.Context, st *compileState) error {
 			Cost:      ex.Cost(st.root),
 		}
 	}
-	st.extractor = st.extractors[0]
-	st.optimized = st.perTarget[0].Optimized
 	return nil
 }
 
@@ -223,7 +214,6 @@ func stageLower(_ context.Context, st *compileState) error {
 		}
 		tr.VIR = vir.BoundPressure(vir.Optimize(raw), 56)
 	}
-	st.ir = st.perTarget[0].VIR
 	return nil
 }
 
@@ -241,8 +231,6 @@ func stageCodegen(_ context.Context, st *compileState) error {
 			tr.Program = p
 		}
 	}
-	st.cText = st.perTarget[0].C
-	st.program = st.perTarget[0].Program
 	return nil
 }
 
@@ -278,6 +266,5 @@ func stageValidate(_ context.Context, st *compileState) error {
 		}
 		tr.Validated = true
 	}
-	st.validated = st.perTarget[0].Validated
 	return nil
 }

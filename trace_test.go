@@ -22,8 +22,8 @@ kernel saxpy8(x[8], y[8], alpha[1]) -> (out[8]) {
 
 // TestCompileTraceQuickstart checks the telemetry contract on a
 // quickstart-kernel compile: every executed stage has a span, stage
-// durations sum to ≈ Result.Compile, and the per-rule apply counts in the
-// iteration gauges reconcile exactly with Report.PerRule.
+// durations sum to ≈ Result.Compile, and the iteration gauges reconcile
+// exactly with the saturation report.
 func TestCompileTraceQuickstart(t *testing.T) {
 	opts := testOpts()
 	opts.Validate = true
@@ -64,15 +64,6 @@ func TestCompileTraceQuickstart(t *testing.T) {
 	if len(tr.Iterations) != res.Saturation.Iterations {
 		t.Fatalf("%d gauges for %d iterations", len(tr.Iterations), res.Saturation.Iterations)
 	}
-	per := tr.PerRuleApplied()
-	if len(per) != len(res.Saturation.PerRule) {
-		t.Fatalf("per-rule gauge names %v vs report %v", per, res.Saturation.PerRule)
-	}
-	for name, n := range res.Saturation.PerRule {
-		if per[name] != n {
-			t.Errorf("rule %s: trace says %d applies, report says %d", name, per[name], n)
-		}
-	}
 	g, ok := tr.FinalGauge()
 	if !ok || g.Nodes != res.Saturation.Nodes || g.Classes != res.Saturation.Classes {
 		t.Errorf("final gauge %+v disagrees with report (%d nodes, %d classes)",
@@ -80,6 +71,41 @@ func TestCompileTraceQuickstart(t *testing.T) {
 	}
 	if tr.StopReason != string(res.Saturation.Reason) {
 		t.Errorf("trace stop reason %q vs report %q", tr.StopReason, res.Saturation.Reason)
+	}
+}
+
+// TestRuleAttributionWithoutJournal checks that rule attribution needs no
+// flight recorder: a journal-less compile's gauges carry rule rows whose
+// applications sum to the report's, and whose non-banned matches sum to
+// each gauge's Matches. AC rules under Backoff make some steps banned.
+func TestRuleAttributionWithoutJournal(t *testing.T) {
+	opts := testOpts()
+	opts.EnableAC, opts.UseBackoff = true, true
+	res, err := Compile(kernels.Conv2D(3, 5, 3, 3), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applied, banned := 0, 0
+	for _, g := range res.Trace.Iterations {
+		matches := 0
+		for _, s := range g.Rules {
+			applied += s.Applied
+			if s.Banned() {
+				banned++
+				continue
+			}
+			matches += s.Matches
+		}
+		if matches != g.Matches {
+			t.Errorf("iteration %d: non-banned rows sum to %d matches, gauge says %d",
+				g.Iteration, matches, g.Matches)
+		}
+	}
+	if applied != res.Saturation.Applied || applied == 0 {
+		t.Errorf("rule rows sum to %d applications, report says %d", applied, res.Saturation.Applied)
+	}
+	if banned == 0 {
+		t.Error("no banned step recorded; the banned-match rule went untested")
 	}
 }
 
