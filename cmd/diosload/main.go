@@ -2,6 +2,10 @@
 // concurrent compile traffic and reports the serving SLO picture: latency
 // percentiles (p50/p90/p99/p99.9), throughput, shed/error rates, cache hit
 // ratio, the server-reported per-phase breakdown, and per-kernel stats.
+// The phases are the X-Dios-Server-Timing phase path (queue, cache,
+// compile with its compile.<stage> and compile.saturate.* children,
+// serialize), parsed with telemetry.ParseServerTiming and listed in
+// header order.
 //
 //	diosload -url http://localhost:8175 -duration 20s -concurrency 8
 //

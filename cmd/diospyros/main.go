@@ -245,8 +245,8 @@ func main() {
 	if *stats {
 		logger.Info("compiled",
 			"kernel", res.Kernel.Name,
-			"duration", res.Compile.Round(time.Millisecond),
-			"alloc_mb", fmt.Sprintf("%.1f", float64(res.AllocBytes)/1e6))
+			"duration", res.Trace.Duration.Round(time.Millisecond),
+			"alloc_mb", fmt.Sprintf("%.1f", float64(res.Trace.AllocBytes)/1e6))
 		logger.Info("saturation",
 			"nodes", res.Saturation.Nodes, "classes", res.Saturation.Classes,
 			"iterations", res.Saturation.Iterations, "stopped", string(res.Saturation.Reason))

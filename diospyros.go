@@ -158,10 +158,8 @@ type Result struct {
 	Targets   []TargetResult // per-target artifacts, request order
 
 	Saturation egraph.Report    // equality-saturation statistics (Table 1)
-	Trace      *telemetry.Trace // per-stage spans and per-iteration gauges
+	Trace      *telemetry.Trace // spans, gauges, and the compile's time and allocation (Table 1)
 	Cost       float64          // abstract cost of the extracted program
-	Compile    time.Duration    // end-to-end compile time (Table 1)
-	AllocBytes uint64           // heap allocated during compilation (Table 1 memory proxy)
 	Validated  bool             // set when Options.Validate passed
 }
 
@@ -218,26 +216,22 @@ func compile(ctx context.Context, st *compileState) (*Result, error) {
 	sampler := telemetry.StartHeapSampler(0)
 	runErr := compilePipeline().Run(ctx, st, rec)
 	heapPeak, heapSamples, gcCycles, gcPause := sampler.Stop()
-	rec.SetIterations(st.report.Iters)
-	rec.SetStopReason(string(st.report.Reason))
-	if st.report.PeakFootprint.Total > 0 {
-		// The memory record attaches before the error branch so aborted and
-		// failed compiles still report how big the e-graph got.
-		mt := memoryTraceFromReport(st.report)
-		mt.HeapPeakBytes = heapPeak
-		mt.HeapSamples = heapSamples
-		mt.GCCycles = gcCycles
-		mt.GCPauseTotal = gcPause
-		rec.SetMemory(mt)
-	}
-	if st.opts.Journal != nil && len(st.extractors) > 0 && st.extractors[0] != nil {
-		rec.SetExtraction(extractionTrace(st.extractors[0], st.root))
-	}
-	if st.report.Reason != "" {
-		rec.Count("saturate.applied", int64(st.report.Applied))
-		rec.Count("saturate.nodes", int64(st.report.Nodes))
-		rec.Count("saturate.classes", int64(st.report.Classes))
-	}
+	rec.Set(func(t *telemetry.Trace) {
+		t.Iterations = st.report.Iters
+		t.StopReason = string(st.report.Reason)
+		if st.report.PeakFootprint.Total > 0 {
+			// The memory record attaches before the error branch so aborted
+			// and failed compiles still report how big the e-graph got.
+			t.Memory = memoryTraceFromReport(st.report)
+			t.Memory.HeapPeakBytes = heapPeak
+			t.Memory.HeapSamples = heapSamples
+			t.Memory.GCCycles = gcCycles
+			t.Memory.GCPauseTotal = gcPause
+		}
+		if st.opts.Journal != nil && len(st.extractors) > 0 && st.extractors[0] != nil {
+			t.Extraction = extractionTrace(st.extractors[0], st.root)
+		}
+	})
 	if len(st.perTarget) > 0 && st.perTarget[0].VIR != nil {
 		rec.Count("vir.instrs", int64(len(st.perTarget[0].VIR.Instrs)))
 	}
@@ -247,20 +241,19 @@ func compile(ctx context.Context, st *compileState) (*Result, error) {
 		// cancellations both here and in aggregated metrics.
 		var abort *telemetry.AbortError
 		if errors.As(runErr, &abort) {
-			rec.SetStopReason("aborted:" + abort.Reason)
+			rec.Set(func(t *telemetry.Trace) { t.StopReason = "aborted:" + abort.Reason })
 		}
 		trace := rec.Finish()
 		return &Result{
 			Kernel:     st.lifted,
 			Saturation: st.report,
 			Trace:      trace,
-			Compile:    trace.Duration,
-			AllocBytes: trace.AllocBytes,
 		}, fmt.Errorf("diospyros: %w", runErr)
 	}
 	primary := st.perTarget[0]
 	if st.opts.Explain {
-		rec.SetExplanation(buildExplanation(st.g, st.extractors[0], st.root, primary.VIR))
+		e := buildExplanation(st.g, st.extractors[0], st.root, primary.VIR)
+		rec.Set(func(t *telemetry.Trace) { t.Explanation = e })
 		pn, pu := st.g.ProvenanceStats()
 		rec.Count("provenance.nodes", int64(pn))
 		rec.Count("provenance.unions", int64(pu))
@@ -277,8 +270,6 @@ func compile(ctx context.Context, st *compileState) (*Result, error) {
 		Saturation: st.report,
 		Trace:      trace,
 		Cost:       primary.Cost,
-		Compile:    trace.Duration,
-		AllocBytes: trace.AllocBytes,
 		Validated:  primary.Validated,
 	}, nil
 }

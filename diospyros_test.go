@@ -218,7 +218,7 @@ func TestCompileReportsStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Compile <= 0 || res.AllocBytes == 0 || res.Saturation.Nodes == 0 {
+	if res.Trace.Duration <= 0 || res.Trace.AllocBytes == 0 || res.Saturation.Nodes == 0 {
 		t.Fatalf("missing stats: %+v", res)
 	}
 	if res.Cost <= 0 {

@@ -39,7 +39,7 @@ func TestExplainMatMul2x2(t *testing.T) {
 			t.Errorf("step %s has node count %d", s.Rule, s.Nodes)
 		}
 	}
-	if res.Trace.Counter("provenance.nodes") == 0 {
+	if res.Trace.Counters["provenance.nodes"] == 0 {
 		t.Error("provenance.nodes counter not recorded")
 	}
 }
@@ -61,7 +61,7 @@ kernel vadd4(a[4], b[4]) -> (c[4]) {
 	if res.Trace.Explanation != nil {
 		t.Fatal("Trace.Explanation populated without Options.Explain")
 	}
-	if res.Trace.Counter("provenance.nodes") != 0 {
+	if res.Trace.Counters["provenance.nodes"] != 0 {
 		t.Fatal("provenance counters recorded while disabled")
 	}
 }

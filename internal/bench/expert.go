@@ -58,7 +58,7 @@ func ExpertContext(ctx context.Context, opts diospyros.Options) (*ExpertResult, 
 	return &ExpertResult{
 		DiospyrosCycles: dres.Cycles,
 		ExpertCycles:    eres.Cycles,
-		CompileTime:     res.Compile,
+		CompileTime:     res.Trace.Duration,
 		DiospyrosVecOps: dres.VectorOps(),
 		ExpertVecOps:    eres.VectorOps(),
 		GapPercent:      100 * (float64(dres.Cycles) - float64(eres.Cycles)) / float64(eres.Cycles),

@@ -19,6 +19,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
+	"time"
 
 	"diospyros/internal/sim"
 	"diospyros/internal/telemetry"
@@ -83,16 +85,17 @@ type Divergence struct {
 	Detail string `json:"detail"`
 }
 
-// StageDelta is one pipeline stage's latency-waterfall row. Wall time is
-// informational: it never contributes a Divergence.
-type StageDelta struct {
-	Stage  string `json:"stage"`
+// PhaseDelta is one latency-waterfall row: a phase path of the two traces
+// (telemetry.Trace.Phases). Wall time is informational: it never
+// contributes a Divergence.
+type PhaseDelta struct {
+	Path   string `json:"path"`
 	BaseNS int64  `json:"base_ns"`
 	CurNS  int64  `json:"cur_ns"`
 	// DeltaPct is the relative wall-time change ((cur-base)/base; 0 when
-	// the baseline duration is 0 or the stage is one-sided).
+	// the baseline duration is 0 or the phase is one-sided).
 	DeltaPct float64 `json:"delta_pct"`
-	// OnlyIn marks a stage present on one side only ("baseline"/"current").
+	// OnlyIn marks a phase present on one side only ("baseline"/"current").
 	OnlyIn string `json:"only_in,omitempty"`
 }
 
@@ -233,12 +236,7 @@ type Diff struct {
 	// the determinism contract.
 	Divergences []Divergence `json:"divergences,omitempty"`
 
-	// BaseDurationNS and CurDurationNS are the end-to-end compile times
-	// (informational, like every wall-time field).
-	BaseDurationNS int64 `json:"base_duration_ns,omitempty"`
-	CurDurationNS  int64 `json:"cur_duration_ns,omitempty"`
-
-	Stages     []StageDelta    `json:"stages,omitempty"`
+	Phases     []PhaseDelta    `json:"phases,omitempty"`
 	Saturation *SaturationDiff `json:"saturation,omitempty"`
 	Rules      []RuleDelta     `json:"rules,omitempty"`
 	Bans       *BanDiff        `json:"bans,omitempty"`
@@ -269,16 +267,9 @@ func Compare(base, cur Input) *Diff {
 		BaseLabel: firstNonEmpty(base.Label, "baseline"),
 		CurLabel:  firstNonEmpty(cur.Label, "current"),
 	}
-	if base.Trace != nil {
-		d.BaseDurationNS = int64(base.Trace.Duration)
-	}
-	if cur.Trace != nil {
-		d.CurDurationNS = int64(cur.Trace.Duration)
-	}
-
 	switch {
 	case base.Trace != nil && cur.Trace != nil:
-		compareStages(d, base.Trace, cur.Trace)
+		comparePhases(d, base.Trace, cur.Trace)
 		compareSaturation(d, base.Trace, cur.Trace)
 		compareSearch(d, base.Trace, cur.Trace)
 		compareExtraction(d, base.Trace.Extraction, cur.Trace.Extraction)
@@ -314,39 +305,43 @@ func (d *Diff) diverge(kind, subject, format string, args ...any) {
 	})
 }
 
-// compareStages builds the latency waterfall and flags stage-set
-// mismatches (a stage running on one side only is semantic: the pipelines
-// took different paths).
-func compareStages(d *Diff, base, cur *telemetry.Trace) {
-	curIdx := map[string]telemetry.Span{}
-	for _, s := range cur.Stages {
-		if _, dup := curIdx[s.Name]; !dup {
-			curIdx[s.Name] = s
+// comparePhases builds the latency waterfall from the two phase lists —
+// baseline order, then paths only the current run has — and flags
+// stage-set mismatches: a compile.<stage> path on one side only is
+// semantic (the pipelines took different paths). Wall time never is.
+func comparePhases(d *Diff, base, cur *telemetry.Trace) {
+	index := func(ps []telemetry.Phase) map[string]time.Duration {
+		m := make(map[string]time.Duration, len(ps))
+		for _, p := range ps {
+			if _, dup := m[p.Path]; !dup {
+				m[p.Path] = p.Duration
+			}
 		}
+		return m
 	}
+	bp, cp := base.Phases(), cur.Phases()
+	bd, cd := index(bp), index(cp)
 	seen := map[string]bool{}
-	for _, b := range base.Stages {
-		if seen[b.Name] {
+	for _, p := range append(bp, cp...) {
+		if seen[p.Path] {
 			continue
 		}
-		seen[b.Name] = true
-		c, ok := curIdx[b.Name]
-		if !ok {
-			d.Stages = append(d.Stages, StageDelta{Stage: b.Name, BaseNS: int64(b.Duration), OnlyIn: "baseline"})
-			d.diverge("stage-set", b.Name, "stage %s ran only in %s", b.Name, d.BaseLabel)
-			continue
+		seen[p.Path] = true
+		b, inBase := bd[p.Path]
+		c, inCur := cd[p.Path]
+		row := PhaseDelta{Path: p.Path, BaseNS: int64(b), CurNS: int64(c)}
+		side := d.BaseLabel
+		switch {
+		case !inCur:
+			row.OnlyIn = "baseline"
+		case !inBase:
+			row.OnlyIn, side = "current", d.CurLabel
+		case b > 0:
+			row.DeltaPct = float64(c-b) / float64(b)
 		}
-		sd := StageDelta{Stage: b.Name, BaseNS: int64(b.Duration), CurNS: int64(c.Duration)}
-		if b.Duration > 0 {
-			sd.DeltaPct = float64(c.Duration-b.Duration) / float64(b.Duration)
-		}
-		d.Stages = append(d.Stages, sd)
-	}
-	for _, c := range cur.Stages {
-		if !seen[c.Name] {
-			seen[c.Name] = true
-			d.Stages = append(d.Stages, StageDelta{Stage: c.Name, CurNS: int64(c.Duration), OnlyIn: "current"})
-			d.diverge("stage-set", c.Name, "stage %s ran only in %s", c.Name, d.CurLabel)
+		d.Phases = append(d.Phases, row)
+		if stage, ok := strings.CutPrefix(p.Path, "compile."); ok && row.OnlyIn != "" && !strings.Contains(stage, ".") {
+			d.diverge("stage-set", stage, "stage %s ran only in %s", stage, side)
 		}
 	}
 }

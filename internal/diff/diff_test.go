@@ -116,24 +116,37 @@ func TestWallTimeNeverDiverges(t *testing.T) {
 		cur.Trace.Stages[i].Duration *= 7
 		cur.Trace.Stages[i].AllocBytes += 12345
 	}
-	for _, g := range cur.Trace.Iterations {
-		for i := range g.Rules {
-			g.Rules[i].Duration += time.Millisecond
+	for i := range cur.Trace.Iterations {
+		g := &cur.Trace.Iterations[i]
+		for j := range g.Rules {
+			g.Rules[j].Duration += time.Millisecond
 		}
+		g.Match += time.Millisecond
+		g.Rebuild += 2 * time.Millisecond
 	}
 	d := Compare(base, cur)
 	if !d.Empty() {
 		t.Fatalf("wall-time delta produced divergences:\n%s", d.Format())
 	}
-	// The waterfall still reports the (informational) slowdown.
-	var saturate *StageDelta
-	for i := range d.Stages {
-		if d.Stages[i].Stage == "saturate" {
-			saturate = &d.Stages[i]
+	// The waterfall still reports the (informational) slowdowns, stage and
+	// saturation-loop step alike.
+	for _, path := range []string{"compile.saturate", "compile.saturate.rebuild"} {
+		var row *PhaseDelta
+		for i := range d.Phases {
+			if d.Phases[i].Path == path {
+				row = &d.Phases[i]
+			}
+		}
+		if row == nil || row.CurNS <= row.BaseNS {
+			t.Errorf("waterfall lost the wall-time delta of %s: %+v", path, d.Phases)
 		}
 	}
-	if saturate == nil || saturate.DeltaPct <= 0 {
-		t.Errorf("waterfall lost the wall-time delta: %+v", d.Stages)
+
+	// A stage that ran on one side only is semantic.
+	cur.Trace.Stages = append(cur.Trace.Stages, telemetry.Span{Name: "validate"})
+	d = Compare(base, cur)
+	if len(d.Divergences) != 1 || d.Divergences[0].Kind != "stage-set" || d.Divergences[0].Subject != "validate" {
+		t.Errorf("one-sided stage: divergences %+v, want one stage-set for validate", d.Divergences)
 	}
 }
 

@@ -31,26 +31,24 @@ func (d *Diff) Format() string {
 		}
 	}
 
-	if len(d.Stages) > 0 {
-		b.WriteString("\nstage waterfall (wall time, informational):\n")
-		nameW := len("stage")
-		for _, s := range d.Stages {
-			if len(s.Stage) > nameW {
-				nameW = len(s.Stage)
-			}
+	if len(d.Phases) > 0 {
+		b.WriteString("\nphase waterfall (wall time, informational):\n")
+		nameW := len("phase")
+		for _, p := range d.Phases {
+			nameW = max(nameW, len(p.Path))
 		}
-		fmt.Fprintf(&b, "  %-*s %14s %14s %9s\n", nameW, "stage", "baseline", "current", "delta")
-		for _, s := range d.Stages {
-			switch s.OnlyIn {
+		fmt.Fprintf(&b, "  %-*s %14s %14s %9s\n", nameW, "phase", "baseline", "current", "delta")
+		for _, p := range d.Phases {
+			switch p.OnlyIn {
 			case "baseline":
-				fmt.Fprintf(&b, "  %-*s %14v %14s %9s\n", nameW, s.Stage,
-					roundNS(s.BaseNS), "—", "")
+				fmt.Fprintf(&b, "  %-*s %14v %14s %9s\n", nameW, p.Path,
+					roundNS(p.BaseNS), "—", "")
 			case "current":
-				fmt.Fprintf(&b, "  %-*s %14s %14v %9s\n", nameW, s.Stage,
-					"—", roundNS(s.CurNS), "")
+				fmt.Fprintf(&b, "  %-*s %14s %14v %9s\n", nameW, p.Path,
+					"—", roundNS(p.CurNS), "")
 			default:
-				fmt.Fprintf(&b, "  %-*s %14v %14v %+8.1f%%\n", nameW, s.Stage,
-					roundNS(s.BaseNS), roundNS(s.CurNS), 100*s.DeltaPct)
+				fmt.Fprintf(&b, "  %-*s %14v %14v %+8.1f%%\n", nameW, p.Path,
+					roundNS(p.BaseNS), roundNS(p.CurNS), 100*p.DeltaPct)
 			}
 		}
 	}

@@ -25,8 +25,8 @@ func withProcs(t *testing.T, n int) {
 
 // TestSelfDiffEmptyAcrossSuite is the suite-wide determinism invariant:
 // every kernel of the 21-kernel suite, compiled with the journal armed,
-// self-diffs empty and emits identical C and identical rule rows (wall time
-// aside) — against itself and across GOMAXPROCS 1 vs 8 (the inline matcher
+// self-diffs empty and emits identical C and identical iteration gauges
+// and rule rows (wall time aside) — against itself and across GOMAXPROCS 1 vs 8 (the inline matcher
 // vs the pool). Any divergence here
 // means either the determinism contract (DESIGN.md §9) broke or the diff is
 // counting an informational field as semantic.
@@ -70,21 +70,9 @@ func TestSelfDiffEmptyAcrossSuite(t *testing.T) {
 			t.Errorf("%s: C output differs between GOMAXPROCS=1 and GOMAXPROCS=8", k.ID)
 		}
 		// Compare runs per-iteration rows only for rules whose totals
-		// diverge; pin every row directly.
-		if a, b := ruleRows(serial.Trace), ruleRows(parallel.Trace); !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: rule rows differ between GOMAXPROCS=1 and GOMAXPROCS=8", k.ID)
+		// diverge; pin every gauge and rule row directly.
+		if a, b := telemetry.Untimed(serial.Trace.Iterations), telemetry.Untimed(parallel.Trace.Iterations); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: iteration gauges differ between GOMAXPROCS=1 and GOMAXPROCS=8", k.ID)
 		}
 	}
-}
-
-// ruleRows collects a trace's rule rows per iteration with wall time zeroed.
-func ruleRows(tr *telemetry.Trace) [][]telemetry.RuleStep {
-	out := make([][]telemetry.RuleStep, len(tr.Iterations))
-	for i, g := range tr.Iterations {
-		for _, s := range g.Rules {
-			s.Duration = 0
-			out[i] = append(out[i], s)
-		}
-	}
-	return out
 }

@@ -74,7 +74,7 @@ func BenchmarkMatchPhase(b *testing.B) {
 	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {
-		found, _ := searchParallel(context.Background(), g, rules, runtime.GOMAXPROCS(0))
+		found, _, _ := searchParallel(context.Background(), g, rules, runtime.GOMAXPROCS(0))
 		for _, f := range found {
 			total += len(f.matches)
 		}

@@ -80,14 +80,17 @@ type ruleMatches struct {
 // the tasks run inline, one per rule. The caller must pass only rules
 // eligible to search this iteration (bans already filtered).
 //
-// cancelled reports that ctx fired during the phase (it is polled between
-// tasks and once after the last); partial results are discarded and the
-// caller stops the run.
-func searchParallel(ctx context.Context, g *EGraph, rules []Rewrite, workers int) (out []ruleMatches, cancelled bool) {
+// index is the wall time of the serial prologue that builds the head
+// index; the rest of the call is the match proper. cancelled reports that
+// ctx fired during the phase (it is polled between tasks and once after
+// the last); partial results are discarded and the caller stops the run.
+func searchParallel(ctx context.Context, g *EGraph, rules []Rewrite, workers int) (out []ruleMatches, index time.Duration, cancelled bool) {
 	// Serial prologue: after this, Find is write-free until the next Union.
+	start := time.Now()
 	g.CompressPaths()
 	classes := g.CanonicalClasses()
 	ix := HeadIndex(classes)
+	index = time.Since(start)
 
 	// Inline runs give each rule a single task. Pool runs derive shard
 	// granularity from the full class count, not per-rule candidate counts,
@@ -167,7 +170,7 @@ func searchParallel(ctx context.Context, g *EGraph, rules []Rewrite, workers int
 		wg.Wait()
 	}
 	if stop() {
-		return nil, true
+		return nil, index, true
 	}
 
 	// Deterministic merge: rule order, then shard (= canonical class) order.
@@ -190,5 +193,5 @@ func searchParallel(ctx context.Context, g *EGraph, rules []Rewrite, workers int
 		out[i] = rm
 		k = end
 	}
-	return out, false
+	return out, index, false
 }

@@ -85,27 +85,12 @@ func TestParallelMatchGauges(t *testing.T) {
 	if len(repSerial.Iters) != len(repPar.Iters) {
 		t.Fatalf("iteration gauge counts differ: %d vs %d", len(repSerial.Iters), len(repPar.Iters))
 	}
-	a, b := untimed(repSerial.Iters), untimed(repPar.Iters)
+	a, b := telemetry.Untimed(repSerial.Iters), telemetry.Untimed(repPar.Iters)
 	for i := range a {
 		if !reflect.DeepEqual(a[i], b[i]) {
 			t.Fatalf("iteration %d gauges diverged:\n%+v\nvs\n%+v", i+1, a[i], b[i])
 		}
 	}
-}
-
-// untimed copies gauges with every wall-time field zeroed, leaving only
-// the fields the determinism contract pins.
-func untimed(gs []telemetry.IterationGauge) []telemetry.IterationGauge {
-	out := make([]telemetry.IterationGauge, len(gs))
-	for i, g := range gs {
-		g.Duration = 0
-		g.Rules = append([]telemetry.RuleStep(nil), g.Rules...)
-		for k := range g.Rules {
-			g.Rules[k].Duration = 0
-		}
-		out[i] = g
-	}
-	return out
 }
 
 // TestParallelMatchJournalCounts checks that the gauges a journal relays
@@ -120,7 +105,7 @@ func TestParallelMatchJournalCounts(t *testing.T) {
 	if !reflect.DeepEqual(jrSerial.GaugesSince(0), repSerial.Iters) {
 		t.Fatal("journal gauges differ from the report's")
 	}
-	if a, b := untimed(jrSerial.GaugesSince(0)), untimed(jrPar.GaugesSince(0)); !reflect.DeepEqual(a, b) {
+	if a, b := telemetry.Untimed(jrSerial.GaugesSince(0)), telemetry.Untimed(jrPar.GaugesSince(0)); !reflect.DeepEqual(a, b) {
 		t.Fatalf("journal rule rows diverged:\n%+v\nvs\n%+v", a, b)
 	}
 }

@@ -137,7 +137,6 @@ type Report struct {
 	Classes    int
 	Applied    int // total successful rule applications
 	Reason     StopReason
-	Duration   time.Duration
 	// Iters holds one gauge per iteration (e-graph size after rebuild and
 	// one row per rule that matched); it is the run's record of the search
 	// and feeds the compilation trace. An iteration cut short by a limit
@@ -178,7 +177,6 @@ func RunContext(ctx context.Context, g *EGraph, rules []Rewrite, lim Limits) Rep
 		ctx, cancel = context.WithTimeout(ctx, lim.Timeout)
 		defer cancel()
 	}
-	start := time.Now()
 	maxIter := lim.MaxIterations
 	if maxIter == 0 {
 		maxIter = 64
@@ -247,8 +245,11 @@ func RunContext(ctx context.Context, g *EGraph, rules []Rewrite, lim Limits) Rep
 			}
 			eligible = append(eligible, r)
 		}
-		found, cancelled := searchParallel(ctx, g, eligible, runtime.GOMAXPROCS(0))
+		searchStart := time.Now()
+		found, index, cancelled := searchParallel(ctx, g, eligible, runtime.GOMAXPROCS(0))
+		gauge.Index = index
 		if cancelled {
+			gauge.Match = time.Since(searchStart) - index
 			rep.Reason, _ = ctxStop()
 			flushGauge(false)
 			break
@@ -274,6 +275,8 @@ func RunContext(ctx context.Context, g *EGraph, rules []Rewrite, lim Limits) Rep
 			}
 			gauge.Matches += step.Matches
 		}
+		applyStart := time.Now()
+		gauge.Match = applyStart.Sub(searchStart) - index
 
 		// Apply phase. A node limit or a fired context cuts it short; the
 		// rule being applied still closes its row, and the graph is
@@ -287,7 +290,7 @@ func RunContext(ctx context.Context, g *EGraph, rules []Rewrite, lim Limits) Rep
 			if step.Banned() {
 				continue
 			}
-			applyStart, nodesBefore := time.Now(), g.NumNodes()
+			ruleStart, nodesBefore := time.Now(), g.NumNodes()
 			for _, m := range f.matches {
 				if prov {
 					// Attribute every node/union the applier creates to
@@ -314,13 +317,16 @@ func RunContext(ctx context.Context, g *EGraph, rules []Rewrite, lim Limits) Rep
 				}
 			}
 			step.NewNodes = g.NumNodes() - nodesBefore
-			step.Duration = f.searchDur + time.Since(applyStart)
+			step.Duration = f.searchDur + time.Since(ruleStart)
 			if stop != "" {
 				break
 			}
 		}
 		g.ClearRuleContext()
+		rebuildStart := time.Now()
+		gauge.Apply = rebuildStart.Sub(applyStart)
 		g.Rebuild()
+		gauge.Rebuild = time.Since(rebuildStart)
 		if stop != "" {
 			rep.Reason = stop
 			flushGauge(false)
@@ -341,6 +347,5 @@ func RunContext(ctx context.Context, g *EGraph, rules []Rewrite, lim Limits) Rep
 	rep.Nodes = g.NumNodes()
 	rep.Classes = g.NumClasses()
 	lim.Progress.publish(rep.Iterations, rep.Nodes, rep.Classes, g.FootprintBytes())
-	rep.Duration = time.Since(start)
 	return rep
 }

@@ -1,7 +1,8 @@
 // Package loadgen is the serving SLO observatory's load half: it drives
 // sustained concurrent compile traffic at one or more diosserve replicas,
 // records the latency distribution HDR-style (recorder.go), folds the
-// server's per-request phase breakdown (X-Dios-Server-Timing) and cache
+// server's per-request phase path (X-Dios-Server-Timing, parsed with
+// telemetry.ParseServerTiming and kept in header order) and cache
 // outcomes (X-Dios-Cache) into the result, and judges runs against a
 // committed baseline under SLO tolerances (compare.go). cmd/diosload is
 // the CLI; the HTML soak report lives in report.go.
@@ -26,12 +27,13 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"diospyros/internal/telemetry"
 )
 
 // Config parameterizes one run.
@@ -78,7 +80,7 @@ type outcome struct {
 	latency time.Duration
 	at      time.Duration // completion offset from run start
 	cache   string
-	phases  map[string]time.Duration // from X-Dios-Server-Timing; nil if absent
+	phases  []telemetry.Phase // from X-Dios-Server-Timing; nil if absent
 }
 
 // Run drives the configured load until the duration elapses or ctx is
@@ -219,33 +221,25 @@ func oneRequest(ctx context.Context, client *http.Client, cfg Config, url string
 	if o.cache == "" {
 		o.cache = "bypass"
 	}
-	o.phases = parseServerTiming(resp.Header.Get("X-Dios-Server-Timing"))
+	o.phases = telemetry.ParseServerTiming(resp.Header.Get("X-Dios-Server-Timing"))
 	return o
 }
 
-// parseServerTiming parses an X-Dios-Server-Timing value
-// ("queue;dur=0.012, cache;dur=0.004, ...") into per-phase durations,
-// returning nil when the header is absent or unparseable.
-func parseServerTiming(h string) map[string]time.Duration {
-	if h == "" {
-		return nil
-	}
-	out := map[string]time.Duration{}
-	for _, part := range strings.Split(h, ",") {
-		name, dur, ok := strings.Cut(strings.TrimSpace(part), ";dur=")
-		if !ok {
-			continue
+// mergeOrder adds the phases of one header that order does not list yet,
+// each right after its predecessor in that header, so replies reporting
+// different subsets of the path (a hit's four entries, a miss's compile.*
+// children) merge into one header-ordered list.
+func mergeOrder(order []string, ps []telemetry.Phase) []string {
+	at := 0 // insertion point: just after the previous phase of ps
+	for _, p := range ps {
+		i := slices.Index(order, p.Path)
+		if i < 0 {
+			i = at
+			order = slices.Insert(order, i, p.Path)
 		}
-		ms, err := strconv.ParseFloat(dur, 64)
-		if err != nil {
-			continue
-		}
-		out[name] = time.Duration(ms * float64(time.Millisecond))
+		at = i + 1
 	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	return order
 }
 
 // kernelAgg accumulates one kernel's share of the run.
@@ -275,7 +269,9 @@ type collector struct {
 	perKernel map[string]*kernelAgg
 	perCache  map[string]*Hist
 	perPhase  map[string]*Hist
-	windows   []*windowAgg
+	// phaseOrder lists the phases seen so far in header order (mergeOrder).
+	phaseOrder []string
+	windows    []*windowAgg
 }
 
 func newCollector(cfg Config) *collector {
@@ -335,13 +331,14 @@ func (c *collector) add(o outcome) {
 			c.perCache[o.cache] = ch
 		}
 		ch.Record(o.latency)
-		for name, d := range o.phases {
-			ph := c.perPhase[name]
+		c.phaseOrder = mergeOrder(c.phaseOrder, o.phases)
+		for _, p := range o.phases {
+			ph := c.perPhase[p.Path]
 			if ph == nil {
 				ph = &Hist{}
-				c.perPhase[name] = ph
+				c.perPhase[p.Path] = ph
 			}
-			ph.Record(d)
+			ph.Record(p.Duration)
 		}
 	case http.StatusServiceUnavailable:
 		c.sheds++
@@ -404,6 +401,7 @@ func (c *collector) finalize(cfg Config, start time.Time, elapsed time.Duration)
 		for name, h := range c.perPhase {
 			res.Phases[name] = h.Summary()
 		}
+		res.PhaseOrder = c.phaseOrder
 	}
 	for name, ka := range c.perKernel {
 		res.PerKernel = append(res.PerKernel, KernelStats{

@@ -6,12 +6,14 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"diospyros/internal/bench"
+	"diospyros/internal/telemetry"
 )
 
 func TestHistQuantiles(t *testing.T) {
@@ -91,10 +93,10 @@ func stubServe(t *testing.T) *httptest.Server {
 			return
 		}
 		i := n.Add(1)
-		w.Header().Set("X-Dios-Queue-Wait-Ms", "0.100")
 		switch {
 		case i%10 == 0: // every 10th request is shed
 			w.Header().Set("Retry-After", "1")
+			w.Header().Set("X-Dios-Server-Timing", "queue;dur=0.100, cache;dur=0.020")
 			w.WriteHeader(http.StatusServiceUnavailable)
 		case i%10 == 5: // and one in ten is a cache hit
 			w.Header().Set("X-Dios-Cache", "hit")
@@ -104,7 +106,8 @@ func stubServe(t *testing.T) *httptest.Server {
 		default:
 			w.Header().Set("X-Dios-Cache", "miss")
 			w.Header().Set("X-Dios-Server-Timing",
-				"queue;dur=0.100, cache;dur=0.020, compile;dur=5.000, serialize;dur=0.300")
+				"queue;dur=0.100, cache;dur=0.020, compile;dur=5.000, compile.saturate;dur=4.000, "+
+					"compile.saturate.match;dur=3.000, compile.extract;dur=0.500, serialize;dur=0.300")
 			fmt.Fprintln(w, "{}")
 		}
 	}))
@@ -152,7 +155,14 @@ func TestRunClosedLoopAgainstStub(t *testing.T) {
 	if res.ThroughputRPS <= 0 {
 		t.Error("no throughput")
 	}
-	for _, phase := range []string{"queue", "cache", "compile", "serialize"} {
+	// Hits (four entries) and misses (with compile.* children) merge into
+	// one list in header order.
+	wantOrder := []string{"queue", "cache", "compile", "compile.saturate",
+		"compile.saturate.match", "compile.extract", "serialize"}
+	if !slices.Equal(res.PhaseOrder, wantOrder) {
+		t.Errorf("phase order %v, want %v", res.PhaseOrder, wantOrder)
+	}
+	for _, phase := range wantOrder {
 		if _, ok := res.Phases[phase]; !ok {
 			t.Errorf("phase %q missing from server-timing fold: %v", phase, res.Phases)
 		}
@@ -231,19 +241,23 @@ func TestCacheBustSaltsRequests(t *testing.T) {
 	}
 }
 
-func TestParseServerTiming(t *testing.T) {
-	got := parseServerTiming("queue;dur=0.012, cache;dur=0.004, compile;dur=412.331, serialize;dur=0.187")
-	if len(got) != 4 {
-		t.Fatalf("parsed %d phases: %v", len(got), got)
+// TestMergeOrder pins the header-order merge: a list that starts with a
+// hit's four entries still places a later miss's compile.* children
+// between compile and serialize.
+func TestMergeOrder(t *testing.T) {
+	phases := func(paths ...string) []telemetry.Phase {
+		var ps []telemetry.Phase
+		for _, p := range paths {
+			ps = append(ps, telemetry.Phase{Path: p})
+		}
+		return ps
 	}
-	if d := got["compile"]; d < 412*time.Millisecond || d > 413*time.Millisecond {
-		t.Errorf("compile = %v", d)
-	}
-	if parseServerTiming("") != nil {
-		t.Error("empty header should parse to nil")
-	}
-	if parseServerTiming("garbage") != nil {
-		t.Error("unparseable header should parse to nil")
+	order := mergeOrder(nil, phases("queue", "cache", "compile", "serialize"))
+	order = mergeOrder(order, phases("queue", "compile", "compile.lift", "compile.saturate", "serialize"))
+	order = mergeOrder(order, phases("queue", "cache"))
+	want := []string{"queue", "cache", "compile", "compile.lift", "compile.saturate", "serialize"}
+	if !slices.Equal(order, want) {
+		t.Errorf("order %v, want %v", order, want)
 	}
 }
 
@@ -397,6 +411,7 @@ func TestReportRendersSoak(t *testing.T) {
 		URLs: []string{"http://localhost:8175"}, Kernels: []string{"dot8", "qr3"},
 		Concurrency: 4, DurationSec: 20,
 	}
+	res.PhaseOrder = []string{"queue", "cache", "compile", "serialize"}
 	res.Phases = map[string]LatencyMS{
 		"queue":     {P50: 0.01, P99: 0.2, Max: 1, Mean: 0.05},
 		"cache":     {P50: 0.02, P99: 0.1, Max: 0.5, Mean: 0.03},

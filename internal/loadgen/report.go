@@ -50,8 +50,8 @@ func Report(res *SoakResult, gate string) ([]byte, error) {
 		v.Latency = latencyChart(res.Series)
 		v.Throughput = throughputChart(res.Series)
 	}
-	// Phases in pipeline order, not map order.
-	for _, name := range []string{"queue", "cache", "compile", "serialize"} {
+	// Phases in header order, not map order.
+	for _, name := range res.PhaseOrder {
 		if p, ok := res.Phases[name]; ok {
 			v.Phases = append(v.Phases, phaseRow{Phase: name, LatencyMS: p})
 		}

@@ -113,8 +113,10 @@ type SoakResult struct {
 	AllLatency LatencyMS `json:"all_latency_ms"`
 
 	// Phases breaks successful requests down by the server-reported
-	// X-Dios-Server-Timing spans: queue, cache, compile, serialize.
-	Phases map[string]LatencyMS `json:"phases_ms,omitempty"`
+	// X-Dios-Server-Timing phase paths: queue, cache, compile with its
+	// compile.* children, serialize. PhaseOrder lists them in header order.
+	Phases     map[string]LatencyMS `json:"phases_ms,omitempty"`
+	PhaseOrder []string             `json:"phase_order,omitempty"`
 
 	PerKernel []KernelStats `json:"per_kernel"`
 	PerCache  []CacheStats  `json:"per_cache,omitempty"`
@@ -148,7 +150,7 @@ func FormatSummary(res *SoakResult) string {
 	if len(res.Phases) > 0 {
 		fmt.Fprintf(&b, "phases p99  ")
 		var parts []string
-		for _, name := range []string{"queue", "cache", "compile", "serialize"} {
+		for _, name := range res.PhaseOrder {
 			if p, ok := res.Phases[name]; ok {
 				parts = append(parts, fmt.Sprintf("%s %.2fms", name, p.P99))
 			}

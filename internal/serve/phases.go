@@ -1,94 +1,61 @@
 package serve
 
 import (
-	"fmt"
-	"strings"
+	"net/http"
 	"time"
 
 	"diospyros/internal/telemetry"
 )
 
-// Per-request phase breakdown: every POST /compile is decomposed into the
-// four phases a serving SLO cares about —
-//
-//   - queue-wait: time between admission and a worker slot (0 when a slot
-//     was free, and for cache hits, which never enter admission);
-//   - cache-lookup: time resolving the content-addressed cache (acquire,
-//     and for followers the coalesced wait rides under compile);
-//   - compile: time producing the compiled artifact for THIS request —
-//     the pipeline run on a miss/bypass, the lookup on a hit, the wait on
-//     a coalesced follower;
-//   - serialize: time marshalling the JSON response body.
-//
-// The breakdown is triple-exposed: as the X-Dios-Server-Timing response
-// header (Server-Timing syntax, durations in milliseconds), as the
-// diospyros_serve_phase_seconds{phase=...} histograms, and — compile only,
-// split by how the cache resolved it — as
-// diospyros_serve_compile_seconds{cache="hit"|"miss"|"coalesced"|"bypass"}.
-// Queue wait additionally gets its own X-Dios-Queue-Wait-Ms header and
-// diospyros_serve_queue_wait_seconds histogram, so shedding and admission
-// behavior are explainable from outside the process. diosload reads the
-// headers to build its per-phase soak breakdown.
+// Per-request timing: every POST /compile reply that passes parsing
+// reports the telemetry phase path it ran (DESIGN.md §7) — queue (0 for
+// hits and coalesced followers, which skip admission), cache when it was
+// consulted, compile (the pipeline run with its compile.* children on a
+// miss or bypass, the lookup on a hit, the wait on a coalesced follower;
+// a shed never compiles) and serialize — as the X-Dios-Server-Timing
+// header and as samples of diospyros_phase_seconds{cache,path}, whose
+// cache label (hit, miss, coalesced or bypass) keeps compile latency
+// queryable by cache outcome.
 
-// cacheBypass labels compiles that never consulted the cache (cache
-// disabled, streaming, or non-cacheable options) in the
-// diospyros_serve_compile_seconds histogram.
+// cacheBypass labels requests that never consulted the cache (cache
+// disabled, streaming, or non-cacheable options).
 const cacheBypass = "bypass"
 
-// requestPhases accumulates one request's phase durations as the handler
-// moves through admission, cache, compile, and response marshalling.
-type requestPhases struct {
-	QueueWait   time.Duration
-	CacheLookup time.Duration
-	Compile     time.Duration
-	Serialize   time.Duration
-	// Outcome is how the cache resolved the request: "hit", "miss",
-	// "coalesced", or cacheBypass.
-	Outcome string
+// timing accumulates one request's phase path as the handler moves through
+// cache, admission, compile and reply marshalling. It starts with a zero
+// queue entry, so queue leads the list although the cache is consulted
+// before admission.
+type timing struct {
+	cache  string // how the cache resolved the request
+	phases []telemetry.Phase
 }
 
-// timingHeader renders the X-Dios-Server-Timing value in Server-Timing
-// syntax: `queue;dur=0.012, cache;dur=0.004, compile;dur=412.331,
-// serialize;dur=0.187`, durations in milliseconds.
-func (p *requestPhases) timingHeader() string {
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	parts := []string{
-		fmt.Sprintf("queue;dur=%.3f", ms(p.QueueWait)),
-		fmt.Sprintf("cache;dur=%.3f", ms(p.CacheLookup)),
-		fmt.Sprintf("compile;dur=%.3f", ms(p.Compile)),
-		fmt.Sprintf("serialize;dur=%.3f", ms(p.Serialize)),
-	}
-	return strings.Join(parts, ", ")
+func (tm *timing) add(path string, d time.Duration) {
+	tm.phases = append(tm.phases, telemetry.Phase{Path: path, Duration: d})
 }
 
-// queueWaitHeader renders the X-Dios-Queue-Wait-Ms value.
-func (p *requestPhases) queueWaitHeader() string {
-	return fmt.Sprintf("%.3f", float64(p.QueueWait)/float64(time.Millisecond))
+// addCompile appends the compile entry, d as the handler measured it, and
+// the compile.* children of the compile's trace (nil when the pipeline
+// never returned one).
+func (tm *timing) addCompile(d time.Duration, trace *telemetry.Trace) {
+	tm.add("compile", d)
+	if trace != nil {
+		tm.phases = append(tm.phases, trace.Phases()[1:]...) // [0] is compile
+	}
 }
 
-// observe folds the finished request's phases into the live registry.
-func (p *requestPhases) observe(reg *telemetry.Registry) {
-	for _, ph := range []struct {
-		name string
-		d    time.Duration
-	}{
-		{"queue_wait", p.QueueWait},
-		{"cache_lookup", p.CacheLookup},
-		{"compile", p.Compile},
-		{"serialize", p.Serialize},
-	} {
-		reg.Observe("diospyros_serve_phase_seconds",
-			"Per-request latency by phase (queue_wait, cache_lookup, compile, serialize).",
-			map[string]string{"phase": ph.name}, nil, ph.d.Seconds())
+// stamp sets the X-Dios-Server-Timing header and folds the phases into
+// diospyros_phase_seconds; it runs before the reply's headers are written.
+func (s *Server) stamp(h http.Header, tm *timing) {
+	h.Set("X-Dios-Server-Timing", telemetry.FormatServerTiming(tm.phases))
+	s.observePhases(tm.cache, tm.phases)
+}
+
+// observePhases records each phase into diospyros_phase_seconds.
+func (s *Server) observePhases(cache string, ps []telemetry.Phase) {
+	for _, p := range ps {
+		s.reg.Observe("diospyros_phase_seconds",
+			"Per-request wall time by phase path and cache outcome.",
+			map[string]string{"cache": cache, "path": p.Path}, nil, p.Duration.Seconds())
 	}
-	reg.Observe("diospyros_serve_queue_wait_seconds",
-		"Admission-queue wait per request.", nil, nil, p.QueueWait.Seconds())
-	outcome := p.Outcome
-	if outcome == "" {
-		outcome = cacheBypass
-	}
-	reg.Observe("diospyros_serve_compile_seconds",
-		"Time producing the compiled artifact per request, by cache outcome: "+
-			"the pipeline run for miss/bypass, the lookup for a hit, the coalesced wait for a follower.",
-		map[string]string{"cache": outcome}, nil, p.Compile.Seconds())
 }

@@ -22,12 +22,11 @@
 //     from a byte-budgeted LRU, concurrent identical requests coalesce
 //     into one compile, and the X-Dios-Cache response header reports the
 //     outcome (hit, miss, coalesced);
-//   - a per-request phase breakdown (phases.go): queue-wait, cache-lookup,
-//     compile, and serialize spans on every compile, exposed three ways —
-//     the diospyros_serve_phase_seconds{phase} and
-//     diospyros_serve_compile_seconds{cache} histograms, the
-//     X-Dios-Server-Timing response header, and the X-Dios-Queue-Wait-Ms
-//     header feeding the diosload soak harness.
+//   - a per-request phase path (phases.go): queue, cache, compile with
+//     its compile.<stage> and compile.saturate.* children, and serialize,
+//     reported on every compile reply as the X-Dios-Server-Timing header
+//     (which the diosload soak harness reads) and observed into one
+//     histogram family, diospyros_phase_seconds{cache,path}.
 package serve
 
 import (
@@ -331,7 +330,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, id, err.Error())
 		return
 	}
-	ph := &requestPhases{}
+	tm := &timing{cache: cacheBypass, phases: []telemetry.Phase{{Path: "queue"}}}
 
 	// Content-addressed compile cache (cache.go): a hit or a coalesced
 	// result answers before admission, without taking a worker slot. A miss
@@ -347,29 +346,32 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		flightKey = compileCacheKey(src, opts)
 		lookupStart := time.Now()
 		res, fl, state := s.cache.acquire(flightKey)
-		ph.CacheLookup = time.Since(lookupStart)
+		lookup := time.Since(lookupStart)
+		tm.add("cache", lookup)
 		switch state {
 		case cacheHit:
 			// A hit's "compile" latency is the lookup itself — what the
-			// cache-outcome histogram label makes visible.
-			ph.Compile = ph.CacheLookup
-			s.serveCached(w, r, id, res, "hit", ph)
+			// cache label of diospyros_phase_seconds makes visible.
+			tm.add("compile", lookup)
+			s.serveCached(w, r, id, res, "hit", tm)
 			return
 		case cacheFollower:
 			waitStart := time.Now()
 			res := fl.wait(ctx)
-			ph.Compile = time.Since(waitStart)
+			wait := time.Since(waitStart)
 			if res != nil {
-				s.serveCached(w, r, id, res, "coalesced", ph)
+				tm.add("compile", wait)
+				s.serveCached(w, r, id, res, "coalesced", tm)
 				return
 			}
 			if ctx.Err() != nil {
+				tm.cache = "coalesced"
+				tm.add("compile", wait)
 				s.countCancelled("coalesced")
-				s.writeError(w, httpStatusClientClosedRequest, id, "client went away while awaiting a coalesced compile")
+				s.writeTimedError(w, httpStatusClientClosedRequest, id, "client went away while awaiting a coalesced compile", tm)
 				return
 			}
 			// The leader failed; fall through and compile independently.
-			ph.Compile = 0
 		case cacheLeader:
 			flight = fl
 			defer func() {
@@ -378,7 +380,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 				}
 			}()
 		}
-		ph.Outcome = "miss"
+		tm.cache = "miss"
 		w.Header().Set("X-Dios-Cache", "miss")
 		s.cacheCount("misses", 1)
 	}
@@ -389,21 +391,19 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// every outcome — including sheds, so a client holding a 503 can see
 	// the queue was genuinely full rather than slow.
 	admission := time.Now()
+	queue := &tm.phases[0]
 	select {
 	case s.slots <- struct{}{}:
-		ph.QueueWait = time.Since(admission)
+		queue.Duration = time.Since(admission)
 	default:
 		if s.queued.Add(1) > int64(s.cfg.QueueDepth) {
 			s.queued.Add(-1)
-			ph.QueueWait = time.Since(admission)
+			queue.Duration = time.Since(admission)
 			s.reg.CounterAdd("diospyros_serve_rejected_total",
 				"Requests shed by admission control.",
 				map[string]string{"reason": "queue_full"}, 1)
-			s.reg.Observe("diospyros_serve_queue_wait_seconds",
-				"Admission-queue wait per request.", nil, nil, ph.QueueWait.Seconds())
 			w.Header().Set("Retry-After", "1")
-			w.Header().Set("X-Dios-Queue-Wait-Ms", ph.queueWaitHeader())
-			s.writeError(w, http.StatusServiceUnavailable, id, "compile queue full")
+			s.writeTimedError(w, http.StatusServiceUnavailable, id, "compile queue full", tm)
 			return
 		}
 		s.setQueueGauge()
@@ -411,22 +411,17 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		case s.slots <- struct{}{}:
 			s.queued.Add(-1)
 			s.setQueueGauge()
-			ph.QueueWait = time.Since(admission)
+			queue.Duration = time.Since(admission)
 		case <-ctx.Done():
 			s.queued.Add(-1)
 			s.setQueueGauge()
-			ph.QueueWait = time.Since(admission)
-			s.reg.Observe("diospyros_serve_queue_wait_seconds",
-				"Admission-queue wait per request.", nil, nil, ph.QueueWait.Seconds())
+			queue.Duration = time.Since(admission)
 			s.countCancelled("queued")
-			s.writeError(w, httpStatusClientClosedRequest, id, "client went away while queued")
+			s.writeTimedError(w, httpStatusClientClosedRequest, id, "client went away while queued", tm)
 			return
 		}
 	}
 	defer func() { <-s.slots }() // release the worker slot on every path
-	// The wait is known before any response bytes flow, so even the SSE
-	// path (which commits its headers before compiling) can carry it.
-	w.Header().Set("X-Dios-Queue-Wait-Ms", ph.queueWaitHeader())
 
 	s.reg.GaugeAdd("diospyros_serve_compiles_in_flight",
 		"Compiles currently executing.", nil, 1)
@@ -451,30 +446,25 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	stopWatch := s.startWatchdog(cctx, prog, cancel, log)
 	defer stopWatch()
 
-	if wantsStream(r) && s.streamCompile(w, r, cctx, id, src, opts) {
-		// SSE commits its headers before the compile runs, so the stream
-		// carries the queue wait (set above) but no full phase header; the
-		// queue-wait histogram still sees the request.
-		s.reg.Observe("diospyros_serve_queue_wait_seconds",
-			"Admission-queue wait per request.", nil, nil, ph.QueueWait.Seconds())
+	if wantsStream(r) && s.streamCompile(w, r, cctx, id, src, opts, tm) {
 		return
 	}
 
 	log.Info("compile start", "bytes", len(src))
 	started := time.Now()
 	res, err := s.compileFn(cctx, src, opts)
-	ph.Compile = time.Since(started)
+	elapsed := time.Since(started)
 	stopWatch()
 
-	var trace *telemetry.Trace
+	trace := traceOf(res)
+	tm.addCompile(elapsed, trace)
 	if res != nil {
-		trace = res.Trace
 		s.observeCompile(trace)
 		s.traces.record(id, kernelName(res), started, trace)
 	}
 	if err != nil {
 		resp, code := s.classifyError(r, id, err, trace)
-		s.writePhased(w, code, resp, ph)
+		s.writePhased(w, code, resp, tm)
 		return
 	}
 	if flight != nil { // publish to the cache and any coalesced followers
@@ -482,7 +472,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		flight = nil
 	}
 	resp := s.successResponse(r, id, res)
-	s.writePhased(w, http.StatusOK, resp, ph)
+	s.writePhased(w, http.StatusOK, resp, tm)
 }
 
 // finishFlight completes a cache leader's flight with res (nil when the
@@ -498,13 +488,12 @@ func (s *Server) finishFlight(key string, fl *cacheFlight, res *diospyros.Result
 
 // serveCached answers a compile request from a cached Result, marking the
 // response with how the cache resolved it ("hit" or "coalesced"). Cached
-// responses skip trace aggregation — the pipeline did not run — but still
-// carry the phase breakdown, whose compile phase is the lookup (hit) or
-// the coalesced wait (follower).
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, id string, res *diospyros.Result, how string, ph *requestPhases) {
-	ph.Outcome = how
+// responses skip trace aggregation — the pipeline did not run — and report
+// only the four top-level phases, whose compile phase is the lookup (hit)
+// or the coalesced wait (follower).
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, id string, res *diospyros.Result, how string, tm *timing) {
+	tm.cache = how
 	w.Header().Set("X-Dios-Cache", how)
-	w.Header().Set("X-Dios-Queue-Wait-Ms", ph.queueWaitHeader())
 	if how == "hit" {
 		s.cacheCount("hits", 1)
 	} else {
@@ -512,25 +501,23 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, id string, 
 	}
 	telemetry.LoggerFrom(r.Context()).Info("compile served from cache",
 		"kernel", res.Kernel.Name, "cache", how)
-	s.writePhased(w, http.StatusOK, s.successResponse(r, id, res), ph)
+	s.writePhased(w, http.StatusOK, s.successResponse(r, id, res), tm)
 }
 
-// writePhased is writeJSON with the per-request phase breakdown attached:
-// it marshals the response (timing the serialize phase), stamps the
-// X-Dios-Server-Timing header, folds the phases into the live histograms,
-// and writes the body. Every compile response that got far enough to have
-// phases funnels through here.
-func (s *Server) writePhased(w http.ResponseWriter, code int, v any, ph *requestPhases) {
+// writePhased is writeJSON with the request's phase path attached: it
+// marshals the response (timing the serialize phase), stamps the timing,
+// and writes the body. Every compile reply that got as far as a compile
+// result funnels through here.
+func (s *Server) writePhased(w http.ResponseWriter, code int, v any, tm *timing) {
 	serStart := time.Now()
 	body, err := json.MarshalIndent(v, "", "  ")
-	ph.Serialize = time.Since(serStart)
+	tm.add("serialize", time.Since(serStart))
 	if err != nil { // a Trace that cannot marshal; vanishingly unlikely
-		s.writeError(w, http.StatusInternalServerError, "", "response marshalling failed: "+err.Error())
+		s.writeTimedError(w, http.StatusInternalServerError, "", "response marshalling failed: "+err.Error(), tm)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Dios-Server-Timing", ph.timingHeader())
-	ph.observe(s.reg)
+	s.stamp(w.Header(), tm)
 	w.WriteHeader(code)
 	_, _ = w.Write(body)
 	_, _ = w.Write([]byte("\n"))
@@ -670,4 +657,11 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 
 func (s *Server) writeError(w http.ResponseWriter, code int, id, msg string) {
 	s.writeJSON(w, code, &CompileResponse{RequestID: id, Error: msg})
+}
+
+// writeTimedError is writeError for a request that has a phase path: a
+// shed or cancelled request still reports the phases it ran.
+func (s *Server) writeTimedError(w http.ResponseWriter, code int, id, msg string, tm *timing) {
+	s.stamp(w.Header(), tm)
+	s.writeError(w, code, id, msg)
 }

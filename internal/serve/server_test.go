@@ -112,8 +112,8 @@ func TestCompileAndMetricsChangeAcrossRequests(t *testing.T) {
 	after := scrape(t, ts.URL)
 	for _, want := range []string{
 		`diospyros_serve_requests_total{code="200",path="/compile"} 2`,
-		`diospyros_stage_duration_seconds_count{stage="saturate"} 2`,
-		`diospyros_compile_duration_seconds_count 2`,
+		`diospyros_phase_seconds_count{cache="bypass",path="compile.saturate"} 2`,
+		`diospyros_phase_seconds_count{cache="bypass",path="compile"} 2`,
 		`diospyros_serve_compiles_in_flight 0`,
 		`diospyros_saturation_stop_total{reason="saturated"} 2`,
 	} {

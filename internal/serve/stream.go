@@ -50,8 +50,11 @@ func wantsStream(r *http.Request) bool {
 // stream, letting the caller fall back to the plain JSON path. The caller
 // has already taken a worker slot and armed the watchdog; streamCompile
 // only returns once the compile goroutine has finished, so the deferred
-// slot release stays correct.
-func (s *Server) streamCompile(w http.ResponseWriter, r *http.Request, cctx context.Context, id, src string, opts diospyros.Options) bool {
+// slot release stays correct. The stream's X-Dios-Server-Timing header
+// carries the phases known when it commits (queue, and cache if
+// consulted); the compile's phases reach diospyros_phase_seconds once it
+// finishes.
+func (s *Server) streamCompile(w http.ResponseWriter, r *http.Request, cctx context.Context, id, src string, opts diospyros.Options, tm *timing) bool {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		return false
@@ -64,6 +67,7 @@ func (s *Server) streamCompile(w http.ResponseWriter, r *http.Request, cctx cont
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no") // defeat proxy buffering
+	s.stamp(w.Header(), tm)
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 	s.reg.CounterAdd("diospyros_serve_streams_total",
@@ -121,6 +125,9 @@ func (s *Server) streamCompile(w http.ResponseWriter, r *http.Request, cctx cont
 			}
 		case out := <-done:
 			flush()
+			committed := len(tm.phases)
+			tm.addCompile(time.Since(started), traceOf(out.res))
+			s.observePhases(tm.cache, tm.phases[committed:])
 			if out.res != nil {
 				s.observeCompile(out.res.Trace)
 				s.traces.record(id, kernelName(out.res), started, out.res.Trace)

@@ -57,7 +57,7 @@ func TestTracesEndpoint(t *testing.T) {
 		t.Fatal("no trace events after two compiles")
 	}
 
-	lanes := map[string]float64{} // request id -> stages tid
+	lanes := map[string]float64{} // request id -> tid
 	for _, ev := range events {
 		if pid := ev["pid"].(float64); pid != 1 {
 			t.Errorf("event on pid %v, want shared pid 1: %v", pid, ev)
@@ -70,14 +70,17 @@ func TestTracesEndpoint(t *testing.T) {
 		if ev["name"] == "thread_name" {
 			lane := ev["args"].(map[string]any)["name"].(string)
 			for _, id := range ids {
-				if strings.HasPrefix(lane, id+" ") && strings.HasSuffix(lane, " stages") {
+				if strings.HasPrefix(lane, id+" ") {
+					if _, dup := lanes[id]; dup {
+						t.Errorf("request %s has more than one lane", id)
+					}
 					lanes[id] = ev["tid"].(float64)
 				}
 			}
 		}
 	}
 	if len(lanes) != 2 || lanes[ids[0]] == lanes[ids[1]] {
-		t.Errorf("want a distinct stages lane per request %v, got %v", ids, lanes)
+		t.Errorf("want one distinct lane per request %v, got %v", ids, lanes)
 	}
 }
 

@@ -43,11 +43,6 @@ type chromeFile struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-const (
-	tidStages     = 1
-	tidIterations = 2
-)
-
 func micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
 // ChromeTrace renders one trace as a Chrome trace-event JSON file; the
@@ -58,15 +53,16 @@ func (t *Trace) ChromeTrace(name string) ([]byte, error) {
 }
 
 // ChromeTraces renders traces as one Chrome trace-event JSON file — the
-// -trace-out artifact. Each plain trace becomes one "process" (named after
-// the kernel) with a stage timeline thread and, when the trace carries
-// saturation gauges, an iteration thread; counters attach to a final
-// instant event. Traces carrying a RequestID instead share a single
-// "diosserve" process and each get their own thread pair (request ID →
-// tid), with timestamps shifted by their Epoch, so concurrent requests
-// render as parallel lanes on a common timeline rather than interleaving
-// into one. The output is the JSON-object form with a traceEvents array,
-// which both chrome://tracing and Perfetto accept.
+// -trace-out artifact. Each trace gets one thread lane holding its phase
+// path as nested slices: the stage spans, the saturation iterations laid
+// back to back under the saturate span, and each iteration's index, match,
+// apply and rebuild steps under it; counters attach to a final instant
+// event. A plain trace becomes its own "process" named after the kernel.
+// Traces carrying a RequestID instead share a single "diosserve" process,
+// one lane per request, with timestamps shifted by their Epoch, so
+// concurrent requests render as parallel lanes on a common timeline. The
+// output is the JSON-object form with a traceEvents array, which both
+// chrome://tracing and Perfetto accept.
 func ChromeTraces(traces []NamedTrace) ([]byte, error) {
 	const serverPid = 1
 	f := chromeFile{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
@@ -76,21 +72,17 @@ func ChromeTraces(traces []NamedTrace) ([]byte, error) {
 		if t == nil {
 			continue
 		}
-		pid := i + 1
-		tidStage, tidIter := tidStages, tidIterations
-		stageLane, iterLane := "stages", "saturation iterations"
+		pid, tid := i+1, 1
+		lane := "phases"
 		base := nt.Epoch
 		name := nt.Name
 		if name == "" {
 			name = fmt.Sprintf("compile %d", pid)
 		}
 		if nt.RequestID != "" {
-			// Server-request trace: shared process, two tids per request.
-			pid = serverPid
-			tidStage, tidIter = 2*i+1, 2*i+2
-			label := nt.RequestID + " " + name
-			stageLane = label + " stages"
-			iterLane = label + " iterations"
+			// Server-request trace: shared process, one tid per request.
+			pid, tid = serverPid, i+1
+			lane = nt.RequestID + " " + name
 			if !serverNamed {
 				f.TraceEvents = append(f.TraceEvents, chromeEvent{
 					Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
@@ -103,40 +95,43 @@ func ChromeTraces(traces []NamedTrace) ([]byte, error) {
 				Args: map[string]any{"name": name}})
 		}
 		f.TraceEvents = append(f.TraceEvents, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: pid, Tid: tidStage,
-			Args: map[string]any{"name": stageLane}})
-		for _, s := range t.Stages {
+			Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
+			Args: map[string]any{"name": lane}})
+		slice := func(name, cat string, at, dur time.Duration, args map[string]any) {
 			f.TraceEvents = append(f.TraceEvents, chromeEvent{
-				Name: s.Name, Ph: "X", Cat: "stage", Pid: pid, Tid: tidStage,
-				Ts: micros(base + s.Start), Dur: micros(s.Duration),
-				Args: map[string]any{"alloc_bytes": s.AllocBytes},
-			})
+				Name: name, Ph: "X", Cat: cat, Pid: pid, Tid: tid,
+				Ts: micros(base + at), Dur: micros(dur), Args: args})
 		}
-		if len(t.Iterations) > 0 {
-			f.TraceEvents = append(f.TraceEvents, chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: pid, Tid: tidIter,
-				Args: map[string]any{"name": iterLane},
-			})
-			// Iteration gauges record durations only; lay them out
-			// back-to-back from the saturate stage's start.
-			at := base
-			if s, ok := t.Stage("saturate"); ok {
-				at += s.Start
+		// Gauges record durations only; lay the iterations out back to
+		// back from the saturate span's start, and each iteration's steps
+		// back to back from its own start, in loop order.
+		var at time.Duration
+		for _, s := range t.Stages {
+			slice(s.Name, "stage", s.Start, s.Duration,
+				map[string]any{"alloc_bytes": s.AllocBytes})
+			if s.Name == "saturate" {
+				at = s.Start
 			}
-			for _, g := range t.Iterations {
-				f.TraceEvents = append(f.TraceEvents, chromeEvent{
-					Name: fmt.Sprintf("iteration %d", g.Iteration),
-					Ph:   "X", Cat: "saturation", Pid: pid, Tid: tidIter,
-					Ts: micros(at), Dur: micros(g.Duration),
-					Args: map[string]any{
-						"nodes":   g.Nodes,
-						"classes": g.Classes,
-						"matches": g.Matches,
-						"applied": g.Applied,
-					},
+		}
+		for _, g := range t.Iterations {
+			slice(fmt.Sprintf("iteration %d", g.Iteration), "saturation", at, g.Duration,
+				map[string]any{
+					"nodes":   g.Nodes,
+					"classes": g.Classes,
+					"matches": g.Matches,
+					"applied": g.Applied,
 				})
-				at += g.Duration
+			step := at
+			for _, ph := range []struct {
+				name string
+				d    time.Duration
+			}{{"index", g.Index}, {"match", g.Match}, {"apply", g.Apply}, {"rebuild", g.Rebuild}} {
+				if ph.d > 0 {
+					slice(ph.name, "phase", step, ph.d, nil)
+					step += ph.d
+				}
 			}
+			at += g.Duration
 		}
 		if len(t.Counters) > 0 || t.StopReason != "" {
 			args := map[string]any{}
@@ -147,7 +142,7 @@ func ChromeTraces(traces []NamedTrace) ([]byte, error) {
 				args["stop_reason"] = t.StopReason
 			}
 			f.TraceEvents = append(f.TraceEvents, chromeEvent{
-				Name: "counters", Ph: "i", S: "p", Pid: pid, Tid: tidStage,
+				Name: "counters", Ph: "i", S: "p", Pid: pid, Tid: tid,
 				Ts: micros(base + t.Duration), Args: args,
 			})
 		}

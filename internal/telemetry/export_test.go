@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -25,10 +27,14 @@ func sampleTrace() *Trace {
 					{Rule: "assoc-add", Matches: 40, Duration: time.Millisecond, BannedUntil: 4, Bans: 1},
 					{Rule: "vec-mac", Matches: 12, Applied: 9, NewNodes: 60, Duration: 3 * time.Millisecond},
 				},
-				Duration: 4 * time.Millisecond, Bytes: 48 << 10, BestCost: costOf(120)},
+				Duration: 4 * time.Millisecond, Index: 200 * time.Microsecond, Match: 2 * time.Millisecond,
+				Apply: time.Millisecond, Rebuild: 500 * time.Microsecond,
+				Bytes: 48 << 10, BestCost: costOf(120)},
 			{Iteration: 2, Nodes: 180, Classes: 66, Matches: 3, Applied: 1,
 				Rules:    []RuleStep{{Rule: "vec-mac", Matches: 3, Applied: 1, NewNodes: 20}},
-				Duration: 6 * time.Millisecond, Bytes: 80 << 10, BestCost: costOf(96)},
+				Duration: 6 * time.Millisecond, Index: 300 * time.Microsecond, Match: 3 * time.Millisecond,
+				Apply: 1500 * time.Microsecond, Rebuild: time.Millisecond,
+				Bytes: 80 << 10, BestCost: costOf(96)},
 		},
 		Memory: &MemoryTrace{
 			PeakBytes:     80 << 10,
@@ -43,7 +49,7 @@ func sampleTrace() *Trace {
 			GCCycles:      2,
 			GCPauseTotal:  120 * time.Microsecond,
 		},
-		Counters:   map[string]int64{"saturate.applied": 10, "vir.instrs": 7},
+		Counters:   map[string]int64{"provenance.nodes": 10, "vir.instrs": 7},
 		StopReason: "saturated",
 		Explanation: &Explanation{
 			Steps: []ExplanationStep{
@@ -58,9 +64,60 @@ func sampleTrace() *Trace {
 	}
 }
 
+// chromeParents checks that the complete events of a Chrome trace nest
+// properly — on each (pid, tid) lane, every X event lies inside the
+// nearest earlier event that encloses it, or overlaps none — and returns
+// each event's parent name ("" at top level), keyed "tid/name".
+func chromeParents(t *testing.T, events []map[string]any) map[string]string {
+	t.Helper()
+	type slice struct {
+		name       string
+		start, end float64
+	}
+	lanes := map[[2]float64][]slice{}
+	for _, ev := range events {
+		if ev["ph"] != "X" {
+			continue
+		}
+		ts, dur := ev["ts"].(float64), ev["dur"].(float64)
+		lane := [2]float64{ev["pid"].(float64), ev["tid"].(float64)}
+		lanes[lane] = append(lanes[lane], slice{ev["name"].(string), ts, ts + dur})
+	}
+	const eps = 1e-3 // µs; float rounding of ts+dur
+	parents := map[string]string{}
+	for lane, ss := range lanes {
+		sort.SliceStable(ss, func(i, j int) bool {
+			if ss[i].start != ss[j].start {
+				return ss[i].start < ss[j].start
+			}
+			return ss[i].end > ss[j].end
+		})
+		var stack []slice
+		for _, s := range ss {
+			for len(stack) > 0 && s.start >= stack[len(stack)-1].end-eps {
+				stack = stack[:len(stack)-1]
+			}
+			key := fmt.Sprintf("%g/%s", lane[1], s.name)
+			parents[key] = ""
+			if len(stack) > 0 {
+				top := stack[len(stack)-1]
+				if s.end > top.end+eps {
+					t.Errorf("lane %v: %s [%g, %g] straddles %s [%g, %g]",
+						lane, s.name, s.start, s.end, top.name, top.start, top.end)
+				}
+				parents[key] = top.name
+			}
+			stack = append(stack, s)
+		}
+	}
+	return parents
+}
+
 // TestChromeTraceStructure validates the -trace-out artifact structurally:
 // the JSON-object form with a traceEvents array of well-formed events —
-// what Perfetto and chrome://tracing require to load the file.
+// what Perfetto and chrome://tracing require to load the file — on one
+// lane whose slices nest as the phase path does: iterations under
+// saturate, loop steps under their iteration.
 func TestChromeTraceStructure(t *testing.T) {
 	raw, err := sampleTrace().ChromeTrace("matmul2")
 	if err != nil {
@@ -107,14 +164,24 @@ func TestChromeTraceStructure(t *testing.T) {
 			t.Errorf("unexpected phase %q", ph)
 		}
 	}
-	// 3 stages + 2 iterations complete events; process+2 thread names;
-	// one counters instant.
-	if completes != 5 || metas != 3 || instants != 1 {
-		t.Errorf("events = %d X, %d M, %d i; want 5, 3, 1", completes, metas, instants)
+	// 3 stages + 2 iterations + 2×4 loop steps complete events; process
+	// and thread name; one counters instant.
+	if completes != 13 || metas != 2 || instants != 1 {
+		t.Errorf("events = %d X, %d M, %d i; want 13, 2, 1", completes, metas, instants)
 	}
-	for _, want := range []string{"lift", "saturate", "extract", "iteration 1", "iteration 2", "counters"} {
+	for _, want := range []string{"lift", "saturate", "extract", "iteration 1", "iteration 2",
+		"index", "match", "apply", "rebuild", "counters"} {
 		if !names[want] {
 			t.Errorf("missing event %q", want)
+		}
+	}
+	parents := chromeParents(t, f.TraceEvents)
+	for child, want := range map[string]string{
+		"1/lift": "", "1/saturate": "", "1/iteration 1": "saturate", "1/iteration 2": "saturate",
+		"1/rebuild": "iteration 2", "1/extract": "",
+	} {
+		if got, ok := parents[child]; !ok || got != want {
+			t.Errorf("parent of %s = %q (present %v), want %q", child, got, ok, want)
 		}
 	}
 }
@@ -144,8 +211,8 @@ func TestChromeTracesMultiKernelPids(t *testing.T) {
 
 // TestChromeTracesRequestLanes checks the server-request form: traces
 // carrying a RequestID share one "diosserve" process, each on its own
-// thread pair, with timestamps shifted by the request's epoch — the shape
-// that keeps concurrent compiles from interleaving into one lane.
+// single, properly nested lane, with timestamps shifted by the request's
+// epoch — the shape that keeps concurrent compiles from interleaving.
 func TestChromeTracesRequestLanes(t *testing.T) {
 	raw, err := ChromeTraces([]NamedTrace{
 		{Name: "a", RequestID: "r00000001", Trace: sampleTrace()},
@@ -161,8 +228,8 @@ func TestChromeTracesRequestLanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	pids := map[float64]bool{}
-	stageTids := map[string]float64{} // request label -> stages tid
-	liftTs := map[float64]float64{}   // tid -> lift stage start
+	laneTids := map[string]float64{} // request label -> tid
+	liftTs := map[float64]float64{}  // tid -> lift stage start
 	processes := 0
 	for _, ev := range f.TraceEvents {
 		pids[ev["pid"].(float64)] = true
@@ -174,9 +241,11 @@ func TestChromeTracesRequestLanes(t *testing.T) {
 				t.Errorf("process name = %v, want diosserve", got)
 			}
 		case name == "thread_name":
-			if lane := ev["args"].(map[string]any)["name"].(string); strings.HasSuffix(lane, " stages") {
-				stageTids[strings.TrimSuffix(lane, " stages")] = ev["tid"].(float64)
+			lane := ev["args"].(map[string]any)["name"].(string)
+			if _, dup := laneTids[lane]; dup {
+				t.Errorf("lane %q named twice", lane)
 			}
+			laneTids[lane] = ev["tid"].(float64)
 		case name == "lift":
 			liftTs[ev["tid"].(float64)] = ev["ts"].(float64)
 		}
@@ -187,9 +256,20 @@ func TestChromeTracesRequestLanes(t *testing.T) {
 	if processes != 1 {
 		t.Errorf("process_name emitted %d times, want once", processes)
 	}
-	ta, tb := stageTids["r00000001 a"], stageTids["r00000002 b"]
-	if ta == 0 || tb == 0 || ta == tb {
-		t.Fatalf("stage lanes not distinct per request: %v", stageTids)
+	ta, tb := laneTids["r00000001 a"], laneTids["r00000002 b"]
+	if len(laneTids) != 2 || ta == 0 || tb == 0 || ta == tb {
+		t.Fatalf("want one distinct lane per request, got %v", laneTids)
+	}
+	for _, ev := range f.TraceEvents {
+		if tid := ev["tid"].(float64); ev["ph"] != "M" && tid != ta && tid != tb {
+			t.Errorf("event %v off the request lanes", ev)
+		}
+	}
+	parents := chromeParents(t, f.TraceEvents)
+	for _, tid := range []float64{ta, tb} {
+		if got := parents[fmt.Sprintf("%g/rebuild", tid)]; got != "iteration 2" {
+			t.Errorf("lane %g: rebuild nested under %q, want iteration 2", tid, got)
+		}
 	}
 	// Request b started 5 ms after the common epoch: its lift stage lands
 	// at 5000 µs while a's sits at 0.
@@ -206,8 +286,8 @@ func TestPrometheusTextFormat(t *testing.T) {
 	// Each family's HELP/TYPE header appears exactly once even with two
 	// kernels, and every sample carries its kernel label.
 	for _, fam := range []string{
-		"diospyros_compile_duration_seconds",
-		"diospyros_stage_duration_seconds",
+		"diospyros_phase_seconds",
+		"diospyros_phase_alloc_bytes",
 		"diospyros_saturation_nodes",
 		"diospyros_counter",
 	} {
@@ -219,14 +299,20 @@ func TestPrometheusTextFormat(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		`diospyros_compile_duration_seconds{kernel="k1"} 0.014`,
-		`diospyros_stage_duration_seconds{kernel="k2",stage="saturate"} 0.01`,
+		`diospyros_phase_seconds{kernel="k1",path="compile"} 0.014`,
+		`diospyros_phase_seconds{kernel="k2",path="compile.saturate"} 0.01`,
+		`diospyros_phase_seconds{kernel="k1",path="compile.saturate.rebuild"} 0.0015`,
+		`diospyros_phase_alloc_bytes{kernel="k1",path="compile.saturate"} 8388608`,
 		`diospyros_saturation_iterations{kernel="k1"} 2`,
 		`diospyros_counter{kernel="k1",name="vir.instrs"} 7`,
 	} {
 		if !strings.Contains(out, want+"\n") {
 			t.Errorf("missing sample %q in:\n%s", want, out)
 		}
+	}
+	// The saturation-loop steps carry no allocation reading.
+	if strings.Contains(out, `diospyros_phase_alloc_bytes{kernel="k1",path="compile.saturate.`) {
+		t.Error("loop steps emitted an alloc sample")
 	}
 	// Every non-comment line is "name{labels} value".
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
@@ -307,7 +393,7 @@ func TestRecorderCountConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := rec.Finish().Counter("shared"); got != workers*per {
+	if got := rec.Finish().Counters["shared"]; got != workers*per {
 		t.Fatalf("counter = %d, want %d", got, workers*per)
 	}
 }
@@ -331,8 +417,10 @@ func TestRecorderConcurrentSpans(t *testing.T) {
 				sp.End()
 			}
 			if w == 0 {
-				rec.SetStopReason("saturated")
-				rec.SetIterations([]IterationGauge{{Iteration: 1}})
+				rec.Set(func(t *Trace) {
+					t.StopReason = "saturated"
+					t.Iterations = []IterationGauge{{Iteration: 1}}
+				})
 			}
 		}()
 	}
@@ -341,8 +429,8 @@ func TestRecorderConcurrentSpans(t *testing.T) {
 	if len(tr.Stages) != workers*spans {
 		t.Fatalf("recorded %d spans, want %d", len(tr.Stages), workers*spans)
 	}
-	if tr.Counter("spans") != workers*spans || tr.StopReason != "saturated" {
-		t.Fatalf("counters/stop reason lost: %d %q", tr.Counter("spans"), tr.StopReason)
+	if tr.Counters["spans"] != workers*spans || tr.StopReason != "saturated" {
+		t.Fatalf("counters/stop reason lost: %d %q", tr.Counters["spans"], tr.StopReason)
 	}
 }
 
@@ -362,23 +450,23 @@ func TestTraceFormatTotalShareAndLongNames(t *testing.T) {
 	out := tr.Format()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 
-	// The total row carries the share column (100.0%), aligned with the
+	// The compile row carries the whole share (100.0%), aligned with the
 	// stage rows despite the long stage name.
 	var totalLine, longStageLine string
 	for _, l := range lines {
-		if strings.HasPrefix(l, "total") {
+		if strings.HasPrefix(l, "compile ") {
 			totalLine = l
 		}
-		if strings.HasPrefix(l, "a-stage-with-a-very-long-name") {
+		if strings.HasPrefix(l, "compile.a-stage-with-a-very-long-name") {
 			longStageLine = l
 		}
 	}
 	if !strings.HasSuffix(totalLine, "100.0%") {
-		t.Errorf("total row lacks share column: %q", totalLine)
+		t.Errorf("compile row lacks share column: %q", totalLine)
 	}
 	if strings.Index(totalLine, "100.0%")+len("100.0%") != len(totalLine) ||
 		len(totalLine) != len(longStageLine) {
-		t.Errorf("total row misaligned with stage rows:\n%q\n%q", longStageLine, totalLine)
+		t.Errorf("compile row misaligned with stage rows:\n%q\n%q", longStageLine, totalLine)
 	}
 
 	// Counter values align in one column even when a name exceeds the old

@@ -97,10 +97,8 @@ func (t *Trace) PrometheusText(name string) string {
 // values are point-in-time readings of its trace.
 func PrometheusTexts(traces []NamedTrace) string {
 	fams := []promFamily{
-		{name: "diospyros_compile_duration_seconds", help: "End-to-end compile wall time."},
-		{name: "diospyros_compile_alloc_bytes", help: "Heap allocated during the compile (runtime TotalAlloc delta)."},
-		{name: "diospyros_stage_duration_seconds", help: "Per-stage wall time."},
-		{name: "diospyros_stage_alloc_bytes", help: "Per-stage heap allocation."},
+		{name: "diospyros_phase_seconds", help: "Wall time by phase path (compile, compile.<stage>, compile.saturate.<step>)."},
+		{name: "diospyros_phase_alloc_bytes", help: "Heap allocated by phase path (runtime TotalAlloc delta)."},
 		{name: "diospyros_saturation_iterations", help: "Equality-saturation iterations run."},
 		{name: "diospyros_saturation_nodes", help: "E-graph nodes after the final iteration."},
 		{name: "diospyros_saturation_classes", help: "E-graph classes after the final iteration."},
@@ -131,11 +129,11 @@ func PrometheusTexts(traces []NamedTrace) string {
 			}
 			return m
 		}
-		add("diospyros_compile_duration_seconds", base, t.Duration.Seconds())
-		add("diospyros_compile_alloc_bytes", base, float64(t.AllocBytes))
-		for _, s := range t.Stages {
-			add("diospyros_stage_duration_seconds", with("stage", s.Name), s.Duration.Seconds())
-			add("diospyros_stage_alloc_bytes", with("stage", s.Name), float64(s.AllocBytes))
+		for _, p := range t.Phases() {
+			add("diospyros_phase_seconds", with("path", p.Path), p.Duration.Seconds())
+			if p.metered() {
+				add("diospyros_phase_alloc_bytes", with("path", p.Path), float64(p.AllocBytes))
+			}
 		}
 		add("diospyros_saturation_iterations", base, float64(len(t.Iterations)))
 		if g, ok := t.FinalGauge(); ok {

@@ -161,21 +161,13 @@ func (r *Registry) Observe(name, help string, labels map[string]string, buckets 
 	r.mu.Unlock()
 }
 
-// ObserveTrace folds one completed compilation trace into the registry:
-// end-to-end and per-stage latency histograms, e-graph node/class
-// high-water marks, and a stop-reason counter. This is what turns the
-// per-request Trace already produced by the pipeline into live aggregate
-// metrics without a second instrumentation layer.
+// ObserveTrace folds one completed compilation trace's outcome into the
+// registry: e-graph node/class high-water marks, the peak-footprint
+// histogram, and a stop-reason counter. Its wall time is the server's to
+// observe, as phase paths (Phase) beside the request's own phases.
 func (r *Registry) ObserveTrace(t *Trace) {
 	if r == nil || t == nil {
 		return
-	}
-	r.Observe("diospyros_compile_duration_seconds",
-		"End-to-end compile wall time.", nil, nil, t.Duration.Seconds())
-	for _, s := range t.Stages {
-		r.Observe("diospyros_stage_duration_seconds",
-			"Per-stage compile wall time.",
-			map[string]string{"stage": s.Name}, nil, s.Duration.Seconds())
 	}
 	if g, ok := t.FinalGauge(); ok {
 		r.GaugeMax("diospyros_saturation_nodes_max",

@@ -105,7 +105,7 @@ type reportView struct {
 
 	Tiles []statTile
 
-	Stages []stageRow
+	Phases []phaseRow
 
 	Trajectory *LineChart // nodes & classes per iteration
 	CostCurve  *LineChart // best extractable cost per iteration
@@ -127,13 +127,6 @@ type statTile struct {
 	Label string
 	Value string
 	Note  string
-}
-
-type stageRow struct {
-	Name     string
-	Duration string
-	Alloc    string
-	SharePct float64 // of total duration, for the inline bar
 }
 
 type ruleRow struct {
@@ -258,19 +251,7 @@ func buildReportView(d ReportData) *reportView {
 			Value: fmt.Sprint(d.Cycle.Total)})
 	}
 
-	for _, s := range t.Stages {
-		share := 0.0
-		if t.Duration > 0 {
-			share = 100 * float64(s.Duration) / float64(t.Duration)
-		}
-		v.Stages = append(v.Stages, stageRow{
-			Name:     s.Name,
-			Duration: s.Duration.Round(time.Microsecond).String(),
-			Alloc:    fmt.Sprintf("%.2f MB", float64(s.AllocBytes)/1e6),
-			SharePct: share,
-		})
-	}
-
+	v.Phases = t.phaseRows()
 	v.Trajectory = buildTrajectory(t.Iterations)
 	v.HasIterPlot = v.Trajectory != nil
 	v.CostCurve = buildCostCurve(t.Iterations)

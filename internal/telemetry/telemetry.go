@@ -56,12 +56,37 @@ type IterationGauge struct {
 	// steps included, in rule order.
 	Rules    []RuleStep    `json:"rules,omitempty"`
 	Duration time.Duration `json:"duration"`
+	// Index, Match, Apply and Rebuild split Duration by the steps of the
+	// saturation loop (paper §3.3): building the head index over the
+	// canonical classes, the rest of the search, applying the matches, and
+	// restoring congruence. They are wall time; an iteration cut short
+	// leaves the steps it never reached at zero.
+	Index   time.Duration `json:"index,omitempty"`
+	Match   time.Duration `json:"match,omitempty"`
+	Apply   time.Duration `json:"apply,omitempty"`
+	Rebuild time.Duration `json:"rebuild,omitempty"`
 	// Bytes is the e-graph's logical footprint after the iteration (memory
 	// trajectory beside the node/class trajectory); 0 when not measured.
 	Bytes int64 `json:"bytes,omitempty"`
 	// BestCost is the root's cheapest extractable cost after the iteration,
 	// present only when the run's cost sampler was armed.
 	BestCost *float64 `json:"best_cost,omitempty"`
+}
+
+// Untimed returns gs with every wall-time field zeroed — each iteration's
+// Duration and loop steps and each rule row's Duration — leaving only
+// what the determinism contract (DESIGN.md §9) pins.
+func Untimed(gs []IterationGauge) []IterationGauge {
+	out := make([]IterationGauge, len(gs))
+	for i, g := range gs {
+		g.Duration, g.Index, g.Match, g.Apply, g.Rebuild = 0, 0, 0, 0, 0
+		g.Rules = append([]RuleStep(nil), g.Rules...)
+		for k := range g.Rules {
+			g.Rules[k].Duration = 0
+		}
+		out[i] = g
+	}
+	return out
 }
 
 // TraceSchema identifies the Trace JSON format. Every trace serialized by
@@ -101,51 +126,6 @@ type Trace struct {
 	AllocBytes uint64        `json:"alloc_bytes"`
 }
 
-// Stage returns the span with the given name, if recorded.
-func (t *Trace) Stage(name string) (Span, bool) {
-	for _, s := range t.Stages {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Span{}, false
-}
-
-// StageDuration returns the wall time of the named stage (0 if absent).
-func (t *Trace) StageDuration(name string) time.Duration {
-	s, _ := t.Stage(name)
-	return s.Duration
-}
-
-// StagesTotal returns the wall time covered by at least one stage span:
-// the union of the span intervals, not their sum, so spans recorded by
-// concurrent goroutines (which overlap in time) are not double-counted.
-// It is at most Duration; the gap is time no stage was running.
-func (t *Trace) StagesTotal() time.Duration {
-	type interval struct{ start, end time.Duration }
-	ivs := make([]interval, 0, len(t.Stages))
-	for _, s := range t.Stages {
-		ivs = append(ivs, interval{s.Start, s.Start + s.Duration})
-	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].start < ivs[j].start })
-	var total time.Duration
-	for i := 0; i < len(ivs); {
-		start, end := ivs[i].start, ivs[i].end
-		for i++; i < len(ivs) && ivs[i].start <= end; i++ {
-			if ivs[i].end > end {
-				end = ivs[i].end
-			}
-		}
-		total += end - start
-	}
-	return total
-}
-
-// Counter returns a named counter value (0 if absent).
-func (t *Trace) Counter(name string) int64 {
-	return t.Counters[name]
-}
-
 // FinalGauge returns the last iteration gauge — the e-graph's final size.
 func (t *Trace) FinalGauge() (IterationGauge, bool) {
 	if len(t.Iterations) == 0 {
@@ -166,29 +146,21 @@ func (t *Trace) JSON() ([]byte, error) {
 	return json.MarshalIndent(t, "", "  ")
 }
 
-// Format renders the human-readable stage table printed by -trace. Column
-// widths adapt to the longest stage and counter names so long names (e.g.
-// per-kernel counters) never break the alignment.
+// Format renders the human-readable phase table printed by -trace: one
+// row per Trace.Phases entry with its wall time, allocation and share of
+// the compile. The name column adapts to the longest path and counter
+// name so long names never break the alignment.
 func (t *Trace) Format() string {
 	var b strings.Builder
-	nameW := len("total")
-	for _, s := range t.Stages {
-		if len(s.Name) > nameW {
-			nameW = len(s.Name)
-		}
+	rows := t.phaseRows()
+	nameW := len("phase")
+	for _, r := range rows {
+		nameW = max(nameW, len(r.Path))
 	}
-	fmt.Fprintf(&b, "%-*s %12s %12s %8s\n", nameW, "stage", "time", "alloc", "share")
-	for _, s := range t.Stages {
-		share := 0.0
-		if t.Duration > 0 {
-			share = 100 * float64(s.Duration) / float64(t.Duration)
-		}
-		fmt.Fprintf(&b, "%-*s %12v %9.2f MB %7.1f%%\n",
-			nameW, s.Name, s.Duration.Round(time.Microsecond),
-			float64(s.AllocBytes)/1e6, share)
+	fmt.Fprintf(&b, "%-*s %12s %12s %8s\n", nameW, "phase", "time", "alloc", "share")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-*s %12s %12s %7.1f%%\n", nameW, r.Path, r.Duration, r.Alloc, r.SharePct)
 	}
-	fmt.Fprintf(&b, "%-*s %12v %9.2f MB %7.1f%%\n", nameW, "total",
-		t.Duration.Round(time.Microsecond), float64(t.AllocBytes)/1e6, 100.0)
 	if len(t.Iterations) > 0 {
 		g := t.Iterations[len(t.Iterations)-1]
 		fmt.Fprintf(&b, "saturation: %d iterations, %d nodes, %d classes, stopped: %s\n",
@@ -288,53 +260,15 @@ func (r *Recorder) Count(name string, delta int64) {
 	r.mu.Unlock()
 }
 
-// SetIterations attaches the saturation iteration gauges.
-func (r *Recorder) SetIterations(gs []IterationGauge) {
+// Set applies f to the trace in progress under the recorder's lock: how a
+// pipeline attaches what it learns as a whole — the iteration gauges, the
+// stop reason, the memory, extraction and provenance records.
+func (r *Recorder) Set(f func(t *Trace)) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.trace.Iterations = gs
-	r.mu.Unlock()
-}
-
-// SetStopReason records why the saturation stage ended.
-func (r *Recorder) SetStopReason(reason string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.trace.StopReason = reason
-	r.mu.Unlock()
-}
-
-// SetExtraction attaches the extraction flight record.
-func (r *Recorder) SetExtraction(e *ExtractionTrace) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.trace.Extraction = e
-	r.mu.Unlock()
-}
-
-// SetExplanation attaches the provenance report of the extracted program.
-func (r *Recorder) SetExplanation(e *Explanation) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.trace.Explanation = e
-	r.mu.Unlock()
-}
-
-// SetMemory attaches the compile's memory record.
-func (r *Recorder) SetMemory(m *MemoryTrace) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.trace.Memory = m
+	f(&r.trace)
 	r.mu.Unlock()
 }
 

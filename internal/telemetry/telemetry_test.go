@@ -19,15 +19,15 @@ func TestRecorderSpansAndTotals(t *testing.T) {
 	s.End()
 	r.Count("applied", 40)
 	r.Count("applied", 2)
-	r.SetStopReason("saturated")
+	r.Set(func(t *Trace) { t.StopReason = "saturated" })
 	tr := r.Finish()
 
 	if len(tr.Stages) != 2 {
 		t.Fatalf("got %d stages, want 2", len(tr.Stages))
 	}
-	sat, ok := tr.Stage("saturate")
-	if !ok || sat.Duration < 2*time.Millisecond {
-		t.Fatalf("saturate span wrong: %+v (ok=%v)", sat, ok)
+	sat := tr.Stages[0]
+	if sat.Name != "saturate" || sat.Duration < 2*time.Millisecond {
+		t.Fatalf("saturate span wrong: %+v", sat)
 	}
 	if sat.AllocBytes < 1<<20 {
 		t.Errorf("saturate alloc delta %d, want >= 1MB", sat.AllocBytes)
@@ -35,61 +35,48 @@ func TestRecorderSpansAndTotals(t *testing.T) {
 	if tr.Stages[1].Start < tr.Stages[0].Start+tr.Stages[0].Duration {
 		t.Errorf("spans overlap: %+v", tr.Stages)
 	}
-	if got := tr.StagesTotal(); got > tr.Duration {
-		t.Errorf("stage sum %v exceeds total %v", got, tr.Duration)
-	}
-	if tr.Counter("applied") != 42 {
-		t.Errorf("counter = %d, want 42", tr.Counter("applied"))
+	if tr.Counters["applied"] != 42 {
+		t.Errorf("counter = %d, want 42", tr.Counters["applied"])
 	}
 	if !tr.Saturated() {
 		t.Error("Saturated() = false")
 	}
-	if _, ok := tr.Stage("missing"); ok {
-		t.Error("found a stage that was never recorded")
-	}
 }
 
-// TestStagesTotalOverlap pins the interval-union semantics: spans recorded
-// by concurrent goroutines overlap in wall time and must not be
-// double-counted, while gaps between spans must not be covered.
-func TestStagesTotalOverlap(t *testing.T) {
+// TestPhasesNestSaturationLoop pins the phase list's shape: compile
+// first, one compile.<stage> per span in order, and the four loop steps
+// summed over the gauges right after the saturate span, with no alloc.
+func TestPhasesNestSaturationLoop(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	cases := []struct {
-		name   string
-		stages []Span
-		want   time.Duration
-	}{
-		{"empty", nil, 0},
-		{"sequential", []Span{
-			{Name: "a", Start: ms(0), Duration: ms(10)},
-			{Name: "b", Start: ms(10), Duration: ms(5)},
-		}, ms(15)},
-		{"gap", []Span{
-			{Name: "a", Start: ms(0), Duration: ms(10)},
-			{Name: "b", Start: ms(20), Duration: ms(5)},
-		}, ms(15)},
-		{"full overlap", []Span{ // two workers racing the same window
-			{Name: "a", Start: ms(0), Duration: ms(10)},
-			{Name: "b", Start: ms(0), Duration: ms(10)},
-		}, ms(10)},
-		{"partial overlap", []Span{
-			{Name: "a", Start: ms(0), Duration: ms(10)},
-			{Name: "b", Start: ms(5), Duration: ms(10)},
-		}, ms(15)},
-		{"contained", []Span{
-			{Name: "a", Start: ms(0), Duration: ms(20)},
-			{Name: "b", Start: ms(5), Duration: ms(5)},
-		}, ms(20)},
-		{"unsorted input", []Span{ // End order, not Start order
-			{Name: "b", Start: ms(15), Duration: ms(5)},
-			{Name: "a", Start: ms(0), Duration: ms(10)},
-		}, ms(15)},
+	tr := &Trace{
+		Duration: ms(100), AllocBytes: 900,
+		Stages: []Span{
+			{Name: "lift", Duration: ms(5), AllocBytes: 10},
+			{Name: "saturate", Duration: ms(60), AllocBytes: 500},
+			{Name: "extract", Duration: ms(20), AllocBytes: 300},
+		},
+		Iterations: []IterationGauge{
+			{Iteration: 1, Duration: ms(25), Index: ms(1), Match: ms(10), Apply: ms(5), Rebuild: ms(4)},
+			{Iteration: 2, Duration: ms(30), Index: ms(2), Match: ms(12), Apply: ms(6), Rebuild: ms(7)},
+		},
 	}
-	for _, tc := range cases {
-		tr := &Trace{Stages: tc.stages, Duration: ms(100)}
-		if got := tr.StagesTotal(); got != tc.want {
-			t.Errorf("%s: StagesTotal = %v, want %v", tc.name, got, tc.want)
-		}
+	want := []Phase{
+		{Path: "compile", Duration: ms(100), AllocBytes: 900},
+		{Path: "compile.lift", Duration: ms(5), AllocBytes: 10},
+		{Path: "compile.saturate", Duration: ms(60), AllocBytes: 500},
+		{Path: "compile.saturate.index", Duration: ms(3)},
+		{Path: "compile.saturate.match", Duration: ms(22)},
+		{Path: "compile.saturate.apply", Duration: ms(11)},
+		{Path: "compile.saturate.rebuild", Duration: ms(11)},
+		{Path: "compile.extract", Duration: ms(20), AllocBytes: 300},
+	}
+	if got := tr.Phases(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Phases() =\n%+v\nwant\n%+v", got, want)
+	}
+	// No gauges, no loop steps.
+	tr.Iterations = nil
+	if got := len(tr.Phases()); got != 4 {
+		t.Errorf("gauge-less trace has %d phases, want 4", got)
 	}
 }
 
@@ -130,17 +117,19 @@ func TestTraceIterationHelpers(t *testing.T) {
 func TestTraceFormatAndJSON(t *testing.T) {
 	r := NewRecorder()
 	r.StartSpan("lower").End()
-	r.SetIterations([]IterationGauge{{Iteration: 1, Nodes: 5, Classes: 4, Matches: 2, Applied: 1,
-		Rules: []RuleStep{
-			{Rule: "vec-mac", Matches: 2, Applied: 1, NewNodes: 3},
-			{Rule: "assoc-add", Matches: 9, BannedUntil: 3, Bans: 1},
-		}}})
-	r.SetStopReason("timeout")
-	r.Count("saturate.applied", 7)
+	r.Set(func(t *Trace) {
+		t.Iterations = []IterationGauge{{Iteration: 1, Nodes: 5, Classes: 4, Matches: 2, Applied: 1,
+			Rules: []RuleStep{
+				{Rule: "vec-mac", Matches: 2, Applied: 1, NewNodes: 3},
+				{Rule: "assoc-add", Matches: 9, BannedUntil: 3, Bans: 1},
+			}}}
+		t.StopReason = "timeout"
+	})
+	r.Count("vir.instrs", 7)
 	tr := r.Finish()
 
 	out := tr.Format()
-	for _, want := range []string{"lower", "total", "stopped: timeout", "saturate.applied",
+	for _, want := range []string{"compile.lower", "compile.saturate.rebuild", "stopped: timeout", "vir.instrs",
 		"vec-mac", "ban: assoc-add at iteration 1 (9 matches), until 3"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Format() missing %q:\n%s", want, out)
@@ -154,7 +143,7 @@ func TestTraceFormatAndJSON(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.StopReason != "timeout" || len(back.Stages) != 1 || back.Counters["saturate.applied"] != 7 {
+	if back.StopReason != "timeout" || len(back.Stages) != 1 || back.Counters["vir.instrs"] != 7 {
 		t.Fatalf("JSON round-trip lost data: %+v", back)
 	}
 }
@@ -164,8 +153,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
 	r.StartSpan("x").End()
 	r.Count("c", 1)
-	r.SetIterations(nil)
-	r.SetStopReason("saturated")
+	r.Set(func(t *Trace) { t.StopReason = "saturated" })
 	if tr := r.Finish(); tr == nil || len(tr.Stages) != 0 {
 		t.Fatalf("nil recorder Finish = %+v", tr)
 	}

@@ -111,7 +111,7 @@ func ledgerLines(name string, targets []string, res *diospyros.Result) []string 
 			fmt.Sprint(tr.Cost), cycles,
 			fmt.Sprint(sat.Iterations), fmt.Sprint(sat.Nodes), fmt.Sprint(sat.Classes),
 			fmt.Sprint(sat.PeakFootprint.Total), string(sat.Reason),
-			verdict(res.Kernel, tr), digest(gaugeRows(res.Trace)),
+			verdict(res.Kernel, tr), digest(untimedJSON(res.Trace)),
 		}, "\t"))
 	}
 	return out
@@ -145,19 +145,10 @@ func verdict(l *kernel.Lifted, tr diospyros.TargetResult) string {
 	}
 }
 
-// gaugeRows is the JSON of the trace's iteration gauges with every
+// untimedJSON is the JSON of the trace's iteration gauges with every
 // wall-time field zeroed: what the search did, not how long it took.
-func gaugeRows(tr *telemetry.Trace) []byte {
-	gs := make([]telemetry.IterationGauge, len(tr.Iterations))
-	for i, g := range tr.Iterations {
-		g.Duration = 0
-		g.Rules = append([]telemetry.RuleStep(nil), g.Rules...)
-		for j := range g.Rules {
-			g.Rules[j].Duration = 0
-		}
-		gs[i] = g
-	}
-	raw, err := json.Marshal(gs)
+func untimedJSON(tr *telemetry.Trace) []byte {
+	raw, err := json.Marshal(telemetry.Untimed(tr.Iterations))
 	if err != nil {
 		panic(err)
 	}
