@@ -391,14 +391,13 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// every outcome — including sheds, so a client holding a 503 can see
 	// the queue was genuinely full rather than slow.
 	admission := time.Now()
-	queue := &tm.phases[0]
 	select {
 	case s.slots <- struct{}{}:
-		queue.Duration = time.Since(admission)
+		tm.phases[0].Duration = time.Since(admission)
 	default:
 		if s.queued.Add(1) > int64(s.cfg.QueueDepth) {
 			s.queued.Add(-1)
-			queue.Duration = time.Since(admission)
+			tm.phases[0].Duration = time.Since(admission)
 			s.reg.CounterAdd("diospyros_serve_rejected_total",
 				"Requests shed by admission control.",
 				map[string]string{"reason": "queue_full"}, 1)
@@ -411,11 +410,11 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		case s.slots <- struct{}{}:
 			s.queued.Add(-1)
 			s.setQueueGauge()
-			queue.Duration = time.Since(admission)
+			tm.phases[0].Duration = time.Since(admission)
 		case <-ctx.Done():
 			s.queued.Add(-1)
 			s.setQueueGauge()
-			queue.Duration = time.Since(admission)
+			tm.phases[0].Duration = time.Since(admission)
 			s.countCancelled("queued")
 			s.writeTimedError(w, httpStatusClientClosedRequest, id, "client went away while queued", tm)
 			return

@@ -18,7 +18,8 @@ func TestPhaseInvariantsAcrossSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles the whole suite")
 	}
-	var covered, saturate time.Duration
+	steps := []string{"index", "match", "apply", "rebuild"}
+	spent := map[string]time.Duration{}
 	for _, k := range bench.Suite() {
 		res, err := diospyros.Compile(k.Lift(), diospyros.Options{})
 		if err != nil {
@@ -28,19 +29,24 @@ func TestPhaseInvariantsAcrossSuite(t *testing.T) {
 		for _, p := range res.Trace.Phases() {
 			have[p.Path] = p.Duration
 		}
-		for _, step := range []string{"index", "match", "apply", "rebuild"} {
+		for _, step := range steps {
 			d, ok := have["compile.saturate."+step]
 			if !ok {
 				t.Errorf("%s: no compile.saturate.%s phase", k.ID, step)
 			}
-			covered += d
+			spent[step] += d
 		}
-		saturate += have["compile.saturate"]
+		spent["saturate"] += have["compile.saturate"]
 		for _, msg := range diospyros.PhaseInvariantViolations(res.Trace) {
 			t.Errorf("%s: %s", k.ID, msg)
 		}
 	}
-	if saturate > 0 {
-		t.Logf("saturation-loop phases cover %.1f%% of %v saturate", 100*float64(covered)/float64(saturate), saturate)
+	if sat := spent["saturate"]; sat > 0 {
+		var covered time.Duration
+		for _, step := range steps {
+			covered += spent[step]
+			t.Logf("%-8s %v", step, spent[step].Round(time.Millisecond))
+		}
+		t.Logf("the four phases cover %.1f%% of %v saturate", 100*float64(covered)/float64(sat), sat.Round(time.Millisecond))
 	}
 }
