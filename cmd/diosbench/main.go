@@ -20,13 +20,10 @@
 // (with traces) as JSON; -profile prints each kernel's simulated cycle
 // breakdown. -trace-out/-metrics-out export all compilation traces as
 // Chrome trace-event JSON / Prometheus text, and -bench-json writes
-// per-kernel cycles+profiles+peak-e-graph-bytes for regression tracking
-// (the CI smoke job's artifacts). -compare BENCH_PR7.json gates the run
-// against a committed baseline, exiting 1 when any kernel's cycles regress
-// beyond -tolerance or its peak e-graph bytes beyond -mem-tolerance;
-// -forensics DIR additionally recompiles each regressed kernel with the
-// search journal armed and writes baseline-vs-current diff artifacts
-// (<kernel>.diff.json/.html, see cmd/diosdiff) for the gate-failure autopsy.
+// per-kernel cycles+profiles+peak-e-graph-bytes (the CI smoke job's
+// artifacts, readable by cmd/diosdiff). diosbench gates nothing: the
+// exact per-kernel cycle and peak-bytes record is the artifact ledger,
+// testdata/artifacts.golden, checked by go test -run TestArtifactLedger.
 // -mem-profile FILE captures a pprof heap profile at the suite's e-graph
 // node-count peak. Experiments run under a context cancelled by
 // SIGINT/SIGTERM.
@@ -74,10 +71,6 @@ func main() {
 		traceOut   = flag.String("trace-out", "", "write all kernels' compilation traces as Chrome trace-event JSON to this file")
 		metricOut  = flag.String("metrics-out", "", "write all kernels' compilation metrics in Prometheus text format to this file")
 		benchJSON  = flag.String("bench-json", "", "write per-kernel simulated cycles and profiles as JSON to this file")
-		compare    = flag.String("compare", "", "compare per-kernel cycles and peak e-graph bytes against this -bench-json baseline; exit 1 on regressions beyond -tolerance / -mem-tolerance")
-		tolerance  = flag.Float64("tolerance", 0.15, "relative cycle regression tolerance for -compare (0.15 = +15% fails)")
-		memTol     = flag.Float64("mem-tolerance", 0.25, "relative peak-e-graph-bytes regression tolerance for -compare (0.25 = +25% fails)")
-		forensics  = flag.String("forensics", "", "on -compare regressions, write per-kernel diff artifacts (<kernel>.diff.json/.html) to this directory: each regressed kernel is recompiled with the search journal armed and diffed against its baseline row")
 		memProfile = flag.String("mem-profile", "", "write a pprof heap profile captured at the suite's e-graph node-count peak to this file")
 		version    = flag.Bool("version", false, "print version and exit")
 	)
@@ -87,7 +80,7 @@ func main() {
 		return
 	}
 
-	exporting := *traceOut != "" || *metricOut != "" || *benchJSON != "" || *profile || *compare != "" || *memProfile != ""
+	exporting := *traceOut != "" || *metricOut != "" || *benchJSON != "" || *profile || *memProfile != ""
 	if !(*all || *table1 || *figure5 || *figure6 || *motivating || *expertCmp ||
 		*ablation || *costAbl || *theiaCase || *validate ||
 		*targets != "" || exporting) {
@@ -192,49 +185,6 @@ func main() {
 			}
 			if err := os.WriteFile(*benchJSON, raw, 0o644); err != nil {
 				fail(err)
-			}
-		}
-		if *compare != "" {
-			baseline, err := os.ReadFile(*compare)
-			if err != nil {
-				fail(err)
-			}
-			regressions := 0
-			var verdicts [][]bench.CompareRow
-			for _, gate := range []struct {
-				metric bench.CompareMetric
-				tol    float64
-			}{
-				{bench.MetricCycles, *tolerance},
-				{bench.MetricPeakBytes, *memTol},
-			} {
-				verdict, err := bench.CompareBenchMetric(baseline, rows, gate.tol, gate.metric)
-				if err != nil {
-					fail(err)
-				}
-				fmt.Print(bench.FormatCompareMetric(verdict, gate.tol, gate.metric.Name))
-				verdicts = append(verdicts, verdict)
-				regressions += bench.CountRegressions(verdict)
-			}
-			if *forensics != "" {
-				// Gate-failure autopsy: recompile each regressed kernel with
-				// the journal armed and write baseline-vs-current diff
-				// artifacts (CI uploads the directory on failure).
-				ids := bench.RegressedIDs(verdicts...)
-				written, err := bench.Forensics(bench.FOptions{
-					Dir: *forensics, Opts: opts, BaselineLabel: *compare,
-					Progress: func(s string) { fmt.Fprintln(os.Stderr, "diosbench:", s) },
-					Context:  ctx,
-				}, baseline, ids)
-				if err != nil {
-					fail(err)
-				}
-				if len(written) > 0 {
-					fmt.Fprintf(os.Stderr, "diosbench: %d forensics artifacts in %s\n", len(written), *forensics)
-				}
-			}
-			if regressions > 0 {
-				os.Exit(1)
 			}
 		}
 	}

@@ -1,5 +1,5 @@
 // Command diosdiff compares two compilations of the same kernel and
-// attributes the delta — the regression-forensics companion to diosbench:
+// attributes the delta — the regression forensics companion to diosbench:
 //
 //	diosdiff baseline.json current.json            # two saved artifacts
 //	diosdiff -kernel "MatMul 2x2" base.json cur.json

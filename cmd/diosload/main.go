@@ -16,13 +16,10 @@
 // -cache-bust F salts that fraction of requests with a unique comment so
 // they miss the server's content-addressed compile cache.
 //
-// Artifacts: -out writes the run as SoakResult JSON (the committed
-// BENCH_SERVE_PR8.json baseline format), -report writes a self-contained
-// HTML soak report (latency-over-time lanes, shed timeline, phase and
-// per-kernel tables). -compare BASELINE.json gates the run against a
-// committed baseline the way diosbench -compare gates cycles: exit 1 when
-// a latency percentile or throughput regresses beyond -latency-tolerance
-// or the error/shed rates blow -error-budget / -shed-budget.
+// Artifacts: -out writes the run as SoakResult JSON, -report writes a
+// self-contained HTML soak report (latency-over-time lanes, shed timeline,
+// phase and per-kernel tables). diosload judges nothing itself: CI asserts
+// absolute error and shed budgets on the JSON (error_rate, shed_rate).
 package main
 
 import (
@@ -36,7 +33,6 @@ import (
 	"syscall"
 	"time"
 
-	"diospyros/internal/bench"
 	"diospyros/internal/buildinfo"
 	"diospyros/internal/loadgen"
 	"diospyros/internal/telemetry"
@@ -56,11 +52,6 @@ func main() {
 		window      = flag.Duration("window", time.Second, "time-series bucket width")
 		out         = flag.String("out", "", "write the run as SoakResult JSON to this file")
 		reportOut   = flag.String("report", "", "write a self-contained HTML soak report to this file")
-		compare     = flag.String("compare", "", "gate the run against this SoakResult JSON baseline; exit 1 on SLO violations")
-		latTol      = flag.Float64("latency-tolerance", loadgen.DefaultSLO.LatencyTolerance, "relative latency/throughput regression tolerance for -compare (0.5 = +50% fails)")
-		errBudget   = flag.Float64("error-budget", loadgen.DefaultSLO.ErrorBudget, "absolute error-rate budget for -compare (0.01 = 1% of requests)")
-		shedBudget  = flag.Float64("shed-budget", loadgen.DefaultSLO.ShedBudget, "absolute shed-rate budget for -compare")
-		latFloor    = flag.Float64("latency-floor", loadgen.DefaultSLO.LatencyFloorMS, "latency floor in ms for -compare: percentiles below it are all fast enough (0 disables)")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		logJSON     = flag.Bool("log-json", false, "log JSON lines instead of text")
 		version     = flag.Bool("version", false, "print version and exit")
@@ -129,30 +120,8 @@ func main() {
 		log.Info("soak result written", "file", *out)
 	}
 
-	gateText := ""
-	gateFailed := false
-	if *compare != "" {
-		baseline, err := os.ReadFile(*compare)
-		if err != nil {
-			fail(err)
-		}
-		slo := loadgen.SLO{
-			LatencyTolerance: *latTol,
-			ErrorBudget:      *errBudget,
-			ShedBudget:       *shedBudget,
-			LatencyFloorMS:   *latFloor,
-		}
-		rows, err := loadgen.Compare(baseline, res, slo)
-		if err != nil {
-			fail(err)
-		}
-		gateText = slo.Gate().Format(rows)
-		fmt.Print(gateText)
-		gateFailed = bench.CountRegressions(rows) > 0
-	}
-
 	if *reportOut != "" {
-		page, err := loadgen.Report(res, gateText)
+		page, err := loadgen.Report(res)
 		if err != nil {
 			fail(err)
 		}
@@ -160,10 +129,6 @@ func main() {
 			fail(err)
 		}
 		log.Info("soak report written", "file", *reportOut)
-	}
-
-	if gateFailed {
-		os.Exit(1)
 	}
 }
 

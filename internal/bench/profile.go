@@ -51,16 +51,14 @@ func NamedTraces(rows []T1Row) []telemetry.NamedTrace {
 }
 
 // benchJSONRow is one kernel in the -bench-json artifact: simulated cycles
-// plus the profiler's breakdown, the regression-tracking format uploaded
-// by the CI smoke job.
+// plus the profiler's breakdown, uploaded by the CI smoke job and readable
+// by cmd/diosdiff.
 type benchJSONRow struct {
 	ID      string       `json:"id"`
 	Cycles  int64        `json:"cycles"`
 	Profile *sim.Profile `json:"profile,omitempty"`
 	// PeakEGraphBytes is the e-graph's peak logical footprint during the
-	// compile — the memory half of the regression gate. Omitted (and read
-	// back as zero, which the gate treats as no-baseline) in baselines that
-	// predate memory accounting.
+	// compile. Omitted when zero; diosdiff reads a zero peak as absent.
 	PeakEGraphBytes int64 `json:"peak_egraph_bytes,omitempty"`
 }
 

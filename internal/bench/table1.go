@@ -34,8 +34,8 @@ type T1Row struct {
 	Cycles  int64
 	Profile *sim.Profile
 	// PeakEGraphBytes is the e-graph's peak logical footprint during the
-	// compile (Trace.Memory.PeakBytes) — deterministic, so the bench gate
-	// can compare it against a committed baseline.
+	// compile (Trace.Memory.PeakBytes) — deterministic, so the artifact
+	// ledger (testdata/artifacts.golden) pins it exactly.
 	PeakEGraphBytes int64
 }
 

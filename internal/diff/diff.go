@@ -1,8 +1,7 @@
 // Package diff computes attributed deltas between two compilations of the
-// same kernel — the regression-forensics layer behind cmd/diosdiff and
-// diosbench's -forensics mode. Given two compile artifacts (telemetry
-// traces, simulator cycle profiles, or the value-only rows of a committed
-// bench baseline) it produces a structured Diff: the per-stage latency
+// same kernel — the regression forensics layer behind cmd/diosdiff. Given
+// two compile artifacts (telemetry traces, simulator cycle profiles, or the
+// value-only rows of a diosbench -bench-json array) it produces a structured Diff: the per-stage latency
 // waterfall, per-rule divergence, Backoff ban-timeline alignment,
 // the first iteration where the best-cost trajectories split, extraction
 // decision flips, e-graph memory-component deltas, and per-opcode/per-slot
@@ -35,7 +34,7 @@ const Schema = "diospyros/diff/v1"
 // Cycles and PeakBytes, and the missing sections are surfaced as Notes on
 // the Diff rather than silently skipped.
 type Input struct {
-	// Label names the side in reports ("BENCH_PR7.json", "current").
+	// Label names the side in reports ("bench.json", "current").
 	Label string
 	// Kernel is the kernel ID both sides should share.
 	Kernel string
@@ -696,9 +695,8 @@ func compareMemory(d *Diff, base, cur Input) {
 		}
 	}
 	d.Memory = md
-	// A zero side means the value carrier predates the metric (the same
-	// no-baseline rule the bench gate applies): informational, never a
-	// divergence.
+	// A zero side means the value carrier predates the metric (a bench row
+	// without peak_egraph_bytes): informational, never a divergence.
 	if md.PeakBytes.Diverged() && md.PeakBytes.Base != 0 && md.PeakBytes.Cur != 0 {
 		d.diverge("memory", "", "peak e-graph footprint %d → %d bytes (%+d)",
 			md.PeakBytes.Base, md.PeakBytes.Cur, md.PeakBytes.Delta())

@@ -57,9 +57,10 @@ type artifactRow struct {
 
 // LoadArtifact parses a compile artifact from its raw bytes. It accepts a
 // single trace object or a bench row array, and rejects artifacts whose
-// embedded traces are missing the diospyros/trace/v1 schema stamp (or
-// carry a different one) with an error naming the expected schema — a
-// stale artifact diffing cleanly would be worse than no diff.
+// embedded traces are missing the telemetry.TraceSchema stamp
+// (diospyros/trace/v2) or carry a different one, with an error naming the
+// expected schema — a stale artifact diffing cleanly would be worse than
+// no diff.
 func LoadArtifact(label string, data []byte) (*Artifact, error) {
 	first, ok := firstJSONByte(data)
 	if !ok {

@@ -3,9 +3,8 @@
 // records the latency distribution HDR-style (recorder.go), folds the
 // server's per-request phase path (X-Dios-Server-Timing, parsed with
 // telemetry.ParseServerTiming and kept in header order) and cache
-// outcomes (X-Dios-Cache) into the result, and judges runs against a
-// committed baseline under SLO tolerances (compare.go). cmd/diosload is
-// the CLI; the HTML soak report lives in report.go.
+// outcomes (X-Dios-Cache) into the result. cmd/diosload is the CLI; the
+// HTML soak report lives in report.go.
 //
 // Two driving modes:
 //
@@ -26,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"slices"
 	"sort"
@@ -188,8 +188,10 @@ func Run(ctx context.Context, cfg Config) (*SoakResult, error) {
 // oneRequest fires one compile and classifies the reply.
 func oneRequest(ctx context.Context, client *http.Client, cfg Config, url string, k Kernel, n uint64, start time.Time) outcome {
 	src := k.Source
-	if cfg.CacheBust > 0 && float64(n%1000) < cfg.CacheBust*1000 {
-		// A unique comment changes the normalized source, so the server's
+	if f := cfg.CacheBust; math.Floor(float64(n+1)*f) > math.Floor(float64(n)*f) {
+		// Salting request n whenever floor((n+1)*f) steps past floor(n*f)
+		// salts every prefix of the run, however short, in fraction f. A
+		// unique comment changes the normalized source, so the server's
 		// content-addressed cache cannot serve this request.
 		src = fmt.Sprintf("%s\n// bust %s-%d\n", src, cfg.Salt, n)
 	}

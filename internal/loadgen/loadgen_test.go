@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"diospyros/internal/bench"
 	"diospyros/internal/telemetry"
 )
 
@@ -261,8 +260,8 @@ func TestMergeOrder(t *testing.T) {
 	}
 }
 
-// baselineResult is a healthy run the gate table tests judge against.
-func baselineResult() *SoakResult {
+// healthyResult is a healthy run for the report tests.
+func healthyResult() *SoakResult {
 	return &SoakResult{
 		Schema:        SoakSchema,
 		Requests:      1000,
@@ -271,121 +270,6 @@ func baselineResult() *SoakResult {
 		ErrorRate:     0.002,
 		ShedRate:      0.003,
 		Latency:       LatencyMS{P50: 10, P90: 20, P99: 40, P999: 80, Max: 100, Mean: 12},
-	}
-}
-
-// TestSLOGateTable is the acceptance-criteria table test: the gate passes a
-// healthy run and fails each deliberately degraded run for the expected
-// reason.
-func TestSLOGateTable(t *testing.T) {
-	slo := SLO{LatencyTolerance: 0.5, ErrorBudget: 0.01, ShedBudget: 0.05}
-	cases := []struct {
-		name        string
-		mutate      func(*SoakResult)
-		regressions int
-		failMetric  string
-	}{
-		{"healthy run passes", func(r *SoakResult) {}, 0, ""},
-		{"slightly slower within tolerance", func(r *SoakResult) {
-			r.Latency.P50, r.Latency.P99 = 13, 55
-		}, 0, ""},
-		{"p99 blowup fails", func(r *SoakResult) {
-			r.Latency.P99 = 90 // +125% > +50%
-		}, 1, "p99 latency ms"},
-		{"tail-only blowup fails", func(r *SoakResult) {
-			r.Latency.P999 = 400
-		}, 1, "p99.9 latency ms"},
-		{"throughput collapse fails", func(r *SoakResult) {
-			r.ThroughputRPS = 40 // -60% < -50%
-		}, 1, "throughput rps"},
-		{"error budget blown fails", func(r *SoakResult) {
-			r.ErrorRate = 0.05
-		}, 1, "error rate"},
-		{"shed budget blown fails", func(r *SoakResult) {
-			r.ShedRate = 0.20
-		}, 1, "shed rate"},
-		{"fully degraded run fails everything", func(r *SoakResult) {
-			r.Latency = LatencyMS{P50: 100, P90: 200, P99: 400, P999: 800, Max: 900, Mean: 150}
-			r.ThroughputRPS = 10
-			r.ErrorRate = 0.30
-			r.ShedRate = 0.40
-		}, 7, "p50 latency ms"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			cur := baselineResult()
-			c.mutate(cur)
-			rows := CompareResults(baselineResult(), cur, slo)
-			if got := bench.CountRegressions(rows); got != c.regressions {
-				t.Fatalf("regressions = %d, want %d\n%s",
-					got, c.regressions, slo.Gate().Format(rows))
-			}
-			text := slo.Gate().Format(rows)
-			if c.regressions == 0 {
-				if !strings.Contains(text, "OK: serving SLO held") {
-					t.Errorf("missing OK verdict:\n%s", text)
-				}
-				return
-			}
-			if !strings.Contains(text, "FAIL:") {
-				t.Errorf("missing FAIL verdict:\n%s", text)
-			}
-			found := false
-			for _, r := range rows {
-				if r.Name == c.failMetric && r.Status == bench.CompareRegressed {
-					found = true
-				}
-			}
-			if !found {
-				t.Errorf("expected %q to regress:\n%s", c.failMetric, text)
-			}
-		})
-	}
-}
-
-// TestSLOGateLatencyFloor pins the floor: percentiles below it are all
-// "fast enough", so sub-floor jitter passes while a jump past the floor
-// still fails.
-func TestSLOGateLatencyFloor(t *testing.T) {
-	slo := SLO{LatencyTolerance: 0.5, ErrorBudget: 1, ShedBudget: 1, LatencyFloorMS: 5}
-	base := baselineResult()
-	base.Latency.P50 = 0.6 // a cache-hit-dominated p50: pure noise territory
-
-	// 0.6 ms -> 4.4 ms is +633%, but both sit under the 5 ms floor: ok.
-	cur := baselineResult()
-	cur.Latency.P50 = 4.4
-	if n := bench.CountRegressions(CompareResults(base, cur, slo)); n != 0 {
-		t.Errorf("sub-floor jitter regressed the gate (%d)", n)
-	}
-
-	// 0.6 ms -> 40 ms clears the floor by far more than the tolerance.
-	cur = baselineResult()
-	cur.Latency.P50 = 40
-	rows := CompareResults(base, cur, slo)
-	if n := bench.CountRegressions(rows); n != 1 {
-		t.Errorf("past-floor jump did not regress:\n%s", slo.Gate().Format(rows))
-	}
-
-	// Without the floor the jitter fails — the case the floor exists for.
-	noFloor := slo
-	noFloor.LatencyFloorMS = 0
-	cur = baselineResult()
-	cur.Latency.P50 = 4.4
-	if n := bench.CountRegressions(CompareResults(base, cur, noFloor)); n != 1 {
-		t.Error("floorless gate should flag the +633% move")
-	}
-}
-
-// TestCompareRejectsForeignBaselines pins the schema check.
-func TestCompareRejectsForeignBaselines(t *testing.T) {
-	if _, err := Compare([]byte(`{"schema":"something-else"}`), baselineResult(), DefaultSLO); err == nil {
-		t.Error("foreign schema accepted")
-	}
-	if _, err := Compare([]byte(`not json`), baselineResult(), DefaultSLO); err == nil {
-		t.Error("garbage baseline accepted")
-	}
-	if _, err := Compare([]byte(`{"schema":"`+SoakSchema+`"}`), baselineResult(), DefaultSLO); err != nil {
-		t.Errorf("valid schema rejected: %v", err)
 	}
 }
 
@@ -403,10 +287,10 @@ func TestMixByNames(t *testing.T) {
 }
 
 // TestReportRendersSoak asserts the HTML soak report carries every section
-// the acceptance criteria name: latency lanes, the shed timeline, phase,
-// per-kernel and per-cache tables, and the embedded gate verdict.
+// the acceptance criteria name: latency lanes, the shed timeline, and the
+// phase, per-kernel and per-cache tables.
 func TestReportRendersSoak(t *testing.T) {
-	res := baselineResult()
+	res := healthyResult()
 	res.Config = SoakConfig{
 		URLs: []string{"http://localhost:8175"}, Kernels: []string{"dot8", "qr3"},
 		Concurrency: 4, DurationSec: 20,
@@ -432,9 +316,7 @@ func TestReportRendersSoak(t *testing.T) {
 			P50: 10 + float64(i), P99: 40 + float64(i),
 		})
 	}
-	gate := DefaultSLO.Gate().Format(CompareResults(baselineResult(), res, DefaultSLO))
-
-	page, err := Report(res, gate)
+	page, err := Report(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,8 +328,6 @@ func TestReportRendersSoak(t *testing.T) {
 		"Server-side phase breakdown",
 		"Per-kernel",
 		"Per cache outcome",
-		"SLO gate",
-		"serving SLO check",
 		"polyline", // the shared chart partial actually rendered
 		"p99 ms",
 		"qr3",

@@ -30,7 +30,6 @@ type soakView struct {
 	Latency     *telemetry.LineChart // p50/p99 over time
 	Throughput  *telemetry.LineChart // rps + sheds/s + errors/s over time
 	Phases      []phaseRow
-	Gate        string // optional -compare verdict, preformatted
 }
 
 type phaseRow struct {
@@ -38,13 +37,11 @@ type phaseRow struct {
 	LatencyMS
 }
 
-// Report renders the soak report page for res. gate, when non-empty, is a
-// preformatted SLO gate table (SLO.Gate) embedded verbatim.
-func Report(res *SoakResult, gate string) ([]byte, error) {
+// Report renders the soak report page for res.
+func Report(res *SoakResult) ([]byte, error) {
 	v := &soakView{
 		Res:         res,
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Gate:        gate,
 	}
 	if len(res.Series) >= 2 {
 		v.Latency = latencyChart(res.Series)

@@ -8,9 +8,8 @@ import (
 )
 
 // SoakResult is the JSON artifact of one load-generation run — the serving
-// counterpart of diosbench's -bench-json rows. A committed SoakResult
-// (BENCH_SERVE_PR8.json at the repo root) is the baseline the -compare -slo
-// gate judges fresh runs against, and the input the -report HTML renders.
+// counterpart of diosbench's -bench-json rows, and the input the -report
+// HTML renders.
 
 // SoakSchema identifies the SoakResult JSON format.
 const SoakSchema = "diosload/serve-soak/v1"
@@ -57,9 +56,8 @@ type Window struct {
 	P99      float64 `json:"p99_ms"`
 }
 
-// SoakConfig echoes the knobs that shaped the run, so a committed baseline
-// documents how to reproduce it and the gate can refuse to compare runs
-// with different shapes.
+// SoakConfig echoes the knobs that shaped the run, so the artifact
+// documents how to reproduce it.
 type SoakConfig struct {
 	URLs        []string `json:"urls"`
 	Kernels     []string `json:"kernels"`
@@ -92,9 +90,9 @@ type SoakResult struct {
 	Timeouts int64 `json:"timeouts"`
 	Aborts   int64 `json:"aborts"`
 	Errors   int64 `json:"errors"`
-	// ErrorRate is (Errors+Timeouts+Aborts)/Requests — the error budget the
-	// SLO gate spends. ShedRate is Sheds/Requests, budgeted separately:
-	// shedding is the server protecting itself, not failing.
+	// ErrorRate is (Errors+Timeouts+Aborts)/Requests. ShedRate is
+	// Sheds/Requests, kept apart because shedding is the server protecting
+	// itself, not failing.
 	ErrorRate float64 `json:"error_rate"`
 	ShedRate  float64 `json:"shed_rate"`
 
@@ -123,8 +121,7 @@ type SoakResult struct {
 	Series    []Window      `json:"series,omitempty"`
 }
 
-// WriteJSON writes the result as indented JSON — the committed-baseline
-// format.
+// WriteJSON writes the result as indented JSON.
 func WriteJSON(path string, res *SoakResult) error {
 	raw, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {

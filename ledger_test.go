@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,6 +25,9 @@ var update = flag.Bool("update", false, "rewrite testdata/artifacts.golden")
 
 const ledgerPath = "testdata/artifacts.golden"
 
+// ledgerHeader is the golden file's first line, naming its columns.
+const ledgerHeader = "# kernel\ttargets\ttarget\tc\tasm\tcost\tcycles\titers\tnodes\tclasses\tpeak_bytes\tstop\tverdict\trules"
+
 // ledgerTargetSets are the target sets every ledger input is compiled at:
 // the default target alone, and one shared search for three targets.
 var ledgerTargetSets = [][]string{
@@ -37,8 +41,9 @@ var ledgerTargetSets = [][]string{
 // and the assembly, cost, simulated cycles, the saturation outcome, peak
 // e-graph bytes, the exact validation verdict, and a hash of the
 // iteration gauges with every wall-time field zeroed. A change that moves
-// any artifact moves a line; regenerate with go test -run ArtifactLedger
-// -update and say which line moved and why.
+// any artifact moves a line; the failure names each moved line's changed
+// columns with old → new values. Regenerate with go test -run
+// ArtifactLedger -update and say which line moved and why.
 func TestArtifactLedger(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and validates the suite and testdata sources at two target sets")
@@ -72,23 +77,110 @@ func TestArtifactLedger(t *testing.T) {
 	}
 
 	if *update {
-		body := "# kernel\ttargets\ttarget\tc\tasm\tcost\tcycles\titers\tnodes\tclasses\tpeak_bytes\tstop\tverdict\trules\n" +
-			strings.Join(got, "\n") + "\n"
+		body := ledgerHeader + "\n" + strings.Join(got, "\n") + "\n"
 		if err := os.WriteFile(ledgerPath, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
 	want := readLedger(t)
-	for i := 0; i < max(len(got), len(want)); i++ {
-		switch {
-		case i >= len(want):
-			t.Errorf("line %d only in the compile:\n  %s", i+1, got[i])
-		case i >= len(got):
-			t.Errorf("line %d only in %s:\n  %s", i+1, ledgerPath, want[i])
-		case got[i] != want[i]:
-			t.Errorf("line %d moved:\n  got  %s\n  want %s", i+1, got[i], want[i])
+	if strings.Join(got, "\n") == strings.Join(want, "\n") {
+		return
+	}
+	report := ledgerDiff(want, got)
+	if len(report) == 0 {
+		report = []string{"the same lines in a different order or multiplicity"}
+	}
+	t.Errorf("%s does not match the compile (regenerate with -update after a deliberate move):\n  %s",
+		ledgerPath, strings.Join(report, "\n  "))
+}
+
+// ledgerDiff reports how got differs from want, one entry per line key
+// (kernel, target set, target), so an inserted or removed line reports
+// once instead of shifting every later line. A moved line names each
+// changed column from ledgerHeader with its old → new values.
+func ledgerDiff(want, got []string) []string {
+	columns := strings.Split(strings.TrimPrefix(ledgerHeader, "# "), "\t")
+	wantKeys, wantRows := ledgerIndex(want)
+	gotKeys, gotRows := ledgerIndex(got)
+	var out []string
+	for _, k := range gotKeys {
+		w, ok := wantRows[k]
+		if !ok {
+			out = append(out, k+": only in the compile")
+			continue
 		}
+		g := gotRows[k]
+		var moved []string
+		for i := range max(len(w), len(g)) {
+			if ledgerField(w, i) == ledgerField(g, i) {
+				continue
+			}
+			moved = append(moved, fmt.Sprintf("%s %s → %s",
+				ledgerField(columns, i), ledgerField(w, i), ledgerField(g, i)))
+		}
+		if len(moved) > 0 {
+			out = append(out, k+": "+strings.Join(moved, ", "))
+		}
+	}
+	for _, k := range wantKeys {
+		if _, ok := gotRows[k]; !ok {
+			out = append(out, k+": only in "+ledgerPath)
+		}
+	}
+	return out
+}
+
+// ledgerIndex splits lines into columns keyed "kernel targets/target",
+// returning the keys in line order.
+func ledgerIndex(lines []string) ([]string, map[string][]string) {
+	keys := make([]string, len(lines))
+	rows := make(map[string][]string, len(lines))
+	for i, line := range lines {
+		f := strings.Split(line, "\t")
+		keys[i] = ledgerField(f, 0) + " " + ledgerField(f, 1) + "/" + ledgerField(f, 2)
+		rows[keys[i]] = f
+	}
+	return keys, rows
+}
+
+// ledgerField is field i of f, or "" past its end: lines differ in length
+// when a change adds a column.
+func ledgerField(f []string, i int) string {
+	if i < len(f) {
+		return f[i]
+	}
+	return ""
+}
+
+// TestLedgerDiff pins the ledger failure report: keyed by (kernel, target
+// set, target), naming each changed column with old → new values.
+func TestLedgerDiff(t *testing.T) {
+	line := func(kernel, c, cycles string) string {
+		return strings.Join([]string{kernel, "fg3lite-4", "fg3lite-4", c, "a1", "12", cycles,
+			"4", "90", "40", "1024", "saturated", "exact", "r1"}, "\t")
+	}
+	base := []string{line("MatMul 2x2 2x2", "c1", "9"), line("QProd", "c2", "30")}
+	for _, tc := range []struct {
+		name string
+		got  []string
+		want []string
+	}{
+		{"identical lines", base, nil},
+		{"changed cycles", []string{line("MatMul 2x2 2x2", "c1", "11"), base[1]},
+			[]string{"MatMul 2x2 2x2 fg3lite-4/fg3lite-4: cycles 9 → 11"}},
+		{"inserted key", []string{base[0], line("DotProduct 8", "c3", "7"), base[1]},
+			[]string{"DotProduct 8 fg3lite-4/fg3lite-4: only in the compile"}},
+		{"removed key", base[1:],
+			[]string{"MatMul 2x2 2x2 fg3lite-4/fg3lite-4: only in " + ledgerPath}},
+		{"changed hash", []string{base[0], line("QProd", "c9", "30")},
+			[]string{"QProd fg3lite-4/fg3lite-4: c c2 → c9"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := ledgerDiff(base, tc.got); !slices.Equal(got, tc.want) {
+				t.Errorf("ledgerDiff = %q, want %q", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package diospyros_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"regexp"
 	"strings"
@@ -40,16 +39,7 @@ func TestReportsShareOnePage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	raw, err := os.ReadFile("BENCH_SERVE_PR8.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var soak loadgen.SoakResult
-	if err := json.Unmarshal(raw, &soak); err != nil {
-		t.Fatal(err)
-	}
-	rows := loadgen.CompareResults(&soak, &soak, loadgen.DefaultSLO)
-	soakPage, err := loadgen.Report(&soak, loadgen.DefaultSLO.Gate().Format(rows))
+	soakPage, err := loadgen.Report(soakResult())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,4 +88,45 @@ func TestReportsShareOnePage(t *testing.T) {
 			}
 		}
 	}
+}
+
+// soakResult is a small overloaded soak run: every section of the soak
+// page (latency and throughput charts, phase, per-kernel and per-cache
+// tables) has rows to render.
+func soakResult() *loadgen.SoakResult {
+	lat := func(p50, p99 float64) loadgen.LatencyMS {
+		return loadgen.LatencyMS{P50: p50, P90: (p50 + p99) / 2, P99: p99, P999: p99 * 2, Max: p99 * 3, Mean: p50 * 2}
+	}
+	res := &loadgen.SoakResult{
+		Schema: loadgen.SoakSchema,
+		Config: loadgen.SoakConfig{
+			URLs: []string{"http://localhost:8175"}, Kernels: []string{"dot8", "qr3"},
+			Concurrency: 12, DurationSec: 3, CacheBust: 0.5,
+		},
+		Requests: 3000, ThroughputRPS: 1000, OK: 1500, Sheds: 1495, Errors: 5,
+		ErrorRate: 5.0 / 3000, ShedRate: 1495.0 / 3000,
+		CacheHits: 1400, CacheMisses: 90, CacheCoalesced: 10, CacheHitRatio: 0.94,
+		Latency: lat(0.6, 200), AllLatency: lat(0.3, 140),
+		PhaseOrder: []string{"queue", "cache", "compile", "compile.saturate", "serialize"},
+		Phases: map[string]loadgen.LatencyMS{
+			"queue": lat(0.001, 118), "cache": lat(0.001, 0.005), "compile": lat(0.001, 69),
+			"compile.saturate": lat(0.001, 60), "serialize": lat(0.1, 0.6),
+		},
+		PerKernel: []loadgen.KernelStats{
+			{Kernel: "dot8", Requests: 1500, OK: 750, Latency: lat(0.4, 90)},
+			{Kernel: "qr3", Requests: 1500, OK: 750, Latency: lat(0.9, 250)},
+		},
+		PerCache: []loadgen.CacheStats{
+			{Outcome: "hit", Requests: 1400, Latency: lat(0.3, 2)},
+			{Outcome: "miss", Requests: 90, Latency: lat(40, 250)},
+			{Outcome: "coalesced", Requests: 10, Latency: lat(30, 200)},
+		},
+	}
+	for i := range 3 {
+		res.Series = append(res.Series, loadgen.Window{
+			T: float64(i), RPS: 1000, Requests: 1000, OK: 500, Sheds: 498, Errors: 2,
+			P50: 0.6, P99: 200,
+		})
+	}
+	return res
 }
