@@ -101,7 +101,9 @@ type Options struct {
 	//	{Name: "div-to-recip", LHS: "(/ ?x ?y)", RHS: "(* ?x (func recip ?y))"}
 	//
 	// the rewrite engine vectorizes `recip` like any lane-wise operation,
-	// and OpCost makes the new instruction attractive to extraction.
+	// and OpCost makes the new instruction attractive to extraction. Each
+	// rule needs a name of its own: an empty name, a built-in rule's name
+	// or a repeated name fails the compile.
 	ExtraRules []RewriteRule
 	// OpCost overrides the cost of individual operators during extraction,
 	// keyed by DSL head symbol ("VecDiv", "/", "sqrt", ...). User-defined

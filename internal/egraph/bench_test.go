@@ -48,7 +48,7 @@ func BenchmarkSaturationThroughput(b *testing.B) {
 
 // BenchmarkSaturate measures one full saturation run of the explosive
 // workload — the end-to-end number the §14 data-layout work (interned
-// symbols, binary hashcons, indexed dispatch) moves. allocs/op here is
+// symbols, binary hashcons, semi-naive dispatch) moves. allocs/op here is
 // dominated by hashcons probes. The match pool follows GOMAXPROCS, so
 // -cpu 1,2 yields a serial row and a two-worker row.
 func BenchmarkSaturate(b *testing.B) {
@@ -61,20 +61,49 @@ func BenchmarkSaturate(b *testing.B) {
 	}
 }
 
-// BenchmarkMatchPhase isolates the read-only match phase on a saturated
-// graph: one indexed search of every rule over every canonical class, the
-// inner loop the head-op dispatch index (DESIGN.md §14) prunes, on a pool
-// of GOMAXPROCS workers.
-func BenchmarkMatchPhase(b *testing.B) {
+// matchPhaseGraph is the saturated graph the match-phase benchmarks search.
+func matchPhaseGraph() (*EGraph, []Rewrite, []int) {
 	e, rules := saturationWorkload(12)
 	g := New()
 	g.AddExpr(e)
 	Run(g, rules, Limits{MaxIterations: 4, MaxNodes: 50_000})
+	all := make([]int, len(rules))
+	for i := range all {
+		all[i] = i
+	}
+	return g, rules, all
+}
+
+// BenchmarkMatchPhase isolates a cold match phase on a saturated graph: a
+// first-iteration search, with no cached matches, of every rule over every
+// canonical class its RootOps admits, on a pool of GOMAXPROCS workers.
+func BenchmarkMatchPhase(b *testing.B) {
+	g, rules, all := matchPhaseGraph()
 	b.ReportAllocs()
 	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {
-		found, _, _ := searchParallel(context.Background(), g, rules, runtime.GOMAXPROCS(0))
+		found, _, _ := newMatcher(rules).search(context.Background(), g, all, runtime.GOMAXPROCS(0))
+		for _, f := range found {
+			total += len(f.matches)
+		}
+	}
+	b.ReportMetric(float64(total)/float64(b.N), "matches")
+}
+
+// BenchmarkMatchPhaseSteady measures one more iteration's match phase on
+// the same saturated graph once every rule has a cache: nothing changed
+// since the last search, so it costs the dirty walk plus filtering and
+// merging the cached lists — the floor of a semi-naive search.
+func BenchmarkMatchPhaseSteady(b *testing.B) {
+	g, rules, all := matchPhaseGraph()
+	m := newMatcher(rules)
+	m.search(context.Background(), g, all, runtime.GOMAXPROCS(0))
+	b.ReportAllocs()
+	b.ResetTimer()
+	total := 0
+	for i := 0; i < b.N; i++ {
+		found, _, _ := m.search(context.Background(), g, all, runtime.GOMAXPROCS(0))
 		for _, f := range found {
 			total += len(f.matches)
 		}

@@ -12,9 +12,11 @@
 // Data layout (DESIGN.md §14): symbol payloads are interned per graph
 // (SymbolTable, symbols.go) so nodes carry a 32-bit SymID instead of a
 // string; the hashcons is keyed by a fixed-size binary key (memoKey,
-// key.go) instead of a heap-allocated string; and the match phase
-// dispatches rules through a per-iteration head-operator index (index.go)
-// instead of scanning every class for every rule.
+// key.go) instead of a heap-allocated string; and the match phase is
+// semi-naive (index.go): the graph logs every class whose node list
+// changes, and each iteration re-searches only the classes whose read
+// neighbourhood holds a logged class, keeping every other class's matches
+// from the last iteration.
 package egraph
 
 import (
@@ -72,6 +74,13 @@ type EGraph struct {
 	classes map[ClassID]*EClass
 	memo    map[memoKey]ClassID
 	dirty   []ClassID // classes touched by unions, pending Rebuild
+
+	// changed logs every class whose node list changed since the match
+	// phase last consumed the log (index.go): classes Add creates, Union
+	// winners, and classes whose nodes canonicalization rewrote (in repair
+	// or canonicalizeClasses). It feeds the semi-naive search and is not
+	// part of the footprint.
+	changed []ClassID
 
 	// syms interns every symbol payload the graph has seen (symbols.go).
 	syms SymbolTable
@@ -186,11 +195,17 @@ func (g *EGraph) CanonicalClasses() []*EClass {
 	return out
 }
 
-// canonicalize rewrites the node's children to canonical class IDs in place.
-func (g *EGraph) canonicalize(n *ENode) {
+// canonicalize rewrites the node's children to canonical class IDs in place
+// and reports whether any child changed.
+func (g *EGraph) canonicalize(n *ENode) bool {
+	moved := false
 	for i, a := range n.Args {
-		n.Args[i] = g.Find(a)
+		if r := g.Find(a); r != a {
+			n.Args[i] = r
+			moved = true
+		}
 	}
+	return moved
 }
 
 // Lookup reports the class containing the (canonicalized) node, if any.
@@ -220,6 +235,7 @@ func (g *EGraph) Add(n ENode) ClassID {
 	cls := &EClass{ID: id, Nodes: []ENode{n}}
 	g.classes[id] = cls
 	g.memo[key] = id
+	g.changed = append(g.changed, id)
 	g.nodeCount++
 	g.nodePayload += nodePayloadBytes(n)
 	g.memoRestBytes += key.restBytes()
@@ -306,6 +322,7 @@ func (g *EGraph) Union(a, b ClassID) (ClassID, bool) {
 	win.parents = append(win.parents, lose.parents...)
 	delete(g.classes, rb)
 	g.dirty = append(g.dirty, ra)
+	g.changed = append(g.changed, ra)
 	return ra, true
 }
 
@@ -357,7 +374,11 @@ func (g *EGraph) repair(id ClassID) {
 			g.memoRestBytes -= oldKey.restBytes()
 			delete(g.memo, oldKey)
 		}
-		g.canonicalize(&p.node)
+		if g.canonicalize(&p.node) {
+			// A parent entry shares its Args with the node in its class's
+			// node list, so that list may just have changed.
+			g.changed = append(g.changed, g.Find(p.class))
+		}
 		key := g.makeKey(p.node)
 		if g.prov != nil {
 			// Keep node justifications keyed by the current hashcons key.
@@ -394,21 +415,28 @@ func (g *EGraph) repair(id ClassID) {
 }
 
 // canonicalizeClasses canonicalizes every node in every class and removes
-// duplicates, updating the total node count and payload-byte counter.
+// duplicates, updating the total node count and payload-byte counter. A
+// class whose node list this rewrites goes on the change log.
 func (g *EGraph) canonicalizeClasses() {
 	total := 0
 	payload := int64(0)
 	for _, cls := range g.classes {
 		seen := make(map[memoKey]bool, len(cls.Nodes))
 		out := cls.Nodes[:0]
+		moved := false
 		for i := range cls.Nodes {
-			g.canonicalize(&cls.Nodes[i])
+			if g.canonicalize(&cls.Nodes[i]) {
+				moved = true
+			}
 			key := g.makeKey(cls.Nodes[i])
 			if !seen[key] {
 				seen[key] = true
 				out = append(out, cls.Nodes[i])
 				payload += nodePayloadBytes(cls.Nodes[i])
 			}
+		}
+		if moved || len(out) < len(cls.Nodes) {
+			g.changed = append(g.changed, cls.ID)
 		}
 		cls.Nodes = out
 		total += len(out)

@@ -1,34 +1,39 @@
 package egraph
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"diospyros/internal/expr"
 )
 
-// Indexed rule dispatch (DESIGN.md §14). Before the data-layout overhaul,
-// every iteration's match phase scanned every canonical class once per
-// rule. Most rules can only match at classes containing a node with a
-// specific head operator — a pattern rooted at (+ ...) is unmatchable in a
-// class holding only Vec and Get nodes — so the runner now builds a head-op
-// index over the canonical class list once per iteration and hands each
-// rule only its candidate classes.
+// Semi-naive dispatch (DESIGN.md §14.3). A rule's matches at a class depend
+// only on the node lists of the classes its search reads: the class itself
+// and the classes up to ReadDepth child hops below it. The graph logs every
+// class whose node list changes (EGraph.changed). Each iteration's index
+// step walks up the parent lists from the logged classes and records how
+// many hops above a change every reached class sits; a rule re-searches
+// only the reached classes within its own depth whose heads it can root
+// at, and every other class keeps the rule's matches from the last
+// iteration (parallel.go merges the two).
 //
-// Determinism: per-operator class lists are built by one pass over the
-// canonical (ID-sorted) class list, so every candidate list is itself in
-// canonical ID order, and a class pruned for a rule is exactly one where
-// that rule's search yields zero matches. Each rule's match list is
-// therefore element-for-element identical to the full scan's, and the
-// apply phase — and every artifact downstream of it — is unchanged (the
-// completeness test in internal/rules pins this across the kernel suite).
+// Soundness: a canonical class that is not reached has the same node list
+// as at the last search, and so does every class within the rule's depth
+// below it; each of those lists still names only canonical classes, or
+// canonicalization would have rewritten and logged it. The rule's search
+// there would therefore return exactly the cached matches, in the same
+// order.
+
+// The head-op masks are uint64 bitsets indexed by operator.
+const _ uint = 64 - uint(expr.NumOps)
 
 // HeadIndexed is implemented by rewrites that declare the head operators
 // their matches can root at: the rule's search, restricted to any class
 // list, returns no match for a class containing no node with one of these
-// operators. The runner uses the declaration to pre-filter each rule's
-// class scan through the per-iteration head-op index. A nil RootOps means
-// the rule must scan every class (the conservative default for rewrites
-// that do not implement the interface).
+// operators. The runner uses the declaration to filter the classes it hands
+// the rule's SearchClasses. A nil RootOps means every class is a candidate
+// (the conservative default for rewrites that do not implement the
+// interface).
 type HeadIndexed interface {
 	Rewrite
 	// RootOps returns the operator heads the rewrite's root can match
@@ -46,65 +51,108 @@ func (r *patternRewrite) RootOps() []expr.Op {
 	return []expr.Op{r.lhs.Op}
 }
 
-// ClassIndex is one iteration's head-op index: the full canonical class
-// list plus, per operator, the ID-ordered sublist of classes containing at
-// least one node with that head.
-type ClassIndex struct {
-	classes []*EClass
-	byOp    [expr.NumOps][]*EClass
-}
+// ReadDepth implements ShardedRewrite for syntactic rules: see patternDepth.
+func (r *patternRewrite) ReadDepth() int { return patternDepth(r.lhs) }
 
-// HeadIndex builds the head-op index over a canonical class snapshot (as
-// returned by CanonicalClasses). One O(nodes) pass; the runner rebuilds it
-// every iteration because rebuilds move nodes between classes.
-func HeadIndex(classes []*EClass) *ClassIndex {
-	ix := &ClassIndex{classes: classes}
-	for _, cls := range classes {
-		var mask uint64 // distinct heads in this class (NumOps < 64)
-		for _, n := range cls.Nodes {
-			mask |= 1 << uint(n.Op)
-		}
-		for op := expr.Op(0); mask != 0; op++ {
-			if mask&(1<<uint(op)) != 0 {
-				mask &^= 1 << uint(op)
-				ix.byOp[op] = append(ix.byOp[op], cls)
-			}
+// patternDepth is how many child hops below the matched class a search of
+// p reads node lists: a variable reads nothing (it binds the class ID its
+// parent's node names), and an operator reads its own class's list plus
+// its non-variable arguments' lists one hop further down. So (+ ?a 0) is 1,
+// (- ?a ?a) is 0 and (neg (neg ?a)) is 1.
+func patternDepth(p *Pattern) int {
+	d := 0
+	for _, a := range p.Args {
+		if a.Var == "" {
+			d = max(d, 1+patternDepth(a))
 		}
 	}
-	return ix
+	return d
 }
 
-// Candidates returns the classes the rewrite's search must scan, in
-// canonical ID order: the per-op sublists for a HeadIndexed rule, the full
-// class list otherwise.
-func (ix *ClassIndex) Candidates(r Rewrite) []*EClass {
+// rootMask is the rewrite's RootOps as a head-op bitset; all ones when any
+// class is a candidate.
+func rootMask(r Rewrite) uint64 {
 	hi, ok := r.(HeadIndexed)
 	if !ok {
-		return ix.classes
+		return ^uint64(0)
 	}
 	ops := hi.RootOps()
-	switch len(ops) {
-	case 0:
-		return ix.classes
-	case 1:
-		return ix.byOp[ops[0]]
+	if len(ops) == 0 {
+		return ^uint64(0)
 	}
-	// A class holding nodes of several root heads appears in several
-	// sublists; merge and deduplicate by ID to restore the canonical order.
-	total := 0
+	var m uint64
 	for _, op := range ops {
-		total += len(ix.byOp[op])
+		m |= 1 << uint(op)
 	}
-	merged := make([]*EClass, 0, total)
-	for _, op := range ops {
-		merged = append(merged, ix.byOp[op]...)
+	return m
+}
+
+// opMask is the set of head operators among the class's nodes.
+func opMask(cls *EClass) uint64 {
+	var m uint64
+	for _, n := range cls.Nodes {
+		m |= 1 << uint(n.Op)
 	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].ID < merged[j].ID })
-	out := merged[:0]
-	for i, cls := range merged {
-		if i == 0 || cls.ID != merged[i-1].ID {
-			out = append(out, cls)
+	return m
+}
+
+// reachedClass is one class the dirty walk reached: its distance in parent
+// hops above the nearest logged class, and its head-op mask.
+type reachedClass struct {
+	cls  *EClass
+	dist int
+	ops  uint64
+}
+
+// dirtyWalk is the index step's reusable state. dist and stamp are dense
+// per-ClassID slices; a class was reached by the current walk exactly when
+// its stamp equals gen, so no walk has to clear them.
+type dirtyWalk struct {
+	gen     uint32
+	stamp   []uint32
+	dist    []int32
+	reached []reachedClass // the current walk's classes, sorted by ID
+}
+
+// walk consumes g's change log: it reaches every canonical class within
+// depth parent hops above a logged class, breadth first so each class gets
+// its shortest distance, and leaves them in w.reached in ID order. The
+// caller has compressed paths, so Find does not write.
+func (w *dirtyWalk) walk(g *EGraph, depth int) {
+	w.gen++
+	if n := len(g.uf); len(w.stamp) < n {
+		w.stamp = append(w.stamp, make([]uint32, n-len(w.stamp))...)
+		w.dist = append(w.dist, make([]int32, n-len(w.dist))...)
+	}
+	w.reached = w.reached[:0]
+	reach := func(id ClassID, d int) {
+		if w.stamp[id] == w.gen {
+			return
+		}
+		w.stamp[id], w.dist[id] = w.gen, int32(d)
+		w.reached = append(w.reached, reachedClass{cls: g.classes[id], dist: d})
+	}
+	for _, id := range g.changed {
+		reach(g.Find(id), 0)
+	}
+	g.changed = g.changed[:0]
+	for i := 0; i < len(w.reached); i++ {
+		rc := w.reached[i]
+		if rc.dist >= depth {
+			continue
+		}
+		for _, p := range rc.cls.parents {
+			reach(g.Find(p.class), rc.dist+1)
 		}
 	}
-	return out
+	for i := range w.reached {
+		w.reached[i].ops = opMask(w.reached[i].cls)
+	}
+	slices.SortFunc(w.reached, func(a, b reachedClass) int { return cmp.Compare(a.cls.ID, b.cls.ID) })
+}
+
+// within reports whether the current walk reached class id at most depth
+// hops above a change: a rule of that read depth must search it again.
+func (w *dirtyWalk) within(id ClassID, depth int) bool {
+	return int(id) < len(w.stamp) && w.stamp[id] == w.gen && int(w.dist[id]) <= depth
 }

@@ -2,6 +2,7 @@ package egraph
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,7 +11,7 @@ import (
 // The match phase. Equality saturation alternates a read-only search phase
 // (every rule matched against every e-class) with a mutating apply/rebuild
 // phase. The search phase dominates compile time on large kernels and is
-// embarrassingly parallel: this file shards the canonical e-class list
+// embarrassingly parallel: this file shards each rule's candidate classes
 // across a worker pool sized by the runner to GOMAXPROCS, collects matches
 // into per-(rule, shard) buffers, and merges them in canonical (rule,
 // e-class ID) order, so the runner's apply phase — and therefore the
@@ -26,21 +27,30 @@ import (
 //     every chain has length ≤ 1 and Find's path-halving never fires.
 
 // ShardedRewrite is optionally implemented by rewrites whose search can be
-// restricted to a subset of e-classes. The runner uses it to shard the
-// match phase across workers: each shard is a contiguous run of the
-// canonical class list (sorted by ID), and the per-shard results are
-// concatenated in shard order, so implementations must derive matches from
-// the given classes only, in the order given. SearchClasses must be
-// read-only and safe for concurrent use with other searchers.
+// restricted to a subset of e-classes. The runner uses it twice: to shard
+// the match phase across workers, and to search again only the classes
+// whose read neighbourhood changed since the last iteration (semi-naive
+// dispatch, index.go), reusing the rule's earlier matches everywhere else.
+// Shards are contiguous runs of an ID-sorted class list and the per-shard
+// results are concatenated in shard order, so implementations must derive
+// matches from the given classes only, in the order given. SearchClasses
+// must be read-only and safe for concurrent use with other searchers.
 //
 // Rewrites that do not implement the interface still participate in
-// parallel matching — each one runs as a single whole-graph Search task —
-// but cannot be split across workers.
+// parallel matching — each one runs as a single whole-graph Search task,
+// every iteration — but are neither split across workers nor cached.
 type ShardedRewrite interface {
 	Rewrite
 	// SearchClasses returns the rewrite's matches within the given
-	// canonical classes, in class order.
+	// canonical classes, in class order. Every match it finds while
+	// searching class c has Match.Class c.
 	SearchClasses(g *EGraph, classes []*EClass) []Match
+	// ReadDepth bounds what SearchClasses reads: searching class c reads
+	// only the node lists of c and of classes at most ReadDepth child hops
+	// below c. A class whose matches could change without one of those
+	// lists changing breaks the contract, because the runner keeps c's
+	// matches from the last iteration until one of them does.
+	ReadDepth() int
 }
 
 // SearchClasses restricts the syntactic pattern search to the given
@@ -72,56 +82,131 @@ type ruleMatches struct {
 	searchDur time.Duration
 }
 
-// searchParallel is the runner's match phase: it searches rules over g on
-// a pool of up to workers goroutines and returns per-rule matches in rule
-// order, each rule's matches in canonical e-class order, so the result is
-// identical at any pool size. The pool only spins up for graphs of at
-// least matchParallelMinClasses classes; otherwise (or when workers is 1)
-// the tasks run inline, one per rule. The caller must pass only rules
-// eligible to search this iteration (bans already filtered).
+// matcher is one run's semi-naive match state, indexed by rule position.
+type matcher struct {
+	rules []Rewrite
+	depth []int    // ReadDepth; -1 for rules that are not shardable
+	roots []uint64 // rootMask
+	// cache holds each shardable rule's merged match list from the last
+	// iteration it searched; cached[i] is false while rule i has none (the
+	// run's first iteration, or back from a ban).
+	cache  [][]Match
+	cached []bool
+	cand   [][]*EClass // per-rule candidate buffers, reused every iteration
+	walk   dirtyWalk
+}
+
+func newMatcher(rules []Rewrite) *matcher {
+	m := &matcher{
+		rules:  rules,
+		depth:  make([]int, len(rules)),
+		roots:  make([]uint64, len(rules)),
+		cache:  make([][]Match, len(rules)),
+		cached: make([]bool, len(rules)),
+		cand:   make([][]*EClass, len(rules)),
+	}
+	for i, r := range rules {
+		m.depth[i] = -1
+		if sr, ok := r.(ShardedRewrite); ok {
+			m.depth[i] = sr.ReadDepth()
+		}
+		m.roots[i] = rootMask(r)
+	}
+	return m
+}
+
+// forget drops rule i's cache. A rule that sits an iteration out misses
+// that iteration's change log, so its matches cannot be brought up to date.
+func (m *matcher) forget(i int) {
+	m.cache[i], m.cached[i] = nil, false
+}
+
+// search is the runner's match phase: it searches the eligible rules
+// (positions in m.rules; bans already filtered) over g on a pool of up to
+// workers goroutines and returns their matches in eligible order, each
+// rule's matches in canonical e-class order, so the result is identical at
+// any pool size and equal to a whole-graph search of every rule.
 //
-// index is the wall time of the serial prologue that builds the head
-// index; the rest of the call is the match proper. cancelled reports that
-// ctx fired during the phase (it is polled between tasks and once after
-// the last); partial results are discarded and the caller stops the run.
-func searchParallel(ctx context.Context, g *EGraph, rules []Rewrite, workers int) (out []ruleMatches, index time.Duration, cancelled bool) {
-	// Serial prologue: after this, Find is write-free until the next Union.
+// A shardable rule with a cache searches only the classes the dirty walk
+// reached within its read depth and merges them with its cached matches;
+// one without searches every canonical class. Both filter by RootOps. The
+// pool only spins up for graphs of at least matchParallelMinClasses
+// classes; otherwise (or when workers is 1) the tasks run inline.
+//
+// index is the wall time of the serial prologue (path compression, the
+// dirty walk, candidate lists); the rest of the call is the match proper.
+// cancelled reports that ctx fired during the phase (it is polled between
+// tasks and once after the last); partial results are discarded and the
+// caller stops the run.
+func (m *matcher) search(ctx context.Context, g *EGraph, eligible []int, workers int) (out []ruleMatches, index time.Duration, cancelled bool) {
+	// Serial prologue: after CompressPaths, Find is write-free until the
+	// next Union.
 	start := time.Now()
 	g.CompressPaths()
-	classes := g.CanonicalClasses()
-	ix := HeadIndex(classes)
+	walkDepth, full := -1, false
+	for _, i := range eligible {
+		switch {
+		case m.depth[i] < 0:
+		case m.cached[i]:
+			walkDepth = max(walkDepth, m.depth[i])
+		default:
+			full = true
+		}
+	}
+	if walkDepth >= 0 {
+		m.walk.walk(g, walkDepth)
+	} else {
+		g.changed = g.changed[:0]
+	}
+	var all []reachedClass
+	if full {
+		classes := g.CanonicalClasses()
+		all = make([]reachedClass, len(classes))
+		for k, cls := range classes {
+			all[k] = reachedClass{cls: cls, ops: opMask(cls)}
+		}
+	}
+	for _, i := range eligible {
+		if m.depth[i] < 0 {
+			continue
+		}
+		src, depth := all, 0
+		if m.cached[i] {
+			src, depth = m.walk.reached, m.depth[i]
+		}
+		cand := m.cand[i][:0]
+		for _, rc := range src {
+			if rc.dist <= depth && rc.ops&m.roots[i] != 0 {
+				cand = append(cand, rc.cls)
+			}
+		}
+		m.cand[i] = cand
+	}
 	index = time.Since(start)
 
 	// Inline runs give each rule a single task. Pool runs derive shard
-	// granularity from the full class count, not per-rule candidate counts,
-	// so the cost of one shard is comparable across rules regardless of how
-	// selective their head-op filters are.
-	inline := workers <= 1 || len(classes) < matchParallelMinClasses
-	shardSize := len(classes) + 1
+	// granularity from the graph's class count, not per-rule candidate
+	// counts, so the cost of one shard is comparable across rules.
+	inline := workers <= 1 || g.NumClasses() < matchParallelMinClasses
+	shardSize := g.NumClasses() + 1
 	if !inline {
-		shardSize = max(len(classes)/(workers*4), matchShardMin)
+		shardSize = max(g.NumClasses()/(workers*4), matchShardMin)
 	}
 
-	// A task searches one rule over candidates[rule][lo:hi] (the whole
-	// graph for rules that are not shardable). Tasks are rule-major, shards
-	// in canonical class order.
+	// A task searches rule eligible[rule] over its candidates[lo:hi] (the
+	// whole graph for rules that are not shardable). Tasks are rule-major,
+	// shards in canonical class order.
 	type task struct{ rule, lo, hi int }
-	tasks := make([]task, 0, len(rules))
-	candidates := make([][]*EClass, len(rules))
-	for i, r := range rules {
-		if _, ok := r.(ShardedRewrite); !ok {
-			tasks = append(tasks, task{rule: i})
+	tasks := make([]task, 0, len(eligible))
+	for k, i := range eligible {
+		if m.depth[i] < 0 {
+			tasks = append(tasks, task{rule: k})
 			continue
 		}
-		// Shardable rules scan only their head-op candidates, split into
-		// contiguous runs of the (ID-ordered) candidate list; the
-		// rule-major, class-ordered merge below makes the shard layout
-		// invisible downstream.
-		cand := ix.Candidates(r)
-		candidates[i] = cand
+		n := len(m.cand[i])
 		for lo := 0; ; lo += shardSize {
-			tasks = append(tasks, task{i, lo, min(lo+shardSize, len(cand))})
-			if lo+shardSize >= len(cand) {
+			tasks = append(tasks, task{k, lo, min(lo+shardSize, n)})
+			if lo+shardSize >= n {
 				break
 			}
 		}
@@ -147,11 +232,14 @@ func searchParallel(ctx context.Context, g *EGraph, rules []Rewrite, workers int
 				return
 			}
 			t := tasks[k]
+			i := eligible[t.rule]
 			start := time.Now()
-			if sr, ok := rules[t.rule].(ShardedRewrite); ok {
-				results[k] = sr.SearchClasses(g, candidates[t.rule][t.lo:t.hi])
+			if sr, ok := m.rules[i].(ShardedRewrite); ok {
+				if t.hi > t.lo {
+					results[k] = sr.SearchClasses(g, m.cand[i][t.lo:t.hi])
+				}
 			} else {
-				results[k] = rules[t.rule].Search(g)
+				results[k] = m.rules[i].Search(g)
 			}
 			durs[k] = time.Since(start)
 		}
@@ -173,14 +261,16 @@ func searchParallel(ctx context.Context, g *EGraph, rules []Rewrite, workers int
 		return nil, index, true
 	}
 
-	// Deterministic merge: rule order, then shard (= canonical class) order.
-	out = make([]ruleMatches, len(rules))
+	// Deterministic merge: rule order, then shard (= canonical class)
+	// order; a cached rule's surviving matches merge in by class ID.
+	out = make([]ruleMatches, len(eligible))
 	for k := 0; k < len(tasks); {
-		i, end, total := tasks[k].rule, k, 0
-		for ; end < len(tasks) && tasks[end].rule == i; end++ {
+		j, end, total := tasks[k].rule, k, 0
+		for ; end < len(tasks) && tasks[end].rule == j; end++ {
 			total += len(results[end])
 		}
-		rm := ruleMatches{rule: rules[i], matches: results[k]}
+		i := eligible[j]
+		rm := ruleMatches{rule: m.rules[i], matches: results[k]}
 		if end-k > 1 {
 			rm.matches = make([]Match, 0, total)
 			for _, ms := range results[k:end] {
@@ -190,8 +280,52 @@ func searchParallel(ctx context.Context, g *EGraph, rules []Rewrite, workers int
 		for _, d := range durs[k:end] {
 			rm.searchDur += d
 		}
-		out[i] = rm
+		if m.depth[i] >= 0 {
+			if m.cached[i] {
+				rm.matches = m.mergeCached(g, i, rm.matches)
+			}
+			m.cache[i], m.cached[i] = rm.matches, true
+		}
+		out[j] = rm
 		k = end
 	}
 	return out, index, false
+}
+
+// mergeCached merges rule i's fresh matches (over the classes it searched
+// again, in class order) into its cached list, in place. A cached match
+// survives when its class is still canonical and was not searched again;
+// the survivors and the fresh matches cover disjoint classes, so merging
+// by class ID restores the order of a whole-graph search, each class's
+// matches in the order its search produced them.
+func (m *matcher) mergeCached(g *EGraph, i int, fresh []Match) []Match {
+	old, depth := m.cache[i], m.depth[i]
+	kept := 0
+	for _, mt := range old {
+		if g.uf[mt.Class] == mt.Class && !m.walk.within(mt.Class, depth) {
+			old[kept] = mt
+			kept++
+		}
+	}
+	clear(old[kept:])
+	if len(fresh) == 0 {
+		return old[:kept]
+	}
+	if kept == 0 {
+		return fresh
+	}
+	// Merge from the back so the survivors can stay where they are.
+	n := kept + len(fresh)
+	out := slices.Grow(old[:kept], len(fresh))[:n]
+	a, b := kept-1, len(fresh)-1
+	for w := n - 1; b >= 0; w-- {
+		if a >= 0 && out[a].Class > fresh[b].Class {
+			out[w] = out[a]
+			a--
+		} else {
+			out[w] = fresh[b]
+			b--
+		}
+	}
+	return out
 }

@@ -18,8 +18,15 @@ import (
 // Search must treat the graph as read-only — all mutation belongs in Apply.
 // The runner relies on this to match rules concurrently (one worker per
 // GOMAXPROCS); a Search that adds nodes or unions classes would race.
-// Rewrites that additionally implement ShardedRewrite let the runner split
-// one rule's search across workers.
+// Match.Class is the class the match was found at. Rewrites that
+// additionally implement ShardedRewrite let the runner split one rule's
+// search across workers and search again only where the graph changed
+// (ShardedRewrite.ReadDepth states the contract that makes this exact).
+//
+// Apply must not mutate m.Data or m.Subst: the runner keeps a shardable
+// rule's matches from one iteration to the next and applies a match again
+// every iteration until its class changes, just as a fresh search would
+// find it again.
 type Rewrite interface {
 	Name() string
 	Search(g *EGraph) []Match
@@ -99,6 +106,11 @@ const (
 	StopIterLimit StopReason = "iter-limit" // iteration cap reached
 	StopCancelled StopReason = "cancelled"  // the run's context was cancelled
 )
+
+// matchHook, when non-nil, sees every searched rule's merged match list
+// each iteration, before any match is applied. Tests set it (through
+// export_test.go) to hold the merged list to a whole-graph search.
+var matchHook func(g *EGraph, r Rewrite, matches []Match)
 
 // ctxCheckInterval amortizes context checks in the apply phase: polling
 // after every single match apply is measurable overhead on large kernels,
@@ -219,6 +231,8 @@ func RunContext(ctx context.Context, g *EGraph, rules []Rewrite, lim Limits) Rep
 		jr.append(gauge)
 	}
 
+	m := newMatcher(rules)
+	eligible := make([]int, 0, len(rules))
 	for iter := 0; iter < maxIter; iter++ {
 		if nodesOver() {
 			rep.Reason = StopNodeLimit
@@ -235,24 +249,30 @@ func RunContext(ctx context.Context, g *EGraph, rules []Rewrite, lim Limits) Rep
 
 		// Match phase: search every eligible rule over a read-only view of
 		// the graph before any match is applied (parallel.go). Banned rules
-		// sit the iteration out.
+		// sit the iteration out and lose their cached matches.
 		ruleSkipped := false
-		eligible := make([]Rewrite, 0, len(rules))
-		for _, r := range rules {
+		eligible = eligible[:0]
+		for i, r := range rules {
 			if lim.Backoff != nil && lim.Backoff.banned(r.Name(), iter) {
 				ruleSkipped = true
+				m.forget(i)
 				continue
 			}
-			eligible = append(eligible, r)
+			eligible = append(eligible, i)
 		}
 		searchStart := time.Now()
-		found, index, cancelled := searchParallel(ctx, g, eligible, runtime.GOMAXPROCS(0))
+		found, index, cancelled := m.search(ctx, g, eligible, runtime.GOMAXPROCS(0))
 		gauge.Index = index
 		if cancelled {
 			gauge.Match = time.Since(searchStart) - index
 			rep.Reason, _ = ctxStop()
 			flushGauge(false)
 			break
+		}
+		if matchHook != nil {
+			for _, f := range found {
+				matchHook(g, f.rule, f.matches)
+			}
 		}
 		// Every rule that matched gets a row, in rule order: matched[k]
 		// fills gauge.Rules[k]. A rule Backoff bans now keeps its row, its

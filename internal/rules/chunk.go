@@ -15,9 +15,13 @@ type chunkRule struct {
 
 func (chunkRule) Name() string { return "list-chunk" }
 
-// RootOps declares the head-op filter for the dispatch index: chunking only
-// matches at classes containing a List node.
+// RootOps declares the rule's head-op filter (egraph.HeadIndexed):
+// chunking only matches at classes containing a List node.
 func (chunkRule) RootOps() []expr.Op { return []expr.Op{expr.OpList} }
+
+// ReadDepth implements egraph.ShardedRewrite: chunking reads only the
+// List node's own argument IDs.
+func (chunkRule) ReadDepth() int { return 0 }
 
 type chunkMatch struct {
 	elems []egraph.ClassID

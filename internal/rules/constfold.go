@@ -14,12 +14,16 @@ type constFoldRule struct{}
 
 func (constFoldRule) Name() string { return "const-fold" }
 
-// RootOps declares the head-op filter for the dispatch index: folding only
-// fires at classes containing a foldable scalar operator node.
+// RootOps declares the rule's head-op filter (egraph.HeadIndexed):
+// folding only fires at classes containing a foldable scalar operator node.
 func (constFoldRule) RootOps() []expr.Op {
 	return []expr.Op{expr.OpAdd, expr.OpSub, expr.OpMul, expr.OpDiv,
 		expr.OpNeg, expr.OpSqrt, expr.OpSgn}
 }
+
+// ReadDepth implements egraph.ShardedRewrite: folding reads the class and
+// its operands' classes, one hop down.
+func (constFoldRule) ReadDepth() int { return 1 }
 
 type foldMatch struct{ value float64 }
 

@@ -16,6 +16,7 @@ package rules
 
 import (
 	"sort"
+	"sync"
 
 	"diospyros/internal/egraph"
 )
@@ -52,6 +53,15 @@ type Config struct {
 	// produce per rule per iteration. 0 means the default (4).
 	MaxCombos int
 }
+
+// Every custom rule is shardable, so the runner can split its search across
+// workers and search again only where the graph changed.
+var (
+	_ egraph.ShardedRewrite = chunkRule{}
+	_ egraph.ShardedRewrite = constFoldRule{}
+	_ egraph.ShardedRewrite = vectorizeRule{}
+	_ egraph.ShardedRewrite = macRule{}
+)
 
 // Default returns the configuration used throughout the evaluation.
 func Default(width int) Config { return Config{Width: width} }
@@ -112,6 +122,20 @@ func (c Config) Rules() []egraph.Rewrite {
 	}
 	return out
 }
+
+// builtinNames is every name Rules gives a rule, under any Config.
+var builtinNames = sync.OnceValue(func() map[string]bool {
+	names := map[string]bool{}
+	for _, r := range (Config{Width: 4, EnableAC: true}).Rules() {
+		names[r.Name()] = true
+	}
+	return names
+})
+
+// Builtin reports whether name belongs to a built-in rule under some
+// Config. A user rule may not take it: rule rows and Backoff bans are keyed
+// by name.
+func Builtin(name string) bool { return builtinNames()[name] }
 
 // scalarRules are sound syntactic identities over the reals (§3.4 notes the
 // rules are correct over ℝ, not IEEE floats, like other kernel compilers).

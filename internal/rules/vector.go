@@ -76,10 +76,15 @@ func newWidthSet(cfg Config) widthSet {
 
 func (vectorizeRule) Name() string { return "vec-lanewise" }
 
-// RootOps declares the head-op filter for the dispatch index
+// RootOps declares the rule's head-op filter
 // (egraph.HeadIndexed): lane-wise vectorization only matches at classes
 // containing a Vec node.
 func (vectorizeRule) RootOps() []expr.Op { return []expr.Op{expr.OpVec} }
+
+// ReadDepth implements egraph.ShardedRewrite: lane-wise matching reads the
+// lane classes one hop below the Vec (their operator nodes, and
+// classHasLit for zero lanes).
+func (vectorizeRule) ReadDepth() int { return 1 }
 
 // laneOps are the scalar operator families handled by vectorizeRule.
 // zeroOps gives the operand tuple that makes the operator yield 0 for
@@ -287,9 +292,13 @@ func newMACRule(cfg Config) egraph.Rewrite {
 
 func (macRule) Name() string { return "vec-mac" }
 
-// RootOps declares the head-op filter for the dispatch index: MAC fusion
-// only matches at classes containing a Vec node.
+// RootOps declares the rule's head-op filter (egraph.HeadIndexed): MAC
+// fusion only matches at classes containing a Vec node.
 func (macRule) RootOps() []expr.Op { return []expr.Op{expr.OpVec} }
+
+// ReadDepth implements egraph.ShardedRewrite: MAC matching reads the lanes
+// and, under a lane's + node, the product's class two hops below the Vec.
+func (macRule) ReadDepth() int { return 2 }
 
 func (r macRule) Search(g *egraph.EGraph) []egraph.Match {
 	return r.SearchClasses(g, g.CanonicalClasses())

@@ -53,14 +53,24 @@ kernel inv4(d[4]) -> (out[4]) {
 
 func TestExtraRulesRejectMalformed(t *testing.T) {
 	opts := testOpts()
-	for _, r := range []RewriteRule{
-		{Name: "bad-lhs", LHS: "(bogus ?x)", RHS: "?x"},
-		{Name: "bad-rhs", LHS: "(+ ?x 0)", RHS: "(+ ?x"},
-		{Name: "unbound", LHS: "(+ ?x 0)", RHS: "?y"},
+	recip := RewriteRule{Name: "one-over-to-recip", LHS: "(/ 1 ?x)", RHS: "(func recip ?x)"}
+	for _, tc := range []struct {
+		name  string
+		rules []RewriteRule
+		want  string // in the error
+	}{
+		{"bad-lhs", []RewriteRule{{Name: "bad-lhs", LHS: "(bogus ?x)", RHS: "?x"}}, "bad-lhs"},
+		{"bad-rhs", []RewriteRule{{Name: "bad-rhs", LHS: "(+ ?x 0)", RHS: "(+ ?x"}}, "bad-rhs"},
+		{"unbound", []RewriteRule{{Name: "unbound", LHS: "(+ ?x 0)", RHS: "?y"}}, "unbound"},
+		{"empty name", []RewriteRule{{LHS: "(/ 1 ?x)", RHS: "(func recip ?x)"}}, "(/ 1 ?x) => (func recip ?x)"},
+		{"built-in name", []RewriteRule{{Name: "vec-mac", LHS: "(/ 1 ?x)", RHS: "(func recip ?x)"}}, `"vec-mac"`},
+		{"AC built-in name", []RewriteRule{{Name: "comm-add", LHS: "(+ ?a ?b)", RHS: "(+ ?b ?a)"}}, `"comm-add"`},
+		{"repeated extra name", []RewriteRule{recip, recip}, `"one-over-to-recip"`},
 	} {
-		opts.ExtraRules = []RewriteRule{r}
-		if _, err := Compile(kernels.MatMul(2, 2, 2), opts); err == nil {
-			t.Errorf("rule %s accepted, want error", r.Name)
+		opts.ExtraRules = tc.rules
+		_, err := Compile(kernels.MatMul(2, 2, 2), opts)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want an error naming %s", tc.name, err, tc.want)
 		}
 	}
 }

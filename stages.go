@@ -108,7 +108,18 @@ func stageSaturate(ctx context.Context, st *compileState) error {
 		DisableVector: st.opts.DisableVectorRules || len(widths) == 0,
 	}
 	ruleSet := cfg.Rules()
-	for _, r := range st.opts.ExtraRules {
+	extra := make(map[string]bool, len(st.opts.ExtraRules))
+	for i, r := range st.opts.ExtraRules {
+		// Rule rows and Backoff bans are keyed by name, so names are unique.
+		switch {
+		case r.Name == "":
+			return fmt.Errorf("extra rule %d (%s => %s) has no name", i, r.LHS, r.RHS)
+		case rules.Builtin(r.Name):
+			return fmt.Errorf("extra rule %q repeats a built-in rule's name", r.Name)
+		case extra[r.Name]:
+			return fmt.Errorf("extra rule %q repeats an earlier extra rule's name", r.Name)
+		}
+		extra[r.Name] = true
 		rw, err := egraph.ParseRewrite(r.Name, r.LHS, r.RHS)
 		if err != nil {
 			return err
