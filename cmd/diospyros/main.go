@@ -46,7 +46,6 @@ import (
 	"diospyros/internal/buildinfo"
 	"diospyros/internal/egraph"
 	"diospyros/internal/expr"
-	"diospyros/internal/rules"
 	"diospyros/internal/telemetry"
 )
 
@@ -116,21 +115,6 @@ func main() {
 		fmt.Println(expr.Pretty(lifted.Spec))
 		return
 	}
-	if *dumpDot {
-		lifted, err := diospyros.Lift(string(src))
-		if err != nil {
-			fatal(err)
-		}
-		g := egraph.New()
-		g.AddExpr(lifted.Spec)
-		cfg := rules.Config{Width: 4, EnableAC: *enableAC, DisableVector: *noVector}
-		egraph.RunContext(ctx, g, cfg.Rules(), egraph.Limits{
-			MaxIterations: 30, MaxNodes: 100_000, Timeout: *timeout,
-		})
-		fmt.Print(g.ToDot())
-		return
-	}
-
 	opts := diospyros.Options{
 		Timeout:            *timeout,
 		NodeLimit:          *nodeLimit,
@@ -146,6 +130,25 @@ func main() {
 				opts.Targets = append(opts.Targets, t)
 			}
 		}
+	}
+	if *dumpDot {
+		lifted, err := diospyros.Lift(string(src))
+		if err != nil {
+			fatal(err)
+		}
+		ruleSet, err := diospyros.RuleSet(opts)
+		if err != nil {
+			fatal(err)
+		}
+		lim := egraph.Limits{MaxIterations: 30, MaxNodes: 100_000, Timeout: *timeout}
+		if *backoff {
+			lim.Backoff = &egraph.Backoff{}
+		}
+		g := egraph.New()
+		g.AddExpr(lifted.Spec)
+		egraph.RunContext(ctx, g, ruleSet, lim)
+		fmt.Print(g.ToDot())
+		return
 	}
 	if *reportOut != "" {
 		// The HTML report renders the best-cost trajectory and the

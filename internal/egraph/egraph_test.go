@@ -141,14 +141,20 @@ func TestPatternParse(t *testing.T) {
 	}
 }
 
+// searchPattern finds every match of p, class by class over the canonical
+// classes, as a pattern rule's search does; each match's Data is its Subst.
+func searchPattern(g *EGraph, p *Pattern) []Match {
+	return (&patternRewrite{lhs: p}).SearchClasses(g, g.CanonicalClasses())
+}
+
 func TestSearchPattern(t *testing.T) {
 	g := New()
 	g.AddExpr(expr.MustParse("(+ (Get a 0) (* (Get b 0) (Get c 0)))"))
-	ms := g.SearchPattern(MustPattern("(+ ?x (* ?y ?z))"))
+	ms := searchPattern(g, MustPattern("(+ ?x (* ?y ?z))"))
 	if len(ms) != 1 {
 		t.Fatalf("got %d matches, want 1", len(ms))
 	}
-	s := ms[0].Subst
+	s := ms[0].Data.(Subst)
 	wantX, _ := g.Lookup(g.LeafNode(expr.OpGet, 0, "a", 0))
 	if g.Find(s["?x"]) != wantX {
 		t.Errorf("?x bound to %d, want %d", s["?x"], wantX)
@@ -157,7 +163,7 @@ func TestSearchPattern(t *testing.T) {
 	g2 := New()
 	g2.AddExpr(expr.MustParse("(+ a b)"))
 	g2.AddExpr(expr.MustParse("(+ c c)"))
-	ms = g2.SearchPattern(MustPattern("(+ ?x ?x)"))
+	ms = searchPattern(g2, MustPattern("(+ ?x ?x)"))
 	if len(ms) != 1 {
 		t.Fatalf("nonlinear: got %d matches, want 1", len(ms))
 	}
@@ -170,11 +176,11 @@ func TestSearchPatternAcrossClasses(t *testing.T) {
 	alt := g.AddExpr(expr.MustParse("(* y y)"))
 	g.Union(root, alt)
 	g.Rebuild()
-	ms := g.SearchPattern(MustPattern("(sqrt (* ?a ?a))"))
+	ms := searchPattern(g, MustPattern("(sqrt (* ?a ?a))"))
 	// sqrt's child class is x (not merged), so no match expected there;
 	// but (sqrt x) where x ~ nothing. Instead match (* ?a ?a) inside the
 	// merged root class.
-	ms = g.SearchPattern(MustPattern("(* ?a ?a)"))
+	ms = searchPattern(g, MustPattern("(* ?a ?a)"))
 	found := false
 	for _, m := range ms {
 		if g.Find(m.Class) == g.Find(root) {
@@ -189,11 +195,11 @@ func TestSearchPatternAcrossClasses(t *testing.T) {
 func TestInstantiate(t *testing.T) {
 	g := New()
 	g.AddExpr(expr.MustParse("(+ p q)"))
-	ms := g.SearchPattern(MustPattern("(+ ?a ?b)"))
+	ms := searchPattern(g, MustPattern("(+ ?a ?b)"))
 	if len(ms) != 1 {
 		t.Fatal("setup failed")
 	}
-	id, err := g.Instantiate(MustPattern("(* ?b ?a)"), ms[0].Subst)
+	id, err := g.Instantiate(MustPattern("(* ?b ?a)"), ms[0].Data.(Subst))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +209,7 @@ func TestInstantiate(t *testing.T) {
 	if !ok || want != id {
 		t.Fatalf("Instantiate produced class %d, want %d", id, want)
 	}
-	if _, err := g.Instantiate(MustPattern("?zzz"), ms[0].Subst); err == nil {
+	if _, err := g.Instantiate(MustPattern("?zzz"), ms[0].Data.(Subst)); err == nil {
 		t.Error("expected unbound-variable error")
 	}
 }

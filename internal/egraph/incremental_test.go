@@ -34,15 +34,16 @@ func suiteSpecs() []*kernel.Lifted {
 }
 
 // oracleRun saturates spec under rs and holds every searched rule's merged
-// match list, on every iteration, to the rule's own whole-graph Search:
-// same matches, element for element, in the same order. It returns the
+// match list, on every iteration, to the rule's own search over every
+// canonical class, with no RootOps filter and no cache: same matches,
+// element for element, in the same order. It returns the
 // run's report and how many lists it compared.
 func oracleRun(t *testing.T, name string, spec *kernel.Lifted, rs []egraph.Rewrite, lim egraph.Limits) (egraph.Report, int) {
 	t.Helper()
 	checked, failed := 0, false
 	restore := egraph.SetMatchHook(func(g *egraph.EGraph, r egraph.Rewrite, merged []egraph.Match) {
 		checked++
-		full := r.Search(g)
+		full := r.SearchClasses(g, g.CanonicalClasses())
 		if failed || (len(full) == 0 && len(merged) == 0) || reflect.DeepEqual(full, merged) {
 			return
 		}

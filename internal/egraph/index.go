@@ -27,33 +27,6 @@ import (
 // The head-op masks are uint64 bitsets indexed by operator.
 const _ uint = 64 - uint(expr.NumOps)
 
-// HeadIndexed is implemented by rewrites that declare the head operators
-// their matches can root at: the rule's search, restricted to any class
-// list, returns no match for a class containing no node with one of these
-// operators. The runner uses the declaration to filter the classes it hands
-// the rule's SearchClasses. A nil RootOps means every class is a candidate
-// (the conservative default for rewrites that do not implement the
-// interface).
-type HeadIndexed interface {
-	Rewrite
-	// RootOps returns the operator heads the rewrite's root can match
-	// under, or nil when any class is a candidate.
-	RootOps() []expr.Op
-}
-
-// RootOps implements HeadIndexed for syntactic rules: a pattern rooted at a
-// variable matches anywhere; any other pattern only matches classes holding
-// its root operator.
-func (r *patternRewrite) RootOps() []expr.Op {
-	if r.lhs.Var != "" {
-		return nil
-	}
-	return []expr.Op{r.lhs.Op}
-}
-
-// ReadDepth implements ShardedRewrite for syntactic rules: see patternDepth.
-func (r *patternRewrite) ReadDepth() int { return patternDepth(r.lhs) }
-
 // patternDepth is how many child hops below the matched class a search of
 // p reads node lists: a variable reads nothing (it binds the class ID its
 // parent's node names), and an operator reads its own class's list plus
@@ -69,14 +42,9 @@ func patternDepth(p *Pattern) int {
 	return d
 }
 
-// rootMask is the rewrite's RootOps as a head-op bitset; all ones when any
+// rootMask is a rule's RootOps as a head-op bitset; all ones when any
 // class is a candidate.
-func rootMask(r Rewrite) uint64 {
-	hi, ok := r.(HeadIndexed)
-	if !ok {
-		return ^uint64(0)
-	}
-	ops := hi.RootOps()
+func rootMask(ops []expr.Op) uint64 {
 	if len(ops) == 0 {
 		return ^uint64(0)
 	}

@@ -24,14 +24,13 @@ func TestPatternReadDepth(t *testing.T) {
 		{"(+ (+ ?a ?b) ?c)", 1},
 		{"(+ ?a (* ?b (neg ?c)))", 2},
 	} {
-		r := MustRewrite("r", tc.lhs, "?a").(ShardedRewrite)
-		if got := r.ReadDepth(); got != tc.want {
+		if got := MustRewrite("r", tc.lhs, "?a").ReadDepth(); got != tc.want {
 			t.Errorf("ReadDepth of %s = %d, want %d", tc.lhs, got, tc.want)
 		}
 	}
 }
 
-// spyRule is a ShardedRewrite that records the classes each SearchClasses
+// spyRule is a rewrite that records the classes each SearchClasses
 // call is handed. It matches at one class, and its applier makes one
 // change to the graph (the first apply changes it; later ones do not).
 type spyRule struct {
@@ -41,10 +40,9 @@ type spyRule struct {
 	calls  [][]ClassID
 }
 
-func (s *spyRule) Name() string   { return "spy" }
-func (s *spyRule) ReadDepth() int { return s.depth }
-
-func (s *spyRule) Search(g *EGraph) []Match { return s.SearchClasses(g, g.CanonicalClasses()) }
+func (s *spyRule) Name() string       { return "spy" }
+func (s *spyRule) RootOps() []expr.Op { return nil }
+func (s *spyRule) ReadDepth() int     { return s.depth }
 
 func (s *spyRule) SearchClasses(g *EGraph, classes []*EClass) []Match {
 	var ids []ClassID

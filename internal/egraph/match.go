@@ -197,31 +197,11 @@ func (s Subst) clone() Subst {
 }
 
 // Match is one result of searching a rewrite's left-hand side: the class
-// where it matched and the variable bindings. Custom searchers may attach
-// arbitrary data for their applier.
+// where it matched and the applier's payload (a pattern rule's Subst, or a
+// custom searcher's own data).
 type Match struct {
 	Class ClassID
-	Subst Subst
 	Data  any
-}
-
-// SearchPattern finds all matches of the pattern anywhere in the graph.
-func (g *EGraph) SearchPattern(p *Pattern) []Match {
-	var out []Match
-	g.Classes(func(cls *EClass) {
-		out = append(out, g.matchClass(p, cls.ID)...)
-	})
-	return out
-}
-
-// matchClass matches p against one class, returning all substitutions.
-func (g *EGraph) matchClass(p *Pattern, id ClassID) []Match {
-	substs := g.matchIn(p, g.Find(id), Subst{})
-	out := make([]Match, 0, len(substs))
-	for _, s := range substs {
-		out = append(out, Match{Class: g.Find(id), Subst: s})
-	}
-	return out
 }
 
 // matchIn returns all extensions of subst under which p matches class id.

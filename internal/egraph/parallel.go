@@ -26,43 +26,6 @@ import (
 //     runner calls CompressPaths serially before fanning out, after which
 //     every chain has length ≤ 1 and Find's path-halving never fires.
 
-// ShardedRewrite is optionally implemented by rewrites whose search can be
-// restricted to a subset of e-classes. The runner uses it twice: to shard
-// the match phase across workers, and to search again only the classes
-// whose read neighbourhood changed since the last iteration (semi-naive
-// dispatch, index.go), reusing the rule's earlier matches everywhere else.
-// Shards are contiguous runs of an ID-sorted class list and the per-shard
-// results are concatenated in shard order, so implementations must derive
-// matches from the given classes only, in the order given. SearchClasses
-// must be read-only and safe for concurrent use with other searchers.
-//
-// Rewrites that do not implement the interface still participate in
-// parallel matching — each one runs as a single whole-graph Search task,
-// every iteration — but are neither split across workers nor cached.
-type ShardedRewrite interface {
-	Rewrite
-	// SearchClasses returns the rewrite's matches within the given
-	// canonical classes, in class order. Every match it finds while
-	// searching class c has Match.Class c.
-	SearchClasses(g *EGraph, classes []*EClass) []Match
-	// ReadDepth bounds what SearchClasses reads: searching class c reads
-	// only the node lists of c and of classes at most ReadDepth child hops
-	// below c. A class whose matches could change without one of those
-	// lists changing breaks the contract, because the runner keeps c's
-	// matches from the last iteration until one of them does.
-	ReadDepth() int
-}
-
-// SearchClasses restricts the syntactic pattern search to the given
-// classes, making every parsed rewrite shardable.
-func (r *patternRewrite) SearchClasses(g *EGraph, classes []*EClass) []Match {
-	var out []Match
-	for _, cls := range classes {
-		out = append(out, g.matchClass(r.lhs, cls.ID)...)
-	}
-	return out
-}
-
 // matchShardMin is the smallest shard handed to one match task. Shards
 // cheaper than this cost more in scheduling than they win in parallelism.
 const matchShardMin = 32
@@ -85,11 +48,11 @@ type ruleMatches struct {
 // matcher is one run's semi-naive match state, indexed by rule position.
 type matcher struct {
 	rules []Rewrite
-	depth []int    // ReadDepth; -1 for rules that are not shardable
+	depth []int    // ReadDepth
 	roots []uint64 // rootMask
-	// cache holds each shardable rule's merged match list from the last
-	// iteration it searched; cached[i] is false while rule i has none (the
-	// run's first iteration, or back from a ban).
+	// cache holds each rule's merged match list from the last iteration it
+	// searched; cached[i] is false while rule i has none (the run's first
+	// iteration, or back from a ban).
 	cache  [][]Match
 	cached []bool
 	cand   [][]*EClass // per-rule candidate buffers, reused every iteration
@@ -106,11 +69,8 @@ func newMatcher(rules []Rewrite) *matcher {
 		cand:   make([][]*EClass, len(rules)),
 	}
 	for i, r := range rules {
-		m.depth[i] = -1
-		if sr, ok := r.(ShardedRewrite); ok {
-			m.depth[i] = sr.ReadDepth()
-		}
-		m.roots[i] = rootMask(r)
+		m.depth[i] = r.ReadDepth()
+		m.roots[i] = rootMask(r.RootOps())
 	}
 	return m
 }
@@ -125,11 +85,11 @@ func (m *matcher) forget(i int) {
 // (positions in m.rules; bans already filtered) over g on a pool of up to
 // workers goroutines and returns their matches in eligible order, each
 // rule's matches in canonical e-class order, so the result is identical at
-// any pool size and equal to a whole-graph search of every rule.
+// any pool size and equal to each rule's search over every canonical class.
 //
-// A shardable rule with a cache searches only the classes the dirty walk
-// reached within its read depth and merges them with its cached matches;
-// one without searches every canonical class. Both filter by RootOps. The
+// A rule with a cache searches only the classes the dirty walk reached
+// within its read depth and merges them with its cached matches; one
+// without searches every canonical class. Both filter by RootOps. The
 // pool only spins up for graphs of at least matchParallelMinClasses
 // classes; otherwise (or when workers is 1) the tasks run inline.
 //
@@ -145,11 +105,9 @@ func (m *matcher) search(ctx context.Context, g *EGraph, eligible []int, workers
 	g.CompressPaths()
 	walkDepth, full := -1, false
 	for _, i := range eligible {
-		switch {
-		case m.depth[i] < 0:
-		case m.cached[i]:
+		if m.cached[i] {
 			walkDepth = max(walkDepth, m.depth[i])
-		default:
+		} else {
 			full = true
 		}
 	}
@@ -167,9 +125,6 @@ func (m *matcher) search(ctx context.Context, g *EGraph, eligible []int, workers
 		}
 	}
 	for _, i := range eligible {
-		if m.depth[i] < 0 {
-			continue
-		}
 		src, depth := all, 0
 		if m.cached[i] {
 			src, depth = m.walk.reached, m.depth[i]
@@ -193,16 +148,11 @@ func (m *matcher) search(ctx context.Context, g *EGraph, eligible []int, workers
 		shardSize = max(g.NumClasses()/(workers*4), matchShardMin)
 	}
 
-	// A task searches rule eligible[rule] over its candidates[lo:hi] (the
-	// whole graph for rules that are not shardable). Tasks are rule-major,
-	// shards in canonical class order.
+	// A task searches rule eligible[rule] over its candidates[lo:hi].
+	// Tasks are rule-major, shards in canonical class order.
 	type task struct{ rule, lo, hi int }
 	tasks := make([]task, 0, len(eligible))
 	for k, i := range eligible {
-		if m.depth[i] < 0 {
-			tasks = append(tasks, task{rule: k})
-			continue
-		}
 		n := len(m.cand[i])
 		for lo := 0; ; lo += shardSize {
 			tasks = append(tasks, task{k, lo, min(lo+shardSize, n)})
@@ -234,12 +184,8 @@ func (m *matcher) search(ctx context.Context, g *EGraph, eligible []int, workers
 			t := tasks[k]
 			i := eligible[t.rule]
 			start := time.Now()
-			if sr, ok := m.rules[i].(ShardedRewrite); ok {
-				if t.hi > t.lo {
-					results[k] = sr.SearchClasses(g, m.cand[i][t.lo:t.hi])
-				}
-			} else {
-				results[k] = m.rules[i].Search(g)
+			if t.hi > t.lo {
+				results[k] = m.rules[i].SearchClasses(g, m.cand[i][t.lo:t.hi])
 			}
 			durs[k] = time.Since(start)
 		}
@@ -280,12 +226,10 @@ func (m *matcher) search(ctx context.Context, g *EGraph, eligible []int, workers
 		for _, d := range durs[k:end] {
 			rm.searchDur += d
 		}
-		if m.depth[i] >= 0 {
-			if m.cached[i] {
-				rm.matches = m.mergeCached(g, i, rm.matches)
-			}
-			m.cache[i], m.cached[i] = rm.matches, true
+		if m.cached[i] {
+			rm.matches = m.mergeCached(g, i, rm.matches)
 		}
+		m.cache[i], m.cached[i] = rm.matches, true
 		out[j] = rm
 		k = end
 	}
@@ -296,7 +240,7 @@ func (m *matcher) search(ctx context.Context, g *EGraph, eligible []int, workers
 // again, in class order) into its cached list, in place. A cached match
 // survives when its class is still canonical and was not searched again;
 // the survivors and the fresh matches cover disjoint classes, so merging
-// by class ID restores the order of a whole-graph search, each class's
+// by class ID restores the order of a search over every class, each class's
 // matches in the order its search produced them.
 func (m *matcher) mergeCached(g *EGraph, i int, fresh []Match) []Match {
 	old, depth := m.cache[i], m.depth[i]

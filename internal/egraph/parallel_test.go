@@ -144,13 +144,19 @@ func TestCompressPathsMakesFindReadOnly(t *testing.T) {
 	}
 }
 
-// cancelRule is a whole-graph rewrite whose search cancels the run's
-// context, so the cancellation lands inside the match phase.
+// cancelRule is a rewrite whose search cancels the run's context, so the
+// cancellation lands inside the match phase.
 type cancelRule struct{ cancel context.CancelFunc }
 
 func (r cancelRule) Name() string              { return "cancel" }
-func (r cancelRule) Search(*EGraph) []Match    { r.cancel(); return nil }
+func (r cancelRule) RootOps() []expr.Op        { return nil }
+func (r cancelRule) ReadDepth() int            { return 0 }
 func (r cancelRule) Apply(*EGraph, Match) bool { return false }
+
+func (r cancelRule) SearchClasses(*EGraph, []*EClass) []Match {
+	r.cancel()
+	return nil
+}
 
 // TestParallelSearchCancellation checks that a context cancelled during the
 // match phase stops the run inside its first iteration — inline at

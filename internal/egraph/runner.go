@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"time"
 
+	"diospyros/internal/expr"
 	"diospyros/internal/telemetry"
 )
 
@@ -15,25 +16,41 @@ import (
 // split (paper §3.3): syntactic rules are built with NewRewrite, while the
 // vectorization rules use custom Go searchers.
 //
-// Search must treat the graph as read-only — all mutation belongs in Apply.
-// The runner relies on this to match rules concurrently (one worker per
-// GOMAXPROCS); a Search that adds nodes or unions classes would race.
-// Match.Class is the class the match was found at. Rewrites that
-// additionally implement ShardedRewrite let the runner split one rule's
-// search across workers and search again only where the graph changed
-// (ShardedRewrite.ReadDepth states the contract that makes this exact).
+// Every rule searches class by class. The runner uses that three ways: it
+// hands SearchClasses only classes holding one of the rule's RootOps, it
+// splits one rule's candidates across workers (parallel.go), and it
+// searches again only the classes whose read neighbourhood changed since
+// the last iteration, reusing the rule's earlier matches everywhere else
+// (semi-naive dispatch, index.go). ReadDepth states the contract that makes
+// the reuse exact.
 //
-// Apply must not mutate m.Data or m.Subst: the runner keeps a shardable
-// rule's matches from one iteration to the next and applies a match again
-// every iteration until its class changes, just as a fresh search would
-// find it again.
+// SearchClasses must treat the graph as read-only — all mutation belongs in
+// Apply — and be safe for concurrent use with other searchers; a search
+// that adds nodes or unions classes would race. Apply must not mutate
+// m.Data: the runner keeps a rule's matches from one iteration to the next
+// and applies a match again every iteration until its class changes, just
+// as a fresh search would find it again.
 type Rewrite interface {
 	Name() string
-	Search(g *EGraph) []Match
+	// RootOps returns the operator heads the rule's matches can root at:
+	// its search returns no match for a class holding no node with one of
+	// them. Nil means any class is a candidate.
+	RootOps() []expr.Op
+	// ReadDepth bounds what SearchClasses reads: searching class c reads
+	// only the node lists of c and of classes at most ReadDepth child hops
+	// below c. A class whose matches could change without one of those
+	// lists changing breaks the contract, because the runner keeps c's
+	// matches from the last iteration until one of them does.
+	ReadDepth() int
+	// SearchClasses returns the rule's matches within the given canonical
+	// classes, derived from those classes only and in the order given.
+	// Every match it finds while searching class c has Match.Class c.
+	SearchClasses(g *EGraph, classes []*EClass) []Match
 	Apply(g *EGraph, m Match) bool // reports whether the graph changed
 }
 
-// patternRewrite is a purely syntactic rule lhs ⇝ rhs.
+// patternRewrite is a purely syntactic rule lhs ⇝ rhs. Its matches carry
+// their Subst in Match.Data.
 type patternRewrite struct {
 	name     string
 	lhs, rhs *Pattern
@@ -81,19 +98,35 @@ func ParseRewrite(name, lhs, rhs string) (rw Rewrite, err error) {
 
 func (r *patternRewrite) Name() string { return r.name }
 
-func (r *patternRewrite) Search(g *EGraph) []Match { return g.SearchPattern(r.lhs) }
+// RootOps: a pattern rooted at a variable matches anywhere; any other
+// pattern only matches classes holding its root operator.
+func (r *patternRewrite) RootOps() []expr.Op {
+	if r.lhs.Var != "" {
+		return nil
+	}
+	return []expr.Op{r.lhs.Op}
+}
+
+// ReadDepth of a syntactic rule: see patternDepth.
+func (r *patternRewrite) ReadDepth() int { return patternDepth(r.lhs) }
+
+func (r *patternRewrite) SearchClasses(g *EGraph, classes []*EClass) []Match {
+	var out []Match
+	for _, cls := range classes {
+		for _, s := range g.matchIn(r.lhs, cls.ID, Subst{}) {
+			out = append(out, Match{Class: cls.ID, Data: s})
+		}
+	}
+	return out
+}
 
 func (r *patternRewrite) Apply(g *EGraph, m Match) bool {
-	id, err := r.rhs.instantiateOrErr(g, m.Subst)
+	id, err := g.Instantiate(r.rhs, m.Data.(Subst))
 	if err != nil {
 		return false
 	}
 	_, changed := g.Union(m.Class, id)
 	return changed
-}
-
-func (p *Pattern) instantiateOrErr(g *EGraph, s Subst) (ClassID, error) {
-	return g.Instantiate(p, s)
 }
 
 // StopReason explains why a saturation run ended.

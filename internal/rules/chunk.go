@@ -15,24 +15,16 @@ type chunkRule struct {
 
 func (chunkRule) Name() string { return "list-chunk" }
 
-// RootOps declares the rule's head-op filter (egraph.HeadIndexed):
-// chunking only matches at classes containing a List node.
+// RootOps: chunking only matches at classes containing a List node.
 func (chunkRule) RootOps() []expr.Op { return []expr.Op{expr.OpList} }
 
-// ReadDepth implements egraph.ShardedRewrite: chunking reads only the
-// List node's own argument IDs.
+// ReadDepth: chunking reads only the List node's own argument IDs.
 func (chunkRule) ReadDepth() int { return 0 }
 
 type chunkMatch struct {
 	elems []egraph.ClassID
 }
 
-func (r chunkRule) Search(g *egraph.EGraph) []egraph.Match {
-	return r.SearchClasses(g, g.CanonicalClasses())
-}
-
-// SearchClasses restricts the search to the given classes (read-only), so
-// the runner can shard List matching across workers.
 func (r chunkRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass) []egraph.Match {
 	var out []egraph.Match
 	for _, cls := range classes {

@@ -14,15 +14,15 @@ type constFoldRule struct{}
 
 func (constFoldRule) Name() string { return "const-fold" }
 
-// RootOps declares the rule's head-op filter (egraph.HeadIndexed):
-// folding only fires at classes containing a foldable scalar operator node.
+// RootOps: folding only fires at classes containing a foldable scalar
+// operator node.
 func (constFoldRule) RootOps() []expr.Op {
 	return []expr.Op{expr.OpAdd, expr.OpSub, expr.OpMul, expr.OpDiv,
 		expr.OpNeg, expr.OpSqrt, expr.OpSgn}
 }
 
-// ReadDepth implements egraph.ShardedRewrite: folding reads the class and
-// its operands' classes, one hop down.
+// ReadDepth: folding reads the class and its operands' classes, one hop
+// down.
 func (constFoldRule) ReadDepth() int { return 1 }
 
 type foldMatch struct{ value float64 }
@@ -41,12 +41,6 @@ func classLit(g *egraph.EGraph, id egraph.ClassID) (float64, bool) {
 	return 0, false
 }
 
-func (r constFoldRule) Search(g *egraph.EGraph) []egraph.Match {
-	return r.SearchClasses(g, g.CanonicalClasses())
-}
-
-// SearchClasses restricts the search to the given classes (read-only), so
-// the runner can shard constant folding across workers.
 func (constFoldRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass) []egraph.Match {
 	var out []egraph.Match
 	for _, cls := range classes {

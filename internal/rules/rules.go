@@ -44,23 +44,14 @@ type Config struct {
 	// DisableVector removes every vector-introducing rule, leaving scalar
 	// simplification and CSE only (the §5.6 ablation).
 	DisableVector bool
-
-	// MaxLaneAlts caps how many alternative decompositions are considered
-	// per lane in the custom searchers. 0 means the default (2).
-	MaxLaneAlts int
-
-	// MaxCombos caps how many lane-combination candidates one Vec node can
-	// produce per rule per iteration. 0 means the default (4).
-	MaxCombos int
 }
 
-// Every custom rule is shardable, so the runner can split its search across
-// workers and search again only where the graph changed.
-var (
-	_ egraph.ShardedRewrite = chunkRule{}
-	_ egraph.ShardedRewrite = constFoldRule{}
-	_ egraph.ShardedRewrite = vectorizeRule{}
-	_ egraph.ShardedRewrite = macRule{}
+// The custom searchers' caps: maxLaneAlts alternative decompositions per
+// lane, and maxCombos lane-combination candidates per Vec node, rule and
+// iteration.
+const (
+	maxLaneAlts = 2
+	maxCombos   = 4
 )
 
 // Default returns the configuration used throughout the evaluation.
@@ -84,20 +75,6 @@ func (c Config) widths() []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-func (c Config) laneAlts() int {
-	if c.MaxLaneAlts <= 0 {
-		return 2
-	}
-	return c.MaxLaneAlts
-}
-
-func (c Config) combos() int {
-	if c.MaxCombos <= 0 {
-		return 4
-	}
-	return c.MaxCombos
 }
 
 // Rules builds the rewrite list for the configuration.

@@ -54,12 +54,11 @@ func classHasLit(g *egraph.EGraph, id egraph.ClassID, v float64) bool {
 //
 //	(Vec (+ a b) 0 (+ c d) 0) ⇝ (VecAdd (Vec a 0 c 0) (Vec b 0 d 0))
 type vectorizeRule struct {
-	cfg Config
-	ws  widthSet
+	ws widthSet
 }
 
 func newVectorizeRule(cfg Config) egraph.Rewrite {
-	return vectorizeRule{cfg: cfg, ws: newWidthSet(cfg)}
+	return vectorizeRule{ws: newWidthSet(cfg)}
 }
 
 // widthSet is the set of configured machine widths, precomputed once so the
@@ -76,14 +75,12 @@ func newWidthSet(cfg Config) widthSet {
 
 func (vectorizeRule) Name() string { return "vec-lanewise" }
 
-// RootOps declares the rule's head-op filter
-// (egraph.HeadIndexed): lane-wise vectorization only matches at classes
-// containing a Vec node.
+// RootOps: lane-wise vectorization only matches at classes containing a
+// Vec node.
 func (vectorizeRule) RootOps() []expr.Op { return []expr.Op{expr.OpVec} }
 
-// ReadDepth implements egraph.ShardedRewrite: lane-wise matching reads the
-// lane classes one hop below the Vec (their operator nodes, and
-// classHasLit for zero lanes).
+// ReadDepth: lane-wise matching reads the lane classes one hop below the
+// Vec (their operator nodes, and classHasLit for zero lanes).
 func (vectorizeRule) ReadDepth() int { return 1 }
 
 // laneOps are the scalar operator families handled by vectorizeRule.
@@ -104,33 +101,26 @@ var laneOps = []struct {
 	{expr.OpSgn, expr.OpVecSgn, 1, nil},
 }
 
-func (r vectorizeRule) Search(g *egraph.EGraph) []egraph.Match {
-	return r.SearchClasses(g, g.CanonicalClasses())
-}
-
-// SearchClasses restricts the search to the given classes (read-only), so
-// the runner can shard lane-wise matching across workers.
 func (r vectorizeRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass) []egraph.Match {
 	var out []egraph.Match
-	maxAlts, maxCombos := r.cfg.laneAlts(), r.cfg.combos()
 	for _, cls := range classes {
 		for _, vecNode := range cls.Nodes {
 			if vecNode.Op != expr.OpVec || !r.ws[len(vecNode.Args)] {
 				continue
 			}
 			for _, fam := range laneOps {
-				alts, anyReal := laneDecompositions(g, vecNode.Args, fam.scalar, fam.zero, maxAlts)
+				alts, anyReal := laneDecompositions(g, vecNode.Args, fam.scalar, fam.zero)
 				if alts == nil || !anyReal {
 					continue
 				}
-				for _, combo := range enumerate(alts, maxCombos) {
+				for _, combo := range enumerate(alts) {
 					out = append(out, egraph.Match{
 						Class: cls.ID,
 						Data:  vecMatch{op: fam.vector, lanes: combo},
 					})
 				}
 			}
-			out = append(out, r.searchFunc(g, cls.ID, vecNode, maxAlts, maxCombos)...)
+			out = append(out, r.searchFunc(g, cls.ID, vecNode)...)
 		}
 	}
 	return out
@@ -139,7 +129,7 @@ func (r vectorizeRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass)
 // searchFunc vectorizes lanes that all call the same uninterpreted function
 // with the same arity: (Vec (func f a) (func f b) ...) ⇝ (VecFunc f (Vec a b ...)).
 // This is the extension hook §6 describes (e.g. a target recip instruction).
-func (vectorizeRule) searchFunc(g *egraph.EGraph, class egraph.ClassID, vecNode egraph.ENode, maxAlts, maxCombos int) []egraph.Match {
+func (vectorizeRule) searchFunc(g *egraph.EGraph, class egraph.ClassID, vecNode egraph.ENode) []egraph.Match {
 	// Collect candidate (name, arity) pairs from the first lane.
 	first := g.Class(vecNode.Args[0])
 	if first == nil {
@@ -164,7 +154,7 @@ func (vectorizeRule) searchFunc(g *egraph.EGraph, class egraph.ClassID, vecNode 
 						ops[i] = operand{class: a}
 					}
 					laneAlts = append(laneAlts, ops)
-					if len(laneAlts) >= maxAlts {
+					if len(laneAlts) >= maxLaneAlts {
 						break
 					}
 				}
@@ -178,7 +168,7 @@ func (vectorizeRule) searchFunc(g *egraph.EGraph, class egraph.ClassID, vecNode 
 		if !ok {
 			continue
 		}
-		for _, combo := range enumerate(alts, maxCombos) {
+		for _, combo := range enumerate(alts) {
 			out = append(out, egraph.Match{
 				Class: class,
 				Data:  vecMatch{op: expr.OpVecFunc, sym: n.Sym, lanes: combo},
@@ -188,11 +178,11 @@ func (vectorizeRule) searchFunc(g *egraph.EGraph, class egraph.ClassID, vecNode 
 	return out
 }
 
-// laneDecompositions finds, for every lane class, up to maxAlts operand
+// laneDecompositions finds, for every lane class, up to maxLaneAlts operand
 // tuples under the scalar operator op (or the zero tuple for literal-zero
 // lanes). It returns nil if some lane has no decomposition. anyReal reports
 // whether at least one lane decomposed through an actual operator node.
-func laneDecompositions(g *egraph.EGraph, lanes []egraph.ClassID, op expr.Op, zero []operand, maxAlts int) (alts [][][]operand, anyReal bool) {
+func laneDecompositions(g *egraph.EGraph, lanes []egraph.ClassID, op expr.Op, zero []operand) (alts [][][]operand, anyReal bool) {
 	alts = make([][][]operand, 0, len(lanes))
 	for _, lane := range lanes {
 		var laneAlts [][]operand
@@ -210,7 +200,7 @@ func laneDecompositions(g *egraph.EGraph, lanes []egraph.ClassID, op expr.Op, ze
 			}
 			laneAlts = append(laneAlts, ops)
 			anyReal = true
-			if len(laneAlts) >= maxAlts {
+			if len(laneAlts) >= maxLaneAlts {
 				break
 			}
 		}
@@ -228,7 +218,7 @@ func laneDecompositions(g *egraph.EGraph, lanes []egraph.ClassID, op expr.Op, ze
 // enumerate takes per-lane alternative lists and yields up to maxCombos
 // full combinations (odometer order, so the first combination uses each
 // lane's first alternative).
-func enumerate(alts [][][]operand, maxCombos int) [][][]operand {
+func enumerate(alts [][][]operand) [][][]operand {
 	idx := make([]int, len(alts))
 	var out [][][]operand
 	for {
@@ -282,43 +272,34 @@ func (r vectorizeRule) Apply(g *egraph.EGraph, m egraph.Match) bool {
 // These equivalences are recomputed every iteration rather than persisted
 // in the e-graph, trading compute for memory exactly as the paper does.
 type macRule struct {
-	cfg Config
-	ws  widthSet
+	ws widthSet
 }
 
 func newMACRule(cfg Config) egraph.Rewrite {
-	return macRule{cfg: cfg, ws: newWidthSet(cfg)}
+	return macRule{ws: newWidthSet(cfg)}
 }
 
 func (macRule) Name() string { return "vec-mac" }
 
-// RootOps declares the rule's head-op filter (egraph.HeadIndexed): MAC
-// fusion only matches at classes containing a Vec node.
+// RootOps: MAC fusion only matches at classes containing a Vec node.
 func (macRule) RootOps() []expr.Op { return []expr.Op{expr.OpVec} }
 
-// ReadDepth implements egraph.ShardedRewrite: MAC matching reads the lanes
-// and, under a lane's + node, the product's class two hops below the Vec.
+// ReadDepth: MAC matching reads the lanes and, under a lane's + node, the
+// product's class two hops below the Vec.
 func (macRule) ReadDepth() int { return 2 }
 
-func (r macRule) Search(g *egraph.EGraph) []egraph.Match {
-	return r.SearchClasses(g, g.CanonicalClasses())
-}
-
-// SearchClasses restricts the search to the given classes (read-only), so
-// the runner can shard MAC matching across workers.
 func (r macRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass) []egraph.Match {
 	var out []egraph.Match
-	maxAlts, maxCombos := r.cfg.laneAlts(), r.cfg.combos()
 	for _, cls := range classes {
 		for _, vecNode := range cls.Nodes {
 			if vecNode.Op != expr.OpVec || !r.ws[len(vecNode.Args)] {
 				continue
 			}
-			alts, anySum := macLanes(g, vecNode.Args, maxAlts)
+			alts, anySum := macLanes(g, vecNode.Args)
 			if alts == nil || !anySum {
 				continue
 			}
-			for _, combo := range enumerate(alts, maxCombos) {
+			for _, combo := range enumerate(alts) {
 				out = append(out, egraph.Match{
 					Class: cls.ID,
 					Data:  vecMatch{op: expr.OpVecMAC, lanes: combo},
@@ -332,7 +313,7 @@ func (r macRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass) []egr
 // macLanes computes per-lane (acc, b, c) triples. anySum reports whether at
 // least one lane matched a genuine (+ _ (* _ _)) form — if none did, the
 // plain VecMul rule is the right tool and MAC would only add noise.
-func macLanes(g *egraph.EGraph, lanes []egraph.ClassID, maxAlts int) (alts [][][]operand, anySum bool) {
+func macLanes(g *egraph.EGraph, lanes []egraph.ClassID) (alts [][][]operand, anySum bool) {
 	zero := litOperand(0)
 	alts = make([][][]operand, 0, len(lanes))
 	for _, lane := range lanes {
@@ -343,7 +324,7 @@ func macLanes(g *egraph.EGraph, lanes []egraph.ClassID, maxAlts int) (alts [][][
 		}
 		addAlt := func(a []operand) bool {
 			laneAlts = append(laneAlts, a)
-			return len(laneAlts) >= maxAlts
+			return len(laneAlts) >= maxLaneAlts
 		}
 	scan:
 		for _, n := range cls.Nodes {
@@ -380,5 +361,5 @@ func macLanes(g *egraph.EGraph, lanes []egraph.ClassID, maxAlts int) (alts [][][
 }
 
 func (r macRule) Apply(g *egraph.EGraph, m egraph.Match) bool {
-	return vectorizeRule{cfg: r.cfg}.Apply(g, m)
+	return vectorizeRule{}.Apply(g, m)
 }

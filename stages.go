@@ -85,17 +85,21 @@ func stageLift(_ context.Context, st *compileState) error {
 	return err
 }
 
-// stageSaturate runs equality saturation (§3.2–3.3). Options.Timeout
-// bounds only this stage, expressed as a context deadline inside
-// egraph.RunContext; hitting it is not an error (partial e-graphs still
-// extract, the Figure 6 behavior). External cancellation is.
-func stageSaturate(ctx context.Context, st *compileState) error {
-	// One rule set covers every requested target: a chunk rule per distinct
-	// vector width populates the shared e-graph with all decompositions at
-	// once, and per-target extraction later picks one via the cost model.
+// RuleSet returns the rewrite rules a compile under opts saturates with.
+// One rule set covers every requested target: a chunk rule per distinct
+// vector width populates the shared e-graph with all decompositions at
+// once (per-target extraction later picks one via the cost model), and a
+// target list without a vector target gets no vector rule. The user's
+// ExtraRules follow the built-in rules; an unknown target or a malformed
+// extra rule is an error.
+func RuleSet(opts Options) ([]egraph.Rewrite, error) {
+	targets, err := resolveTargets(opts)
+	if err != nil {
+		return nil, err
+	}
 	var widths []int
 	seen := map[int]bool{}
-	for _, t := range st.targets {
+	for _, t := range targets {
 		if t.Width > 1 && !seen[t.Width] {
 			seen[t.Width] = true
 			widths = append(widths, t.Width)
@@ -104,27 +108,39 @@ func stageSaturate(ctx context.Context, st *compileState) error {
 	cfg := rules.Config{
 		Width:         isa.Width,
 		Widths:        widths,
-		EnableAC:      st.opts.EnableAC,
-		DisableVector: st.opts.DisableVectorRules || len(widths) == 0,
+		EnableAC:      opts.EnableAC,
+		DisableVector: opts.DisableVectorRules || len(widths) == 0,
 	}
 	ruleSet := cfg.Rules()
-	extra := make(map[string]bool, len(st.opts.ExtraRules))
-	for i, r := range st.opts.ExtraRules {
+	extra := make(map[string]bool, len(opts.ExtraRules))
+	for i, r := range opts.ExtraRules {
 		// Rule rows and Backoff bans are keyed by name, so names are unique.
 		switch {
 		case r.Name == "":
-			return fmt.Errorf("extra rule %d (%s => %s) has no name", i, r.LHS, r.RHS)
+			return nil, fmt.Errorf("extra rule %d (%s => %s) has no name", i, r.LHS, r.RHS)
 		case rules.Builtin(r.Name):
-			return fmt.Errorf("extra rule %q repeats a built-in rule's name", r.Name)
+			return nil, fmt.Errorf("extra rule %q repeats a built-in rule's name", r.Name)
 		case extra[r.Name]:
-			return fmt.Errorf("extra rule %q repeats an earlier extra rule's name", r.Name)
+			return nil, fmt.Errorf("extra rule %q repeats an earlier extra rule's name", r.Name)
 		}
 		extra[r.Name] = true
 		rw, err := egraph.ParseRewrite(r.Name, r.LHS, r.RHS)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ruleSet = append(ruleSet, rw)
+	}
+	return ruleSet, nil
+}
+
+// stageSaturate runs equality saturation (§3.2–3.3). Options.Timeout
+// bounds only this stage, expressed as a context deadline inside
+// egraph.RunContext; hitting it is not an error (partial e-graphs still
+// extract, the Figure 6 behavior). External cancellation is.
+func stageSaturate(ctx context.Context, st *compileState) error {
+	ruleSet, err := RuleSet(st.opts)
+	if err != nil {
+		return err
 	}
 	st.g = egraph.New()
 	st.root = st.g.AddExpr(st.lifted.Spec)

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"diospyros/internal/egraph"
 	"diospyros/internal/expr"
 	"diospyros/internal/isa"
 	"diospyros/internal/kernels"
@@ -121,6 +123,44 @@ func TestResolveTargetsByName(t *testing.T) {
 	}
 	if _, err := resolveTargets(Options{Targets: []string{"no-such-machine"}}.withDefaults()); err == nil {
 		t.Fatal("unknown target accepted")
+	}
+}
+
+// TestRuleSetFollowsTargets pins the target list → rule set step that
+// compiles and -dump-egraph share: saturating a three-lane List under a
+// scalar-only list introduces no Vec, and under fg3lite-4,fg3lite-8 it
+// chunks the List at each width.
+func TestRuleSetFollowsTargets(t *testing.T) {
+	for _, tc := range []struct {
+		targets []string
+		want    []int // Vec widths in the saturated graph
+	}{
+		{[]string{"scalar"}, nil},
+		{[]string{"fg3lite-4", "fg3lite-8"}, []int{4, 8}},
+	} {
+		rs, err := RuleSet(Options{Targets: tc.targets})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := egraph.New()
+		g.AddExpr(expr.MustParse("(List (* a b) (+ c d) e)"))
+		egraph.Run(g, rs, egraph.Limits{MaxIterations: 8})
+		seen := map[int]bool{}
+		g.Classes(func(cls *egraph.EClass) {
+			for _, n := range cls.Nodes {
+				if n.Op == expr.OpVec {
+					seen[len(n.Args)] = true
+				}
+			}
+		})
+		var got []int
+		for w := range seen {
+			got = append(got, w)
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%v: Vec widths %v, want %v", tc.targets, got, tc.want)
+		}
 	}
 }
 
