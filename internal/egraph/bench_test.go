@@ -111,6 +111,21 @@ func BenchmarkMatchPhaseSteady(b *testing.B) {
 	b.ReportMetric(float64(total)/float64(b.N), "matches")
 }
 
+// BenchmarkRebuildSteady times a Rebuild of the same saturated graph once
+// the match phase has consumed the change log and nothing has changed
+// since: Rebuild visits only logged classes (DESIGN.md §14.3), so this is
+// O(1) and allocation-free, where a whole-graph canonicalization pass
+// would cost O(nodes) every iteration.
+func BenchmarkRebuildSteady(b *testing.B) {
+	g, rules, all := matchPhaseGraph()
+	newMatcher(rules).search(context.Background(), g, all, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Rebuild()
+	}
+}
+
 // BenchmarkMatchHashconsHit measures the hashcons probe fast path: Lookup
 // of an existing binary-arity node. The §14 binary key makes this
 // allocation-free; a regression to per-probe allocation shows up directly

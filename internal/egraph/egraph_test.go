@@ -96,6 +96,51 @@ func TestCongruenceClosureDeep(t *testing.T) {
 	}
 }
 
+// TestRebuildReachesNodeBehindMergedParentEntry covers the shared-Args
+// corner of the incremental rebuild. A class-list node shares its Args
+// slice with its parent entries, so repair's in-place canonicalization
+// rewrites both. When two congruent parents in different classes merge,
+// repair keeps one parent entry and the class list keeps the other node,
+// so no parent entry shares the kept node's Args any more. A later union
+// of their child must still leave that class canonical: repair logs the
+// class the surviving entry names, and Rebuild canonicalizes every logged
+// class.
+func TestRebuildReachesNodeBehindMergedParentEntry(t *testing.T) {
+	g := New()
+	fa := g.AddExpr(expr.MustParse("(sqrt a)"))
+	g.AddExpr(expr.MustParse("(sqrt b)"))
+	a, _ := g.Lookup(g.LeafNode(expr.OpSym, 0, "a", 0))
+	b, _ := g.Lookup(g.LeafNode(expr.OpSym, 0, "b", 0))
+	g.Union(a, b)
+	g.Rebuild()
+	child := g.Find(a)
+	nodes, entries := g.Class(fa).Nodes, g.Class(child).parents
+	if len(nodes) != 1 || len(entries) != 1 || &nodes[0].Args[0] == &entries[0].node.Args[0] {
+		t.Fatalf("setup: want one node and one parent entry with separate Args, got %d nodes, %d entries",
+			len(nodes), len(entries))
+	}
+
+	// c wins its union, so its rank matches the child's and c's class
+	// wins the next one: the child's class loses. The match phase's walk
+	// consumes the log first, so only what the last union and its repair
+	// log is left for Rebuild.
+	c, d := g.AddExpr(expr.MustParse("c")), g.AddExpr(expr.MustParse("d"))
+	g.Union(c, d)
+	g.Rebuild()
+	new(dirtyWalk).walk(g, 0)
+	g.Union(c, child)
+	g.Rebuild()
+	if g.Find(child) == child {
+		t.Fatal("setup: the child's class must lose the union")
+	}
+	if bad := g.CheckInvariants(); len(bad) != 0 {
+		t.Fatalf("invariant violations: %v", bad)
+	}
+	if got := g.Class(fa).Nodes[0].Args[0]; got != g.Find(c) {
+		t.Fatalf("sqrt's child is c%d, want canonical c%d", got, g.Find(c))
+	}
+}
+
 func TestCongruenceMergesParentsAcrossOps(t *testing.T) {
 	g := New()
 	// Two different parents over the same children: (+ a c) and (* a c).

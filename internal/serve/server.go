@@ -39,6 +39,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -451,7 +452,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 	log.Info("compile start", "bytes", len(src))
 	started := time.Now()
-	res, err := s.compileFn(cctx, src, opts)
+	res, err := s.compile(cctx, src, opts)
 	elapsed := time.Since(started)
 	stopWatch()
 
@@ -568,21 +569,55 @@ func (s *Server) successResponse(r *http.Request, id string, res *diospyros.Resu
 	return resp
 }
 
+// internalError is a compile that panicked. The server recovers the panic
+// and answers the one request with 500 instead of ending the process.
+type internalError struct {
+	Panic any    // the recovered value
+	Stack []byte // the panicking goroutine's stack, logged, never sent
+}
+
+// Error names the recovered panic value; the stack stays in the log.
+func (e *internalError) Error() string {
+	return fmt.Sprintf("internal compiler error: %v", e.Panic)
+}
+
+// compile runs s.compileFn and recovers a panic into an *internalError.
+// Both call sites go through it: the plain path, where net/http would
+// otherwise recover the handler and reset the client's connection, and the
+// SSE path, whose compile goroutine nothing else recovers.
+func (s *Server) compile(ctx context.Context, src string, opts diospyros.Options) (res *diospyros.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, &internalError{Panic: p, Stack: debug.Stack()}
+		}
+	}()
+	return s.compileFn(ctx, src, opts)
+}
+
 // httpStatusClientClosedRequest is nginx's 499: the client disconnected
 // before the response. There is no standard constant.
 const httpStatusClientClosedRequest = 499
 
 // classifyError maps a compile error to a response and status code,
-// bumping the matching counters: watchdog aborts (422), server deadline
-// (504), client cancellation (499), and plain compile failures (400). The
-// partial trace still ships. The SSE path reuses the same classification,
-// carrying the code in the final stream event instead of the HTTP status.
+// bumping the matching counters: recovered compiler panics (500), watchdog
+// aborts (422), server deadline (504), client cancellation (499), and
+// plain compile failures (400). The partial trace still ships. The SSE
+// path reuses the same classification, carrying the code in the final
+// stream event instead of the HTTP status.
 func (s *Server) classifyError(r *http.Request, id string, err error, trace *telemetry.Trace) (*CompileResponse, int) {
 	log := telemetry.LoggerFrom(r.Context())
 	resp := &CompileResponse{RequestID: id, Error: err.Error(), Trace: trace}
 
-	var abort *telemetry.AbortError
+	var (
+		abort    *telemetry.AbortError
+		internal *internalError
+	)
 	switch {
+	case errors.As(err, &internal):
+		s.reg.CounterAdd("diospyros_serve_internal_errors_total",
+			"Compiles that panicked; each was recovered and answered 500.", nil, 1)
+		log.Error("compile panicked", "panic", fmt.Sprint(internal.Panic), "stack", string(internal.Stack))
+		return resp, http.StatusInternalServerError
 	case errors.As(err, &abort):
 		resp.Aborted = abort.Reason
 		s.reg.CounterAdd("diospyros_serve_saturation_aborts_total",

@@ -81,7 +81,7 @@ func (s *Server) streamCompile(w http.ResponseWriter, r *http.Request, cctx cont
 	done := make(chan outcome, 1)
 	started := time.Now()
 	go func() {
-		res, err := s.compileFn(cctx, src, opts)
+		res, err := s.compile(cctx, src, opts)
 		done <- outcome{res, err}
 	}()
 

@@ -7,10 +7,12 @@ import (
 	"net/http"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	diospyros "diospyros"
+	"diospyros/internal/kernel"
 	"diospyros/internal/telemetry"
 )
 
@@ -156,6 +158,46 @@ func TestStreamCompileError(t *testing.T) {
 	}
 	if final.Status != http.StatusBadRequest || final.Error == "" {
 		t.Fatalf("want embedded 400 + error, got status=%d error=%q", final.Status, final.Error)
+	}
+}
+
+// TestCompilePanicAnswers500 is the hostile-input guard: a compile that
+// panics answers 500 on both paths instead of ending the process (on the
+// SSE path the compile runs on its own goroutine, which nothing else
+// recovers), counts once per panic, and leaves the server serving.
+func TestCompilePanicAnswers500(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, CacheBytes: -1})
+	var calls atomic.Int32
+	s.compileFn = func(context.Context, string, diospyros.Options) (*diospyros.Result, error) {
+		if calls.Add(1) <= 2 {
+			panic("index out of range in a rewrite")
+		}
+		return &diospyros.Result{Kernel: &kernel.Lifted{Name: "stub"}, Trace: &telemetry.Trace{}}, nil
+	}
+
+	resp := openStream(t, ts.URL, dotprod)
+	events := readSSE(t, bufio.NewReader(resp.Body))
+	resp.Body.Close()
+	if len(events) == 0 || events[len(events)-1].Name != "result" {
+		t.Fatal("stream did not end with a result event")
+	}
+	var final streamResult
+	if err := json.Unmarshal([]byte(events[len(events)-1].Data), &final); err != nil {
+		t.Fatal(err)
+	}
+	if final.Status != http.StatusInternalServerError || !strings.Contains(final.Error, "internal compiler error") {
+		t.Fatalf("SSE result: status=%d error=%q, want 500 internal compiler error", final.Status, final.Error)
+	}
+
+	plain, cr := postCompile(t, ts.URL, dotprod, "text/plain")
+	if plain.StatusCode != http.StatusInternalServerError || !strings.Contains(cr.Error, "index out of range") {
+		t.Fatalf("plain: status=%d error=%q, want 500 naming the panic", plain.StatusCode, cr.Error)
+	}
+	if m := scrape(t, ts.URL); !strings.Contains(m, "diospyros_serve_internal_errors_total 2\n") {
+		t.Errorf("want diospyros_serve_internal_errors_total 2 after two panics")
+	}
+	if after, cr := postCompile(t, ts.URL, dotprod, "text/plain"); after.StatusCode != http.StatusOK {
+		t.Fatalf("request after the panics: status=%d error=%q", after.StatusCode, cr.Error)
 	}
 }
 
