@@ -246,7 +246,7 @@ func (m *matcher) mergeCached(g *EGraph, i int, fresh []Match) []Match {
 	old, depth := m.cache[i], m.depth[i]
 	kept := 0
 	for _, mt := range old {
-		if g.uf[mt.Class] == mt.Class && !m.walk.within(mt.Class, depth) {
+		if g.uf[mt.Class] == mt.Class && !m.walk.within(g, mt.Class, depth) {
 			old[kept] = mt
 			kept++
 		}

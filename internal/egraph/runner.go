@@ -141,9 +141,10 @@ const (
 )
 
 // matchHook, when non-nil, sees every searched rule's merged match list
-// each iteration, before any match is applied. Tests set it (through
-// export_test.go) to hold the merged list to a whole-graph search.
-var matchHook func(g *EGraph, r Rewrite, matches []Match)
+// each iteration, in rule order, with the rule's index in the run's rule
+// list, before any match is applied. Tests set it (through export_test.go)
+// to hold the merged list to a whole-graph search.
+var matchHook func(g *EGraph, i int, r Rewrite, matches []Match)
 
 // ctxCheckInterval amortizes context checks in the apply phase: polling
 // after every single match apply is measurable overhead on large kernels,
@@ -303,8 +304,8 @@ func RunContext(ctx context.Context, g *EGraph, rules []Rewrite, lim Limits) Rep
 			break
 		}
 		if matchHook != nil {
-			for _, f := range found {
-				matchHook(g, f.rule, f.matches)
+			for k, f := range found {
+				matchHook(g, eligible[k], f.rule, f.matches)
 			}
 		}
 		// Every rule that matched gets a row, in rule order: matched[k]
