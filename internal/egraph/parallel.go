@@ -2,6 +2,7 @@ package egraph
 
 import (
 	"context"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -37,8 +38,12 @@ const matchParallelMinClasses = 64
 
 // ruleMatches is one rule's merged search result for one iteration.
 type ruleMatches struct {
+	pos     int // the rule's position in the run's rule list
 	rule    Rewrite
 	matches []Match
+	// carried flags the matches the rule's cache carried over from the
+	// last iteration (bit j for matches[j]); the apply phase skips them.
+	carried bitset
 	// searchDur sums the rule's per-shard search times — attributed CPU
 	// time, not wall time (shards run concurrently). The iteration gauge's
 	// Duration and the saturate stage span stay wall-clock.
@@ -53,20 +58,22 @@ type matcher struct {
 	// cache holds each rule's merged match list from the last iteration it
 	// searched; cached[i] is false while rule i has none (the run's first
 	// iteration, or back from a ban).
-	cache  [][]Match
-	cached []bool
-	cand   [][]*EClass // per-rule candidate buffers, reused every iteration
-	walk   dirtyWalk
+	cache   [][]Match
+	cached  []bool
+	carried []bitset    // per-rule carried flags, reused every iteration
+	cand    [][]*EClass // per-rule candidate buffers, reused every iteration
+	walk    dirtyWalk
 }
 
 func newMatcher(rules []Rewrite) *matcher {
 	m := &matcher{
-		rules:  rules,
-		depth:  make([]int, len(rules)),
-		roots:  make([]uint64, len(rules)),
-		cache:  make([][]Match, len(rules)),
-		cached: make([]bool, len(rules)),
-		cand:   make([][]*EClass, len(rules)),
+		rules:   rules,
+		depth:   make([]int, len(rules)),
+		roots:   make([]uint64, len(rules)),
+		cache:   make([][]Match, len(rules)),
+		cached:  make([]bool, len(rules)),
+		carried: make([]bitset, len(rules)),
+		cand:    make([][]*EClass, len(rules)),
 	}
 	for i, r := range rules {
 		m.depth[i] = r.ReadDepth()
@@ -76,7 +83,9 @@ func newMatcher(rules []Rewrite) *matcher {
 }
 
 // forget drops rule i's cache. A rule that sits an iteration out misses
-// that iteration's change log, so its matches cannot be brought up to date.
+// that iteration's change log, so its matches cannot be brought up to
+// date; a rule Backoff bans after its search never applied its fresh
+// matches, so they must not be carried as applied.
 func (m *matcher) forget(i int) {
 	m.cache[i], m.cached[i] = nil, false
 }
@@ -216,7 +225,7 @@ func (m *matcher) search(ctx context.Context, g *EGraph, eligible []int, workers
 			total += len(results[end])
 		}
 		i := eligible[j]
-		rm := ruleMatches{rule: m.rules[i], matches: results[k]}
+		rm := ruleMatches{pos: i, rule: m.rules[i], matches: results[k]}
 		if end-k > 1 {
 			rm.matches = make([]Match, 0, total)
 			for _, ms := range results[k:end] {
@@ -227,7 +236,7 @@ func (m *matcher) search(ctx context.Context, g *EGraph, eligible []int, workers
 			rm.searchDur += d
 		}
 		if m.cached[i] {
-			rm.matches = m.mergeCached(g, i, rm.matches)
+			rm.matches, rm.carried = m.mergeCached(g, i, rm.matches)
 		}
 		m.cache[i], m.cached[i] = rm.matches, true
 		out[j] = rm
@@ -237,12 +246,13 @@ func (m *matcher) search(ctx context.Context, g *EGraph, eligible []int, workers
 }
 
 // mergeCached merges rule i's fresh matches (over the classes it searched
-// again, in class order) into its cached list, in place. A cached match
-// survives when its class is still canonical and was not searched again;
-// the survivors and the fresh matches cover disjoint classes, so merging
-// by class ID restores the order of a search over every class, each class's
-// matches in the order its search produced them.
-func (m *matcher) mergeCached(g *EGraph, i int, fresh []Match) []Match {
+// again, in class order) into its cached list, in place, and flags the
+// survivors in the returned bitset. A cached match survives when its class
+// is still canonical and was not searched again; the survivors and the
+// fresh matches cover disjoint classes, so merging by class ID restores
+// the order of a search over every class, each class's matches in the
+// order its search produced them.
+func (m *matcher) mergeCached(g *EGraph, i int, fresh []Match) ([]Match, bitset) {
 	old, depth := m.cache[i], m.depth[i]
 	kept := 0
 	for _, mt := range old {
@@ -252,24 +262,56 @@ func (m *matcher) mergeCached(g *EGraph, i int, fresh []Match) []Match {
 		}
 	}
 	clear(old[kept:])
-	if len(fresh) == 0 {
-		return old[:kept]
-	}
 	if kept == 0 {
-		return fresh
+		return fresh, nil
 	}
 	// Merge from the back so the survivors can stay where they are.
 	n := kept + len(fresh)
+	carried := m.carried[i].reset(n)
+	m.carried[i] = carried
 	out := slices.Grow(old[:kept], len(fresh))[:n]
 	a, b := kept-1, len(fresh)-1
 	for w := n - 1; b >= 0; w-- {
 		if a >= 0 && out[a].Class > fresh[b].Class {
 			out[w] = out[a]
+			carried.set(w)
 			a--
 		} else {
 			out[w] = fresh[b]
 			b--
 		}
 	}
-	return out
+	// Survivors below every fresh match stay where they are.
+	for w := 0; w <= a; w++ {
+		carried.set(w)
+	}
+	return out, carried
+}
+
+// bitset is a dense set of small non-negative integers.
+type bitset []uint64
+
+// reset returns b emptied and sized for n bits, reusing its storage.
+func (b bitset) reset(n int) bitset {
+	words := (n + 63) / 64
+	if cap(b) < words {
+		return make(bitset, words)
+	}
+	b = b[:words]
+	clear(b)
+	return b
+}
+
+func (b bitset) set(j int) { b[j/64] |= 1 << (j % 64) }
+
+// has reports whether j is in the set; a nil set is empty.
+func (b bitset) has(j int) bool { return j/64 < len(b) && b[j/64]&(1<<(j%64)) != 0 }
+
+// count returns the number of elements in the set.
+func (b bitset) count() int {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }

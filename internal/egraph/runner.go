@@ -26,10 +26,10 @@ import (
 //
 // SearchClasses must treat the graph as read-only — all mutation belongs in
 // Apply — and be safe for concurrent use with other searchers; a search
-// that adds nodes or unions classes would race. Apply must not mutate
-// m.Data: the runner keeps a rule's matches from one iteration to the next
-// and applies a match again every iteration until its class changes, just
-// as a fresh search would find it again.
+// that adds nodes or unions classes would race. The apply half is
+// semi-naive too: the runner applies a match once, in the iteration that
+// first finds it, and keeps it in the rule's cache without applying it
+// again until its class is searched again (DESIGN.md §14.4).
 type Rewrite interface {
 	Name() string
 	// RootOps returns the operator heads the rule's matches can root at:
@@ -46,7 +46,12 @@ type Rewrite interface {
 	// classes, derived from those classes only and in the order given.
 	// Every match it finds while searching class c has Match.Class c.
 	SearchClasses(g *EGraph, classes []*EClass) []Match
-	Apply(g *EGraph, m Match) bool // reports whether the graph changed
+	// Apply realizes m and reports whether the graph changed. Its effect
+	// may depend only on m and on the node lists ReadDepth lets the search
+	// of m.Class read, and it must not mutate m.Data. Then applying m a
+	// second time, while none of those lists has changed, is a no-op,
+	// which is why the runner does not.
+	Apply(g *EGraph, m Match) bool
 }
 
 // patternRewrite is a purely syntactic rule lhs ⇝ rhs. Its matches carry
@@ -142,9 +147,16 @@ const (
 
 // matchHook, when non-nil, sees every searched rule's merged match list
 // each iteration, in rule order, with the rule's index in the run's rule
-// list, before any match is applied. Tests set it (through export_test.go)
-// to hold the merged list to a whole-graph search.
-var matchHook func(g *EGraph, i int, r Rewrite, matches []Match)
+// list and how many of the matches its cache carried, before any match is
+// applied. Tests set it (through export_test.go) to hold the merged list
+// to a whole-graph search.
+var matchHook func(g *EGraph, i int, r Rewrite, matches []Match, carried int)
+
+// applyCarried, when non-nil, turns the apply phase's skip of carried
+// matches off: each carried match is handed to it instead, and its result
+// counts like a fresh match's. Tests set it (through export_test.go) to
+// apply carried matches anyway and hold each to a no-op.
+var applyCarried func(r Rewrite, g *EGraph, mt Match) bool
 
 // ctxCheckInterval amortizes context checks in the apply phase: polling
 // after every single match apply is measurable overhead on large kernels,
@@ -207,9 +219,10 @@ func Run(g *EGraph, rules []Rewrite, lim Limits) Report {
 }
 
 // RunContext performs equality saturation: it repeatedly searches all
-// rules, applies every match, and rebuilds, until saturation or a limit is
-// hit. Matches are searched before any are applied within an iteration, so
-// rule application order within an iteration cannot hide matches (the
+// rules, applies every match the rules' caches did not carry over from the
+// last iteration, and rebuilds, until saturation or a limit is hit.
+// Matches are searched before any are applied within an iteration, so rule
+// application order within an iteration cannot hide matches (the
 // phase-ordering-free property of equality saturation, paper §3.3).
 //
 // The context is honored in both the search phase (between match tasks)
@@ -304,8 +317,8 @@ func RunContext(ctx context.Context, g *EGraph, rules []Rewrite, lim Limits) Rep
 			break
 		}
 		if matchHook != nil {
-			for k, f := range found {
-				matchHook(g, eligible[k], f.rule, f.matches)
+			for _, f := range found {
+				matchHook(g, f.pos, f.rule, f.matches, f.carried.count())
 			}
 		}
 		// Every rule that matched gets a row, in rule order: matched[k]
@@ -325,6 +338,7 @@ func RunContext(ctx context.Context, g *EGraph, rules []Rewrite, lim Limits) Rep
 				bans, until := lim.Backoff.Stat(step.Rule)
 				step.Duration, step.BannedUntil, step.Bans = f.searchDur, until+1, bans
 				ruleSkipped = true
+				m.forget(f.pos)
 				continue
 			}
 			gauge.Matches += step.Matches
@@ -345,13 +359,26 @@ func RunContext(ctx context.Context, g *EGraph, rules []Rewrite, lim Limits) Rep
 				continue
 			}
 			ruleStart, nodesBefore := time.Now(), g.NumNodes()
-			for _, m := range f.matches {
+			for j, mt := range f.matches {
+				// A carried match was applied when it was fresh, and
+				// nothing it reads has changed since: applying it again
+				// is a no-op (DESIGN.md §14.4).
+				carried := f.carried.has(j)
+				if carried && applyCarried == nil {
+					continue
+				}
 				if prov {
 					// Attribute every node/union the applier creates to
 					// this rule, iteration, and matched class.
-					g.SetRuleContext(f.rule.Name(), iter+1, m.Class)
+					g.SetRuleContext(f.rule.Name(), iter+1, mt.Class)
 				}
-				if f.rule.Apply(g, m) {
+				var ok bool
+				if carried {
+					ok = applyCarried(f.rule, g, mt)
+				} else {
+					ok = f.rule.Apply(g, mt)
+				}
+				if ok {
 					changed = true
 					rep.Applied++
 					gauge.Applied++

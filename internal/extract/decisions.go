@@ -66,8 +66,8 @@ func (ex *Extractor) Decisions(root egraph.ClassID) []Decision {
 		if cls == nil {
 			continue
 		}
-		best := ex.best[c]
-		if best == nil || !best.ok {
+		best := ex.choice(c)
+		if best == nil {
 			continue
 		}
 		d := Decision{Class: c, Winner: ex.describeNode(best.Node), WinnerCost: best.Cost}
@@ -112,8 +112,8 @@ func (ex *Extractor) Decisions(root egraph.ClassID) []Decision {
 func (ex *Extractor) Movement(root egraph.ClassID) MovementCounts {
 	var mc MovementCounts
 	for _, c := range ex.reachable(root) {
-		b := ex.best[c]
-		if b == nil || !b.ok || b.Node.Op != expr.OpVec {
+		b := ex.choice(c)
+		if b == nil || b.Node.Op != expr.OpVec {
 			continue
 		}
 		children, ok := ex.childInfo(b.Node)
@@ -147,8 +147,8 @@ func (ex *Extractor) reachable(root egraph.ClassID) []egraph.ClassID {
 	seen := map[egraph.ClassID]bool{root: true}
 	order := []egraph.ClassID{root}
 	for i := 0; i < len(order); i++ {
-		b := ex.best[order[i]]
-		if b == nil || !b.ok {
+		b := ex.choice(order[i])
+		if b == nil {
 			continue
 		}
 		for _, a := range b.Node.Args {
@@ -167,8 +167,8 @@ func (ex *Extractor) reachable(root egraph.ClassID) []egraph.ClassID {
 func (ex *Extractor) childInfo(n egraph.ENode) ([]cost.ChildInfo, bool) {
 	children := make([]cost.ChildInfo, len(n.Args))
 	for i, a := range n.Args {
-		b := ex.best[ex.g.Find(a)]
-		if b == nil || !b.ok {
+		b := ex.choice(a)
+		if b == nil {
 			return nil, false
 		}
 		children[i] = cost.ChildInfo{Cost: b.Cost, Node: b.Node}

@@ -1,7 +1,8 @@
 // Package extract selects the cheapest program represented by an e-graph
 // under a cost model (paper §3.4). Extraction runs a Bellman-style
-// relaxation to a fixpoint, which is linear in the number of e-nodes per
-// pass and terminates because the cost model is strictly monotonic.
+// relaxation to a fixpoint, which terminates because the cost model is
+// strictly monotonic. The first pass prices every e-node; each later pass
+// prices only the e-nodes whose children got cheaper.
 package extract
 
 import (
@@ -24,9 +25,14 @@ type Choice struct {
 type Extractor struct {
 	g     *egraph.EGraph
 	model cost.Model
-	best  map[egraph.ClassID]*Choice
+	// best holds each canonical class's choice, indexed by ClassID; ok is
+	// false for a class without a finite-cost implementation and for every
+	// non-canonical ID.
+	best []Choice
 	// children is nodeCost's scratch buffer, reused across every call.
 	children []cost.ChildInfo
+	// pricings counts the nodes run priced.
+	pricings int
 }
 
 // New prepares an extractor and runs the fixpoint computation. Models that
@@ -36,7 +42,7 @@ func New(g *egraph.EGraph, model cost.Model) *Extractor {
 	if ns, ok := model.(cost.NeedsSyms); ok {
 		model = ns.WithSyms(g.SymName)
 	}
-	ex := &Extractor{g: g, model: model, best: map[egraph.ClassID]*Choice{}}
+	ex := &Extractor{g: g, model: model}
 	ex.run()
 	return ex
 }
@@ -48,18 +54,40 @@ func (ex *Extractor) run() {
 	// adds or merges classes, so one snapshot serves every pass and each
 	// pass visits classes in ascending canonical ID, which fixes tie-breaks.
 	classes := ex.g.CanonicalClasses()
-	for {
+	if len(classes) == 0 {
+		return
+	}
+	ids := int(classes[len(classes)-1].ID) + 1
+	ex.best = make([]Choice, ids)
+	// The relaxation is semi-naive (DESIGN.md §14.4): the clock ticks once
+	// per improvement, improved[c] is the tick of class c's last one, and
+	// priced[c] is the clock when a pass last began pricing c. After the
+	// first pass, a node none of whose children improved since its class
+	// was last priced would price as it did then, when it already lost to
+	// or set the class's choice, which has only got cheaper since; it is
+	// skipped. A class's own improvement counts, so a node reading its own
+	// class is priced again.
+	improved := make([]uint32, ids)
+	priced := make([]uint32, ids)
+	var clock uint32
+	for first := true; ; first = false {
 		changed := false
 		for _, cls := range classes {
-			cur := ex.best[cls.ID]
+			cur := &ex.best[cls.ID]
+			since := priced[cls.ID]
+			priced[cls.ID] = clock
 			for _, n := range cls.Nodes {
+				if !first && !ex.improvedSince(n, improved, since) {
+					continue
+				}
 				c, ok := ex.nodeCost(n)
 				if !ok {
 					continue
 				}
-				if cur == nil || !cur.ok || c < cur.Cost {
-					cur = &Choice{Cost: c, Node: n, ok: true}
-					ex.best[cls.ID] = cur
+				if !cur.ok || c < cur.Cost {
+					*cur = Choice{Cost: c, Node: n, ok: true}
+					clock++
+					improved[cls.ID] = clock
 					changed = true
 				}
 			}
@@ -70,13 +98,25 @@ func (ex *Extractor) run() {
 	}
 }
 
+// improvedSince reports whether a child class of n improved after tick
+// since.
+func (ex *Extractor) improvedSince(n egraph.ENode, improved []uint32, since uint32) bool {
+	for _, a := range n.Args {
+		if improved[ex.g.Find(a)] > since {
+			return true
+		}
+	}
+	return false
+}
+
 // nodeCost prices node n using the current best choices of its children.
 func (ex *Extractor) nodeCost(n egraph.ENode) (float64, bool) {
+	ex.pricings++
 	children := ex.children[:0]
 	sum := 0.0
 	for _, a := range n.Args {
-		b := ex.best[ex.g.Find(a)]
-		if b == nil || !b.ok {
+		b := ex.choice(a)
+		if b == nil {
 			return 0, false
 		}
 		children = append(children, cost.ChildInfo{Cost: b.Cost, Node: b.Node})
@@ -91,13 +131,23 @@ func (ex *Extractor) nodeCost(n egraph.ENode) (float64, bool) {
 	return total, true
 }
 
+// choice returns the best choice of id's class, or nil when the class has
+// no finite-cost implementation (or was not in the graph when it was
+// extracted).
+func (ex *Extractor) choice(id egraph.ClassID) *Choice {
+	c := ex.g.Find(id)
+	if int(c) >= len(ex.best) || !ex.best[c].ok {
+		return nil
+	}
+	return &ex.best[c]
+}
+
 // Best returns the chosen implementation of a class.
 func (ex *Extractor) Best(id egraph.ClassID) (Choice, bool) {
-	b := ex.best[ex.g.Find(id)]
-	if b == nil || !b.ok {
-		return Choice{}, false
+	if b := ex.choice(id); b != nil {
+		return *b, true
 	}
-	return *b, true
+	return Choice{}, false
 }
 
 // Expr materializes the extracted term for a class as an expression tree.
@@ -115,8 +165,8 @@ func (ex *Extractor) Expr(id egraph.ClassID) (*expr.Expr, error) {
 		if building[c] {
 			return nil, fmt.Errorf("extract: cyclic best choice at class %d (cost model not strictly monotonic?)", c)
 		}
-		b := ex.best[c]
-		if b == nil || !b.ok {
+		b := ex.choice(c)
+		if b == nil {
 			return nil, fmt.Errorf("extract: no finite-cost implementation for class %d", c)
 		}
 		building[c] = true
