@@ -434,17 +434,33 @@ func TestClassesIterationIsCanonical(t *testing.T) {
 	g := New()
 	a := g.AddExpr(expr.Sym("a"))
 	b := g.AddExpr(expr.Sym("b"))
-	g.Union(a, b)
+	g.AddExpr(expr.MustParse("(+ c (* d e))"))
+	win, _ := g.Union(a, b)
+	lose := a ^ b ^ win
 	g.Rebuild()
-	count := 0
-	g.Classes(func(cls *EClass) {
-		count++
+	classes := g.CanonicalClasses()
+	if len(classes) != g.NumClasses() || len(classes) != 6 {
+		t.Fatalf("visited %d classes, NumClasses %d, want 6", len(classes), g.NumClasses())
+	}
+	for i, cls := range classes {
 		if g.Find(cls.ID) != cls.ID {
-			t.Error("visited non-canonical class")
+			t.Errorf("visited non-canonical class %d", cls.ID)
 		}
-	})
-	if count != 1 {
-		t.Fatalf("visited %d classes, want 1", count)
+		if cls.ID == lose {
+			t.Errorf("union loser %d visited", lose)
+		}
+		if i > 0 && cls.ID <= classes[i-1].ID {
+			t.Errorf("class %d after %d: IDs not strictly ascending", cls.ID, classes[i-1].ID)
+		}
+	}
+	if g.Class(lose) != g.Class(win) {
+		t.Error("Class(loser) is not the winner's class")
+	}
+	if cls := g.Class(ClassID(1 << 30)); cls != nil {
+		t.Errorf("Class of a never-issued ID = %v, want nil", cls)
+	}
+	if n := testing.AllocsPerRun(10, func() { g.CanonicalClasses() }); n != 1 {
+		t.Errorf("CanonicalClasses allocates %v times, want 1", n)
 	}
 }
 

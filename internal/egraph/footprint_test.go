@@ -10,7 +10,7 @@ import (
 // scratch by walking the graph — the ground truth the O(1) counters must
 // agree with after any sequence of adds, unions, and rebuilds.
 func recountFootprint(g *EGraph) (nodePayload int64, restBytes int64, symBytes int64, parentCount int) {
-	for _, cls := range g.classes {
+	for _, cls := range g.CanonicalClasses() {
 		for _, n := range cls.Nodes {
 			nodePayload += nodePayloadBytes(n)
 		}

@@ -39,13 +39,13 @@ func TestProvenanceAttributesRuleContext(t *testing.T) {
 	// Exactly one node — the new (+ b a) — is justified; a, b, and the
 	// input (+ a b) predate the rule context (hashcons hits don't re-record).
 	var justified []Justification
-	g.Classes(func(cls *EClass) {
+	for _, cls := range g.CanonicalClasses() {
 		for _, n := range cls.Nodes {
 			if j, ok := g.NodeProvenance(n); ok {
 				justified = append(justified, j)
 			}
 		}
-	})
+	}
 	if len(justified) != 1 {
 		t.Fatalf("justified nodes = %d, want 1", len(justified))
 	}
@@ -136,7 +136,7 @@ func TestRunnerRecordsProvenance(t *testing.T) {
 		names[r.Name()] = true
 	}
 	count := 0
-	g.Classes(func(cls *EClass) {
+	for _, cls := range g.CanonicalClasses() {
 		for _, n := range cls.Nodes {
 			j, ok := g.NodeProvenance(n)
 			if !ok {
@@ -150,7 +150,7 @@ func TestRunnerRecordsProvenance(t *testing.T) {
 				t.Fatalf("iteration %d outside run's 1..%d", j.Iteration, rep.Iterations)
 			}
 		}
-	})
+	}
 	if count == 0 {
 		t.Fatal("saturation run recorded no justified nodes")
 	}

@@ -146,13 +146,13 @@ func TestRuleSetFollowsTargets(t *testing.T) {
 		g.AddExpr(expr.MustParse("(List (* a b) (+ c d) e)"))
 		egraph.Run(g, rs, egraph.Limits{MaxIterations: 8})
 		seen := map[int]bool{}
-		g.Classes(func(cls *egraph.EClass) {
+		for _, cls := range g.CanonicalClasses() {
 			for _, n := range cls.Nodes {
 				if n.Op == expr.OpVec {
 					seen[len(n.Args)] = true
 				}
 			}
-		})
+		}
 		var got []int
 		for w := range seen {
 			got = append(got, w)
