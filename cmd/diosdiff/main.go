@@ -235,7 +235,7 @@ func parseOpts(tokens string) (diospyros.Options, error) {
 		case tok == "no-vector":
 			opts.DisableVectorRules = true
 		case tok == "ac":
-			opts.EnableAC = true
+			opts.ExtraRules = append(opts.ExtraRules, diospyros.ACRules()...)
 		case tok == "backoff":
 			opts.UseBackoff = true
 		case key == "target" && hasVal:

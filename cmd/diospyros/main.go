@@ -60,7 +60,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed for -run")
 		validate  = flag.Bool("validate", false, "run translation validation")
 		noVector  = flag.Bool("no-vector", false, "disable vector rewrite rules (scalar ablation)")
-		enableAC  = flag.Bool("ac", false, "enable full associativity/commutativity rules")
+		enableAC  = flag.Bool("ac", false, "add the full associativity/commutativity rules (diospyros.ACRules)")
 		backoff   = flag.Bool("backoff", false, "schedule rules with the backoff policy (ban over-matching rules); useful with -ac")
 		timeout   = flag.Duration("timeout", 0, "equality saturation timeout (default 180s)")
 		nodeLimit = flag.Int("node-limit", 0, "e-graph node limit (default 10,000,000)")
@@ -119,10 +119,12 @@ func main() {
 		Timeout:            *timeout,
 		NodeLimit:          *nodeLimit,
 		DisableVectorRules: *noVector,
-		EnableAC:           *enableAC,
 		UseBackoff:         *backoff,
 		Validate:           *validate,
 		Explain:            *explain,
+	}
+	if *enableAC {
+		opts.ExtraRules = diospyros.ACRules()
 	}
 	if *targets != "" {
 		for _, t := range strings.Split(*targets, ",") {

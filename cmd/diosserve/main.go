@@ -65,7 +65,7 @@ func main() {
 		wdHeap     = flag.Int64("watchdog-heap", 0, "abort compiles once the process live heap exceeds this many bytes (0 disables)")
 		satTimeout = flag.Duration("timeout", 0, "default equality-saturation timeout (default 180s)")
 		cacheBytes = flag.Int64("cache-bytes", 0, "content-addressed compile cache budget in bytes (default 64 MiB, negative disables)")
-		enableAC   = flag.Bool("ac", false, "enable full associativity/commutativity rules")
+		enableAC   = flag.Bool("ac", false, "add the full associativity/commutativity rules (diospyros.ACRules)")
 		backoff    = flag.Bool("backoff", false, "schedule rules with the backoff policy (ban over-matching rules); useful with -ac")
 		traceLog   = flag.Int("trace-log", 0, "completed request traces kept for GET /traces (default 64, negative disables)")
 		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn, error")
@@ -86,6 +86,10 @@ func main() {
 	}
 	log := telemetry.NewLogger(os.Stderr, level, *logJSON)
 
+	opts := diospyros.Options{Timeout: *satTimeout, UseBackoff: *backoff}
+	if *enableAC {
+		opts.ExtraRules = diospyros.ACRules()
+	}
 	srv := serve.New(serve.Config{
 		Workers:        *workers,
 		QueueDepth:     *queueDepth,
@@ -95,12 +99,8 @@ func main() {
 		WatchdogHeap:   *wdHeap,
 		TraceLog:       *traceLog,
 		CacheBytes:     *cacheBytes,
-		Options: diospyros.Options{
-			Timeout:    *satTimeout,
-			EnableAC:   *enableAC,
-			UseBackoff: *backoff,
-		},
-		Logger: log,
+		Options:        opts,
+		Logger:         log,
 	})
 
 	httpSrv := &http.Server{

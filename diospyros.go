@@ -62,10 +62,8 @@ type Options struct {
 	// DisableVectorRules removes all vector-introducing rewrites,
 	// producing scalar (but CSE-optimized) code — the §5.6 ablation.
 	DisableVectorRules bool
-	// EnableAC turns on full associativity/commutativity rules (§3.3).
-	EnableAC bool
 	// UseBackoff schedules rules with egg's backoff policy: rules whose
-	// match count explodes are temporarily banned. Useful with EnableAC.
+	// match count explodes are temporarily banned. Useful with ACRules.
 	UseBackoff bool
 	// Validate runs translation validation on the extracted program.
 	Validate bool
@@ -118,6 +116,22 @@ type Options struct {
 type RewriteRule struct {
 	Name     string
 	LHS, RHS string
+}
+
+// ACRules returns the full associativity/commutativity rules for + and *
+// (§3.3), for appending to ExtraRules. As the paper discusses, they blow
+// up the e-graph, so no compile uses them by default; the MAC searcher
+// recovers the useful reassociations. Their comm-/assoc- names classify
+// as reassociation steps in explanations.
+func ACRules() []RewriteRule {
+	return []RewriteRule{
+		{"comm-add", "(+ ?a ?b)", "(+ ?b ?a)"},
+		{"comm-mul", "(* ?a ?b)", "(* ?b ?a)"},
+		{"assoc-add-r", "(+ (+ ?a ?b) ?c)", "(+ ?a (+ ?b ?c))"},
+		{"assoc-add-l", "(+ ?a (+ ?b ?c))", "(+ (+ ?a ?b) ?c)"},
+		{"assoc-mul-r", "(* (* ?a ?b) ?c)", "(* ?a (* ?b ?c))"},
+		{"assoc-mul-l", "(* ?a (* ?b ?c))", "(* (* ?a ?b) ?c)"},
+	}
 }
 
 func (o Options) withDefaults() Options {

@@ -147,10 +147,17 @@ func TestIncrementalMatchEqualsFullSearch(t *testing.T) {
 
 	// AC rules explode; the node cap bounds the run and Backoff bans rules,
 	// which must come back with a full search.
-	cfg := rules.Default(4)
-	cfg.EnableAC = true
+	mk := egraph.MustRewrite
+	ac := append(rules.Default(4).Rules(),
+		mk("comm-add", "(+ ?a ?b)", "(+ ?b ?a)"),
+		mk("comm-mul", "(* ?a ?b)", "(* ?b ?a)"),
+		mk("assoc-add-r", "(+ (+ ?a ?b) ?c)", "(+ ?a (+ ?b ?c))"),
+		mk("assoc-add-l", "(+ ?a (+ ?b ?c))", "(+ (+ ?a ?b) ?c)"),
+		mk("assoc-mul-r", "(* (* ?a ?b) ?c)", "(* ?a (* ?b ?c))"),
+		mk("assoc-mul-l", "(* ?a (* ?b ?c))", "(* (* ?a ?b) ?c)"),
+	)
 	lim := egraph.Limits{MaxNodes: 20_000, Backoff: &egraph.Backoff{}}
-	rep, _, carried := oracleRun(t, "AC+Backoff", kernels.Conv2D(3, 3, 3, 3), cfg.Rules(), lim)
+	rep, _, carried := oracleRun(t, "AC+Backoff", kernels.Conv2D(3, 3, 3, 3), ac, lim)
 	if carried == 0 {
 		t.Errorf("AC+Backoff run carried no match: the skip went untested")
 	}

@@ -9,9 +9,10 @@
 //     against (+ a (* b c)), (+ (* b c) a), (* b c), or 0 and combines the
 //     per-lane results into a VecMAC — the paper's workaround for the
 //     NP-complete AC-matching problem;
-//   - scalar simplifications and constant folding;
-//   - optional full associativity/commutativity rules (disabled by default,
-//     as in the paper's evaluation).
+//   - scalar simplifications and constant folding.
+//
+// The full associativity/commutativity rules are not built in: a compile
+// that wants them passes diospyros.ACRules as extra rules.
 package rules
 
 import (
@@ -35,11 +36,6 @@ type Config struct {
 	// is deduplicated and sorted, so the rule set — and therefore the
 	// e-graph — is identical regardless of request order.
 	Widths []int
-
-	// EnableAC turns on full associativity/commutativity rules for + and *.
-	// As §3.3 discusses, these blow up the e-graph; they are off by default
-	// and partially recovered by the custom searchers.
-	EnableAC bool
 
 	// DisableVector removes every vector-introducing rule, leaving scalar
 	// simplification and CSE only (the §5.6 ablation).
@@ -85,9 +81,6 @@ func (c Config) Rules() []egraph.Rewrite {
 	}
 	out := scalarRules()
 	out = append(out, constFoldRule{})
-	if c.EnableAC {
-		out = append(out, acRules()...)
-	}
 	if !c.DisableVector {
 		for _, w := range widths {
 			out = append(out, chunkRule{width: w})
@@ -103,7 +96,7 @@ func (c Config) Rules() []egraph.Rewrite {
 // builtinNames is every name Rules gives a rule, under any Config.
 var builtinNames = sync.OnceValue(func() map[string]bool {
 	names := map[string]bool{}
-	for _, r := range (Config{Width: 4, EnableAC: true}).Rules() {
+	for _, r := range (Config{Width: 4}).Rules() {
 		names[r.Name()] = true
 	}
 	return names
@@ -132,18 +125,5 @@ func scalarRules() []egraph.Rewrite {
 		mk("neg-neg", "(neg (neg ?a))", "?a"),
 		mk("neg-mul", "(* (neg ?a) ?b)", "(neg (* ?a ?b))"),
 		mk("mul-neg", "(neg (* ?a ?b))", "(* (neg ?a) ?b)"),
-	}
-}
-
-// acRules are the optional full associativity/commutativity rules (§3.3).
-func acRules() []egraph.Rewrite {
-	mk := egraph.MustRewrite
-	return []egraph.Rewrite{
-		mk("comm-add", "(+ ?a ?b)", "(+ ?b ?a)"),
-		mk("comm-mul", "(* ?a ?b)", "(* ?b ?a)"),
-		mk("assoc-add-r", "(+ (+ ?a ?b) ?c)", "(+ ?a (+ ?b ?c))"),
-		mk("assoc-add-l", "(+ ?a (+ ?b ?c))", "(+ (+ ?a ?b) ?c)"),
-		mk("assoc-mul-r", "(* (* ?a ?b) ?c)", "(* ?a (* ?b ?c))"),
-		mk("assoc-mul-l", "(* ?a (* ?b ?c))", "(* (* ?a ?b) ?c)"),
 	}
 }

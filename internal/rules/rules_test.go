@@ -315,19 +315,6 @@ func TestRandomSpecSoundness(t *testing.T) {
 	}
 }
 
-func TestEnableACFindsCommutedMatch(t *testing.T) {
-	// With AC on, (+ a b) and (+ b a) share a class.
-	g := egraph.New()
-	l := g.AddExpr(expr.MustParse("(+ x y)"))
-	rr := g.AddExpr(expr.MustParse("(+ y x)"))
-	cfg := Default(4)
-	cfg.EnableAC = true
-	egraph.Run(g, cfg.Rules(), egraph.Limits{MaxIterations: 5, MaxNodes: 10000})
-	if g.Find(l) != g.Find(rr) {
-		t.Fatal("AC rules did not merge commuted additions")
-	}
-}
-
 func TestExtractedCostReflectsMovement(t *testing.T) {
 	// Gathering from one array must extract cheaper than from two arrays.
 	single := "(List (+ (Get a 0) (Get a 4)) (+ (Get a 1) (Get a 5)) (+ (Get a 2) (Get a 6)) (+ (Get a 3) (Get a 7)))"

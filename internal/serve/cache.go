@@ -216,9 +216,9 @@ func normalizeSource(src string) string {
 // identically share one entry.
 func canonicalOptions(o diospyros.Options) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "timeout=%d;nodes=%d;iters=%d;novec=%t;ac=%t;backoff=%t;validate=%t;explain=%t;",
+	fmt.Fprintf(&b, "timeout=%d;nodes=%d;iters=%d;novec=%t;backoff=%t;validate=%t;explain=%t;",
 		int64(o.Timeout), o.NodeLimit, o.MaxIterations,
-		o.DisableVectorRules, o.EnableAC, o.UseBackoff, o.Validate, o.Explain)
+		o.DisableVectorRules, o.UseBackoff, o.Validate, o.Explain)
 	targets := o.Targets
 	if len(targets) == 0 {
 		targets = []string{isa.Default().Name}

@@ -142,7 +142,7 @@ func TestWatchdogNodeBudgetAbort(t *testing.T) {
 		Workers:       1,
 		WatchdogNodes: 10,
 		WatchdogPoll:  time.Millisecond,
-		Options:       diospyros.Options{EnableAC: true, Timeout: 10 * time.Second},
+		Options:       diospyros.Options{ExtraRules: diospyros.ACRules(), Timeout: 10 * time.Second},
 	})
 
 	resp, cr := postCompile(t, ts.URL, string(src), "text/plain")
@@ -175,7 +175,7 @@ func TestWatchdogHeapBudgetAbort(t *testing.T) {
 		Workers:      1,
 		WatchdogHeap: 1,
 		WatchdogPoll: time.Millisecond,
-		Options:      diospyros.Options{EnableAC: true, Timeout: 10 * time.Second},
+		Options:      diospyros.Options{ExtraRules: diospyros.ACRules(), Timeout: 10 * time.Second},
 	})
 
 	resp, cr := postCompile(t, ts.URL, string(src), "text/plain")

@@ -14,7 +14,7 @@ const (
 	KindChunking      = "chunking"      // list-chunk (List → Concat of Vecs)
 	KindShuffle       = "shuffle"       // data movement synthesized by lowering
 	KindConstFold     = "constant-folding"
-	KindReassociation = "reassociation" // assoc-*/comm-* (EnableAC)
+	KindReassociation = "reassociation" // assoc-*/comm-* (diospyros.ACRules)
 	KindSimplify      = "simplification"
 )
 

@@ -108,7 +108,6 @@ func RuleSet(opts Options) ([]egraph.Rewrite, error) {
 	cfg := rules.Config{
 		Width:         isa.Width,
 		Widths:        widths,
-		EnableAC:      opts.EnableAC,
 		DisableVector: opts.DisableVectorRules || len(widths) == 0,
 	}
 	ruleSet := cfg.Rules()

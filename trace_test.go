@@ -82,7 +82,7 @@ func TestCompileTraceQuickstart(t *testing.T) {
 // each gauge's Matches. AC rules under Backoff make some steps banned.
 func TestRuleAttributionWithoutJournal(t *testing.T) {
 	opts := testOpts()
-	opts.EnableAC, opts.UseBackoff = true, true
+	opts.ExtraRules, opts.UseBackoff = ACRules(), true
 	res, err := Compile(kernels.Conv2D(3, 5, 3, 3), opts)
 	if err != nil {
 		t.Fatal(err)
