@@ -4,7 +4,7 @@
 // is checked between stages so an external cancellation stops the compile
 // at the next stage boundary (stages that can block long, like equality
 // saturation, additionally honor the context internally), and a failing
-// stage aborts the run with its name attached to the error.
+// or panicking stage aborts the run with its name attached to the error.
 //
 // The package is generic over the state type so the compiler, the bench
 // harness, and future servers can each define their own state without
@@ -14,6 +14,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"time"
 
 	"diospyros/internal/telemetry"
@@ -37,9 +38,24 @@ type StageError struct {
 	Err   error
 }
 
+// Error prefixes the stage's error with the stage's name.
 func (e *StageError) Error() string { return fmt.Sprintf("%s: %v", e.Stage, e.Err) }
 
+// Unwrap returns the stage's error, so errors.Is and errors.As see
+// through the stage name.
 func (e *StageError) Unwrap() error { return e.Err }
+
+// PanicError is a recovered panic: Run wraps one in the StageError of the
+// stage whose Run panicked.
+type PanicError struct {
+	Value any    // the recovered value
+	Stack []byte // the panicking goroutine's stack, for logs
+}
+
+// Error names the recovered panic value; the stack is left to the caller.
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("internal compiler error: %v", e.Value)
+}
 
 // Pipeline is an immutable ordered stage list.
 type Pipeline[S any] struct {
@@ -68,7 +84,11 @@ func (p *Pipeline[S]) Stages() []string {
 // Run executes the stages in order against state, recording one telemetry
 // span per executed stage on rec (which may be nil). It stops at the first
 // failing stage, or before the next stage once ctx is cancelled, returning
-// a *StageError either way.
+// a *StageError either way. A panic in a stage's Run is recovered into a
+// *StageError wrapping a *PanicError, and that stage's span still ends.
+// Panics in goroutines a stage starts, such as equality saturation's
+// match workers, are out of reach of this recover and still end the
+// process.
 //
 // When the context carries a structured logger (telemetry.WithLogger, as
 // the serve layer and the CLIs' -log flags attach), every executed stage
@@ -93,7 +113,7 @@ func (p *Pipeline[S]) Run(ctx context.Context, state S, rec *telemetry.Recorder)
 		}
 		span := rec.StartSpan(st.Name)
 		start := time.Now()
-		err := st.Run(ctx, state)
+		err := st.run(ctx, state)
 		span.End()
 		if err != nil {
 			log.Warn("stage failed", "stage", st.Name,
@@ -103,4 +123,14 @@ func (p *Pipeline[S]) Run(ctx context.Context, state S, rec *telemetry.Recorder)
 		log.Debug("stage complete", "stage", st.Name, "duration", time.Since(start))
 	}
 	return nil
+}
+
+// run calls the stage's Run, recovering a panic into a *PanicError.
+func (st Stage[S]) run(ctx context.Context, state S) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = &PanicError{Value: p, Stack: debug.Stack()}
+		}
+	}()
+	return st.Run(ctx, state)
 }

@@ -77,6 +77,32 @@ func TestStageErrorStopsRun(t *testing.T) {
 	}
 }
 
+// TestStagePanicStopsRun: a stage whose Run panics fails the run with a
+// StageError naming it that wraps the recovered value, its span still
+// ends, and no later stage runs.
+func TestStagePanicStopsRun(t *testing.T) {
+	p := New(appendStage("a"),
+		Stage[*state]{Name: "bad", Run: func(context.Context, *state) error { panic("index out of range") }},
+		appendStage("c"))
+	s := &state{}
+	rec := telemetry.NewRecorder()
+	err := p.Run(context.Background(), s, rec)
+	var se *StageError
+	var pe *PanicError
+	if !errors.As(err, &se) || se.Stage != "bad" || !errors.As(err, &pe) || pe.Value != "index out of range" {
+		t.Fatalf("err = %v", err)
+	}
+	if len(pe.Stack) == 0 {
+		t.Error("recovered panic carries no stack")
+	}
+	if got := fmt.Sprint(s.log); got != "[a]" {
+		t.Fatalf("ran %v after the panic", s.log)
+	}
+	if st := rec.Finish().Stages; len(st) != 2 || st[1].Name != "bad" {
+		t.Fatalf("spans = %+v, want a and the ended span of bad", st)
+	}
+}
+
 func TestCancelledContextStopsBetweenStages(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := New(

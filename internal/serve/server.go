@@ -47,6 +47,7 @@ import (
 	diospyros "diospyros"
 	"diospyros/internal/buildinfo"
 	"diospyros/internal/egraph"
+	"diospyros/internal/pipeline"
 	"diospyros/internal/telemetry"
 )
 
@@ -569,26 +570,17 @@ func (s *Server) successResponse(r *http.Request, id string, res *diospyros.Resu
 	return resp
 }
 
-// internalError is a compile that panicked. The server recovers the panic
-// and answers the one request with 500 instead of ending the process.
-type internalError struct {
-	Panic any    // the recovered value
-	Stack []byte // the panicking goroutine's stack, logged, never sent
-}
-
-// Error names the recovered panic value; the stack stays in the log.
-func (e *internalError) Error() string {
-	return fmt.Sprintf("internal compiler error: %v", e.Panic)
-}
-
-// compile runs s.compileFn and recovers a panic into an *internalError.
-// Both call sites go through it: the plain path, where net/http would
-// otherwise recover the handler and reset the client's connection, and the
-// SSE path, whose compile goroutine nothing else recovers.
+// compile runs s.compileFn and recovers a panic into a
+// *pipeline.PanicError, the error a panicking compile stage returns
+// wrapped in its *pipeline.StageError. The server answers the one request
+// with 500 instead of ending the process. Both call sites go through it:
+// the plain path, where net/http would otherwise recover the handler and
+// reset the client's connection, and the SSE path, whose compile
+// goroutine nothing else recovers.
 func (s *Server) compile(ctx context.Context, src string, opts diospyros.Options) (res *diospyros.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			res, err = nil, &internalError{Panic: p, Stack: debug.Stack()}
+			res, err = nil, &pipeline.PanicError{Value: p, Stack: debug.Stack()}
 		}
 	}()
 	return s.compileFn(ctx, src, opts)
@@ -610,13 +602,13 @@ func (s *Server) classifyError(r *http.Request, id string, err error, trace *tel
 
 	var (
 		abort    *telemetry.AbortError
-		internal *internalError
+		internal *pipeline.PanicError
 	)
 	switch {
 	case errors.As(err, &internal):
 		s.reg.CounterAdd("diospyros_serve_internal_errors_total",
 			"Compiles that panicked; each was recovered and answered 500.", nil, 1)
-		log.Error("compile panicked", "panic", fmt.Sprint(internal.Panic), "stack", string(internal.Stack))
+		log.Error("compile panicked", "panic", fmt.Sprint(internal.Value), "stack", string(internal.Stack))
 		return resp, http.StatusInternalServerError
 	case errors.As(err, &abort):
 		resp.Aborted = abort.Reason
