@@ -43,10 +43,23 @@ func ToISA(p *vir.Program, t *isa.Target) (*isa.Program, error) {
 	lay := BuildLayout(p.Width, p.Inputs, p.Outputs)
 	b := isa.NewBuilder(p.Name, lay)
 	b.SetTarget(t)
+	// Each array's base address, each IR instruction and the final Halt
+	// emit at least one instruction; only the VMov copies grow past this.
+	regions := lay.Regions()
+	b.Grow(len(regions) + len(p.Instrs) + 1)
+	// The emitted VConst values and shuffle indices are copied out of the
+	// IR into two shared backing slices, one copy per program.
+	nvals, nidx := 0, 0
+	for i := range p.Instrs {
+		nvals += len(p.Instrs[i].Fs)
+		nidx += len(p.Instrs[i].Idx)
+	}
+	vals := make([]float64, 0, nvals)
+	idxs := make([]int, 0, nidx)
 
 	// One address register per array.
-	bases := map[string]int{}
-	for _, r := range lay.Regions() {
+	bases := make(map[string]int, len(regions))
+	for _, r := range regions {
 		reg := b.IReg()
 		bases[r.Name] = reg
 		b.Emit(isa.Instr{Op: isa.IConst, Dst: reg, IImm: r.Base})
@@ -66,8 +79,12 @@ func ToISA(p *vir.Program, t *isa.Target) (*isa.Program, error) {
 	// may serve as that instruction's destination). The resulting register
 	// pressure is what a linear-scan allocator would achieve on
 	// straight-line code; Build records the high-water marks.
-	fregs := map[vir.ID]int{}
-	vregs := map[vir.ID]int{}
+	// fregs and vregs map each value to its register, -1 until defined.
+	fregs := make([]int, p.NumValues())
+	vregs := make([]int, p.NumValues())
+	for i := range fregs {
+		fregs[i], vregs[i] = -1, -1
+	}
 	remaining := p.UseCounts()
 	var freeF, freeV []int
 	allocF := func() int {
@@ -87,18 +104,16 @@ func ToISA(p *vir.Program, t *isa.Target) (*isa.Program, error) {
 		return b.VReg()
 	}
 	freg := func(id vir.ID) (int, error) {
-		r, ok := fregs[id]
-		if !ok {
+		if id < 0 || int(id) >= len(fregs) || fregs[id] < 0 {
 			return 0, fmt.Errorf("codegen: %%%d is not a scalar value", id)
 		}
-		return r, nil
+		return fregs[id], nil
 	}
 	vreg := func(id vir.ID) (int, error) {
-		r, ok := vregs[id]
-		if !ok {
+		if id < 0 || int(id) >= len(vregs) || vregs[id] < 0 {
 			return 0, fmt.Errorf("codegen: %%%d is not a vector value", id)
 		}
-		return r, nil
+		return vregs[id], nil
 	}
 	// takeV consumes one use of a vector operand; at the last use the
 	// register is recycled (and reported reusable so in-place ops like
@@ -135,19 +150,6 @@ func ToISA(p *vir.Program, t *isa.Target) (*isa.Program, error) {
 				return
 			}
 		}
-	}
-
-	binopS := map[vir.Op]isa.Opcode{
-		vir.AddS: isa.SAdd, vir.SubS: isa.SSub, vir.MulS: isa.SMul, vir.DivS: isa.SDiv,
-	}
-	unopS := map[vir.Op]isa.Opcode{
-		vir.NegS: isa.SNeg, vir.SqrtS: isa.SSqrt, vir.SgnS: isa.SSgn,
-	}
-	binopV := map[vir.Op]isa.Opcode{
-		vir.AddV: isa.VAdd, vir.SubV: isa.VSub, vir.MulV: isa.VMul, vir.DivV: isa.VDiv,
-	}
-	unopV := map[vir.Op]isa.Opcode{
-		vir.NegV: isa.VNeg, vir.SqrtV: isa.VSqrt, vir.SgnV: isa.VSgn,
 	}
 
 	for _, in := range p.Instrs {
@@ -208,7 +210,7 @@ func ToISA(p *vir.Program, t *isa.Target) (*isa.Program, error) {
 		case vir.ConstV:
 			d := allocV()
 			vregs[in.ID] = d
-			b.Emit(isa.Instr{Op: isa.VConst, Dst: d, Vals: append([]float64(nil), in.Fs...)})
+			b.Emit(isa.Instr{Op: isa.VConst, Dst: d, Vals: carve(&vals, in.Fs)})
 		case vir.LoadV:
 			ar, err := base(in.Array)
 			if err != nil {
@@ -250,7 +252,7 @@ func ToISA(p *vir.Program, t *isa.Target) (*isa.Program, error) {
 			}
 			d := allocV()
 			vregs[in.ID] = d
-			b.Emit(isa.Instr{Op: isa.VShfl, Dst: d, A: a, Idx: append([]int(nil), in.Idx...)})
+			b.Emit(isa.Instr{Op: isa.VShfl, Dst: d, A: a, Idx: carve(&idxs, in.Idx)})
 		case vir.Select:
 			a, _, err := takeV(in.Args[0])
 			if err != nil {
@@ -262,7 +264,7 @@ func ToISA(p *vir.Program, t *isa.Target) (*isa.Program, error) {
 			}
 			d := allocV()
 			vregs[in.ID] = d
-			b.Emit(isa.Instr{Op: isa.VSel, Dst: d, A: a, B: c, Idx: append([]int(nil), in.Idx...)})
+			b.Emit(isa.Instr{Op: isa.VSel, Dst: d, A: a, B: c, Idx: carve(&idxs, in.Idx)})
 		case vir.AddV, vir.SubV, vir.MulV, vir.DivV:
 			a, _, err := takeV(in.Args[0])
 			if err != nil {
@@ -373,6 +375,30 @@ func ToISA(p *vir.Program, t *isa.Target) (*isa.Program, error) {
 	}
 	return b.Build()
 }
+
+// carve appends src to *buf and returns the appended copy, its capacity
+// clipped so an append to it cannot overwrite the next copy.
+func carve[T any](buf *[]T, src []T) []T {
+	lo := len(*buf)
+	*buf = append(*buf, src...)
+	return (*buf)[lo:len(*buf):len(*buf)]
+}
+
+// The IR ops that map one-to-one onto an FG3-lite arithmetic opcode.
+var (
+	binopS = [vir.NumOps]isa.Opcode{
+		vir.AddS: isa.SAdd, vir.SubS: isa.SSub, vir.MulS: isa.SMul, vir.DivS: isa.SDiv,
+	}
+	unopS = [vir.NumOps]isa.Opcode{
+		vir.NegS: isa.SNeg, vir.SqrtS: isa.SSqrt, vir.SgnS: isa.SSgn,
+	}
+	binopV = [vir.NumOps]isa.Opcode{
+		vir.AddV: isa.VAdd, vir.SubV: isa.VSub, vir.MulV: isa.VMul, vir.DivV: isa.VDiv,
+	}
+	unopV = [vir.NumOps]isa.Opcode{
+		vir.NegV: isa.VNeg, vir.SqrtV: isa.VSqrt, vir.SgnV: isa.VSgn,
+	}
+)
 
 // Execute runs a compiled program on the simulator with the given inputs
 // bound to their regions, returning outputs and the simulation result.

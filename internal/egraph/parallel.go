@@ -3,10 +3,13 @@ package egraph
 import (
 	"context"
 	"math/bits"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"diospyros/internal/pipeline"
 )
 
 // The match phase. Equality saturation alternates a read-only search phase
@@ -202,15 +205,34 @@ func (m *matcher) search(ctx context.Context, g *EGraph, eligible []int, workers
 	if inline {
 		work()
 	} else {
-		var wg sync.WaitGroup
+		// A worker's panic would end the process, out of reach of the
+		// stage's recover. The worker recovers it, stops the others from
+		// claiming tasks, and the first one is raised again here, on the
+		// stage goroutine, with the worker's value and stack.
+		var (
+			wg       sync.WaitGroup
+			once     sync.Once
+			panicked *pipeline.PanicError
+		)
 		for w := 0; w < min(workers, len(tasks)); w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				defer func() {
+					if p := recover(); p != nil {
+						next.Store(int64(len(tasks)))
+						once.Do(func() {
+							panicked = &pipeline.PanicError{Value: p, Stack: debug.Stack()}
+						})
+					}
+				}()
 				work()
 			}()
 		}
 		wg.Wait()
+		if panicked != nil {
+			panic(panicked)
+		}
 	}
 	if stop() {
 		return nil, index, true

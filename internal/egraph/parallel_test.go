@@ -2,12 +2,15 @@ package egraph
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"diospyros/internal/expr"
+	"diospyros/internal/pipeline"
 	"diospyros/internal/telemetry"
 )
 
@@ -180,6 +183,54 @@ func TestParallelSearchCancellation(t *testing.T) {
 		}
 		if g.NeedsRebuild() {
 			t.Errorf("GOMAXPROCS=%d: cancelled run left the graph needing a rebuild", procs)
+		}
+	}
+}
+
+// panicRule is a rule whose search panics on every class.
+type panicRule struct{}
+
+func (panicRule) Name() string                             { return "panic" }
+func (panicRule) RootOps() []expr.Op                       { return nil }
+func (panicRule) ReadDepth() int                           { return 0 }
+func (panicRule) SearchClasses(*EGraph, []*EClass) []Match { panic("search failed") }
+func (panicRule) Apply(*EGraph, Match) bool                { return false }
+
+// TestMatchWorkerPanicIsAStageError checks that a panic in a match worker
+// reaches the saturate stage as a recovered *pipeline.PanicError carrying
+// the worker's value and stack, instead of ending the process.
+func TestMatchWorkerPanicIsAStageError(t *testing.T) {
+	withProcs(t, 2)
+	g := New()
+	g.AddExpr(deepExpr(48))
+	if n := g.NumClasses(); n < matchParallelMinClasses {
+		t.Fatalf("%d classes do not start the match pool (gate %d)", n, matchParallelMinClasses)
+	}
+	saturate := pipeline.New(pipeline.Stage[*EGraph]{
+		Name: "saturate",
+		Run: func(ctx context.Context, g *EGraph) error {
+			RunContext(ctx, g, []Rewrite{panicRule{}}, Limits{MaxIterations: 1})
+			return nil
+		},
+	})
+	err := saturate.Run(context.Background(), g, nil)
+	var se *pipeline.StageError
+	if !errors.As(err, &se) || se.Stage != "saturate" {
+		t.Fatalf("Run returned %v, want a saturate StageError", err)
+	}
+	var pe *pipeline.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("StageError wraps %T, want *pipeline.PanicError", se.Err)
+	}
+	if pe.Value != "search failed" {
+		t.Errorf("panic value %v, want the rule's", pe.Value)
+	}
+	// The stack is the worker's: the rule's frame, in a goroutine the
+	// match phase started.
+	stack := string(pe.Stack)
+	for _, want := range []string{"panicRule.SearchClasses", "created by diospyros/internal/egraph.(*matcher).search"} {
+		if !strings.Contains(stack, want) {
+			t.Errorf("stack lacks %q:\n%s", want, stack)
 		}
 	}
 }

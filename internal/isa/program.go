@@ -2,6 +2,7 @@ package isa
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -135,6 +136,12 @@ func (b *Builder) VecWidth() int { return b.prog.VecWidth() }
 // Emit appends an instruction.
 func (b *Builder) Emit(in Instr) {
 	b.prog.Instrs = append(b.prog.Instrs, in)
+}
+
+// Grow makes room for n more instructions, so a caller that knows its
+// program's size appends without regrowing the instruction slice.
+func (b *Builder) Grow(n int) {
+	b.prog.Instrs = slices.Grow(b.prog.Instrs, n)
 }
 
 // Label binds a label to the next instruction index.

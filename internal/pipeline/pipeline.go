@@ -86,9 +86,10 @@ func (p *Pipeline[S]) Stages() []string {
 // failing stage, or before the next stage once ctx is cancelled, returning
 // a *StageError either way. A panic in a stage's Run is recovered into a
 // *StageError wrapping a *PanicError, and that stage's span still ends.
-// Panics in goroutines a stage starts, such as equality saturation's
-// match workers, are out of reach of this recover and still end the
-// process.
+// A goroutine a stage starts is out of reach of this recover: the stage
+// must recover the goroutine's panic itself and raise it again on its own
+// goroutine as a *PanicError, which Run then wraps as it is, keeping the
+// goroutine's stack. Equality saturation's match workers do this.
 //
 // When the context carries a structured logger (telemetry.WithLogger, as
 // the serve layer and the CLIs' -log flags attach), every executed stage
@@ -125,10 +126,16 @@ func (p *Pipeline[S]) Run(ctx context.Context, state S, rec *telemetry.Recorder)
 	return nil
 }
 
-// run calls the stage's Run, recovering a panic into a *PanicError.
+// run calls the stage's Run, recovering a panic into a *PanicError. A
+// *PanicError raised again from a goroutine the stage started is returned
+// as it is.
 func (st Stage[S]) run(ctx context.Context, state S) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
+			if pe, ok := p.(*PanicError); ok {
+				err = pe
+				return
+			}
 			err = &PanicError{Value: p, Stack: debug.Stack()}
 		}
 	}()

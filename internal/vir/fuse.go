@@ -14,14 +14,15 @@ package vir
 // iterates to a fixpoint.
 func FuseShuffles(p *Program) *Program {
 	w := p.Width
-	for {
-		defs := make([]*Instr, p.NumValues())
-		for i := range p.Instrs {
-			in := &p.Instrs[i]
-			if in.ID != None {
-				defs[in.ID] = in
-			}
+	// Rewrites change instructions in place and never their IDs, so each
+	// value keeps its defining instruction across iterations.
+	defs := make([]*Instr, p.NumValues())
+	for i := range p.Instrs {
+		if in := &p.Instrs[i]; in.ID != None {
+			defs[in.ID] = in
 		}
+	}
+	for {
 		changed := false
 		for i := range p.Instrs {
 			in := &p.Instrs[i]

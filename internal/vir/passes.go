@@ -9,77 +9,96 @@ package vir
 // This is the pass the paper credits (§4) with shrinking the quaternion
 // product kernel from over 100k lines of C++ to under 500.
 func LVN(p *Program) *Program {
-	out := NewProgram(p.Name, p.Width, p.Inputs, p.Outputs)
-	seen := map[string]ID{}
-	remap := map[ID]ID{}
-	for _, in := range p.Instrs {
-		n := in
-		n.Args = make([]ID, len(in.Args))
-		for i, a := range in.Args {
-			if r, ok := remap[a]; ok {
-				n.Args[i] = r
-			} else {
-				n.Args[i] = a
-			}
-		}
-		if n.Op.IsStore() {
-			out.Emit(n)
+	keep := make([]bool, len(p.Instrs))
+	remap := make([]ID, p.NumValues()) // old value -> its number in the output
+	values := newValueTable(len(p.Instrs))
+	var key []byte
+	var args []ID // the current instruction's remapped Args, reused
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		if in.Op.IsStore() {
+			keep[i] = true
 			continue
 		}
-		k := n.key()
-		if prev, ok := seen[k]; ok {
-			remap[in.ID] = prev
-			continue
+		args = args[:0]
+		for _, a := range in.Args {
+			args = append(args, remap[a])
 		}
-		newID := out.Emit(n)
-		remap[in.ID] = newID
-		seen[k] = newID
+		n := *in
+		n.Args = args
+		key = n.appendKey(key[:0])
+		id, found := values.number(key)
+		remap[in.ID] = id
+		keep[i] = !found
 	}
-	return out
+	return p.rebuild(keep, remap)
 }
 
 // DCE removes pure instructions whose values are never used (directly or
 // transitively) by a store.
 func DCE(p *Program) *Program {
+	def := make([]int, p.NumValues()) // value -> index of its defining instr
+	for i := range p.Instrs {
+		if id := p.Instrs[i].ID; id != None {
+			def[id] = i
+		}
+	}
 	live := make([]bool, p.NumValues())
-	var mark func(ID)
-	uses := make(map[ID][]ID) // value -> argument values of its defining instr
-	for _, in := range p.Instrs {
-		if in.ID != None {
-			uses[in.ID] = in.Args
+	var work []ID
+	for i := range p.Instrs {
+		if p.Instrs[i].Op.IsStore() {
+			work = append(work, p.Instrs[i].Args...)
 		}
 	}
-	mark = func(id ID) {
+	for len(work) > 0 {
+		id := work[len(work)-1]
+		work = work[:len(work)-1]
 		if id == None || live[id] {
-			return
-		}
-		live[id] = true
-		for _, a := range uses[id] {
-			mark(a)
-		}
-	}
-	for _, in := range p.Instrs {
-		if in.Op.IsStore() {
-			for _, a := range in.Args {
-				mark(a)
-			}
-		}
-	}
-	out := NewProgram(p.Name, p.Width, p.Inputs, p.Outputs)
-	remap := map[ID]ID{}
-	for _, in := range p.Instrs {
-		if in.ID != None && !live[in.ID] {
 			continue
 		}
-		n := in
-		n.Args = make([]ID, len(in.Args))
-		for i, a := range in.Args {
-			n.Args[i] = remap[a]
+		live[id] = true
+		work = append(work, p.Instrs[def[id]].Args...)
+	}
+
+	keep := make([]bool, len(p.Instrs))
+	remap := make([]ID, p.NumValues())
+	next := ID(0)
+	for i := range p.Instrs {
+		switch id := p.Instrs[i].ID; {
+		case id == None:
+			keep[i] = true
+		case live[id]:
+			keep[i] = true
+			remap[id] = next
+			next++
 		}
-		id := out.Emit(n)
-		if in.ID != None {
-			remap[in.ID] = id
+	}
+	return p.rebuild(keep, remap)
+}
+
+// rebuild returns the instructions keep marks, in order, with their Args
+// renumbered through remap, in a program sized to fit. remap must number
+// the kept values 0, 1, 2, ... in order, as Emit numbers them.
+func (p *Program) rebuild(keep []bool, remap []ID) *Program {
+	kept, nargs := 0, 0
+	for i, k := range keep {
+		if k {
+			kept++
+			nargs += len(p.Instrs[i].Args)
 		}
+	}
+	out := p.derive(kept)
+	arena := newArgArena(nargs)
+	for i := range p.Instrs {
+		if !keep[i] {
+			continue
+		}
+		n := p.Instrs[i]
+		n.Args = arena.take(len(n.Args))
+		for j, a := range p.Instrs[i].Args {
+			n.Args[j] = remap[a]
+		}
+		out.Emit(n)
 	}
 	return out
 }

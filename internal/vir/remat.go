@@ -1,5 +1,7 @@
 package vir
 
+import "slices"
+
 // Rematerialize bounds register live ranges in straight-line code: when a
 // value produced by a cheap, pure data-movement cone (loads, constants,
 // splats, shuffles, selects) is next used more than `window` emitted
@@ -52,53 +54,98 @@ func Rematerialize(p *Program, window int) *Program {
 		return n
 	}
 
-	out := NewProgram(p.Name, p.Width, p.Inputs, p.Outputs)
+	// The pass runs twice: a dry run that only counts what it would emit,
+	// then the real one into a program sized to fit. Both runs make the
+	// same choices, which depend only on positions, not on the output.
 	remap := make([]ID, p.NumValues())
 	lastTouch := make([]int, p.NumValues())
-	for i := range remap {
-		remap[i] = None
-		lastTouch[i] = -1
-	}
+	var out rematOut
+	run := func() {
+		for i := range remap {
+			remap[i] = None
+			lastTouch[i] = -1
+		}
+		out.pos, out.next = 0, 0
 
-	// clone re-emits the movement cone for id, returning the fresh value.
-	var clone func(id ID) ID
-	clone = func(id ID) ID {
-		d := defs[id]
-		n := *d
-		n.Args = make([]ID, len(d.Args))
-		for i, a := range d.Args {
-			if rematable(a) && coneSize(a, maxConeSize) <= maxConeSize {
-				n.Args[i] = clone(a)
-			} else {
-				// Keep referencing the live (or revived) original.
-				n.Args[i] = remap[a]
-				lastTouch[a] = len(out.Instrs)
+		// clone re-emits the movement cone for id, returning the fresh value.
+		var clone func(id ID) ID
+		clone = func(id ID) ID {
+			d := defs[id]
+			n := *d
+			n.Args = out.args(len(d.Args))
+			for i, a := range d.Args {
+				if rematable(a) && coneSize(a, maxConeSize) <= maxConeSize {
+					n.Args[i] = clone(a)
+				} else {
+					// Keep referencing the live (or revived) original.
+					n.Args[i] = remap[a]
+					lastTouch[a] = out.pos
+				}
+			}
+			return out.emit(n)
+		}
+
+		for i := range p.Instrs {
+			in := &p.Instrs[i]
+			n := *in
+			n.Args = out.args(len(in.Args))
+			for j, a := range in.Args {
+				stale := lastTouch[a] >= 0 && out.pos-lastTouch[a] > window
+				if stale && rematable(a) && coneSize(a, maxConeSize) <= maxConeSize {
+					fresh := clone(a)
+					remap[a] = fresh
+					lastTouch[a] = out.pos - 1
+				}
+				n.Args[j] = remap[a]
+				lastTouch[a] = out.pos
+			}
+			id := out.emit(n)
+			if in.ID != None {
+				remap[in.ID] = id
+				lastTouch[in.ID] = out.pos - 1
 			}
 		}
-		return out.Emit(n)
 	}
+	run()
+	out.prog = p.derive(out.pos)
+	out.arena = newArgArena(out.nargs)
+	run()
+	return out.prog
+}
 
-	for i := range p.Instrs {
-		in := p.Instrs[i]
-		n := in
-		n.Args = make([]ID, len(in.Args))
-		for j, a := range in.Args {
-			stale := lastTouch[a] >= 0 && len(out.Instrs)-lastTouch[a] > window
-			if stale && rematable(a) && coneSize(a, maxConeSize) <= maxConeSize {
-				fresh := clone(a)
-				remap[a] = fresh
-				lastTouch[a] = len(out.Instrs) - 1
-			}
-			n.Args[j] = remap[a]
-			lastTouch[a] = len(out.Instrs)
-		}
-		id := out.Emit(n)
-		if in.ID != None {
-			remap[in.ID] = id
-			lastTouch[in.ID] = len(out.Instrs) - 1
-		}
+// rematOut is where Rematerialize emits: a dry run with prog nil only
+// counts instructions and arguments, and the real run appends to prog.
+type rematOut struct {
+	prog    *Program
+	arena   argArena
+	scratch []ID // a dry run's Args, shared and never read back
+	pos     int  // instructions emitted so far
+	next    ID   // the next value a dry run numbers
+	nargs   int  // the Args a dry run emitted
+}
+
+// args returns room for an emitted instruction's n arguments.
+func (o *rematOut) args(n int) []ID {
+	if o.prog != nil {
+		return o.arena.take(n)
 	}
-	return out
+	o.nargs += n
+	o.scratch = slices.Grow(o.scratch[:0], n)[:n]
+	return o.scratch
+}
+
+// emit emits in and returns its value, numbering values as Program.Emit
+// does.
+func (o *rematOut) emit(in Instr) ID {
+	o.pos++
+	if o.prog != nil {
+		return o.prog.Emit(in)
+	}
+	if in.Op.IsStore() {
+		return None
+	}
+	o.next++
+	return o.next - 1
 }
 
 // MaxLive computes the peak number of simultaneously live vector and
@@ -109,46 +156,43 @@ func MaxLive(p *Program) (vectors, scalars int) {
 	for i := range lastUse {
 		lastUse[i] = -1
 	}
-	for i, in := range p.Instrs {
+	isVec := make([]bool, p.NumValues())
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
 		for _, a := range in.Args {
 			lastUse[a] = i
 		}
-	}
-	liveV, liveS := 0, 0
-	// endsAt[i] lists values whose last use is instruction i.
-	endsAt := make([][]ID, len(p.Instrs))
-	for id, end := range lastUse {
-		if end >= 0 {
-			endsAt[end] = append(endsAt[end], ID(id))
-		}
-	}
-	isVec := make([]bool, p.NumValues())
-	for _, in := range p.Instrs {
 		if in.ID != None {
 			isVec[in.ID] = in.Op.IsVectorValue()
 		}
 	}
-	for i, in := range p.Instrs {
-		if in.ID != None && lastUse[in.ID] >= 0 {
-			if isVec[in.ID] {
+	// endsV[i] and endsS[i] count the vector and scalar values whose last
+	// use is instruction i.
+	endsV := make([]int32, len(p.Instrs))
+	endsS := make([]int32, len(p.Instrs))
+	for id, end := range lastUse {
+		if end < 0 {
+			continue
+		}
+		if isVec[id] {
+			endsV[end]++
+		} else {
+			endsS[end]++
+		}
+	}
+	liveV, liveS := 0, 0
+	for i := range p.Instrs {
+		if id := p.Instrs[i].ID; id != None && lastUse[id] >= 0 {
+			if isVec[id] {
 				liveV++
-				if liveV > vectors {
-					vectors = liveV
-				}
+				vectors = max(vectors, liveV)
 			} else {
 				liveS++
-				if liveS > scalars {
-					scalars = liveS
-				}
+				scalars = max(scalars, liveS)
 			}
 		}
-		for _, id := range endsAt[i] {
-			if isVec[id] {
-				liveV--
-			} else {
-				liveS--
-			}
-		}
+		liveV -= int(endsV[i])
+		liveS -= int(endsS[i])
 	}
 	return vectors, scalars
 }

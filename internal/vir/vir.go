@@ -9,6 +9,7 @@ package vir
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"diospyros/internal/kernel"
@@ -25,41 +26,41 @@ type Op uint8
 
 const (
 	// Scalar values.
-	ConstS Op = iota // F
-	LoadS            // Array, Off
-	AddS             // Args[0] + Args[1]
-	SubS
-	MulS
-	DivS
-	NegS
-	SqrtS
-	SgnS
-	CallS // Sym, Args
-	ExtractLane
+	ConstS      Op = iota // the scalar constant F
+	LoadS                 // Array[Off]
+	AddS                  // Args[0] + Args[1]
+	SubS                  // Args[0] - Args[1]
+	MulS                  // Args[0] * Args[1]
+	DivS                  // Args[0] / Args[1]
+	NegS                  // -Args[0]
+	SqrtS                 // sqrt(Args[0])
+	SgnS                  // sgn(Args[0]): -1 if negative, else +1
+	CallS                 // the uninterpreted function Sym applied to Args
+	ExtractLane           // lane Lane of the vector Args[0]
 
 	// Vector values (width W fixed by the target).
-	ConstV  // Fs
-	LoadV   // Array, Off (contiguous, any alignment)
-	Splat   // broadcast Args[0]
+	ConstV  // the vector constant Fs
+	LoadV   // Array[Off : Off+W] (contiguous, any alignment)
+	Splat   // broadcast the scalar Args[0]
 	Insert  // Args[0] with lane Lane replaced by scalar Args[1]
 	Shuffle // lane k = Args[0][Idx[k]]
 	Select  // lane k = concat(Args[0], Args[1])[Idx[k]]
-	AddV
-	SubV
-	MulV
-	DivV
-	MacV // Args[0] + Args[1]*Args[2] elementwise (functional SSA form)
-	NegV
-	SqrtV
-	SgnV
-	CallV // Sym, Args
+	AddV    // Args[0] + Args[1] elementwise
+	SubV    // Args[0] - Args[1] elementwise
+	MulV    // Args[0] * Args[1] elementwise
+	DivV    // Args[0] / Args[1] elementwise
+	MacV    // Args[0] + Args[1]*Args[2] elementwise (functional SSA form)
+	NegV    // -Args[0] elementwise
+	SqrtV   // sqrt(Args[0]) elementwise
+	SgnV    // sgn(Args[0]) elementwise
+	CallV   // the uninterpreted function Sym applied lanewise to Args
 
 	// Effects.
 	StoreS  // mem: Array[Off] = Args[0]
 	StoreV  // mem: Array[Off : Off+W] = Args[0]
 	StoreVN // mem: Array[Off : Off+N] = first N lanes of Args[0]
 
-	NumOps
+	NumOps // the number of ops; not an op itself
 )
 
 var opNames = [NumOps]string{
@@ -74,6 +75,7 @@ var opNames = [NumOps]string{
 	StoreS: "store.s", StoreV: "store.v", StoreVN: "store.vn",
 }
 
+// String returns the op's mnemonic, as the program dump prints it.
 func (o Op) String() string {
 	if int(o) < len(opNames) {
 		return opNames[o]
@@ -126,6 +128,12 @@ func NewProgram(name string, width int, inputs, outputs []kernel.ArrayDecl) *Pro
 }
 
 // Emit appends an instruction, assigning it a fresh ID unless it is a store.
+//
+// A full instruction slice doubles. The programs built one Emit at a time
+// are lowering's raw programs, which die once Optimize has run, so the
+// bytes copied while growing matter more than spare capacity; append's
+// gentler growth for large slices would copy each of them several times
+// over. The passes size their outputs up front and never grow.
 func (p *Program) Emit(in Instr) ID {
 	if in.Op.IsStore() {
 		in.ID = None
@@ -133,12 +141,43 @@ func (p *Program) Emit(in Instr) ID {
 		in.ID = p.next
 		p.next++
 	}
+	if len(p.Instrs) == cap(p.Instrs) {
+		p.Instrs = slices.Grow(p.Instrs, max(len(p.Instrs), 64))
+	}
 	p.Instrs = append(p.Instrs, in)
 	return in.ID
 }
 
 // NumValues returns the number of SSA values defined.
 func (p *Program) NumValues() int { return int(p.next) }
+
+// derive returns an empty program with p's name, width and interface, with
+// room for n instructions. Each pass counts its output before emitting it
+// and passes the exact count, so the program a compile keeps carries no
+// spare capacity.
+func (p *Program) derive(n int) *Program {
+	out := NewProgram(p.Name, p.Width, p.Inputs, p.Outputs)
+	out.Instrs = make([]Instr, 0, n)
+	return out
+}
+
+// argArena carves the Args of a pass's output out of one backing slice,
+// sized by the pass's exact count, instead of allocating one slice per
+// instruction. The arena belongs to the program the pass returns:
+// FuseShuffles rewrites Args in place, so a pass must never carve into,
+// or write through, its input's Args.
+type argArena struct{ buf []ID }
+
+// newArgArena returns an arena holding n IDs.
+func newArgArena(n int) argArena { return argArena{buf: make([]ID, 0, n)} }
+
+// take returns the next n zeroed IDs, their capacity clipped so an append
+// to one carve cannot overwrite the next.
+func (a *argArena) take(n int) []ID {
+	lo := len(a.buf)
+	a.buf = a.buf[:lo+n]
+	return a.buf[lo : lo+n : lo+n]
+}
 
 // String renders the program in a readable text form.
 func (p *Program) String() string {
@@ -152,6 +191,8 @@ func (p *Program) String() string {
 	return b.String()
 }
 
+// String renders the instruction on one line: its value ID (blank for a
+// store), its op, then the operands that op reads.
 func (in Instr) String() string {
 	var b strings.Builder
 	if in.ID != None {
@@ -195,17 +236,6 @@ func (in Instr) String() string {
 			}
 			fmt.Fprintf(&b, "%%%d", a)
 		}
-	}
-	return b.String()
-}
-
-// key builds the LVN hash key for a pure instruction.
-func (in Instr) key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%s|%d|%d|%d|%g|%v|%v|%s", in.Op, in.Array, in.Off,
-		in.Lane, in.N, in.F, in.Fs, in.Idx, in.Sym)
-	for _, a := range in.Args {
-		fmt.Fprintf(&b, "|%d", a)
 	}
 	return b.String()
 }

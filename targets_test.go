@@ -11,6 +11,7 @@ import (
 	"diospyros/internal/expr"
 	"diospyros/internal/isa"
 	"diospyros/internal/kernels"
+	"diospyros/internal/vir"
 )
 
 // TestMultiTargetCompile runs one saturation search and extracts once per
@@ -200,4 +201,39 @@ func TestNoBackendError(t *testing.T) {
 	if !errors.Is(err, ErrNoBackend) {
 		t.Fatalf("RunTarget error = %v, want ErrNoBackend", err)
 	}
+}
+
+// TestKeptProgramsCarryNoExtraCapacity holds the programs a Result keeps,
+// and diosserve caches, to no more spare capacity than growing them one
+// append at a time would leave. MatMul 10x10 rematerializes at fg3lite-8
+// and scalar, whose pass outgrows its presized output.
+func TestKeptProgramsCarryNoExtraCapacity(t *testing.T) {
+	res, err := Compile(kernels.MatMul(10, 10, 10),
+		Options{Targets: []string{"fg3lite-4", "fg3lite-8", "scalar"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range res.Targets {
+		if n, c := len(tr.VIR.Instrs), cap(tr.VIR.Instrs); c > appendCap[vir.Instr](n) {
+			t.Errorf("%s: IR keeps %d instrs in capacity %d, append growth leaves %d",
+				tr.Target, n, c, appendCap[vir.Instr](n))
+		}
+		if tr.Program == nil {
+			continue
+		}
+		if n, c := len(tr.Program.Instrs), cap(tr.Program.Instrs); c > appendCap[isa.Instr](n) {
+			t.Errorf("%s: assembly keeps %d instrs in capacity %d, append growth leaves %d",
+				tr.Target, n, c, appendCap[isa.Instr](n))
+		}
+	}
+}
+
+// appendCap is the capacity a slice of n elements ends with when it is
+// grown from nil by appending one element at a time.
+func appendCap[T any](n int) int {
+	var s []T
+	for len(s) < n {
+		s = append(s, *new(T))
+	}
+	return cap(s)
 }
