@@ -28,10 +28,10 @@
 // identical requests are coalesced into a single compile.
 //
 // Compiles run on a bounded worker pool with an admission queue; a
-// per-request saturation watchdog aborts compiles whose e-graph, process
-// heap, or wall clock blows the -watchdog-nodes / -watchdog-heap /
-// -watchdog-wall budgets. Every request
-// gets an ID that tags its structured log lines (stage-level at -log-level
+// per-request saturation watchdog aborts compiles whose e-graph or process
+// heap blows the -watchdog-nodes / -watchdog-heap budgets, and
+// -request-timeout bounds each compile's wall clock. Every request gets an
+// ID that tags its structured log lines (stage-level at -log-level
 // debug) and its response. SIGINT/SIGTERM drains: /readyz flips to 503,
 // in-flight compiles get -drain-grace to finish, then the listener closes.
 package main
@@ -61,7 +61,6 @@ func main() {
 		queueDepth = flag.Int("queue", 0, "max requests waiting for a worker (default 64)")
 		reqTimeout = flag.Duration("request-timeout", 0, "per-request compile deadline (default 120s)")
 		wdNodes    = flag.Int("watchdog-nodes", 2_000_000, "abort compiles whose e-graph exceeds this many nodes (0 disables)")
-		wdWall     = flag.Duration("watchdog-wall", 0, "abort compiles running longer than this (0 disables)")
 		wdHeap     = flag.Int64("watchdog-heap", 0, "abort compiles once the process live heap exceeds this many bytes (0 disables)")
 		satTimeout = flag.Duration("timeout", 0, "default equality-saturation timeout (default 180s)")
 		cacheBytes = flag.Int64("cache-bytes", 0, "content-addressed compile cache budget in bytes (default 64 MiB, negative disables)")
@@ -95,7 +94,6 @@ func main() {
 		QueueDepth:     *queueDepth,
 		RequestTimeout: *reqTimeout,
 		WatchdogNodes:  *wdNodes,
-		WatchdogWall:   *wdWall,
 		WatchdogHeap:   *wdHeap,
 		TraceLog:       *traceLog,
 		CacheBytes:     *cacheBytes,

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"time"
 
+	"diospyros/internal/codegen"
 	"diospyros/internal/cost"
 	"diospyros/internal/egraph"
 	"diospyros/internal/expr"
@@ -229,20 +230,15 @@ func compile(ctx context.Context, st *compileState) (*Result, error) {
 	}
 	st.targets = targets
 	rec := telemetry.NewRecorder()
-	sampler := telemetry.StartHeapSampler(0)
 	runErr := compilePipeline().Run(ctx, st, rec)
-	heapPeak, heapSamples, gcCycles, gcPause := sampler.Stop()
 	rec.Set(func(t *telemetry.Trace) {
 		t.Iterations = st.report.Iters
 		t.StopReason = string(st.report.Reason)
 		if st.report.PeakFootprint.Total > 0 {
 			// The memory record attaches before the error branch so aborted
-			// and failed compiles still report how big the e-graph got.
+			// and failed compiles still report how big the e-graph got;
+			// rec.Finish fills its heap fields.
 			t.Memory = memoryTraceFromReport(st.report)
-			t.Memory.HeapPeakBytes = heapPeak
-			t.Memory.HeapSamples = heapSamples
-			t.Memory.GCCycles = gcCycles
-			t.Memory.GCPauseTotal = gcPause
 		}
 		if st.opts.Journal != nil && len(st.extractors) > 0 && st.extractors[0] != nil {
 			t.Extraction = extractionTrace(st.extractors[0], st.root)
@@ -343,7 +339,7 @@ func (r *Result) Run(inputs map[string][]float64, funcs map[string]func([]float6
 		}
 		return nil, nil, &NoBackendError{Target: name}
 	}
-	return codegenExecute(r.Program, inputs, r.Kernel.Inputs, r.Kernel.Outputs, funcs)
+	return codegen.Execute(r.Program, inputs, r.Kernel.Inputs, r.Kernel.Outputs, funcs)
 }
 
 // RunTarget executes the named target's compiled program on the simulator.
@@ -356,7 +352,7 @@ func (r *Result) RunTarget(target string, inputs map[string][]float64, funcs map
 		if tr.Program == nil {
 			return nil, nil, &NoBackendError{Target: target}
 		}
-		return codegenExecute(tr.Program, inputs, r.Kernel.Inputs, r.Kernel.Outputs, funcs)
+		return codegen.Execute(tr.Program, inputs, r.Kernel.Inputs, r.Kernel.Outputs, funcs)
 	}
 	return nil, nil, fmt.Errorf("diospyros: result has no target %q", target)
 }

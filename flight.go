@@ -16,7 +16,7 @@ import (
 
 // memoryTraceFromReport converts the saturation report's peak footprint
 // into the trace-serializable memory record (telemetry cannot import the
-// e-graph without a cycle). The heap-sampler fields are filled by compile.
+// e-graph without a cycle). Recorder.Finish fills the heap fields.
 func memoryTraceFromReport(rep egraph.Report) *telemetry.MemoryTrace {
 	fp := rep.PeakFootprint
 	mt := &telemetry.MemoryTrace{

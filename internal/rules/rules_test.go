@@ -18,12 +18,21 @@ func saturateAndExtract(t *testing.T, src string, cfg Config) (*expr.Expr, egrap
 	g := egraph.New()
 	root := g.AddExpr(expr.MustParse(src))
 	rep := egraph.Run(g, cfg.Rules(), egraph.Limits{MaxIterations: 30, MaxNodes: 200000})
-	ex := extract.New(g, cost.Diospyros{Width: cfg.Width})
+	ex := extract.New(g, cost.Diospyros{Width: costWidth(cfg)})
 	out, err := ex.Expr(root)
 	if err != nil {
 		t.Fatalf("extract: %v", err)
 	}
 	return out, rep
+}
+
+// costWidth is the machine width extraction prices cfg's programs at: its
+// first width, or the paper's 4 when cfg has no vector rules.
+func costWidth(cfg Config) int {
+	if len(cfg.Widths) == 0 {
+		return 4
+	}
+	return cfg.Widths[0]
 }
 
 func countOps(e *expr.Expr) map[expr.Op]int {
@@ -229,15 +238,14 @@ func TestDisableVectorAblation(t *testing.T) {
 	// §5.6: with vector rules disabled the extracted program has no vector
 	// arithmetic but is still simplified scalar code.
 	spec := "(List (+ (Get a 0) (Get b 0)) (+ (Get a 1) (Get b 1)) (+ (Get a 2) (Get b 2)) (+ (Get a 3) (Get b 3)))"
-	cfg := Default(4)
-	cfg.DisableVector = true
+	cfg := Config{}
 	out, rep := saturateAndExtract(t, spec, cfg)
 	if !rep.Saturated() {
 		t.Fatalf("scalar run did not saturate: %+v", rep)
 	}
 	ops := countOps(out)
 	if ops[expr.OpVecAdd] != 0 || ops[expr.OpVec] != 0 {
-		t.Fatalf("vector ops present despite DisableVector: %s", out)
+		t.Fatalf("vector ops present with no widths: %s", out)
 	}
 	if ops[expr.OpAdd] != 4 {
 		t.Fatalf("expected 4 scalar adds, got %v", ops)
@@ -256,8 +264,7 @@ func TestScalarSimplification(t *testing.T) {
 		{"(List (+ 2 3))", "5"},
 		{"(List (sqrt 9))", "3"},
 	}
-	cfg := Default(4)
-	cfg.DisableVector = true
+	cfg := Config{}
 	for _, c := range cases {
 		out, _ := saturateAndExtract(t, c.src, cfg)
 		if !strings.Contains(out.String(), c.wantContains) {
@@ -267,8 +274,7 @@ func TestScalarSimplification(t *testing.T) {
 }
 
 func TestConstFoldSkipsUnsound(t *testing.T) {
-	cfg := Default(4)
-	cfg.DisableVector = true
+	cfg := Config{}
 	// 1/0 and sqrt(-1) must not fold.
 	for _, src := range []string{"(List (/ 1 0))", "(List (sqrt (neg 1)))"} {
 		out, _ := saturateAndExtract(t, src, cfg)
@@ -298,7 +304,7 @@ func TestRandomSpecSoundness(t *testing.T) {
 		root := g.AddExpr(spec)
 		cfg := Default(4)
 		egraph.Run(g, cfg.Rules(), egraph.Limits{MaxIterations: 20, MaxNodes: 50000})
-		ex := extract.New(g, cost.Diospyros{Width: cfg.Width})
+		ex := extract.New(g, cost.Diospyros{Width: costWidth(cfg)})
 		out, err := ex.Expr(root)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -324,7 +330,7 @@ func TestExtractedCostReflectsMovement(t *testing.T) {
 		root := g.AddExpr(expr.MustParse(src))
 		cfg := Default(4)
 		egraph.Run(g, cfg.Rules(), egraph.Limits{MaxIterations: 20, MaxNodes: 50000})
-		ex := extract.New(g, cost.Diospyros{Width: cfg.Width})
+		ex := extract.New(g, cost.Diospyros{Width: costWidth(cfg)})
 		return ex.Cost(root)
 	}
 	if cs, cc := costOf(single), costOf(cross); cs >= cc {

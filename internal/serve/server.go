@@ -67,9 +67,6 @@ type Config struct {
 	// WatchdogNodes aborts a compile whose e-graph exceeds this many
 	// nodes. 0 disables the node budget.
 	WatchdogNodes int
-	// WatchdogWall aborts a compile running longer than this. 0 disables
-	// the wall budget.
-	WatchdogWall time.Duration
 	// WatchdogHeap aborts a compile once the process's live heap
 	// (runtime/metrics objects bytes) exceeds this many bytes — the budget
 	// guarding the resource that actually OOMs a replica. 0 disables the
@@ -310,7 +307,8 @@ type CompileResponse struct {
 	Trace     *telemetry.Trace `json:"trace,omitempty"`
 	Error     string           `json:"error,omitempty"`
 	// Aborted names the watchdog budget that killed the compile
-	// ("node-budget", "heap-budget", "wall-budget"); empty otherwise.
+	// ("node-budget", "heap-budget"); empty otherwise. RequestTimeout, not
+	// the watchdog, bounds a compile's wall clock (504).
 	Aborted string `json:"aborted,omitempty"`
 	// Targets carries per-target artifacts when the request asked for more
 	// than one machine target.

@@ -267,8 +267,7 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 // watchdogs: aborting a compile with
 // context.CancelCauseFunc(&AbortError{Reason: ...}) marks the resulting
 // trace's StopReason as "aborted:<reason>" and lets servers count aborts
-// per reason. Reasons are short tokens ("node-budget", "wall-budget",
-// "heap-budget").
+// per reason. Reasons are short tokens ("node-budget", "heap-budget").
 type AbortError struct {
 	Reason string
 }

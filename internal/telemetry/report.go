@@ -150,11 +150,11 @@ type banRow struct {
 }
 
 // memoryView is the memory lane: the peak logical footprint with its
-// per-component breakdown, plus the process-heap sampler's highlights.
+// per-component breakdown, plus the process-heap highlights.
 type memoryView struct {
 	Peak          string
 	PeakIteration int
-	HeapPeak      string // empty when the heap sampler did not run
+	HeapPeak      string // empty when the trace has no heap readings
 	GCCycles      uint64
 	Components    []memCompRow
 }

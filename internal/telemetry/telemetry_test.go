@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -41,6 +42,35 @@ func TestRecorderSpansAndTotals(t *testing.T) {
 	if !tr.Saturated() {
 		t.Error("Saturated() = false")
 	}
+}
+
+// sink keeps a test allocation reachable so it lands on the heap.
+var sink []byte
+
+// TestRecorderIsTheMemoryProbe checks that the recorder's readings — one
+// in NewRecorder, one per span End, one in Finish — fill every heap field
+// of a memory record set before Finish.
+func TestRecorderIsTheMemoryProbe(t *testing.T) {
+	r := NewRecorder()
+	s := r.StartSpan("saturate")
+	sink = make([]byte, 1<<20)
+	runtime.GC()
+	s.End()
+	r.StartSpan("extract").End()
+	r.Set(func(t *Trace) { t.Memory = &MemoryTrace{PeakBytes: 1} })
+	tr := r.Finish()
+
+	m := tr.Memory
+	if m.HeapSamples != 4 {
+		t.Errorf("HeapSamples = %d, want 4 (start, two span ends, finish)", m.HeapSamples)
+	}
+	if m.HeapPeakBytes == 0 || m.GCCycles < 1 || m.GCPauseTotal <= 0 {
+		t.Errorf("heap fields not filled: %+v", m)
+	}
+	if a := tr.Stages[0].AllocBytes; a < 1<<20 {
+		t.Errorf("saturate alloc delta %d, want >= 1MB", a)
+	}
+	sink = nil
 }
 
 // TestPhasesNestSaturationLoop pins the phase list's shape: compile

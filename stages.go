@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 
+	"diospyros/internal/codegen"
 	"diospyros/internal/cost"
 	"diospyros/internal/egraph"
 	"diospyros/internal/extract"
@@ -14,6 +16,7 @@ import (
 	"diospyros/internal/lower"
 	"diospyros/internal/pipeline"
 	"diospyros/internal/rules"
+	"diospyros/internal/validate"
 	"diospyros/internal/vir"
 )
 
@@ -97,18 +100,12 @@ func RuleSet(opts Options) ([]egraph.Rewrite, error) {
 	if err != nil {
 		return nil, err
 	}
-	var widths []int
-	seen := map[int]bool{}
-	for _, t := range targets {
-		if t.Width > 1 && !seen[t.Width] {
-			seen[t.Width] = true
-			widths = append(widths, t.Width)
+	// Config.Rules ignores width 1 (scalar), duplicates and order.
+	var cfg rules.Config
+	if !opts.DisableVectorRules {
+		for _, t := range targets {
+			cfg.Widths = append(cfg.Widths, t.Width)
 		}
-	}
-	cfg := rules.Config{
-		Width:         isa.Width,
-		Widths:        widths,
-		DisableVector: opts.DisableVectorRules || len(widths) == 0,
 	}
 	ruleSet := cfg.Rules()
 	extra := make(map[string]bool, len(opts.ExtraRules))
@@ -248,9 +245,9 @@ func stageLower(_ context.Context, st *compileState) error {
 func stageCodegen(_ context.Context, st *compileState) error {
 	for i, t := range st.targets {
 		tr := &st.perTarget[i]
-		tr.C = codegenC(tr.VIR)
+		tr.C = codegen.ToC(tr.VIR)
 		if t.HasAssembly {
-			p, err := codegenISA(tr.VIR, t)
+			p, err := codegen.ToISA(tr.VIR, t)
 			if err != nil {
 				return fmt.Errorf("code generation failed for %s: %w", t, err)
 			}
@@ -273,18 +270,34 @@ func stageSimulate(_ context.Context, st *compileState) error {
 		if tr.Program == nil {
 			continue
 		}
-		if _, sres, err := codegenExecute(tr.Program, inputs, st.lifted.Inputs, st.lifted.Outputs, nil); err == nil {
+		if _, sres, err := codegen.Execute(tr.Program, inputs, st.lifted.Inputs, st.lifted.Outputs, nil); err == nil {
 			tr.Cycles = sres.Cycles
 		}
 	}
 	return nil
 }
 
+// deterministicInputs fills every kernel input with reproducible random
+// tenths in [-10, 10) — the same distribution the CLI's -run harness uses —
+// so per-target cycle counts from stageSimulate are comparable across runs.
+func deterministicInputs(l *kernel.Lifted, seed int64) map[string][]float64 {
+	r := rand.New(rand.NewSource(seed))
+	inputs := map[string][]float64{}
+	for _, d := range l.Inputs {
+		s := make([]float64, d.Len())
+		for i := range s {
+			s[i] = float64(int(r.Float64()*200-100)) / 10
+		}
+		inputs[d.Name] = s
+	}
+	return inputs
+}
+
 // stageValidate runs translation validation (§3.4) on every target's
 // extracted program against the lifted specification, which one validator
 // normalizes once for all targets.
 func stageValidate(_ context.Context, st *compileState) error {
-	check := newValidator(st.lifted)
+	check := validate.NewChecker(st.lifted).Check
 	for i, t := range st.targets {
 		tr := &st.perTarget[i]
 		if err := check(tr.Optimized); err != nil {

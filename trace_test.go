@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -73,6 +74,31 @@ func TestCompileTraceQuickstart(t *testing.T) {
 	}
 	if tr.StopReason != string(res.Saturation.Reason) {
 		t.Errorf("trace stop reason %q vs report %q", tr.StopReason, res.Saturation.Reason)
+	}
+}
+
+// TestCompileReadsMemoryOncePerStageBoundary pins the cost of the memory
+// probe: a compile reads the runtime's memory statistics once at its
+// start, once per stage and once at its end, and those readings alone
+// fill the trace's heap figures.
+func TestCompileReadsMemoryOncePerStageBoundary(t *testing.T) {
+	src, err := os.ReadFile("testdata/dotprod8.dios")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := CompileSource(string(src), testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.Trace.Memory
+	if m == nil {
+		t.Fatal("no memory record")
+	}
+	if want := len(res.Trace.Stages) + 2; m.HeapSamples != want {
+		t.Errorf("HeapSamples = %d, want %d (one per stage boundary)", m.HeapSamples, want)
+	}
+	if m.HeapPeakBytes == 0 {
+		t.Error("HeapPeakBytes = 0")
 	}
 }
 
