@@ -126,6 +126,19 @@ func BenchmarkRebuildSteady(b *testing.B) {
 	}
 }
 
+// BenchmarkAdd builds a 4096-node chain of fresh nodes per op: Add's miss
+// path, from the hashcons probe through the node table, the Args arena and
+// the new class to the child's parent entry.
+func BenchmarkAdd(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		addSink = addChain(4096)
+	}
+}
+
+// addSink keeps BenchmarkAdd's graphs live, so its work is not elided.
+var addSink *EGraph
+
 // BenchmarkMatchHashconsHit measures the hashcons probe fast path: Lookup
 // of an existing binary-arity node. The §14 binary key makes this
 // allocation-free; a regression to per-probe allocation shows up directly

@@ -23,7 +23,8 @@ func (g *EGraph) ToDot() string {
 	for _, cls := range g.CanonicalClasses() {
 		fmt.Fprintf(&b, "  subgraph cluster_%d {\n", cls.ID)
 		fmt.Fprintf(&b, "    label=\"class %d\"; style=dashed;\n", cls.ID)
-		for i, n := range cls.Nodes {
+		for i, ni := range cls.Nodes {
+			n := g.Node(ni)
 			name := fmt.Sprintf("n%d_%d", cls.ID, i)
 			fmt.Fprintf(&b, "    %s [label=\"%s\"];\n", name, g.dotLabel(n))
 			for ai, a := range n.Args {

@@ -12,7 +12,9 @@
 // Data layout (DESIGN.md §14): symbol payloads are interned per graph
 // (SymbolTable, symbols.go) so nodes carry a 32-bit SymID instead of a
 // string; the hashcons is keyed by a fixed-size binary key (memoKey,
-// key.go) instead of a heap-allocated string; and both halves of an
+// key.go) instead of a heap-allocated string; each node is stored once,
+// in a node table whose children live in an append-only arena, and class
+// lists and parent entries name it by NodeID (§14.6); and both halves of an
 // iteration are incremental (index.go): the graph logs every class whose
 // node list changes, Rebuild canonicalizes only the logged classes, and
 // the match phase re-searches only the classes whose read neighbourhood
@@ -32,15 +34,23 @@ import (
 // non-canonical after unions; use Find to canonicalize.
 type ClassID uint32
 
+// NodeID identifies an e-node in the graph's node table (DESIGN.md §14.6).
+// A node keeps its ID for the graph's lifetime; Rebuild canonicalizes its
+// children in place. Read a node with EGraph.Node.
+type NodeID uint32
+
 // ENode is an operator applied to child equivalence classes. Terminals
 // (literals, symbols, Get) carry payloads and have no children. Symbol
 // payloads are interned: Sym is a graph-local SymID, resolved back to its
 // string with EGraph.SymName and produced with EGraph.InternSym (or the
 // LeafNode/AddLeaf helpers, which intern for you).
+//
+// A node read from the graph shares its Args with the node table: callers
+// must not write to them.
 type ENode struct {
 	Op   expr.Op
-	Lit  float64 // payload for expr.OpLit
 	Sym  SymID   // payload for OpSym, OpGet, OpFunc, OpVecFunc (interned)
+	Lit  float64 // payload for expr.OpLit
 	Idx  int     // payload for OpGet
 	Args []ClassID
 }
@@ -48,24 +58,30 @@ type ENode struct {
 // Leaf reports whether the node has no children.
 func (n ENode) Leaf() bool { return len(n.Args) == 0 }
 
-// clone returns a copy of n with its own Args slice.
-func (n ENode) clone() ENode {
-	c := n
-	c.Args = append([]ClassID(nil), n.Args...)
-	return c
-}
-
+// parent is a back-reference from a child class to a node naming it: the
+// node's table index and the class that holds the node.
 type parent struct {
-	node  ENode
+	node  NodeID
 	class ClassID
 }
 
 // EClass is an equivalence class of nodes.
 type EClass struct {
-	ID      ClassID
-	Nodes   []ENode
+	ID ClassID
+	// Nodes indexes the class's nodes in the graph's node table; read
+	// them with EGraph.Node.
+	Nodes   []NodeID
 	parents []parent
 }
+
+// The node store's chunk sizes. Every chunk is allocated once at its full
+// capacity and never moves, so nothing is copied as the graph grows (only
+// the first node page grows by append, which keeps small graphs small).
+const (
+	nodePage   = 256  // nodes per page of the node table
+	argChunk   = 1024 // class IDs per chunk of the Args arena
+	classChunk = 64   // EClass structs and first node-list slots per chunk
+)
 
 // EGraph is the main structure. The zero value is not usable; call New.
 type EGraph struct {
@@ -78,10 +94,25 @@ type EGraph struct {
 	memo       map[memoKey]ClassID
 	dirty      []ClassID // classes touched by unions, pending Rebuild
 
+	// The node store (DESIGN.md §14.6). nodes is the node table in pages
+	// of nodePage entries: node i is nodes[i/nodePage][i%nodePage], and
+	// every node ever added stays there, including those Rebuild drops
+	// from class lists as duplicates (a parent entry may still name
+	// them). args is the current chunk of the append-only Args arena each
+	// stored node's children are copied into; classSlab and listSlab are
+	// the current chunks new classes and their first node-list slot are
+	// carved from. argCount counts the arena slots handed out.
+	nodes     [][]ENode
+	numStored int
+	args      []ClassID
+	argCount  int64
+	classSlab []EClass
+	listSlab  []NodeID
+
 	// changed logs every class whose node list changed since the match
 	// phase last consumed the log (index.go): classes Add creates, Union
-	// winners, and classes whose nodes repair re-canonicalized through a
-	// shared Args slice. It is both the semi-naive search's input and
+	// winners, and classes holding a node that repair re-canonicalized in
+	// the node table. It is both the semi-naive search's input and
 	// Rebuild's worklist: canonicalizeClasses visits only the logged
 	// classes (DESIGN.md §14.3). It is not part of the footprint.
 	changed []ClassID
@@ -108,7 +139,7 @@ type EGraph struct {
 	// prov, when non-nil, records rewrite provenance (see provenance.go).
 	prov *provenance
 
-	// nodeCount is the running total of e-nodes across all classes
+	// nodeCount is the running total of e-nodes across all class lists
 	// (NumNodes). The graph itself never refuses an Add; size limits are
 	// enforced by the saturation runner, which polls NumNodes against
 	// Limits.MaxNodes and stops the run with StopNodeLimit.
@@ -116,12 +147,10 @@ type EGraph struct {
 
 	// Footprint counters (see footprint.go). Maintained incrementally at
 	// the same mutation sites as nodeCount so Footprint()/FootprintBytes()
-	// stay O(1): nodePayload sums the variable payload bytes (Args backing
-	// arrays) of nodes in class node lists, memoRestBytes sums the overflow
-	// bytes of wide hashcons keys, parentCount counts parent back-reference
-	// entries across all classes. Symbol-string bytes are owned by the
-	// SymbolTable and accounted there.
-	nodePayload   int64
+	// stay O(1): memoRestBytes sums the overflow bytes of wide hashcons
+	// keys, parentCount counts parent back-reference entries across all
+	// classes. Symbol-string bytes are owned by the SymbolTable and
+	// accounted there.
 	memoRestBytes int64
 	parentCount   int
 }
@@ -204,17 +233,62 @@ func (g *EGraph) CanonicalClasses() []*EClass {
 	return out
 }
 
-// canonicalize rewrites the node's children to canonical class IDs in place
-// and reports whether any child changed.
-func (g *EGraph) canonicalize(n *ENode) bool {
+// Node returns the node the table holds at id. Its Args are the table's:
+// callers must not write to them, and they read canonical IDs only until
+// the next Union (Rebuild canonicalizes them in place).
+func (g *EGraph) Node(id NodeID) ENode { return g.nodes[id/nodePage][id%nodePage] }
+
+// canonicalize rewrites the stored node's children to canonical class IDs
+// in place and reports whether any child changed.
+func (g *EGraph) canonicalize(id NodeID) bool {
+	args := g.nodes[id/nodePage][id%nodePage].Args
 	moved := false
-	for i, a := range n.Args {
+	for i, a := range args {
 		if r := g.Find(a); r != a {
-			n.Args[i] = r
+			args[i] = r
 			moved = true
 		}
 	}
 	return moved
+}
+
+// store appends n to the node table, copying its children, canonicalized,
+// into the Args arena, and returns its ID.
+func (g *EGraph) store(n ENode) NodeID {
+	// A fresh node, so the caller's Args never leak into the table.
+	stored := ENode{Op: n.Op, Sym: n.Sym, Lit: n.Lit, Idx: n.Idx}
+	if len(n.Args) > 0 {
+		stored.Args = carve(&g.args, len(n.Args), argChunk)
+		for i, a := range n.Args {
+			stored.Args[i] = g.Find(a)
+		}
+		g.argCount += int64(len(n.Args))
+	}
+	if len(g.nodes) == 0 || len(g.nodes[len(g.nodes)-1]) == nodePage {
+		var page []ENode
+		if len(g.nodes) > 0 {
+			page = make([]ENode, 0, nodePage)
+		}
+		g.nodes = append(g.nodes, page)
+	}
+	last := &g.nodes[len(g.nodes)-1]
+	*last = append(*last, stored)
+	id := NodeID(g.numStored)
+	g.numStored++
+	return id
+}
+
+// carve returns the next n elements of the chunk *buf, first replacing it
+// with a fresh chunk of max(n, size) elements when fewer than n are left.
+// The result's capacity is n, so appending to it copies out of the chunk.
+func carve[T any](buf *[]T, n, size int) []T {
+	b := *buf
+	if cap(b)-len(b) < n {
+		b = make([]T, 0, max(n, size))
+	}
+	b = b[:len(b)+n]
+	*buf = b
+	return b[len(b)-n : len(b) : len(b)]
 }
 
 // Lookup reports the class containing the (canonicalized) node, if any.
@@ -231,47 +305,42 @@ func (g *EGraph) Lookup(n ENode) (ClassID, bool) {
 // Add inserts a node, returning its class. If an equal node already exists,
 // the existing class is returned and the graph is unchanged. Nodes carrying
 // a symbol must use a SymID interned in this graph (InternSym/LeafNode).
+//
+// The graph keeps its own copy of n's children: the caller may reuse
+// n.Args as soon as Add returns.
 func (g *EGraph) Add(n ENode) ClassID {
-	n = n.clone()
-	g.canonicalize(&n)
-	key := g.makeKey(n)
+	key := g.lookupKey(n)
 	if id, ok := g.memo[key]; ok {
 		return g.Find(id)
 	}
+	ni := g.store(n)
 	id := ClassID(len(g.uf))
 	g.uf = append(g.uf, id)
 	g.rank = append(g.rank, 0)
-	g.classes = append(g.classes, &EClass{ID: id, Nodes: []ENode{n}})
+	cls := &carve(&g.classSlab, 1, classChunk)[0]
+	*cls = EClass{ID: id, Nodes: carve(&g.listSlab, 1, classChunk)}
+	cls.Nodes[0] = ni
+	g.classes = append(g.classes, cls)
 	g.numClasses++
 	g.memo[key] = id
 	g.changed = append(g.changed, id)
 	g.nodeCount++
-	g.nodePayload += nodePayloadBytes(n)
 	g.memoRestBytes += key.restBytes()
 	if g.prov != nil {
 		g.prov.recordNode(key)
 	}
-	for _, child := range dedupClasses(n.Args) {
+	// One parent entry per distinct child, in first-occurrence order; a
+	// node has at most a vector width of children, so a scan beats a set.
+	args := g.Node(ni).Args
+	for i, child := range args {
+		if slices.Contains(args[:i], child) {
+			continue
+		}
 		cc := g.classes[child]
-		cc.parents = append(cc.parents, parent{node: n, class: id})
+		cc.parents = append(cc.parents, parent{node: ni, class: id})
 		g.parentCount++
 	}
 	return id
-}
-
-func dedupClasses(ids []ClassID) []ClassID {
-	if len(ids) <= 1 {
-		return ids
-	}
-	seen := make(map[ClassID]bool, len(ids))
-	out := ids[:0:0]
-	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // AddLeaf inserts a terminal node for the given operator and payload,
@@ -290,19 +359,21 @@ func (g *EGraph) AddLit(v float64) ClassID {
 // large kernels) are visited once.
 func (g *EGraph) AddExpr(e *expr.Expr) ClassID {
 	memo := make(map[*expr.Expr]ClassID)
+	// args is a stack of child IDs: each node's children sit above its
+	// ancestors' and are popped once Add has copied them.
+	var args []ClassID
 	var add func(*expr.Expr) ClassID
 	add = func(e *expr.Expr) ClassID {
 		if id, ok := memo[e]; ok {
 			return id
 		}
-		n := ENode{Op: e.Op, Lit: e.Lit, Sym: g.syms.Intern(e.Sym), Idx: e.Idx}
-		if len(e.Args) > 0 {
-			n.Args = make([]ClassID, len(e.Args))
-			for i, a := range e.Args {
-				n.Args[i] = add(a)
-			}
+		base := len(args)
+		for _, a := range e.Args {
+			child := add(a)
+			args = append(args, child)
 		}
-		id := g.Add(n)
+		id := g.Add(ENode{Op: e.Op, Lit: e.Lit, Sym: g.syms.Intern(e.Sym), Idx: e.Idx, Args: args[base:]})
+		args = args[:base]
 		memo[e] = id
 		return id
 	}
@@ -391,17 +462,17 @@ func (g *EGraph) repair(id ClassID) {
 		// Remove the stale hashcons entry, re-canonicalize, re-insert.
 		// Duplicate parent entries map to the same key, so the byte counter
 		// only moves when the entry actually existed.
-		oldKey := g.makeKey(p.node)
+		oldKey := g.makeKey(g.Node(p.node))
 		if _, ok := g.memo[oldKey]; ok {
 			g.memoRestBytes -= oldKey.restBytes()
 			delete(g.memo, oldKey)
 		}
-		if g.canonicalize(&p.node) {
-			// A parent entry shares its Args with the node in its class's
-			// node list, so that list may just have changed.
+		if g.canonicalize(p.node) {
+			// The entry names the node its class's list holds, so that
+			// list may just have changed.
 			g.changed = append(g.changed, g.Find(p.class))
 		}
-		key := g.makeKey(p.node)
+		key := g.makeKey(g.Node(p.node))
 		if g.prov != nil {
 			// Keep node justifications keyed by the current hashcons key.
 			g.prov.moveKey(oldKey, key)
@@ -437,13 +508,14 @@ func (g *EGraph) repair(id ClassID) {
 }
 
 // canonicalizeClasses canonicalizes the nodes of every class on the
-// change log and removes duplicates, keeping the node count and
-// payload-byte counter exact by deltas. No other class can need it: a node
-// turns stale only when one of its children loses a union, and then its
-// class keeps a parent entry with the node's key in that child's list,
-// which repair re-canonicalizes and logs; a node becomes a duplicate only
-// through a union or a canonicalization, both logged too. The visited
-// classes are already on the log, so the match phase still sees them.
+// change log and removes duplicates from its list, keeping the node count
+// exact by deltas (a dropped node stays in the node table). No other
+// class can need it: a node turns stale only when one of its children
+// loses a union, and then its class keeps a parent entry with the node's
+// key in that child's list, which repair re-canonicalizes and logs; a
+// node becomes a duplicate only through a union or a canonicalization,
+// both logged too. The visited classes are already on the log, so the
+// match phase still sees them.
 func (g *EGraph) canonicalizeClasses() {
 	stamp, gen := g.newPass()
 	for _, id := range g.changed {
@@ -453,21 +525,20 @@ func (g *EGraph) canonicalizeClasses() {
 		}
 		stamp[root] = gen
 		cls := g.classes[root]
-		for i := range cls.Nodes {
-			g.canonicalize(&cls.Nodes[i])
+		for _, n := range cls.Nodes {
+			g.canonicalize(n)
 		}
 		if len(cls.Nodes) < 2 {
 			continue
 		}
 		seen, out := g.seen[:0], cls.Nodes[:0]
 		for _, n := range cls.Nodes {
-			if k := g.makeKey(n); !slices.Contains(seen, k) {
+			if k := g.makeKey(g.Node(n)); !slices.Contains(seen, k) {
 				seen = append(seen, k)
 				out = append(out, n)
 				continue
 			}
 			g.nodeCount--
-			g.nodePayload -= nodePayloadBytes(n)
 		}
 		g.seen, cls.Nodes = seen, out
 	}
@@ -476,13 +547,18 @@ func (g *EGraph) canonicalizeClasses() {
 // CheckInvariants verifies hashcons and congruence invariants and the
 // rebuilt state, returning a list of violations: every class slot holds
 // its own canonical class, every node's children are canonical, no class
-// holds two nodes with the same key, and NumClasses, NumNodes and the
-// payload-byte counter equal a recount. It is O(nodes) and intended for
-// tests; call it after Rebuild.
+// holds two nodes with the same key, NumClasses and NumNodes equal a
+// recount, and the Args arena counter equals the node table's children.
+// It is O(nodes) and intended for tests; call it after Rebuild.
 func (g *EGraph) CheckInvariants() []string {
 	var bad []string
 	nodes, payload := 0, int64(0)
 	classes := 0
+	for _, page := range g.nodes {
+		for _, n := range page {
+			payload += int64(len(n.Args))
+		}
+	}
 	for id, cls := range g.classes {
 		if cls == nil {
 			continue
@@ -492,9 +568,9 @@ func (g *EGraph) CheckInvariants() []string {
 			bad = append(bad, fmt.Sprintf("slot %d holds class %d, not a canonical class", id, cls.ID))
 		}
 		keys := make(map[memoKey]bool, len(cls.Nodes))
-		for _, n := range cls.Nodes {
+		for _, ni := range cls.Nodes {
+			n := g.Node(ni)
 			nodes++
-			payload += nodePayloadBytes(n)
 			for _, a := range n.Args {
 				if g.Find(a) != a {
 					bad = append(bad, "node with non-canonical child: "+g.nodeString(n))
@@ -522,8 +598,8 @@ func (g *EGraph) CheckInvariants() []string {
 	if nodes != g.nodeCount {
 		bad = append(bad, fmt.Sprintf("NumNodes %d, recount %d", g.nodeCount, nodes))
 	}
-	if payload != g.nodePayload {
-		bad = append(bad, fmt.Sprintf("node payload counter %d bytes, recount %d", g.nodePayload, payload))
+	if payload != g.argCount {
+		bad = append(bad, fmt.Sprintf("Args arena counter %d, node table holds %d", g.argCount, payload))
 	}
 	return bad
 }

@@ -3,6 +3,7 @@ package egraph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -96,15 +97,15 @@ func TestCongruenceClosureDeep(t *testing.T) {
 	}
 }
 
-// TestRebuildReachesNodeBehindMergedParentEntry covers the shared-Args
-// corner of the incremental rebuild. A class-list node shares its Args
-// slice with its parent entries, so repair's in-place canonicalization
-// rewrites both. When two congruent parents in different classes merge,
-// repair keeps one parent entry and the class list keeps the other node,
-// so no parent entry shares the kept node's Args any more. A later union
-// of their child must still leave that class canonical: repair logs the
-// class the surviving entry names, and Rebuild canonicalizes every logged
-// class.
+// TestRebuildReachesNodeBehindMergedParentEntry covers the shared-node
+// corner of the incremental rebuild. A class list and its parent entries
+// name the same node in the node table, so repair's in-place
+// canonicalization rewrites the node both see. When two congruent parents
+// in different classes merge, repair keeps one parent entry and the class
+// list keeps the other node, so no parent entry names the kept node any
+// more. A later union of their child must still leave that class
+// canonical: repair logs the class the surviving entry names, and Rebuild
+// canonicalizes every logged class.
 func TestRebuildReachesNodeBehindMergedParentEntry(t *testing.T) {
 	g := New()
 	fa := g.AddExpr(expr.MustParse("(sqrt a)"))
@@ -115,8 +116,8 @@ func TestRebuildReachesNodeBehindMergedParentEntry(t *testing.T) {
 	g.Rebuild()
 	child := g.Find(a)
 	nodes, entries := g.Class(fa).Nodes, g.Class(child).parents
-	if len(nodes) != 1 || len(entries) != 1 || &nodes[0].Args[0] == &entries[0].node.Args[0] {
-		t.Fatalf("setup: want one node and one parent entry with separate Args, got %d nodes, %d entries",
+	if len(nodes) != 1 || len(entries) != 1 || nodes[0] == entries[0].node {
+		t.Fatalf("setup: want one node and one parent entry naming different nodes, got %d nodes, %d entries",
 			len(nodes), len(entries))
 	}
 
@@ -136,7 +137,7 @@ func TestRebuildReachesNodeBehindMergedParentEntry(t *testing.T) {
 	if bad := g.CheckInvariants(); len(bad) != 0 {
 		t.Fatalf("invariant violations: %v", bad)
 	}
-	if got := g.Class(fa).Nodes[0].Args[0]; got != g.Find(c) {
+	if got := g.Node(g.Class(fa).Nodes[0]).Args[0]; got != g.Find(c) {
 		t.Fatalf("sqrt's child is c%d, want canonical c%d", got, g.Find(c))
 	}
 }
@@ -189,20 +190,29 @@ func TestPatternParse(t *testing.T) {
 // searchPattern finds every match of p, class by class over the canonical
 // classes, as a pattern rule's search does; each match's Data is its Subst.
 func searchPattern(g *EGraph, p *Pattern) []Match {
-	return (&patternRewrite{lhs: p}).SearchClasses(g, g.CanonicalClasses())
+	return NewRewrite("search", p, p).SearchClasses(g, g.CanonicalClasses())
+}
+
+// bound returns the class s binds p's variable name to: a Subst holds the
+// variables in first-use order.
+func bound(s Subst, p *Pattern, name string) ClassID {
+	return s[slices.Index(p.Vars(), name)]
 }
 
 func TestSearchPattern(t *testing.T) {
 	g := New()
 	g.AddExpr(expr.MustParse("(+ (Get a 0) (* (Get b 0) (Get c 0)))"))
-	ms := searchPattern(g, MustPattern("(+ ?x (* ?y ?z))"))
+	p := MustPattern("(+ ?x (* ?y ?z))")
+	ms := searchPattern(g, p)
 	if len(ms) != 1 {
 		t.Fatalf("got %d matches, want 1", len(ms))
 	}
 	s := ms[0].Data.(Subst)
-	wantX, _ := g.Lookup(g.LeafNode(expr.OpGet, 0, "a", 0))
-	if g.Find(s["?x"]) != wantX {
-		t.Errorf("?x bound to %d, want %d", s["?x"], wantX)
+	for name, leaf := range map[string]string{"?x": "a", "?y": "b", "?z": "c"} {
+		want, _ := g.Lookup(g.LeafNode(expr.OpGet, 0, leaf, 0))
+		if got := bound(s, p, name); g.Find(got) != want {
+			t.Errorf("%s bound to %d, want %d", name, got, want)
+		}
 	}
 	// Nonlinear pattern: (+ ?x ?x) must not match (+ a b).
 	g2 := New()
@@ -240,11 +250,12 @@ func TestSearchPatternAcrossClasses(t *testing.T) {
 func TestInstantiate(t *testing.T) {
 	g := New()
 	g.AddExpr(expr.MustParse("(+ p q)"))
-	ms := searchPattern(g, MustPattern("(+ ?a ?b)"))
+	r := MustRewrite("swap", "(+ ?a ?b)", "(* ?b ?a)").(*patternRewrite)
+	ms := r.SearchClasses(g, g.CanonicalClasses())
 	if len(ms) != 1 {
 		t.Fatal("setup failed")
 	}
-	id, err := g.Instantiate(MustPattern("(* ?b ?a)"), ms[0].Data.(Subst))
+	id, err := g.instantiate(r.rhs, ms[0].Data.(Subst))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +265,7 @@ func TestInstantiate(t *testing.T) {
 	if !ok || want != id {
 		t.Fatalf("Instantiate produced class %d, want %d", id, want)
 	}
-	if _, err := g.Instantiate(MustPattern("?zzz"), ms[0].Data.(Subst)); err == nil {
+	if _, err := g.instantiate(r.rhs, Subst{}); err == nil {
 		t.Error("expected unbound-variable error")
 	}
 }
@@ -288,7 +299,7 @@ func TestRunMACRewrite(t *testing.T) {
 	}
 	found := false
 	for _, n := range g.Class(root).Nodes {
-		if n.Op == expr.OpVecMAC {
+		if g.Node(n).Op == expr.OpVecMAC {
 			found = true
 		}
 	}
@@ -346,7 +357,7 @@ func TestBidirectionalRulesConverge(t *testing.T) {
 	// Both forms live in the root class.
 	var ops []expr.Op
 	for _, n := range g.Class(root).Nodes {
-		ops = append(ops, n.Op)
+		ops = append(ops, g.Node(n).Op)
 	}
 	hasAdd, hasMul := false, false
 	for _, op := range ops {
@@ -527,5 +538,33 @@ func TestToDot(t *testing.T) {
 	// One cluster per class.
 	if strings.Count(dot, "subgraph cluster_") != g.NumClasses() {
 		t.Errorf("cluster count != class count")
+	}
+}
+
+// addChain adds a chain of n fresh nodes to a new graph, each the sum of
+// the last and a shared symbol: every Add misses the hashcons, creates a
+// class and gains two parent entries.
+func addChain(n int) *EGraph {
+	g := New()
+	var args [2]ClassID
+	args[0] = g.AddLeaf(expr.OpSym, 0, "x", 0)
+	args[1] = args[0]
+	for i := 1; i < n; i++ {
+		args[0] = g.Add(ENode{Op: expr.OpAdd, Args: args[:]})
+	}
+	return g
+}
+
+// TestAddAllocationsPerNode holds a fresh node's Add, amortized over a
+// 4096-node chain and including the graph's own growth, to at most three
+// allocations. The flat node store (DESIGN.md §14.6) copies children into
+// the Args arena and carves classes and their first list slot from slabs,
+// so most of what is left is the child's first parent entry.
+func TestAddAllocationsPerNode(t *testing.T) {
+	const n = 4096
+	per := testing.AllocsPerRun(5, func() { addChain(n) }) / n
+	t.Logf("%.2f allocations per fresh node", per)
+	if per > 3 {
+		t.Fatalf("Add makes %.2f allocations per fresh node, want at most 3", per)
 	}
 }

@@ -3,7 +3,7 @@ package egraph
 import "unsafe"
 
 // Footprint accounting. The e-graph keeps three incremental counters —
-// node payload bytes, hashcons overflow-key bytes, and the parent-list
+// Args arena slots, hashcons overflow-key bytes, and the parent-list
 // entry count — updated at the same mutation sites that already maintain
 // nodeCount, so Footprint() is O(1) arithmetic over them plus container
 // lengths (the symbol table maintains its own string-byte counter the same
@@ -33,8 +33,17 @@ import "unsafe"
 //   - The class table is a slice indexed by ClassID (DESIGN.md §14.5): one
 //     pointer slot per issued ID, including the nil slots union losers
 //     leave, plus one EClass struct per live class. There is no map key.
+//   - The flat node store (DESIGN.md §14.6): each e-node is one ENode in
+//     the node table, counted once however many lists name it, and stays
+//     there when Rebuild drops it from its class's list as a duplicate.
+//     Its children are Args arena slots, 4 bytes each. A class list entry
+//     is a 4-byte NodeID, and a parent entry is a NodeID and a ClassID
+//     (8 bytes), where it used to be a full ENode copy. Chunk slack in the
+//     arena, the node pages and the class slabs is allocator slack and
+//     is not counted.
 const (
 	enodeSize     = int64(unsafe.Sizeof(ENode{}))
+	nodeIDSize    = int64(unsafe.Sizeof(NodeID(0)))
 	parentSize    = int64(unsafe.Sizeof(parent{}))
 	eclassSize    = int64(unsafe.Sizeof(EClass{}))
 	classIDSize   = int64(unsafe.Sizeof(ClassID(0)))
@@ -70,15 +79,6 @@ type Footprint struct {
 	Total      int64              `json:"total"`
 }
 
-// nodePayloadBytes is the variable-length payload a node carries beyond its
-// struct: the child-ID slice's backing array. Symbol payloads are a SymID
-// inside the struct; the interned string is accounted once, in the symbol
-// table. (A parent entry shares the node's Args backing array, so the
-// payload is attributed once, to the class node list.)
-func nodePayloadBytes(n ENode) int64 {
-	return int64(len(n.Args)) * classIDSize
-}
-
 // symbolBytes is the symbol table's logical footprint: every interned
 // string's contents once, plus a slice entry (string header) and a map
 // entry (string header + SymID) per symbol.
@@ -91,9 +91,12 @@ func (t *SymbolTable) symbolBytes() int64 {
 // counters, never from walking the graph.
 func (g *EGraph) Footprint() Footprint {
 	var fp Footprint
+	// The node table and its Args arena, plus one list entry per node in
+	// a class list.
 	fp.Nodes = FootprintComponent{
 		Entries: g.nodeCount,
-		Bytes:   int64(g.nodeCount)*enodeSize + g.nodePayload,
+		Bytes: int64(g.numStored)*enodeSize + g.argCount*classIDSize +
+			int64(g.nodeCount)*nodeIDSize,
 	}
 	fp.Hashcons = FootprintComponent{
 		Entries: len(g.memo),

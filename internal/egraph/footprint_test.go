@@ -9,11 +9,13 @@ import (
 // recountFootprint recomputes the incremental footprint counters from
 // scratch by walking the graph — the ground truth the O(1) counters must
 // agree with after any sequence of adds, unions, and rebuilds.
-func recountFootprint(g *EGraph) (nodePayload int64, restBytes int64, symBytes int64, parentCount int) {
-	for _, cls := range g.CanonicalClasses() {
-		for _, n := range cls.Nodes {
-			nodePayload += nodePayloadBytes(n)
+func recountFootprint(g *EGraph) (argCount int64, restBytes int64, symBytes int64, parentCount int) {
+	for _, page := range g.nodes {
+		for _, n := range page {
+			argCount += int64(len(n.Args))
 		}
+	}
+	for _, cls := range g.CanonicalClasses() {
 		parentCount += len(cls.parents)
 	}
 	for k := range g.memo {
@@ -27,9 +29,9 @@ func recountFootprint(g *EGraph) (nodePayload int64, restBytes int64, symBytes i
 
 func checkFootprintConsistent(t *testing.T, g *EGraph, when string) {
 	t.Helper()
-	payload, rest, symBytes, parents := recountFootprint(g)
-	if g.nodePayload != payload {
-		t.Errorf("%s: nodePayload = %d, recount = %d", when, g.nodePayload, payload)
+	args, rest, symBytes, parents := recountFootprint(g)
+	if g.argCount != args {
+		t.Errorf("%s: argCount = %d, recount = %d", when, g.argCount, args)
 	}
 	if g.memoRestBytes != rest {
 		t.Errorf("%s: memoRestBytes = %d, recount = %d", when, g.memoRestBytes, rest)

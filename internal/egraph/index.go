@@ -56,10 +56,10 @@ func rootMask(ops []expr.Op) uint64 {
 }
 
 // opMask is the set of head operators among the class's nodes.
-func opMask(cls *EClass) uint64 {
+func opMask(g *EGraph, cls *EClass) uint64 {
 	var m uint64
 	for _, n := range cls.Nodes {
-		m |= 1 << uint(n.Op)
+		m |= 1 << uint(g.Node(n).Op)
 	}
 	return m
 }
@@ -114,7 +114,7 @@ func (w *dirtyWalk) walk(g *EGraph, depth int) {
 		}
 	}
 	for i := range w.reached {
-		w.reached[i].ops = opMask(w.reached[i].cls)
+		w.reached[i].ops = opMask(g, w.reached[i].cls)
 	}
 	slices.SortFunc(w.reached, func(a, b reachedClass) int { return cmp.Compare(a.cls.ID, b.cls.ID) })
 }

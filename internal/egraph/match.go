@@ -14,6 +14,9 @@ import (
 // applied to sub-patterns. Terminal patterns can match exact payloads.
 type Pattern struct {
 	Var string // pattern variable, e.g. "?a"; exclusive with Op use
+	// slot is a variable's index in its rule's Subst, set on the copies
+	// NewRewrite makes (withSlots).
+	slot int
 
 	Op     expr.Op
 	Lit    float64 // for expr.OpLit
@@ -185,15 +188,31 @@ func (p *Pattern) Vars() []string {
 	return out
 }
 
-// Subst maps pattern variables to e-classes.
-type Subst map[string]ClassID
+// Subst binds a rule's pattern variables to e-classes by slot: entry i is
+// the class bound to the i-th distinct variable of the rule's left-hand
+// side, in first-use order (Pattern.Vars).
+type Subst []ClassID
 
-func (s Subst) clone() Subst {
-	c := make(Subst, len(s))
-	for k, v := range s {
-		c[k] = v
+// withSlots returns a copy of p whose variables carry their slots from
+// slots. A variable slots lacks gets the next slot, so slotting a
+// left-hand side numbers its variables in first-use order, the order
+// matching binds them in.
+func withSlots(p *Pattern, slots map[string]int) *Pattern {
+	c := *p
+	if c.Var != "" {
+		k, ok := slots[c.Var]
+		if !ok {
+			k = len(slots)
+			slots[c.Var] = k
+		}
+		c.slot = k
+		return &c
 	}
-	return c
+	c.Args = make([]*Pattern, len(p.Args))
+	for i, a := range p.Args {
+		c.Args[i] = withSlots(a, slots)
+	}
+	return &c
 }
 
 // Match is one result of searching a rewrite's left-hand side: the class
@@ -204,39 +223,61 @@ type Match struct {
 	Data  any
 }
 
-// matchIn returns all extensions of subst under which p matches class id.
-func (g *EGraph) matchIn(p *Pattern, id ClassID, subst Subst) []Subst {
+// patternSearch is one SearchClasses call of a pattern rule: matching
+// extends one Subst buffer slot by slot, and each full match copies its
+// bindings out of it into chunks of subs, which the call's matches own.
+type patternSearch struct {
+	g     *EGraph
+	class ClassID // the class being searched
+	out   []Match
+	subs  []ClassID
+}
+
+// rest is what a match must still satisfy once the current sub-pattern
+// has matched: the sibling patterns pats against the classes ids, then
+// the parent's rest (nil at the root).
+type rest struct {
+	pats []*Pattern
+	ids  []ClassID
+	next *rest
+}
+
+// matchIn extends s, in every way under which p matches class id, and
+// goes on to k for each extension.
+func (ps *patternSearch) matchIn(p *Pattern, id ClassID, s Subst, k *rest) {
+	g := ps.g
 	id = g.Find(id)
 	if p.Var != "" {
-		if bound, ok := subst[p.Var]; ok {
-			if g.Find(bound) == id {
-				return []Subst{subst}
+		if p.slot < len(s) {
+			if g.Find(s[p.slot]) == id {
+				ps.matchArgs(nil, nil, s, k)
 			}
-			return nil
+			return
 		}
-		s := subst.clone()
-		s[p.Var] = id
-		return []Subst{s}
+		// Variables bind in slot order, so p binds the next slot.
+		ps.matchArgs(nil, nil, append(s, id), k)
+		return
 	}
-	var results []Subst
-	for _, n := range g.classes[id].Nodes {
-		if !g.nodeMatches(p, n) {
-			continue
+	for _, ni := range g.classes[id].Nodes {
+		if n := g.Node(ni); g.nodeMatches(p, n) {
+			ps.matchArgs(p.Args, n.Args, s, k)
 		}
-		partial := []Subst{subst}
-		for i, argPat := range p.Args {
-			var next []Subst
-			for _, s := range partial {
-				next = append(next, g.matchIn(argPat, n.Args[i], s)...)
-			}
-			partial = next
-			if len(partial) == 0 {
-				break
-			}
-		}
-		results = append(results, partial...)
 	}
-	return results
+}
+
+// matchArgs matches pats against ids in order under s, then goes on to k;
+// a full match past the root is emitted.
+func (ps *patternSearch) matchArgs(pats []*Pattern, ids []ClassID, s Subst, k *rest) {
+	for len(pats) == 0 {
+		if k == nil {
+			sub := Subst(carve(&ps.subs, len(s), 256))
+			copy(sub, s)
+			ps.out = append(ps.out, Match{Class: ps.class, Data: sub})
+			return
+		}
+		pats, ids, k = k.pats, k.ids, k.next
+	}
+	ps.matchIn(pats[0], ids[0], s, &rest{pats: pats[1:], ids: ids[1:], next: k})
 }
 
 // nodeMatches checks the node-local parts of a pattern (operator, payload,
@@ -273,28 +314,26 @@ func (g *EGraph) nodeMatches(p *Pattern, n ENode) bool {
 	return len(p.Args) == len(n.Args)
 }
 
-// Instantiate adds the pattern to the graph under the substitution,
-// returning the resulting class. All pattern variables must be bound.
-func (g *EGraph) Instantiate(p *Pattern, subst Subst) (ClassID, error) {
+// instantiate adds the pattern to the graph under the substitution,
+// returning the resulting class. The pattern's variables carry slots
+// (withSlots), and each must be bound in subst.
+func (g *EGraph) instantiate(p *Pattern, subst Subst) (ClassID, error) {
 	if p.Var != "" {
-		id, ok := subst[p.Var]
-		if !ok {
+		if p.slot >= len(subst) {
 			return 0, fmt.Errorf("egraph: unbound pattern variable %s", p.Var)
 		}
-		return g.Find(id), nil
+		return g.Find(subst[p.slot]), nil
 	}
-	n := ENode{Op: p.Op, Lit: p.Lit, Sym: g.InternSym(p.Sym), Idx: p.Idx}
-	if len(p.Args) > 0 {
-		n.Args = make([]ClassID, len(p.Args))
-		for i, a := range p.Args {
-			id, err := g.Instantiate(a, subst)
-			if err != nil {
-				return 0, err
-			}
-			n.Args[i] = id
+	var buf [restArity]ClassID
+	args := buf[:0]
+	for _, a := range p.Args {
+		id, err := g.instantiate(a, subst)
+		if err != nil {
+			return 0, err
 		}
+		args = append(args, id)
 	}
-	return g.Add(n), nil
+	return g.Add(ENode{Op: p.Op, Lit: p.Lit, Sym: g.InternSym(p.Sym), Idx: p.Idx, Args: args}), nil
 }
 
 // String renders the pattern in s-expression syntax.

@@ -133,7 +133,7 @@ func (m *matcher) search(ctx context.Context, g *EGraph, eligible []int, workers
 		classes := g.CanonicalClasses()
 		all = make([]reachedClass, len(classes))
 		for k, cls := range classes {
-			all[k] = reachedClass{cls: cls, ops: opMask(cls)}
+			all[k] = reachedClass{cls: cls, ops: opMask(g, cls)}
 		}
 	}
 	for _, i := range eligible {

@@ -41,7 +41,7 @@ func TestProvenanceAttributesRuleContext(t *testing.T) {
 	var justified []Justification
 	for _, cls := range g.CanonicalClasses() {
 		for _, n := range cls.Nodes {
-			if j, ok := g.NodeProvenance(n); ok {
+			if j, ok := g.NodeProvenance(g.Node(n)); ok {
 				justified = append(justified, j)
 			}
 		}
@@ -138,7 +138,7 @@ func TestRunnerRecordsProvenance(t *testing.T) {
 	count := 0
 	for _, cls := range g.CanonicalClasses() {
 		for _, n := range cls.Nodes {
-			j, ok := g.NodeProvenance(n)
+			j, ok := g.NodeProvenance(g.Node(n))
 			if !ok {
 				continue
 			}

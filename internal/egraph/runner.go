@@ -54,26 +54,27 @@ type Rewrite interface {
 	Apply(g *EGraph, m Match) bool
 }
 
-// patternRewrite is a purely syntactic rule lhs ⇝ rhs. Its matches carry
-// their Subst in Match.Data.
+// patternRewrite is a purely syntactic rule lhs ⇝ rhs. Its patterns are
+// slotted copies (withSlots), and its matches carry their Subst in
+// Match.Data.
 type patternRewrite struct {
 	name     string
 	lhs, rhs *Pattern
+	vars     int // distinct variables of lhs: the length of every Subst
 }
 
 // NewRewrite builds a syntactic rewrite rule from two patterns. Every
 // variable in rhs must occur in lhs.
 func NewRewrite(name string, lhs, rhs *Pattern) Rewrite {
-	lvars := map[string]bool{}
-	for _, v := range lhs.Vars() {
-		lvars[v] = true
-	}
+	slots := map[string]int{}
+	lhs = withSlots(lhs, slots)
+	vars := len(slots)
 	for _, v := range rhs.Vars() {
-		if !lvars[v] {
+		if _, ok := slots[v]; !ok {
 			panic("egraph: rewrite " + name + ": unbound rhs variable " + v)
 		}
 	}
-	return &patternRewrite{name: name, lhs: lhs, rhs: rhs}
+	return &patternRewrite{name: name, lhs: lhs, rhs: withSlots(rhs, slots), vars: vars}
 }
 
 // MustRewrite builds a syntactic rule from pattern source strings.
@@ -116,17 +117,17 @@ func (r *patternRewrite) RootOps() []expr.Op {
 func (r *patternRewrite) ReadDepth() int { return patternDepth(r.lhs) }
 
 func (r *patternRewrite) SearchClasses(g *EGraph, classes []*EClass) []Match {
-	var out []Match
+	ps := patternSearch{g: g}
+	s := make(Subst, 0, r.vars)
 	for _, cls := range classes {
-		for _, s := range g.matchIn(r.lhs, cls.ID, Subst{}) {
-			out = append(out, Match{Class: cls.ID, Data: s})
-		}
+		ps.class = cls.ID
+		ps.matchIn(r.lhs, cls.ID, s, nil)
 	}
-	return out
+	return ps.out
 }
 
 func (r *patternRewrite) Apply(g *EGraph, m Match) bool {
-	id, err := g.Instantiate(r.rhs, m.Data.(Subst))
+	id, err := g.instantiate(r.rhs, m.Data.(Subst))
 	if err != nil {
 		return false
 	}

@@ -75,7 +75,8 @@ func (ex *Extractor) Decisions(root egraph.ClassID) []Decision {
 			d.WinnerOwn = own
 		}
 		runnerCost, runnerNode, haveRunner := 0.0, egraph.ENode{}, false
-		for _, n := range cls.Nodes {
+		for _, ni := range cls.Nodes {
+			n := ex.g.Node(ni)
 			total, _, ok := ex.nodeCostParts(n)
 			if !ok {
 				continue

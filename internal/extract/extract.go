@@ -76,7 +76,8 @@ func (ex *Extractor) run() {
 			cur := &ex.best[cls.ID]
 			since := priced[cls.ID]
 			priced[cls.ID] = clock
-			for _, n := range cls.Nodes {
+			for _, ni := range cls.Nodes {
+				n := ex.g.Node(ni)
 				if !first && !ex.improvedSince(n, improved, since) {
 					continue
 				}

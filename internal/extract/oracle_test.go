@@ -54,7 +54,8 @@ func fullRelaxation(g *egraph.EGraph, model cost.Model) (map[egraph.ClassID]full
 		changed = false
 		for _, cls := range classes {
 			cur, have := best[cls.ID]
-			for _, n := range cls.Nodes {
+			for _, ni := range cls.Nodes {
+				n := g.Node(ni)
 				c, ok := price(n)
 				if ok && (!have || c < cur.cost) {
 					cur, have = fullChoice{c, n}, true

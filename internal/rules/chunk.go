@@ -28,8 +28,8 @@ type chunkMatch struct {
 func (r chunkRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass) []egraph.Match {
 	var out []egraph.Match
 	for _, cls := range classes {
-		for _, n := range cls.Nodes {
-			if n.Op == expr.OpList {
+		for _, ni := range cls.Nodes {
+			if n := g.Node(ni); n.Op == expr.OpList {
 				out = append(out, egraph.Match{
 					Class: cls.ID,
 					Data:  chunkMatch{elems: append([]egraph.ClassID(nil), n.Args...)},

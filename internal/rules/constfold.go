@@ -33,8 +33,8 @@ func classLit(g *egraph.EGraph, id egraph.ClassID) (float64, bool) {
 	if cls == nil {
 		return 0, false
 	}
-	for _, n := range cls.Nodes {
-		if n.Op == expr.OpLit {
+	for _, ni := range cls.Nodes {
+		if n := g.Node(ni); n.Op == expr.OpLit {
 			return n.Lit, true
 		}
 	}
@@ -50,7 +50,7 @@ func (constFoldRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass) [
 			continue
 		}
 		for _, n := range cls.Nodes {
-			v, ok := foldNode(g, n)
+			v, ok := foldNode(g, g.Node(n))
 			if !ok {
 				continue
 			}
@@ -62,7 +62,8 @@ func (constFoldRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass) [
 }
 
 func foldNode(g *egraph.EGraph, n egraph.ENode) (float64, bool) {
-	var vals []float64
+	var buf [2]float64
+	vals := buf[:0]
 	for _, a := range n.Args {
 		v, ok := classLit(g, a)
 		if !ok {

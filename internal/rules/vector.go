@@ -1,6 +1,8 @@
 package rules
 
 import (
+	"slices"
+
 	"diospyros/internal/egraph"
 	"diospyros/internal/expr"
 )
@@ -9,8 +11,8 @@ import (
 // e-class or a literal to be created at apply time (searchers never mutate
 // the graph).
 type operand struct {
-	class egraph.ClassID
 	lit   float64
+	class egraph.ClassID
 	isLit bool
 }
 
@@ -24,12 +26,14 @@ func (o operand) resolve(g *egraph.EGraph) egraph.ClassID {
 }
 
 // vecMatch is the applier payload for lane-wise vectorization: the vector
-// operator to introduce and, for each lane, the operand tuple it
-// decomposes into.
+// operator to introduce and, lane by lane, the operand tuple each lane
+// decomposes into. ops holds the lanes' tuples back to back, and is the
+// match's own: searcher scratch is never shared with it.
 type vecMatch struct {
 	op    expr.Op      // vector operator (VecAdd, VecMul, ..., VecFunc)
 	sym   egraph.SymID // interned function name for VecFunc
-	lanes [][]operand
+	lanes int
+	ops   []operand
 }
 
 // classHasLit reports whether the class contains the literal v.
@@ -38,12 +42,107 @@ func classHasLit(g *egraph.EGraph, id egraph.ClassID, v float64) bool {
 	if cls == nil {
 		return false
 	}
-	for _, n := range cls.Nodes {
-		if n.Op == expr.OpLit && n.Lit == v {
+	for _, ni := range cls.Nodes {
+		if n := g.Node(ni); n.Op == expr.OpLit && n.Lit == v {
 			return true
 		}
 	}
 	return false
+}
+
+// laneSearch is the scratch of one SearchClasses call of a vector rule,
+// reused across its Vec nodes and operator families: the n operand tuples
+// the lanes of the current Vec node decompose into, back to back and
+// lane-major (ends[i] is the tuple count through lane i), the odometer
+// enumerate walks them with, and the function names searchFunc has tried.
+// A call owns its scratch, so concurrent searches of one rule share
+// nothing, and enumerate copies every match's operands out of it: a
+// match's Data must stay valid after the next search reuses the buffers.
+type laneSearch struct {
+	g     *egraph.EGraph
+	ops   []operand
+	n     int
+	ends  []int
+	odo   []int
+	tried []egraph.SymID
+	out   []egraph.Match
+}
+
+// reset starts the decomposition of a new Vec node.
+func (ls *laneSearch) reset() { ls.ops, ls.n, ls.ends = ls.ops[:0], 0, ls.ends[:0] }
+
+// endLane closes the current lane, which added k tuples, and reports
+// whether it has any.
+func (ls *laneSearch) endLane(k int) bool {
+	if k == 0 {
+		return false
+	}
+	ls.ends = append(ls.ends, ls.n)
+	return true
+}
+
+// add appends one decomposition of the current lane.
+func (ls *laneSearch) add(ops ...operand) {
+	ls.ops = append(ls.ops, ops...)
+	ls.n++
+}
+
+// addNode appends the node's children as one decomposition of the
+// current lane, or nothing when its arity differs.
+func (ls *laneSearch) addNode(n egraph.ENode, arity int) bool {
+	if len(n.Args) != arity {
+		return false
+	}
+	for _, a := range n.Args {
+		ls.ops = append(ls.ops, operand{class: a})
+	}
+	ls.n++
+	return true
+}
+
+// enumerate appends one match per lane combination of the decomposed Vec
+// node, up to maxCombos, in odometer order (the first combination takes
+// each lane's first tuple). All of the node's matches share one fresh
+// operand array, each its own disjoint part of it.
+func (ls *laneSearch) enumerate(class egraph.ClassID, op expr.Op, sym egraph.SymID, arity int) {
+	lanes := len(ls.ends)
+	combos := 1
+	for i := 0; i < lanes && combos < maxCombos; i++ {
+		combos *= ls.ends[i] - ls.start(i)
+	}
+	combos = min(combos, maxCombos)
+	width := lanes * arity
+	ops := make([]operand, combos*width)
+	ms := make([]vecMatch, combos)
+	odo := ls.odo[:0]
+	for range lanes {
+		odo = append(odo, 0)
+	}
+	ls.odo = odo
+	for c := range ms {
+		dst := ops[c*width : (c+1)*width : (c+1)*width]
+		for i, k := range odo {
+			from := (ls.start(i) + k) * arity
+			copy(dst[i*arity:], ls.ops[from:from+arity])
+		}
+		ms[c] = vecMatch{op: op, sym: sym, lanes: lanes, ops: dst}
+		ls.out = append(ls.out, egraph.Match{Class: class, Data: &ms[c]})
+		// Advance the odometer, last lane fastest.
+		for i := lanes - 1; i >= 0; i-- {
+			if odo[i]++; odo[i] < ls.ends[i]-ls.start(i) {
+				break
+			}
+			odo[i] = 0
+		}
+	}
+}
+
+// start is the index of lane i's first tuple.
+func (ls *laneSearch) start(i int) int {
+	if i == 0 {
+		return 0
+	}
+	return ls.ends[i-1]
 }
 
 // vectorizeRule is the custom searcher/applier for lane-wise vectorization
@@ -102,162 +201,114 @@ var laneOps = []struct {
 }
 
 func (r vectorizeRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass) []egraph.Match {
-	var out []egraph.Match
+	ls := laneSearch{g: g}
 	for _, cls := range classes {
-		for _, vecNode := range cls.Nodes {
+		for _, ni := range cls.Nodes {
+			vecNode := g.Node(ni)
 			if vecNode.Op != expr.OpVec || !r.ws[len(vecNode.Args)] {
 				continue
 			}
 			for _, fam := range laneOps {
-				alts, anyReal := laneDecompositions(g, vecNode.Args, fam.scalar, fam.zero)
-				if alts == nil || !anyReal {
-					continue
-				}
-				for _, combo := range enumerate(alts) {
-					out = append(out, egraph.Match{
-						Class: cls.ID,
-						Data:  vecMatch{op: fam.vector, lanes: combo},
-					})
+				if ls.laneDecompositions(vecNode.Args, fam.scalar, fam.arity, fam.zero) {
+					ls.enumerate(cls.ID, fam.vector, egraph.NoSym, fam.arity)
 				}
 			}
-			out = append(out, r.searchFunc(g, cls.ID, vecNode)...)
+			ls.searchFunc(cls.ID, vecNode)
 		}
 	}
-	return out
+	return ls.out
 }
 
 // searchFunc vectorizes lanes that all call the same uninterpreted function
 // with the same arity: (Vec (func f a) (func f b) ...) ⇝ (VecFunc f (Vec a b ...)).
 // This is the extension hook §6 describes (e.g. a target recip instruction).
-func (vectorizeRule) searchFunc(g *egraph.EGraph, class egraph.ClassID, vecNode egraph.ENode) []egraph.Match {
+func (ls *laneSearch) searchFunc(class egraph.ClassID, vecNode egraph.ENode) {
+	g := ls.g
 	// Collect candidate (name, arity) pairs from the first lane.
 	first := g.Class(vecNode.Args[0])
 	if first == nil {
-		return nil
+		return
 	}
-	var out []egraph.Match
-	tried := map[egraph.SymID]bool{}
-	for _, n := range first.Nodes {
-		if n.Op != expr.OpFunc || tried[n.Sym] {
+	ls.tried = ls.tried[:0]
+	for _, fi := range first.Nodes {
+		fn := g.Node(fi)
+		if fn.Op != expr.OpFunc || slices.Contains(ls.tried, fn.Sym) {
 			continue
 		}
-		tried[n.Sym] = true
-		arity := len(n.Args)
-		alts := make([][][]operand, 0, len(vecNode.Args))
+		ls.tried = append(ls.tried, fn.Sym)
+		arity := len(fn.Args)
+		ls.reset()
 		ok := true
 		for _, lane := range vecNode.Args {
-			var laneAlts [][]operand
-			for _, ln := range g.Class(lane).Nodes {
-				if ln.Op == expr.OpFunc && ln.Sym == n.Sym && len(ln.Args) == arity {
-					ops := make([]operand, arity)
-					for i, a := range ln.Args {
-						ops[i] = operand{class: a}
-					}
-					laneAlts = append(laneAlts, ops)
-					if len(laneAlts) >= maxLaneAlts {
+			k := 0
+			for _, li := range g.Class(lane).Nodes {
+				ln := g.Node(li)
+				if ln.Op == expr.OpFunc && ln.Sym == fn.Sym && ls.addNode(ln, arity) {
+					if k++; k >= maxLaneAlts {
 						break
 					}
 				}
 			}
-			if len(laneAlts) == 0 {
+			if !ls.endLane(k) {
 				ok = false
 				break
 			}
-			alts = append(alts, laneAlts)
 		}
-		if !ok {
-			continue
-		}
-		for _, combo := range enumerate(alts) {
-			out = append(out, egraph.Match{
-				Class: class,
-				Data:  vecMatch{op: expr.OpVecFunc, sym: n.Sym, lanes: combo},
-			})
+		if ok {
+			ls.enumerate(class, expr.OpVecFunc, fn.Sym, arity)
 		}
 	}
-	return out
 }
 
 // laneDecompositions finds, for every lane class, up to maxLaneAlts operand
 // tuples under the scalar operator op (or the zero tuple for literal-zero
-// lanes). It returns nil if some lane has no decomposition. anyReal reports
-// whether at least one lane decomposed through an actual operator node.
-func laneDecompositions(g *egraph.EGraph, lanes []egraph.ClassID, op expr.Op, zero []operand) (alts [][][]operand, anyReal bool) {
-	alts = make([][][]operand, 0, len(lanes))
+// lanes), leaving them in the scratch. It reports false, having allocated
+// nothing once the scratch has grown, if some lane has no decomposition
+// or if no lane decomposed through an actual operator node.
+func (ls *laneSearch) laneDecompositions(lanes []egraph.ClassID, op expr.Op, arity int, zero []operand) bool {
+	g := ls.g
+	ls.reset()
+	anyReal := false
 	for _, lane := range lanes {
-		var laneAlts [][]operand
 		cls := g.Class(lane)
 		if cls == nil {
-			return nil, false
+			return false
 		}
-		for _, n := range cls.Nodes {
-			if n.Op != op {
-				continue
-			}
-			ops := make([]operand, len(n.Args))
-			for i, a := range n.Args {
-				ops[i] = operand{class: a}
-			}
-			laneAlts = append(laneAlts, ops)
-			anyReal = true
-			if len(laneAlts) >= maxLaneAlts {
-				break
+		k := 0
+		for _, ni := range cls.Nodes {
+			if n := g.Node(ni); n.Op == op && ls.addNode(n, arity) {
+				anyReal = true
+				if k++; k >= maxLaneAlts {
+					break
+				}
 			}
 		}
-		if len(laneAlts) == 0 && zero != nil && classHasLit(g, lane, 0) {
-			laneAlts = append(laneAlts, zero)
+		if k == 0 && zero != nil && classHasLit(g, lane, 0) {
+			ls.add(zero...)
+			k = 1
 		}
-		if len(laneAlts) == 0 {
-			return nil, false
-		}
-		alts = append(alts, laneAlts)
-	}
-	return alts, anyReal
-}
-
-// enumerate takes per-lane alternative lists and yields up to maxCombos
-// full combinations (odometer order, so the first combination uses each
-// lane's first alternative).
-func enumerate(alts [][][]operand) [][][]operand {
-	idx := make([]int, len(alts))
-	var out [][][]operand
-	for {
-		combo := make([][]operand, len(alts))
-		for i, k := range idx {
-			combo[i] = alts[i][k]
-		}
-		out = append(out, combo)
-		if len(out) >= maxCombos {
-			return out
-		}
-		// Advance odometer.
-		i := len(idx) - 1
-		for ; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < len(alts[i]) {
-				break
-			}
-			idx[i] = 0
-		}
-		if i < 0 {
-			return out
+		if !ls.endLane(k) {
+			return false
 		}
 	}
+	return anyReal
 }
 
 func (r vectorizeRule) Apply(g *egraph.EGraph, m egraph.Match) bool {
-	vm := m.Data.(vecMatch)
-	arity := len(vm.lanes[0])
-	argVecs := make([]egraph.ClassID, arity)
+	vm := m.Data.(*vecMatch)
+	arity := len(vm.ops) / vm.lanes
+	// Add copies a node's children, so both buffers are reused.
+	var argBuf [3]egraph.ClassID
+	var laneBuf [8]egraph.ClassID
+	argVecs := argBuf[:0]
 	for j := 0; j < arity; j++ {
-		laneIDs := make([]egraph.ClassID, len(vm.lanes))
-		for i := range vm.lanes {
-			laneIDs[i] = vm.lanes[i][j].resolve(g)
+		laneIDs := laneBuf[:0]
+		for i := 0; i < vm.lanes; i++ {
+			laneIDs = append(laneIDs, vm.ops[i*arity+j].resolve(g))
 		}
-		argVecs[j] = g.Add(egraph.ENode{Op: expr.OpVec, Args: laneIDs})
+		argVecs = append(argVecs, g.Add(egraph.ENode{Op: expr.OpVec, Args: laneIDs}))
 	}
-	node := egraph.ENode{Op: vm.op, Sym: vm.sym, Args: argVecs}
-	id := g.Add(node)
+	id := g.Add(egraph.ENode{Op: vm.op, Sym: vm.sym, Args: argVecs})
 	_, changed := g.Union(m.Class, id)
 	return changed
 }
@@ -289,54 +340,49 @@ func (macRule) RootOps() []expr.Op { return []expr.Op{expr.OpVec} }
 func (macRule) ReadDepth() int { return 2 }
 
 func (r macRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass) []egraph.Match {
-	var out []egraph.Match
+	ls := laneSearch{g: g}
 	for _, cls := range classes {
-		for _, vecNode := range cls.Nodes {
+		for _, ni := range cls.Nodes {
+			vecNode := g.Node(ni)
 			if vecNode.Op != expr.OpVec || !r.ws[len(vecNode.Args)] {
 				continue
 			}
-			alts, anySum := macLanes(g, vecNode.Args)
-			if alts == nil || !anySum {
-				continue
-			}
-			for _, combo := range enumerate(alts) {
-				out = append(out, egraph.Match{
-					Class: cls.ID,
-					Data:  vecMatch{op: expr.OpVecMAC, lanes: combo},
-				})
+			if ls.macLanes(vecNode.Args) {
+				ls.enumerate(cls.ID, expr.OpVecMAC, egraph.NoSym, 3)
 			}
 		}
 	}
-	return out
+	return ls.out
 }
 
-// macLanes computes per-lane (acc, b, c) triples. anySum reports whether at
-// least one lane matched a genuine (+ _ (* _ _)) form — if none did, the
-// plain VecMul rule is the right tool and MAC would only add noise.
-func macLanes(g *egraph.EGraph, lanes []egraph.ClassID) (alts [][][]operand, anySum bool) {
+// macLanes computes per-lane (acc, b, c) triples into the scratch. It
+// reports false, allocating nothing once the scratch has grown, if some
+// lane has no triple or if no lane matched a genuine (+ _ (* _ _)) form —
+// then the plain VecMul rule is the right tool and MAC would only add
+// noise.
+func (ls *laneSearch) macLanes(lanes []egraph.ClassID) bool {
+	g := ls.g
 	zero := litOperand(0)
-	alts = make([][][]operand, 0, len(lanes))
+	ls.reset()
+	anySum := false
 	for _, lane := range lanes {
-		var laneAlts [][]operand
 		cls := g.Class(lane)
 		if cls == nil {
-			return nil, false
+			return false
 		}
-		addAlt := func(a []operand) bool {
-			laneAlts = append(laneAlts, a)
-			return len(laneAlts) >= maxLaneAlts
-		}
+		k := 0
 	scan:
-		for _, n := range cls.Nodes {
-			switch n.Op {
+		for _, ni := range cls.Nodes {
+			switch n := g.Node(ni); n.Op {
 			case expr.OpAdd:
 				// (+ acc (* b c)) and (+ (* b c) acc).
 				for side := 0; side < 2; side++ {
 					prod, acc := n.Args[1-side], n.Args[side]
-					for _, pn := range g.Class(prod).Nodes {
-						if pn.Op == expr.OpMul {
+					for _, pi := range g.Class(prod).Nodes {
+						if pn := g.Node(pi); pn.Op == expr.OpMul {
 							anySum = true
-							if addAlt([]operand{{class: acc}, {class: pn.Args[0]}, {class: pn.Args[1]}}) {
+							ls.add(operand{class: acc}, operand{class: pn.Args[0]}, operand{class: pn.Args[1]})
+							if k++; k >= maxLaneAlts {
 								break scan
 							}
 						}
@@ -344,20 +390,21 @@ func macLanes(g *egraph.EGraph, lanes []egraph.ClassID) (alts [][][]operand, any
 				}
 			case expr.OpMul:
 				// Bare product: acc = 0.
-				if addAlt([]operand{zero, {class: n.Args[0]}, {class: n.Args[1]}}) {
+				ls.add(zero, operand{class: n.Args[0]}, operand{class: n.Args[1]})
+				if k++; k >= maxLaneAlts {
 					break scan
 				}
 			}
 		}
-		if len(laneAlts) == 0 && classHasLit(g, lane, 0) {
-			laneAlts = append(laneAlts, []operand{zero, zero, zero})
+		if k == 0 && classHasLit(g, lane, 0) {
+			ls.add(zero, zero, zero)
+			k = 1
 		}
-		if len(laneAlts) == 0 {
-			return nil, false
+		if !ls.endLane(k) {
+			return false
 		}
-		alts = append(alts, laneAlts)
 	}
-	return alts, anySum
+	return anySum
 }
 
 func (r macRule) Apply(g *egraph.EGraph, m egraph.Match) bool {

@@ -148,8 +148,8 @@ func TestRuleSetFollowsTargets(t *testing.T) {
 		egraph.Run(g, rs, egraph.Limits{MaxIterations: 8})
 		seen := map[int]bool{}
 		for _, cls := range g.CanonicalClasses() {
-			for _, n := range cls.Nodes {
-				if n.Op == expr.OpVec {
+			for _, ni := range cls.Nodes {
+				if n := g.Node(ni); n.Op == expr.OpVec {
 					seen[len(n.Args)] = true
 				}
 			}
