@@ -5,7 +5,7 @@
 //	diosdiff -kernel "MatMul 2x2" base.json cur.json
 //	diosdiff -compile kernel.dios -cur-opts cost:VecMAC=50
 //	                                               # two live compiles
-//	diosdiff -json d.json -html d.html base.json cur.json
+//	diosdiff -json d.json base.json cur.json
 //
 // Artifacts are compile trace JSONs (diospyros -json) or per-kernel bench
 // arrays (diosbench -json / -bench-json); artifacts without the
@@ -51,7 +51,6 @@ func main() {
 		curOpts  = flag.String("cur-opts", "", "comma-separated option tokens for the current compile")
 		kernel   = flag.String("kernel", "", "diff only this kernel ID (artifacts holding many kernels)")
 		jsonOut  = flag.String("json", "", "write the diospyros/diff/v1 JSON to this file (- for stdout)")
-		htmlOut  = flag.String("html", "", "write the side-by-side HTML report to this file")
 		seed     = flag.Int64("seed", 1, "random seed for the -compile mode simulation inputs")
 		version  = flag.Bool("version", false, "print version and exit")
 	)
@@ -109,20 +108,6 @@ func main() {
 			fatal(err)
 		}
 	}
-	if *htmlOut != "" {
-		if len(pairs) != 1 {
-			fmt.Fprintln(os.Stderr, "diosdiff: -html needs exactly one kernel; narrow with -kernel")
-			os.Exit(2)
-		}
-		page, err := diff.Report(diffs[0], pairs[0].base, pairs[0].cur)
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*htmlOut, page, 0o644); err != nil {
-			fatal(err)
-		}
-	}
-
 	if divergent {
 		os.Exit(1)
 	}

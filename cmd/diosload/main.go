@@ -16,10 +16,10 @@
 // -cache-bust F salts that fraction of requests with a unique comment so
 // they miss the server's content-addressed compile cache.
 //
-// Artifacts: -out writes the run as SoakResult JSON, -report writes a
-// self-contained HTML soak report (latency-over-time lanes, shed timeline,
-// phase and per-kernel tables). diosload judges nothing itself: CI asserts
-// absolute error and shed budgets on the JSON (error_rate, shed_rate).
+// Artifacts: -out writes the run as SoakResult JSON, including the
+// per-window time series (-window). diosload judges nothing itself: CI
+// asserts absolute error and shed budgets on the JSON (error_rate,
+// shed_rate).
 package main
 
 import (
@@ -51,7 +51,6 @@ func main() {
 		targetsFlag = flag.String("targets", "", "comma-separated machine targets for each compile (JSON requests)")
 		window      = flag.Duration("window", time.Second, "time-series bucket width")
 		out         = flag.String("out", "", "write the run as SoakResult JSON to this file")
-		reportOut   = flag.String("report", "", "write a self-contained HTML soak report to this file")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		logJSON     = flag.Bool("log-json", false, "log JSON lines instead of text")
 		version     = flag.Bool("version", false, "print version and exit")
@@ -118,17 +117,6 @@ func main() {
 			fail(err)
 		}
 		log.Info("soak result written", "file", *out)
-	}
-
-	if *reportOut != "" {
-		page, err := loadgen.Report(res)
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(*reportOut, page, 0o644); err != nil {
-			fail(err)
-		}
-		log.Info("soak report written", "file", *reportOut)
 	}
 }
 

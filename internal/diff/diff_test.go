@@ -305,6 +305,9 @@ func TestOneSidedZeroPeakIsInformational(t *testing.T) {
 	if !d.Empty() {
 		t.Fatalf("zero baseline peak counted as divergence:\n%s", d.Format())
 	}
+	if !strings.Contains(d.Format(), "old.json") {
+		t.Errorf("autopsy lost the value-only side's label:\n%s", d.Format())
+	}
 }
 
 func TestValueOnlyComparison(t *testing.T) {
@@ -347,6 +350,40 @@ func TestProfileDeltasPerOpcodeAndSlot(t *testing.T) {
 	for _, want := range []string{"vmac", "vadd", "alu"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("cycle divergences %v miss subject %q", subjects, want)
+		}
+	}
+}
+
+// divergentPair builds a base/cur pair whose diff carries a bit of every
+// section: a rule delta, an extraction flip, and a cycles delta.
+func divergentPair() (Input, Input) {
+	base, cur := synthInput("baseline.json"), synthInput("current")
+	cur.Trace.Iterations[1].Rules[1].Applied = 2 // vec-mac: 3 -> 4 applied
+	cur.Trace.Extraction.Decisions[0].Winner = "(VecAdd /2)"
+	cur.Cycles = 11
+	cur.Profile.Cycles = 11
+	return base, cur
+}
+
+// TestDiffJSONCarriesSchema checks both renderings of one divergent diff:
+// the JSON artifact carries the schema stamp and the responsible rule, and
+// the text autopsy names both sides, the rule and the flipped winner.
+func TestDiffJSONCarriesSchema(t *testing.T) {
+	base, cur := divergentPair()
+	d := Compare(base, cur)
+	raw, err := d.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{Schema, "vec-mac", "divergences"} {
+		if !strings.Contains(string(raw), want) {
+			t.Errorf("JSON artifact missing %q", want)
+		}
+	}
+	text := d.Format()
+	for _, want := range []string{"baseline.json", "current", "vec-mac", "(VecAdd /2)"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("text autopsy missing %q:\n%s", want, text)
 		}
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// Format renders the diff as the human-readable autopsy printed by
-// diosdiff without -json/-html: the divergence list first (the verdict),
+// Format renders the diff as the human-readable autopsy diosdiff prints
+// (unless -json - owns stdout): the divergence list first (the verdict),
 // then the informational stage waterfall and the diverged sections.
 func (d *Diff) Format() string {
 	var b strings.Builder

@@ -69,8 +69,7 @@ func TestLiveSelfDiffEmpty(t *testing.T) {
 
 // TestInducedCostRegressionNamesRule is the acceptance pin for the induced
 // regression: nerfing VecMAC's cost weight must produce a non-empty diff
-// that names VecMAC in the divergence list, the JSON artifact, and the HTML
-// report.
+// that names VecMAC in the divergence list and the JSON artifact.
 func TestInducedCostRegressionNamesRule(t *testing.T) {
 	base := compileMM(t, diospyros.Options{})
 	cur := compileMM(t, diospyros.Options{OpCost: map[string]float64{"VecMAC": 50}})
@@ -93,13 +92,6 @@ func TestInducedCostRegressionNamesRule(t *testing.T) {
 	}
 	if !strings.Contains(string(raw), "VecMAC") || !strings.Contains(string(raw), diff.Schema) {
 		t.Error("JSON artifact does not name VecMAC under the diff schema")
-	}
-	page, err := diff.Report(d, base, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(page), "VecMAC") {
-		t.Error("HTML report does not name VecMAC")
 	}
 	// A cost-weight change leaves the search untouched: the e-graph and the
 	// rule attribution must agree, only extraction-side sections may differ.

@@ -5,8 +5,12 @@ import "fmt"
 // Check typechecks a kernel in place: it infers types for let bindings,
 // inserts implicit int→float promotions, verifies indexing arity, and
 // ensures inputs are read-only. It also records user-defined (uninterpreted)
-// function arities on the kernel.
+// function arities on the kernel. A kernel must declare at least one
+// output: with none there is nothing to lift.
 func Check(k *Kernel) error {
+	if len(k.Outs) == 0 {
+		return errf(k.Pos, "kernel %s declares no outputs", k.Name)
+	}
 	c := &checker{kernel: k}
 	k.UserFuncs = map[string]int{}
 	scope := newScope(nil)

@@ -3,8 +3,7 @@
 // records the latency distribution HDR-style (recorder.go), folds the
 // server's per-request phase path (X-Dios-Server-Timing, parsed with
 // telemetry.ParseServerTiming and kept in header order) and cache
-// outcomes (X-Dios-Cache) into the result. cmd/diosload is the CLI; the
-// HTML soak report lives in report.go.
+// outcomes (X-Dios-Cache) into the result. cmd/diosload is the CLI.
 //
 // Two driving modes:
 //

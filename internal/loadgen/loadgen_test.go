@@ -285,65 +285,3 @@ func TestMixByNames(t *testing.T) {
 		t.Error("empty selection accepted")
 	}
 }
-
-// TestReportRendersSoak asserts the HTML soak report carries every section
-// the acceptance criteria name: latency lanes, the shed timeline, and the
-// phase, per-kernel and per-cache tables.
-func TestReportRendersSoak(t *testing.T) {
-	res := healthyResult()
-	res.Config = SoakConfig{
-		URLs: []string{"http://localhost:8175"}, Kernels: []string{"dot8", "qr3"},
-		Concurrency: 4, DurationSec: 20,
-	}
-	res.PhaseOrder = []string{"queue", "cache", "compile", "serialize"}
-	res.Phases = map[string]LatencyMS{
-		"queue":     {P50: 0.01, P99: 0.2, Max: 1, Mean: 0.05},
-		"cache":     {P50: 0.02, P99: 0.1, Max: 0.5, Mean: 0.03},
-		"compile":   {P50: 8, P99: 60, Max: 90, Mean: 12},
-		"serialize": {P50: 0.2, P99: 1, Max: 2, Mean: 0.3},
-	}
-	res.PerKernel = []KernelStats{
-		{Kernel: "dot8", Requests: 500, OK: 498, Latency: LatencyMS{P50: 6, P99: 20, Max: 30, Mean: 8}},
-		{Kernel: "qr3", Requests: 500, OK: 497, Latency: LatencyMS{P50: 60, P99: 90, Max: 120, Mean: 65}},
-	}
-	res.PerCache = []CacheStats{
-		{Outcome: "hit", Requests: 700, Latency: LatencyMS{P50: 1, P99: 3, Max: 5, Mean: 1.2}},
-		{Outcome: "miss", Requests: 300, Latency: LatencyMS{P50: 30, P99: 80, Max: 100, Mean: 35}},
-	}
-	for i := 0; i < 20; i++ {
-		res.Series = append(res.Series, Window{
-			T: float64(i), RPS: 100, Requests: 100, OK: 95, Sheds: 3, Errors: 2,
-			P50: 10 + float64(i), P99: 40 + float64(i),
-		})
-	}
-	page, err := Report(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	html := string(page)
-	for _, want := range []string{
-		"<!DOCTYPE html>",
-		"Latency over time",
-		"Throughput, sheds, and errors",
-		"Server-side phase breakdown",
-		"Per-kernel",
-		"Per cache outcome",
-		"polyline", // the shared chart partial actually rendered
-		"p99 ms",
-		"qr3",
-		"coalesced", // absent outcome must not appear...
-	} {
-		if want == "coalesced" {
-			if strings.Contains(html, want) {
-				t.Errorf("report mentions %q though the run had none", want)
-			}
-			continue
-		}
-		if !strings.Contains(html, want) {
-			t.Errorf("report missing %q", want)
-		}
-	}
-	if !strings.Contains(html, "</html>") {
-		t.Error("report truncated")
-	}
-}

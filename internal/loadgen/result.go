@@ -8,8 +8,7 @@ import (
 )
 
 // SoakResult is the JSON artifact of one load-generation run — the serving
-// counterpart of diosbench's -bench-json rows, and the input the -report
-// HTML renders.
+// counterpart of diosbench's -bench-json rows.
 
 // SoakSchema identifies the SoakResult JSON format.
 const SoakSchema = "diosload/serve-soak/v1"

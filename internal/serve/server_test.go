@@ -442,8 +442,20 @@ func TestMultiTargetCompile(t *testing.T) {
 	}
 }
 
+// TestBadRequests: malformed requests and kernels are the user's error,
+// so each answers 400 and none moves the internal-error counter, which
+// counts compiler faults.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
+	internalErrors := func() string {
+		for _, line := range strings.Split(scrape(t, ts.URL), "\n") {
+			if strings.HasPrefix(line, "diospyros_serve_internal_errors_total") {
+				return line
+			}
+		}
+		return ""
+	}
+	before := internalErrors()
 	for _, c := range []struct {
 		body, ct string
 	}{
@@ -451,6 +463,7 @@ func TestBadRequests(t *testing.T) {
 		{"{not json", "application/json"},      // malformed JSON
 		{`{"source": ""}`, "application/json"}, // missing source
 		{"kernel oops(", "text/plain"},         // parse error
+		{"kernel A()->(){}", "text/plain"},     // no outputs to lift
 	} {
 		resp, cr := postCompile(t, ts.URL, c.body, c.ct)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -459,6 +472,9 @@ func TestBadRequests(t *testing.T) {
 		if cr.Error == "" {
 			t.Errorf("body %q: no error message", c.body)
 		}
+	}
+	if after := internalErrors(); after != before {
+		t.Errorf("internal-error counter moved: %q -> %q", before, after)
 	}
 }
 

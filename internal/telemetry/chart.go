@@ -5,21 +5,20 @@ import (
 	"strings"
 )
 
-// Reusable SVG line-chart machinery, shared by every HTML report (the
-// -report compile report, the diosdiff autopsy, the diosload soak page):
-// each passes a *LineChart to the linechart partial of the shared page
-// (page.tmpl.html, see NewPage). All geometry is computed in Go; the
-// partial only places precomputed coordinates, so rendered charts need no
-// JavaScript — hover detail rides on SVG <title> tooltips.
+// SVG line-chart machinery for the compile report's trajectory, cost and
+// memory curves: each is a *lineChart handed to the linechart partial of
+// report.tmpl.html. All geometry is computed in Go; the partial only
+// places precomputed coordinates, so rendered charts need no JavaScript —
+// hover detail rides on SVG <title> tooltips.
 
-// LineChart is the template-facing model of one chart: canvas and plot
+// lineChart is the template-facing model of one chart: canvas and plot
 // geometry, axis labels, grid lines, and one or more series of
-// pre-projected points. Build one with NewLineChart/AddSeries.
-type LineChart struct {
+// pre-projected points. Build one with newLineChart/AddSeries.
+type lineChart struct {
 	W, H             int
 	PlotX, PlotY     int
 	PlotW, PlotH     int
-	Series           []LineSeries
+	Series           []lineSeries
 	YMax, YMid, YMin string
 	XMin, XMax       string
 	XLabel           string
@@ -27,28 +26,28 @@ type LineChart struct {
 	Legend           bool
 }
 
-// LineSeries is one polyline of a LineChart, with optional per-point dots
+// lineSeries is one polyline of a lineChart, with optional per-point dots
 // carrying tooltip titles and a direct label at the last point.
-type LineSeries struct {
+type lineSeries struct {
 	Name   string
-	Class  string // CSS class carrying the series color (s1, s2, s3)
+	Class  string // CSS class carrying the series color (s1, s2)
 	Points string // SVG polyline points
-	Dots   []ChartDot
+	Dots   []chartDot
 	Last   string // last value, for the direct label
 	LastX  int
 	LastY  int
 }
 
-// ChartDot is one hoverable point of a series.
-type ChartDot struct {
+// chartDot is one hoverable point of a series.
+type chartDot struct {
 	X, Y  int
 	Title string
 }
 
-// ChartBuilder pairs the template-facing LineChart with the value scales
+// chartBuilder pairs the template-facing lineChart with the value scales
 // used while plotting points into it.
-type ChartBuilder struct {
-	*LineChart
+type chartBuilder struct {
+	*lineChart
 	xMin, xMax, yMin, yMax float64
 }
 
@@ -63,10 +62,10 @@ const (
 	maxDots = 48 // beyond this, dots crowd; the polyline alone reads better
 )
 
-// NewLineChart starts a chart whose x axis spans xs (which must be
-// non-empty and ascending; typically iteration numbers or seconds).
-func NewLineChart(xs []float64) *ChartBuilder {
-	c := &ChartBuilder{LineChart: &LineChart{
+// newLineChart starts a chart whose x axis spans xs (which must be
+// non-empty and ascending: iteration numbers).
+func newLineChart(xs []float64) *chartBuilder {
+	c := &chartBuilder{lineChart: &lineChart{
 		W: chartW, H: chartH,
 		PlotX: padL, PlotY: padT,
 		PlotW: chartW - padL - padR, PlotH: chartH - padT - padB,
@@ -82,7 +81,7 @@ func NewLineChart(xs []float64) *ChartBuilder {
 
 // SetYRange fixes the y axis to [lo, hi] and places the grid lines; call it
 // before AddSeries.
-func (c *ChartBuilder) SetYRange(lo, hi float64) {
+func (c *chartBuilder) SetYRange(lo, hi float64) {
 	if hi <= lo {
 		hi = lo + 1
 	}
@@ -98,9 +97,9 @@ func (c *ChartBuilder) SetYRange(lo, hi float64) {
 }
 
 // AddSeries projects (xs, ys) into the plot area as one polyline. class
-// names the CSS color class (s1, s2, s3); title renders the tooltip for
+// names the CSS color class (s1, s2); title renders the tooltip for
 // point i.
-func (c *ChartBuilder) AddSeries(name, class string, xs, ys []float64, title func(int) string) {
+func (c *chartBuilder) AddSeries(name, class string, xs, ys []float64, title func(int) string) {
 	sx := func(x float64) int {
 		return c.PlotX + int(float64(c.PlotW)*(x-c.xMin)/(c.xMax-c.xMin))
 	}
@@ -108,12 +107,12 @@ func (c *ChartBuilder) AddSeries(name, class string, xs, ys []float64, title fun
 		return c.PlotY + c.PlotH - int(float64(c.PlotH)*(y-c.yMin)/(c.yMax-c.yMin))
 	}
 	var b strings.Builder
-	s := LineSeries{Name: name, Class: class}
+	s := lineSeries{Name: name, Class: class}
 	for i := range xs {
 		x, y := sx(xs[i]), sy(ys[i])
 		fmt.Fprintf(&b, "%d,%d ", x, y)
 		if len(xs) <= maxDots {
-			s.Dots = append(s.Dots, ChartDot{X: x, Y: y, Title: title(i)})
+			s.Dots = append(s.Dots, chartDot{X: x, Y: y, Title: title(i)})
 		}
 	}
 	s.Points = strings.TrimSpace(b.String())

@@ -55,36 +55,17 @@ type ReportData struct {
 	Generated time.Time
 }
 
-//go:embed page.tmpl.html
-var pageSrc string
-
 //go:embed report.tmpl.html
-var reportBodySrc string
+var reportSrc string
 
-// pageFuncs are the helpers the shared page and its linechart partial
-// need, available to every page body.
-var pageFuncs = template.FuncMap{
+// reportTmpl is the one report page: doctype, head, stylesheet, body and
+// the "linechart" partial, which renders a *lineChart.
+var reportTmpl = template.Must(template.New("report").Funcs(template.FuncMap{
 	"add":  func(a, b int) int { return a + b },
 	"sub":  func(a, b int) int { return a - b },
 	"half": func(a int) int { return a / 2 },
 	"addf": func(a, b float64) float64 { return a + b },
-	// mulpct renders a 0..1 ratio as a percentage number.
-	"mulpct": func(v float64) float64 { return v * 100 },
-}
-
-// NewPage parses a report page body on top of the shared page
-// (page.tmpl.html): the doctype and head, one palette, the base, table and
-// chart stylesheet, and the "linechart" partial, which renders a
-// *LineChart. The body defines "title", "body" and optionally "style"
-// (page-only CSS appended after the shared rules); funcs adds helpers to
-// the shared ones. Executing the result renders one self-contained page.
-// It panics if body does not parse, like template.Must.
-func NewPage(name, body string, funcs template.FuncMap) *template.Template {
-	t := template.Must(template.New(name).Funcs(pageFuncs).Funcs(funcs).Parse(pageSrc))
-	return template.Must(t.Parse(body))
-}
-
-var reportTmpl = NewPage("report", reportBodySrc, nil)
+}).Parse(reportSrc))
 
 // RenderReport writes the self-contained HTML report for d to w.
 func RenderReport(w io.Writer, d ReportData) error {
@@ -107,9 +88,9 @@ type reportView struct {
 
 	Phases []phaseRow
 
-	Trajectory *LineChart // nodes & classes per iteration
-	CostCurve  *LineChart // best extractable cost per iteration
-	MemCurve   *LineChart // e-graph logical footprint per iteration
+	Trajectory *lineChart // nodes & classes per iteration
+	CostCurve  *lineChart // best extractable cost per iteration
+	MemCurve   *lineChart // e-graph logical footprint per iteration
 
 	Rules       []ruleRow
 	Bans        []banRow
@@ -315,7 +296,7 @@ func buildReportView(d ReportData) *reportView {
 	return v
 }
 
-func buildTrajectory(gs []IterationGauge) *LineChart {
+func buildTrajectory(gs []IterationGauge) *lineChart {
 	if len(gs) < 2 {
 		return nil
 	}
@@ -327,7 +308,7 @@ func buildTrajectory(gs []IterationGauge) *LineChart {
 		nodes[i] = float64(g.Nodes)
 		classes[i] = float64(g.Classes)
 	}
-	c := NewLineChart(xs)
+	c := newLineChart(xs)
 	c.Legend = true
 	c.XLabel = "iteration"
 	yMax := maxOf(maxOf(0, nodes...), classes...)
@@ -338,12 +319,12 @@ func buildTrajectory(gs []IterationGauge) *LineChart {
 	c.AddSeries("e-classes", "s2", xs, classes, func(i int) string {
 		return fmt.Sprintf("iteration %d: %d e-classes", gs[i].Iteration, gs[i].Classes)
 	})
-	return c.LineChart
+	return c.lineChart
 }
 
 // buildCostCurve plots the best-cost trajectory from the gauges that carry
 // a cost sample; the chart needs two samples.
-func buildCostCurve(gs []IterationGauge) *LineChart {
+func buildCostCurve(gs []IterationGauge) *lineChart {
 	var xs, ys []float64
 	for _, g := range gs {
 		if g.BestCost != nil {
@@ -354,19 +335,19 @@ func buildCostCurve(gs []IterationGauge) *LineChart {
 	if len(xs) < 2 {
 		return nil
 	}
-	c := NewLineChart(xs)
+	c := newLineChart(xs)
 	c.XLabel = "iteration"
 	c.SetYRange(0, maxOf(0, ys...))
 	c.AddSeries("best cost", "s1", xs, ys, func(i int) string {
 		return fmt.Sprintf("iteration %.0f: cost %s", xs[i], trimFloat(ys[i]))
 	})
-	return c.LineChart
+	return c.lineChart
 }
 
 // buildMemCurve plots the e-graph's logical footprint per iteration, from
 // the per-iteration gauges. Gauges without a byte reading (traces recorded
 // before footprint accounting) are skipped; the chart needs two readings.
-func buildMemCurve(gs []IterationGauge) *LineChart {
+func buildMemCurve(gs []IterationGauge) *lineChart {
 	var xs, ys []float64
 	var kept []IterationGauge
 	for _, g := range gs {
@@ -379,13 +360,13 @@ func buildMemCurve(gs []IterationGauge) *LineChart {
 	if len(xs) < 2 {
 		return nil
 	}
-	c := NewLineChart(xs)
+	c := newLineChart(xs)
 	c.XLabel = "iteration"
 	c.SetYRange(0, maxOf(0, ys...))
 	c.AddSeries("e-graph bytes", "s1", xs, ys, func(i int) string {
 		return fmt.Sprintf("iteration %d: %s", kept[i].Iteration, fmtBytes(kept[i].Bytes))
 	})
-	return c.LineChart
+	return c.lineChart
 }
 
 func buildMemoryView(m *MemoryTrace) *memoryView {

@@ -36,7 +36,9 @@ func reportTrace() *Trace {
 	}
 }
 
-func TestRenderReport(t *testing.T) {
+// TestRenderReportSections renders a synthetic trace that fills every
+// section, down to a banned rule and a contested extraction decision.
+func TestRenderReportSections(t *testing.T) {
 	var b strings.Builder
 	err := RenderReport(&b, ReportData{
 		Title:    "conv3x5",
