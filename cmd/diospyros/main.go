@@ -33,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"math/rand"
 	"os"
 	"os/signal"
@@ -257,7 +258,10 @@ func main() {
 			"iterations", res.Saturation.Iterations, "stopped", string(res.Saturation.Reason))
 		logger.Info("extracted", "cost", res.Cost, "vir_instrs", len(res.VIR.Instrs))
 		if res.Validated {
-			logger.Info("translation validation ok")
+			for _, tr := range res.Targets {
+				logger.Info("translation validation ok", "target", tr.Target,
+					"per_trial_bound", fmt.Sprintf("2^%.1f", math.Log2(tr.ValidationBound)))
+			}
 		}
 	}
 

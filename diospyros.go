@@ -17,7 +17,8 @@
 //     code elimination) to C-with-intrinsics text and to FG3-lite assembly
 //     that runs on the bundled cycle-level DSP simulator;
 //  5. optionally validates the optimized program against the specification
-//     with an exact equivalence checker over real arithmetic.
+//     over real arithmetic, by polynomial identity testing at random points
+//     modulo a 61-bit prime, with a per-trial error bound.
 package diospyros
 
 import (
@@ -161,6 +162,10 @@ type TargetResult struct {
 	Cost      float64      // abstract extraction cost under this target's model
 	Cycles    int64        // simulated cycles on deterministic inputs (0 if not simulated)
 	Validated bool         // set when Options.Validate passed for this target
+	// ValidationBound is the validator's per-trial error bound when
+	// Validated: the chance that one random point fails to tell a wrong
+	// program from the spec (validate.Checker.CheckBound).
+	ValidationBound float64
 }
 
 // Result is a compiled kernel and its artifacts. The top-level Optimized /

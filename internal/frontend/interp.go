@@ -36,8 +36,23 @@ func Interp(k *Kernel, inputs map[string][]float64, funcs map[string]func([]floa
 	return outputs, nil
 }
 
-// maxWhileIters guards against non-terminating kernels.
-const maxWhileIters = 50_000_000
+// maxLoopSteps bounds the loop iterations, for and while together, that
+// lifting or interpreting one kernel may run, so a hostile or
+// non-terminating kernel fails fast with a positioned error. The largest
+// kernel in testdata, examples and the benchmark suite, 2DConv 16x16 4x4,
+// runs 7,600.
+const maxLoopSteps = 500_000
+
+// loopSteps counts loop iterations against maxLoopSteps.
+type loopSteps int
+
+// step counts one iteration of the loop at pos.
+func (n *loopSteps) step(pos Pos) error {
+	if *n++; *n > maxLoopSteps {
+		return errf(pos, "loop exceeded the budget of %d iterations", maxLoopSteps)
+	}
+	return nil
+}
 
 type iArray struct {
 	dims     []int
@@ -96,7 +111,7 @@ func (s *iScope) findArray(name string) (*iArray, bool) {
 
 type interpEnv struct {
 	funcs map[string]func([]float64) float64
-	steps int
+	loopSteps
 }
 
 func (e *interpEnv) block(b *Block, parent *iScope) error {
@@ -121,6 +136,9 @@ func (e *interpEnv) stmt(st Stmt, sc *iScope) error {
 			return err
 		}
 		for i := lo; i < hi; i++ {
+			if err := e.step(s.Pos); err != nil {
+				return err
+			}
 			body := newIScope(sc)
 			body.ints[s.Var] = i
 			for _, inner := range s.Body.Stmts {
@@ -132,9 +150,8 @@ func (e *interpEnv) stmt(st Stmt, sc *iScope) error {
 		return nil
 	case *WhileStmt:
 		for {
-			e.steps++
-			if e.steps > maxWhileIters {
-				return errf(s.Pos, "while loop exceeded %d iterations", maxWhileIters)
+			if err := e.step(s.Pos); err != nil {
+				return err
 			}
 			cond, err := e.boolExpr(s.Cond, sc)
 			if err != nil {

@@ -126,7 +126,7 @@ func (s *sScope) findArray(name string) (*sArray, bool) {
 }
 
 type liftEnv struct {
-	steps int
+	loopSteps
 }
 
 // ErrDataDependent wraps errors caused by control flow over float data.
@@ -158,6 +158,9 @@ func (e *liftEnv) stmt(st Stmt, sc *sScope) error {
 			return err
 		}
 		for i := lo; i < hi; i++ {
+			if err := e.step(s.Pos); err != nil {
+				return err
+			}
 			body := newSScope(sc)
 			body.ints[s.Var] = i
 			for _, inner := range s.Body.Stmts {
@@ -169,9 +172,8 @@ func (e *liftEnv) stmt(st Stmt, sc *sScope) error {
 		return nil
 	case *WhileStmt:
 		for {
-			e.steps++
-			if e.steps > maxWhileIters {
-				return errf(s.Pos, "while loop exceeded %d iterations during lifting", maxWhileIters)
+			if err := e.step(s.Pos); err != nil {
+				return err
 			}
 			cond, err := e.boolExpr(s.Cond, sc)
 			if err != nil {

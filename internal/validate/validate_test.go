@@ -1,7 +1,6 @@
 package validate
 
 import (
-	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -24,48 +23,49 @@ func mustDiffer(t *testing.T, a, b string, n int) {
 	if err == nil {
 		t.Fatalf("expected inequivalent:\n  %s\n  %s", a, b)
 	}
-	if errors.Is(err, ErrInconclusive) {
-		t.Fatalf("expected a definite verdict, got inconclusive")
-	}
+}
+
+// identityCases are equivalent one-output program pairs.
+var identityCases = [][2]string{
+	// Commutativity and associativity over ℝ.
+	{"(List (+ (Get a 0) (Get a 1)))", "(List (+ (Get a 1) (Get a 0)))"},
+	{"(List (+ (+ (Get a 0) (Get a 1)) (Get a 2)))", "(List (+ (Get a 0) (+ (Get a 1) (Get a 2))))"},
+	{"(List (* (Get a 0) (+ (Get a 1) (Get a 2))))", "(List (+ (* (Get a 0) (Get a 1)) (* (Get a 0) (Get a 2))))"},
+	// Identity elimination, negation.
+	{"(List (+ (Get a 0) 0))", "(List (Get a 0))"},
+	{"(List (- (Get a 0) (Get a 0)))", "(List 0)"},
+	{"(List (neg (neg (Get a 0))))", "(List (Get a 0))"},
+	{"(List (* (Get a 0) 1))", "(List (Get a 0))"},
+	// Rational functions: a/b + c/b = (a+c)/b; (a*b)/b = a.
+	{"(List (+ (/ (Get a 0) (Get a 2)) (/ (Get a 1) (Get a 2))))",
+		"(List (/ (+ (Get a 0) (Get a 1)) (Get a 2)))"},
+	{"(List (/ (* (Get a 0) (Get a 1)) (Get a 1)))", "(List (Get a 0))"},
+	// Opaque atoms: sqrt of equal (normalized) args.
+	{"(List (sqrt (+ (Get a 0) 0)))", "(List (sqrt (Get a 0)))"},
+	{"(List (* 2 (sgn (Get a 0))))", "(List (+ (sgn (+ (Get a 0) 0)) (sgn (Get a 0))))"},
+	// Uninterpreted functions keyed by canonical args.
+	{"(List (func f (+ (Get a 0) (Get a 1))))", "(List (func f (+ (Get a 1) (Get a 0))))"},
 }
 
 func TestEquivalentBasicIdentities(t *testing.T) {
-	cases := [][2]string{
-		// Commutativity and associativity over ℝ.
-		{"(List (+ (Get a 0) (Get a 1)))", "(List (+ (Get a 1) (Get a 0)))"},
-		{"(List (+ (+ (Get a 0) (Get a 1)) (Get a 2)))", "(List (+ (Get a 0) (+ (Get a 1) (Get a 2))))"},
-		{"(List (* (Get a 0) (+ (Get a 1) (Get a 2))))", "(List (+ (* (Get a 0) (Get a 1)) (* (Get a 0) (Get a 2))))"},
-		// Identity elimination, negation.
-		{"(List (+ (Get a 0) 0))", "(List (Get a 0))"},
-		{"(List (- (Get a 0) (Get a 0)))", "(List 0)"},
-		{"(List (neg (neg (Get a 0))))", "(List (Get a 0))"},
-		{"(List (* (Get a 0) 1))", "(List (Get a 0))"},
-		// Rational functions: a/b + c/b = (a+c)/b; (a*b)/b = a.
-		{"(List (+ (/ (Get a 0) (Get a 2)) (/ (Get a 1) (Get a 2))))",
-			"(List (/ (+ (Get a 0) (Get a 1)) (Get a 2)))"},
-		{"(List (/ (* (Get a 0) (Get a 1)) (Get a 1)))", "(List (Get a 0))"},
-		// Opaque atoms: sqrt of equal (normalized) args.
-		{"(List (sqrt (+ (Get a 0) 0)))", "(List (sqrt (Get a 0)))"},
-		{"(List (* 2 (sgn (Get a 0))))", "(List (+ (sgn (+ (Get a 0) 0)) (sgn (Get a 0))))"},
-		// Uninterpreted functions keyed by canonical args.
-		{"(List (func f (+ (Get a 0) (Get a 1))))", "(List (func f (+ (Get a 1) (Get a 0))))"},
-	}
-	for _, c := range cases {
+	for _, c := range identityCases {
 		mustEquivalent(t, c[0], c[1], 1)
 	}
 }
 
+// inequivalentCases are one-output program pairs that differ.
+var inequivalentCases = [][2]string{
+	{"(List (+ (Get a 0) (Get a 1)))", "(List (- (Get a 0) (Get a 1)))"},
+	{"(List (Get a 0))", "(List (Get a 1))"},
+	{"(List (* (Get a 0) 2))", "(List (+ (Get a 0) 2))"},
+	{"(List (sqrt (Get a 0)))", "(List (sqrt (Get a 1)))"},
+	{"(List (func f (Get a 0)))", "(List (func g (Get a 0)))"},
+	// sqrt(x)² is NOT x to the uninterpreted checker (sound refusal).
+	{"(List (* (sqrt (Get a 0)) (sqrt (Get a 0))))", "(List (Get a 0))"},
+}
+
 func TestInequivalentDetected(t *testing.T) {
-	cases := [][2]string{
-		{"(List (+ (Get a 0) (Get a 1)))", "(List (- (Get a 0) (Get a 1)))"},
-		{"(List (Get a 0))", "(List (Get a 1))"},
-		{"(List (* (Get a 0) 2))", "(List (+ (Get a 0) 2))"},
-		{"(List (sqrt (Get a 0)))", "(List (sqrt (Get a 1)))"},
-		{"(List (func f (Get a 0)))", "(List (func g (Get a 0)))"},
-		// sqrt(x)² is NOT x to the uninterpreted checker (sound refusal).
-		{"(List (* (sqrt (Get a 0)) (sqrt (Get a 0))))", "(List (Get a 0))"},
-	}
-	for _, c := range cases {
+	for _, c := range inequivalentCases {
 		mustDiffer(t, c[0], c[1], 1)
 	}
 }
@@ -97,37 +97,36 @@ func TestEquivalentWholeKernels(t *testing.T) {
 	}
 }
 
-func TestCheckFallsBackToRandomized(t *testing.T) {
-	// Randomized path, exercised directly.
-	l := kernels.QProd()
-	if err := Randomized(l, l.Spec, 8, 3); err != nil {
-		t.Fatal(err)
-	}
-	// A wrong program fails randomized testing.
-	wrong := l.Spec.Clone()
-	wrong.Args[0] = expr.Lit(42)
-	if err := Randomized(l, wrong, 8, 3); err == nil {
-		t.Fatal("randomized testing accepted a wrong program")
-	}
-}
-
 func TestLanesArity(t *testing.T) {
-	ls, err := Lanes(expr.MustParse("(Concat (Vec 1 2 3 4) (VecAdd (Vec 1 2 3 4) (Vec 5 6 7 8)))"))
+	ls, err := flattenLanes(expr.MustParse("(Concat (Vec 1 2 3 4) (VecAdd (Vec 1 2 3 4) (Vec 5 6 7 8)))"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ls) != 8 {
 		t.Fatalf("got %d lanes, want 8", len(ls))
 	}
-	if _, err := Lanes(expr.MustParse("(VecAdd (Vec 1 2) (Vec 1 2 3))")); err == nil {
+	if _, err := flattenLanes(expr.MustParse("(VecAdd (Vec 1 2) (Vec 1 2 3))")); err == nil {
 		t.Fatal("lane mismatch not caught")
+	}
+	// The modular path counts lanes the same way and rejects the mismatch.
+	mustEquivalent(t, "(List 1 2 3 4 6 8 10 12)",
+		"(Concat (Vec 1 2 3 4) (VecAdd (Vec 1 2 3 4) (Vec 5 6 7 8)))", 8)
+	for _, bad := range []string{
+		"(VecAdd (Vec 1 2) (Vec 1 2 3))",
+		"(VecMAC (Vec 1 2) (Vec 1 2) (Vec 1))",
+		"(VecFunc f (Vec 1 2) (Vec 1 2 3))",
+	} {
+		if err := Equivalent(expr.MustParse("(List 1 2)"), expr.MustParse(bad), 2); err == nil || !strings.Contains(err.Error(), "lane mismatch") {
+			t.Errorf("%s: got %v, want a lane mismatch", bad, err)
+		}
 	}
 }
 
-func TestExactDecidesRandomRewrites(t *testing.T) {
-	// Random sum-of-products expressions compared against themselves with
-	// shuffled association must validate exactly.
+// randomRewrites returns random sum-of-products expressions, each paired
+// with itself re-associated right-nested in reverse order.
+func randomRewrites() [][2]*expr.Expr {
 	r := rand.New(rand.NewSource(9))
+	var out [][2]*expr.Expr
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + r.Intn(5)
 		terms := make([]*expr.Expr, n)
@@ -143,8 +142,16 @@ func TestExactDecidesRandomRewrites(t *testing.T) {
 		for i := n - 2; i >= 0; i-- {
 			right = expr.Add(terms[i], right)
 		}
-		if err := Equivalent(expr.List(left), expr.List(right), 1); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+		out = append(out, [2]*expr.Expr{expr.List(left), expr.List(right)})
+	}
+	return out
+}
+
+func TestExactDecidesRandomRewrites(t *testing.T) {
+	// Re-associated sums of products must validate.
+	for i, rw := range randomRewrites() {
+		if err := Equivalent(rw[0], rw[1], 1); err != nil {
+			t.Fatalf("trial %d: %v", i, err)
 		}
 	}
 }
@@ -156,14 +163,10 @@ func TestLitRationalExactness(t *testing.T) {
 	mustEquivalent(t, "(List (/ 1 3))", "(List (/ 2 6))", 1)
 }
 
-// TestInconclusiveFallsBackToRandomized constructs a kernel whose exact
-// normal form exceeds the polynomial budget — the product of 18 distinct
-// binomials has 2^18 monomials — and checks that the exact checker reports
-// ErrInconclusive while Check succeeds via the randomized fallback.
-func TestInconclusiveFallsBackToRandomized(t *testing.T) {
-	if testing.Short() {
-		t.Skip("expands a 2^18-monomial polynomial")
-	}
+// TestModularDecidesHugeProduct checks a kernel whose exact normal form
+// outgrows the oracle — the product of 18 distinct binomials has 2^18
+// monomials — through Check: it validates, and a +1 mutant is rejected.
+func TestModularDecidesHugeProduct(t *testing.T) {
 	prod := func() *expr.Expr {
 		e := expr.Add(expr.Get("a", 0), expr.Get("b", 0))
 		for i := 1; i < 18; i++ {
@@ -171,24 +174,21 @@ func TestInconclusiveFallsBackToRandomized(t *testing.T) {
 		}
 		return e
 	}
-	spec := expr.List(prod())
-	same := expr.List(prod())
-	err := Equivalent(spec, same, 1)
-	if !errors.Is(err, ErrInconclusive) {
-		t.Fatalf("expected inconclusive, got %v", err)
-	}
-	l := &kernel.Lifted{Name: "big", Spec: spec}
+	l := &kernel.Lifted{Name: "big", Spec: expr.List(prod())}
 	l.Inputs = []kernel.ArrayDecl{
 		{Name: "a", Rows: 18, Cols: 1},
 		{Name: "b", Rows: 18, Cols: 1},
 	}
 	l.Outputs = []kernel.ArrayDecl{{Name: "o", Rows: 1, Cols: 1}}
-	if err := Check(l, same); err != nil {
-		t.Fatalf("Check fallback failed: %v", err)
+	c := NewChecker(l)
+	bound, err := c.CheckBound(expr.List(prod()))
+	if err != nil {
+		t.Fatalf("Check: %v", err)
 	}
-	// A wrong program is still caught by the fallback.
-	wrong := expr.List(expr.Add(prod(), expr.Lit(1)))
-	if err := Check(l, wrong); err == nil {
-		t.Fatal("fallback accepted a wrong program")
+	if want := 18.0 / p; bound != want {
+		t.Errorf("bound %g, want the product's degree over p, %g", bound, want)
+	}
+	if err := c.Check(expr.List(expr.Add(prod(), expr.Lit(1)))); err == nil {
+		t.Fatal("a +1 mutant validated")
 	}
 }

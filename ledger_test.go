@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -39,7 +38,7 @@ var ledgerTargetSets = [][]string{
 // sources at every ledger target set and diffs one line per (kernel,
 // target set, target) against testdata/artifacts.golden: hashes of the C
 // and the assembly, cost, simulated cycles, the saturation outcome, peak
-// e-graph bytes, the exact validation verdict, and a hash of the
+// e-graph bytes, the validation verdict, and a hash of the
 // iteration gauges with every wall-time field zeroed. A change that moves
 // any artifact moves a line; the failure names each moved line's changed
 // columns with old → new values. Regenerate with go test -run
@@ -223,18 +222,13 @@ func ledgerInputs(l *kernel.Lifted) map[string][]float64 {
 	return inputs
 }
 
-// verdict is exact translation validation's answer for one target:
-// "exact" when proven, "inconclusive" when the exact path gives up.
+// verdict is translation validation's answer for one target: "valid" or
+// "failed".
 func verdict(l *kernel.Lifted, tr diospyros.TargetResult) string {
-	err := validate.Equivalent(l.Spec, tr.Optimized, l.OutputLen())
-	switch {
-	case err == nil:
-		return "exact"
-	case errors.Is(err, validate.ErrInconclusive):
-		return "inconclusive"
-	default:
+	if validate.Equivalent(l.Spec, tr.Optimized, l.OutputLen()) != nil {
 		return "failed"
 	}
+	return "valid"
 }
 
 // untimedJSON is the JSON of the trace's iteration gauges with every

@@ -295,15 +295,16 @@ func deterministicInputs(l *kernel.Lifted, seed int64) map[string][]float64 {
 
 // stageValidate runs translation validation (§3.4) on every target's
 // extracted program against the lifted specification, which one validator
-// normalizes once for all targets.
+// evaluates once per point for all targets.
 func stageValidate(_ context.Context, st *compileState) error {
-	check := validate.NewChecker(st.lifted).Check
+	c := validate.NewChecker(st.lifted)
 	for i, t := range st.targets {
 		tr := &st.perTarget[i]
-		if err := check(tr.Optimized); err != nil {
+		bound, err := c.CheckBound(tr.Optimized)
+		if err != nil {
 			return fmt.Errorf("translation validation failed for %s: %w", t, err)
 		}
-		tr.Validated = true
+		tr.Validated, tr.ValidationBound = true, bound
 	}
 	return nil
 }
