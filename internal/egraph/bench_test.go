@@ -48,8 +48,7 @@ func BenchmarkSaturationThroughput(b *testing.B) {
 
 // BenchmarkSaturate measures one full saturation run of the explosive
 // workload — the end-to-end number the §14 data-layout work (interned
-// symbols, binary hashcons, semi-naive dispatch) moves. allocs/op here is
-// dominated by hashcons probes. The match pool follows GOMAXPROCS, so
+// symbols, node-ID hashcons, semi-naive dispatch) moves. The match pool follows GOMAXPROCS, so
 // -cpu 1,2 yields a serial row and a two-worker row.
 func BenchmarkSaturate(b *testing.B) {
 	e, rules := saturationWorkload(12)
@@ -139,10 +138,11 @@ func BenchmarkAdd(b *testing.B) {
 // addSink keeps BenchmarkAdd's graphs live, so its work is not elided.
 var addSink *EGraph
 
-// BenchmarkMatchHashconsHit measures the hashcons probe fast path: Lookup
-// of an existing binary-arity node. The §14 binary key makes this
-// allocation-free; a regression to per-probe allocation shows up directly
-// in allocs/op.
+// BenchmarkMatchHashconsHit measures the hashcons probe: Lookup of an
+// existing binary-arity node. The probe hashes and compares the node's
+// contents in place, allocation-free at every arity
+// (TestLookupAllocationFreeAtEveryArity covers the wide ones); a
+// regression to per-probe allocation shows up directly in allocs/op.
 func BenchmarkMatchHashconsHit(b *testing.B) {
 	g := New()
 	e, _ := saturationWorkload(12)

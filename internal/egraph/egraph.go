@@ -11,10 +11,9 @@
 //
 // Data layout (DESIGN.md §14): symbol payloads are interned per graph
 // (SymbolTable, symbols.go) so nodes carry a 32-bit SymID instead of a
-// string; the hashcons is keyed by a fixed-size binary key (memoKey,
-// key.go) instead of a heap-allocated string; each node is stored once,
-// in a node table whose children live in an append-only arena, and class
-// lists and parent entries name it by NodeID (§14.6); and both halves of an
+// string; each node is stored once, in a node table whose children live
+// in an append-only arena, and class lists, parent entries, provenance and
+// the hashcons (hashcons.go) name it by NodeID (§14.6); and both halves of an
 // iteration are incremental (index.go): the graph logs every class whose
 // node list changes, Rebuild canonicalizes only the logged classes, and
 // the match phase re-searches only the classes whose read neighbourhood
@@ -24,6 +23,7 @@ package egraph
 
 import (
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"strconv"
 
@@ -91,8 +91,9 @@ type EGraph struct {
 	// a union loser's slot is nil. numClasses counts the non-nil slots.
 	classes    []*EClass
 	numClasses int
-	memo       map[memoKey]ClassID
 	dirty      []ClassID // classes touched by unions, pending Rebuild
+	memo       hashcons  // the hashcons, hashed with seed (hashcons.go)
+	seed       maphash.Seed
 
 	// The node store (DESIGN.md §14.6). nodes is the node table in pages
 	// of nodePage entries: node i is nodes[i/nodePage][i%nodePage], and
@@ -121,20 +122,15 @@ type EGraph struct {
 	// by the current pass (a repair round, the canonicalization walk, or
 	// the match phase's dirty walk) exactly when its stamp equals
 	// stampGen, so no pass has to clear stamp (newPass). dirtySpare is the
-	// repair rounds' second worklist buffer; seen holds the keys of the
-	// class canonicalizeClasses is deduplicating, scanned linearly.
+	// repair rounds' second worklist buffer; seen is the table repair and
+	// canonicalizeClasses dedupe nodes with.
 	stampGen   uint32
 	stamp      []uint32
 	dirtySpare []ClassID
-	seen       []memoKey
+	seen       hashcons
 
 	// syms interns every symbol payload the graph has seen (symbols.go).
 	syms SymbolTable
-
-	// keyBuf backs the overflow bytes of wide-node keys. makeKey copies
-	// out of it (string conversion copies), so a single buffer per graph is
-	// safe to reuse across every key build.
-	keyBuf []byte
 
 	// prov, when non-nil, records rewrite provenance (see provenance.go).
 	prov *provenance
@@ -147,17 +143,17 @@ type EGraph struct {
 
 	// Footprint counters (see footprint.go). Maintained incrementally at
 	// the same mutation sites as nodeCount so Footprint()/FootprintBytes()
-	// stay O(1): memoRestBytes sums the overflow bytes of wide hashcons
-	// keys, parentCount counts parent back-reference entries across all
-	// classes. Symbol-string bytes are owned by the SymbolTable and
+	// stay O(1): parentCount counts parent back-reference entries across
+	// all classes. Symbol-string bytes are owned by the SymbolTable and
 	// accounted there.
-	memoRestBytes int64
-	parentCount   int
+	parentCount int
 }
 
 // New returns an empty e-graph.
 func New() *EGraph {
-	return &EGraph{memo: make(map[memoKey]ClassID)}
+	g := &EGraph{seed: maphash.MakeSeed()}
+	g.memo.reset(0)
+	return g
 }
 
 // NumClasses returns the number of canonical equivalence classes.
@@ -239,13 +235,20 @@ func (g *EGraph) CanonicalClasses() []*EClass {
 func (g *EGraph) Node(id NodeID) ENode { return g.nodes[id/nodePage][id%nodePage] }
 
 // canonicalize rewrites the stored node's children to canonical class IDs
-// in place and reports whether any child changed.
+// in place and reports whether any child changed. Before the first change
+// it empties the hashcons slot of the node's stored contents (its own or
+// a congruent twin's: either goes stale).
 func (g *EGraph) canonicalize(id NodeID) bool {
-	args := g.nodes[id/nodePage][id%nodePage].Args
+	n := g.Node(id)
 	moved := false
-	for i, a := range args {
+	for i, a := range n.Args {
 		if r := g.Find(a); r != a {
-			args[i] = r
+			if !moved {
+				if at, ok := g.memo.find(g, n, false); ok {
+					g.memo.remove(g, at)
+				}
+			}
+			n.Args[i] = r
 			moved = true
 		}
 	}
@@ -292,14 +295,14 @@ func carve[T any](buf *[]T, n, size int) []T {
 }
 
 // Lookup reports the class containing the (canonicalized) node, if any.
-// The probe is allocation-free for nodes with at most four children:
-// lookupKey canonicalizes while packing, so n is never copied or mutated.
+// The probe canonicalizes n's children as it hashes and compares them: it
+// never copies or mutates n and allocates nothing at any arity.
 func (g *EGraph) Lookup(n ENode) (ClassID, bool) {
-	id, ok := g.memo[g.lookupKey(n)]
+	i, ok := g.memo.find(g, n, true)
 	if !ok {
 		return 0, false
 	}
-	return g.Find(id), true
+	return g.Find(g.memo.slots[i].class), true
 }
 
 // Add inserts a node, returning its class. If an equal node already exists,
@@ -309,9 +312,9 @@ func (g *EGraph) Lookup(n ENode) (ClassID, bool) {
 // The graph keeps its own copy of n's children: the caller may reuse
 // n.Args as soon as Add returns.
 func (g *EGraph) Add(n ENode) ClassID {
-	key := g.lookupKey(n)
-	if id, ok := g.memo[key]; ok {
-		return g.Find(id)
+	slot, ok := g.memo.find(g, n, true)
+	if ok {
+		return g.Find(g.memo.slots[slot].class)
 	}
 	ni := g.store(n)
 	id := ClassID(len(g.uf))
@@ -322,12 +325,11 @@ func (g *EGraph) Add(n ENode) ClassID {
 	cls.Nodes[0] = ni
 	g.classes = append(g.classes, cls)
 	g.numClasses++
-	g.memo[key] = id
+	g.memo.put(g, slot, false, parent{node: ni, class: id})
 	g.changed = append(g.changed, id)
 	g.nodeCount++
-	g.memoRestBytes += key.restBytes()
 	if g.prov != nil {
-		g.prov.recordNode(key)
+		g.prov.recordNode(ni)
 	}
 	// One parent entry per distinct child, in first-occurrence order; a
 	// node has at most a vector width of children, so a scan beats a set.
@@ -445,49 +447,38 @@ func (g *EGraph) newPass() ([]uint32, uint32) {
 	return g.stamp, g.stampGen
 }
 
-// repairEntry is one rebuilt parent and its re-canonicalized hashcons key.
-type repairEntry struct {
-	key memoKey
-	par parent
-}
-
+// repair re-canonicalizes the parents of a class a union merged, unions
+// those that became congruent, and points the hashcons at the ones kept.
 func (g *EGraph) repair(id ClassID) {
 	cls := g.classes[g.Find(id)]
 	oldParents := cls.parents
 	cls.parents = nil
 	g.parentCount -= len(oldParents)
-	newParents := make(map[memoKey]int, len(oldParents))
-	entries := make([]repairEntry, 0, len(oldParents))
+	// kept reuses oldParents' array: entry k is written after old entry k
+	// is read. In seen, a slot's class field is the entry's index in kept.
+	kept := oldParents[:0]
+	seen := &g.seen
+	seen.reset(len(oldParents))
 	for _, p := range oldParents {
-		// Remove the stale hashcons entry, re-canonicalize, re-insert.
-		// Duplicate parent entries map to the same key, so the byte counter
-		// only moves when the entry actually existed.
-		oldKey := g.makeKey(g.Node(p.node))
-		if _, ok := g.memo[oldKey]; ok {
-			g.memoRestBytes -= oldKey.restBytes()
-			delete(g.memo, oldKey)
-		}
-		if g.canonicalize(p.node) {
+		moved := g.canonicalize(p.node)
+		if moved {
 			// The entry names the node its class's list holds, so that
 			// list may just have changed.
 			g.changed = append(g.changed, g.Find(p.class))
 		}
-		key := g.makeKey(g.Node(p.node))
-		if g.prov != nil {
-			// Keep node justifications keyed by the current hashcons key.
-			g.prov.moveKey(oldKey, key)
-		}
-		if at, ok := newParents[key]; ok {
+		slot, ok := seen.find(g, g.Node(p.node), false)
+		if ok {
 			// Congruence: two parents became identical.
-			g.Union(entries[at].par.class, p.class)
-			entries[at].par = parent{node: p.node, class: g.Find(p.class)}
+			at := seen.slots[slot].class
+			g.Union(kept[at].class, p.class)
+			if g.prov != nil {
+				g.prov.merge(kept[at].node, p.node, moved)
+			}
+			kept[at] = parent{node: p.node, class: g.Find(p.class)}
 			continue
 		}
-		newParents[key] = len(entries)
-		entries = append(entries, repairEntry{
-			key: key,
-			par: parent{node: p.node, class: g.Find(p.class)},
-		})
+		seen.put(g, slot, false, parent{node: p.node, class: ClassID(len(kept))})
+		kept = append(kept, parent{node: p.node, class: g.Find(p.class)})
 	}
 	// The class may have been merged away by the unions above.
 	cls = g.classes[g.Find(id)]
@@ -495,16 +486,17 @@ func (g *EGraph) repair(id ClassID) {
 	// list. Parent order feeds congruence-union order, class node order and
 	// extraction tie-breaks, so it only has to be deterministic, which
 	// insertion order is (DESIGN.md §14.4).
-	for i := range entries {
-		e := &entries[i]
-		e.par.class = g.Find(e.par.class)
-		if _, ok := g.memo[e.key]; !ok {
-			g.memoRestBytes += e.key.restBytes()
-		}
-		g.memo[e.key] = e.par.class
-		cls.parents = append(cls.parents, e.par)
-		g.parentCount++
+	for i := range kept {
+		kept[i].class = g.Find(kept[i].class)
+		slot, ok := g.memo.find(g, g.Node(kept[i].node), false)
+		g.memo.put(g, slot, ok, kept[i])
 	}
+	if cls.parents == nil {
+		cls.parents = kept
+	} else {
+		cls.parents = append(cls.parents, kept...)
+	}
+	g.parentCount += len(kept)
 }
 
 // canonicalizeClasses canonicalizes the nodes of every class on the
@@ -515,7 +507,7 @@ func (g *EGraph) repair(id ClassID) {
 // key in that child's list, which repair re-canonicalizes and logs; a
 // node becomes a duplicate only through a union or a canonicalization,
 // both logged too. The visited classes are already on the log, so the
-// match phase still sees them.
+// match phase still sees them. Duplicates are found by content in seen.
 func (g *EGraph) canonicalizeClasses() {
 	stamp, gen := g.newPass()
 	for _, id := range g.changed {
@@ -531,25 +523,29 @@ func (g *EGraph) canonicalizeClasses() {
 		if len(cls.Nodes) < 2 {
 			continue
 		}
-		seen, out := g.seen[:0], cls.Nodes[:0]
+		g.seen.reset(len(cls.Nodes))
+		out := cls.Nodes[:0]
 		for _, n := range cls.Nodes {
-			if k := g.makeKey(g.Node(n)); !slices.Contains(seen, k) {
-				seen = append(seen, k)
+			if slot, ok := g.seen.find(g, g.Node(n), false); ok {
+				g.nodeCount--
+			} else {
+				g.seen.put(g, slot, false, parent{node: n})
 				out = append(out, n)
-				continue
 			}
-			g.nodeCount--
 		}
-		g.seen, cls.Nodes = seen, out
+		cls.Nodes = out
 	}
 }
 
 // CheckInvariants verifies hashcons and congruence invariants and the
-// rebuilt state, returning a list of violations: every class slot holds
-// its own canonical class, every node's children are canonical, no class
-// holds two nodes with the same key, NumClasses and NumNodes equal a
-// recount, and the Args arena counter equals the node table's children.
-// It is O(nodes) and intended for tests; call it after Rebuild.
+// rebuilt state, returning a list of violations: every hashcons slot is
+// reachable by probing from its node's home slot, no two slots hold equal
+// nodes, and the occupied slots number Footprint().Hashcons.Entries; every
+// class slot holds its own canonical class, every node's children are
+// canonical, each class list node finds its class in the hashcons, no
+// class holds two equal nodes, NumClasses and NumNodes equal a recount,
+// and the Args arena counter equals the node table's children. It is
+// O(nodes) and intended for tests; call it after Rebuild.
 func (g *EGraph) CheckInvariants() []string {
 	var bad []string
 	nodes, payload := 0, int64(0)
@@ -559,6 +555,22 @@ func (g *EGraph) CheckInvariants() []string {
 			payload += int64(len(n.Args))
 		}
 	}
+	occupied := 0
+	for i, s := range g.memo.slots {
+		if s.node != freeSlot {
+			occupied++
+			// A probe stops early at an equal node, or at a free slot if
+			// slot i is unreachable from its node's home.
+			if at, found := g.memo.find(g, g.Node(s.node), false); at != i {
+				bad = append(bad, fmt.Sprintf("hashcons slot %d: probe ends at slot %d (equal node: %v)", i, at, found))
+			}
+		}
+	}
+	if occupied != g.Footprint().Hashcons.Entries {
+		bad = append(bad, fmt.Sprintf("hashcons holds %d nodes, footprint counts %d", occupied, g.Footprint().Hashcons.Entries))
+	}
+	// owner[i] is 1 + the class whose list named slot i's contents last.
+	owner := make([]ClassID, len(g.memo.slots))
 	for id, cls := range g.classes {
 		if cls == nil {
 			continue
@@ -567,7 +579,6 @@ func (g *EGraph) CheckInvariants() []string {
 		if cls.ID != ClassID(id) || g.Find(cls.ID) != cls.ID {
 			bad = append(bad, fmt.Sprintf("slot %d holds class %d, not a canonical class", id, cls.ID))
 		}
-		keys := make(map[memoKey]bool, len(cls.Nodes))
 		for _, ni := range cls.Nodes {
 			n := g.Node(ni)
 			nodes++
@@ -577,17 +588,16 @@ func (g *EGraph) CheckInvariants() []string {
 					break
 				}
 			}
-			key := g.lookupKey(n)
-			if keys[key] {
-				bad = append(bad, "duplicate node in class: "+g.nodeString(n))
-			}
-			keys[key] = true
-			id, ok := g.memo[key]
+			at, ok := g.memo.find(g, n, true)
 			if !ok {
 				bad = append(bad, "node missing from hashcons: "+g.nodeString(n))
 				continue
 			}
-			if g.Find(id) != cls.ID {
+			if owner[at] == cls.ID+1 {
+				bad = append(bad, "duplicate node in class: "+g.nodeString(n))
+			}
+			owner[at] = cls.ID + 1
+			if g.Find(g.memo.slots[at].class) != cls.ID {
 				bad = append(bad, "hashcons maps node to wrong class: "+g.nodeString(n))
 			}
 		}

@@ -41,6 +41,33 @@ func TestLookup(t *testing.T) {
 	}
 }
 
+// TestLookupAllocationFreeAtEveryArity probes List nodes of 0 to 40
+// children, past the hash's one-buffer width, through stale child IDs: a
+// hit allocates nothing at any arity.
+func TestLookupAllocationFreeAtEveryArity(t *testing.T) {
+	g := New()
+	a, b := g.AddExpr(expr.Sym("a")), g.AddExpr(expr.Sym("b"))
+	g.Union(a, b)
+	g.Rebuild()
+	for arity := 0; arity <= 40; arity++ {
+		n := ENode{Op: expr.OpList, Args: make([]ClassID, arity)}
+		for i := range n.Args {
+			n.Args[i] = a
+		}
+		id := g.Add(n)
+		for i := range n.Args {
+			n.Args[i] = b
+		}
+		if allocs := testing.AllocsPerRun(10, func() {
+			if got, ok := g.Lookup(n); !ok || got != id {
+				t.Fatalf("List/%d: Lookup = %d, %v; want %d, true", arity, got, ok, id)
+			}
+		}); allocs != 0 {
+			t.Fatalf("List/%d: Lookup allocates %.0f times", arity, allocs)
+		}
+	}
+}
+
 func TestUnionFind(t *testing.T) {
 	g := New()
 	x := g.AddExpr(expr.Sym("x"))

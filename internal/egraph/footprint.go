@@ -2,45 +2,29 @@ package egraph
 
 import "unsafe"
 
-// Footprint accounting. The e-graph keeps three incremental counters —
-// Args arena slots, hashcons overflow-key bytes, and the parent-list
-// entry count — updated at the same mutation sites that already maintain
-// nodeCount, so Footprint() is O(1) arithmetic over them plus container
-// lengths (the symbol table maintains its own string-byte counter the same
-// way). The resulting "logical bytes" are the bytes the e-graph's own data
-// structures account for: struct sizes come from the compiler
-// (unsafe.Sizeof constants), variable-length payloads (child ID slices,
-// interned symbol strings, wide-key overflow bytes) from their lengths. Go
-// map bucket overhead and allocator slack are deliberately excluded:
-// logical bytes are a deterministic lower bound that is bit-identical
-// across runs and worker counts — the property that lets the bench suite
-// gate on them — while allocator truth comes from the telemetry heap
-// sampler and pprof profiles.
+// Footprint accounting (DESIGN.md §13.1). The e-graph keeps two
+// incremental counters, Args arena slots and parent-list entries, updated
+// where nodeCount is, so Footprint() is O(1) arithmetic over them and
+// container lengths (the symbol table keeps its own string-byte counter).
+// The result is logical bytes: struct sizes from the compiler
+// (unsafe.Sizeof constants), variable payloads from their lengths. Map
+// buckets, hash-table free slots, and chunk and allocator slack are
+// excluded, so logical bytes are a deterministic lower bound, identical
+// across runs and worker counts; allocator truth comes from the compile
+// recorder's memory probe and pprof profiles. Per component:
 //
-// §14 layout amendments to the §13 accounting rules:
-//
-//   - A hashcons entry is memoKeySize + classIDSize (the fixed-size binary
-//     key struct plus the value), with wide-node overflow bytes (children
-//     beyond the four inline slots) summed separately in memoRestBytes.
-//     String-keyed accounting (strHeaderSize + key contents) is gone with
-//     the string keys themselves.
-//   - Node payloads no longer include symbol bytes: a node stores a 4-byte
-//     SymID inline in the struct. Each symbol's string contents are counted
-//     once, in the new Symbols component, however many nodes share it.
-//   - Provenance entries are keyed by the binary key too: memoKeySize +
-//     justSize each. Overflow bytes of a provenance key alias the hashcons
-//     entry's and are attributed once, to the hashcons.
-//   - The class table is a slice indexed by ClassID (DESIGN.md §14.5): one
-//     pointer slot per issued ID, including the nil slots union losers
-//     leave, plus one EClass struct per live class. There is no map key.
-//   - The flat node store (DESIGN.md §14.6): each e-node is one ENode in
-//     the node table, counted once however many lists name it, and stays
-//     there when Rebuild drops it from its class's list as a duplicate.
-//     Its children are Args arena slots, 4 bytes each. A class list entry
-//     is a 4-byte NodeID, and a parent entry is a NodeID and a ClassID
-//     (8 bytes), where it used to be a full ENode copy. Chunk slack in the
-//     arena, the node pages and the class slabs is allocator slack and
-//     is not counted.
+//   - nodes: one ENode per node-table entry (it stays when Rebuild drops
+//     the node from its class list), one ClassID per Args arena slot, and
+//     one NodeID per class-list entry. Symbols are inline SymIDs.
+//   - hashcons: one {NodeID, ClassID} slot (parentSize) per entry, at
+//     every arity (DESIGN.md §14.2).
+//   - symbols: each interned string's contents once, plus its slice and
+//     map entries.
+//   - classes: one pointer per issued ClassID, the nil slots of union
+//     losers included, plus one EClass per live class.
+//   - parents: parentSize per back-reference.
+//   - provenance: nodeIDSize + justSize per justified node, unionStepSize
+//     per union step.
 const (
 	enodeSize     = int64(unsafe.Sizeof(ENode{}))
 	nodeIDSize    = int64(unsafe.Sizeof(NodeID(0)))
@@ -51,7 +35,6 @@ const (
 	rankSize      = int64(unsafe.Sizeof(uint8(0)))
 	strHeaderSize = int64(unsafe.Sizeof(""))
 	symIDSize     = int64(unsafe.Sizeof(SymID(0)))
-	memoKeySize   = int64(unsafe.Sizeof(memoKey{}))
 	justSize      = int64(unsafe.Sizeof(Justification{}))
 	unionStepSize = int64(unsafe.Sizeof(UnionStep{}))
 )
@@ -64,7 +47,7 @@ type FootprintComponent struct {
 }
 
 // Footprint is a per-component breakdown of the e-graph's logical memory:
-// e-node structs and payloads, the hashcons (binary keys plus map entries),
+// e-node structs and payloads, the hashcons (occupied node-ID slots),
 // the symbol intern table, the union-find arrays, the per-class containers,
 // parent back-references, and the provenance store. Total is the sum of all
 // component bytes.
@@ -99,8 +82,8 @@ func (g *EGraph) Footprint() Footprint {
 			int64(g.nodeCount)*nodeIDSize,
 	}
 	fp.Hashcons = FootprintComponent{
-		Entries: len(g.memo),
-		Bytes:   int64(len(g.memo))*(memoKeySize+classIDSize) + g.memoRestBytes,
+		Entries: g.memo.count,
+		Bytes:   int64(g.memo.count) * parentSize,
 	}
 	fp.Symbols = FootprintComponent{
 		Entries: g.syms.Len(),
@@ -124,10 +107,7 @@ func (g *EGraph) Footprint() Footprint {
 		nodes, unions := len(g.prov.nodes), len(g.prov.unions)
 		fp.Provenance = FootprintComponent{
 			Entries: nodes + unions,
-			// Justification keys are binary hashcons keys; overflow bytes
-			// alias the hashcons entry's and are attributed once, to the
-			// hashcons, so only the fixed-size key and value count here.
-			Bytes: int64(nodes)*(memoKeySize+justSize) + int64(unions)*unionStepSize,
+			Bytes:   int64(nodes)*(nodeIDSize+justSize) + int64(unions)*unionStepSize,
 		}
 	}
 	fp.Total = fp.Nodes.Bytes + fp.Hashcons.Bytes + fp.Symbols.Bytes +

@@ -9,7 +9,7 @@ import (
 // recountFootprint recomputes the incremental footprint counters from
 // scratch by walking the graph — the ground truth the O(1) counters must
 // agree with after any sequence of adds, unions, and rebuilds.
-func recountFootprint(g *EGraph) (argCount int64, restBytes int64, symBytes int64, parentCount int) {
+func recountFootprint(g *EGraph) (argCount int64, symBytes int64, parentCount int) {
 	for _, page := range g.nodes {
 		for _, n := range page {
 			argCount += int64(len(n.Args))
@@ -17,9 +17,6 @@ func recountFootprint(g *EGraph) (argCount int64, restBytes int64, symBytes int6
 	}
 	for _, cls := range g.CanonicalClasses() {
 		parentCount += len(cls.parents)
-	}
-	for k := range g.memo {
-		restBytes += k.restBytes()
 	}
 	for _, name := range g.syms.names {
 		symBytes += int64(len(name))
@@ -29,12 +26,9 @@ func recountFootprint(g *EGraph) (argCount int64, restBytes int64, symBytes int6
 
 func checkFootprintConsistent(t *testing.T, g *EGraph, when string) {
 	t.Helper()
-	args, rest, symBytes, parents := recountFootprint(g)
+	args, symBytes, parents := recountFootprint(g)
 	if g.argCount != args {
 		t.Errorf("%s: argCount = %d, recount = %d", when, g.argCount, args)
-	}
-	if g.memoRestBytes != rest {
-		t.Errorf("%s: memoRestBytes = %d, recount = %d", when, g.memoRestBytes, rest)
 	}
 	if g.syms.nameBytes != symBytes {
 		t.Errorf("%s: symbol nameBytes = %d, recount = %d", when, g.syms.nameBytes, symBytes)

@@ -9,11 +9,13 @@ import (
 	"diospyros/internal/expr"
 )
 
-// The §14 binary hashcons is only sound if memoKey equality coincides
-// exactly with the legacy string-key equality the e-graph was built on:
-// a missed collision would stop deduplicating congruent nodes, and a new
-// collision would merge distinct nodes. These tests drive both directions
-// against appendLegacyKey, the pre-§14 encoder retained as the oracle.
+// The hashcons (hashcons.go) is only sound if its node equality coincides
+// exactly with the legacy string-key equality the e-graph was built on: a
+// missed equality would stop deduplicating congruent nodes, and a new one
+// would merge distinct nodes. Equal nodes must also hash alike, or a probe
+// starts its search at the wrong slot. These tests drive all three
+// properties against appendLegacyKey, the pre-§14 encoder retained as the
+// oracle.
 
 // keyGen builds shape-valid random e-nodes over a small universe of
 // symbols, literals, and child IDs — small on purpose, so collisions
@@ -51,8 +53,7 @@ func (kg *keyGen) node() ENode {
 		if op == expr.OpFunc || op == expr.OpVecFunc {
 			n.Sym = kg.syms[kg.r.Intn(len(kg.syms))]
 		}
-		// 0..6 children spans the inline fast path (≤ restArity) and the
-		// overflow-string slow path.
+		// 0..6 children spans the leaf, binary and Vec arities.
 		for i, k := 0, kg.r.Intn(7); i < k; i++ {
 			n.Args = append(n.Args, ClassID(kg.r.Intn(4)))
 		}
@@ -60,70 +61,142 @@ func (kg *keyGen) node() ENode {
 	return n
 }
 
-// TestMemoKeyMatchesLegacyOracle draws many random node pairs and checks
-// key equality is exactly legacy-encoding equality, in both directions.
+// checkAgainstLegacy asserts the three properties for one node pair:
+// equal legacy keys imply sameNode, sameNode implies equal legacy keys,
+// and sameNode implies equal hashes.
+func checkAgainstLegacy(t *testing.T, g *EGraph, a, b ENode) {
+	t.Helper()
+	legacy := string(g.appendLegacyKey(nil, a)) == string(g.appendLegacyKey(nil, b))
+	same := g.sameNode(a, false, b)
+	if same != legacy {
+		t.Fatalf("equality diverges from the legacy key:\n%v vs %v\nsameNode=%v legacy equal=%v",
+			a, b, same, legacy)
+	}
+	if same && g.hashNode(a, false) != g.hashNode(b, false) {
+		t.Fatalf("equal nodes hash apart:\n%v vs %v", a, b)
+	}
+}
+
+// TestMemoKeyMatchesLegacyOracle draws many random nodes and checks each
+// against the recent draws and against the first draw of its legacy key,
+// so every legacy-equal pair the draw produces is compared.
 func TestMemoKeyMatchesLegacyOracle(t *testing.T) {
 	kg := newKeyGen(1)
 	g := kg.g
-	byKey := map[memoKey]string{}
-	byLegacy := map[string]memoKey{}
+	first := map[string]ENode{}
+	var recent []ENode
+	equal := 0
 	for i := 0; i < 50000; i++ {
 		n := kg.node()
-		k := g.makeKey(n)
 		legacy := string(g.appendLegacyKey(nil, n))
-		if prev, ok := byKey[k]; ok && prev != legacy {
-			t.Fatalf("binary keys collide for distinct nodes:\nnode %v\nlegacy %q vs %q",
-				n, legacy, prev)
+		if prev, ok := first[legacy]; ok {
+			checkAgainstLegacy(t, g, n, prev)
+			equal++
+		} else {
+			first[legacy] = n
 		}
-		byKey[k] = legacy
-		if prev, ok := byLegacy[legacy]; ok && prev != k {
-			t.Fatalf("legacy-equal nodes got distinct binary keys:\nnode %v\nkeys %+v vs %+v",
-				n, k, prev)
+		for _, m := range recent {
+			checkAgainstLegacy(t, g, n, m)
 		}
-		byLegacy[legacy] = k
+		if recent = append(recent, n); len(recent) > 32 {
+			recent = recent[1:]
+		}
 	}
-	if len(byKey) != len(byLegacy) {
-		t.Fatalf("key spaces diverged: %d binary vs %d legacy", len(byKey), len(byLegacy))
+	if equal == 0 {
+		t.Fatal("no two draws were equal: the oracle was never exercised")
 	}
 }
 
 // TestMemoKeyZeroChildAmbiguity pins the arity disambiguation: ClassID 0
-// is a valid child, so an n-ary node of all-zero children must not collide
-// with the (n-1)-ary one (zero padding alone could not tell them apart).
+// is a valid child, so an n-ary node of all-zero children must not equal
+// the (n-1)-ary one.
 func TestMemoKeyZeroChildAmbiguity(t *testing.T) {
 	g := New()
 	for arity := 0; arity <= 6; arity++ {
 		a := ENode{Op: expr.OpVec, Args: make([]ClassID, arity)}
 		b := ENode{Op: expr.OpVec, Args: make([]ClassID, arity+1)}
-		if g.makeKey(a) == g.makeKey(b) {
-			t.Fatalf("all-zero Vec/%d and Vec/%d share a key", arity, arity+1)
+		if g.sameNode(a, false, b) {
+			t.Fatalf("all-zero Vec/%d and Vec/%d compare equal", arity, arity+1)
+		}
+		checkAgainstLegacy(t, g, a, b)
+	}
+}
+
+// TestHashconsRemoveFromCollisionRun deletes each entry of a table whose
+// entries share home slots, one deletion per fresh table, and checks the
+// backward shift leaves every other entry reachable from its home and the
+// deleted one gone.
+func TestHashconsRemoveFromCollisionRun(t *testing.T) {
+	g := New()
+	var ids []NodeID
+	for i := 0; i < 512; i++ {
+		g.AddLit(float64(i))
+		ids = append(ids, NodeID(i))
+	}
+	// 512 literals over 16 home slots give every home many nodes. Insert
+	// one node of home 1 (it lands at its home, slot 1), three of home 0
+	// (slots 0, 2, 3) and one of home 2 (slot 4): one run in which a node
+	// sits at its own home, which no deletion may shift before it.
+	const size = 16
+	byHome := map[int][]NodeID{}
+	for _, id := range ids {
+		h := int(g.hashNode(g.Node(id), false)) & (size - 1)
+		byHome[h] = append(byHome[h], id)
+	}
+	if len(byHome[0]) < 3 || len(byHome[1]) < 1 || len(byHome[2]) < 1 {
+		t.Fatalf("setup: homes 0, 1, 2 hold %d, %d, %d nodes", len(byHome[0]), len(byHome[1]), len(byHome[2]))
+	}
+	pick := []NodeID{byHome[1][0], byHome[0][0], byHome[0][1], byHome[0][2], byHome[2][0]}
+	build := func() *hashcons {
+		var h hashcons
+		h.reset(size / 2)
+		for _, id := range pick {
+			i, ok := h.find(g, g.Node(id), false)
+			if ok {
+				t.Fatalf("setup: node %d already present", id)
+			}
+			h.put(g, i, false, parent{node: id, class: ClassID(id)})
+		}
+		for i, id := range []NodeID{pick[1], pick[0], pick[2], pick[3], pick[4]} {
+			if h.slots[i].node != id {
+				t.Fatalf("setup: slot %d holds node %d, want %d", i, h.slots[i].node, id)
+			}
+		}
+		return &h
+	}
+	for _, gone := range pick {
+		h := build()
+		i, ok := h.find(g, g.Node(gone), false)
+		if !ok {
+			t.Fatalf("node %d missing before its removal", gone)
+		}
+		h.remove(g, i)
+		if _, ok := h.find(g, g.Node(gone), false); ok {
+			t.Fatalf("node %d still found after its removal", gone)
+		}
+		if h.count != len(pick)-1 {
+			t.Fatalf("count %d after one removal from %d", h.count, len(pick))
+		}
+		for _, id := range pick {
+			if id == gone {
+				continue
+			}
+			i, ok := h.find(g, g.Node(id), false)
+			if !ok || h.slots[i] != (parent{node: id, class: ClassID(id)}) {
+				t.Fatalf("removing node %d lost node %d", gone, id)
+			}
 		}
 	}
 }
 
-// TestMemoKeyOverflowBufferReuse checks that keys built through the shared
-// keyBuf stay valid after the buffer is reused for a different wide node —
-// the bug class the string(b) copy in makeKey exists to prevent.
-func TestMemoKeyOverflowBufferReuse(t *testing.T) {
-	g := New()
-	wide1 := ENode{Op: expr.OpVec, Args: []ClassID{1, 2, 3, 4, 5, 6}}
-	wide2 := ENode{Op: expr.OpVec, Args: []ClassID{1, 2, 3, 4, 9, 8}}
-	k1 := g.makeKey(wide1)
-	k2 := g.makeKey(wide2)
-	if k1 == k2 {
-		t.Fatal("distinct wide nodes share a key")
-	}
-	if again := g.makeKey(wide1); again != k1 {
-		t.Fatalf("key changed after buffer reuse: %+v vs %+v", again, k1)
-	}
-}
-
-// FuzzMemoKeyEquivalence fuzzes the same equivalence with
+// FuzzMemoKeyEquivalence fuzzes the same three properties with
 // coverage-guided node shapes: the fuzzer chooses ops, payload indices,
 // and children from its byte stream.
 func FuzzMemoKeyEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, []byte{7, 6, 5, 4, 3, 2, 1, 0})
 	f.Add([]byte{13, 13, 0, 0, 0, 0, 0, 0}, []byte{13, 13, 0, 0, 0, 0, 0})
+	vec := byte(expr.OpVec)
+	f.Add([]byte{vec, 0, 0, 0, 0}, []byte{vec, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, ba, bb []byte) {
 		g := New()
 		names := []string{"", "a", "b", "fn"}
@@ -163,14 +236,7 @@ func FuzzMemoKeyEquivalence(f *testing.F) {
 			}
 			return n
 		}
-		na, nb := decode(ba), decode(bb)
-		ka, kb := g.makeKey(na), g.makeKey(nb)
-		la := string(g.appendLegacyKey(nil, na))
-		lb := string(g.appendLegacyKey(nil, nb))
-		if (ka == kb) != (la == lb) {
-			t.Fatalf("equivalence broken:\n%v vs %v\nbinary equal=%v legacy equal=%v",
-				na, nb, ka == kb, la == lb)
-		}
+		checkAgainstLegacy(t, g, decode(ba), decode(bb))
 	})
 }
 
@@ -184,8 +250,8 @@ func minInt(a, b int) int {
 // appendLegacyKey appends the pre-§14 string hashcons encoding of n:
 // operator byte, then the payload (literal bits, symbol bytes, Get index,
 // length-prefixed function name), then the child class IDs little-endian.
-// The binary hashcons made this encoding obsolete; it survives here only as
-// the collision oracle for the key-equivalence tests.
+// The node-ID hashcons has no key at all; this encoding survives here only
+// as the oracle of the equality tests.
 func (g *EGraph) appendLegacyKey(b []byte, n ENode) []byte {
 	b = append(b, byte(n.Op))
 	switch n.Op {

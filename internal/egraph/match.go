@@ -324,7 +324,7 @@ func (g *EGraph) instantiate(p *Pattern, subst Subst) (ClassID, error) {
 		}
 		return g.Find(subst[p.slot]), nil
 	}
-	var buf [restArity]ClassID
+	var buf [4]ClassID
 	args := buf[:0]
 	for _, a := range p.Args {
 		id, err := g.instantiate(a, subst)

@@ -9,10 +9,11 @@ package egraph
 //
 // Recording is off by default and costs a single nil check per Add/Union
 // when disabled (guarded by BenchmarkSaturationThroughput). When enabled,
-// memory cost is one map entry (hashcons key string + 3-word Justification)
-// per rule-created e-node plus one UnionStep per rule-caused union — small
-// next to the e-graph itself, which stores the same key in its hashcons
-// plus the node and its parent back-references (see DESIGN.md §7).
+// memory cost is one map entry (NodeID + Justification) per rule-created
+// e-node plus one UnionStep per rule-caused union — small next to the
+// e-graph itself (see DESIGN.md §7). A node keeps its NodeID for the
+// graph's lifetime, so a justification never moves; NodeProvenance finds
+// the node through the hashcons.
 
 // Justification records why an e-node exists: the rewrite that created it,
 // the 1-based iteration it was applied in, and the e-class the rule's match
@@ -32,10 +33,10 @@ type UnionStep struct {
 
 // provenance is the recording state, allocated by EnableProvenance.
 type provenance struct {
-	// nodes maps the current (binary) hashcons key of a rule-created e-node
-	// to its justification. Keys are kept in lockstep with the hashcons:
-	// repair moves entries when a node is re-canonicalized after unions.
-	nodes  map[memoKey]Justification
+	// nodes maps a rule-created e-node to its justification. When repair
+	// finds two parents congruent, the node it keeps takes the earlier of
+	// the two justifications (merge).
+	nodes  map[NodeID]Justification
 	unions []UnionStep
 	ctx    Justification // active rule context ("" rule = inactive)
 }
@@ -46,7 +47,7 @@ type provenance struct {
 // justified.
 func (g *EGraph) EnableProvenance() {
 	if g.prov == nil {
-		g.prov = &provenance{nodes: map[memoKey]Justification{}}
+		g.prov = &provenance{nodes: map[NodeID]Justification{}}
 	}
 }
 
@@ -70,13 +71,18 @@ func (g *EGraph) ClearRuleContext() {
 	}
 }
 
-// NodeProvenance returns the justification recorded for the node, if any.
-// Nodes of the input program (or added outside any rule context) have none.
+// NodeProvenance returns the justification recorded for the node, if any:
+// that of the node the hashcons holds for n's contents. Nodes of the input
+// program (or added outside any rule context) have none.
 func (g *EGraph) NodeProvenance(n ENode) (Justification, bool) {
 	if g.prov == nil {
 		return Justification{}, false
 	}
-	j, ok := g.prov.nodes[g.lookupKey(n)]
+	i, ok := g.memo.find(g, n, true)
+	if !ok {
+		return Justification{}, false
+	}
+	j, ok := g.prov.nodes[g.memo.slots[i].node]
 	return j, ok
 }
 
@@ -97,11 +103,11 @@ func (g *EGraph) ProvenanceStats() (nodes, unions int) {
 	return len(g.prov.nodes), len(g.prov.unions)
 }
 
-// recordNode attaches the active rule context to a newly created node key.
+// recordNode attaches the active rule context to a newly created node.
 // Called from Add on hashcons misses only.
-func (p *provenance) recordNode(key memoKey) {
+func (p *provenance) recordNode(n NodeID) {
 	if p.ctx.Rule != "" {
-		p.nodes[key] = p.ctx
+		p.nodes[n] = p.ctx
 	}
 }
 
@@ -112,19 +118,16 @@ func (p *provenance) recordUnion(a, b ClassID) {
 	}
 }
 
-// moveKey keeps node justifications keyed by the node's current hashcons
-// key across congruence repair. When two nodes become congruent (same new
-// key), the earliest justification wins.
-func (p *provenance) moveKey(oldKey, newKey memoKey) {
-	if oldKey == newKey {
-		return
-	}
-	j, ok := p.nodes[oldKey]
+// merge runs when repair finds parent into congruent with parent from,
+// which it met first, and keeps into: into takes the earlier of the two
+// justifications. On a tie the one already on the shared contents wins:
+// into's own when into did not move, from's when into moved onto them.
+func (p *provenance) merge(from, into NodeID, moved bool) {
+	j, ok := p.nodes[from]
 	if !ok {
 		return
 	}
-	delete(p.nodes, oldKey)
-	if prev, exists := p.nodes[newKey]; !exists || j.Iteration < prev.Iteration {
-		p.nodes[newKey] = j
+	if prev, has := p.nodes[into]; !has || j.Iteration < prev.Iteration || moved && j.Iteration == prev.Iteration {
+		p.nodes[into] = j
 	}
 }

@@ -6,9 +6,8 @@ import "diospyros/internal/expr"
 // variables, Get array names, uninterpreted function names) is interned
 // once per graph into a SymbolTable, and the node stores only the resulting
 // 32-bit SymID. Node comparisons and hashcons hashing therefore never touch
-// string bytes, and the hashcons key for a node is a fixed-size binary
-// value (see key.go). IDs are assigned in first-intern order, which is
-// deterministic for a deterministic insertion sequence — the property the
+// string bytes (hashcons.go). IDs are assigned in first-intern order, which
+// is deterministic for a deterministic insertion sequence — the property the
 // DESIGN.md §9/§14 bit-identical-artifacts contract rests on — but they are
 // graph-local: a SymID from one graph is meaningless in another.
 

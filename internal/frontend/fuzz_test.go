@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -74,5 +75,38 @@ func TestLoopBudgetTripsFast(t *testing.T) {
 				t.Errorf("%s: got %v, want a budget error at %s\n%s", name, err, h.pos, h.src)
 			}
 		}
+	}
+}
+
+// TestLoopAllocationsIndependentOfTripCount checks that an empty-body for
+// loop costs Lift and Interp the same allocations at 1,000 and 100,000
+// iterations: the loop's body scope is reused, not allocated per
+// iteration.
+func TestLoopAllocationsIndependentOfTripCount(t *testing.T) {
+	allocs := func(trips int) (lift, interp float64) {
+		k, err := Parse(fmt.Sprintf("kernel k(a[1]) -> (o[1]) {\n    for i in 0..%d { }\n}", trips))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lift = testing.AllocsPerRun(3, func() {
+			if _, err := Lift(k); err != nil {
+				t.Fatal(err)
+			}
+		})
+		in := map[string][]float64{"a": {1}}
+		interp = testing.AllocsPerRun(3, func() {
+			if _, err := Interp(k, in, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return lift, interp
+	}
+	lift1k, interp1k := allocs(1_000)
+	lift100k, interp100k := allocs(100_000)
+	if lift1k != lift100k {
+		t.Errorf("Lift allocates %.0f times at 1,000 iterations, %.0f at 100,000", lift1k, lift100k)
+	}
+	if interp1k != interp100k {
+		t.Errorf("Interp allocates %.0f times at 1,000 iterations, %.0f at 100,000", interp1k, interp100k)
 	}
 }

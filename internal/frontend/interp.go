@@ -22,15 +22,15 @@ func Interp(k *Kernel, inputs map[string][]float64, funcs map[string]func([]floa
 		if len(data) != p.Len() {
 			return nil, fmt.Errorf("frontend: input %q has %d elements, want %d", p.Name, len(data), p.Len())
 		}
-		sc.arrays[p.Name] = &iArray{dims: p.Dims, vals: append([]float64(nil), data...)}
+		bind(&sc.arrays, p.Name, &iArray{dims: p.Dims, vals: append([]float64(nil), data...)})
 	}
 	outputs := map[string][]float64{}
 	for _, p := range k.Outs {
 		arr := &iArray{dims: p.Dims, vals: make([]float64, p.Len()), writable: true}
-		sc.arrays[p.Name] = arr
+		bind(&sc.arrays, p.Name, arr)
 		outputs[p.Name] = arr.vals
 	}
-	if err := env.block(k.Body, sc); err != nil {
+	if err := env.block(k.Body, newIScope(sc)); err != nil {
 		return nil, err
 	}
 	return outputs, nil
@@ -52,6 +52,14 @@ func (n *loopSteps) step(pos Pos) error {
 		return errf(pos, "loop exceeded the budget of %d iterations", maxLoopSteps)
 	}
 	return nil
+}
+
+// bind sets (*m)[name] = v, allocating the map on a scope's first write.
+func bind[V any](m *map[string]V, name string, v V) {
+	if *m == nil {
+		*m = map[string]V{}
+	}
+	(*m)[name] = v
 }
 
 type iArray struct {
@@ -78,9 +86,12 @@ type iScope struct {
 	arrays map[string]*iArray
 }
 
-func newIScope(parent *iScope) *iScope {
-	return &iScope{parent: parent, ints: map[string]int{}, floats: map[string]float64{}, arrays: map[string]*iArray{}}
-}
+// newIScope returns an empty scope; its maps are allocated on first write
+// (bind).
+func newIScope(parent *iScope) *iScope { return &iScope{parent: parent} }
+
+// reset empties the scope for a loop's next iteration, keeping its maps.
+func (s *iScope) reset() { clear(s.ints); clear(s.floats); clear(s.arrays) }
 
 func (s *iScope) findInt(name string) (*iScope, bool) {
 	for c := s; c != nil; c = c.parent {
@@ -114,8 +125,8 @@ type interpEnv struct {
 	loopSteps
 }
 
-func (e *interpEnv) block(b *Block, parent *iScope) error {
-	sc := newIScope(parent)
+// block runs b's statements in sc.
+func (e *interpEnv) block(b *Block, sc *iScope) error {
 	for _, st := range b.Stmts {
 		if err := e.stmt(st, sc); err != nil {
 			return err
@@ -135,20 +146,21 @@ func (e *interpEnv) stmt(st Stmt, sc *iScope) error {
 		if err != nil {
 			return err
 		}
+		// One body scope serves every iteration, emptied each time.
+		body := newIScope(sc)
 		for i := lo; i < hi; i++ {
 			if err := e.step(s.Pos); err != nil {
 				return err
 			}
-			body := newIScope(sc)
-			body.ints[s.Var] = i
-			for _, inner := range s.Body.Stmts {
-				if err := e.stmt(inner, body); err != nil {
-					return err
-				}
+			body.reset()
+			bind(&body.ints, s.Var, i)
+			if err := e.block(s.Body, body); err != nil {
+				return err
 			}
 		}
 		return nil
 	case *WhileStmt:
+		body := newIScope(sc)
 		for {
 			if err := e.step(s.Pos); err != nil {
 				return err
@@ -160,7 +172,8 @@ func (e *interpEnv) stmt(st Stmt, sc *iScope) error {
 			if !cond {
 				return nil
 			}
-			if err := e.block(s.Body, sc); err != nil {
+			body.reset()
+			if err := e.block(s.Body, body); err != nil {
 				return err
 			}
 		}
@@ -170,10 +183,10 @@ func (e *interpEnv) stmt(st Stmt, sc *iScope) error {
 			return err
 		}
 		if cond {
-			return e.block(s.Then, sc)
+			return e.block(s.Then, newIScope(sc))
 		}
 		if s.Else != nil {
-			return e.block(s.Else, sc)
+			return e.block(s.Else, newIScope(sc))
 		}
 		return nil
 	case *LetStmt:
@@ -182,21 +195,21 @@ func (e *interpEnv) stmt(st Stmt, sc *iScope) error {
 			if err != nil {
 				return err
 			}
-			sc.ints[s.Name] = v
+			bind(&sc.ints, s.Name, v)
 			return nil
 		}
 		v, err := e.floatExpr(s.Val, sc)
 		if err != nil {
 			return err
 		}
-		sc.floats[s.Name] = v
+		bind(&sc.floats, s.Name, v)
 		return nil
 	case *VarArrayStmt:
 		n := 1
 		for _, d := range s.Dims {
 			n *= d
 		}
-		sc.arrays[s.Name] = &iArray{dims: s.Dims, vals: make([]float64, n), writable: true}
+		bind(&sc.arrays, s.Name, &iArray{dims: s.Dims, vals: make([]float64, n), writable: true})
 		return nil
 	case *AssignStmt:
 		if len(s.Indices) == 0 {

@@ -16,14 +16,14 @@ func Lift(k *Kernel) (*kernel.Lifted, error) {
 	sc := newSScope(nil)
 	for _, p := range k.Params {
 		rows, cols := dims2(p.Dims)
-		sc.arrays[p.Name] = &sArray{mat: b.Input(p.Name, rows, cols), dims: p.Dims}
+		bind(&sc.arrays, p.Name, &sArray{mat: b.Input(p.Name, rows, cols), dims: p.Dims})
 	}
 	for _, p := range k.Outs {
 		rows, cols := dims2(p.Dims)
-		sc.arrays[p.Name] = &sArray{mat: b.Output(p.Name, rows, cols), dims: p.Dims}
+		bind(&sc.arrays, p.Name, &sArray{mat: b.Output(p.Name, rows, cols), dims: p.Dims})
 	}
 	e := &liftEnv{}
-	if err := e.block(k.Body, sc); err != nil {
+	if err := e.block(k.Body, newSScope(sc)); err != nil {
 		return nil, err
 	}
 	return b.Lift(), nil
@@ -94,9 +94,12 @@ type sScope struct {
 	arrays map[string]*sArray
 }
 
-func newSScope(parent *sScope) *sScope {
-	return &sScope{parent: parent, ints: map[string]int{}, floats: map[string]kernel.Scalar{}, arrays: map[string]*sArray{}}
-}
+// newSScope returns an empty scope; its maps are allocated on first write
+// (bind).
+func newSScope(parent *sScope) *sScope { return &sScope{parent: parent} }
+
+// reset empties the scope for a loop's next iteration, keeping its maps.
+func (s *sScope) reset() { clear(s.ints); clear(s.floats); clear(s.arrays) }
 
 func (s *sScope) findInt(name string) (*sScope, bool) {
 	for c := s; c != nil; c = c.parent {
@@ -136,8 +139,8 @@ func (e *ErrDataDependent) Error() string {
 	return fmt.Sprintf("%s: data-dependent control flow cannot be lifted (conditions must be over integer index values)", e.Pos)
 }
 
-func (e *liftEnv) block(b *Block, parent *sScope) error {
-	sc := newSScope(parent)
+// block runs b's statements in sc.
+func (e *liftEnv) block(b *Block, sc *sScope) error {
 	for _, st := range b.Stmts {
 		if err := e.stmt(st, sc); err != nil {
 			return err
@@ -157,20 +160,21 @@ func (e *liftEnv) stmt(st Stmt, sc *sScope) error {
 		if err != nil {
 			return err
 		}
+		// One body scope serves every iteration, emptied each time.
+		body := newSScope(sc)
 		for i := lo; i < hi; i++ {
 			if err := e.step(s.Pos); err != nil {
 				return err
 			}
-			body := newSScope(sc)
-			body.ints[s.Var] = i
-			for _, inner := range s.Body.Stmts {
-				if err := e.stmt(inner, body); err != nil {
-					return err
-				}
+			body.reset()
+			bind(&body.ints, s.Var, i)
+			if err := e.block(s.Body, body); err != nil {
+				return err
 			}
 		}
 		return nil
 	case *WhileStmt:
+		body := newSScope(sc)
 		for {
 			if err := e.step(s.Pos); err != nil {
 				return err
@@ -182,7 +186,8 @@ func (e *liftEnv) stmt(st Stmt, sc *sScope) error {
 			if !cond {
 				return nil
 			}
-			if err := e.block(s.Body, sc); err != nil {
+			body.reset()
+			if err := e.block(s.Body, body); err != nil {
 				return err
 			}
 		}
@@ -192,10 +197,10 @@ func (e *liftEnv) stmt(st Stmt, sc *sScope) error {
 			return err
 		}
 		if cond {
-			return e.block(s.Then, sc)
+			return e.block(s.Then, newSScope(sc))
 		}
 		if s.Else != nil {
-			return e.block(s.Else, sc)
+			return e.block(s.Else, newSScope(sc))
 		}
 		return nil
 	case *LetStmt:
@@ -204,14 +209,14 @@ func (e *liftEnv) stmt(st Stmt, sc *sScope) error {
 			if err != nil {
 				return err
 			}
-			sc.ints[s.Name] = v
+			bind(&sc.ints, s.Name, v)
 			return nil
 		}
 		v, err := e.floatExpr(s.Val, sc)
 		if err != nil {
 			return err
 		}
-		sc.floats[s.Name] = v
+		bind(&sc.floats, s.Name, v)
 		return nil
 	case *VarArrayStmt:
 		n := 1
@@ -222,7 +227,7 @@ func (e *liftEnv) stmt(st Stmt, sc *sScope) error {
 		for i := range local {
 			local[i] = kernel.Const(0)
 		}
-		sc.arrays[s.Name] = &sArray{local: local, dims: s.Dims}
+		bind(&sc.arrays, s.Name, &sArray{local: local, dims: s.Dims})
 		return nil
 	case *AssignStmt:
 		if len(s.Indices) == 0 {
