@@ -4,12 +4,13 @@ package frontend
 type Type uint8
 
 const (
-	TypeInvalid Type = iota
-	TypeInt          // loop counters, indices, bounds
-	TypeFloat        // data values
-	TypeBool         // conditions
+	TypeInvalid Type = iota // the zero value: not typechecked, or unresolved
+	TypeInt                 // loop counters, indices, bounds
+	TypeFloat               // data values
+	TypeBool                // conditions
 )
 
+// String returns the type's name as diagnostics spell it.
 func (t Type) String() string {
 	switch t {
 	case TypeInt:

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -173,9 +176,8 @@ kernel clamp(a[4]) -> (o[4]) {
 	}
 }
 
-func TestWhileLoopInterp(t *testing.T) {
-	// Integer while loops work in both interpretation and lifting.
-	src := `
+// whileSrc sums its input five times in an integer while loop.
+const whileSrc = `
 kernel powsum(a[1]) -> (o[1]) {
     let n = 0;
     let acc = 0.0;
@@ -186,7 +188,10 @@ kernel powsum(a[1]) -> (o[1]) {
     o[0] = acc;
 }
 `
-	k := MustParse(src)
+
+func TestWhileLoopInterp(t *testing.T) {
+	// Integer while loops work in both interpretation and lifting.
+	k := MustParse(whileSrc)
 	out, err := Interp(k, map[string][]float64{"a": {3}}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -368,11 +373,12 @@ kernel oob(a[2]) -> (o[2]) {
 }
 `
 	k := MustParse(src)
-	if _, err := Interp(k, map[string][]float64{"a": {1, 2}}, nil); err == nil {
-		t.Fatal("out-of-bounds write not caught")
+	const want = "4:9: o: index 2 out of bounds for dimension 0 (size 2)"
+	if _, err := Interp(k, map[string][]float64{"a": {1, 2}}, nil); err == nil || err.Error() != want {
+		t.Errorf("Interp: got %v, want %q", err, want)
 	}
-	if _, err := Lift(k); err == nil {
-		t.Fatal("out-of-bounds write not caught during lifting")
+	if _, err := Lift(k); err == nil || err.Error() != want {
+		t.Errorf("Lift: got %v, want %q", err, want)
 	}
 }
 
@@ -425,10 +431,24 @@ func TestParserNeverPanics(t *testing.T) {
 	}
 }
 
-// TestLiftInterpAgreeOnRandomStraightLine cross-checks the two evaluators
-// on randomly generated straight-line kernels.
-func TestLiftInterpAgreeOnRandomStraightLine(t *testing.T) {
+// TestLiftInterpAgree cross-checks the two evaluation domains: on every
+// testdata kernel (loops, if, local arrays, sqrt and sgn), on the while
+// kernel, and on randomly generated straight-line kernels, the lifted
+// specification evaluated on seeded inputs must equal Interp.
+func TestLiftInterpAgree(t *testing.T) {
 	r := rand.New(rand.NewSource(88))
+	srcs := map[string]string{"while": whileSrc}
+	paths, err := filepath.Glob("../../testdata/*.dios")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no kernels under testdata (err %v)", err)
+	}
+	for _, p := range paths {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[filepath.Base(p)] = string(src)
+	}
 	ops := []string{"+", "-", "*"}
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + r.Intn(5)
@@ -437,33 +457,47 @@ func TestLiftInterpAgreeOnRandomStraightLine(t *testing.T) {
 			src += fmt.Sprintf("    o[%d] = a[%d] %s a[%d] %s %d.5;\n",
 				i, r.Intn(n), ops[r.Intn(len(ops))], r.Intn(n), ops[r.Intn(len(ops))], r.Intn(5))
 		}
-		src += "}\n"
-		k, err := Parse(src)
+		srcs[fmt.Sprintf("random %d", trial)] = src + "}\n"
+	}
+	names := make([]string, 0, len(srcs))
+	for name := range srcs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		k, err := Parse(srcs[name])
 		if err != nil {
-			t.Fatalf("trial %d: %v\n%s", trial, err, src)
+			t.Fatalf("%s: %v\n%s", name, err, srcs[name])
 		}
-		in := make([]float64, n)
-		for i := range in {
-			in[i] = r.Float64()*4 - 2
+		in := map[string][]float64{}
+		env := expr.NewEnv()
+		for _, p := range k.Params {
+			vals := make([]float64, p.Len())
+			for i := range vals {
+				vals[i] = r.Float64()*4 - 2
+			}
+			in[p.Name] = vals
+			env.Arrays[p.Name] = vals
 		}
-		got, err := Interp(k, map[string][]float64{"a": in}, nil)
+		got, err := Interp(k, in, nil)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		lifted, err := Lift(k)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		env := expr.NewEnv()
-		env.Arrays["a"] = in
 		v, err := lifted.Spec.Eval(env)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		for i := 0; i < n; i++ {
-			if math.Abs(v.Elems[i]-got["o"][i]) > 1e-9 {
-				t.Fatalf("trial %d: lift %g vs interp %g at %d\n%s",
-					trial, v.Elems[i], got["o"][i], i, src)
+		i := 0
+		for _, p := range k.Outs {
+			for j, want := range got[p.Name] {
+				if lv := v.Elems[i]; !(math.Abs(lv-want) <= 1e-9*math.Max(1, math.Abs(want))) { // NaN fails
+					t.Errorf("%s: %s[%d]: lift %g vs interp %g", name, p.Name, j, lv, want)
+				}
+				i++
 			}
 		}
 	}

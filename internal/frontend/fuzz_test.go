@@ -43,11 +43,14 @@ func FuzzLift(f *testing.F) {
 
 // hostileLoops are kernels whose loops run far past maxLoopSteps (a long
 // for, a nested for, and a long while), each with the position of the
-// loop that trips the budget.
+// loop that trips the budget. The last one builds a float sum per
+// iteration: Lift stops at maxSpecNodes inside the loop body, Interp at
+// maxLoopSteps at the loop, both on line 2.
 var hostileLoops = []struct{ src, pos string }{
 	{"kernel k(a[1]) -> (o[1]) {\n    for i in 0..2000000000 {}\n}", "2:5:"},
 	{"kernel k(a[1]) -> (o[1]) {\n    for i in 0..100000 {\n        for j in 0..100000 {}\n    }\n}", "3:9:"},
 	{"kernel k(a[1]) -> (o[1]) {\n    let i = 0;\n    while i < 1000000000 { i = i + 1; }\n}", "3:5:"},
+	{"kernel k(a[1]) -> (o[1]) {\n    for i in 0..2000000000 { o[0] = o[0] + a[0]; }\n}", "2:"},
 }
 
 // TestLoopBudgetTripsFast checks that lifting and interpreting each
@@ -75,6 +78,29 @@ func TestLoopBudgetTripsFast(t *testing.T) {
 				t.Errorf("%s: got %v, want a budget error at %s\n%s", name, err, h.pos, h.src)
 			}
 		}
+	}
+}
+
+// TestSpecBudgetTripsWithinLoopBudget lifts a loop that stays inside
+// maxLoopSteps but builds more than maxSpecNodes DSL nodes: Lift must stop
+// at the sum in the loop body, while Interp, which builds no nodes, runs
+// it to the end.
+func TestSpecBudgetTripsWithinLoopBudget(t *testing.T) {
+	k, err := Parse("kernel k(a[4]) -> (o[1]) {\n    for i in 0..400000 {\n        o[0] = o[0] + a[i % 4];\n    }\n}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = Lift(k)
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Lift took %v to stop", d)
+	}
+	if err == nil || !strings.HasPrefix(err.Error(), "3:") || !strings.Contains(err.Error(), fmt.Sprintf("budget of %d nodes", maxSpecNodes)) {
+		t.Errorf("Lift: got %v, want the node budget at line 3", err)
+	}
+	out, err := Interp(k, map[string][]float64{"a": {1, 2, 3, 4}}, nil)
+	if err != nil || out["o"][0] != 1_000_000 {
+		t.Errorf("Interp: got %v, %v; want o[0] = 1e6", out, err)
 	}
 }
 

@@ -58,6 +58,7 @@ type Pos struct {
 	Line, Col int
 }
 
+// String formats the position as line:col.
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 
 // Error is a frontend diagnostic with position information.
@@ -66,6 +67,7 @@ type Error struct {
 	Msg string
 }
 
+// Error formats the diagnostic as line:col: message.
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
 func errf(pos Pos, format string, args ...any) error {

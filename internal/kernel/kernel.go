@@ -86,10 +86,9 @@ func Const(v float64) Scalar { return Scalar{expr.Lit(v)} }
 // Matrix is a 2-D (or 1-D when Cols==1) symbolic array. Input matrices
 // read as Get terms; output matrices are write-then-read accumulators.
 type Matrix struct {
-	decl   ArrayDecl
-	input  bool
-	elems  []Scalar // outputs only
-	filled []bool
+	decl  ArrayDecl
+	input bool
+	elems []Scalar // outputs only
 }
 
 // Decl returns the matrix's declaration.
@@ -112,7 +111,7 @@ func (b *Builder) Output(name string, rows, cols int) *Matrix {
 	b.checkName(name)
 	d := ArrayDecl{Name: name, Rows: rows, Cols: cols}
 	b.outputs = append(b.outputs, d)
-	m := &Matrix{decl: d, elems: make([]Scalar, d.Len()), filled: make([]bool, d.Len())}
+	m := &Matrix{decl: d, elems: make([]Scalar, d.Len())}
 	for i := range m.elems {
 		m.elems[i] = Const(0)
 	}
@@ -147,9 +146,7 @@ func (m *Matrix) Set(i, j int, v Scalar) {
 	if m.input {
 		panic(fmt.Sprintf("kernel: write to input array %q", m.decl.Name))
 	}
-	idx := m.flat(i, j)
-	m.elems[idx] = v
-	m.filled[idx] = true
+	m.elems[m.flat(i, j)] = v
 }
 
 // SetVec writes element i of a vector.

@@ -464,6 +464,8 @@ func TestBadRequests(t *testing.T) {
 		{`{"source": ""}`, "application/json"}, // missing source
 		{"kernel oops(", "text/plain"},         // parse error
 		{"kernel A()->(){}", "text/plain"},     // no outputs to lift
+		// A spec over the frontend's node budget, inside its loop budget.
+		{"kernel k(a[4]) -> (o[1]) { for i in 0..400000 { o[0] = o[0] + a[i % 4]; } }", "text/plain"},
 	} {
 		resp, cr := postCompile(t, ts.URL, c.body, c.ct)
 		if resp.StatusCode != http.StatusBadRequest {
