@@ -6,7 +6,7 @@
 // By default the generated C-with-intrinsics is written to stdout. Flags
 // expose the compiler's artifacts and the bundled FG3-lite simulator:
 //
-//	diospyros -dump-spec kernel.dios     # the lifted specification
+//	diospyros -dump-spec kernel.dios     # the lifted specification (a let-bound DAG)
 //	diospyros -dump-egraph kernel.dios   # the saturated e-graph (dot)
 //	diospyros -dump-vir  kernel.dios     # the optimized vector IR
 //	diospyros -dump-asm  kernel.dios     # FG3-lite assembly
@@ -32,6 +32,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"math/rand"
@@ -109,11 +110,9 @@ func main() {
 	ctx = telemetry.WithLogger(ctx, logger.With("kernel_file", flag.Arg(0)))
 
 	if *dumpSpec {
-		lifted, err := diospyros.Lift(string(src))
-		if err != nil {
+		if err := writeSpec(os.Stdout, string(src)); err != nil {
 			fatal(err)
 		}
-		fmt.Println(expr.Pretty(lifted.Spec))
 		return
 	}
 	opts := diospyros.Options{
@@ -328,6 +327,18 @@ func randomInputs(res *diospyros.Result, seed int64) map[string][]float64 {
 		inputs[d.Name] = s
 	}
 	return inputs
+}
+
+// writeSpec lifts src and writes its specification as a let-bound DAG
+// (expr.Dump): each shared subterm once, so the text is linear in the
+// nodes lift built.
+func writeSpec(w io.Writer, src string) error {
+	lifted, err := diospyros.Lift(src)
+	if err != nil {
+		return err
+	}
+	_, err = io.WriteString(w, expr.Dump(lifted.Spec))
+	return err
 }
 
 func fatal(err error) {

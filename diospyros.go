@@ -237,6 +237,7 @@ func compile(ctx context.Context, st *compileState) (*Result, error) {
 	rec := telemetry.NewRecorder()
 	runErr := compilePipeline().Run(ctx, st, rec)
 	rec.Set(func(t *telemetry.Trace) {
+		t.Ingest = st.ingest
 		t.Iterations = st.report.Iters
 		t.StopReason = string(st.report.Reason)
 		if st.report.PeakFootprint.Total > 0 {

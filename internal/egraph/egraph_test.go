@@ -217,7 +217,8 @@ func TestPatternParse(t *testing.T) {
 // searchPattern finds every match of p, class by class over the canonical
 // classes, as a pattern rule's search does; each match's Data is its Subst.
 func searchPattern(g *EGraph, p *Pattern) []Match {
-	return NewRewrite("search", p, p).SearchClasses(g, g.CanonicalClasses())
+	ms, _ := NewRewrite("search", p, p).SearchClasses(g, g.CanonicalClasses(), nil)
+	return ms
 }
 
 // bound returns the class s binds p's variable name to: a Subst holds the
@@ -278,7 +279,7 @@ func TestInstantiate(t *testing.T) {
 	g := New()
 	g.AddExpr(expr.MustParse("(+ p q)"))
 	r := MustRewrite("swap", "(+ ?a ?b)", "(* ?b ?a)").(*patternRewrite)
-	ms := r.SearchClasses(g, g.CanonicalClasses())
+	ms, _ := r.SearchClasses(g, g.CanonicalClasses(), nil)
 	if len(ms) != 1 {
 		t.Fatal("setup failed")
 	}

@@ -3,6 +3,7 @@ package egraph_test
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"diospyros/internal/egraph"
@@ -33,6 +34,29 @@ func suiteSpecs() []*kernel.Lifted {
 	return out
 }
 
+// reuseSpy wraps a rule and hands every match its searches reuse from the
+// rule's cache to record.
+type reuseSpy struct {
+	egraph.Rewrite
+	record func(reused []egraph.Match)
+}
+
+func (r reuseSpy) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass, cached []egraph.Match) ([]egraph.Match, egraph.Bitset) {
+	ms, reused := r.Rewrite.SearchClasses(g, classes, cached)
+	var out []egraph.Match
+	for j, mt := range ms {
+		if reused.Has(j) {
+			out = append(out, mt)
+		}
+	}
+	r.record(out)
+	return ms, reused
+}
+
+// payloadKey identifies a reused match by its payload, which a reusing
+// rule returns by pointer.
+func payloadKey(mt egraph.Match) uintptr { return reflect.ValueOf(mt.Data).Pointer() }
+
 // oracleRun saturates spec under rs and holds every searched rule's merged
 // match list, on every iteration, to the rule's own search over every
 // canonical class, with no RootOps filter and no cache: same matches,
@@ -41,12 +65,30 @@ func suiteSpecs() []*kernel.Lifted {
 // (the first hook call of an iteration), and once after Run: the
 // incremental rebuild's oracle. Last, it applies every carried match the
 // apply phase would skip and holds each to a no-op: Apply returns false
-// and adds no node and no class (semi-naive apply's oracle). It returns
-// the run's report, how many lists it compared and how many carried
-// matches it applied.
-func oracleRun(t *testing.T, name string, spec *kernel.Lifted, rs []egraph.Rewrite, lim egraph.Limits) (rep egraph.Report, checked, carried int) {
+// and adds no node and no class (semi-naive apply's oracle). The carried
+// matches include every match a search found again and reused from its
+// rule's cache; in a run no ban or limit cuts short, each of those must
+// reach the carried applier. It returns the run's report, how many lists
+// it compared, how many carried matches it applied and how many matches
+// the searches reused.
+func oracleRun(t *testing.T, name string, spec *kernel.Lifted, rs []egraph.Rewrite, lim egraph.Limits) (rep egraph.Report, checked, carried, refound int) {
 	t.Helper()
 	failed := false
+	// pending counts, by payload, the reused matches not yet applied as
+	// carried. Searches run concurrently, so it takes a lock.
+	var mu sync.Mutex
+	pending := map[uintptr]int{}
+	spied := make([]egraph.Rewrite, len(rs))
+	for i, r := range rs {
+		spied[i] = reuseSpy{r, func(reused []egraph.Match) {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, mt := range reused {
+				pending[payloadKey(mt)]++
+				refound++
+			}
+		}}
+	}
 	// The hook sees an iteration's rules in rule order, so a call whose
 	// rule does not come after the previous call's starts an iteration.
 	last, iter := len(rs), 0
@@ -66,7 +108,7 @@ func oracleRun(t *testing.T, name string, spec *kernel.Lifted, rs []egraph.Rewri
 			checkGraph(g, fmt.Sprintf("iteration %d", iter))
 		}
 		last = i
-		full := r.SearchClasses(g, g.CanonicalClasses())
+		full, _ := r.SearchClasses(g, g.CanonicalClasses(), nil)
 		if failed || (len(full) == 0 && len(merged) == 0) || reflect.DeepEqual(full, merged) {
 			return
 		}
@@ -77,6 +119,11 @@ func oracleRun(t *testing.T, name string, spec *kernel.Lifted, rs []egraph.Rewri
 	defer restore()
 	restoreApply := egraph.SetApplyCarried(func(r egraph.Rewrite, g *egraph.EGraph, mt egraph.Match) bool {
 		carried++
+		if reflect.TypeOf(mt.Data).Kind() == reflect.Pointer {
+			if k := payloadKey(mt); pending[k] > 0 {
+				pending[k]--
+			}
+		}
 		nodes, classes := g.NumNodes(), g.NumClasses()
 		changed := r.Apply(g, mt)
 		if !failed && (changed || g.NumNodes() != nodes || g.NumClasses() != classes) {
@@ -90,12 +137,20 @@ func oracleRun(t *testing.T, name string, spec *kernel.Lifted, rs []egraph.Rewri
 	defer restoreApply()
 	g := egraph.New()
 	g.AddExpr(spec.Spec)
-	rep = egraph.Run(g, rs, lim)
+	rep = egraph.Run(g, spied, lim)
 	checkGraph(g, "after Run")
 	if iter != rep.Iterations {
 		t.Errorf("%s: CheckInvariants ran on %d of %d iterations", name, iter, rep.Iterations)
 	}
-	return rep, checked, carried
+	if lim.Backoff == nil && lim.MaxNodes == 0 {
+		for _, n := range pending {
+			if n != 0 {
+				t.Errorf("%s: a match the search reused was not carried past apply", name)
+				break
+			}
+		}
+	}
+	return rep, checked, carried, refound
 }
 
 // firstDiff describes the first position where two match lists differ.
@@ -114,7 +169,7 @@ func firstDiff(full, merged []egraph.Match) string {
 // under AC rules with Backoff bans, the list each rule hands the apply
 // phase equals a whole-graph search on every iteration, every rebuilt
 // graph passes CheckInvariants, and every carried match the apply phase
-// skips is a no-op when applied.
+// skips, survivor or reused re-find, is a no-op when applied.
 func TestIncrementalMatchEqualsFullSearch(t *testing.T) {
 	specs := suiteSpecs()
 	if len(specs) != 21 {
@@ -130,18 +185,23 @@ func TestIncrementalMatchEqualsFullSearch(t *testing.T) {
 		{"width 4", rules.Default(4)},
 		{"widths 4,8", rules.Config{Widths: []int{4, 8}}},
 	} {
-		carriedTotal := 0
+		carriedTotal, refoundTotal := 0, 0
 		for _, spec := range specs {
 			name := spec.Name + " " + cfg.name
-			rep, checked, carried := oracleRun(t, name, spec, cfg.cfg.Rules(), egraph.Limits{})
+			rep, checked, carried, refound := oracleRun(t, name, spec, cfg.cfg.Rules(), egraph.Limits{})
 			if checked == 0 || rep.Iterations < 2 {
 				t.Errorf("%s: %d iterations, %d lists checked: nothing incremental was tested",
 					name, rep.Iterations, checked)
 			}
 			carriedTotal += carried
+			refoundTotal += refound
 		}
+		t.Logf("%s: %d carried matches applied, %d of them reused by their search", cfg.name, carriedTotal, refoundTotal)
 		if carriedTotal == 0 {
 			t.Errorf("%s: no carried match was applied: the skip went untested", cfg.name)
+		}
+		if refoundTotal == 0 {
+			t.Errorf("%s: no search reused a cached match: the re-find path went untested", cfg.name)
 		}
 	}
 
@@ -157,7 +217,7 @@ func TestIncrementalMatchEqualsFullSearch(t *testing.T) {
 		mk("assoc-mul-l", "(* ?a (* ?b ?c))", "(* (* ?a ?b) ?c)"),
 	)
 	lim := egraph.Limits{MaxNodes: 20_000, Backoff: &egraph.Backoff{}}
-	rep, _, carried := oracleRun(t, "AC+Backoff", kernels.Conv2D(3, 3, 3, 3), ac, lim)
+	rep, _, carried, _ := oracleRun(t, "AC+Backoff", kernels.Conv2D(3, 3, 3, 3), ac, lim)
 	if carried == 0 {
 		t.Errorf("AC+Backoff run carried no match: the skip went untested")
 	}

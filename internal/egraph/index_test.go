@@ -44,7 +44,7 @@ func (s *spyRule) Name() string       { return "spy" }
 func (s *spyRule) RootOps() []expr.Op { return nil }
 func (s *spyRule) ReadDepth() int     { return s.depth }
 
-func (s *spyRule) SearchClasses(g *EGraph, classes []*EClass) []Match {
+func (s *spyRule) SearchClasses(g *EGraph, classes []*EClass, _ []Match) ([]Match, Bitset) {
 	var ids []ClassID
 	var out []Match
 	for _, cls := range classes {
@@ -54,7 +54,7 @@ func (s *spyRule) SearchClasses(g *EGraph, classes []*EClass) []Match {
 		}
 	}
 	s.calls = append(s.calls, ids)
-	return out
+	return out, nil
 }
 
 func (s *spyRule) Apply(g *EGraph, _ Match) bool { return s.change(g) }

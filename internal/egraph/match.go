@@ -1,7 +1,9 @@
 package egraph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -221,6 +223,18 @@ func withSlots(p *Pattern, slots map[string]int) *Pattern {
 type Match struct {
 	Class ClassID
 	Data  any
+}
+
+// MatchesAt returns the run of matches at class c in ms, a list sorted by
+// class such as the cached list SearchClasses receives; it is empty when
+// ms holds no match at c.
+func MatchesAt(ms []Match, c ClassID) []Match {
+	lo, _ := slices.BinarySearchFunc(ms, c, func(m Match, c ClassID) int { return cmp.Compare(m.Class, c) })
+	hi := lo
+	for hi < len(ms) && ms[hi].Class == c {
+		hi++
+	}
+	return ms[lo:hi]
 }
 
 // patternSearch is one SearchClasses call of a pattern rule: matching

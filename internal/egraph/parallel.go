@@ -45,8 +45,10 @@ type ruleMatches struct {
 	rule    Rewrite
 	matches []Match
 	// carried flags the matches the rule's cache carried over from the
-	// last iteration (bit j for matches[j]); the apply phase skips them.
-	carried bitset
+	// last iteration (bit j for matches[j]): the survivors of classes not
+	// searched again, and the matches a search found again and reused. The
+	// apply phase skips them.
+	carried Bitset
 	// searchDur sums the rule's per-shard search times — attributed CPU
 	// time, not wall time (shards run concurrently). The iteration gauge's
 	// Duration and the saturate stage span stay wall-clock.
@@ -63,7 +65,7 @@ type matcher struct {
 	// iteration, or back from a ban).
 	cache   [][]Match
 	cached  []bool
-	carried []bitset    // per-rule carried flags, reused every iteration
+	carried []Bitset    // per-rule carried flags, reused every iteration
 	cand    [][]*EClass // per-rule candidate buffers, reused every iteration
 	walk    dirtyWalk
 }
@@ -75,7 +77,7 @@ func newMatcher(rules []Rewrite) *matcher {
 		roots:   make([]uint64, len(rules)),
 		cache:   make([][]Match, len(rules)),
 		cached:  make([]bool, len(rules)),
-		carried: make([]bitset, len(rules)),
+		carried: make([]Bitset, len(rules)),
 		cand:    make([][]*EClass, len(rules)),
 	}
 	for i, r := range rules {
@@ -141,7 +143,17 @@ func (m *matcher) search(ctx context.Context, g *EGraph, eligible []int, workers
 		if m.cached[i] {
 			src, depth = m.walk.reached, m.depth[i]
 		}
+		// Count first, so the buffer grows at most once, to its exact size.
+		n := 0
+		for _, rc := range src {
+			if rc.dist <= depth && rc.ops&m.roots[i] != 0 {
+				n++
+			}
+		}
 		cand := m.cand[i][:0]
+		if cap(cand) < n {
+			cand = make([]*EClass, 0, n)
+		}
 		for _, rc := range src {
 			if rc.dist <= depth && rc.ops&m.roots[i] != 0 {
 				cand = append(cand, rc.cls)
@@ -174,6 +186,7 @@ func (m *matcher) search(ctx context.Context, g *EGraph, eligible []int, workers
 		}
 	}
 	results := make([][]Match, len(tasks))
+	reused := make([]Bitset, len(tasks))
 	durs := make([]time.Duration, len(tasks))
 
 	done := ctx.Done()
@@ -197,7 +210,7 @@ func (m *matcher) search(ctx context.Context, g *EGraph, eligible []int, workers
 			i := eligible[t.rule]
 			start := time.Now()
 			if t.hi > t.lo {
-				results[k] = m.rules[i].SearchClasses(g, m.cand[i][t.lo:t.hi])
+				results[k], reused[k] = m.rules[i].SearchClasses(g, m.cand[i][t.lo:t.hi], m.cache[i])
 			}
 			durs[k] = time.Since(start)
 		}
@@ -247,10 +260,15 @@ func (m *matcher) search(ctx context.Context, g *EGraph, eligible []int, workers
 			total += len(results[end])
 		}
 		i := eligible[j]
-		rm := ruleMatches{pos: i, rule: m.rules[i], matches: results[k]}
+		rm := ruleMatches{pos: i, rule: m.rules[i], matches: results[k], carried: reused[k]}
 		if end-k > 1 {
-			rm.matches = make([]Match, 0, total)
-			for _, ms := range results[k:end] {
+			rm.matches, rm.carried = make([]Match, 0, total), nil
+			for s, ms := range results[k:end] {
+				for b := range ms {
+					if reused[k+s].Has(b) {
+						rm.carried.Set(len(rm.matches) + b)
+					}
+				}
 				rm.matches = append(rm.matches, ms...)
 			}
 		}
@@ -258,7 +276,7 @@ func (m *matcher) search(ctx context.Context, g *EGraph, eligible []int, workers
 			rm.searchDur += d
 		}
 		if m.cached[i] {
-			rm.matches, rm.carried = m.mergeCached(g, i, rm.matches)
+			rm.matches, rm.carried = m.mergeCached(g, i, rm.matches, rm.carried)
 		}
 		m.cache[i], m.cached[i] = rm.matches, true
 		out[j] = rm
@@ -269,12 +287,13 @@ func (m *matcher) search(ctx context.Context, g *EGraph, eligible []int, workers
 
 // mergeCached merges rule i's fresh matches (over the classes it searched
 // again, in class order) into its cached list, in place, and flags the
-// survivors in the returned bitset. A cached match survives when its class
-// is still canonical and was not searched again; the survivors and the
-// fresh matches cover disjoint classes, so merging by class ID restores
-// the order of a search over every class, each class's matches in the
-// order its search produced them.
-func (m *matcher) mergeCached(g *EGraph, i int, fresh []Match) ([]Match, bitset) {
+// carried matches in the returned bitset: the survivors, and the fresh
+// matches refound flags (the search reused them from the cache). A cached
+// match survives when its class is still canonical and was not searched
+// again; the survivors and the fresh matches cover disjoint classes, so
+// merging by class ID restores the order of a search over every class,
+// each class's matches in the order its search produced them.
+func (m *matcher) mergeCached(g *EGraph, i int, fresh []Match, refound Bitset) ([]Match, Bitset) {
 	old, depth := m.cache[i], m.depth[i]
 	kept := 0
 	for _, mt := range old {
@@ -285,7 +304,7 @@ func (m *matcher) mergeCached(g *EGraph, i int, fresh []Match) ([]Match, bitset)
 	}
 	clear(old[kept:])
 	if kept == 0 {
-		return fresh, nil
+		return fresh, refound
 	}
 	// Merge from the back so the survivors can stay where they are.
 	n := kept + len(fresh)
@@ -296,41 +315,52 @@ func (m *matcher) mergeCached(g *EGraph, i int, fresh []Match) ([]Match, bitset)
 	for w := n - 1; b >= 0; w-- {
 		if a >= 0 && out[a].Class > fresh[b].Class {
 			out[w] = out[a]
-			carried.set(w)
+			carried.Set(w)
 			a--
 		} else {
 			out[w] = fresh[b]
+			if refound.Has(b) {
+				carried.Set(w)
+			}
 			b--
 		}
 	}
 	// Survivors below every fresh match stay where they are.
 	for w := 0; w <= a; w++ {
-		carried.set(w)
+		carried.Set(w)
 	}
 	return out, carried
 }
 
-// bitset is a dense set of small non-negative integers.
-type bitset []uint64
+// Bitset is a dense set of small non-negative integers, such as the
+// positions of a match list's carried or reused matches. The zero value
+// is the empty set.
+type Bitset []uint64
 
 // reset returns b emptied and sized for n bits, reusing its storage.
-func (b bitset) reset(n int) bitset {
+func (b Bitset) reset(n int) Bitset {
 	words := (n + 63) / 64
 	if cap(b) < words {
-		return make(bitset, words)
+		return make(Bitset, words)
 	}
 	b = b[:words]
 	clear(b)
 	return b
 }
 
-func (b bitset) set(j int) { b[j/64] |= 1 << (j % 64) }
+// Set adds j to the set, growing it as needed.
+func (b *Bitset) Set(j int) {
+	for len(*b) <= j/64 {
+		*b = append(*b, 0)
+	}
+	(*b)[j/64] |= 1 << (j % 64)
+}
 
-// has reports whether j is in the set; a nil set is empty.
-func (b bitset) has(j int) bool { return j/64 < len(b) && b[j/64]&(1<<(j%64)) != 0 }
+// Has reports whether j is in the set.
+func (b Bitset) Has(j int) bool { return j/64 < len(b) && b[j/64]&(1<<(j%64)) != 0 }
 
-// count returns the number of elements in the set.
-func (b bitset) count() int {
+// Count returns the number of elements in the set.
+func (b Bitset) Count() int {
 	n := 0
 	for _, w := range b {
 		n += bits.OnesCount64(w)

@@ -156,9 +156,9 @@ func (r cancelRule) RootOps() []expr.Op        { return nil }
 func (r cancelRule) ReadDepth() int            { return 0 }
 func (r cancelRule) Apply(*EGraph, Match) bool { return false }
 
-func (r cancelRule) SearchClasses(*EGraph, []*EClass) []Match {
+func (r cancelRule) SearchClasses(*EGraph, []*EClass, []Match) ([]Match, Bitset) {
 	r.cancel()
-	return nil
+	return nil, nil
 }
 
 // TestParallelSearchCancellation checks that a context cancelled during the
@@ -190,11 +190,13 @@ func TestParallelSearchCancellation(t *testing.T) {
 // panicRule is a rule whose search panics on every class.
 type panicRule struct{}
 
-func (panicRule) Name() string                             { return "panic" }
-func (panicRule) RootOps() []expr.Op                       { return nil }
-func (panicRule) ReadDepth() int                           { return 0 }
-func (panicRule) SearchClasses(*EGraph, []*EClass) []Match { panic("search failed") }
-func (panicRule) Apply(*EGraph, Match) bool                { return false }
+func (panicRule) Name() string              { return "panic" }
+func (panicRule) RootOps() []expr.Op        { return nil }
+func (panicRule) ReadDepth() int            { return 0 }
+func (panicRule) Apply(*EGraph, Match) bool { return false }
+func (panicRule) SearchClasses(*EGraph, []*EClass, []Match) ([]Match, Bitset) {
+	panic("search failed")
+}
 
 // TestMatchWorkerPanicIsAStageError checks that a panic in a match worker
 // reaches the saturate stage as a recovered *pipeline.PanicError carrying

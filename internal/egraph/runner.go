@@ -28,8 +28,9 @@ import (
 // Apply — and be safe for concurrent use with other searchers; a search
 // that adds nodes or unions classes would race. The apply half is
 // semi-naive too: the runner applies a match once, in the iteration that
-// first finds it, and keeps it in the rule's cache without applying it
-// again until its class is searched again (DESIGN.md §14.4).
+// first finds it. It keeps the match in the rule's cache without applying
+// it again, both while its class is not searched again and when a search
+// of the class finds it again and reports the reuse (DESIGN.md §14.4).
 type Rewrite interface {
 	Name() string
 	// RootOps returns the operator heads the rule's matches can root at:
@@ -45,7 +46,17 @@ type Rewrite interface {
 	// SearchClasses returns the rule's matches within the given canonical
 	// classes, derived from those classes only and in the order given.
 	// Every match it finds while searching class c has Match.Class c.
-	SearchClasses(g *EGraph, classes []*EClass) []Match
+	//
+	// cached is the rule's match list from the last iteration it searched,
+	// sorted by class, or nil on a full search; the search must not modify
+	// it. A match found at class c whose payload equals one of cached's
+	// matches at c (MatchesAt) may be returned as that cached Match, its
+	// position in the result set in reused. Such a match was applied when
+	// it was fresh, so the runner carries it past the apply phase. Equal
+	// must mean Apply does the same for both: a plain compare of the
+	// payload's fields, as the class IDs it names are never renamed. A rule
+	// that reuses nothing returns a nil reused.
+	SearchClasses(g *EGraph, classes []*EClass, cached []Match) (found []Match, reused Bitset)
 	// Apply realizes m and reports whether the graph changed. Its effect
 	// may depend only on m and on the node lists ReadDepth lets the search
 	// of m.Class read, and it must not mutate m.Data. Then applying m a
@@ -116,14 +127,16 @@ func (r *patternRewrite) RootOps() []expr.Op {
 // ReadDepth of a syntactic rule: see patternDepth.
 func (r *patternRewrite) ReadDepth() int { return patternDepth(r.lhs) }
 
-func (r *patternRewrite) SearchClasses(g *EGraph, classes []*EClass) []Match {
+// SearchClasses of a syntactic rule builds every match afresh; its
+// matches are cheap Substs, so it ignores cached.
+func (r *patternRewrite) SearchClasses(g *EGraph, classes []*EClass, _ []Match) ([]Match, Bitset) {
 	ps := patternSearch{g: g}
 	s := make(Subst, 0, r.vars)
 	for _, cls := range classes {
 		ps.class = cls.ID
 		ps.matchIn(r.lhs, cls.ID, s, nil)
 	}
-	return ps.out
+	return ps.out, nil
 }
 
 func (r *patternRewrite) Apply(g *EGraph, m Match) bool {
@@ -319,7 +332,7 @@ func RunContext(ctx context.Context, g *EGraph, rules []Rewrite, lim Limits) Rep
 		}
 		if matchHook != nil {
 			for _, f := range found {
-				matchHook(g, f.pos, f.rule, f.matches, f.carried.count())
+				matchHook(g, f.pos, f.rule, f.matches, f.carried.Count())
 			}
 		}
 		// Every rule that matched gets a row, in rule order: matched[k]
@@ -362,9 +375,10 @@ func RunContext(ctx context.Context, g *EGraph, rules []Rewrite, lim Limits) Rep
 			ruleStart, nodesBefore := time.Now(), g.NumNodes()
 			for j, mt := range f.matches {
 				// A carried match was applied when it was fresh, and
-				// nothing it reads has changed since: applying it again
+				// either nothing it reads has changed since or its search
+				// found it again, payload for payload: applying it again
 				// is a no-op (DESIGN.md §14.4).
-				carried := f.carried.has(j)
+				carried := f.carried.Has(j)
 				if carried && applyCarried == nil {
 					continue
 				}

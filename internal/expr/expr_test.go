@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -301,13 +300,31 @@ func TestSizeDepthWalkClone(t *testing.T) {
 	}
 }
 
-func TestPretty(t *testing.T) {
+// TestDump pins Dump's layout: a term of at most 8 nodes on one line, a
+// larger one with an argument per indented line, and every shared
+// compound subterm as one let, named wherever it occurs.
+func TestDump(t *testing.T) {
 	e := MustParse("(List (+ (Get a 0) (Get b 0)) (+ (Get a 1) (Get b 1)) (+ (Get a 2) (Get b 2)))")
-	p := Pretty(e)
-	if !strings.Contains(p, "(List\n") {
-		t.Errorf("Pretty output missing multi-line list:\n%s", p)
+	want := "(List\n  (+ (Get a 0) (Get b 0))\n  (+ (Get a 1) (Get b 1))\n  (+ (Get a 2) (Get b 2))\n)\n"
+	if got := Dump(e); got != want {
+		t.Errorf("Dump of a tree:\n%s\nwant\n%s", got, want)
 	}
-	if !strings.Contains(p, "(+ (Get a 0) (Get b 0))") {
-		t.Errorf("Pretty output missing inline small terms:\n%s", p)
+	x := Add(Get("a", 0), Lit(1))
+	for range 3 {
+		x = Add(x, x)
+	}
+	e = List(x, Mul(x, Get("a", 0)))
+	want = "let %0 = (+ (Get a 0) 1)\nlet %1 = (+ %0 %0)\nlet %2 = (+ %1 %1)\nlet %3 = (+ %2 %2)\n" +
+		"(List %3 (* %3 (Get a 0)))\n"
+	if got := Dump(e); got != want {
+		t.Errorf("Dump of a DAG:\n%s\nwant\n%s", got, want)
+	}
+	// A shared argument of a multi-line term prints by name on its line.
+	x = Add(Get("a", 0), Get("b", 0))
+	e = List(Mul(x, Get("c", 0)), Mul(x, Get("c", 1)), Add(Get("d", 0), Get("d", 1)), x)
+	want = "let %0 = (+ (Get a 0) (Get b 0))\n" +
+		"(List\n  (* %0 (Get c 0))\n  (* %0 (Get c 1))\n  (+ (Get d 0) (Get d 1))\n  %0\n)\n"
+	if got := Dump(e); got != want {
+		t.Errorf("Dump of a multi-line term with a shared argument:\n%s\nwant\n%s", got, want)
 	}
 }

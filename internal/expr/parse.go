@@ -213,36 +213,117 @@ func ParseList(src string) ([]*Expr, error) {
 	}
 }
 
-// Pretty renders an expression with indentation, for diagnostics and the
-// compiler's -dump flags.
-func Pretty(e *Expr) string {
-	var b strings.Builder
-	pretty(&b, e, 0)
-	return b.String()
+// Dump renders an expression as a let-bound DAG, for diagnostics and the
+// compiler's -dump-spec flag. Every compound subterm the DAG shares (one
+// *Expr under more than one parent) is printed once, as "let %k = ..."
+// after the lets it uses, and is named %k wherever it occurs, so the output
+// is linear in the DAG's nodes while the tree it denotes can be
+// exponentially larger. A term of at most 8 nodes, counting a name as one,
+// prints on one line; a larger one puts each argument on its own, indented
+// line.
+func Dump(e *Expr) string {
+	d := dumper{uses: map[*Expr]int{}, names: map[*Expr]int{}}
+	d.count(e)
+	d.lets(e)
+	d.term(e, 0, "")
+	return d.b.String()
 }
 
-func pretty(b *strings.Builder, e *Expr, depth int) {
-	indent := strings.Repeat("  ", depth)
-	if e == nil {
-		b.WriteString(indent + "<nil>\n")
+// dumper is the state of one Dump.
+type dumper struct {
+	b     strings.Builder
+	uses  map[*Expr]int // parents of each compound node (1 for the root)
+	names map[*Expr]int // the let number of each shared node printed so far
+}
+
+// leaf reports whether e prints as itself, never named: a literal, a
+// symbol or an array element.
+func leaf(e *Expr) bool { return e == nil || e.Op == OpLit || e.Op == OpSym || e.Op == OpGet }
+
+// count tallies the parents of every compound node under e, visiting each
+// node's arguments once.
+func (d *dumper) count(e *Expr) {
+	if leaf(e) {
 		return
 	}
-	switch e.Op {
-	case OpLit, OpSym, OpGet:
-		b.WriteString(indent + e.String() + "\n")
-	default:
-		if e.Size() <= 8 {
-			b.WriteString(indent + e.String() + "\n")
-			return
-		}
-		head := e.Op.String()
-		if e.Op == OpFunc || e.Op == OpVecFunc {
-			head += " " + e.Sym
-		}
-		b.WriteString(indent + "(" + head + "\n")
-		for _, a := range e.Args {
-			pretty(b, a, depth+1)
-		}
-		b.WriteString(indent + ")\n")
+	if d.uses[e]++; d.uses[e] > 1 {
+		return
 	}
+	for _, a := range e.Args {
+		d.count(a)
+	}
+}
+
+// lets prints the let of every shared node under e, arguments first.
+func (d *dumper) lets(e *Expr) {
+	if _, done := d.names[e]; done || leaf(e) {
+		return
+	}
+	for _, a := range e.Args {
+		d.lets(a)
+	}
+	if d.uses[e] > 1 {
+		k := len(d.names)
+		d.term(e, 0, fmt.Sprintf("let %%%d = ", k))
+		d.names[e] = k
+	}
+}
+
+// term prints e as one or more lines at depth, the first one after
+// prefix: by name once it has one, on one line when small, else with an
+// argument per indented line.
+func (d *dumper) term(e *Expr, depth int, prefix string) {
+	indent := strings.Repeat("  ", depth)
+	d.b.WriteString(indent + prefix)
+	if d.size(e, 8) <= 8 {
+		d.inline(e)
+		d.b.WriteByte('\n')
+		return
+	}
+	d.b.WriteString("(" + head(e) + "\n")
+	for _, a := range e.Args {
+		d.term(a, depth+1, "")
+	}
+	d.b.WriteString(indent + ")\n")
+}
+
+// inline prints e on the current line: by name once it has one.
+func (d *dumper) inline(e *Expr) {
+	if k, named := d.names[e]; named {
+		fmt.Fprintf(&d.b, "%%%d", k)
+		return
+	}
+	if leaf(e) {
+		e.write(&d.b)
+		return
+	}
+	d.b.WriteString("(" + head(e))
+	for _, a := range e.Args {
+		d.b.WriteByte(' ')
+		d.inline(a)
+	}
+	d.b.WriteByte(')')
+}
+
+// size counts the nodes term prints for e, a name or a leaf as one,
+// stopping once the count passes limit.
+func (d *dumper) size(e *Expr, limit int) int {
+	if _, named := d.names[e]; named || leaf(e) {
+		return 1
+	}
+	n := 1
+	for _, a := range e.Args {
+		if n += d.size(a, limit-n); n > limit {
+			break
+		}
+	}
+	return n
+}
+
+// head is a compound node's operator, with its function name for calls.
+func head(e *Expr) string {
+	if e.Op == OpFunc || e.Op == OpVecFunc {
+		return e.Op.String() + " " + e.Sym
+	}
+	return e.Op.String()
 }

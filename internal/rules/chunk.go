@@ -25,7 +25,7 @@ type chunkMatch struct {
 	elems []egraph.ClassID
 }
 
-func (r chunkRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass) []egraph.Match {
+func (r chunkRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass, _ []egraph.Match) ([]egraph.Match, egraph.Bitset) {
 	var out []egraph.Match
 	for _, cls := range classes {
 		for _, ni := range cls.Nodes {
@@ -37,7 +37,7 @@ func (r chunkRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass) []e
 			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 func (r chunkRule) Apply(g *egraph.EGraph, m egraph.Match) bool {

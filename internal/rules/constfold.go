@@ -41,7 +41,7 @@ func classLit(g *egraph.EGraph, id egraph.ClassID) (float64, bool) {
 	return 0, false
 }
 
-func (constFoldRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass) []egraph.Match {
+func (constFoldRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass, _ []egraph.Match) ([]egraph.Match, egraph.Bitset) {
 	var out []egraph.Match
 	for _, cls := range classes {
 		// One folding per class is enough: all its nodes are equal, so a
@@ -58,7 +58,7 @@ func (constFoldRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass) [
 			break
 		}
 	}
-	return out
+	return out, nil
 }
 
 func foldNode(g *egraph.EGraph, n egraph.ENode) (float64, bool) {

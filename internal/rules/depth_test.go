@@ -18,14 +18,14 @@ func (triggerRule) Name() string       { return "trigger" }
 func (triggerRule) RootOps() []expr.Op { return nil }
 func (triggerRule) ReadDepth() int     { return 0 }
 
-func (r triggerRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass) []egraph.Match {
+func (r triggerRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass, _ []egraph.Match) ([]egraph.Match, egraph.Bitset) {
 	var out []egraph.Match
 	for _, cls := range classes {
 		if cls.ID == g.Find(r.at) {
 			out = append(out, egraph.Match{Class: cls.ID})
 		}
 	}
-	return out
+	return out, nil
 }
 
 func (r triggerRule) Apply(g *egraph.EGraph, _ egraph.Match) bool { return r.change(g) }

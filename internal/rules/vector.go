@@ -50,22 +50,46 @@ func classHasLit(g *egraph.EGraph, id egraph.ClassID, v float64) bool {
 	return false
 }
 
-// laneSearch is the scratch of one SearchClasses call of a vector rule,
-// reused across its Vec nodes and operator families: the n operand tuples
-// the lanes of the current Vec node decompose into, back to back and
-// lane-major (ends[i] is the tuple count through lane i), the odometer
-// enumerate walks them with, and the function names searchFunc has tried.
+// laneSearch is the state of one SearchClasses call of a vector rule. Its
+// scratch is reused across the Vec nodes and operator families the call
+// visits: the n operand tuples the lanes of the current Vec node decompose
+// into, back to back and lane-major (ends[i] is the tuple count through
+// lane i), the odometer enumerate walks them with, the operands of the
+// node's lane combinations, and the function names searchFunc has tried.
 // A call owns its scratch, so concurrent searches of one rule share
-// nothing, and enumerate copies every match's operands out of it: a
+// nothing, and enumerate copies every fresh match's operands out of it: a
 // match's Data must stay valid after the next search reuses the buffers.
+//
+// cached is the rule's cached list (nil on a full search) and at its
+// matches at the class being searched. A combination equal to one of them
+// is returned as that match, its position in out set in reused.
 type laneSearch struct {
-	g     *egraph.EGraph
-	ops   []operand
-	n     int
-	ends  []int
-	odo   []int
-	tried []egraph.SymID
-	out   []egraph.Match
+	g      *egraph.EGraph
+	ops    []operand
+	n      int
+	ends   []int
+	odo    []int
+	combo  []operand
+	tried  []egraph.SymID
+	cached []egraph.Match
+	at     []egraph.Match
+	out    []egraph.Match
+	reused egraph.Bitset
+}
+
+// newLaneSearch starts a search of classes. With a cached list it sizes
+// the result for the matches cached at those classes, which a search of a
+// class whose matches did not change finds again.
+func newLaneSearch(g *egraph.EGraph, classes []*egraph.EClass, cached []egraph.Match) laneSearch {
+	ls := laneSearch{g: g, cached: cached}
+	if cached != nil {
+		n := 0
+		for _, cls := range classes {
+			n += len(egraph.MatchesAt(cached, cls.ID))
+		}
+		ls.out = make([]egraph.Match, 0, n)
+	}
+	return ls
 }
 
 // reset starts the decomposition of a new Vec node.
@@ -102,7 +126,8 @@ func (ls *laneSearch) addNode(n egraph.ENode, arity int) bool {
 
 // enumerate appends one match per lane combination of the decomposed Vec
 // node, up to maxCombos, in odometer order (the first combination takes
-// each lane's first tuple). All of the node's matches share one fresh
+// each lane's first tuple). A combination equal to a cached match at the
+// class is that match, reused; the node's other matches share one fresh
 // operand array, each its own disjoint part of it.
 func (ls *laneSearch) enumerate(class egraph.ClassID, op expr.Op, sym egraph.SymID, arity int) {
 	lanes := len(ls.ends)
@@ -112,21 +137,24 @@ func (ls *laneSearch) enumerate(class egraph.ClassID, op expr.Op, sym egraph.Sym
 	}
 	combos = min(combos, maxCombos)
 	width := lanes * arity
-	ops := make([]operand, combos*width)
-	ms := make([]vecMatch, combos)
+	combo := slices.Grow(ls.combo[:0], combos*width)[:combos*width]
+	ls.combo = combo
 	odo := ls.odo[:0]
 	for range lanes {
 		odo = append(odo, 0)
 	}
 	ls.odo = odo
-	for c := range ms {
-		dst := ops[c*width : (c+1)*width : (c+1)*width]
+	var hits [maxCombos]*vecMatch
+	fresh := 0
+	for c := range combos {
+		dst := combo[c*width : (c+1)*width]
 		for i, k := range odo {
 			from := (ls.start(i) + k) * arity
 			copy(dst[i*arity:], ls.ops[from:from+arity])
 		}
-		ms[c] = vecMatch{op: op, sym: sym, lanes: lanes, ops: dst}
-		ls.out = append(ls.out, egraph.Match{Class: class, Data: &ms[c]})
+		if hits[c] = ls.cachedMatch(op, sym, lanes, dst); hits[c] == nil {
+			fresh++
+		}
 		// Advance the odometer, last lane fastest.
 		for i := lanes - 1; i >= 0; i-- {
 			if odo[i]++; odo[i] < ls.ends[i]-ls.start(i) {
@@ -135,6 +163,34 @@ func (ls *laneSearch) enumerate(class egraph.ClassID, op expr.Op, sym egraph.Sym
 			odo[i] = 0
 		}
 	}
+	var ops []operand
+	var ms []vecMatch
+	if fresh > 0 {
+		ops, ms = make([]operand, fresh*width), make([]vecMatch, fresh)
+	}
+	for c, vm := range hits[:combos] {
+		if vm != nil {
+			ls.reused.Set(len(ls.out))
+		} else {
+			dst := ops[:width:width]
+			copy(dst, combo[c*width:])
+			ms[0] = vecMatch{op: op, sym: sym, lanes: lanes, ops: dst}
+			vm, ops, ms = &ms[0], ops[width:], ms[1:]
+		}
+		ls.out = append(ls.out, egraph.Match{Class: class, Data: vm})
+	}
+}
+
+// cachedMatch returns the cached match at the current class whose payload
+// equals the combination ops of the vector operator op (and symbol sym)
+// over the given lanes, or nil.
+func (ls *laneSearch) cachedMatch(op expr.Op, sym egraph.SymID, lanes int, ops []operand) *vecMatch {
+	for _, mt := range ls.at {
+		if vm := mt.Data.(*vecMatch); vm.op == op && vm.sym == sym && vm.lanes == lanes && slices.Equal(vm.ops, ops) {
+			return vm
+		}
+	}
+	return nil
 }
 
 // start is the index of lane i's first tuple.
@@ -200,9 +256,11 @@ var laneOps = []struct {
 	{expr.OpSgn, expr.OpVecSgn, 1, nil},
 }
 
-func (r vectorizeRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass) []egraph.Match {
-	ls := laneSearch{g: g}
+// SearchClasses reuses every cached match it finds again (laneSearch).
+func (r vectorizeRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass, cached []egraph.Match) ([]egraph.Match, egraph.Bitset) {
+	ls := newLaneSearch(g, classes, cached)
 	for _, cls := range classes {
+		ls.at = egraph.MatchesAt(ls.cached, cls.ID)
 		for _, ni := range cls.Nodes {
 			vecNode := g.Node(ni)
 			if vecNode.Op != expr.OpVec || !r.ws[len(vecNode.Args)] {
@@ -216,7 +274,7 @@ func (r vectorizeRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass)
 			ls.searchFunc(cls.ID, vecNode)
 		}
 	}
-	return ls.out
+	return ls.out, ls.reused
 }
 
 // searchFunc vectorizes lanes that all call the same uninterpreted function
@@ -320,8 +378,11 @@ func (r vectorizeRule) Apply(g *egraph.EGraph, m egraph.Match) bool {
 //
 // and the applier collects the per-lane (a, b, c) triples into
 // (VecMAC (Vec a...) (Vec b...) (Vec c...)), mapping missing values to 0.
-// These equivalences are recomputed every iteration rather than persisted
-// in the e-graph, trading compute for memory exactly as the paper does.
+// As in the paper, these equivalences live in the searcher rather than as
+// rewrite rules in the e-graph. The runner searches a Vec class again only
+// when something within two hops below it changed, and a triple set equal
+// to one the last search found reuses that match and is not applied again
+// (laneSearch), so the cost of the custom matching tracks what changed.
 type macRule struct {
 	ws widthSet
 }
@@ -339,9 +400,11 @@ func (macRule) RootOps() []expr.Op { return []expr.Op{expr.OpVec} }
 // product's class two hops below the Vec.
 func (macRule) ReadDepth() int { return 2 }
 
-func (r macRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass) []egraph.Match {
-	ls := laneSearch{g: g}
+// SearchClasses reuses every cached match it finds again (laneSearch).
+func (r macRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass, cached []egraph.Match) ([]egraph.Match, egraph.Bitset) {
+	ls := newLaneSearch(g, classes, cached)
 	for _, cls := range classes {
+		ls.at = egraph.MatchesAt(ls.cached, cls.ID)
 		for _, ni := range cls.Nodes {
 			vecNode := g.Node(ni)
 			if vecNode.Op != expr.OpVec || !r.ws[len(vecNode.Args)] {
@@ -352,7 +415,7 @@ func (r macRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass) []egr
 			}
 		}
 	}
-	return ls.out
+	return ls.out, ls.reused
 }
 
 // macLanes computes per-lane (acc, b, c) triples into the scratch. It

@@ -59,7 +59,7 @@ func TestPhaseBreakdownOnCompile(t *testing.T) {
 	if phases["compile"] <= 0 {
 		t.Errorf("compile phase %v, want > 0", phases["compile"])
 	}
-	for _, path := range []string{"compile.lift", "compile.saturate", "compile.saturate.match", "compile.saturate.rebuild"} {
+	for _, path := range []string{"compile.lift", "compile.saturate", "compile.saturate.ingest", "compile.saturate.match", "compile.saturate.rebuild"} {
 		if _, ok := phases[path]; !ok {
 			t.Errorf("header lacks %s: %v", path, phases)
 		}
@@ -69,6 +69,7 @@ func TestPhaseBreakdownOnCompile(t *testing.T) {
 	for _, want := range []string{
 		`diospyros_phase_seconds_count{cache="bypass",path="queue"} 1`,
 		`diospyros_phase_seconds_count{cache="bypass",path="compile"} 1`,
+		`diospyros_phase_seconds_count{cache="bypass",path="compile.saturate.ingest"} 1`,
 		`diospyros_phase_seconds_count{cache="bypass",path="compile.saturate.rebuild"} 1`,
 		`diospyros_phase_seconds_count{cache="bypass",path="serialize"} 1`,
 	} {

@@ -102,9 +102,10 @@ func ChromeTraces(traces []NamedTrace) ([]byte, error) {
 				Name: name, Ph: "X", Cat: cat, Pid: pid, Tid: tid,
 				Ts: micros(base + at), Dur: micros(dur), Args: args})
 		}
-		// Gauges record durations only; lay the iterations out back to
-		// back from the saturate span's start, and each iteration's steps
-		// back to back from its own start, in loop order.
+		// Gauges record durations only; lay the ingest and then the
+		// iterations out back to back from the saturate span's start, and
+		// each iteration's steps back to back from its own start, in loop
+		// order.
 		var at time.Duration
 		for _, s := range t.Stages {
 			slice(s.Name, "stage", s.Start, s.Duration,
@@ -112,6 +113,10 @@ func ChromeTraces(traces []NamedTrace) ([]byte, error) {
 			if s.Name == "saturate" {
 				at = s.Start
 			}
+		}
+		if t.Ingest > 0 {
+			slice("ingest", "phase", at, t.Ingest, nil)
+			at += t.Ingest
 		}
 		for _, g := range t.Iterations {
 			slice(fmt.Sprintf("iteration %d", g.Iteration), "saturation", at, g.Duration,

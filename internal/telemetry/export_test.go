@@ -21,18 +21,19 @@ func sampleTrace() *Trace {
 			{Name: "saturate", Start: 2 * time.Millisecond, Duration: 10 * time.Millisecond, AllocBytes: 8 << 20},
 			{Name: "extract", Start: 12 * time.Millisecond, Duration: time.Millisecond, AllocBytes: 1 << 10},
 		},
+		Ingest: 400 * time.Microsecond,
 		Iterations: []IterationGauge{
 			{Iteration: 1, Nodes: 100, Classes: 40, Matches: 12, Applied: 9,
 				Rules: []RuleStep{
 					{Rule: "assoc-add", Matches: 40, Duration: time.Millisecond, BannedUntil: 4, Bans: 1},
 					{Rule: "vec-mac", Matches: 12, Applied: 9, NewNodes: 60, Duration: 3 * time.Millisecond},
 				},
-				Duration: 4 * time.Millisecond, Index: 200 * time.Microsecond, Match: 2 * time.Millisecond,
+				Duration: 3800 * time.Microsecond, Index: 200 * time.Microsecond, Match: 2 * time.Millisecond,
 				Apply: time.Millisecond, Rebuild: 500 * time.Microsecond,
 				Bytes: 48 << 10, BestCost: costOf(120)},
 			{Iteration: 2, Nodes: 180, Classes: 66, Matches: 3, Applied: 1,
 				Rules:    []RuleStep{{Rule: "vec-mac", Matches: 3, Applied: 1, NewNodes: 20}},
-				Duration: 6 * time.Millisecond, Index: 300 * time.Microsecond, Match: 3 * time.Millisecond,
+				Duration: 5800 * time.Microsecond, Index: 300 * time.Microsecond, Match: 3 * time.Millisecond,
 				Apply: 1500 * time.Microsecond, Rebuild: time.Millisecond,
 				Bytes: 80 << 10, BestCost: costOf(96)},
 		},
@@ -164,12 +165,12 @@ func TestChromeTraceStructure(t *testing.T) {
 			t.Errorf("unexpected phase %q", ph)
 		}
 	}
-	// 3 stages + 2 iterations + 2×4 loop steps complete events; process
-	// and thread name; one counters instant.
-	if completes != 13 || metas != 2 || instants != 1 {
-		t.Errorf("events = %d X, %d M, %d i; want 13, 2, 1", completes, metas, instants)
+	// 3 stages + the ingest + 2 iterations + 2×4 loop steps complete
+	// events; process and thread name; one counters instant.
+	if completes != 14 || metas != 2 || instants != 1 {
+		t.Errorf("events = %d X, %d M, %d i; want 14, 2, 1", completes, metas, instants)
 	}
-	for _, want := range []string{"lift", "saturate", "extract", "iteration 1", "iteration 2",
+	for _, want := range []string{"lift", "saturate", "extract", "ingest", "iteration 1", "iteration 2",
 		"index", "match", "apply", "rebuild", "counters"} {
 		if !names[want] {
 			t.Errorf("missing event %q", want)
@@ -177,7 +178,7 @@ func TestChromeTraceStructure(t *testing.T) {
 	}
 	parents := chromeParents(t, f.TraceEvents)
 	for child, want := range map[string]string{
-		"1/lift": "", "1/saturate": "", "1/iteration 1": "saturate", "1/iteration 2": "saturate",
+		"1/lift": "", "1/saturate": "", "1/ingest": "saturate", "1/iteration 1": "saturate", "1/iteration 2": "saturate",
 		"1/rebuild": "iteration 2", "1/extract": "",
 	} {
 		if got, ok := parents[child]; !ok || got != want {

@@ -11,9 +11,10 @@ import (
 // Phase is one entry of the phase path, the one nested, dot-separated
 // vocabulary every timing surface names time with (DESIGN.md §7): queue,
 // cache and serialize at the request level (diosserve), then compile,
-// compile.<stage> per stage span, and compile.saturate.{index,match,apply,
-// rebuild} for the saturation loop's steps summed over the iterations. A
-// child's time is part of its parent's.
+// compile.<stage> per stage span, compile.saturate.ingest for adding the
+// spec to the e-graph, and compile.saturate.{index,match,apply,rebuild}
+// for the saturation loop's steps summed over the iterations. A child's
+// time is part of its parent's.
 type Phase struct {
 	Path     string
 	Duration time.Duration
@@ -30,21 +31,26 @@ func (p Phase) metered() bool { return !strings.HasPrefix(p.Path, saturatePrefix
 
 // Phases returns the trace's phase list, parents before children: compile
 // (the trace's Duration and AllocBytes), one compile.<stage> per span in
-// execution order, and — when the trace has iteration gauges — the four
-// loop steps summed over them, right after the saturate span.
+// execution order, and right after the saturate span its steps: ingest
+// when the trace timed it, then — when the trace has iteration gauges —
+// the four loop steps summed over them.
 func (t *Trace) Phases() []Phase {
 	var steps []Phase
+	if t.Ingest > 0 {
+		steps = append(steps, Phase{Path: saturatePrefix + "ingest", Duration: t.Ingest})
+	}
 	if len(t.Iterations) > 0 {
-		steps = []Phase{{Path: saturatePrefix + "index"}, {Path: saturatePrefix + "match"},
+		loop := []Phase{{Path: saturatePrefix + "index"}, {Path: saturatePrefix + "match"},
 			{Path: saturatePrefix + "apply"}, {Path: saturatePrefix + "rebuild"}}
 		for _, g := range t.Iterations {
-			steps[0].Duration += g.Index
-			steps[1].Duration += g.Match
-			steps[2].Duration += g.Apply
-			steps[3].Duration += g.Rebuild
+			loop[0].Duration += g.Index
+			loop[1].Duration += g.Match
+			loop[2].Duration += g.Apply
+			loop[3].Duration += g.Rebuild
 		}
+		steps = append(steps, loop...)
 	}
-	out := make([]Phase, 0, len(t.Stages)+5)
+	out := make([]Phase, 0, len(t.Stages)+6)
 	out = append(out, Phase{Path: "compile", Duration: t.Duration, AllocBytes: t.AllocBytes})
 	for _, s := range t.Stages {
 		out = append(out, Phase{Path: "compile." + s.Name, Duration: s.Duration, AllocBytes: s.AllocBytes})

@@ -106,8 +106,12 @@ const TraceSchema = "diospyros/trace/v2"
 type Trace struct {
 	// Schema identifies the JSON format (TraceSchema). Stamped by
 	// Recorder.Finish and by JSON; empty only on hand-built literals.
-	Schema     string           `json:"schema,omitempty"`
-	Stages     []Span           `json:"stages"`
+	Schema string `json:"schema,omitempty"`
+	Stages []Span `json:"stages"`
+	// Ingest is the time the saturate stage spent adding the spec to the
+	// e-graph, before its first iteration: the compile.saturate.ingest
+	// phase.
+	Ingest     time.Duration    `json:"ingest,omitempty"`
 	Iterations []IterationGauge `json:"iterations,omitempty"`
 	Counters   map[string]int64 `json:"counters,omitempty"`
 	// StopReason mirrors egraph.StopReason for the saturation stage

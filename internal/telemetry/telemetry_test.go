@@ -74,8 +74,9 @@ func TestRecorderIsTheMemoryProbe(t *testing.T) {
 }
 
 // TestPhasesNestSaturationLoop pins the phase list's shape: compile
-// first, one compile.<stage> per span in order, and the four loop steps
-// summed over the gauges right after the saturate span, with no alloc.
+// first, one compile.<stage> per span in order, and right after the
+// saturate span the ingest, then the four loop steps summed over the
+// gauges, with no alloc.
 func TestPhasesNestSaturationLoop(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	tr := &Trace{
@@ -85,6 +86,7 @@ func TestPhasesNestSaturationLoop(t *testing.T) {
 			{Name: "saturate", Duration: ms(60), AllocBytes: 500},
 			{Name: "extract", Duration: ms(20), AllocBytes: 300},
 		},
+		Ingest: ms(2),
 		Iterations: []IterationGauge{
 			{Iteration: 1, Duration: ms(25), Index: ms(1), Match: ms(10), Apply: ms(5), Rebuild: ms(4)},
 			{Iteration: 2, Duration: ms(30), Index: ms(2), Match: ms(12), Apply: ms(6), Rebuild: ms(7)},
@@ -94,6 +96,7 @@ func TestPhasesNestSaturationLoop(t *testing.T) {
 		{Path: "compile", Duration: ms(100), AllocBytes: 900},
 		{Path: "compile.lift", Duration: ms(5), AllocBytes: 10},
 		{Path: "compile.saturate", Duration: ms(60), AllocBytes: 500},
+		{Path: "compile.saturate.ingest", Duration: ms(2)},
 		{Path: "compile.saturate.index", Duration: ms(3)},
 		{Path: "compile.saturate.match", Duration: ms(22)},
 		{Path: "compile.saturate.apply", Duration: ms(11)},
@@ -103,10 +106,14 @@ func TestPhasesNestSaturationLoop(t *testing.T) {
 	if got := tr.Phases(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Phases() =\n%+v\nwant\n%+v", got, want)
 	}
-	// No gauges, no loop steps.
+	// No gauges, no loop steps; no ingest time, no ingest step.
 	tr.Iterations = nil
+	if got := len(tr.Phases()); got != 5 {
+		t.Errorf("gauge-less trace has %d phases, want 5", got)
+	}
+	tr.Ingest = 0
 	if got := len(tr.Phases()); got != 4 {
-		t.Errorf("gauge-less trace has %d phases, want 4", got)
+		t.Errorf("gauge-less trace without ingest has %d phases, want 4", got)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"time"
 
 	"diospyros/internal/codegen"
 	"diospyros/internal/cost"
@@ -46,6 +47,7 @@ type compileState struct {
 
 	g          *egraph.EGraph // after saturate
 	root       egraph.ClassID
+	ingest     time.Duration // saturate's AddExpr of the spec
 	report     egraph.Report
 	extractors []*extract.Extractor // after extract, one per target
 	perTarget  []TargetResult       // filled in stage by stage
@@ -138,8 +140,10 @@ func stageSaturate(ctx context.Context, st *compileState) error {
 	if err != nil {
 		return err
 	}
+	start := time.Now()
 	st.g = egraph.New()
 	st.root = st.g.AddExpr(st.lifted.Spec)
+	st.ingest = time.Since(start)
 	if st.opts.Explain {
 		// Enabled after the spec is added so input nodes stay unattributed
 		// and every justified node traces back to a rewrite.

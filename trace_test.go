@@ -228,7 +228,8 @@ func stageSpan(tr *telemetry.Trace, name string) (telemetry.Span, bool) {
 // one message per broken invariant:
 //   - every path's children sum to at most the parent;
 //   - each gauge's index, match, apply and rebuild sum to at most its
-//     Duration, and the gauges' Durations to at most the saturate span;
+//     Duration, and the ingest and the gauges' Durations to at most the
+//     saturate span;
 //   - the list round-trips through the Server-Timing codec at microsecond
 //     resolution.
 //
@@ -249,7 +250,7 @@ func PhaseInvariantViolations(tr *telemetry.Trace) []string {
 			out = append(out, fmt.Sprintf("children of %s sum to %v, parent %v (present %v)", parent, sum, d, ok))
 		}
 	}
-	var loop time.Duration
+	loop := tr.Ingest
 	for _, g := range tr.Iterations {
 		if steps := g.Index + g.Match + g.Apply + g.Rebuild; steps > g.Duration {
 			out = append(out, fmt.Sprintf("iteration %d: steps sum to %v, iteration %v", g.Iteration, steps, g.Duration))
@@ -257,7 +258,7 @@ func PhaseInvariantViolations(tr *telemetry.Trace) []string {
 		loop += g.Duration
 	}
 	if sat, ok := stageSpan(tr, StageSaturate); ok && loop > sat.Duration {
-		out = append(out, fmt.Sprintf("iterations sum to %v, saturate span %v", loop, sat.Duration))
+		out = append(out, fmt.Sprintf("ingest and iterations sum to %v, saturate span %v", loop, sat.Duration))
 	}
 	back := telemetry.ParseServerTiming(telemetry.FormatServerTiming(phases))
 	if len(back) != len(phases) {
