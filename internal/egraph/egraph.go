@@ -229,6 +229,22 @@ func (g *EGraph) CanonicalClasses() []*EClass {
 	return out
 }
 
+// AppendParentClasses appends to dst the canonical class of every parent
+// entry of id's class (a class holding a node that names id's class as a
+// child) and returns the extended slice. A class appears once per entry
+// naming it, so dst may repeat IDs. Nothing is appended for an ID the
+// graph never issued.
+func (g *EGraph) AppendParentClasses(dst []ClassID, id ClassID) []ClassID {
+	cls := g.Class(id)
+	if cls == nil {
+		return dst
+	}
+	for _, p := range cls.parents {
+		dst = append(dst, g.Find(p.class))
+	}
+	return dst
+}
+
 // Node returns the node the table holds at id. Its Args are the table's:
 // callers must not write to them, and they read canonical IDs only until
 // the next Union (Rebuild canonicalizes them in place).

@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -94,5 +95,32 @@ func TestMovementCensus(t *testing.T) {
 	}
 	if mc.Gathers != 0 || mc.ScalarLanes != 0 {
 		t.Fatalf("census = %+v, want no gathers or scalar lanes", mc)
+	}
+}
+
+// TestDecisionsPriceAsExtractionDoes holds Decisions to extraction's one
+// pricing rule: any finite total is a candidate. Under an override cost
+// of 1e301, the root's only node wins extraction, so it must count as the
+// root's candidate with its own cost, and the Add that add-zero made
+// equivalent to a must count as a's runner-up.
+func TestDecisionsPriceAsExtractionDoes(t *testing.T) {
+	g := egraph.New()
+	root := g.AddExpr(expr.MustParse("(* (+ a 0) c)"))
+	egraph.Run(g, []egraph.Rewrite{egraph.MustRewrite("add-zero", "(+ ?a 0)", "?a")}, egraph.Limits{})
+	model := cost.Overrides{Base: cost.Diospyros{Width: 4}, PerOp: map[string]float64{"*": 1e301, "+": 1e301}}
+	ex := New(g, model)
+	if c := ex.Cost(root); !(c >= 1e301) || math.IsInf(c, 0) {
+		t.Fatalf("root cost = %v, want finite and at least 1e301", c)
+	}
+	a := g.Find(g.AddExpr(expr.Sym("a")))
+	byClass := map[egraph.ClassID]Decision{}
+	for _, d := range ex.Decisions(root) {
+		byClass[d.Class] = d
+	}
+	if d := byClass[g.Find(root)]; d.Candidates != 1 || d.WinnerOwn != 1e301 {
+		t.Errorf("root decision %+v, want 1 candidate with own cost 1e301", d)
+	}
+	if d := byClass[a]; d.Winner != "a" || d.Candidates != 2 || d.RunnerUpCost < 1e301 {
+		t.Errorf("decision for a %+v, want winner a and the Add as runner-up at 1e301 or more", d)
 	}
 }

@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 )
 
@@ -29,10 +30,16 @@ type domain[F any] interface {
 // runs 7,600.
 const maxLoopSteps = 500_000
 
+// ctxPollSteps amortizes the evaluator's context poll: it checks for
+// cancellation once per this many loop iterations, as saturation's apply
+// phase checks once per batch of applies.
+const ctxPollSteps = 64
+
 // evaluator walks a typechecked kernel body over the float domain F.
 type evaluator[F any] struct {
 	dom   domain[F]
-	steps int // loop iterations run so far, against maxLoopSteps
+	ctx   context.Context // polled every ctxPollSteps loop iterations
+	steps int             // loop iterations run so far, against maxLoopSteps
 }
 
 // array is a kernel array (input, output or local), stored flat in
@@ -101,10 +108,15 @@ func (e *evaluator[F]) run(k *Kernel, arrays map[string]*array[F]) error {
 	return e.block(k.Body, &frame[F]{parent: &frame[F]{arrays: arrays}})
 }
 
-// step counts one iteration of the loop at pos.
+// step counts one iteration of the loop at pos. It fails when the loop
+// budget is spent or, polled every ctxPollSteps steps, when the context is
+// done, with the context's cause.
 func (e *evaluator[F]) step(pos Pos) error {
 	if e.steps++; e.steps > maxLoopSteps {
 		return errf(pos, "loop exceeded the budget of %d iterations", maxLoopSteps)
+	}
+	if e.steps%ctxPollSteps == 0 && e.ctx.Err() != nil {
+		return context.Cause(e.ctx)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -31,7 +32,7 @@ func Interp(k *Kernel, inputs map[string][]float64, funcs map[string]func([]floa
 		arrays[p.Name] = newArray[float64](dom, p.Dims)
 		outputs[p.Name] = arrays[p.Name].vals
 	}
-	e := &evaluator[float64]{dom: dom}
+	e := &evaluator[float64]{dom: dom, ctx: context.Background()}
 	if err := e.run(k, arrays); err != nil {
 		return nil, err
 	}

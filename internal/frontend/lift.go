@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"context"
 	"fmt"
 
 	"diospyros/internal/kernel"
@@ -12,6 +13,12 @@ import (
 // input-independent; a condition that inspects float data is rejected with
 // an explanatory error.
 func Lift(k *Kernel) (*kernel.Lifted, error) {
+	return LiftContext(context.Background(), k)
+}
+
+// LiftContext is Lift under a context: the evaluator polls ctx as its
+// loops run and stops with the context's cause once ctx is done.
+func LiftContext(ctx context.Context, k *Kernel) (*kernel.Lifted, error) {
 	b := kernel.NewBuilder(k.Name)
 	arrays := make(map[string]*array[kernel.Scalar], len(k.Params)+len(k.Outs))
 	for _, p := range k.Params {
@@ -24,7 +31,7 @@ func Lift(k *Kernel) (*kernel.Lifted, error) {
 		outs[i] = b.Output(p.Name, rows, cols)
 		arrays[p.Name] = elements(outs[i], p.Dims)
 	}
-	e := &evaluator[kernel.Scalar]{dom: &symbolic{}}
+	e := &evaluator[kernel.Scalar]{dom: &symbolic{}, ctx: ctx}
 	if err := e.run(k, arrays); err != nil {
 		return nil, err
 	}

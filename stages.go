@@ -81,12 +81,12 @@ func compilePipeline() *pipeline.Pipeline[*compileState] {
 }
 
 // stageLift parses and symbolically evaluates kernel source (§3.1).
-func stageLift(_ context.Context, st *compileState) error {
+func stageLift(ctx context.Context, st *compileState) error {
 	k, err := frontend.Parse(st.src)
 	if err != nil {
 		return err
 	}
-	st.lifted, err = frontend.Lift(k)
+	st.lifted, err = frontend.LiftContext(ctx, k)
 	return err
 }
 

@@ -197,6 +197,31 @@ func TestCompileContextCancelledMidSaturation(t *testing.T) {
 	}
 }
 
+// A request deadline stops lift too: a kernel whose loop runs 300 integer
+// lets 150,000 times, inside the loop budget, lifts for about four seconds
+// (2-vCPU VM). Under a 100 ms deadline the compile must fail in lift,
+// wrapping context.DeadlineExceeded, well within a second.
+func TestCompileSourceDeadlineStopsLift(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("kernel k(a[1]) -> (o[1]) {\n    for i in 0..150000 {\n")
+	for j := 0; j < 300; j++ {
+		fmt.Fprintf(&src, "        let v%d = i * %d + %d;\n", j, j, j)
+	}
+	src.WriteString("    }\n    o[0] = a[0];\n}\n")
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := CompileSourceContext(ctx, src.String(), testOpts())
+	elapsed := time.Since(start)
+	var se *pipeline.StageError
+	if !errors.As(err, &se) || se.Stage != StageLift || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want a lift StageError wrapping context.DeadlineExceeded", err)
+	}
+	if elapsed > 500*time.Millisecond {
+		t.Errorf("lift took %v to stop after a 100ms deadline", elapsed)
+	}
+}
+
 // Options.Timeout expiring is NOT a cancellation: the partially saturated
 // e-graph still extracts and produces code (the Figure 6 contract).
 func TestCompileSaturationTimeoutStillEmitsCode(t *testing.T) {
