@@ -57,7 +57,7 @@ type Block struct {
 }
 
 // Stmt is a statement node.
-type Stmt interface{ stmt() }
+type Stmt interface{ StmtPos() Pos }
 
 // ForStmt is `for i in lo..hi { ... }` (hi exclusive).
 type ForStmt struct {
@@ -106,12 +106,23 @@ type AssignStmt struct {
 	Pos     Pos
 }
 
-func (*ForStmt) stmt()      {}
-func (*WhileStmt) stmt()    {}
-func (*IfStmt) stmt()       {}
-func (*LetStmt) stmt()      {}
-func (*VarArrayStmt) stmt() {}
-func (*AssignStmt) stmt()   {}
+// StmtPos returns the statement's position.
+func (s *ForStmt) StmtPos() Pos { return s.Pos }
+
+// StmtPos returns the statement's position.
+func (s *WhileStmt) StmtPos() Pos { return s.Pos }
+
+// StmtPos returns the statement's position.
+func (s *IfStmt) StmtPos() Pos { return s.Pos }
+
+// StmtPos returns the statement's position.
+func (s *LetStmt) StmtPos() Pos { return s.Pos }
+
+// StmtPos returns the statement's position.
+func (s *VarArrayStmt) StmtPos() Pos { return s.Pos }
+
+// StmtPos returns the statement's position.
+func (s *AssignStmt) StmtPos() Pos { return s.Pos }
 
 // Expr is an expression node. Types are filled in by the typechecker.
 type Expr interface {

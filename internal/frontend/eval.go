@@ -6,69 +6,95 @@ import (
 	"fmt"
 )
 
-// domain is the float half of the kernel evaluator. Integer values
-// (indices, bounds, loop counters, conditions over them) are always
-// concrete; float data values are an F. Interp runs the evaluator over
-// float64 (concrete), Lift over kernel.Scalar (symbolic, paper §3.1).
-type domain[F any] interface {
-	// num is the value of a float literal.
-	num(v float64) F
-	// arith applies op, one of + - * /, to l and r.
-	arith(op string, l, r F, pos Pos) (F, error)
-	// neg returns -x.
-	neg(x F, pos Pos) (F, error)
-	// call applies a builtin (sqrt, abs, sgn) or user-defined function.
-	call(name string, args []F, pos Pos) (F, error)
-	// compare decides a float comparison, or rejects it.
-	compare(op string, l, r F, pos Pos) (bool, error)
+// Domain is the float half of the kernel walker. Integer values (indices,
+// bounds, loop counters, conditions over them) are always concrete; float
+// data values are an F, and arrays of them are stored as the domain
+// chooses. Interp runs the walker over float64 (concrete), Lift over
+// kernel.Scalar (symbolic, paper §3.1), and kcc's FixedSize mode over
+// FG3-lite float registers.
+type Domain[F any] interface {
+	// Num is the value of a float literal.
+	Num(v float64) F
+	// Arith applies op, one of + - * /, to l and r.
+	Arith(op string, l, r F, pos Pos) (F, error)
+	// Neg returns -x.
+	Neg(x F, pos Pos) (F, error)
+	// Call applies a builtin (sqrt, abs, sgn) or user-defined function.
+	// args is the call's own slice; the domain may keep it.
+	Call(name string, args []F, pos Pos) (F, error)
+	// Compare decides a float comparison, or rejects it.
+	Compare(op string, l, r F, pos Pos) (bool, error)
+	// Local returns the var array name of the given shape, every element
+	// zero.
+	Local(name string, dims []int) Array[F]
 }
 
-// maxLoopSteps bounds the loop iterations, for and while together, that
-// lifting or interpreting one kernel may run, so a hostile or
-// non-terminating kernel fails fast with a positioned error. The largest
-// kernel in testdata, examples and the benchmark suite, 2DConv 16x16 4x4,
-// runs 7,600.
-const maxLoopSteps = 500_000
-
-// ctxPollSteps amortizes the evaluator's context poll: it checks for
-// cancellation once per this many loop iterations, as saturation's apply
-// phase checks once per batch of applies.
-const ctxPollSteps = 64
-
-// evaluator walks a typechecked kernel body over the float domain F.
-type evaluator[F any] struct {
-	dom   domain[F]
-	ctx   context.Context // polled every ctxPollSteps loop iterations
-	steps int             // loop iterations run so far, against maxLoopSteps
+// Array is a kernel array (input, output or local) as its domain stores
+// it. The walker resolves each access to a row-major offset, checked
+// against Dims, before it loads or stores.
+type Array[F any] interface {
+	Dims() []int
+	Load(off int) F
+	Store(off int, v F)
 }
 
-// array is a kernel array (input, output or local), stored flat in
-// row-major order.
-type array[F any] struct {
+// slice is the Array of Lift and Interp: the elements, flat.
+type slice[F any] struct {
 	dims []int
 	vals []F
 }
 
-// newArray returns an array of the given shape with every element num(0).
-func newArray[F any](dom domain[F], dims []int) *array[F] {
+func (a *slice[F]) Dims() []int        { return a.dims }
+func (a *slice[F]) Load(off int) F     { return a.vals[off] }
+func (a *slice[F]) Store(off int, v F) { a.vals[off] = v }
+
+// zeros returns a slice array of the given shape with every element
+// Num(0).
+func zeros[F any](dom Domain[F], dims []int) *slice[F] {
 	n := 1
 	for _, d := range dims {
 		n *= d
 	}
-	a := &array[F]{dims: dims, vals: make([]F, n)}
+	a := &slice[F]{dims: dims, vals: make([]F, n)}
 	for i := range a.vals {
-		a.vals[i] = dom.num(0)
+		a.vals[i] = dom.Num(0)
 	}
 	return a
 }
 
-// frame is one lexical scope of the evaluator. Its maps are allocated on
+// maxWork bounds the work one walk of a kernel may do, in every domain:
+// one unit per loop iteration, statement run and expression node
+// evaluated, and one per element a var array declares. A hostile or
+// non-terminating kernel therefore fails fast with a positioned error
+// however its work is split between iterations and loop bodies. The
+// largest count over the in-repo sources (testdata, the load generator's
+// mix, eigenlite's library sources and the benchmark suite's naive and
+// Eigen sources) is 270,363, the naive 2DConv 16x16 4x4; the budget is
+// 7.4 times that. A hostile kernel spends it in under 0.1 s, about 0.5 s
+// under the race detector (2-vCPU VM; EXPERIMENTS.md "Measuring one
+// budget").
+const maxWork = 2_000_000
+
+// ctxPollWork amortizes the walker's context poll: it checks for
+// cancellation once per this many units of work, so a long loop body is
+// polled as often as a long loop.
+const ctxPollWork = 1024
+
+// walker walks a typechecked kernel body over the domain F.
+type walker[F any] struct {
+	dom  Domain[F]
+	ctx  context.Context // polled every ctxPollWork units of work
+	work int             // units of work done so far, against maxWork
+	poll int             // work at which spend next calls check
+}
+
+// frame is one lexical scope of the walker. Its maps are allocated on
 // first write (bind).
 type frame[F any] struct {
 	parent *frame[F]
 	ints   map[string]int
 	floats map[string]F
-	arrays map[string]*array[F]
+	arrays map[string]Array[F]
 }
 
 // reset empties the frame for a loop's next iteration, keeping its maps.
@@ -102,28 +128,43 @@ func bind[V any](m *map[string]V, name string, v V) {
 	(*m)[name] = v
 }
 
-// run executes the kernel body in a frame below the one binding the
-// kernel's arrays.
-func (e *evaluator[F]) run(k *Kernel, arrays map[string]*array[F]) error {
+// Run walks the body of the typechecked kernel k over dom, with each of
+// k's parameters and outputs bound to its array in arrays. It stops with
+// a positioned error once the work budget is spent, and with the
+// context's cause once ctx is done.
+func Run[F any](ctx context.Context, k *Kernel, dom Domain[F], arrays map[string]Array[F]) error {
+	e := &walker[F]{dom: dom, ctx: ctx}
 	return e.block(k.Body, &frame[F]{parent: &frame[F]{arrays: arrays}})
 }
 
-// step counts one iteration of the loop at pos. It fails when the loop
-// budget is spent or, polled every ctxPollSteps steps, when the context is
-// done, with the context's cause.
-func (e *evaluator[F]) step(pos Pos) error {
-	if e.steps++; e.steps > maxLoopSteps {
-		return errf(pos, "loop exceeded the budget of %d iterations", maxLoopSteps)
+// spend counts n units of work at pos, calling check every ctxPollWork
+// units and once the work budget is spent.
+func (e *walker[F]) spend(n int, pos Pos) error {
+	if e.work += n; e.work < e.poll {
+		return nil
 	}
-	if e.steps%ctxPollSteps == 0 && e.ctx.Err() != nil {
+	return e.check(pos)
+}
+
+// check fails when the work budget is spent, with a positioned error, or
+// when the context is done, with the context's cause.
+func (e *walker[F]) check(pos Pos) error {
+	if e.work > maxWork {
+		return errf(pos, "kernel exceeded the work budget of %d units", maxWork)
+	}
+	e.poll = min(e.work+ctxPollWork, maxWork+1)
+	if e.ctx.Err() != nil {
 		return context.Cause(e.ctx)
 	}
 	return nil
 }
 
 // block runs b's statements in sc.
-func (e *evaluator[F]) block(b *Block, sc *frame[F]) error {
+func (e *walker[F]) block(b *Block, sc *frame[F]) error {
 	for _, st := range b.Stmts {
+		if err := e.spend(1, st.StmtPos()); err != nil {
+			return err
+		}
 		if err := e.stmt(st, sc); err != nil {
 			return err
 		}
@@ -131,7 +172,7 @@ func (e *evaluator[F]) block(b *Block, sc *frame[F]) error {
 	return nil
 }
 
-func (e *evaluator[F]) stmt(st Stmt, sc *frame[F]) error {
+func (e *walker[F]) stmt(st Stmt, sc *frame[F]) error {
 	switch s := st.(type) {
 	case *ForStmt:
 		lo, err := e.intExpr(s.Lo, sc)
@@ -145,7 +186,7 @@ func (e *evaluator[F]) stmt(st Stmt, sc *frame[F]) error {
 		// One body frame serves every iteration, emptied each time.
 		body := &frame[F]{parent: sc}
 		for i := lo; i < hi; i++ {
-			if err := e.step(s.Pos); err != nil {
+			if err := e.spend(1, s.Pos); err != nil {
 				return err
 			}
 			body.reset()
@@ -158,7 +199,7 @@ func (e *evaluator[F]) stmt(st Stmt, sc *frame[F]) error {
 	case *WhileStmt:
 		body := &frame[F]{parent: sc}
 		for {
-			if err := e.step(s.Pos); err != nil {
+			if err := e.spend(1, s.Pos); err != nil {
 				return err
 			}
 			cond, err := e.boolExpr(s.Cond, sc)
@@ -198,7 +239,16 @@ func (e *evaluator[F]) stmt(st Stmt, sc *frame[F]) error {
 		bind(&sc.floats, s.Name, v)
 		return nil
 	case *VarArrayStmt:
-		bind(&sc.arrays, s.Name, newArray(e.dom, s.Dims))
+		// The zero fill is work, one unit per element, capped so that a
+		// huge shape trips the budget before it overflows or allocates.
+		n := 1
+		for _, d := range s.Dims {
+			n = min(n*min(d, maxWork+1), maxWork+1)
+		}
+		if err := e.spend(n, s.Pos); err != nil {
+			return err
+		}
+		bind(&sc.arrays, s.Name, e.dom.Local(s.Name, s.Dims))
 		return nil
 	case *AssignStmt:
 		if len(s.Indices) == 0 {
@@ -229,7 +279,7 @@ func (e *evaluator[F]) stmt(st Stmt, sc *frame[F]) error {
 		if err != nil {
 			return err
 		}
-		arr.vals[off] = v
+		arr.Store(off, v)
 		return nil
 	}
 	return fmt.Errorf("frontend: unknown statement %T", st)
@@ -238,29 +288,32 @@ func (e *evaluator[F]) stmt(st Stmt, sc *frame[F]) error {
 // element resolves the access name[indices...] at pos to its array and
 // flat offset, checking each index against its dimension as it is
 // evaluated.
-func (e *evaluator[F]) element(name string, indices []Expr, pos Pos, sc *frame[F]) (*array[F], int, error) {
-	var arr *array[F]
+func (e *walker[F]) element(name string, indices []Expr, pos Pos, sc *frame[F]) (Array[F], int, error) {
+	var arr Array[F]
 	for c := sc; c != nil && arr == nil; c = c.parent {
 		arr = c.arrays[name]
 	}
 	if arr == nil {
 		return nil, 0, errf(pos, "unknown array %q", name)
 	}
-	off := 0
+	dims, off := arr.Dims(), 0
 	for d, ix := range indices {
 		i, err := e.intExpr(ix, sc)
 		if err != nil {
 			return nil, 0, err
 		}
-		if i < 0 || i >= arr.dims[d] {
-			return nil, 0, errf(pos, "%s: index %d out of bounds for dimension %d (size %d)", name, i, d, arr.dims[d])
+		if i < 0 || i >= dims[d] {
+			return nil, 0, errf(pos, "%s: index %d out of bounds for dimension %d (size %d)", name, i, d, dims[d])
 		}
-		off = off*arr.dims[d] + i
+		off = off*dims[d] + i
 	}
 	return arr, off, nil
 }
 
-func (e *evaluator[F]) intExpr(x Expr, sc *frame[F]) (int, error) {
+func (e *walker[F]) intExpr(x Expr, sc *frame[F]) (int, error) {
+	if err := e.spend(1, x.ExprPos()); err != nil {
+		return 0, err
+	}
 	switch v := x.(type) {
 	case *NumLit:
 		return int(v.I), nil
@@ -304,20 +357,23 @@ func (e *evaluator[F]) intExpr(x Expr, sc *frame[F]) (int, error) {
 	return 0, errf(x.ExprPos(), "expected integer expression")
 }
 
-func (e *evaluator[F]) floatExpr(x Expr, sc *frame[F]) (F, error) {
+func (e *walker[F]) floatExpr(x Expr, sc *frame[F]) (F, error) {
 	var zero F
+	if err := e.spend(1, x.ExprPos()); err != nil {
+		return zero, err
+	}
 	switch v := x.(type) {
 	case *NumLit:
 		if v.IsInt {
-			return e.dom.num(float64(v.I)), nil
+			return e.dom.Num(float64(v.I)), nil
 		}
-		return e.dom.num(v.F), nil
+		return e.dom.Num(v.F), nil
 	case *CastExpr:
 		i, err := e.intExpr(v.X, sc)
 		if err != nil {
 			return zero, err
 		}
-		return e.dom.num(float64(i)), nil
+		return e.dom.Num(float64(i)), nil
 	case *VarRef:
 		if vars := sc.floatVars(v.Name); vars != nil {
 			return vars[v.Name], nil
@@ -328,7 +384,7 @@ func (e *evaluator[F]) floatExpr(x Expr, sc *frame[F]) (F, error) {
 		if err != nil {
 			return zero, err
 		}
-		return arr.vals[off], nil
+		return arr.Load(off), nil
 	case *BinExpr:
 		switch v.Op {
 		case "+", "-", "*", "/":
@@ -343,13 +399,13 @@ func (e *evaluator[F]) floatExpr(x Expr, sc *frame[F]) (F, error) {
 		if err != nil {
 			return zero, err
 		}
-		return e.dom.arith(v.Op, l, r, v.Pos)
+		return e.dom.Arith(v.Op, l, r, v.Pos)
 	case *UnExpr:
 		val, err := e.floatExpr(v.X, sc)
 		if err != nil {
 			return zero, err
 		}
-		return e.dom.neg(val, v.Pos)
+		return e.dom.Neg(val, v.Pos)
 	case *CallExpr:
 		args := make([]F, len(v.Args))
 		for i, a := range v.Args {
@@ -359,12 +415,15 @@ func (e *evaluator[F]) floatExpr(x Expr, sc *frame[F]) (F, error) {
 			}
 			args[i] = av
 		}
-		return e.dom.call(v.Name, args, v.Pos)
+		return e.dom.Call(v.Name, args, v.Pos)
 	}
 	return zero, errf(x.ExprPos(), "expected float expression")
 }
 
-func (e *evaluator[F]) boolExpr(x Expr, sc *frame[F]) (bool, error) {
+func (e *walker[F]) boolExpr(x Expr, sc *frame[F]) (bool, error) {
+	if err := e.spend(1, x.ExprPos()); err != nil {
+		return false, err
+	}
 	switch v := x.(type) {
 	case *BinExpr:
 		switch v.Op {
@@ -390,7 +449,7 @@ func (e *evaluator[F]) boolExpr(x Expr, sc *frame[F]) (bool, error) {
 				if err != nil {
 					return false, err
 				}
-				return e.dom.compare(v.Op, l, r, v.Pos)
+				return e.dom.Compare(v.Op, l, r, v.Pos)
 			}
 			l, err := e.intExpr(v.L, sc)
 			if err != nil {

@@ -13,7 +13,7 @@ import (
 // rejects it with an error, or Lift on the parsed kernel returns (with or
 // without an error) instead of panicking. The seeds are the repository's
 // example kernels, the empty-output kernel that once reached the builder's
-// "no outputs declared" panic, and the runaway loops the loop budget
+// "no outputs declared" panic, and the runaway loops the work budget
 // stops (hostileLoops).
 func FuzzLift(f *testing.F) {
 	paths, err := filepath.Glob("../../testdata/*.dios")
@@ -41,20 +41,34 @@ func FuzzLift(f *testing.F) {
 	})
 }
 
-// hostileLoops are kernels whose loops run far past maxLoopSteps (a long
-// for, a nested for, and a long while), each with the position of the
-// loop that trips the budget. The last one builds a float sum per
-// iteration: Lift stops at maxSpecNodes inside the loop body, Interp at
-// maxLoopSteps at the loop, both on line 2.
+// hostileLoops are kernels that need far more than maxWork (a long for,
+// a nested for, a long while, a short loop over 300 integer lets, and a
+// var array of 10^10 elements), each with the position where the budget
+// trips. The fourth builds a float sum per iteration: Lift stops at
+// maxSpecNodes, Interp at maxWork, both on line 2.
 var hostileLoops = []struct{ src, pos string }{
 	{"kernel k(a[1]) -> (o[1]) {\n    for i in 0..2000000000 {}\n}", "2:5:"},
 	{"kernel k(a[1]) -> (o[1]) {\n    for i in 0..100000 {\n        for j in 0..100000 {}\n    }\n}", "3:9:"},
-	{"kernel k(a[1]) -> (o[1]) {\n    let i = 0;\n    while i < 1000000000 { i = i + 1; }\n}", "3:5:"},
+	{"kernel k(a[1]) -> (o[1]) {\n    let i = 0;\n    while i < 1000000000 { i = i + 1; }\n}", "3:"},
 	{"kernel k(a[1]) -> (o[1]) {\n    for i in 0..2000000000 { o[0] = o[0] + a[0]; }\n}", "2:"},
+	{letsKernel(499_000), "150:24:"},
+	{"kernel k(a[1]) -> (o[1]) {\n    var t[100000][100000];\n}", "2:5:"},
+}
+
+// letsKernel is a kernel of a few kilobytes whose loop body is 300
+// integer lets, run trips times: much work in few iterations.
+func letsKernel(trips int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "kernel k(a[1]) -> (o[1]) {\n    for i in 0..%d {\n", trips)
+	for j := range 300 {
+		fmt.Fprintf(&b, "        let v%d = i * %d + %d;\n", j, j, j)
+	}
+	b.WriteString("    }\n    o[0] = a[0];\n}\n")
+	return b.String()
 }
 
 // TestLoopBudgetTripsFast checks that lifting and interpreting each
-// hostile loop fail within a second with an error at the loop.
+// hostile loop fail within a second with a budget error at its position.
 func TestLoopBudgetTripsFast(t *testing.T) {
 	for _, h := range hostileLoops {
 		k, err := Parse(h.src)
@@ -82,11 +96,11 @@ func TestLoopBudgetTripsFast(t *testing.T) {
 }
 
 // TestSpecBudgetTripsWithinLoopBudget lifts a loop that stays inside
-// maxLoopSteps but builds more than maxSpecNodes DSL nodes: Lift must stop
-// at the sum in the loop body, while Interp, which builds no nodes, runs
-// it to the end.
+// maxWork but builds more than maxSpecNodes DSL nodes: Lift must stop at
+// the sum in the loop body, while Interp, which builds no nodes, runs it
+// to the end.
 func TestSpecBudgetTripsWithinLoopBudget(t *testing.T) {
-	k, err := Parse("kernel k(a[4]) -> (o[1]) {\n    for i in 0..400000 {\n        o[0] = o[0] + a[i % 4];\n    }\n}")
+	k, err := Parse("kernel k(a[4]) -> (o[1]) {\n    for i in 0..150000 {\n        o[0] = o[0] + a[i % 4];\n    }\n}")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +113,8 @@ func TestSpecBudgetTripsWithinLoopBudget(t *testing.T) {
 		t.Errorf("Lift: got %v, want the node budget at line 3", err)
 	}
 	out, err := Interp(k, map[string][]float64{"a": {1, 2, 3, 4}}, nil)
-	if err != nil || out["o"][0] != 1_000_000 {
-		t.Errorf("Interp: got %v, %v; want o[0] = 1e6", out, err)
+	if err != nil || out["o"][0] != 375_000 {
+		t.Errorf("Interp: got %v, %v; want o[0] = 375000", out, err)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // library kernels).
 func Interp(k *Kernel, inputs map[string][]float64, funcs map[string]func([]float64) float64) (map[string][]float64, error) {
 	dom := concrete{funcs: funcs}
-	arrays := make(map[string]*array[float64], len(k.Params)+len(k.Outs))
+	arrays := make(map[string]Array[float64], len(k.Params)+len(k.Outs))
 	for _, p := range k.Params {
 		data, ok := inputs[p.Name]
 		if !ok {
@@ -25,15 +25,14 @@ func Interp(k *Kernel, inputs map[string][]float64, funcs map[string]func([]floa
 		}
 		// The typechecker rejects writes to inputs, so the caller's slice
 		// is never written.
-		arrays[p.Name] = &array[float64]{dims: p.Dims, vals: data}
+		arrays[p.Name] = &slice[float64]{dims: p.Dims, vals: data}
 	}
 	outputs := make(map[string][]float64, len(k.Outs))
 	for _, p := range k.Outs {
-		arrays[p.Name] = newArray[float64](dom, p.Dims)
-		outputs[p.Name] = arrays[p.Name].vals
+		a := zeros[float64](dom, p.Dims)
+		arrays[p.Name], outputs[p.Name] = a, a.vals
 	}
-	e := &evaluator[float64]{dom: dom, ctx: context.Background()}
-	if err := e.run(k, arrays); err != nil {
+	if err := Run[float64](context.Background(), k, dom, arrays); err != nil {
 		return nil, err
 	}
 	return outputs, nil
@@ -45,9 +44,11 @@ type concrete struct {
 	funcs map[string]func([]float64) float64
 }
 
-func (concrete) num(v float64) float64 { return v }
+func (concrete) Num(v float64) float64 { return v }
 
-func (concrete) arith(op string, l, r float64, _ Pos) (float64, error) {
+func (c concrete) Local(_ string, dims []int) Array[float64] { return zeros[float64](c, dims) }
+
+func (concrete) Arith(op string, l, r float64, _ Pos) (float64, error) {
 	switch op {
 	case "+":
 		return l + r, nil
@@ -59,9 +60,9 @@ func (concrete) arith(op string, l, r float64, _ Pos) (float64, error) {
 	return l / r, nil
 }
 
-func (concrete) neg(x float64, _ Pos) (float64, error) { return -x, nil }
+func (concrete) Neg(x float64, _ Pos) (float64, error) { return -x, nil }
 
-func (c concrete) call(name string, args []float64, pos Pos) (float64, error) {
+func (c concrete) Call(name string, args []float64, pos Pos) (float64, error) {
 	switch name {
 	case "sqrt":
 		return math.Sqrt(args[0]), nil
@@ -77,6 +78,6 @@ func (c concrete) call(name string, args []float64, pos Pos) (float64, error) {
 	return fn(args), nil
 }
 
-func (concrete) compare(op string, l, r float64, _ Pos) (bool, error) {
+func (concrete) Compare(op string, l, r float64, _ Pos) (bool, error) {
 	return cmpOp(op, l, r), nil
 }

@@ -20,7 +20,7 @@ func Lift(k *Kernel) (*kernel.Lifted, error) {
 // loops run and stops with the context's cause once ctx is done.
 func LiftContext(ctx context.Context, k *Kernel) (*kernel.Lifted, error) {
 	b := kernel.NewBuilder(k.Name)
-	arrays := make(map[string]*array[kernel.Scalar], len(k.Params)+len(k.Outs))
+	arrays := make(map[string]Array[kernel.Scalar], len(k.Params)+len(k.Outs))
 	for _, p := range k.Params {
 		rows, cols := dims2(p.Dims)
 		arrays[p.Name] = elements(b.Input(p.Name, rows, cols), p.Dims)
@@ -31,13 +31,12 @@ func LiftContext(ctx context.Context, k *Kernel) (*kernel.Lifted, error) {
 		outs[i] = b.Output(p.Name, rows, cols)
 		arrays[p.Name] = elements(outs[i], p.Dims)
 	}
-	e := &evaluator[kernel.Scalar]{dom: &symbolic{}, ctx: ctx}
-	if err := e.run(k, arrays); err != nil {
+	if err := Run[kernel.Scalar](ctx, k, &symbolic{}, arrays); err != nil {
 		return nil, err
 	}
 	for i, p := range k.Outs {
 		cols := outs[i].Decl().Cols
-		for j, v := range arrays[p.Name].vals {
+		for j, v := range arrays[p.Name].(*slice[kernel.Scalar]).vals {
 			outs[i].Set(j/cols, j%cols, v)
 		}
 	}
@@ -46,13 +45,13 @@ func LiftContext(ctx context.Context, k *Kernel) (*kernel.Lifted, error) {
 
 // elements binds a builder matrix as a flat array of its current values:
 // one Get term per element of an input, zeros for an output.
-func elements(m *kernel.Matrix, dims []int) *array[kernel.Scalar] {
+func elements(m *kernel.Matrix, dims []int) *slice[kernel.Scalar] {
 	cols := m.Decl().Cols
 	vals := make([]kernel.Scalar, m.Decl().Len())
 	for i := range vals {
 		vals[i] = m.At(i/cols, i%cols)
 	}
-	return &array[kernel.Scalar]{dims: dims, vals: vals}
+	return &slice[kernel.Scalar]{dims: dims, vals: vals}
 }
 
 func dims2(dims []int) (rows, cols int) {
@@ -64,7 +63,7 @@ func dims2(dims []int) (rows, cols int) {
 
 // maxSpecNodes bounds the DSL nodes lifting one kernel may build (one per
 // float arithmetic operation, negation or call), so a loop that stays
-// inside maxLoopSteps cannot still build a specification too large to
+// inside maxWork cannot still build a specification too large to
 // compile. The largest count over the sources in testdata, examples and
 // the benchmark suite, 2DConv 16x16 4x4 and MatMul 16x16 16x16, is 8,192.
 const maxSpecNodes = 100_000
@@ -83,7 +82,11 @@ type symbolic struct {
 	nodes int // DSL nodes built so far, against maxSpecNodes
 }
 
-func (*symbolic) num(v float64) kernel.Scalar { return kernel.Const(v) }
+func (*symbolic) Num(v float64) kernel.Scalar { return kernel.Const(v) }
+
+func (s *symbolic) Local(_ string, dims []int) Array[kernel.Scalar] {
+	return zeros[kernel.Scalar](s, dims)
+}
 
 // node counts one DSL node built for the expression at pos.
 func (s *symbolic) node(pos Pos) error {
@@ -93,7 +96,7 @@ func (s *symbolic) node(pos Pos) error {
 	return nil
 }
 
-func (s *symbolic) arith(op string, l, r kernel.Scalar, pos Pos) (kernel.Scalar, error) {
+func (s *symbolic) Arith(op string, l, r kernel.Scalar, pos Pos) (kernel.Scalar, error) {
 	if err := s.node(pos); err != nil {
 		return kernel.Scalar{}, err
 	}
@@ -108,11 +111,11 @@ func (s *symbolic) arith(op string, l, r kernel.Scalar, pos Pos) (kernel.Scalar,
 	return kernel.DivS(l, r), nil
 }
 
-func (s *symbolic) neg(x kernel.Scalar, pos Pos) (kernel.Scalar, error) {
+func (s *symbolic) Neg(x kernel.Scalar, pos Pos) (kernel.Scalar, error) {
 	return kernel.NegS(x), s.node(pos)
 }
 
-func (s *symbolic) call(name string, args []kernel.Scalar, pos Pos) (kernel.Scalar, error) {
+func (s *symbolic) Call(name string, args []kernel.Scalar, pos Pos) (kernel.Scalar, error) {
 	if err := s.node(pos); err != nil {
 		return kernel.Scalar{}, err
 	}
@@ -128,8 +131,8 @@ func (s *symbolic) call(name string, args []kernel.Scalar, pos Pos) (kernel.Scal
 	return kernel.Call(name, args...), nil
 }
 
-// compare rejects every float comparison: its outcome depends on the
+// Compare rejects every float comparison: its outcome depends on the
 // input data, which lifting keeps symbolic.
-func (*symbolic) compare(_ string, _, _ kernel.Scalar, pos Pos) (bool, error) {
+func (*symbolic) Compare(_ string, _, _ kernel.Scalar, pos Pos) (bool, error) {
 	return false, &ErrDataDependent{Pos: pos}
 }

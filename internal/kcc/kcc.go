@@ -9,16 +9,19 @@
 //     size-generic code. Every iteration pays loop-counter updates,
 //     address computation, and branch overhead.
 //   - FixedSize ("Naive (fixed size)"): bounds are compile-time constants,
-//     so loops are fully unrolled, all indices constant-folded, each input
-//     element is loaded once, and output elements are promoted to
-//     registers until a final store — the effect of `-O3` on kernels with
-//     #define'd sizes. Repeated arithmetic is *not* globally value
-//     numbered; that additional CSE is what Diospyros's symbolic
-//     evaluation provides on top (§5.6).
+//     so loops are fully unrolled and all indices constant-folded; literals
+//     share registers and array elements are promoted to registers through
+//     a bounded LRU cache, stored back on eviction and at the end — the
+//     effect of `-O3` on kernels with #define'd sizes. Repeated arithmetic
+//     is *not* value numbered; that additional CSE is what Diospyros's
+//     symbolic evaluation provides on top (§5.6). This mode is the
+//     frontend's kernel walker (frontend.Run) over float registers, under
+//     the walker's work budget.
 //
 // FixedSize requires input-independent control flow (like lifting);
 // kernels with data-dependent branches (e.g. iterative library routines)
-// compile in Parametric mode only.
+// compile in Parametric mode only, and FixedSize rejects them at the
+// first float condition with its position.
 package kcc
 
 import (
@@ -38,6 +41,7 @@ const (
 	FixedSize
 )
 
+// String names the mode as the paper's baselines do.
 func (m Mode) String() string {
 	if m == FixedSize {
 		return "fixed-size"
@@ -74,8 +78,7 @@ func CompileTarget(k *frontend.Kernel, mode Mode, t *isa.Target) (*isa.Program, 
 	b := isa.NewBuilder(name, lay)
 	b.SetTarget(t)
 	if mode == FixedSize {
-		c := newUnroller(k, b)
-		if err := c.run(); err != nil {
+		if err := unroll(k, b); err != nil {
 			return nil, err
 		}
 	} else {

@@ -1,9 +1,14 @@
 package kcc
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"diospyros/internal/frontend"
 	"diospyros/internal/isa"
@@ -167,9 +172,9 @@ kernel newton(a[1]) -> (o[1]) {
 	if math.Abs(got["o"][0]-math.Sqrt(7)) > 1e-5 {
 		t.Fatalf("newton sqrt = %g", got["o"][0])
 	}
-	// Fixed-size mode must refuse.
-	if _, err := Compile(k, FixedSize); err == nil {
-		t.Fatal("fixed-size mode accepted data-dependent while")
+	// Fixed-size mode must refuse, at the condition.
+	if _, err := Compile(k, FixedSize); err == nil || !strings.HasPrefix(err.Error(), "6:15: kcc: data-dependent condition") {
+		t.Fatalf("fixed-size mode on a data-dependent while: got %v, want the rejection at 6:15", err)
 	}
 }
 
@@ -263,5 +268,52 @@ kernel f(a[2]) -> (o[2]) {
 	b := p.Layout.Base("o")
 	if res.Mem[b] != 3 || res.Mem[b+1] != 6 {
 		t.Fatalf("o = %v", res.Mem[b:b+2])
+	}
+}
+
+// TestTestdataKernelsBothModes runs every testdata kernel through both
+// modes on seeded inputs against Interp.
+func TestTestdataKernelsBothModes(t *testing.T) {
+	paths, err := filepath.Glob("../../testdata/*.dios")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("testdata sources: %v (found %d)", err, len(paths))
+	}
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(6))
+		in := map[string][]float64{}
+		for _, p := range frontend.MustParse(string(src)).Params {
+			in[p.Name] = randSlice(r, p.Len())
+		}
+		checkAgainstInterp(t, string(src), in)
+	}
+}
+
+// TestFixedSizeWorkBudgetTripsFast checks that FixedSize mode stops each
+// hostile loop within a second with the frontend's positioned work-budget
+// error: a long empty loop, and a short loop over 300 integer lets.
+func TestFixedSizeWorkBudgetTripsFast(t *testing.T) {
+	var lets strings.Builder
+	lets.WriteString("kernel k(a[1]) -> (o[1]) {\n    for i in 0..499000 {\n")
+	for j := range 300 {
+		fmt.Fprintf(&lets, "        let v%d = i * %d + %d;\n", j, j, j)
+	}
+	lets.WriteString("    }\n    o[0] = a[0];\n}\n")
+	for _, h := range []struct{ src, pos string }{
+		{"kernel k(a[1]) -> (o[1]) {\n    for i in 0..2000000000 {}\n}", "2:5:"},
+		{lets.String(), "150:24:"},
+	} {
+		k := frontend.MustParse(h.src)
+		start := time.Now()
+		_, err := Compile(k, FixedSize)
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("FixedSize took %v to stop\n%s", d, h.src)
+		}
+		if err == nil || !strings.HasPrefix(err.Error(), h.pos) || !strings.Contains(err.Error(), "work budget") {
+			t.Errorf("FixedSize: got %v, want a work-budget error at %s", err, h.pos)
+		}
 	}
 }

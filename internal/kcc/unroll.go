@@ -1,33 +1,32 @@
 package kcc
 
 import (
+	"cmp"
+	"context"
 	"fmt"
+	"slices"
 
 	"diospyros/internal/frontend"
 	"diospyros/internal/isa"
 )
 
-// unroller is the FixedSize-mode compiler: a partial evaluator that runs
-// all integer control flow at compile time, emitting straight-line scalar
-// float code with constant addressing — the effect of `-O3` on loop nests
-// with #define'd sizes.
+// unroller is the FixedSize-mode compiler: the frontend's kernel walker
+// over FG3-lite float registers. The walker runs all integer control flow
+// at compile time, so this domain emits straight-line scalar float code
+// with constant addressing — the effect of `-O3` on loop nests with
+// #define'd sizes.
 //
 // Array elements are promoted to registers through a *bounded* LRU cache
 // with dirty writeback, modelling what register allocation achieves on a
 // real DSP register file: a hot accumulator (e.g. c[i][j] across the inner
 // k loop) stays in a register, but a 16×16 matrix cannot live in registers
-// wholesale. Scalar let-variables and shared constants stay in registers.
-// Float arithmetic is *not* globally value numbered; recovering that CSE
-// via symbolic evaluation is Diospyros's §5.6 advantage.
+// wholesale. Scalar let-variables and shared literals stay in registers.
+// Float arithmetic is *not* value numbered; recovering that CSE via
+// symbolic evaluation is Diospyros's §5.6 advantage.
 type unroller struct {
-	k *frontend.Kernel
-	b *isa.Builder
-
+	b      *isa.Builder
 	consts map[float64]int // literal -> f-register
-	cache  *promoCache
-	arrays map[string]*uArray
-	scopes []*uScope
-	steps  int
+	cache  promoCache
 	locals int // counter for var-array region names
 }
 
@@ -35,44 +34,124 @@ type unroller struct {
 // allocator can keep live at once.
 const promoteCap = 12
 
-// uArray is an array backed by a memory region, addressed by constant
-// offsets in fixed-size mode.
-type uArray struct {
+// region is an array backed by a memory region, addressed by constant
+// offsets through the promotion cache.
+type region struct {
+	cache   *promoCache
 	dims    []int
-	input   bool
 	name    string
 	baseReg int
 }
 
-type uScope struct {
-	ints   map[string]int // concrete integer values
-	floats map[string]int // float variable -> current f-register
-	arrays map[string]*uArray
+func (r *region) Dims() []int       { return r.dims }
+func (r *region) Load(off int) int  { return r.cache.read(r, off) }
+func (r *region) Store(off, fr int) { r.cache.write(r, off, fr) }
+
+// unroll compiles k in FixedSize mode into b.
+func unroll(k *frontend.Kernel, b *isa.Builder) error {
+	u := &unroller{b: b, consts: map[float64]int{}, cache: promoCache{b: b, entries: map[promoKey]*promoEnt{}}}
+	arrays := make(map[string]frontend.Array[int], len(k.Params)+len(k.Outs))
+	for _, p := range slices.Concat(k.Params, k.Outs) {
+		arrays[p.Name] = u.region(p.Name, b.Layout().Base(p.Name), p.Dims)
+	}
+	if err := frontend.Run[int](context.Background(), k, u, arrays); err != nil {
+		return err
+	}
+	u.cache.flush()
+	return nil
 }
 
-const maxUnrollSteps = 4_000_000
+// region binds a register to the base address of the named region.
+func (u *unroller) region(name string, base int, dims []int) *region {
+	reg := u.b.IReg()
+	u.b.Emit(isa.Instr{Op: isa.IConst, Dst: reg, IImm: base})
+	return &region{cache: &u.cache, dims: dims, name: name, baseReg: reg}
+}
 
-func newUnroller(k *frontend.Kernel, b *isa.Builder) *unroller {
-	return &unroller{k: k, b: b, consts: map[float64]int{}, arrays: map[string]*uArray{}}
+// Num returns the register holding literal v, emitting it on first use.
+func (u *unroller) Num(v float64) int {
+	if r, ok := u.consts[v]; ok {
+		return r
+	}
+	r := u.b.FReg()
+	u.b.Emit(isa.Instr{Op: isa.SConst, Dst: r, Imm: v})
+	u.consts[v] = r
+	return r
+}
+
+// Arith emits l op r into a fresh register.
+func (u *unroller) Arith(op string, l, r int, _ frontend.Pos) (int, error) {
+	return u.emit(isa.Instr{Op: arithOps[op], A: l, B: r}), nil
+}
+
+// arithOps maps the walker's float operators to their instructions.
+var arithOps = map[string]isa.Opcode{"+": isa.SAdd, "-": isa.SSub, "*": isa.SMul, "/": isa.SDiv}
+
+// Neg emits -x into a fresh register.
+func (u *unroller) Neg(x int, _ frontend.Pos) (int, error) {
+	return u.emit(isa.Instr{Op: isa.SNeg, A: x}), nil
+}
+
+// Call emits a builtin's instruction, or a call of a user function.
+func (u *unroller) Call(name string, args []int, _ frontend.Pos) (int, error) {
+	switch name {
+	case "sqrt":
+		return u.emit(isa.Instr{Op: isa.SSqrt, A: args[0]}), nil
+	case "abs":
+		return u.emit(isa.Instr{Op: isa.SAbs, A: args[0]}), nil
+	case "sgn":
+		return u.emit(isa.Instr{Op: isa.SSgn, A: args[0]}), nil
+	}
+	return u.emit(isa.Instr{Op: isa.CallFn, Sym: name, Args: args}), nil
+}
+
+// Compare rejects every float comparison: its outcome is known only at
+// run time, and fixed-size code has no branches.
+func (*unroller) Compare(_ string, _, _ int, pos frontend.Pos) (bool, error) {
+	return false, &frontend.Error{Pos: pos, Msg: "kcc: data-dependent condition cannot be compiled in fixed-size mode (use Parametric)"}
+}
+
+// Local allocates a fresh region for a var array and zero-fills it at the
+// declaration point (the zeros flow through the promotion cache).
+func (u *unroller) Local(name string, dims []int) frontend.Array[int] {
+	n := 1
+	for _, d := range dims {
+		n *= d
+	}
+	u.locals++
+	name = fmt.Sprintf("%s$%d", name, u.locals)
+	w := u.b.VecWidth()
+	r := u.region(name, u.b.Layout().Add(name, (n+w-1)/w*w), dims)
+	z := u.Num(0)
+	for i := range n {
+		r.Store(i, z)
+	}
+	return r
+}
+
+// emit emits in with a fresh destination register and returns it.
+func (u *unroller) emit(in isa.Instr) int {
+	in.Dst = u.b.FReg()
+	u.b.Emit(in)
+	return in.Dst
 }
 
 // promoCache is the bounded element-promotion cache.
 type promoCache struct {
-	u       *unroller
-	cap     int
+	b       *isa.Builder
 	entries map[promoKey]*promoEnt
 	clock   int
 }
 
 type promoKey struct {
-	arr *uArray
+	arr *region
 	off int
 }
 
 type promoEnt struct {
 	reg   int
 	dirty bool
-	used  int // LRU clock
+	used  int // LRU clock; every touch takes a fresh value
 }
 
 func (c *promoCache) touch(e *promoEnt) {
@@ -82,33 +161,37 @@ func (c *promoCache) touch(e *promoEnt) {
 
 // evictIfFull writes back and drops the least-recently-used entry.
 func (c *promoCache) evictIfFull() {
-	if len(c.entries) < c.cap {
+	if len(c.entries) < promoteCap {
 		return
 	}
 	var victimKey promoKey
 	var victim *promoEnt
 	for k, e := range c.entries {
-		if victim == nil || e.used < victim.used ||
-			(e.used == victim.used && (k.off < victimKey.off)) {
+		if victim == nil || e.used < victim.used {
 			victim, victimKey = e, k
 		}
 	}
 	if victim.dirty {
-		c.u.b.Emit(isa.Instr{Op: isa.SStore, A: victimKey.arr.baseReg, IImm: victimKey.off, B: victim.reg})
+		c.store(victimKey, victim.reg)
 	}
 	delete(c.entries, victimKey)
 }
 
+// store emits the write of register reg back to its element.
+func (c *promoCache) store(k promoKey, reg int) {
+	c.b.Emit(isa.Instr{Op: isa.SStore, A: k.arr.baseReg, IImm: k.off, B: reg})
+}
+
 // read returns a register holding arr[off].
-func (c *promoCache) read(arr *uArray, off int) int {
+func (c *promoCache) read(arr *region, off int) int {
 	key := promoKey{arr: arr, off: off}
 	if e, ok := c.entries[key]; ok {
 		c.touch(e)
 		return e.reg
 	}
 	c.evictIfFull()
-	r := c.u.b.FReg()
-	c.u.b.Emit(isa.Instr{Op: isa.SLoad, Dst: r, A: arr.baseReg, IImm: off})
+	r := c.b.FReg()
+	c.b.Emit(isa.Instr{Op: isa.SLoad, Dst: r, A: arr.baseReg, IImm: off})
 	e := &promoEnt{reg: r}
 	c.entries[key] = e
 	c.touch(e)
@@ -116,7 +199,7 @@ func (c *promoCache) read(arr *uArray, off int) int {
 }
 
 // write binds arr[off] to the value register, deferring the store.
-func (c *promoCache) write(arr *uArray, off int, reg int) {
+func (c *promoCache) write(arr *region, off int, reg int) {
 	key := promoKey{arr: arr, off: off}
 	if e, ok := c.entries[key]; ok {
 		e.reg = reg
@@ -130,446 +213,19 @@ func (c *promoCache) write(arr *uArray, off int, reg int) {
 	c.touch(e)
 }
 
-// flush writes back every dirty entry (end of kernel).
+// flush writes back every dirty entry (end of kernel), in (region name,
+// offset) order.
 func (c *promoCache) flush() {
-	// Deterministic order: collect and sort by (array name, offset).
-	type item struct {
-		key promoKey
-		e   *promoEnt
-	}
-	var items []item
+	var dirty []promoKey
 	for k, e := range c.entries {
 		if e.dirty {
-			items = append(items, item{k, e})
+			dirty = append(dirty, k)
 		}
 	}
-	for i := 0; i < len(items); i++ {
-		for j := i + 1; j < len(items); j++ {
-			a, b := items[i].key, items[j].key
-			if b.arr.name < a.arr.name || (b.arr.name == a.arr.name && b.off < a.off) {
-				items[i], items[j] = items[j], items[i]
-			}
-		}
+	slices.SortFunc(dirty, func(a, b promoKey) int {
+		return cmp.Or(cmp.Compare(a.arr.name, b.arr.name), cmp.Compare(a.off, b.off))
+	})
+	for _, k := range dirty {
+		c.store(k, c.entries[k].reg)
 	}
-	for _, it := range items {
-		c.u.b.Emit(isa.Instr{Op: isa.SStore, A: it.key.arr.baseReg, IImm: it.key.off, B: it.e.reg})
-		it.e.dirty = false
-	}
-}
-
-func (c *unroller) push() {
-	c.scopes = append(c.scopes, &uScope{ints: map[string]int{}, floats: map[string]int{}, arrays: map[string]*uArray{}})
-}
-func (c *unroller) pop() { c.scopes = c.scopes[:len(c.scopes)-1] }
-
-func (c *unroller) top() *uScope { return c.scopes[len(c.scopes)-1] }
-
-func (c *unroller) run() error {
-	c.cache = &promoCache{u: c, cap: promoteCap, entries: map[promoKey]*promoEnt{}}
-	bind := func(p frontend.Param, input bool) {
-		reg := c.b.IReg()
-		c.b.Emit(isa.Instr{Op: isa.IConst, Dst: reg, IImm: c.b.Layout().Base(p.Name)})
-		c.arrays[p.Name] = &uArray{dims: p.Dims, input: input, name: p.Name, baseReg: reg}
-	}
-	for _, p := range c.k.Params {
-		bind(p, true)
-	}
-	for _, p := range c.k.Outs {
-		bind(p, false)
-	}
-	c.push()
-	err := c.block(c.k.Body)
-	c.pop()
-	if err != nil {
-		return err
-	}
-	c.cache.flush()
-	return nil
-}
-
-func (c *unroller) constReg(v float64) int {
-	if r, ok := c.consts[v]; ok {
-		return r
-	}
-	r := c.b.FReg()
-	c.b.Emit(isa.Instr{Op: isa.SConst, Dst: r, Imm: v})
-	c.consts[v] = r
-	return r
-}
-
-func (c *unroller) findInt(name string) (int, bool) {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if v, ok := c.scopes[i].ints[name]; ok {
-			return v, true
-		}
-	}
-	return 0, false
-}
-
-func (c *unroller) setInt(name string, v int) bool {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if _, ok := c.scopes[i].ints[name]; ok {
-			c.scopes[i].ints[name] = v
-			return true
-		}
-	}
-	return false
-}
-
-func (c *unroller) findFloatScope(name string) (*uScope, bool) {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if _, ok := c.scopes[i].floats[name]; ok {
-			return c.scopes[i], true
-		}
-	}
-	return nil, false
-}
-
-func (c *unroller) findArray(name string) (*uArray, bool) {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if a, ok := c.scopes[i].arrays[name]; ok {
-			return a, true
-		}
-	}
-	a, ok := c.arrays[name]
-	return a, ok
-}
-
-func (c *unroller) block(blk *frontend.Block) error {
-	c.push()
-	defer c.pop()
-	for _, st := range blk.Stmts {
-		if err := c.stmt(st); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (c *unroller) stmt(st frontend.Stmt) error {
-	c.steps++
-	if c.steps > maxUnrollSteps {
-		return fmt.Errorf("kcc: fixed-size unrolling exceeded %d steps", maxUnrollSteps)
-	}
-	switch s := st.(type) {
-	case *frontend.ForStmt:
-		lo, err := c.intExpr(s.Lo)
-		if err != nil {
-			return err
-		}
-		hi, err := c.intExpr(s.Hi)
-		if err != nil {
-			return err
-		}
-		for i := lo; i < hi; i++ {
-			c.push()
-			c.top().ints[s.Var] = i
-			err := c.block(s.Body)
-			c.pop()
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	case *frontend.WhileStmt:
-		for {
-			cond, err := c.boolExpr(s.Cond)
-			if err != nil {
-				return err
-			}
-			if !cond {
-				return nil
-			}
-			if err := c.block(s.Body); err != nil {
-				return err
-			}
-			c.steps++
-			if c.steps > maxUnrollSteps {
-				return fmt.Errorf("kcc: fixed-size unrolling exceeded %d steps", maxUnrollSteps)
-			}
-		}
-	case *frontend.IfStmt:
-		cond, err := c.boolExpr(s.Cond)
-		if err != nil {
-			return err
-		}
-		if cond {
-			return c.block(s.Then)
-		}
-		if s.Else != nil {
-			return c.block(s.Else)
-		}
-		return nil
-	case *frontend.LetStmt:
-		if s.Type == frontend.TypeInt {
-			v, err := c.intExpr(s.Val)
-			if err != nil {
-				return err
-			}
-			c.top().ints[s.Name] = v
-			return nil
-		}
-		r, err := c.floatExpr(s.Val)
-		if err != nil {
-			return err
-		}
-		c.top().floats[s.Name] = r
-		return nil
-	case *frontend.VarArrayStmt:
-		n := 1
-		for _, d := range s.Dims {
-			n *= d
-		}
-		c.locals++
-		name := fmt.Sprintf("%s$%d", s.Name, c.locals)
-		w := c.b.VecWidth()
-		base := c.b.Layout().Add(name, (n+w-1)/w*w)
-		reg := c.b.IReg()
-		c.b.Emit(isa.Instr{Op: isa.IConst, Dst: reg, IImm: base})
-		arr := &uArray{dims: s.Dims, name: name, baseReg: reg}
-		// Zero-initialize at the declaration point (its declared
-		// semantics; the zeros flow through the promotion cache).
-		z := c.constReg(0)
-		for i := 0; i < n; i++ {
-			c.cache.write(arr, i, z)
-		}
-		c.top().arrays[s.Name] = arr
-		return nil
-	case *frontend.AssignStmt:
-		if len(s.Indices) == 0 {
-			if _, ok := c.findInt(s.Name); ok {
-				v, err := c.intExpr(s.Val)
-				if err != nil {
-					return err
-				}
-				c.setInt(s.Name, v)
-				return nil
-			}
-			sc, ok := c.findFloatScope(s.Name)
-			if !ok {
-				return fmt.Errorf("kcc: assignment to undefined %q", s.Name)
-			}
-			r, err := c.floatExpr(s.Val)
-			if err != nil {
-				return err
-			}
-			sc.floats[s.Name] = r
-			return nil
-		}
-		arr, ok := c.findArray(s.Name)
-		if !ok {
-			return fmt.Errorf("kcc: unknown array %q", s.Name)
-		}
-		if arr.input {
-			return fmt.Errorf("kcc: write to input array %q", s.Name)
-		}
-		off, err := c.flatIndex(arr, s.Indices)
-		if err != nil {
-			return err
-		}
-		r, err := c.floatExpr(s.Val)
-		if err != nil {
-			return err
-		}
-		c.cache.write(arr, off, r)
-		return nil
-	}
-	return fmt.Errorf("kcc: unknown statement %T", st)
-}
-
-func (c *unroller) flatIndex(arr *uArray, indices []frontend.Expr) (int, error) {
-	if len(indices) != len(arr.dims) {
-		return 0, fmt.Errorf("kcc: wrong index arity")
-	}
-	off := 0
-	for d, ix := range indices {
-		v, err := c.intExpr(ix)
-		if err != nil {
-			return 0, err
-		}
-		if v < 0 || v >= arr.dims[d] {
-			return 0, fmt.Errorf("kcc: index %d out of bounds (dim %d, size %d)", v, d, arr.dims[d])
-		}
-		off = off*arr.dims[d] + v
-	}
-	return off, nil
-}
-
-func (c *unroller) intExpr(x frontend.Expr) (int, error) {
-	switch v := x.(type) {
-	case *frontend.NumLit:
-		return int(v.I), nil
-	case *frontend.VarRef:
-		if val, ok := c.findInt(v.Name); ok {
-			return val, nil
-		}
-		return 0, fmt.Errorf("kcc: undefined int %q", v.Name)
-	case *frontend.BinExpr:
-		l, err := c.intExpr(v.L)
-		if err != nil {
-			return 0, err
-		}
-		r, err := c.intExpr(v.R)
-		if err != nil {
-			return 0, err
-		}
-		switch v.Op {
-		case "+":
-			return l + r, nil
-		case "-":
-			return l - r, nil
-		case "*":
-			return l * r, nil
-		case "/":
-			if r == 0 {
-				return 0, fmt.Errorf("kcc: division by zero")
-			}
-			return l / r, nil
-		case "%":
-			if r == 0 {
-				return 0, fmt.Errorf("kcc: modulo by zero")
-			}
-			return l % r, nil
-		}
-		return 0, fmt.Errorf("kcc: bad int operator %q", v.Op)
-	case *frontend.UnExpr:
-		val, err := c.intExpr(v.X)
-		if err != nil {
-			return 0, err
-		}
-		return -val, nil
-	}
-	return 0, fmt.Errorf("kcc: unsupported int expression %T", x)
-}
-
-func (c *unroller) floatExpr(x frontend.Expr) (int, error) {
-	switch v := x.(type) {
-	case *frontend.NumLit:
-		f := v.F
-		if v.IsInt {
-			f = float64(v.I)
-		}
-		return c.constReg(f), nil
-	case *frontend.CastExpr:
-		i, err := c.intExpr(v.X)
-		if err != nil {
-			return 0, err
-		}
-		return c.constReg(float64(i)), nil
-	case *frontend.VarRef:
-		if sc, ok := c.findFloatScope(v.Name); ok {
-			return sc.floats[v.Name], nil
-		}
-		return 0, fmt.Errorf("kcc: undefined float %q", v.Name)
-	case *frontend.IndexExpr:
-		arr, ok := c.findArray(v.Name)
-		if !ok {
-			return 0, fmt.Errorf("kcc: unknown array %q", v.Name)
-		}
-		off, err := c.flatIndex(arr, v.Indices)
-		if err != nil {
-			return 0, err
-		}
-		return c.cache.read(arr, off), nil
-	case *frontend.BinExpr:
-		l, err := c.floatExpr(v.L)
-		if err != nil {
-			return 0, err
-		}
-		r, err := c.floatExpr(v.R)
-		if err != nil {
-			return 0, err
-		}
-		op := map[string]isa.Opcode{"+": isa.SAdd, "-": isa.SSub, "*": isa.SMul, "/": isa.SDiv}[v.Op]
-		if op == isa.Invalid {
-			return 0, fmt.Errorf("kcc: bad float operator %q", v.Op)
-		}
-		d := c.b.FReg()
-		c.b.Emit(isa.Instr{Op: op, Dst: d, A: l, B: r})
-		return d, nil
-	case *frontend.UnExpr:
-		r, err := c.floatExpr(v.X)
-		if err != nil {
-			return 0, err
-		}
-		d := c.b.FReg()
-		c.b.Emit(isa.Instr{Op: isa.SNeg, Dst: d, A: r})
-		return d, nil
-	case *frontend.CallExpr:
-		args := make([]int, len(v.Args))
-		for i, a := range v.Args {
-			r, err := c.floatExpr(a)
-			if err != nil {
-				return 0, err
-			}
-			args[i] = r
-		}
-		d := c.b.FReg()
-		switch v.Name {
-		case "sqrt":
-			c.b.Emit(isa.Instr{Op: isa.SSqrt, Dst: d, A: args[0]})
-		case "abs":
-			c.b.Emit(isa.Instr{Op: isa.SAbs, Dst: d, A: args[0]})
-		case "sgn":
-			c.b.Emit(isa.Instr{Op: isa.SSgn, Dst: d, A: args[0]})
-		default:
-			c.b.Emit(isa.Instr{Op: isa.CallFn, Dst: d, Sym: v.Name, Args: args})
-		}
-		return d, nil
-	}
-	return 0, fmt.Errorf("kcc: unsupported float expression %T", x)
-}
-
-// boolExpr evaluates a condition at compile time. Data-dependent (float)
-// conditions cannot be unrolled; the caller should use Parametric mode.
-func (c *unroller) boolExpr(x frontend.Expr) (bool, error) {
-	switch v := x.(type) {
-	case *frontend.BinExpr:
-		switch v.Op {
-		case "&&":
-			l, err := c.boolExpr(v.L)
-			if err != nil || !l {
-				return false, err
-			}
-			return c.boolExpr(v.R)
-		case "||":
-			l, err := c.boolExpr(v.L)
-			if err != nil || l {
-				return l, err
-			}
-			return c.boolExpr(v.R)
-		case "<", "<=", ">", ">=", "==", "!=":
-			if v.L.ExprType() == frontend.TypeFloat {
-				return false, fmt.Errorf("kcc: data-dependent condition cannot be compiled in fixed-size mode (use Parametric)")
-			}
-			l, err := c.intExpr(v.L)
-			if err != nil {
-				return false, err
-			}
-			r, err := c.intExpr(v.R)
-			if err != nil {
-				return false, err
-			}
-			switch v.Op {
-			case "<":
-				return l < r, nil
-			case "<=":
-				return l <= r, nil
-			case ">":
-				return l > r, nil
-			case ">=":
-				return l >= r, nil
-			case "==":
-				return l == r, nil
-			default:
-				return l != r, nil
-			}
-		}
-	case *frontend.UnExpr:
-		if v.Op == "!" {
-			b, err := c.boolExpr(v.X)
-			return !b, err
-		}
-	}
-	return false, fmt.Errorf("kcc: unsupported condition %T", x)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -464,8 +465,10 @@ func TestBadRequests(t *testing.T) {
 		{`{"source": ""}`, "application/json"}, // missing source
 		{"kernel oops(", "text/plain"},         // parse error
 		{"kernel A()->(){}", "text/plain"},     // no outputs to lift
-		// A spec over the frontend's node budget, inside its loop budget.
+		// A spec over the frontend's node budget, inside its work budget.
 		{"kernel k(a[4]) -> (o[1]) { for i in 0..400000 { o[0] = o[0] + a[i % 4]; } }", "text/plain"},
+		// A short loop over 300 lets, over the frontend's work budget.
+		{letsKernel(499_000), "text/plain"},
 	} {
 		resp, cr := postCompile(t, ts.URL, c.body, c.ct)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -478,6 +481,18 @@ func TestBadRequests(t *testing.T) {
 	if after := internalErrors(); after != before {
 		t.Errorf("internal-error counter moved: %q -> %q", before, after)
 	}
+}
+
+// letsKernel is a kernel of a few kilobytes whose loop body is 300
+// integer lets, run trips times.
+func letsKernel(trips int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "kernel k(a[1]) -> (o[1]) {\n    for i in 0..%d {\n", trips)
+	for j := range 300 {
+		fmt.Fprintf(&b, "        let v%d = i * %d + %d;\n", j, j, j)
+	}
+	b.WriteString("    }\n    o[0] = a[0];\n}\n")
+	return b.String()
 }
 
 func TestProbesAndPprof(t *testing.T) {

@@ -198,17 +198,18 @@ func TestCompileContextCancelledMidSaturation(t *testing.T) {
 }
 
 // A request deadline stops lift too: a kernel whose loop runs 300 integer
-// lets 150,000 times, inside the loop budget, lifts for about four seconds
-// (2-vCPU VM). Under a 100 ms deadline the compile must fail in lift,
-// wrapping context.DeadlineExceeded, well within a second.
+// lets 1,000 times, 1.8M units inside the frontend's work budget, lifts for
+// about 40 ms (0.3 s under -race; 2-vCPU VM). Under a 5 ms deadline the
+// compile must fail in lift, wrapping context.DeadlineExceeded, well
+// within a second.
 func TestCompileSourceDeadlineStopsLift(t *testing.T) {
 	var src strings.Builder
-	src.WriteString("kernel k(a[1]) -> (o[1]) {\n    for i in 0..150000 {\n")
+	src.WriteString("kernel k(a[1]) -> (o[1]) {\n    for i in 0..1000 {\n")
 	for j := 0; j < 300; j++ {
 		fmt.Fprintf(&src, "        let v%d = i * %d + %d;\n", j, j, j)
 	}
 	src.WriteString("    }\n    o[0] = a[0];\n}\n")
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
 	_, err := CompileSourceContext(ctx, src.String(), testOpts())
@@ -218,7 +219,7 @@ func TestCompileSourceDeadlineStopsLift(t *testing.T) {
 		t.Fatalf("err = %v, want a lift StageError wrapping context.DeadlineExceeded", err)
 	}
 	if elapsed > 500*time.Millisecond {
-		t.Errorf("lift took %v to stop after a 100ms deadline", elapsed)
+		t.Errorf("lift took %v to stop after a 5ms deadline", elapsed)
 	}
 }
 
