@@ -374,28 +374,13 @@ func (g *EGraph) AddLit(v float64) ClassID {
 
 // AddExpr inserts a whole expression, returning the root class. Shared
 // subterm pointers (expression DAGs, as produced by symbolic evaluation of
-// large kernels) are visited once.
+// large kernels) are visited once, children before parents.
 func (g *EGraph) AddExpr(e *expr.Expr) ClassID {
-	memo := make(map[*expr.Expr]ClassID)
-	// args is a stack of child IDs: each node's children sit above its
-	// ancestors' and are popped once Add has copied them.
-	var args []ClassID
-	var add func(*expr.Expr) ClassID
-	add = func(e *expr.Expr) ClassID {
-		if id, ok := memo[e]; ok {
-			return id
-		}
-		base := len(args)
-		for _, a := range e.Args {
-			child := add(a)
-			args = append(args, child)
-		}
-		id := g.Add(ENode{Op: e.Op, Lit: e.Lit, Sym: g.syms.Intern(e.Sym), Idx: e.Idx, Args: args[base:]})
-		args = args[:base]
-		memo[e] = id
-		return id
-	}
-	return add(e)
+	var m expr.Memo[ClassID]
+	id, _ := m.Fold(e, func(e *expr.Expr, args []ClassID) (ClassID, error) {
+		return g.Add(ENode{Op: e.Op, Lit: e.Lit, Sym: g.syms.Intern(e.Sym), Idx: e.Idx, Args: args}), nil
+	})
+	return id
 }
 
 // Union merges the classes of a and b, returning the canonical class of the

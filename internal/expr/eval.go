@@ -45,29 +45,12 @@ func (v Value) AsSlice() []float64 {
 // programs (e.g. mismatched vector lengths) or missing bindings. Shared
 // subterm pointers (expression DAGs) are evaluated once.
 func (e *Expr) Eval(env *Env) (Value, error) {
-	ev := &evaluator{env: env, memo: map[*Expr]Value{}}
-	return ev.eval(e)
+	var m Memo[Value]
+	return m.Fold(e, func(e *Expr, args []Value) (Value, error) { return evalNode(env, e, args) })
 }
 
-type evaluator struct {
-	env  *Env
-	memo map[*Expr]Value
-}
-
-func (ev *evaluator) eval(e *Expr) (Value, error) {
-	if v, ok := ev.memo[e]; ok {
-		return v, nil
-	}
-	v, err := ev.evalUncached(e)
-	if err != nil {
-		return Value{}, err
-	}
-	ev.memo[e] = v
-	return v, nil
-}
-
-func (ev *evaluator) evalUncached(e *Expr) (Value, error) {
-	env := ev.env
+// evalNode evaluates e given the values of its arguments.
+func evalNode(env *Env, e *Expr, args []Value) (Value, error) {
 	switch e.Op {
 	case OpLit:
 		return Value{Scalar: e.Lit}, nil
@@ -88,71 +71,32 @@ func (ev *evaluator) evalUncached(e *Expr) (Value, error) {
 		return Value{Scalar: arr[e.Idx]}, nil
 
 	case OpAdd, OpSub, OpMul, OpDiv:
-		a, err := ev.eval(e.Args[0])
-		if err != nil {
-			return Value{}, err
-		}
-		b, err := ev.eval(e.Args[1])
-		if err != nil {
-			return Value{}, err
-		}
-		return Value{Scalar: scalarBinop(e.Op, a.Scalar, b.Scalar)}, nil
+		return Value{Scalar: scalarBinop(e.Op, args[0].Scalar, args[1].Scalar)}, nil
 
 	case OpNeg, OpSqrt, OpSgn:
-		a, err := ev.eval(e.Args[0])
-		if err != nil {
-			return Value{}, err
-		}
-		return Value{Scalar: scalarUnop(e.Op, a.Scalar)}, nil
+		return Value{Scalar: scalarUnop(e.Op, args[0].Scalar)}, nil
 
 	case OpFunc:
 		f, ok := env.Funcs[e.Sym]
 		if !ok {
 			return Value{}, fmt.Errorf("expr: no semantics for function %q", e.Sym)
 		}
-		args := make([]float64, len(e.Args))
-		for i, a := range e.Args {
-			v, err := ev.eval(a)
-			if err != nil {
-				return Value{}, err
-			}
-			args[i] = v.Scalar
+		xs := make([]float64, len(args))
+		for i, a := range args {
+			xs[i] = a.Scalar
 		}
-		return Value{Scalar: f(args)}, nil
+		return Value{Scalar: f(xs)}, nil
 
-	case OpVec, OpList:
+	case OpVec, OpList, OpConcat:
 		var out []float64
-		for _, a := range e.Args {
-			v, err := ev.eval(a)
-			if err != nil {
-				return Value{}, err
-			}
-			out = append(out, v.AsSlice()...)
+		for _, a := range args {
+			out = append(out, a.AsSlice()...)
 		}
 		return Value{Elems: out, IsVec: true}, nil
 
-	case OpConcat:
-		a, err := ev.eval(e.Args[0])
-		if err != nil {
-			return Value{}, err
-		}
-		b, err := ev.eval(e.Args[1])
-		if err != nil {
-			return Value{}, err
-		}
-		return Value{Elems: append(append([]float64{}, a.AsSlice()...), b.AsSlice()...), IsVec: true}, nil
-
 	case OpVecAdd, OpVecMinus, OpVecMul, OpVecDiv:
 		op, _ := e.Op.ScalarEquivalent()
-		a, err := ev.eval(e.Args[0])
-		if err != nil {
-			return Value{}, err
-		}
-		b, err := ev.eval(e.Args[1])
-		if err != nil {
-			return Value{}, err
-		}
-		as, bs := a.AsSlice(), b.AsSlice()
+		as, bs := args[0].AsSlice(), args[1].AsSlice()
 		if len(as) != len(bs) {
 			return Value{}, fmt.Errorf("expr: %s length mismatch %d vs %d", e.Op, len(as), len(bs))
 		}
@@ -163,19 +107,7 @@ func (ev *evaluator) evalUncached(e *Expr) (Value, error) {
 		return Value{Elems: out, IsVec: true}, nil
 
 	case OpVecMAC:
-		acc, err := ev.eval(e.Args[0])
-		if err != nil {
-			return Value{}, err
-		}
-		b, err := ev.eval(e.Args[1])
-		if err != nil {
-			return Value{}, err
-		}
-		c, err := ev.eval(e.Args[2])
-		if err != nil {
-			return Value{}, err
-		}
-		as, bs, cs := acc.AsSlice(), b.AsSlice(), c.AsSlice()
+		as, bs, cs := args[0].AsSlice(), args[1].AsSlice(), args[2].AsSlice()
 		if len(as) != len(bs) || len(bs) != len(cs) {
 			return Value{}, fmt.Errorf("expr: VecMAC length mismatch %d/%d/%d", len(as), len(bs), len(cs))
 		}
@@ -187,11 +119,7 @@ func (ev *evaluator) evalUncached(e *Expr) (Value, error) {
 
 	case OpVecNeg, OpVecSqrt, OpVecSgn:
 		op, _ := e.Op.ScalarEquivalent()
-		a, err := ev.eval(e.Args[0])
-		if err != nil {
-			return Value{}, err
-		}
-		as := a.AsSlice()
+		as := args[0].AsSlice()
 		out := make([]float64, len(as))
 		for i := range as {
 			out[i] = scalarUnop(op, as[i])
@@ -203,26 +131,20 @@ func (ev *evaluator) evalUncached(e *Expr) (Value, error) {
 		if !ok {
 			return Value{}, fmt.Errorf("expr: no semantics for function %q", e.Sym)
 		}
-		var argSlices [][]float64
-		n := -1
-		for _, a := range e.Args {
-			v, err := ev.eval(a)
-			if err != nil {
-				return Value{}, err
-			}
-			s := v.AsSlice()
-			if n == -1 {
-				n = len(s)
-			} else if len(s) != n {
+		if len(args) == 0 {
+			return Value{}, fmt.Errorf("expr: VecFunc %q has no arguments", e.Sym)
+		}
+		lanes := make([][]float64, len(args))
+		for j, a := range args {
+			if lanes[j] = a.AsSlice(); len(lanes[j]) != len(lanes[0]) {
 				return Value{}, fmt.Errorf("expr: VecFunc %q length mismatch", e.Sym)
 			}
-			argSlices = append(argSlices, s)
 		}
-		out := make([]float64, n)
-		for i := 0; i < n; i++ {
-			lane := make([]float64, len(argSlices))
-			for j := range argSlices {
-				lane[j] = argSlices[j][i]
+		out := make([]float64, len(lanes[0]))
+		for i := range out {
+			lane := make([]float64, len(lanes))
+			for j, l := range lanes {
+				lane[j] = l[i]
 			}
 			out[i] = f(lane)
 		}

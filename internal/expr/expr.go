@@ -189,14 +189,26 @@ func Sym(name string) *Expr { return &Expr{Op: OpSym, Sym: name} }
 // Get constructs an element access into named input memory arr at flat index i.
 func Get(arr string, i int) *Expr { return &Expr{Op: OpGet, Sym: arr, Idx: i} }
 
-// Add, Sub, Mul, Div, Neg, Sqrt and Sgn construct scalar arithmetic nodes.
+// Add constructs a + b.
 func Add(a, b *Expr) *Expr { return &Expr{Op: OpAdd, Args: []*Expr{a, b}} }
+
+// Sub constructs a - b.
 func Sub(a, b *Expr) *Expr { return &Expr{Op: OpSub, Args: []*Expr{a, b}} }
+
+// Mul constructs a * b.
 func Mul(a, b *Expr) *Expr { return &Expr{Op: OpMul, Args: []*Expr{a, b}} }
+
+// Div constructs a / b.
 func Div(a, b *Expr) *Expr { return &Expr{Op: OpDiv, Args: []*Expr{a, b}} }
-func Neg(a *Expr) *Expr    { return &Expr{Op: OpNeg, Args: []*Expr{a}} }
-func Sqrt(a *Expr) *Expr   { return &Expr{Op: OpSqrt, Args: []*Expr{a}} }
-func Sgn(a *Expr) *Expr    { return &Expr{Op: OpSgn, Args: []*Expr{a}} }
+
+// Neg constructs -a.
+func Neg(a *Expr) *Expr { return &Expr{Op: OpNeg, Args: []*Expr{a}} }
+
+// Sqrt constructs the square root of a.
+func Sqrt(a *Expr) *Expr { return &Expr{Op: OpSqrt, Args: []*Expr{a}} }
+
+// Sgn constructs the sign of a (see Sign).
+func Sgn(a *Expr) *Expr { return &Expr{Op: OpSgn, Args: []*Expr{a}} }
 
 // Func constructs a call to an uninterpreted scalar function.
 func Func(name string, args ...*Expr) *Expr {
@@ -209,18 +221,29 @@ func Vec(lanes ...*Expr) *Expr { return &Expr{Op: OpVec, Args: lanes} }
 // Concat concatenates two vector-valued expressions.
 func Concat(a, b *Expr) *Expr { return &Expr{Op: OpConcat, Args: []*Expr{a, b}} }
 
-// VecAdd, VecMinus, VecMul, VecDiv, VecMAC, VecNeg, VecSqrt and VecSgn
-// construct elementwise vector arithmetic nodes.
-func VecAdd(a, b *Expr) *Expr   { return &Expr{Op: OpVecAdd, Args: []*Expr{a, b}} }
+// VecAdd constructs the elementwise sum a + b.
+func VecAdd(a, b *Expr) *Expr { return &Expr{Op: OpVecAdd, Args: []*Expr{a, b}} }
+
+// VecMinus constructs the elementwise difference a - b.
 func VecMinus(a, b *Expr) *Expr { return &Expr{Op: OpVecMinus, Args: []*Expr{a, b}} }
-func VecMul(a, b *Expr) *Expr   { return &Expr{Op: OpVecMul, Args: []*Expr{a, b}} }
-func VecDiv(a, b *Expr) *Expr   { return &Expr{Op: OpVecDiv, Args: []*Expr{a, b}} }
-func VecMAC(acc, b, c *Expr) *Expr {
-	return &Expr{Op: OpVecMAC, Args: []*Expr{acc, b, c}}
-}
-func VecNeg(a *Expr) *Expr  { return &Expr{Op: OpVecNeg, Args: []*Expr{a}} }
+
+// VecMul constructs the elementwise product a * b.
+func VecMul(a, b *Expr) *Expr { return &Expr{Op: OpVecMul, Args: []*Expr{a, b}} }
+
+// VecDiv constructs the elementwise quotient a / b.
+func VecDiv(a, b *Expr) *Expr { return &Expr{Op: OpVecDiv, Args: []*Expr{a, b}} }
+
+// VecMAC constructs the elementwise multiply-accumulate acc + b*c.
+func VecMAC(acc, b, c *Expr) *Expr { return &Expr{Op: OpVecMAC, Args: []*Expr{acc, b, c}} }
+
+// VecNeg constructs the elementwise negation of a.
+func VecNeg(a *Expr) *Expr { return &Expr{Op: OpVecNeg, Args: []*Expr{a}} }
+
+// VecSqrt constructs the elementwise square root of a.
 func VecSqrt(a *Expr) *Expr { return &Expr{Op: OpVecSqrt, Args: []*Expr{a}} }
-func VecSgn(a *Expr) *Expr  { return &Expr{Op: OpVecSgn, Args: []*Expr{a}} }
+
+// VecSgn constructs the elementwise sign of a.
+func VecSgn(a *Expr) *Expr { return &Expr{Op: OpVecSgn, Args: []*Expr{a}} }
 
 // VecFunc constructs a call to an uninterpreted vector function.
 func VecFunc(name string, args ...*Expr) *Expr {
@@ -262,59 +285,64 @@ func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
-// Size returns the number of nodes in the tree.
+// Size returns the number of distinct nodes of the DAG: a node shared by
+// several parents counts once.
 func (e *Expr) Size() int {
 	if e == nil {
 		return 0
 	}
-	n := 1
-	for _, a := range e.Args {
-		n += a.Size()
-	}
-	return n
+	var m Memo[struct{}]
+	m.Fold(e, func(*Expr, []struct{}) (struct{}, error) { return struct{}{}, nil })
+	return m.Len()
 }
 
-// Depth returns the height of the tree (a leaf has depth 1).
-func (e *Expr) Depth() int {
-	if e == nil {
-		return 0
+// Memo folds expressions bottom-up, once per distinct node: it is the one
+// walk that respects a DAG's sharing, so a tree exponentially larger than
+// its DAG costs only the DAG. The zero value is ready to use. A Memo keeps
+// its values and its argument stack between folds, so values carry from
+// one Fold to the next until Reset; it is not safe for concurrent use.
+type Memo[T any] struct {
+	vals  map[*Expr]T
+	stack []T // argument values of the nodes being folded
+}
+
+// Fold returns f's value for e, which must not be nil. It calls f once
+// for each distinct pointer not already folded, arguments before the node
+// and left to right in a first-occurrence post-order, passing the
+// arguments' values in order. args is only valid during the call. An
+// error from f stops the fold and is returned; the failing node and its
+// ancestors get no value.
+func (m *Memo[T]) Fold(e *Expr, f func(e *Expr, args []T) (T, error)) (T, error) {
+	if v, ok := m.vals[e]; ok {
+		return v, nil
 	}
-	d := 0
+	if m.vals == nil {
+		m.vals = map[*Expr]T{}
+	}
+	base := len(m.stack)
 	for _, a := range e.Args {
-		if ad := a.Depth(); ad > d {
-			d = ad
+		v, err := m.Fold(a, f)
+		if err != nil {
+			m.stack = m.stack[:base]
+			return v, err
 		}
+		m.stack = append(m.stack, v)
 	}
-	return d + 1
+	v, err := f(e, m.stack[base:])
+	m.stack = m.stack[:base]
+	if err == nil {
+		m.vals[e] = v
+	}
+	return v, err
 }
 
-// Walk calls f on e and all descendants, pre-order. If f returns false the
-// subtree below the node is skipped.
-func (e *Expr) Walk(f func(*Expr) bool) {
-	if e == nil {
-		return
-	}
-	if !f(e) {
-		return
-	}
-	for _, a := range e.Args {
-		a.Walk(f)
-	}
-}
+// Len returns the number of nodes folded since the last Reset.
+func (m *Memo[T]) Len() int { return len(m.vals) }
 
-// Clone returns a deep copy of the expression.
-func (e *Expr) Clone() *Expr {
-	if e == nil {
-		return nil
-	}
-	c := &Expr{Op: e.Op, Lit: e.Lit, Sym: e.Sym, Idx: e.Idx}
-	if len(e.Args) > 0 {
-		c.Args = make([]*Expr, len(e.Args))
-		for i, a := range e.Args {
-			c.Args[i] = a.Clone()
-		}
-	}
-	return c
+// Reset forgets every folded value, keeping the memory for the next fold.
+func (m *Memo[T]) Reset() {
+	clear(m.vals)
+	m.stack = m.stack[:0]
 }
 
 // String renders the expression in s-expression syntax; Parse inverts it.

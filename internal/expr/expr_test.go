@@ -1,9 +1,12 @@
 package expr
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -71,6 +74,7 @@ func TestParseErrors(t *testing.T) {
 		"(Get a x)",
 		"(Vec)",
 		"(List)",
+		"(VecFunc f)",
 		"(+ 1 2) extra",
 		"(VecMAC (Vec 0) (Vec 0))",
 	}
@@ -238,6 +242,11 @@ func TestEvalErrors(t *testing.T) {
 			t.Errorf("Eval(%q) succeeded, want error", src)
 		}
 	}
+	// The parser rejects (VecFunc f); the builder can still make it.
+	env.Funcs["f"] = func([]float64) float64 { return 0 }
+	if _, err := VecFunc("f").Eval(env); err == nil {
+		t.Error("Eval of a VecFunc with no arguments succeeded, want error")
+	}
 }
 
 func TestVectorEquivalentBijection(t *testing.T) {
@@ -271,32 +280,102 @@ func TestOutputLen(t *testing.T) {
 	}
 }
 
-func TestSizeDepthWalkClone(t *testing.T) {
+// TestSize counts distinct nodes: a tree's every node, a DAG's shared
+// nodes once.
+func TestSize(t *testing.T) {
 	e := MustParse("(+ (* (Get a 0) (Get f 1)) (* (Get a 1) (Get f 0)))")
 	if e.Size() != 7 {
 		t.Errorf("Size = %d, want 7", e.Size())
 	}
-	if e.Depth() != 3 {
-		t.Errorf("Depth = %d, want 3", e.Depth())
+	x := Get("a", 0)
+	for range 40 {
+		x = Add(x, x)
 	}
-	count := 0
-	e.Walk(func(*Expr) bool { count++; return true })
-	if count != 7 {
-		t.Errorf("Walk visited %d nodes, want 7", count)
+	if got := x.Size(); got != 41 {
+		t.Errorf("Size of 40 doublings = %d, want 41", got)
 	}
-	// Walk with pruning stops descent.
-	count = 0
-	e.Walk(func(x *Expr) bool { count++; return x.Op == OpAdd })
-	if count != 3 {
-		t.Errorf("pruned Walk visited %d nodes, want 3", count)
+	if got := (*Expr)(nil).Size(); got != 0 {
+		t.Errorf("nil Size = %d, want 0", got)
 	}
-	c := e.Clone()
-	if !c.Equal(e) {
-		t.Error("Clone not equal to original")
+}
+
+// TestMemoFold pins the fold's contract: first-occurrence post-order, one
+// call per distinct pointer with its arguments' values in order, values
+// kept across calls until Reset, and no value for a node whose fold
+// failed or for its ancestors.
+func TestMemoFold(t *testing.T) {
+	x, y := Sym("x"), Sym("y")
+	sum := Add(x, x)
+	root := Mul(sum, Sub(y, sum))
+	var m Memo[string]
+	var visits []string
+	name := func(e *Expr, args []string) (string, error) {
+		s := e.Op.String()
+		if e.Op == OpSym {
+			s = e.Sym
+		}
+		if len(args) > 0 {
+			s = "(" + s + " " + strings.Join(args, " ") + ")"
+		}
+		visits = append(visits, s)
+		return s, nil
 	}
-	c.Args[0].Op = OpSub
-	if c.Equal(e) {
-		t.Error("mutating clone affected original (shared structure)")
+	got, err := m.Fold(root, name)
+	if err != nil || got != root.String() {
+		t.Fatalf("Fold = %q, %v; want %q", got, err, root.String())
+	}
+	want := []string{"x", "(+ x x)", "y", "(- y (+ x x))", "(* (+ x x) (- y (+ x x)))"}
+	if !slices.Equal(visits, want) {
+		t.Errorf("visits = %q, want %q", visits, want)
+	}
+	if m.Len() != 5 {
+		t.Errorf("Len = %d, want 5", m.Len())
+	}
+
+	// A later fold reuses every value it already has.
+	visits = nil
+	if got, _ := m.Fold(Neg(sum), name); got != "(neg (+ x x))" {
+		t.Errorf("second Fold = %q", got)
+	}
+	if !slices.Equal(visits, []string{"(neg (+ x x))"}) {
+		t.Errorf("second Fold visited %q, want only the new root", visits)
+	}
+	m.Reset()
+	if m.Len() != 0 {
+		t.Errorf("Len after Reset = %d, want 0", m.Len())
+	}
+	visits = nil
+	m.Fold(sum, name)
+	if !slices.Equal(visits, []string{"x", "(+ x x)"}) {
+		t.Errorf("Fold after Reset visited %q, want x and (+ x x)", visits)
+	}
+
+	// An error stops the fold: the failing node and its ancestors get no
+	// value, while what was folded before it keeps its own.
+	m.Reset()
+	bad := errors.New("bad y")
+	failY := func(e *Expr, args []string) (string, error) {
+		if e == y {
+			return "", bad
+		}
+		return name(e, args)
+	}
+	visits = nil
+	if _, err := m.Fold(root, failY); err != bad {
+		t.Fatalf("Fold error = %v, want %v", err, bad)
+	}
+	if !slices.Equal(visits, []string{"x", "(+ x x)"}) {
+		t.Errorf("failing Fold visited %q, want x and (+ x x) only", visits)
+	}
+	if m.Len() != 2 {
+		t.Errorf("Len after a failed Fold = %d, want 2", m.Len())
+	}
+	visits = nil
+	if got, err := m.Fold(root, name); err != nil || got != root.String() {
+		t.Fatalf("Fold after the failure = %q, %v", got, err)
+	}
+	if !slices.Equal(visits, []string{"y", "(- y (+ x x))", "(* (+ x x) (- y (+ x x)))"}) {
+		t.Errorf("Fold after the failure visited %q, want y and its ancestors", visits)
 	}
 }
 

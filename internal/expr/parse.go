@@ -189,7 +189,7 @@ func checkArity(e *Expr) error {
 	if want >= 0 && len(e.Args) != want {
 		return fmt.Errorf("expr: %s expects %d args, got %d", e.Op, want, len(e.Args))
 	}
-	if (e.Op == OpVec || e.Op == OpList) && len(e.Args) == 0 {
+	if (e.Op == OpVec || e.Op == OpList || e.Op == OpVecFunc) && len(e.Args) == 0 {
 		return fmt.Errorf("expr: %s expects at least one arg", e.Op)
 	}
 	return nil
@@ -223,8 +223,26 @@ func ParseList(src string) ([]*Expr, error) {
 // line.
 func Dump(e *Expr) string {
 	d := dumper{uses: map[*Expr]int{}, names: map[*Expr]int{}}
-	d.count(e)
-	d.lets(e)
+	var m Memo[struct{}]
+	m.Fold(e, func(x *Expr, _ []struct{}) (struct{}, error) {
+		for _, a := range x.Args {
+			if !leaf(a) {
+				d.uses[a]++
+			}
+		}
+		return struct{}{}, nil
+	})
+	// A second fold meets the nodes in the same order, each after its
+	// arguments, so a shared node's let follows the lets it uses.
+	m.Reset()
+	m.Fold(e, func(x *Expr, _ []struct{}) (struct{}, error) {
+		if d.uses[x] > 1 {
+			k := len(d.names)
+			d.term(x, 0, fmt.Sprintf("let %%%d = ", k))
+			d.names[x] = k
+		}
+		return struct{}{}, nil
+	})
 	d.term(e, 0, "")
 	return d.b.String()
 }
@@ -232,42 +250,13 @@ func Dump(e *Expr) string {
 // dumper is the state of one Dump.
 type dumper struct {
 	b     strings.Builder
-	uses  map[*Expr]int // parents of each compound node (1 for the root)
+	uses  map[*Expr]int // parents of each compound node
 	names map[*Expr]int // the let number of each shared node printed so far
 }
 
 // leaf reports whether e prints as itself, never named: a literal, a
 // symbol or an array element.
 func leaf(e *Expr) bool { return e == nil || e.Op == OpLit || e.Op == OpSym || e.Op == OpGet }
-
-// count tallies the parents of every compound node under e, visiting each
-// node's arguments once.
-func (d *dumper) count(e *Expr) {
-	if leaf(e) {
-		return
-	}
-	if d.uses[e]++; d.uses[e] > 1 {
-		return
-	}
-	for _, a := range e.Args {
-		d.count(a)
-	}
-}
-
-// lets prints the let of every shared node under e, arguments first.
-func (d *dumper) lets(e *Expr) {
-	if _, done := d.names[e]; done || leaf(e) {
-		return
-	}
-	for _, a := range e.Args {
-		d.lets(a)
-	}
-	if d.uses[e] > 1 {
-		k := len(d.names)
-		d.term(e, 0, fmt.Sprintf("let %%%d = ", k))
-		d.names[e] = k
-	}
-}
 
 // term prints e as one or more lines at depth, the first one after
 // prefix: by name once it has one, on one line when small, else with an

@@ -75,6 +75,32 @@ func zeros[F any](dom Domain[F], dims []int) *slice[F] {
 // budget").
 const maxWork = 2_000_000
 
+// shapeLen is the element count of an array of shape dims, capped at
+// maxWork+1 so that a huge shape trips the budget before it overflows or
+// allocates.
+func shapeLen(dims []int) int {
+	n := 1
+	for _, d := range dims {
+		n = min(n*min(d, maxWork+1), maxWork+1)
+	}
+	return n
+}
+
+// CheckShapes rejects a kernel whose parameters and outputs declare more
+// elements in total than the work budget, at the array that crosses it.
+// Lift, Interp and kcc call it before they allocate any array.
+func CheckShapes(k *Kernel) error {
+	n := 0
+	for _, ps := range [][]Param{k.Params, k.Outs} {
+		for _, p := range ps {
+			if n += shapeLen(p.Dims); n > maxWork {
+				return errf(p.Pos, "array %s: parameters and outputs exceed the work budget of %d elements", p.Name, maxWork)
+			}
+		}
+	}
+	return nil
+}
+
 // ctxPollWork amortizes the walker's context poll: it checks for
 // cancellation once per this many units of work, so a long loop body is
 // polled as often as a long loop.
@@ -239,13 +265,8 @@ func (e *walker[F]) stmt(st Stmt, sc *frame[F]) error {
 		bind(&sc.floats, s.Name, v)
 		return nil
 	case *VarArrayStmt:
-		// The zero fill is work, one unit per element, capped so that a
-		// huge shape trips the budget before it overflows or allocates.
-		n := 1
-		for _, d := range s.Dims {
-			n = min(n*min(d, maxWork+1), maxWork+1)
-		}
-		if err := e.spend(n, s.Pos); err != nil {
+		// The zero fill is work, one unit per element.
+		if err := e.spend(shapeLen(s.Dims), s.Pos); err != nil {
 			return err
 		}
 		bind(&sc.arrays, s.Name, e.dom.Local(s.Name, s.Dims))

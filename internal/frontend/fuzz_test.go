@@ -42,10 +42,11 @@ func FuzzLift(f *testing.F) {
 }
 
 // hostileLoops are kernels that need far more than maxWork (a long for,
-// a nested for, a long while, a short loop over 300 integer lets, and a
-// var array of 10^10 elements), each with the position where the budget
-// trips. The fourth builds a float sum per iteration: Lift stops at
-// maxSpecNodes, Interp at maxWork, both on line 2.
+// a nested for, a long while, a short loop over 300 integer lets, a var
+// array of 10^10 elements, a parameter whose element count overflows an
+// int, and two parameters that together pass the budget), each with the
+// position where the budget trips. The fourth builds a float sum per
+// iteration: Lift stops at maxSpecNodes, Interp at maxWork, both on line 2.
 var hostileLoops = []struct{ src, pos string }{
 	{"kernel k(a[1]) -> (o[1]) {\n    for i in 0..2000000000 {}\n}", "2:5:"},
 	{"kernel k(a[1]) -> (o[1]) {\n    for i in 0..100000 {\n        for j in 0..100000 {}\n    }\n}", "3:9:"},
@@ -53,7 +54,13 @@ var hostileLoops = []struct{ src, pos string }{
 	{"kernel k(a[1]) -> (o[1]) {\n    for i in 0..2000000000 { o[0] = o[0] + a[0]; }\n}", "2:"},
 	{letsKernel(499_000), "150:24:"},
 	{"kernel k(a[1]) -> (o[1]) {\n    var t[100000][100000];\n}", "2:5:"},
+	{hugeShapeKernel, "1:10:"},
+	{"kernel k(a[1500000], b[1500000]) -> (o[1]) { o[0] = 1.0; }", "1:22:"},
 }
+
+// hugeShapeKernel declares 3037000500² input elements, past the largest
+// int; it must be rejected before anything sizes an array for it.
+const hugeShapeKernel = "kernel k(a[3037000500][3037000500]) -> (o[1]) { o[0] = 1.0; }"
 
 // letsKernel is a kernel of a few kilobytes whose loop body is 300
 // integer lets, run trips times: much work in few iterations.

@@ -13,6 +13,9 @@ import (
 // testing of every other execution path (lifting, baseline compilation,
 // library kernels).
 func Interp(k *Kernel, inputs map[string][]float64, funcs map[string]func([]float64) float64) (map[string][]float64, error) {
+	if err := CheckShapes(k); err != nil {
+		return nil, err
+	}
 	dom := concrete{funcs: funcs}
 	arrays := make(map[string]Array[float64], len(k.Params)+len(k.Outs))
 	for _, p := range k.Params {

@@ -19,6 +19,9 @@ func Lift(k *Kernel) (*kernel.Lifted, error) {
 // LiftContext is Lift under a context: the evaluator polls ctx as its
 // loops run and stops with the context's cause once ctx is done.
 func LiftContext(ctx context.Context, k *Kernel) (*kernel.Lifted, error) {
+	if err := CheckShapes(k); err != nil {
+		return nil, err
+	}
 	b := kernel.NewBuilder(k.Name)
 	arrays := make(map[string]Array[kernel.Scalar], len(k.Params)+len(k.Outs))
 	for _, p := range k.Params {

@@ -59,6 +59,9 @@ func Compile(k *frontend.Kernel, mode Mode) (*isa.Program, error) {
 // affects just the memory layout's width padding and the latency table the
 // simulator applies to the emitted program.
 func CompileTarget(k *frontend.Kernel, mode Mode, t *isa.Target) (*isa.Program, error) {
+	if err := frontend.CheckShapes(k); err != nil {
+		return nil, err
+	}
 	if t == nil {
 		t = isa.Default()
 	}

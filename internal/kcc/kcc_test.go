@@ -317,3 +317,16 @@ func TestFixedSizeWorkBudgetTripsFast(t *testing.T) {
 		}
 	}
 }
+
+// TestHugeShapeRejected checks that both modes reject a kernel whose
+// parameter shape overflows an int, at the parameter, before sizing its
+// memory.
+func TestHugeShapeRejected(t *testing.T) {
+	k := frontend.MustParse("kernel k(a[3037000500][3037000500]) -> (o[1]) { o[0] = 1.0; }")
+	for _, mode := range []Mode{Parametric, FixedSize} {
+		_, err := Compile(k, mode)
+		if err == nil || !strings.HasPrefix(err.Error(), "1:10:") || !strings.Contains(err.Error(), "work budget") {
+			t.Errorf("%s: got %v, want a work-budget error at 1:10:", mode, err)
+		}
+	}
+}

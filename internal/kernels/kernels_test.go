@@ -86,14 +86,18 @@ func TestConvSpecMatchesPaperExample(t *testing.T) {
 		t.Errorf("o[0][0] = %s, want the corner product", got)
 	}
 	// The paper's second displayed value (o[1][2]) has 6 products.
-	prodCount := 0
-	l.Spec.Args[9].Walk(func(e *expr.Expr) bool {
+	var products func(*expr.Expr) int
+	products = func(e *expr.Expr) int {
+		n := 0
 		if e.Op == expr.OpMul {
-			prodCount++
+			n = 1
 		}
-		return true
-	})
-	if prodCount != 6 {
+		for _, a := range e.Args {
+			n += products(a)
+		}
+		return n
+	}
+	if prodCount := products(l.Spec.Args[9]); prodCount != 6 {
 		t.Errorf("second output has %d products, want 6", prodCount)
 	}
 }

@@ -10,6 +10,7 @@ package lower
 
 import (
 	"fmt"
+	"slices"
 
 	"diospyros/internal/expr"
 	"diospyros/internal/kernel"
@@ -24,7 +25,6 @@ func Lower(name string, root *expr.Expr, width int, l *kernel.Lifted) (*vir.Prog
 	lw := &lowerer{
 		prog:    vir.NewProgram(name, width, l.Inputs, l.Outputs),
 		width:   width,
-		scalars: map[*expr.Expr]vir.ID{},
 		vectors: map[vecKey]vir.ID{},
 	}
 	// Flat output index -> (array, offset) map.
@@ -37,27 +37,11 @@ func Lower(name string, root *expr.Expr, width int, l *kernel.Lifted) (*vir.Prog
 	// store per output element. That is exact for scalar programs; vector
 	// ones emit 0.6-2.9 instructions per term on the Table 1 suite, so Emit
 	// doubles them at most twice instead of from 64 up.
-	lw.prog.Instrs = make([]vir.Instr, 0, dagSize(root)+len(lw.outSlots))
+	lw.prog.Instrs = make([]vir.Instr, 0, root.Size()+len(lw.outSlots))
 	if err := lw.root(root); err != nil {
 		return nil, err
 	}
 	return lw.prog, nil
-}
-
-// dagSize counts the distinct terms of e, sharing counted once.
-func dagSize(e *expr.Expr) int {
-	seen := map[*expr.Expr]struct{}{}
-	stack := []*expr.Expr{e}
-	for len(stack) > 0 {
-		e := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if _, ok := seen[e]; ok {
-			continue
-		}
-		seen[e] = struct{}{}
-		stack = append(stack, e.Args...)
-	}
-	return len(seen)
 }
 
 type slot struct {
@@ -69,12 +53,17 @@ type lowerer struct {
 	prog     *vir.Program
 	width    int
 	outSlots []slot
-	scalars  map[*expr.Expr]vir.ID
+	scalars  expr.Memo[vir.ID]
 	vectors  map[vecKey]vir.ID
 }
 
 // vecKey memoizes vector lowering per (term, live-lane count): the same
 // shared subterm may feed chunks with different numbers of live lanes.
+// It is the one pointer-keyed memo outside expr.Memo because vector
+// lowering is not a bottom-up fold: a Vec's lanes are planned by planVec
+// (loads, shuffles, selects, scalar inserts), never lowered as vectors,
+// and the live-lane count flows down from the chunk, not up from the
+// arguments.
 type vecKey struct {
 	e    *expr.Expr
 	live int
@@ -188,116 +177,59 @@ func (lw *lowerer) vector(e *expr.Expr, live int) (vir.ID, error) {
 }
 
 func (lw *lowerer) vectorUncached(e *expr.Expr, live int) (vir.ID, error) {
-	switch e.Op {
-	case expr.OpVec:
+	if e.Op == expr.OpVec {
 		if len(e.Args) != lw.width {
 			return 0, fmt.Errorf("lower: Vec with %d lanes, width is %d", len(e.Args), lw.width)
 		}
 		return lw.planVec(e.Args, live)
-	case expr.OpVecAdd, expr.OpVecMinus, expr.OpVecMul, expr.OpVecDiv:
-		a, err := lw.vector(e.Args[0], live)
-		if err != nil {
-			return 0, err
-		}
-		b, err := lw.vector(e.Args[1], live)
-		if err != nil {
-			return 0, err
-		}
-		op := map[expr.Op]vir.Op{
-			expr.OpVecAdd: vir.AddV, expr.OpVecMinus: vir.SubV,
-			expr.OpVecMul: vir.MulV, expr.OpVecDiv: vir.DivV,
-		}[e.Op]
-		return lw.prog.Emit(vir.Instr{Op: op, Args: []vir.ID{a, b}}), nil
-	case expr.OpVecMAC:
-		acc, err := lw.vector(e.Args[0], live)
-		if err != nil {
-			return 0, err
-		}
-		a, err := lw.vector(e.Args[1], live)
-		if err != nil {
-			return 0, err
-		}
-		b, err := lw.vector(e.Args[2], live)
-		if err != nil {
-			return 0, err
-		}
-		return lw.prog.Emit(vir.Instr{Op: vir.MacV, Args: []vir.ID{acc, a, b}}), nil
-	case expr.OpVecNeg, expr.OpVecSqrt, expr.OpVecSgn:
-		a, err := lw.vector(e.Args[0], live)
-		if err != nil {
-			return 0, err
-		}
-		op := map[expr.Op]vir.Op{
-			expr.OpVecNeg: vir.NegV, expr.OpVecSqrt: vir.SqrtV, expr.OpVecSgn: vir.SgnV,
-		}[e.Op]
-		return lw.prog.Emit(vir.Instr{Op: op, Args: []vir.ID{a}}), nil
-	case expr.OpVecFunc:
-		args := make([]vir.ID, len(e.Args))
-		for i, a := range e.Args {
-			id, err := lw.vector(a, live)
-			if err != nil {
-				return 0, err
-			}
-			args[i] = id
-		}
-		return lw.prog.Emit(vir.Instr{Op: vir.CallV, Args: args, Sym: e.Sym}), nil
 	}
-	return 0, fmt.Errorf("lower: expected vector expression, got %s", e.Op)
+	op, ok := vectorOps[e.Op]
+	if !ok {
+		return 0, fmt.Errorf("lower: expected vector expression, got %s", e.Op)
+	}
+	args := make([]vir.ID, len(e.Args))
+	for i, a := range e.Args {
+		id, err := lw.vector(a, live)
+		if err != nil {
+			return 0, err
+		}
+		args[i] = id
+	}
+	return lw.prog.Emit(vir.Instr{Op: op, Args: args, Sym: e.Sym}), nil
 }
 
+// vectorOps maps each elementwise vector DSL operator to its IR
+// instruction.
+var vectorOps = map[expr.Op]vir.Op{
+	expr.OpVecAdd: vir.AddV, expr.OpVecMinus: vir.SubV, expr.OpVecMul: vir.MulV, expr.OpVecDiv: vir.DivV,
+	expr.OpVecMAC: vir.MacV, expr.OpVecNeg: vir.NegV, expr.OpVecSqrt: vir.SqrtV, expr.OpVecSgn: vir.SgnV,
+	expr.OpVecFunc: vir.CallV,
+}
+
+// scalar lowers a scalar term once; shared subterms reuse their register.
 func (lw *lowerer) scalar(e *expr.Expr) (vir.ID, error) {
-	if id, ok := lw.scalars[e]; ok {
-		return id, nil
-	}
-	id, err := lw.scalarUncached(e)
-	if err != nil {
-		return 0, err
-	}
-	lw.scalars[e] = id
-	return id, nil
+	return lw.scalars.Fold(e, lw.emitScalar)
 }
 
-func (lw *lowerer) scalarUncached(e *expr.Expr) (vir.ID, error) {
+// emitScalar emits the instruction of one scalar term whose arguments are
+// already in the registers args.
+func (lw *lowerer) emitScalar(e *expr.Expr, args []vir.ID) (vir.ID, error) {
 	switch e.Op {
 	case expr.OpLit:
 		return lw.prog.Emit(vir.Instr{Op: vir.ConstS, F: e.Lit}), nil
 	case expr.OpGet:
 		return lw.prog.Emit(vir.Instr{Op: vir.LoadS, Array: e.Sym, Off: e.Idx}), nil
-	case expr.OpAdd, expr.OpSub, expr.OpMul, expr.OpDiv:
-		a, err := lw.scalar(e.Args[0])
-		if err != nil {
-			return 0, err
-		}
-		b, err := lw.scalar(e.Args[1])
-		if err != nil {
-			return 0, err
-		}
-		op := map[expr.Op]vir.Op{
-			expr.OpAdd: vir.AddS, expr.OpSub: vir.SubS,
-			expr.OpMul: vir.MulS, expr.OpDiv: vir.DivS,
-		}[e.Op]
-		return lw.prog.Emit(vir.Instr{Op: op, Args: []vir.ID{a, b}}), nil
-	case expr.OpNeg, expr.OpSqrt, expr.OpSgn:
-		a, err := lw.scalar(e.Args[0])
-		if err != nil {
-			return 0, err
-		}
-		op := map[expr.Op]vir.Op{
-			expr.OpNeg: vir.NegS, expr.OpSqrt: vir.SqrtS, expr.OpSgn: vir.SgnS,
-		}[e.Op]
-		return lw.prog.Emit(vir.Instr{Op: op, Args: []vir.ID{a}}), nil
-	case expr.OpFunc:
-		args := make([]vir.ID, len(e.Args))
-		for i, a := range e.Args {
-			id, err := lw.scalar(a)
-			if err != nil {
-				return 0, err
-			}
-			args[i] = id
-		}
-		return lw.prog.Emit(vir.Instr{Op: vir.CallS, Args: args, Sym: e.Sym}), nil
 	case expr.OpSym:
 		return 0, fmt.Errorf("lower: free symbol %q has no storage", e.Sym)
 	}
+	if op, ok := scalarOps[e.Op]; ok {
+		return lw.prog.Emit(vir.Instr{Op: op, Args: slices.Clone(args), Sym: e.Sym}), nil
+	}
 	return 0, fmt.Errorf("lower: expected scalar expression, got %s", e.Op)
+}
+
+// scalarOps maps each scalar DSL operator to its IR instruction.
+var scalarOps = map[expr.Op]vir.Op{
+	expr.OpAdd: vir.AddS, expr.OpSub: vir.SubS, expr.OpMul: vir.MulS, expr.OpDiv: vir.DivS,
+	expr.OpNeg: vir.NegS, expr.OpSqrt: vir.SqrtS, expr.OpSgn: vir.SgnS, expr.OpFunc: vir.CallS,
 }

@@ -35,9 +35,18 @@ func costWidth(cfg Config) int {
 	return cfg.Widths[0]
 }
 
+// countOps counts the operators of e's tree, a shared node once per
+// occurrence.
 func countOps(e *expr.Expr) map[expr.Op]int {
 	m := map[expr.Op]int{}
-	e.Walk(func(n *expr.Expr) bool { m[n.Op]++; return true })
+	var walk func(*expr.Expr)
+	walk = func(e *expr.Expr) {
+		m[e.Op]++
+		for _, a := range e.Args {
+			walk(a)
+		}
+	}
+	walk(e)
 	return m
 }
 

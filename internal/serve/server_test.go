@@ -469,6 +469,8 @@ func TestBadRequests(t *testing.T) {
 		{"kernel k(a[4]) -> (o[1]) { for i in 0..400000 { o[0] = o[0] + a[i % 4]; } }", "text/plain"},
 		// A short loop over 300 lets, over the frontend's work budget.
 		{letsKernel(499_000), "text/plain"},
+		// A parameter shape whose element count overflows an int.
+		{"kernel k(a[3037000500][3037000500]) -> (o[1]) { o[0] = 1.0; }", "text/plain"},
 	} {
 		resp, cr := postCompile(t, ts.URL, c.body, c.ct)
 		if resp.StatusCode != http.StatusBadRequest {

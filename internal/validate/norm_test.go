@@ -166,7 +166,7 @@ func TestCheckerAgreesWithFreshChecks(t *testing.T) {
 	spec := expr.List(lanes...)
 	c := newChecker(spec, len(lanes))
 	for trial := 0; trial < 40; trial++ {
-		prog := spec.Clone()
+		prog := deepCopy(spec)
 		if r.Intn(2) == 0 {
 			prog.Args[r.Intn(len(lanes))] = term()
 		}
@@ -176,4 +176,15 @@ func TestCheckerAgreesWithFreshChecks(t *testing.T) {
 			t.Fatalf("trial %d: shared checker says %v, fresh says %v", trial, got, want)
 		}
 	}
+}
+
+// deepCopy copies e node by node, keeping its sharing.
+func deepCopy(e *expr.Expr) *expr.Expr {
+	var m expr.Memo[*expr.Expr]
+	c, _ := m.Fold(e, func(e *expr.Expr, args []*expr.Expr) (*expr.Expr, error) {
+		c := *e
+		c.Args = slices.Clone(args)
+		return &c, nil
+	})
+	return c
 }

@@ -78,7 +78,7 @@ func NewChecker(l *kernel.Lifted) *Checker {
 }
 
 func newChecker(spec *expr.Expr, n int) *Checker {
-	return &Checker{spec: spec, n: n, ev: evaluator{memo: map[*expr.Expr]span{}}}
+	return &Checker{spec: spec, n: n}
 }
 
 // Check reports nil when optimized computes the spec's first n outputs,
@@ -176,13 +176,12 @@ func bound(deg uint64, spec, opt map[uint64]uint64) float64 {
 	return min(1, (float64(deg)+max(k-1, 0)*sum)/p)
 }
 
-// evaluator evaluates programs at one point. Its memo, lane arena and
-// operand stack are reused by every run.
+// evaluator evaluates programs at one point. Its memo and lane arena are
+// reused by every run.
 type evaluator struct {
 	seed  uint64
-	memo  map[*expr.Expr]span
+	memo  expr.Memo[span]
 	lanes []lane
-	stack []span // operand spans of the nodes being evaluated
 	// opaque maps each opaque term's value to its argument degree
 	// (numerator plus denominator, summed over arguments). Applications
 	// with one value count as one term: they are one unless their
@@ -195,28 +194,19 @@ type evaluator struct {
 // its lanes.
 func (ev *evaluator) run(e *expr.Expr, seed uint64, what string) (span, error) {
 	ev.seed = seed
-	clear(ev.memo)
+	ev.memo.Reset()
 	clear(ev.opaque)
-	ev.lanes, ev.stack = ev.lanes[:0], ev.stack[:0]
-	s, err := ev.eval(e)
+	ev.lanes = ev.lanes[:0]
+	s, err := ev.memo.Fold(e, ev.node)
 	if err != nil && err != errZeroDenominator {
 		err = fmt.Errorf("validate: %s: %w", what, err)
 	}
 	return s, err
 }
 
-// eval evaluates e once; later calls return the memoized lanes.
-func (ev *evaluator) eval(e *expr.Expr) (s span, err error) {
-	if s, ok := ev.memo[e]; ok {
-		return s, nil
-	}
-	base := len(ev.stack)
-	defer func() {
-		ev.stack = ev.stack[:base]
-		if err == nil {
-			ev.memo[e] = s
-		}
-	}()
+// node evaluates e given its operands' lanes as; the memo calls it once
+// per distinct node.
+func (ev *evaluator) node(e *expr.Expr, as []span) (span, error) {
 	off := len(ev.lanes)
 	switch e.Op {
 	case expr.OpLit:
@@ -227,23 +217,16 @@ func (ev *evaluator) eval(e *expr.Expr) (s span, err error) {
 		ev.lanes = append(ev.lanes, lane{v: ev.coord(e.Op, e.Sym, e.Idx), num: 1})
 		return span{off, 1}, nil
 	}
-	// Evaluate the operands onto the stack; vector ops need equal lane
-	// counts, scalar ops scalar operands.
+	// Vector ops need equal lane counts, scalar ops scalar operands.
 	concat := e.Op == expr.OpVec || e.Op == expr.OpList || e.Op == expr.OpConcat
 	for i, a := range e.Args {
 		if !e.Op.IsVector() && a.Op.IsVector() {
 			return span{}, fmt.Errorf("vector op %s in scalar position", a.Op)
 		}
-		s, err := ev.eval(a)
-		if err != nil {
-			return span{}, err
+		if i > 0 && !concat && as[i].n != as[0].n {
+			return span{}, fmt.Errorf("lane mismatch in %s: %d vs %d", e.Op, as[0].n, as[i].n)
 		}
-		if i > 0 && !concat && s.n != ev.stack[base].n {
-			return span{}, fmt.Errorf("lane mismatch in %s: %d vs %d", e.Op, ev.stack[base].n, s.n)
-		}
-		ev.stack = append(ev.stack, s)
 	}
-	as := ev.stack[base:]
 	n := 1
 	if len(as) > 0 {
 		n = as[0].n
@@ -253,7 +236,6 @@ func (ev *evaluator) eval(e *expr.Expr) (s span, err error) {
 	if s, ok := op.ScalarEquivalent(); ok {
 		op = s
 	}
-	off = len(ev.lanes)
 	switch e.Op {
 	case expr.OpVec, expr.OpList, expr.OpConcat:
 		for _, a := range as {
