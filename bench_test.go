@@ -58,10 +58,10 @@ func BenchmarkTable1Compile(b *testing.B) {
 func BenchmarkFigure5Kernels(b *testing.B) {
 	for _, only := range []string{"2DConv 3x5 3x3", "MatMul 4x4 4x4", "QProd"} {
 		b.Run(only, func(b *testing.B) {
-			var rows []bench.F5Row
+			var rows []bench.Row
 			for i := 0; i < b.N; i++ {
 				var err error
-				rows, err = bench.Figure5(bench.F5Options{Opts: benchOpts(), Only: only})
+				rows, err = bench.Figure5(bench.Options{Opts: benchOpts(), Only: only})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -80,7 +80,7 @@ func BenchmarkFigure5Kernels(b *testing.B) {
 // suite (expensive; dominated by the 16×16 kernels).
 func BenchmarkFigure5Geomean(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Figure5(bench.F5Options{Opts: benchOpts()})
+		rows, err := bench.Figure5(bench.Options{Opts: benchOpts()})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -19,13 +19,15 @@
 // pipeline stage tables to the Table 1 output; -json emits Table 1 rows
 // (with traces) as JSON; -profile prints each kernel's simulated cycle
 // breakdown. -trace-out/-metrics-out export all compilation traces as
-// Chrome trace-event JSON / Prometheus text, and -bench-json writes
-// per-kernel cycles+profiles+peak-e-graph-bytes (the CI smoke job's
-// artifacts, readable by cmd/diosdiff). diosbench gates nothing: the
-// exact per-kernel cycle and peak-bytes record is the artifact ledger,
-// testdata/artifacts.golden, checked by go test -run TestArtifactLedger.
-// -mem-profile FILE captures a pprof heap profile at the suite's e-graph
-// node-count peak. Experiments run under a context cancelled by
+// Chrome trace-event JSON / Prometheus text, and -bench-json writes the
+// -json rows to a file (the CI smoke job's artifact, which cmd/diosdiff
+// reads and attributes to rules). One suite pass feeds Table 1, Figure 5,
+// the §2 numbers, both ablations and the exports, so each kernel's
+// default configuration compiles once; -validate is a pass of its own.
+// -mem-profile FILE captures a pprof heap profile at that pass's e-graph
+// node-count peak. diosbench gates nothing: the exact per-kernel cycle
+// and peak-bytes record is the artifact ledger, testdata/artifacts.golden,
+// checked by go test -run TestArtifactLedger. Experiments run under a context cancelled by
 // SIGINT/SIGTERM.
 package main
 
@@ -70,7 +72,7 @@ func main() {
 		profile    = flag.Bool("profile", false, "print per-kernel simulated cycle profiles (hotspots, slots, stalls)")
 		traceOut   = flag.String("trace-out", "", "write all kernels' compilation traces as Chrome trace-event JSON to this file")
 		metricOut  = flag.String("metrics-out", "", "write all kernels' compilation metrics in Prometheus text format to this file")
-		benchJSON  = flag.String("bench-json", "", "write per-kernel simulated cycles and profiles as JSON to this file")
+		benchJSON  = flag.String("bench-json", "", "write the -json rows (cycles, profiles and traces) to this file")
 		memProfile = flag.String("mem-profile", "", "write a pprof heap profile captured at the suite's e-graph node-count peak to this file")
 		version    = flag.Bool("version", false, "print version and exit")
 	)
@@ -114,28 +116,31 @@ func main() {
 		os.Exit(1)
 	}
 
-	var f5rows []bench.F5Row
+	// One suite pass serves Table 1, Figure 5, the §2 numbers, both
+	// ablations and the exports; the baselines run only when a consumer
+	// of their cycles asked for it.
 	needF5 := *all || *figure5 || *motivating
-	if needF5 {
-		fmt.Println("== Figure 5: compiling and simulating the 21-kernel suite ==")
-		rows, err := bench.Figure5(bench.F5Options{Opts: opts, Only: *only, Progress: progress, Context: ctx})
-		if err != nil {
-			fail(err)
+	baselines := needF5 || *ablation || *costAbl
+	var rows []bench.Row
+	if baselines || *table1 || exporting {
+		if needF5 {
+			fmt.Println("== Figure 5: compiling and simulating the 21-kernel suite ==")
 		}
-		f5rows = rows
-	}
-
-	if *all || *table1 || exporting {
-		t1opts := opts
+		pass := bench.Options{Opts: opts, Only: *only, Progress: progress, Context: ctx}
 		var profiler *telemetry.MemProfiler
 		if *memProfile != "" {
 			// One Progress feeds every kernel's saturation run in turn, so a
 			// single profiler captures the heap at the suite-wide node peak.
 			prog := &egraph.Progress{}
-			t1opts.Progress = prog
+			pass.Opts.Progress = prog
 			profiler = telemetry.StartMemProfiler(func() int { return prog.Snapshot().Nodes }, 0)
 		}
-		rows, err := bench.Table1(bench.T1Options{Opts: t1opts, Only: *only, Progress: progress, Context: ctx})
+		var err error
+		if baselines {
+			rows, err = bench.Figure5(pass)
+		} else {
+			rows, err = bench.Table1(pass)
+		}
 		if profiler != nil {
 			snapshot, peak := profiler.Stop()
 			if werr := os.WriteFile(*memProfile, snapshot, 0o644); werr != nil {
@@ -146,6 +151,9 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
+	}
+
+	if *all || *table1 || exporting {
 		switch {
 		case *jsonOut:
 			raw, err := bench.Table1JSON(rows)
@@ -179,7 +187,7 @@ func main() {
 			}
 		}
 		if *benchJSON != "" {
-			raw, err := bench.BenchJSON(rows)
+			raw, err := bench.Table1JSON(rows)
 			if err != nil {
 				fail(err)
 			}
@@ -189,10 +197,10 @@ func main() {
 		}
 	}
 	if *all || *figure5 {
-		fmt.Println(bench.FormatFigure5(f5rows))
+		fmt.Println(bench.FormatFigure5(rows))
 	}
 	if *all || *motivating {
-		fmt.Println(bench.FormatMotivating(f5rows))
+		fmt.Println(bench.FormatMotivating(rows))
 	}
 	if *all || *figure6 {
 		fmt.Println("== Figure 6 ==")
@@ -210,20 +218,20 @@ func main() {
 		fmt.Println(bench.FormatExpert(res))
 	}
 	if *all || *ablation {
-		fmt.Println("== §5.6 ablation: compiling the suite twice ==")
-		rows, sum, err := bench.Ablation(bench.F5Options{Opts: opts, Only: *only, Progress: progress, Context: ctx})
+		fmt.Println("== §5.6 ablation: compiling the suite without vector rules ==")
+		abl, sum, err := bench.Ablation(rows, bench.Options{Opts: opts, Progress: progress, Context: ctx})
 		if err != nil {
 			fail(err)
 		}
-		fmt.Println(bench.FormatAblation(rows, sum))
+		fmt.Println(bench.FormatAblation(abl, sum))
 	}
 	if *all || *costAbl {
-		fmt.Println("== cost-model ablation: compiling the suite twice ==")
-		rows, err := bench.CostModelAblation(bench.F5Options{Opts: opts, Only: *only, Progress: progress, Context: ctx})
+		fmt.Println("== cost-model ablation: compiling the suite under a uniform cost ==")
+		costRows, err := bench.CostModelAblation(rows, bench.Options{Opts: opts, Progress: progress, Context: ctx})
 		if err != nil {
 			fail(err)
 		}
-		fmt.Println(bench.FormatCostAblation(rows))
+		fmt.Println(bench.FormatCostAblation(costRows))
 	}
 	if *all || *theiaCase {
 		res, err := bench.Theia()
@@ -240,27 +248,29 @@ func main() {
 			}
 		}
 		fmt.Printf("== per-target cycles: one search, %d extractions per kernel ==\n", len(names))
-		rows, err := bench.TargetTable(bench.TTOptions{
-			Opts: opts, Targets: names, Only: *only, Progress: progress, Context: ctx,
-		})
+		topts := opts
+		topts.Targets = names
+		trows, err := bench.TargetTable(bench.Options{Opts: topts, Only: *only, Progress: progress, Context: ctx})
 		if err != nil {
 			fail(err)
 		}
-		fmt.Println(bench.FormatTargetTable(rows))
+		fmt.Println(bench.FormatTargetTable(trows))
 	}
 	if *all || *validate {
 		fmt.Println("== translation validation (§3.4) ==")
 		start := time.Now()
-		rows, err := bench.Table1(bench.T1Options{Opts: opts, Only: *only, Validate: true, Progress: progress, Context: ctx})
+		vopts := opts
+		vopts.Validate = true
+		vrows, err := bench.Table1(bench.Options{Opts: vopts, Only: *only, Progress: progress, Context: ctx})
 		if err != nil {
 			fail(err)
 		}
 		ok := 0
-		for _, r := range rows {
+		for _, r := range vrows {
 			if r.Validated {
 				ok++
 			}
 		}
-		fmt.Printf("validated %d/%d kernels in %v\n\n", ok, len(rows), time.Since(start).Round(time.Millisecond))
+		fmt.Printf("validated %d/%d kernels in %v\n\n", ok, len(vrows), time.Since(start).Round(time.Millisecond))
 	}
 }

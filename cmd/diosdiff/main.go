@@ -30,7 +30,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/signal"
 	"strconv"
@@ -199,7 +198,7 @@ func compileSide(ctx context.Context, src, label, tokens string, seed int64) (di
 	}
 	in := diff.Input{Label: label, Kernel: res.Kernel.Name, Trace: res.Trace}
 	if res.Program != nil {
-		if _, sres, err := res.Run(randomInputs(res, seed), nil); err == nil {
+		if _, sres, err := res.Run(diospyros.RandomInputs(res.Kernel, seed), nil); err == nil {
 			in.Profile = sres.Profile
 			in.Cycles = sres.Cycles
 		}
@@ -260,22 +259,6 @@ func marshalDiffs(diffs []*diff.Diff) ([]byte, error) {
 		return diffs[0].JSON()
 	}
 	return json.MarshalIndent(diffs, "", "  ")
-}
-
-// randomInputs fills every kernel input with reproducible random tenths in
-// [-10, 10) — the same harness as diospyros -run, so simulated cycles are
-// comparable across the two sides.
-func randomInputs(res *diospyros.Result, seed int64) map[string][]float64 {
-	r := rand.New(rand.NewSource(seed))
-	inputs := map[string][]float64{}
-	for _, d := range res.Kernel.Inputs {
-		s := make([]float64, d.Len())
-		for i := range s {
-			s[i] = float64(int(r.Float64()*200-100)) / 10
-		}
-		inputs[d.Name] = s
-	}
-	return inputs
 }
 
 func usage(msg string) {

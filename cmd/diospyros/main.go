@@ -35,7 +35,6 @@ import (
 	"io"
 	"log/slog"
 	"math"
-	"math/rand"
 	"os"
 	"os/signal"
 	"sort"
@@ -230,7 +229,7 @@ func main() {
 		// compiled to FG3-lite; a report for an IR-only width still renders
 		// the search and extraction sections.
 		if res.Program != nil {
-			if _, sres, err := res.Run(randomInputs(res, *seed), nil); err == nil {
+			if _, sres, err := res.Run(diospyros.RandomInputs(res.Kernel, *seed), nil); err == nil {
 				data.Cycle = diospyros.ReportCycleProfile(sres.Profile)
 			} else {
 				logger.Warn("report: simulator run failed; omitting cycle waterfall", "err", err)
@@ -284,7 +283,7 @@ func main() {
 		}
 		fmt.Print(res.Program.Disassemble())
 	case *doRun:
-		inputs := randomInputs(res, *seed)
+		inputs := diospyros.RandomInputs(res.Kernel, *seed)
 		outputs, sres, err := res.Run(inputs, nil)
 		if err != nil {
 			fatal(err)
@@ -314,21 +313,6 @@ func main() {
 	}
 }
 
-// randomInputs fills every kernel input with reproducible random tenths in
-// [-10, 10), the -run / -report simulation harness.
-func randomInputs(res *diospyros.Result, seed int64) map[string][]float64 {
-	r := rand.New(rand.NewSource(seed))
-	inputs := map[string][]float64{}
-	for _, d := range res.Kernel.Inputs {
-		s := make([]float64, d.Len())
-		for i := range s {
-			s[i] = float64(int(r.Float64()*200-100)) / 10
-		}
-		inputs[d.Name] = s
-	}
-	return inputs
-}
-
 // writeSpec lifts src and writes its specification as a let-bound DAG
 // (expr.Dump): each shared subterm once, so the text is linear in the
 // nodes lift built.
@@ -341,7 +325,14 @@ func writeSpec(w io.Writer, src string) error {
 	return err
 }
 
+// fatal prints err as errorLine renders it and exits 1.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "diospyros:", err)
+	fmt.Fprintln(os.Stderr, errorLine(err))
 	os.Exit(1)
+}
+
+// errorLine renders err with one "diospyros:" prefix; the library's own
+// errors already carry it.
+func errorLine(err error) string {
+	return "diospyros: " + strings.TrimPrefix(err.Error(), "diospyros: ")
 }

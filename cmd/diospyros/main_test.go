@@ -1,10 +1,13 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	diospyros "diospyros"
 )
 
 // TestDumpSpecIsLinear holds -dump-spec to output linear in the nodes lift
@@ -36,5 +39,22 @@ func TestDumpSpecIsLinear(t *testing.T) {
 	}
 	if want := fmt.Sprintf("(List (+ %%%d %%%[1]d))", doublings-1); lines[len(lines)-1] != want {
 		t.Errorf("root line %q, want %q", lines[len(lines)-1], want)
+	}
+}
+
+// TestErrorLineOnePrefix checks that a library error, which already
+// carries the "diospyros:" prefix, prints with that prefix once, and that
+// an error from elsewhere gains it.
+func TestErrorLineOnePrefix(t *testing.T) {
+	_, err := diospyros.CompileSource("kernel k(a[2]) -> (o[1]) { o[0] = a[2]; }", diospyros.Options{})
+	if err == nil {
+		t.Fatal("out-of-bounds kernel compiled")
+	}
+	line := errorLine(err)
+	if !strings.HasPrefix(line, "diospyros: lift: 1:") || strings.Count(line, "diospyros:") != 1 {
+		t.Errorf("errorLine = %q, want one \"diospyros:\" prefix before the positioned lift error", line)
+	}
+	if got := errorLine(errors.New("open k.dios: no such file")); got != "diospyros: open k.dios: no such file" {
+		t.Errorf("errorLine = %q", got)
 	}
 }

@@ -22,11 +22,9 @@ import (
 
 	diospyros "diospyros"
 	"diospyros/internal/eigenlite"
-	"diospyros/internal/frontend"
 	"diospyros/internal/kcc"
 	"diospyros/internal/kernels"
 	"diospyros/internal/nature"
-	"diospyros/internal/sim"
 )
 
 const convSrc = `
@@ -75,27 +73,23 @@ func main() {
 	}
 
 	// Baselines via the baseline compiler.
-	ast := frontend.MustParse(convSrc)
+	inputs := map[string][]float64{"i": in, "f": filt}
 	for _, mode := range []kcc.Mode{kcc.Parametric, kcc.FixedSize} {
-		p, err := kcc.Compile(ast, mode)
+		rt, err := kcc.Build(convSrc, mode)
 		if err != nil {
 			log.Fatal(err)
 		}
-		mem := make([]float64, p.Layout.Size())
-		copy(mem[p.Layout.Base("i"):], in)
-		copy(mem[p.Layout.Base("f"):], filt)
-		res, err := sim.Run(p, mem, sim.Defaults())
+		out, res, err := rt.Run(inputs)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ob := p.Layout.Base("o")
-		check("naive "+mode.String(), res.Mem[ob:ob+35])
+		check("naive "+mode.String(), out["o"])
 		results = append(results, entry{"naive (" + mode.String() + ")", res.Cycles})
 	}
 
 	// Vendor library.
 	prog := nature.Conv2D(3, 5, 3, 3)
-	nout, nres, err := nature.Run(prog, map[string][]float64{"i": in, "f": filt}, []int{3, 5, 3, 3})
+	nout, nres, err := nature.Run(prog, inputs, []int{3, 5, 3, 3})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -103,11 +97,11 @@ func main() {
 	results = append(results, entry{"vendor library (Nature-like)", nres.Cycles})
 
 	// Portable scalar library.
-	ert, err := eigenlite.Build(eigenlite.Conv2DSrc(3, 5, 3, 3), kcc.Parametric)
+	ert, err := kcc.Build(eigenlite.Conv2DSrc(3, 5, 3, 3), kcc.Parametric)
 	if err != nil {
 		log.Fatal(err)
 	}
-	eout, eres, err := ert.Run(map[string][]float64{"i": in, "f": filt})
+	eout, eres, err := ert.Run(inputs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -119,7 +113,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dout, dsim, err := dres.Run(map[string][]float64{"i": in, "f": filt}, nil)
+	dout, dsim, err := dres.Run(inputs, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

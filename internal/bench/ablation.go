@@ -3,10 +3,8 @@ package bench
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 
-	diospyros "diospyros"
 	"diospyros/internal/cost"
 	"diospyros/internal/egraph"
 )
@@ -28,42 +26,26 @@ type AblSummary struct {
 	Total             int
 }
 
-// Ablation runs the §5.6 vectorization ablation over the whole suite.
-func Ablation(opt F5Options) ([]AblRow, AblSummary, error) {
-	var rows []AblRow
-	for _, k := range Suite() {
-		if !matchOnly(opt.Only, k.ID) {
-			continue
-		}
-		base, err := runKernelAllSystems(k, opt)
+// Ablation runs the §5.6 vectorization ablation on Figure 5's rows: it
+// compiles each row's kernel with every vector rewrite rule disabled and
+// reads the vectorized and best-baseline columns off the row.
+func Ablation(rows []Row, opt Options) ([]AblRow, AblSummary, error) {
+	scalarOpts := opt.Opts
+	scalarOpts.DisableVectorRules = true
+	out, err := each(opt, kernelsOf(rows), func(i int, c suiteCase) (AblRow, string, error) {
+		_, sres, err := c.compile(opt.ctx(), scalarOpts, "scalar-only")
 		if err != nil {
-			return nil, AblSummary{}, fmt.Errorf("%s: %w", k.ID, err)
+			return AblRow{}, "", err
 		}
-		scalarOpts := opt.Opts
-		scalarOpts.DisableVectorRules = true
-		res, err := diospyros.CompileContext(opt.ctx(), k.Lift(), scalarOpts)
-		if err != nil {
-			return nil, AblSummary{}, fmt.Errorf("%s (scalar): %w", k.ID, err)
-		}
-		r := rand.New(rand.NewSource(opt.Seed + 7))
-		inputs := k.Inputs(r)
-		_, sres, err := res.Run(inputs, nil)
-		if err != nil {
-			return nil, AblSummary{}, fmt.Errorf("%s (scalar run): %w", k.ID, err)
-		}
-		row := AblRow{
-			Kernel:       k,
-			BestBaseline: base.BestBaseline(),
-			Vectorized:   base.Cycles.Diospyros,
-			ScalarOnly:   sres.Cycles,
-		}
-		rows = append(rows, row)
-		if opt.Progress != nil {
-			opt.Progress(fmt.Sprintf("%-20s baseline=%-7d vectorized=%-7d scalar-only=%-7d",
-				k.ID, row.BestBaseline, row.Vectorized, row.ScalarOnly))
-		}
+		r := AblRow{Kernel: c.k, BestBaseline: rows[i].BestBaseline(),
+			Vectorized: rows[i].Cycles.Diospyros, ScalarOnly: sres.Cycles}
+		return r, fmt.Sprintf("baseline=%-7d vectorized=%-7d scalar-only=%-7d",
+			r.BestBaseline, r.Vectorized, r.ScalarOnly), nil
+	})
+	if err != nil {
+		return nil, AblSummary{}, err
 	}
-	return rows, summarizeAblation(rows), nil
+	return out, summarizeAblation(out), nil
 }
 
 func summarizeAblation(rows []AblRow) AblSummary {
@@ -121,43 +103,20 @@ type CostRow struct {
 
 // CostModelAblation quantifies the design choice DESIGN.md §5 calls out:
 // extraction guided by the data-movement-aware cost model versus a uniform
-// per-node cost. Both use the same saturated e-graph; only extraction
-// changes.
-func CostModelAblation(opt F5Options) ([]CostRow, error) {
-	var rows []CostRow
-	for _, k := range Suite() {
-		if !matchOnly(opt.Only, k.ID) {
-			continue
-		}
-		r := rand.New(rand.NewSource(opt.Seed + 7))
-		inputs := k.Inputs(r)
-		run := func(model cost.Model) (int64, error) {
-			opts := opt.Opts
-			opts.CostModel = model
-			res, err := diospyros.CompileContext(opt.ctx(), k.Lift(), opts)
-			if err != nil {
-				return 0, err
-			}
-			_, sres, err := res.Run(inputs, nil)
-			if err != nil {
-				return 0, err
-			}
-			return sres.Cycles, nil
-		}
-		aware, err := run(nil) // default §3.4 model
+// per-node cost. It compiles each of Figure 5's kernels under the uniform
+// model; the aware column is the row's Diospyros cycles, whose compile
+// used the default model.
+func CostModelAblation(rows []Row, opt Options) ([]CostRow, error) {
+	uniformOpts := opt.Opts
+	uniformOpts.CostModel = uniformCost{}
+	return each(opt, kernelsOf(rows), func(i int, c suiteCase) (CostRow, string, error) {
+		_, sres, err := c.compile(opt.ctx(), uniformOpts, "uniform")
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", k.ID, err)
+			return CostRow{}, "", err
 		}
-		uniform, err := run(uniformCost{})
-		if err != nil {
-			return nil, fmt.Errorf("%s (uniform): %w", k.ID, err)
-		}
-		rows = append(rows, CostRow{Kernel: k, Aware: aware, Uniform: uniform})
-		if opt.Progress != nil {
-			opt.Progress(fmt.Sprintf("%-20s aware=%-7d uniform=%-7d", k.ID, aware, uniform))
-		}
-	}
-	return rows, nil
+		r := CostRow{Kernel: c.k, Aware: rows[i].Cycles.Diospyros, Uniform: sres.Cycles}
+		return r, fmt.Sprintf("aware=%-7d uniform=%-7d", r.Aware, r.Uniform), nil
+	})
 }
 
 // FormatCostAblation renders the cost-model ablation.

@@ -13,7 +13,6 @@ import (
 
 	"diospyros/internal/frontend"
 	"diospyros/internal/kcc"
-	"diospyros/internal/sim"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/baselines.golden")
@@ -100,12 +99,8 @@ func baselineLines(t *testing.T, kernel, source, src string, inputs map[string][
 			continue
 		}
 		sum := sha256.Sum256([]byte(p.Disassemble()))
-		cycles := "-"
-		mem := make([]float64, p.Layout.Size())
-		for _, prm := range k.Params {
-			copy(mem[p.Layout.Base(prm.Name):], inputs[prm.Name])
-		}
-		if res, err := sim.Run(p, mem, sim.Defaults()); err == nil {
+		var cycles string
+		if _, res, err := (&kcc.Routine{Kernel: k, Program: p}).Run(inputs); err == nil {
 			cycles = fmt.Sprint(res.Cycles)
 		} else {
 			cycles = "error: " + err.Error()

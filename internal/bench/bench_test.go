@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,7 +36,7 @@ func TestSuiteHas21Kernels(t *testing.T) {
 // TestFigure5SmallKernels runs the full five-system comparison on the small
 // kernels and asserts the paper's qualitative claims.
 func TestFigure5SmallKernels(t *testing.T) {
-	rows, err := Figure5(F5Options{Opts: quickOpts(), Only: "3x3"})
+	rows, err := Figure5(Options{Opts: quickOpts(), Only: "3x3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func TestFigure5SmallKernels(t *testing.T) {
 }
 
 func TestFigure5MatMulFamilyShapes(t *testing.T) {
-	rows, err := Figure5(F5Options{Opts: quickOpts(), Only: "MatMul"})
+	rows, err := Figure5(Options{Opts: quickOpts(), Only: "MatMul"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func TestGeomeanHeadline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite run")
 	}
-	rows, err := Figure5(F5Options{Opts: quickOpts()})
+	rows, err := Figure5(Options{Opts: quickOpts()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,18 +106,26 @@ func TestGeomeanHeadline(t *testing.T) {
 }
 
 func TestTable1SmallKernels(t *testing.T) {
-	rows, err := Table1(T1Options{Opts: quickOpts(), Only: "2x2"})
+	rows, err := Table1(Options{Opts: quickOpts(), Only: "2x2"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		if r.Time <= 0 || r.Nodes == 0 {
+		if r.Trace.Duration <= 0 || r.Nodes == 0 {
 			t.Errorf("%s: missing stats %+v", r.Kernel.ID, r)
 		}
 	}
 	out := FormatTable1(rows)
 	if len(out) == 0 {
 		t.Fatal("empty table")
+	}
+	// A failed compile reads with the kernel ID and one library prefix.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = Table1(Options{Opts: quickOpts(), Only: "QProd", Context: ctx})
+	if err == nil || !strings.HasPrefix(err.Error(), "QProd 4,3,4,3: diospyros: ") ||
+		strings.Count(err.Error(), "diospyros:") != 1 {
+		t.Errorf("canceled Table1 error = %v, want one \"QProd 4,3,4,3: diospyros: \" prefix", err)
 	}
 }
 
@@ -168,7 +178,12 @@ func TestExpertComparison(t *testing.T) {
 }
 
 func TestAblationQProd(t *testing.T) {
-	rows, _, err := Ablation(F5Options{Opts: quickOpts(), Only: "QProd"})
+	opt := Options{Opts: quickOpts(), Only: "QProd"}
+	f5, err := Figure5(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, _, err := Ablation(f5, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,6 +193,12 @@ func TestAblationQProd(t *testing.T) {
 	r := rows[0]
 	if r.ScalarOnly <= 0 || r.Vectorized <= 0 {
 		t.Fatalf("missing cycles: %+v", r)
+	}
+	// The vectorized and best-baseline columns are Figure 5's, not a
+	// second compile's.
+	if r.Vectorized != f5[0].Cycles.Diospyros || r.BestBaseline != f5[0].BestBaseline() {
+		t.Errorf("vectorized %d, best baseline %d, want Figure 5's %d, %d",
+			r.Vectorized, r.BestBaseline, f5[0].Cycles.Diospyros, f5[0].BestBaseline())
 	}
 	// The scalar ablation must still beat the naive baseline (CSE effect).
 	if r.ScalarOnly >= r.BestBaseline*3 {
@@ -202,7 +223,7 @@ func TestTheiaCaseStudy(t *testing.T) {
 }
 
 func TestMotivatingNumbers(t *testing.T) {
-	rows, err := Figure5(F5Options{Opts: quickOpts(), Only: "2DConv 3x5 3x3"})
+	rows, err := Figure5(Options{Opts: quickOpts(), Only: "2DConv 3x5 3x3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +243,12 @@ func TestMotivatingNumbers(t *testing.T) {
 }
 
 func TestCostModelAblation(t *testing.T) {
-	rows, err := CostModelAblation(F5Options{Opts: quickOpts(), Only: "MatMul 2x3"})
+	opt := Options{Opts: quickOpts(), Only: "MatMul 2x3"}
+	f5, err := Figure5(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := CostModelAblation(f5, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,6 +256,9 @@ func TestCostModelAblation(t *testing.T) {
 		t.Fatalf("got %d rows", len(rows))
 	}
 	r := rows[0]
+	if r.Aware != f5[0].Cycles.Diospyros {
+		t.Errorf("aware %d, want Figure 5's %d", r.Aware, f5[0].Cycles.Diospyros)
+	}
 	// The movement-aware model must never produce a slower kernel than the
 	// uniform ablation on this kernel (it distinguishes single-array
 	// shuffles from cross-array gathers).
@@ -250,7 +279,7 @@ func TestProfileChecksumSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite compile in -short mode")
 	}
-	rows, err := Table1(T1Options{Opts: quickOpts()})
+	rows, err := Table1(Options{Opts: quickOpts()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,8 +294,8 @@ func TestProfileChecksumSuite(t *testing.T) {
 		if err := r.Profile.CheckSum(); err != nil {
 			t.Errorf("%s: %v", r.Kernel.ID, err)
 		}
-		if r.Profile.Cycles != r.Cycles {
-			t.Errorf("%s: profile cycles %d != row cycles %d", r.Kernel.ID, r.Profile.Cycles, r.Cycles)
+		if r.Profile.Cycles != r.Cycles.Diospyros {
+			t.Errorf("%s: profile cycles %d != row cycles %d", r.Kernel.ID, r.Profile.Cycles, r.Cycles.Diospyros)
 		}
 	}
 }
@@ -286,6 +315,58 @@ func TestMatchOnly(t *testing.T) {
 	for _, c := range cases {
 		if got := matchOnly(c.only, c.id); got != c.want {
 			t.Errorf("matchOnly(%q, %q) = %v, want %v", c.only, c.id, got, c.want)
+		}
+	}
+}
+
+// TestCheck pins the one reference check every simulated program passes
+// through: 1e-4 relative tolerance over each output's declared prefix.
+func TestCheck(t *testing.T) {
+	want := map[string][]float64{"o": {1, 200}}
+	for _, c := range []struct {
+		name string
+		got  map[string][]float64
+		ok   bool
+	}{
+		{"exact", map[string][]float64{"o": {1, 200}}, true},
+		{"within tolerance", map[string][]float64{"o": {1 + 5e-5, 200.01}}, true},
+		{"padded longer output", map[string][]float64{"o": {1, 200, 0, 0}}, true},
+		{"outside tolerance", map[string][]float64{"o": {1, 200.05}}, false},
+		{"missing output", map[string][]float64{"p": {1, 200}}, false},
+		{"short output", map[string][]float64{"o": {1}}, false},
+	} {
+		if err := check("sys", want, c.got); (err == nil) != c.ok {
+			t.Errorf("%s: check = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
+// TestTable1MatchesFigure5 checks that the pass with and without
+// baselines reports the same Diospyros compile.
+func TestTable1MatchesFigure5(t *testing.T) {
+	opt := Options{Opts: quickOpts(), Only: "MatMul 2x3,QProd"}
+	t1, err := Table1(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f5, err := Figure5(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(t1) != 2 || len(f5) != 2 {
+		t.Fatalf("got %d Table 1 and %d Figure 5 rows, want 2 each", len(t1), len(f5))
+	}
+	for i, a := range t1 {
+		b := f5[i]
+		if a.Kernel.ID != b.Kernel.ID || a.Nodes != b.Nodes || a.Classes != b.Classes ||
+			len(a.Trace.Iterations) != len(b.Trace.Iterations) ||
+			a.Cycles.Diospyros != b.Cycles.Diospyros || a.PeakEGraphBytes() != b.PeakEGraphBytes() {
+			t.Errorf("%s: Table 1 row (%d nodes, %d classes, %d iters, %d cycles, %d bytes) differs from Figure 5's (%d, %d, %d, %d, %d)",
+				a.Kernel.ID, a.Nodes, a.Classes, len(a.Trace.Iterations), a.Cycles.Diospyros, a.PeakEGraphBytes(),
+				b.Nodes, b.Classes, len(b.Trace.Iterations), b.Cycles.Diospyros, b.PeakEGraphBytes())
+		}
+		if a.Cycles.NaiveFixed != 0 || b.Cycles.NaiveFixed == 0 {
+			t.Errorf("%s: baselines ran in Table 1 (%d) or not in Figure 5 (%d)", a.Kernel.ID, a.Cycles.NaiveFixed, b.Cycles.NaiveFixed)
 		}
 	}
 }

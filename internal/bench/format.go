@@ -2,12 +2,13 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
 // FormatFigure5 renders the kernel speedups as the paper's Figure 5
 // (speedup over the fixed-size naive baseline, one row per kernel).
-func FormatFigure5(rows []F5Row) string {
+func FormatFigure5(rows []Row) string {
 	var b strings.Builder
 	b.WriteString("Figure 5: speedup over Naive (fixed size) in simulated cycles\n")
 	fmt.Fprintf(&b, "%-22s %9s %9s %9s %9s %9s   %s\n",
@@ -30,6 +31,24 @@ func FormatFigure5(rows []F5Row) string {
 	return b.String()
 }
 
+// GeomeanVsBestBaseline computes the paper's headline number: the geometric
+// mean of Diospyros's speedup over the best non-Diospyros baseline.
+func GeomeanVsBestBaseline(rows []Row) float64 {
+	logSum, n := 0.0, 0
+	for _, r := range rows {
+		best := r.BestBaseline()
+		if best == 0 || r.Cycles.Diospyros == 0 {
+			continue
+		}
+		logSum += math.Log(float64(best) / float64(r.Cycles.Diospyros))
+		n++
+	}
+	if n == 0 {
+		return 0
+	}
+	return math.Exp(logSum / float64(n))
+}
+
 func bar(speedup float64) string {
 	n := int(speedup * 4)
 	if n > 60 {
@@ -43,7 +62,7 @@ func bar(speedup float64) string {
 
 // FormatMotivating renders the §2 motivating-example numbers from the
 // Figure 5 data (3×5 input, 3×3 filter convolution).
-func FormatMotivating(rows []F5Row) string {
+func FormatMotivating(rows []Row) string {
 	for _, r := range rows {
 		if r.Kernel.ID != "2DConv 3x5 3x3" {
 			continue

@@ -1,14 +1,11 @@
 package bench
 
 import (
-	"context"
 	"fmt"
-	"math"
-	"math/rand"
+	"slices"
 	"strings"
 
 	diospyros "diospyros"
-	"diospyros/internal/expr"
 )
 
 // This file is the per-kernel × per-target comparison: every suite kernel
@@ -16,33 +13,6 @@ import (
 // once, each target's program is simulated, and its outputs are checked
 // against the lifted specification. It both powers `diosbench -targets`
 // and serves as the cross-width semantic parity harness.
-
-// TTOptions parameterizes a TargetTable run.
-type TTOptions struct {
-	// Opts are the Diospyros compiler options; Opts.Targets is overwritten
-	// with Targets below.
-	Opts diospyros.Options
-	// Targets are the machine targets to compare (e.g. "fg3lite-4",
-	// "fg3lite-8", "scalar"). At least one is required.
-	Targets []string
-	// Seed for the shared random inputs.
-	Seed int64
-	// Only restricts the run to kernels whose ID contains any of the
-	// comma-separated substrings.
-	Only string
-	// Progress receives per-kernel progress lines (may be nil).
-	Progress func(string)
-	// Context cancels the run between kernel compiles. Nil means
-	// context.Background().
-	Context context.Context
-}
-
-func (o TTOptions) ctx() context.Context {
-	if o.Context == nil {
-		return context.Background()
-	}
-	return o.Context
-}
 
 // TargetRow is one kernel's per-target comparison: Cycles[i] and Costs[i]
 // belong to Targets[i] of the run.
@@ -66,93 +36,43 @@ func (r TargetRow) Best() int {
 	return best
 }
 
-// TargetTable compiles every suite kernel once per the multi-target path —
-// a single saturation search, one extraction per target — simulates each
-// target's program on shared random inputs, and verifies every target's
-// outputs against the lifted specification.
-func TargetTable(opt TTOptions) ([]TargetRow, error) {
-	if len(opt.Targets) == 0 {
+// TargetTable compiles every admitted kernel once per the multi-target
+// path — a single saturation search, one extraction per target of
+// opt.Opts.Targets — simulates each target's program on the shared inputs,
+// and checks every target's outputs against the lifted specification.
+func TargetTable(opt Options) ([]TargetRow, error) {
+	targets := opt.Opts.Targets
+	if len(targets) == 0 {
 		return nil, fmt.Errorf("bench: no targets")
 	}
-	var rows []TargetRow
-	for _, k := range Suite() {
-		if !matchOnly(opt.Only, k.ID) {
-			continue
-		}
-		row, err := runKernelAllTargets(k, opt)
+	return each(opt, opt.kernels(), func(_ int, c suiteCase) (TargetRow, string, error) {
+		res, err := diospyros.CompileContext(opt.ctx(), c.lifted, opt.Opts)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", k.ID, err)
+			return TargetRow{}, "", fmt.Errorf("diospyros: %w", err)
 		}
-		rows = append(rows, row)
-		if opt.Progress != nil {
-			var parts []string
-			for i, name := range row.Targets {
-				parts = append(parts, fmt.Sprintf("%s=%d", name, row.Cycles[i]))
+		if len(res.Targets) != len(targets) {
+			return TargetRow{}, "", fmt.Errorf("got %d target results, want %d", len(res.Targets), len(targets))
+		}
+		row := TargetRow{
+			Kernel:  c.k,
+			Targets: slices.Clone(targets),
+			Cycles:  make([]int64, len(targets)),
+			Costs:   make([]float64, len(targets)),
+		}
+		var parts []string
+		for i, tr := range res.Targets {
+			got, sres, err := res.RunTarget(tr.Target, c.inputs, nil)
+			if err != nil {
+				return TargetRow{}, "", fmt.Errorf("%s run: %w", tr.Target, err)
 			}
-			opt.Progress(fmt.Sprintf("%-20s %s", k.ID, strings.Join(parts, " ")))
-		}
-	}
-	return rows, nil
-}
-
-func runKernelAllTargets(k Kernel, opt TTOptions) (TargetRow, error) {
-	r := rand.New(rand.NewSource(opt.Seed + 7))
-	inputs := k.Inputs(r)
-	lifted := k.Lift()
-
-	env := expr.NewEnv()
-	for name, data := range inputs {
-		env.Arrays[name] = data
-	}
-	specVal, err := lifted.Spec.Eval(env)
-	if err != nil {
-		return TargetRow{}, fmt.Errorf("spec eval: %w", err)
-	}
-	want := map[string][]float64{}
-	flat := specVal.AsSlice()
-	idx := 0
-	for _, d := range lifted.Outputs {
-		want[d.Name] = flat[idx : idx+d.Len()]
-		idx += d.Len()
-	}
-
-	opts := opt.Opts
-	opts.Targets = opt.Targets
-	res, err := diospyros.CompileContext(opt.ctx(), lifted, opts)
-	if err != nil {
-		return TargetRow{}, fmt.Errorf("diospyros: %w", err)
-	}
-	if len(res.Targets) != len(opt.Targets) {
-		return TargetRow{}, fmt.Errorf("got %d target results, want %d", len(res.Targets), len(opt.Targets))
-	}
-
-	row := TargetRow{
-		Kernel:  k,
-		Targets: append([]string(nil), opt.Targets...),
-		Cycles:  make([]int64, len(opt.Targets)),
-		Costs:   make([]float64, len(opt.Targets)),
-	}
-	for i, tr := range res.Targets {
-		row.Costs[i] = tr.Cost
-		got, sres, err := res.RunTarget(tr.Target, inputs, nil)
-		if err != nil {
-			return TargetRow{}, fmt.Errorf("%s run: %w", tr.Target, err)
-		}
-		for name, w := range want {
-			g, ok := got[name]
-			if !ok {
-				return TargetRow{}, fmt.Errorf("%s: missing output %q", tr.Target, name)
+			if err := check(tr.Target, c.want, got); err != nil {
+				return TargetRow{}, "", err
 			}
-			for j := range w {
-				if math.Abs(g[j]-w[j]) > 1e-4*math.Max(1, math.Abs(w[j])) {
-					return TargetRow{}, fmt.Errorf("%s: output %s[%d] = %g, want %g",
-						tr.Target, name, j, g[j], w[j])
-				}
-			}
+			row.Costs[i], row.Cycles[i] = tr.Cost, sres.Cycles
+			parts = append(parts, fmt.Sprintf("%s=%d", tr.Target, sres.Cycles))
 		}
-		row.Cycles[i] = sres.Cycles
-	}
-	return row, nil
+		return row, strings.Join(parts, " "), nil
+	})
 }
 
 // FormatTargetTable renders the per-kernel × per-target cycle table, with

@@ -8,10 +8,10 @@ import (
 	diospyros "diospyros"
 )
 
-func targetOpts() diospyros.Options {
+func targetOpts(targets ...string) diospyros.Options {
 	// Multi-width saturation carries every width's decompositions in one
 	// e-graph; modest budgets keep the full-suite runs fast.
-	return diospyros.Options{Timeout: 20 * time.Second, NodeLimit: 200_000}
+	return diospyros.Options{Timeout: 20 * time.Second, NodeLimit: 200_000, Targets: targets}
 }
 
 // TestCrossWidthParityFullSuite is the cross-width semantic validator: every
@@ -21,10 +21,7 @@ func targetOpts() diospyros.Options {
 // the tail-padding partial stores (VStoreN) that widths 2 and 8 exercise on
 // kernels whose output counts are not multiples of the width.
 func TestCrossWidthParityFullSuite(t *testing.T) {
-	rows, err := TargetTable(TTOptions{
-		Opts:    targetOpts(),
-		Targets: []string{"fg3lite-2", "fg3lite-4", "fg3lite-8"},
-	})
+	rows, err := TargetTable(Options{Opts: targetOpts("fg3lite-2", "fg3lite-4", "fg3lite-8")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +42,7 @@ func TestCrossWidthParityFullSuite(t *testing.T) {
 // machine wins at least one suite kernel outright (the large MatMuls, where
 // twice the lanes halve the MAC chain).
 func TestEightWideWinsSomewhere(t *testing.T) {
-	rows, err := TargetTable(TTOptions{
-		Opts:    targetOpts(),
-		Targets: []string{"fg3lite-4", "fg3lite-8", "scalar"},
-		Only:    "MatMul",
-	})
+	rows, err := TargetTable(Options{Opts: targetOpts("fg3lite-4", "fg3lite-8", "scalar"), Only: "MatMul"})
 	if err != nil {
 		t.Fatal(err)
 	}

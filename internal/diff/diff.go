@@ -1,11 +1,12 @@
 // Package diff computes attributed deltas between two compilations of the
 // same kernel — the regression forensics layer behind cmd/diosdiff. Given
 // two compile artifacts (telemetry traces, simulator cycle profiles, or the
-// value-only rows of a diosbench -bench-json array) it produces a structured Diff: the per-stage latency
-// waterfall, per-rule divergence, Backoff ban-timeline alignment,
-// the first iteration where the best-cost trajectories split, extraction
-// decision flips, e-graph memory-component deltas, and per-opcode/per-slot
-// simulated cycle deltas.
+// rows of a diosbench -bench-json array, which carry each kernel's trace;
+// only rows from an older diosbench are value-only) it produces a
+// structured Diff: the per-stage latency waterfall, per-rule divergence,
+// Backoff ban-timeline alignment, the first iteration where the best-cost
+// trajectories split, extraction decision flips, e-graph memory-component
+// deltas, and per-opcode/per-slot simulated cycle deltas.
 //
 // The determinism contract (DESIGN.md §9) is the package's correctness
 // anchor: identical compiles produce identical deterministic fields, so a

@@ -44,9 +44,10 @@ func (a *Artifact) Kernels() []string {
 	return out
 }
 
-// artifactRow is the common shape of one kernel's row in the bench array
-// formats: diosbench -bench-json rows carry id/cycles/profile/
-// peak_egraph_bytes, and the richer -json Table 1 rows add the full trace.
+// artifactRow is the part of one kernel's diosbench row (the -json and
+// -bench-json output, one shape) that a diff reads: id, cycles, profile,
+// peak_egraph_bytes and the compile trace. A row without a trace, from an
+// older diosbench, diffs by value only.
 type artifactRow struct {
 	ID              string           `json:"id"`
 	Cycles          int64            `json:"cycles"`

@@ -7,14 +7,7 @@
 // study.
 package eigenlite
 
-import (
-	"fmt"
-
-	"diospyros/internal/frontend"
-	"diospyros/internal/isa"
-	"diospyros/internal/kcc"
-	"diospyros/internal/sim"
-)
+import "fmt"
 
 // MatMulSrc instantiates the library's m×n · n×p matrix product.
 // Accumulation happens in a register temporary (Eigen's expression
@@ -159,57 +152,4 @@ kernel eigen_qr(a[%d][%d]) -> (q[%d][%d], r[%d][%d]) {
     }
 }
 `, n, n, n, n, n, n, n, n, n, n-1, n, n, n, n, n, n, n, n, n, n)
-}
-
-// Routine is a compiled library routine ready to simulate.
-type Routine struct {
-	Kernel  *frontend.Kernel
-	Program *isa.Program
-}
-
-// Build parses and compiles a library source in the given mode.
-func Build(src string, mode kcc.Mode) (*Routine, error) {
-	k, err := frontend.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	p, err := kcc.Compile(k, mode)
-	if err != nil {
-		return nil, err
-	}
-	return &Routine{Kernel: k, Program: p}, nil
-}
-
-// MustBuild is Build, panicking on error (sources are package constants).
-func MustBuild(src string, mode kcc.Mode) *Routine {
-	r, err := Build(src, mode)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// Run simulates the routine on the given inputs.
-func (r *Routine) Run(inputs map[string][]float64) (map[string][]float64, *sim.Result, error) {
-	mem := make([]float64, r.Program.Layout.Size())
-	for _, prm := range r.Kernel.Params {
-		data, ok := inputs[prm.Name]
-		if !ok {
-			return nil, nil, fmt.Errorf("eigenlite: missing input %q", prm.Name)
-		}
-		if len(data) != prm.Len() {
-			return nil, nil, fmt.Errorf("eigenlite: input %q has %d elements, want %d", prm.Name, len(data), prm.Len())
-		}
-		copy(mem[r.Program.Layout.Base(prm.Name):], data)
-	}
-	res, err := sim.Run(r.Program, mem, sim.Defaults())
-	if err != nil {
-		return nil, nil, err
-	}
-	out := map[string][]float64{}
-	for _, prm := range r.Kernel.Outs {
-		b := r.Program.Layout.Base(prm.Name)
-		out[prm.Name] = append([]float64(nil), res.Mem[b:b+prm.Len()]...)
-	}
-	return out, res, nil
 }

@@ -21,7 +21,7 @@ func TestMatMulRoutine(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, sz := range [][3]int{{2, 3, 3}, {4, 4, 4}, {8, 8, 8}} {
 		m, n, p := sz[0], sz[1], sz[2]
-		rt, err := Build(MatMulSrc(m, n, p), kcc.Parametric)
+		rt, err := kcc.Build(MatMulSrc(m, n, p), kcc.Parametric)
 		if err != nil {
 			t.Fatalf("%v: %v", sz, err)
 		}
@@ -46,7 +46,7 @@ func TestConv2DRoutine(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for _, sz := range [][4]int{{3, 5, 3, 3}, {8, 8, 3, 3}} {
 		ir, ic, fr, fc := sz[0], sz[1], sz[2], sz[3]
-		rt, err := Build(Conv2DSrc(ir, ic, fr, fc), kcc.Parametric)
+		rt, err := kcc.Build(Conv2DSrc(ir, ic, fr, fc), kcc.Parametric)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestConv2DRoutine(t *testing.T) {
 }
 
 func TestQProdRoutine(t *testing.T) {
-	rt, err := Build(QProdSrc, kcc.Parametric)
+	rt, err := kcc.Build(QProdSrc, kcc.Parametric)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestQProdRoutine(t *testing.T) {
 func TestQRRoutineMatchesRef(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	for _, n := range []int{2, 3, 4} {
-		rt, err := Build(QRSrc(n), kcc.Parametric)
+		rt, err := kcc.Build(QRSrc(n), kcc.Parametric)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -146,7 +146,7 @@ func TestJacobiRefDiagonalizes(t *testing.T) {
 func TestJacobiRoutineMatchesRef(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	n := 4
-	rt, err := Build(JacobiSrc(n), kcc.Parametric)
+	rt, err := kcc.Build(JacobiSrc(n), kcc.Parametric)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestJacobiRoutineMatchesRef(t *testing.T) {
 		t.Fatalf("Jacobi suspiciously cheap: %d cycles", res.Cycles)
 	}
 	// Data-dependent control flow: must not compile fixed-size.
-	if _, err := Build(JacobiSrc(n), kcc.FixedSize); err == nil {
+	if _, err := kcc.Build(JacobiSrc(n), kcc.FixedSize); err == nil {
 		t.Fatal("fixed-size mode accepted the Jacobi sweep loop")
 	}
 }

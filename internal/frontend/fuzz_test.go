@@ -46,7 +46,7 @@ func FuzzLift(f *testing.F) {
 // array of 10^10 elements, a parameter whose element count overflows an
 // int, and two parameters that together pass the budget), each with the
 // position where the budget trips. The fourth builds a float sum per
-// iteration: Lift stops at maxSpecNodes, Interp at maxWork, both on line 2.
+// iteration: Lift stops at MaxSpecNodes, Interp at maxWork, both on line 2.
 var hostileLoops = []struct{ src, pos string }{
 	{"kernel k(a[1]) -> (o[1]) {\n    for i in 0..2000000000 {}\n}", "2:5:"},
 	{"kernel k(a[1]) -> (o[1]) {\n    for i in 0..100000 {\n        for j in 0..100000 {}\n    }\n}", "3:9:"},
@@ -103,7 +103,7 @@ func TestLoopBudgetTripsFast(t *testing.T) {
 }
 
 // TestSpecBudgetTripsWithinLoopBudget lifts a loop that stays inside
-// maxWork but builds more than maxSpecNodes DSL nodes: Lift must stop at
+// maxWork but builds more than MaxSpecNodes DSL nodes: Lift must stop at
 // the sum in the loop body, while Interp, which builds no nodes, runs it
 // to the end.
 func TestSpecBudgetTripsWithinLoopBudget(t *testing.T) {
@@ -116,7 +116,7 @@ func TestSpecBudgetTripsWithinLoopBudget(t *testing.T) {
 	if d := time.Since(start); d > time.Second {
 		t.Errorf("Lift took %v to stop", d)
 	}
-	if err == nil || !strings.HasPrefix(err.Error(), "3:") || !strings.Contains(err.Error(), fmt.Sprintf("budget of %d nodes", maxSpecNodes)) {
+	if err == nil || !strings.HasPrefix(err.Error(), "3:") || !strings.Contains(err.Error(), fmt.Sprintf("budget of %d nodes", MaxSpecNodes)) {
 		t.Errorf("Lift: got %v, want the node budget at line 3", err)
 	}
 	out, err := Interp(k, map[string][]float64{"a": {1, 2, 3, 4}}, nil)

@@ -64,12 +64,14 @@ func dims2(dims []int) (rows, cols int) {
 	return dims[0], dims[1]
 }
 
-// maxSpecNodes bounds the DSL nodes lifting one kernel may build (one per
+// MaxSpecNodes bounds the DSL nodes lifting one kernel may build (one per
 // float arithmetic operation, negation or call), so a loop that stays
 // inside maxWork cannot still build a specification too large to
 // compile. The largest count over the sources in testdata, examples and
 // the benchmark suite, 2DConv 16x16 4x4 and MatMul 16x16 16x16, is 8,192.
-const maxSpecNodes = 100_000
+// kcc's fixed-size mode bounds the instructions it emits by the same
+// number.
+const MaxSpecNodes = 100_000
 
 // ErrDataDependent wraps errors caused by control flow over float data.
 type ErrDataDependent struct{ Pos Pos }
@@ -82,7 +84,7 @@ func (e *ErrDataDependent) Error() string {
 // symbolic is Lift's domain: float values are DSL expressions, built with
 // the kernel package's peephole simplification.
 type symbolic struct {
-	nodes int // DSL nodes built so far, against maxSpecNodes
+	nodes int // DSL nodes built so far, against MaxSpecNodes
 }
 
 func (*symbolic) Num(v float64) kernel.Scalar { return kernel.Const(v) }
@@ -93,8 +95,8 @@ func (s *symbolic) Local(_ string, dims []int) Array[kernel.Scalar] {
 
 // node counts one DSL node built for the expression at pos.
 func (s *symbolic) node(pos Pos) error {
-	if s.nodes++; s.nodes > maxSpecNodes {
-		return errf(pos, "specification exceeded the budget of %d nodes", maxSpecNodes)
+	if s.nodes++; s.nodes > MaxSpecNodes {
+		return errf(pos, "specification exceeded the budget of %d nodes", MaxSpecNodes)
 	}
 	return nil
 }

@@ -138,6 +138,9 @@ func (b *Builder) Emit(in Instr) {
 	b.prog.Instrs = append(b.prog.Instrs, in)
 }
 
+// Len returns the number of instructions emitted so far.
+func (b *Builder) Len() int { return len(b.prog.Instrs) }
+
 // Grow makes room for n more instructions, so a caller that knows its
 // program's size appends without regrowing the instruction slice.
 func (b *Builder) Grow(n int) {

@@ -16,12 +16,17 @@
 //     is *not* value numbered; that additional CSE is what Diospyros's
 //     symbolic evaluation provides on top (§5.6). This mode is the
 //     frontend's kernel walker (frontend.Run) over float registers, under
-//     the walker's work budget.
+//     the walker's work budget and a cap of frontend.MaxSpecNodes emitted
+//     instructions.
 //
 // FixedSize requires input-independent control flow (like lifting);
 // kernels with data-dependent branches (e.g. iterative library routines)
 // compile in Parametric mode only, and FixedSize rejects them at the
 // first float condition with its position.
+//
+// Build and Routine.Run are the one harness that simulates a kcc program:
+// the evaluation's baselines, the Eigen-like library routines and the
+// examples all run through it.
 package kcc
 
 import (
@@ -29,6 +34,7 @@ import (
 
 	"diospyros/internal/frontend"
 	"diospyros/internal/isa"
+	"diospyros/internal/sim"
 )
 
 // Mode selects the compilation strategy.
@@ -91,4 +97,51 @@ func CompileTarget(k *frontend.Kernel, mode Mode, t *isa.Target) (*isa.Program, 
 		}
 	}
 	return b.Build()
+}
+
+// Routine is a compiled kernel ready to simulate.
+type Routine struct {
+	Kernel  *frontend.Kernel
+	Program *isa.Program
+}
+
+// Build parses src and compiles it in the given mode for the default
+// target.
+func Build(src string, mode Mode) (*Routine, error) {
+	k, err := frontend.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	p, err := Compile(k, mode)
+	if err != nil {
+		return nil, err
+	}
+	return &Routine{Kernel: k, Program: p}, nil
+}
+
+// Run simulates the routine with inputs laid out in its memory, one slice
+// per parameter of exactly the parameter's length, and returns a copy of
+// each output alongside the simulator's result.
+func (r *Routine) Run(inputs map[string][]float64) (map[string][]float64, *sim.Result, error) {
+	mem := make([]float64, r.Program.Layout.Size())
+	for _, prm := range r.Kernel.Params {
+		data, ok := inputs[prm.Name]
+		if !ok {
+			return nil, nil, fmt.Errorf("kcc: missing input %q", prm.Name)
+		}
+		if len(data) != prm.Len() {
+			return nil, nil, fmt.Errorf("kcc: input %q has %d elements, want %d", prm.Name, len(data), prm.Len())
+		}
+		copy(mem[r.Program.Layout.Base(prm.Name):], data)
+	}
+	res, err := sim.Run(r.Program, mem, sim.Defaults())
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make(map[string][]float64, len(r.Kernel.Outs))
+	for _, prm := range r.Kernel.Outs {
+		b := r.Program.Layout.Base(prm.Name)
+		out[prm.Name] = append([]float64(nil), res.Mem[b:b+prm.Len()]...)
+	}
+	return out, res, nil
 }

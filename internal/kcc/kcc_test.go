@@ -293,8 +293,10 @@ func TestTestdataKernelsBothModes(t *testing.T) {
 }
 
 // TestFixedSizeWorkBudgetTripsFast checks that FixedSize mode stops each
-// hostile loop within a second with the frontend's positioned work-budget
-// error: a long empty loop, and a short loop over 300 integer lets.
+// hostile loop within a second with a positioned budget error: a long
+// empty loop and a short loop over 300 integer lets exceed the frontend's
+// work budget, and a float accumulation loop exceeds the instruction
+// budget first.
 func TestFixedSizeWorkBudgetTripsFast(t *testing.T) {
 	var lets strings.Builder
 	lets.WriteString("kernel k(a[1]) -> (o[1]) {\n    for i in 0..499000 {\n")
@@ -302,9 +304,10 @@ func TestFixedSizeWorkBudgetTripsFast(t *testing.T) {
 		fmt.Fprintf(&lets, "        let v%d = i * %d + %d;\n", j, j, j)
 	}
 	lets.WriteString("    }\n    o[0] = a[0];\n}\n")
-	for _, h := range []struct{ src, pos string }{
-		{"kernel k(a[1]) -> (o[1]) {\n    for i in 0..2000000000 {}\n}", "2:5:"},
-		{lets.String(), "150:24:"},
+	for _, h := range []struct{ src, pos, msg string }{
+		{"kernel k(a[1]) -> (o[1]) {\n    for i in 0..2000000000 {}\n}", "2:5:", "work budget"},
+		{lets.String(), "150:24:", "work budget"},
+		{"kernel k(a[1]) -> (o[1]) {\n    for i in 0..2000000000 { o[0] = o[0] + a[0]; }\n}", "2:42:", "budget of 100000 instructions"},
 	} {
 		k := frontend.MustParse(h.src)
 		start := time.Now()
@@ -312,8 +315,8 @@ func TestFixedSizeWorkBudgetTripsFast(t *testing.T) {
 		if d := time.Since(start); d > time.Second {
 			t.Errorf("FixedSize took %v to stop\n%s", d, h.src)
 		}
-		if err == nil || !strings.HasPrefix(err.Error(), h.pos) || !strings.Contains(err.Error(), "work budget") {
-			t.Errorf("FixedSize: got %v, want a work-budget error at %s", err, h.pos)
+		if err == nil || !strings.HasPrefix(err.Error(), h.pos) || !strings.Contains(err.Error(), h.msg) {
+			t.Errorf("FixedSize: got %v, want %q at %s", err, h.msg, h.pos)
 		}
 	}
 }
@@ -327,6 +330,31 @@ func TestHugeShapeRejected(t *testing.T) {
 		_, err := Compile(k, mode)
 		if err == nil || !strings.HasPrefix(err.Error(), "1:10:") || !strings.Contains(err.Error(), "work budget") {
 			t.Errorf("%s: got %v, want a work-budget error at 1:10:", mode, err)
+		}
+	}
+}
+
+// TestRoutineRunChecksInputs checks that Routine.Run rejects a missing
+// input and an input of the wrong length before simulating.
+func TestRoutineRunChecksInputs(t *testing.T) {
+	rt, err := Build("kernel k(a[2], b[3]) -> (o[1]) { o[0] = a[0] + b[2]; }", Parametric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _, err := rt.Run(map[string][]float64{"a": {1, 2}, "b": {3, 4, 5}})
+	if err != nil || len(out["o"]) != 1 || out["o"][0] != 6 {
+		t.Fatalf("Run = %v, %v; want o = [6]", out, err)
+	}
+	for _, c := range []struct {
+		inputs map[string][]float64
+		want   string
+	}{
+		{map[string][]float64{"a": {1, 2}}, `missing input "b"`},
+		{map[string][]float64{"a": {1, 2}, "b": {3, 4}}, `input "b" has 2 elements, want 3`},
+		{map[string][]float64{"a": {1, 2, 0}, "b": {3, 4, 5}}, `input "a" has 3 elements, want 2`},
+	} {
+		if _, _, err := rt.Run(c.inputs); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Run(%v) = %v, want an error containing %q", c.inputs, err, c.want)
 		}
 	}
 }

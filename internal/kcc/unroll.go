@@ -80,29 +80,29 @@ func (u *unroller) Num(v float64) int {
 }
 
 // Arith emits l op r into a fresh register.
-func (u *unroller) Arith(op string, l, r int, _ frontend.Pos) (int, error) {
-	return u.emit(isa.Instr{Op: arithOps[op], A: l, B: r}), nil
+func (u *unroller) Arith(op string, l, r int, pos frontend.Pos) (int, error) {
+	return u.emit(isa.Instr{Op: arithOps[op], A: l, B: r}, pos)
 }
 
 // arithOps maps the walker's float operators to their instructions.
 var arithOps = map[string]isa.Opcode{"+": isa.SAdd, "-": isa.SSub, "*": isa.SMul, "/": isa.SDiv}
 
 // Neg emits -x into a fresh register.
-func (u *unroller) Neg(x int, _ frontend.Pos) (int, error) {
-	return u.emit(isa.Instr{Op: isa.SNeg, A: x}), nil
+func (u *unroller) Neg(x int, pos frontend.Pos) (int, error) {
+	return u.emit(isa.Instr{Op: isa.SNeg, A: x}, pos)
 }
 
 // Call emits a builtin's instruction, or a call of a user function.
-func (u *unroller) Call(name string, args []int, _ frontend.Pos) (int, error) {
+func (u *unroller) Call(name string, args []int, pos frontend.Pos) (int, error) {
 	switch name {
 	case "sqrt":
-		return u.emit(isa.Instr{Op: isa.SSqrt, A: args[0]}), nil
+		return u.emit(isa.Instr{Op: isa.SSqrt, A: args[0]}, pos)
 	case "abs":
-		return u.emit(isa.Instr{Op: isa.SAbs, A: args[0]}), nil
+		return u.emit(isa.Instr{Op: isa.SAbs, A: args[0]}, pos)
 	case "sgn":
-		return u.emit(isa.Instr{Op: isa.SSgn, A: args[0]}), nil
+		return u.emit(isa.Instr{Op: isa.SSgn, A: args[0]}, pos)
 	}
-	return u.emit(isa.Instr{Op: isa.CallFn, Sym: name, Args: args}), nil
+	return u.emit(isa.Instr{Op: isa.CallFn, Sym: name, Args: args}, pos)
 }
 
 // Compare rejects every float comparison: its outcome is known only at
@@ -129,11 +129,18 @@ func (u *unroller) Local(name string, dims []int) frontend.Array[int] {
 	return r
 }
 
-// emit emits in with a fresh destination register and returns it.
-func (u *unroller) emit(in isa.Instr) int {
+// emit emits in, for the expression at pos, with a fresh destination
+// register and returns it. A program past frontend.MaxSpecNodes
+// instructions is an error at pos: a float loop that stays inside the
+// walker's work budget still cannot emit more code than Lift may build
+// nodes.
+func (u *unroller) emit(in isa.Instr, pos frontend.Pos) (int, error) {
+	if u.b.Len() >= frontend.MaxSpecNodes {
+		return 0, &frontend.Error{Pos: pos, Msg: fmt.Sprintf("kcc: fixed-size program exceeded the budget of %d instructions", frontend.MaxSpecNodes)}
+	}
 	in.Dst = u.b.FReg()
 	u.b.Emit(in)
-	return in.Dst
+	return in.Dst, nil
 }
 
 // promoCache is the bounded element-promotion cache.

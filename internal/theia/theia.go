@@ -164,9 +164,9 @@ kernel backsub(q[3][3], r[3][3], p[3][4]) -> (c[3]) {
 
 // pipeline holds the compiled routines, built once.
 type pipeline struct {
-	extract3, rqpre, rqpost        *eigenlite.Routine
-	gram, jacobi, rotproj, backsub *eigenlite.Routine
-	eigenQR                        *eigenlite.Routine
+	extract3, rqpre, rqpost        *kcc.Routine
+	gram, jacobi, rotproj, backsub *kcc.Routine
+	eigenQR                        *kcc.Routine
 	diosQR                         *diospyros.Result
 }
 
@@ -180,7 +180,7 @@ func getPipeline() (*pipeline, error) {
 	pipeOnce.Do(func() {
 		p := &pipeline{}
 		steps := []struct {
-			dst **eigenlite.Routine
+			dst **kcc.Routine
 			src string
 		}{
 			{&p.extract3, extract3Src},
@@ -193,7 +193,7 @@ func getPipeline() (*pipeline, error) {
 			{&p.eigenQR, eigenlite.QRSrc(3)},
 		}
 		for _, s := range steps {
-			rt, err := eigenlite.Build(s.src, kcc.Parametric)
+			rt, err := kcc.Build(s.src, kcc.Parametric)
 			if err != nil {
 				pipeErr = err
 				return

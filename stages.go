@@ -268,7 +268,7 @@ func stageCodegen(_ context.Context, st *compileState) error {
 // failures (e.g. uninterpreted functions with no binding) leave Cycles 0
 // rather than failing the compile.
 func stageSimulate(_ context.Context, st *compileState) error {
-	inputs := deterministicInputs(st.lifted, 1)
+	inputs := RandomInputs(st.lifted, 1)
 	for i := range st.perTarget {
 		tr := &st.perTarget[i]
 		if tr.Program == nil {
@@ -281,10 +281,11 @@ func stageSimulate(_ context.Context, st *compileState) error {
 	return nil
 }
 
-// deterministicInputs fills every kernel input with reproducible random
-// tenths in [-10, 10) — the same distribution the CLI's -run harness uses —
-// so per-target cycle counts from stageSimulate are comparable across runs.
-func deterministicInputs(l *kernel.Lifted, seed int64) map[string][]float64 {
+// RandomInputs fills every input of l with reproducible random tenths in
+// [-10, 10) drawn from seed. It is the one simulation harness: per-target
+// cycle counts from a multi-target compile (seed 1), the CLI's -run and
+// -report, and diosdiff's simulated cycles all draw their inputs here.
+func RandomInputs(l *kernel.Lifted, seed int64) map[string][]float64 {
 	r := rand.New(rand.NewSource(seed))
 	inputs := map[string][]float64{}
 	for _, d := range l.Inputs {
