@@ -131,9 +131,8 @@ func main() {
 		if *memProfile != "" {
 			// One Progress feeds every kernel's saturation run in turn, so a
 			// single profiler captures the heap at the suite-wide node peak.
-			prog := &egraph.Progress{}
-			pass.Opts.Progress = prog
-			profiler = telemetry.StartMemProfiler(func() int { return prog.Snapshot().Nodes }, 0)
+			profiler = &telemetry.MemProfiler{}
+			pass.Opts.Progress = &egraph.Progress{OnRebuild: profiler.Observe}
 		}
 		var err error
 		if baselines {
@@ -142,7 +141,7 @@ func main() {
 			rows, err = bench.Table1(pass)
 		}
 		if profiler != nil {
-			snapshot, peak := profiler.Stop()
+			snapshot, peak := profiler.Profile()
 			if werr := os.WriteFile(*memProfile, snapshot, 0o644); werr != nil {
 				fail(werr)
 			}

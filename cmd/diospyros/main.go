@@ -158,16 +158,16 @@ func main() {
 	}
 	var profiler *telemetry.MemProfiler
 	if *memProf != "" {
-		// The profiler polls live Progress and snapshots the heap profile
-		// whenever the node count sets a new high-water mark, so the written
-		// profile shows the allocation stacks behind the e-graph's peak.
-		prog := &egraph.Progress{}
-		opts.Progress = prog
-		profiler = telemetry.StartMemProfiler(func() int { return prog.Snapshot().Nodes }, 0)
+		// The runner reports the node count after every rebuild, and the
+		// profiler snapshots the heap profile at each new high, so the
+		// written profile shows the allocation stacks behind the e-graph's
+		// peak.
+		profiler = &telemetry.MemProfiler{}
+		opts.Progress = &egraph.Progress{OnRebuild: profiler.Observe}
 	}
 	res, err := diospyros.CompileSourceContext(ctx, string(src), opts)
 	if profiler != nil {
-		snapshot, peak := profiler.Stop()
+		snapshot, peak := profiler.Profile()
 		if werr := os.WriteFile(*memProf, snapshot, 0o644); werr != nil {
 			fatal(werr)
 		}

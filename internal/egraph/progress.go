@@ -8,13 +8,19 @@ import "sync/atomic"
 // iteration start, each rebuild, and every ctxCheckInterval applies). It
 // exists for watchdogs — a goroutine outside the run can poll Snapshot and
 // cancel the run's context when a node, heap, or wall-clock budget is
-// exceeded, without touching the (unlocked) e-graph itself. All fields are
-// atomics; the zero value is ready to use.
+// exceeded, without touching the (unlocked) e-graph itself. The zero value
+// is ready to use.
 type Progress struct {
 	iteration atomic.Int64
 	nodes     atomic.Int64
 	classes   atomic.Int64
 	bytes     atomic.Int64
+
+	// OnRebuild, if set before the run starts, is called on the run's
+	// goroutine with the node count after each iteration's rebuild and
+	// once more when the run ends: the points where the graph is largest.
+	// telemetry.MemProfiler.Observe is one.
+	OnRebuild func(nodes int)
 }
 
 // ProgressSnapshot is one consistent-enough read of a Progress: the four
@@ -49,4 +55,13 @@ func (p *Progress) publish(iteration, nodes, classes int, bytes int64) {
 	p.nodes.Store(int64(nodes))
 	p.classes.Store(int64(classes))
 	p.bytes.Store(bytes)
+}
+
+// rebuilt publishes the state after a rebuild and passes the node count to
+// OnRebuild. Nil-safe, like publish.
+func (p *Progress) rebuilt(iteration, nodes, classes int, bytes int64) {
+	p.publish(iteration, nodes, classes, bytes)
+	if p != nil && p.OnRebuild != nil {
+		p.OnRebuild(nodes)
+	}
 }

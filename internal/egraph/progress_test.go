@@ -2,11 +2,13 @@ package egraph
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"diospyros/internal/expr"
+	"diospyros/internal/telemetry"
 )
 
 // growRules is an explosive ruleset: associativity plus commutativity over
@@ -121,5 +123,35 @@ func TestProgressNilSafeInRun(t *testing.T) {
 	rep := Run(g, growRules(), Limits{MaxIterations: 2}) // nil Progress must not panic
 	if rep.Iterations == 0 {
 		t.Fatal("run did nothing")
+	}
+}
+
+// TestOnRebuildFeedsMemProfiler runs a saturation far shorter than any
+// polling interval and checks that OnRebuild still reports every
+// iteration's rebuild and the end of the run, and that a MemProfiler fed
+// by it captures a profile at the run's peak node count.
+func TestOnRebuildFeedsMemProfiler(t *testing.T) {
+	g := New()
+	addSymChain(g, 4)
+	var counts []int
+	var prof telemetry.MemProfiler
+	prog := &Progress{OnRebuild: func(n int) {
+		counts = append(counts, n)
+		prof.Observe(n)
+	}}
+	rep := Run(g, growRules(), Limits{MaxIterations: 3, Progress: prog})
+	if len(counts) != rep.Iterations+1 {
+		t.Fatalf("OnRebuild called %d times over %d iterations, want one per iteration plus the end",
+			len(counts), rep.Iterations)
+	}
+	if last := counts[len(counts)-1]; last != rep.Nodes {
+		t.Fatalf("last OnRebuild reported %d nodes, report has %d", last, rep.Nodes)
+	}
+	profile, peak := prof.Profile()
+	if peak != slices.Max(counts) || peak == 0 {
+		t.Fatalf("profiler peak %d, want the largest reported count %d", peak, slices.Max(counts))
+	}
+	if len(profile) == 0 {
+		t.Fatal("no heap profile captured")
 	}
 }

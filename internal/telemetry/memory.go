@@ -79,92 +79,51 @@ func (m *MemoryTrace) Format() string {
 	return b.String()
 }
 
-// memProfileDebounce bounds how often the MemProfiler re-captures the heap
-// profile after a new node-count high-water mark: profiles are ~100KB-ish
-// and capture walks all live allocations, so chasing every publish would
-// distort the run it is observing.
-const memProfileDebounce = 250 * time.Millisecond
-
-// MemProfiler watches a node-count probe and keeps the pprof heap profile
-// captured nearest the count's peak — the allocation stacks behind the
-// e-graph's largest extent, which is what the memory-layout work needs to
-// see. Create with StartMemProfiler; Stop returns the profile bytes.
+// MemProfiler keeps the pprof heap profile captured at the peak of an
+// e-graph's node count: the allocation stacks behind the graph's largest
+// extent, which is what the memory-layout work needs to see. Set Observe
+// as the run's egraph.Progress.OnRebuild, so the runner reports the count
+// after every rebuild; Profile returns the profile. The zero value is
+// ready to use, and one profiler may watch several runs in turn or at once.
 type MemProfiler struct {
-	nodes    func() int
-	stop     chan struct{}
-	done     chan struct{}
 	mu       sync.Mutex
 	peak     int
-	lastCap  time.Time
 	snapshot []byte
 }
 
-// StartMemProfiler begins polling nodes() on the interval (<= 0 uses 10ms),
-// capturing the heap profile whenever the count reaches a new high-water
-// mark (debounced). nodes is typically egraph.Progress.Snapshot().Nodes.
-func StartMemProfiler(nodes func() int, interval time.Duration) *MemProfiler {
-	if interval <= 0 {
-		interval = 10 * time.Millisecond
-	}
-	p := &MemProfiler{nodes: nodes, stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(p.done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-p.stop:
-				return
-			case <-t.C:
-				p.poll()
-			}
-		}
-	}()
-	return p
-}
-
-// poll captures the heap profile if the node count set a new high-water
-// mark and the debounce window has passed.
-func (p *MemProfiler) poll() {
-	n := p.nodes()
-	p.mu.Lock()
-	due := n > p.peak && time.Since(p.lastCap) >= memProfileDebounce
-	if n > p.peak {
-		p.peak = n
-	}
-	p.mu.Unlock()
-	if due {
-		p.capture()
-	}
-}
-
-// capture snapshots the pprof heap profile.
-func (p *MemProfiler) capture() {
-	var buf bytes.Buffer
-	if err := pprof.Lookup("heap").WriteTo(&buf, 0); err != nil {
-		return
-	}
-	p.mu.Lock()
-	p.snapshot = buf.Bytes()
-	p.lastCap = time.Now()
-	p.mu.Unlock()
-}
-
-// Stop ends polling and returns the captured profile (the one nearest the
-// node-count peak), along with that peak. A run too short for any poll
-// still returns a final capture, so the profile is never empty.
-func (p *MemProfiler) Stop() (profile []byte, peakNodes int) {
-	close(p.stop)
-	<-p.done
-	p.mu.Lock()
-	empty := p.snapshot == nil
-	p.mu.Unlock()
-	if empty {
-		p.capture()
-	}
+// Observe captures the heap profile if nodes is a new high.
+func (p *MemProfiler) Observe(nodes int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if nodes <= p.peak {
+		return
+	}
+	p.peak = nodes
+	if b := heapProfile(); b != nil {
+		p.snapshot = b
+	}
+}
+
+// Profile returns the profile captured at the node-count peak, and that
+// peak. If no run reported a rebuild, it captures the heap now, so the
+// profile is never empty.
+func (p *MemProfiler) Profile() (profile []byte, peakNodes int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.snapshot == nil {
+		p.snapshot = heapProfile()
+	}
 	return p.snapshot, p.peak
+}
+
+// heapProfile returns the pprof heap profile, or nil if it cannot be
+// written.
+func heapProfile() []byte {
+	var buf bytes.Buffer
+	if err := pprof.Lookup("heap").WriteTo(&buf, 0); err != nil {
+		return nil
+	}
+	return buf.Bytes()
 }
 
 // HeapInUse returns the process's current live-heap bytes via

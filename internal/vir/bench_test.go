@@ -3,6 +3,7 @@ package vir_test
 import (
 	"testing"
 
+	"diospyros/internal/codegen"
 	"diospyros/internal/cost"
 	"diospyros/internal/egraph"
 	"diospyros/internal/extract"
@@ -13,11 +14,12 @@ import (
 	"diospyros/internal/vir"
 )
 
-// BenchmarkOptimize times the backend cleanup a compile runs on each
-// target's lowered program: Optimize (LVN, shuffle fusion, LVN, DCE), then
-// BoundPressure at the compile's register budget, on the raw vector IR of
-// MatMul 8x8 extracted for fg3lite-4.
-func BenchmarkOptimize(b *testing.B) {
+// BenchmarkBackHalf times the back half of a compile for one target, as
+// the lower and codegen stages run it: Lower, Optimize (LVN, shuffle
+// fusion, LVN, DCE), BoundPressure at the compile's register budget, then
+// ToC and ToISA, on MatMul 8x8 extracted for fg3lite-4. The passes consume
+// their input, so every iteration lowers afresh.
+func BenchmarkBackHalf(b *testing.B) {
 	target, err := isa.LookupTarget("fg3lite-4")
 	if err != nil {
 		b.Fatal(err)
@@ -30,15 +32,19 @@ func BenchmarkOptimize(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	raw, err := lower.Lower(k.Name, optimized, target.Width, k)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if p := vir.BoundPressure(vir.Optimize(raw), 56); len(p.Instrs) == 0 {
-			b.Fatal("empty program")
+		raw, err := lower.Lower(k.Name, optimized, target.Width, k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := vir.BoundPressure(vir.Optimize(raw), 56)
+		if c := codegen.ToC(p); c == "" {
+			b.Fatal("empty C")
+		}
+		if _, err := codegen.ToISA(p, target); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

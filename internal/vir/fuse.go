@@ -11,8 +11,19 @@ package vir
 //
 // Each rewrite removes one data-movement instruction from every dependent
 // chain; a following DCE pass collects the orphaned producers. The pass
-// iterates to a fixpoint.
+// iterates to a fixpoint and consumes p.
 func FuseShuffles(p *Program) *Program {
+	r := newRewrite(p)
+	r.fuse()
+	return r.compact()
+}
+
+// fuse runs FuseShuffles' rewrites over the live instructions to a
+// fixpoint. A rewrite edits the instruction's Args and Idx in place, so no
+// two instructions may share them. Lowering never shares them;
+// Rematerialize's clones share Idx, but they run after the last fusion.
+func (r *rewrite) fuse() {
+	p := r.p
 	w := p.Width
 	// Rewrites change instructions in place and never their IDs, so each
 	// value keeps its defining instruction across iterations.
@@ -26,64 +37,50 @@ func FuseShuffles(p *Program) *Program {
 		changed := false
 		for i := range p.Instrs {
 			in := &p.Instrs[i]
+			if !r.live(in) {
+				continue
+			}
+			r.resolve(in)
 			switch in.Op {
 			case Shuffle:
 				src := defs[in.Args[0]]
 				switch {
-				case src != nil && src.Op == Shuffle:
-					// shuffle(shuffle(a, s1), s2): lane k reads s1[s2[k]].
-					idx := make([]int, w)
+				case src != nil && (src.Op == Shuffle || src.Op == Select):
+					// shuffle(shuffle(a, s1), s2) and shuffle(select(a, b,
+					// s1), s2) take src's op and operands: lane k reads
+					// s1[s2[k]].
 					for k := 0; k < w; k++ {
-						idx[k] = src.Idx[in.Idx[k]]
+						in.Idx[k] = src.Idx[in.Idx[k]]
 					}
-					in.Args = []ID{src.Args[0]}
-					in.Idx = idx
-					changed = true
-				case src != nil && src.Op == Select:
-					// shuffle(select(a, b, idx), s): lane k reads idx[s[k]].
-					idx := make([]int, w)
-					for k := 0; k < w; k++ {
-						idx[k] = src.Idx[in.Idx[k]]
-					}
-					in.Op = Select
-					in.Args = []ID{src.Args[0], src.Args[1]}
-					in.Idx = idx
+					in.Op = src.Op
+					in.Args = append(in.Args[:0], src.Args...)
 					changed = true
 				case isIdentityIdx(in.Idx):
-					// Identity shuffle: forward the operand to all later
-					// uses; DCE removes the orphaned shuffle afterwards.
-					if replaceUses(p, in.ID, in.Args[0], i+1) > 0 {
-						changed = true
-					}
+					// Identity shuffle: forward it to its operand, which
+					// later instructions then read instead.
+					r.fwd[in.ID] = in.Args[0]
+					changed = true
 				}
 			case Select:
 				a := defs[in.Args[0]]
 				b := defs[in.Args[1]]
 				if a != nil && a.Op == Shuffle {
-					idx := make([]int, w)
 					for k := 0; k < w; k++ {
 						if in.Idx[k] < w {
-							idx[k] = a.Idx[in.Idx[k]]
-						} else {
-							idx[k] = in.Idx[k]
+							in.Idx[k] = a.Idx[in.Idx[k]]
 						}
 					}
-					in.Args = []ID{a.Args[0], in.Args[1]}
-					in.Idx = idx
+					in.Args[0] = a.Args[0]
 					changed = true
 					break
 				}
 				if b != nil && b.Op == Shuffle {
-					idx := make([]int, w)
 					for k := 0; k < w; k++ {
 						if in.Idx[k] >= w {
-							idx[k] = w + b.Idx[in.Idx[k]-w]
-						} else {
-							idx[k] = in.Idx[k]
+							in.Idx[k] = w + b.Idx[in.Idx[k]-w]
 						}
 					}
-					in.Args = []ID{in.Args[0], b.Args[0]}
-					in.Idx = idx
+					in.Args[1] = b.Args[0]
 					changed = true
 					break
 				}
@@ -96,24 +93,19 @@ func FuseShuffles(p *Program) *Program {
 						allA = false
 					}
 				}
-				if allA {
-					in.Op = Shuffle
-					in.Args = []ID{in.Args[0]}
-					changed = true
-				} else if allB {
-					idx := make([]int, w)
+				if allB {
 					for k := 0; k < w; k++ {
-						idx[k] = in.Idx[k] - w
+						in.Idx[k] -= w
 					}
-					in.Op = Shuffle
-					in.Args = []ID{in.Args[1]}
-					in.Idx = idx
-					changed = true
+					in.Args[0] = in.Args[1]
+				}
+				if allA || allB {
+					in.Op, in.Args, changed = Shuffle, in.Args[:1], true
 				}
 			}
 		}
 		if !changed {
-			return p
+			return
 		}
 	}
 }
@@ -125,20 +117,4 @@ func isIdentityIdx(idx []int) bool {
 		}
 	}
 	return true
-}
-
-// replaceUses rewrites argument references to `from` with `to` in
-// instructions from index `start` onward (SSA: uses follow the
-// definition), returning how many references changed.
-func replaceUses(p *Program, from, to ID, start int) int {
-	n := 0
-	for i := start; i < len(p.Instrs); i++ {
-		for j, a := range p.Instrs[i].Args {
-			if a == from {
-				p.Instrs[i].Args[j] = to
-				n++
-			}
-		}
-	}
-	return n
 }

@@ -54,16 +54,24 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// valueTable is LVN's table from keys to value numbers. LVN numbers its
-// values 0, 1, 2, ... in the order it first meets their keys, so entry e of
-// the table is value e. The keys sit back to back in one byte slice, and an
-// open-addressed slot array sized once for the input finds them by hash, so
-// a lookup allocates nothing and an insert only appends.
+// valueTable is LVN's table from keys to the first instruction computing
+// each value. It holds positions in the program, not keys: an open-
+// addressed slot array sized once for the program finds a position by its
+// key's hash, and a hash match is confirmed by encoding the stored
+// instruction's key again. Once its two key buffers have grown, neither a
+// lookup nor an insert allocates. reset empties it for the next LVN run
+// over the same program, whose instructions must not move in between.
 type valueTable struct {
-	seed  maphash.Seed
-	slots []int32 // entry+1 for an occupied slot, 0 for an empty one
-	keys  []byte  // entry e's key is keys[ends[e-1]:ends[e]]
-	ends  []int32
+	seed       maphash.Seed
+	slots      []valueSlot
+	key, probe []byte // the instruction's key, and a stored one's
+}
+
+// valueSlot is one slot: the position+1 of an instruction (0 when empty)
+// and the high half of its key's hash, which the slot index does not use.
+type valueSlot struct {
+	pos  int32
+	hash uint32
 }
 
 // newValueTable returns an empty table with room for n entries.
@@ -72,31 +80,28 @@ func newValueTable(n int) *valueTable {
 	for size < 2*n { // load factor at most 1/2
 		size <<= 1
 	}
-	return &valueTable{
-		seed:  maphash.MakeSeed(),
-		slots: make([]int32, size),
-		ends:  make([]int32, 0, n),
-	}
+	return &valueTable{seed: maphash.MakeSeed(), slots: make([]valueSlot, size)}
 }
 
-// number returns the value number of key, adding key as the next value when
-// the table does not hold it yet; found reports whether it did.
-func (t *valueTable) number(key []byte) (id ID, found bool) {
+func (t *valueTable) reset() { clear(t.slots) }
+
+// first returns the position of the first instruction in instrs whose key
+// equals that of instrs[i], adding i when the table holds none.
+func (t *valueTable) first(instrs []Instr, i int) int {
+	t.key = instrs[i].appendKey(t.key[:0])
+	h := maphash.Bytes(t.seed, t.key)
 	mask := len(t.slots) - 1
-	h := int(maphash.Bytes(t.seed, key)) & mask
-	for ; t.slots[h] != 0; h = (h + 1) & mask {
-		e := t.slots[h] - 1
-		lo := int32(0)
-		if e > 0 {
-			lo = t.ends[e-1]
+	s, tag := int(h)&mask, uint32(h>>32)
+	for ; t.slots[s].pos != 0; s = (s + 1) & mask {
+		if t.slots[s].hash != tag {
+			continue
 		}
-		if bytes.Equal(t.keys[lo:t.ends[e]], key) {
-			return ID(e), true
+		j := int(t.slots[s].pos - 1)
+		t.probe = instrs[j].appendKey(t.probe[:0])
+		if bytes.Equal(t.probe, t.key) {
+			return j
 		}
 	}
-	e := len(t.ends)
-	t.keys = append(t.keys, key...)
-	t.ends = append(t.ends, int32(len(t.keys)))
-	t.slots[h] = int32(e + 1)
-	return ID(e), false
+	t.slots[s] = valueSlot{pos: int32(i + 1), hash: tag}
+	return i
 }

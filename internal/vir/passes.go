@@ -1,112 +1,146 @@
 package vir
 
-// LVN performs local value numbering over the straight-line program:
-// pure instructions computing a value already computed are removed and
-// their uses redirected. Because the IR is SSA and stores never write
-// memory that loads read (kernels read inputs and write outputs, and
-// outputs are distinct arrays), loads participate in numbering too.
-//
-// This is the pass the paper credits (§4) with shrinking the quaternion
-// product kernel from over 100k lines of C++ to under 500.
-func LVN(p *Program) *Program {
-	keep := make([]bool, len(p.Instrs))
-	remap := make([]ID, p.NumValues()) // old value -> its number in the output
-	values := newValueTable(len(p.Instrs))
-	var key []byte
-	var args []ID // the current instruction's remapped Args, reused
-	for i := range p.Instrs {
-		in := &p.Instrs[i]
-		if in.Op.IsStore() {
-			keep[i] = true
-			continue
+// rewrite is one program under in-place rewriting, which is how the
+// passes consume their input. No pass moves an instruction: a value a pass
+// removes is forwarded to the value that replaces it (LVN, an identity
+// shuffle) or to None (DCE), and a pass rewrites an instruction's Args
+// through fwd when it visits it. The input keeps its length, which callers
+// may still read. Only compact copies the live instructions out, once.
+type rewrite struct {
+	p *Program
+	// fwd maps each value to itself while it is live, to the earlier value
+	// that replaces it, or to None once it is dead.
+	fwd []ID
+}
+
+func newRewrite(p *Program) *rewrite {
+	fwd := make([]ID, p.NumValues())
+	for i := range fwd {
+		fwd[i] = ID(i)
+	}
+	return &rewrite{p: p, fwd: fwd}
+}
+
+// live reports whether in is still part of the program: a store always
+// is, a value until a pass forwards it.
+func (r *rewrite) live(in *Instr) bool { return in.ID == None || r.fwd[in.ID] == in.ID }
+
+// resolve rewrites in's Args through the forwarding table.
+func (r *rewrite) resolve(in *Instr) {
+	for j, a := range in.Args {
+		in.Args[j] = r.fwd[a]
+	}
+}
+
+// compact returns the live instructions, in order and numbered 0, 1, 2, ...
+// as Emit numbers them, in a new program whose instruction and argument
+// slices are both exactly full (each Args capacity-clipped). It spends the
+// rewrite: fwd then holds the new numbers.
+func (r *rewrite) compact() *Program {
+	kept, nargs := 0, 0
+	for i := range r.p.Instrs {
+		if in := &r.p.Instrs[i]; r.live(in) {
+			kept++
+			nargs += len(in.Args)
 		}
-		args = args[:0]
-		for _, a := range in.Args {
-			args = append(args, remap[a])
+	}
+	out := NewProgram(r.p.Name, r.p.Width, r.p.Inputs, r.p.Outputs)
+	out.Instrs = make([]Instr, 0, kept)
+	args := make([]ID, nargs)
+	for i := range r.p.Instrs {
+		in := &r.p.Instrs[i]
+		if !r.live(in) {
+			continue
 		}
 		n := *in
-		n.Args = args
-		key = n.appendKey(key[:0])
-		id, found := values.number(key)
-		remap[in.ID] = id
-		keep[i] = !found
-	}
-	return p.rebuild(keep, remap)
-}
-
-// DCE removes pure instructions whose values are never used (directly or
-// transitively) by a store.
-func DCE(p *Program) *Program {
-	def := make([]int, p.NumValues()) // value -> index of its defining instr
-	for i := range p.Instrs {
-		if id := p.Instrs[i].ID; id != None {
-			def[id] = i
+		n.Args, args = args[:len(in.Args):len(in.Args)], args[len(in.Args):]
+		for j, a := range in.Args {
+			n.Args[j] = r.fwd[a]
 		}
-	}
-	live := make([]bool, p.NumValues())
-	var work []ID
-	for i := range p.Instrs {
-		if p.Instrs[i].Op.IsStore() {
-			work = append(work, p.Instrs[i].Args...)
-		}
-	}
-	for len(work) > 0 {
-		id := work[len(work)-1]
-		work = work[:len(work)-1]
-		if id == None || live[id] {
-			continue
-		}
-		live[id] = true
-		work = append(work, p.Instrs[def[id]].Args...)
-	}
-
-	keep := make([]bool, len(p.Instrs))
-	remap := make([]ID, p.NumValues())
-	next := ID(0)
-	for i := range p.Instrs {
-		switch id := p.Instrs[i].ID; {
-		case id == None:
-			keep[i] = true
-		case live[id]:
-			keep[i] = true
-			remap[id] = next
-			next++
-		}
-	}
-	return p.rebuild(keep, remap)
-}
-
-// rebuild returns the instructions keep marks, in order, with their Args
-// renumbered through remap, in a program sized to fit. remap must number
-// the kept values 0, 1, 2, ... in order, as Emit numbers them.
-func (p *Program) rebuild(keep []bool, remap []ID) *Program {
-	kept, nargs := 0, 0
-	for i, k := range keep {
-		if k {
-			kept++
-			nargs += len(p.Instrs[i].Args)
-		}
-	}
-	out := p.derive(kept)
-	arena := newArgArena(nargs)
-	for i := range p.Instrs {
-		if !keep[i] {
-			continue
-		}
-		n := p.Instrs[i]
-		n.Args = arena.take(len(n.Args))
-		for j, a := range p.Instrs[i].Args {
-			n.Args[j] = remap[a]
+		if in.ID != None {
+			r.fwd[in.ID] = out.next
 		}
 		out.Emit(n)
 	}
 	return out
 }
 
+// lvn performs local value numbering: a pure instruction computing a
+// value an earlier live one computes is forwarded to it. Because the IR is
+// SSA and stores never write memory that loads read (kernels read inputs
+// and write outputs, and outputs are distinct arrays), loads participate
+// in numbering too.
+func (r *rewrite) lvn(t *valueTable) {
+	t.reset()
+	for i := range r.p.Instrs {
+		in := &r.p.Instrs[i]
+		if !r.live(in) {
+			continue
+		}
+		r.resolve(in)
+		if in.ID == None {
+			continue
+		}
+		if first := t.first(r.p.Instrs, i); first != i {
+			r.fwd[in.ID] = r.p.Instrs[first].ID
+		}
+	}
+}
+
+// dce forwards to None every pure value no store uses, directly or
+// transitively. In straight-line SSA code every use follows its
+// definition, so one backward sweep sees all of a value's uses before the
+// value itself.
+func (r *rewrite) dce() {
+	used := make([]bool, len(r.fwd))
+	for i := len(r.p.Instrs) - 1; i >= 0; i-- {
+		in := &r.p.Instrs[i]
+		if !r.live(in) {
+			continue
+		}
+		if in.ID != None && !used[in.ID] {
+			r.fwd[in.ID] = None
+			continue
+		}
+		for _, a := range in.Args {
+			used[a] = true
+		}
+	}
+}
+
+// LVN performs local value numbering over the straight-line program:
+// pure instructions computing a value already computed are removed and
+// their uses redirected. It consumes p.
+//
+// This is the pass the paper credits (§4) with shrinking the quaternion
+// product kernel from over 100k lines of C++ to under 500.
+func LVN(p *Program) *Program {
+	r := newRewrite(p)
+	r.lvn(newValueTable(len(p.Instrs)))
+	return r.compact()
+}
+
+// DCE removes pure instructions whose values are never used (directly or
+// transitively) by a store. It consumes p.
+func DCE(p *Program) *Program {
+	r := newRewrite(p)
+	r.dce()
+	return r.compact()
+}
+
 // Optimize runs the standard backend cleanup pipeline: value numbering,
 // shuffle/select fusion (which exposes more value numbering), and dead-code
-// elimination.
-func Optimize(p *Program) *Program { return DCE(LVN(FuseShuffles(LVN(p)))) }
+// elimination. It consumes p: the four passes rewrite p in place, the two
+// value numberings share one table, and the result is the one copy made.
+func Optimize(p *Program) *Program {
+	r := newRewrite(p)
+	t := newValueTable(len(p.Instrs))
+	r.lvn(t)
+	r.fuse()
+	r.lvn(t)
+	r.dce()
+	return r.compact()
+}
 
 // UseCounts returns, for each value, how many times it is used as an
 // argument. The code generator uses this for last-use register reuse.

@@ -55,8 +55,9 @@ func Rematerialize(p *Program, window int) *Program {
 	}
 
 	// The pass runs twice: a dry run that only counts what it would emit,
-	// then the real one into a program sized to fit. Both runs make the
-	// same choices, which depend only on positions, not on the output.
+	// then, if that cloned anything, the real one into a program sized to
+	// fit. Both runs make the same choices, which depend only on
+	// positions, not on the output.
 	remap := make([]ID, p.NumValues())
 	lastTouch := make([]int, p.NumValues())
 	var out rematOut
@@ -107,8 +108,12 @@ func Rematerialize(p *Program, window int) *Program {
 		}
 	}
 	run()
-	out.prog = p.derive(out.pos)
-	out.arena = newArgArena(out.nargs)
+	if out.pos == len(p.Instrs) {
+		return p // nothing was cloned
+	}
+	out.prog = NewProgram(p.Name, p.Width, p.Inputs, p.Outputs)
+	out.prog.Instrs = make([]Instr, 0, out.pos)
+	out.room = make([]ID, out.nargs)
 	run()
 	return out.prog
 }
@@ -117,7 +122,7 @@ func Rematerialize(p *Program, window int) *Program {
 // counts instructions and arguments, and the real run appends to prog.
 type rematOut struct {
 	prog    *Program
-	arena   argArena
+	room    []ID // the real run's argument slices, carved in order
 	scratch []ID // a dry run's Args, shared and never read back
 	pos     int  // instructions emitted so far
 	next    ID   // the next value a dry run numbers
@@ -127,7 +132,9 @@ type rematOut struct {
 // args returns room for an emitted instruction's n arguments.
 func (o *rematOut) args(n int) []ID {
 	if o.prog != nil {
-		return o.arena.take(n)
+		a := o.room[:n:n]
+		o.room = o.room[n:]
+		return a
 	}
 	o.nargs += n
 	o.scratch = slices.Grow(o.scratch[:0], n)[:n]

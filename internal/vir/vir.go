@@ -5,6 +5,11 @@
 // this IR, cleaned up by local value numbering (LVN) and dead-code
 // elimination, and then translated to either C-with-intrinsics text or
 // FG3-lite assembly.
+//
+// A pass consumes its input: LVN, FuseShuffles, DCE and Optimize rewrite
+// the program they are given in place and return a separate exact-size
+// copy, which may share the input's Idx and Fs slices (passes.go). Use
+// only the returned program; of the input, only its length is kept.
 package vir
 
 import (
@@ -150,34 +155,6 @@ func (p *Program) Emit(in Instr) ID {
 
 // NumValues returns the number of SSA values defined.
 func (p *Program) NumValues() int { return int(p.next) }
-
-// derive returns an empty program with p's name, width and interface, with
-// room for n instructions. Each pass counts its output before emitting it
-// and passes the exact count, so the program a compile keeps carries no
-// spare capacity.
-func (p *Program) derive(n int) *Program {
-	out := NewProgram(p.Name, p.Width, p.Inputs, p.Outputs)
-	out.Instrs = make([]Instr, 0, n)
-	return out
-}
-
-// argArena carves the Args of a pass's output out of one backing slice,
-// sized by the pass's exact count, instead of allocating one slice per
-// instruction. The arena belongs to the program the pass returns:
-// FuseShuffles rewrites Args in place, so a pass must never carve into,
-// or write through, its input's Args.
-type argArena struct{ buf []ID }
-
-// newArgArena returns an arena holding n IDs.
-func newArgArena(n int) argArena { return argArena{buf: make([]ID, 0, n)} }
-
-// take returns the next n zeroed IDs, their capacity clipped so an append
-// to one carve cannot overwrite the next.
-func (a *argArena) take(n int) []ID {
-	lo := len(a.buf)
-	a.buf = a.buf[:lo+n]
-	return a.buf[lo : lo+n : lo+n]
-}
 
 // String renders the program in a readable text form.
 func (p *Program) String() string {

@@ -49,6 +49,12 @@ func randInputs(r *rand.Rand, names []string, n int) map[string][]float64 {
 func TestLVNRemovesRedundancy(t *testing.T) {
 	p := buildRedundant(4)
 	before := len(p.Instrs)
+	r := rand.New(rand.NewSource(1))
+	in := randInputs(r, []string{"a", "b"}, 4)
+	want, err := Interp(p, in, nil) // before LVN consumes p
+	if err != nil {
+		t.Fatal(err)
+	}
 	q := LVN(p)
 	after := len(q.Instrs)
 	// Each element had 3 redundant instructions (2 loads + 1 add).
@@ -56,12 +62,6 @@ func TestLVNRemovesRedundancy(t *testing.T) {
 		t.Fatalf("LVN: %d -> %d instrs, want %d", before, after, before-12)
 	}
 	// Semantics preserved.
-	r := rand.New(rand.NewSource(1))
-	in := randInputs(r, []string{"a", "b"}, 4)
-	want, err := Interp(p, in, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := Interp(q, in, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -95,11 +95,47 @@ func TestLVNLargeReductionFactor(t *testing.T) {
 		}
 		p.Emit(Instr{Op: StoreS, Args: []ID{acc}, Array: "c", Off: i})
 	}
+	raw := len(p.Instrs) // read before Optimize consumes p
 	q := Optimize(p)
-	factor := float64(len(p.Instrs)) / float64(len(q.Instrs))
+	factor := float64(raw) / float64(len(q.Instrs))
 	if factor < 50 {
 		t.Fatalf("LVN reduction factor %.1f (%d -> %d), want >= 50",
-			factor, len(p.Instrs), len(q.Instrs))
+			factor, raw, len(q.Instrs))
+	}
+}
+
+// TestOptimizeAllocations bounds what Optimize allocates on a program that
+// exercises all four passes (duplicate loads and adds, a shuffle chain, an
+// identity shuffle, dead code). The 14 allocations are the forwarding
+// table, one value table with its slots and its two key buffers as they
+// grow, fusion's definition index, DCE's use marks, and the one program,
+// instruction slice and argument slice it returns. A pass that copied the
+// program again would cost at least three more.
+func TestOptimizeAllocations(t *testing.T) {
+	build := func() *Program {
+		p := NewProgram("mixed", 4, decls([]string{"a", "b"}, 8), decls([]string{"c"}, 8))
+		for i := 0; i < 2; i++ {
+			la := p.Emit(Instr{Op: LoadV, Array: "a", Off: 0})
+			lb := p.Emit(Instr{Op: LoadV, Array: "b", Off: 0})
+			sum := p.Emit(Instr{Op: AddV, Args: []ID{la, lb}})
+			sh := p.Emit(Instr{Op: Shuffle, Args: []ID{sum}, Idx: []int{3, 2, 1, 0}})
+			sh2 := p.Emit(Instr{Op: Shuffle, Args: []ID{sh}, Idx: []int{1, 0, 3, 2}})
+			id := p.Emit(Instr{Op: Shuffle, Args: []ID{sh2}, Idx: []int{0, 1, 2, 3}})
+			p.Emit(Instr{Op: MulV, Args: []ID{la, la}}) // dead
+			p.Emit(Instr{Op: StoreV, Args: []ID{id}, Array: "c", Off: 4 * i})
+		}
+		return p
+	}
+	// Optimize consumes its input, so each run optimizes a fresh program;
+	// building one costs the same every time and is subtracted.
+	built := testing.AllocsPerRun(20, func() { build() })
+	allocs := testing.AllocsPerRun(20, func() {
+		if q := Optimize(build()); len(q.Instrs) != 6 {
+			t.Fatalf("Optimize kept %d instrs, want 6:\n%s", len(q.Instrs), q)
+		}
+	}) - built
+	if allocs > 14 {
+		t.Fatalf("Optimize allocates %v times, want at most 14", allocs)
 	}
 }
 
