@@ -132,7 +132,7 @@ func main() {
 			// One Progress feeds every kernel's saturation run in turn, so a
 			// single profiler captures the heap at the suite-wide node peak.
 			profiler = &telemetry.MemProfiler{}
-			pass.Opts.Progress = &egraph.Progress{OnRebuild: profiler.Observe}
+			pass.Opts.Progress = &egraph.Progress{OnEnd: profiler.Observe}
 		}
 		var err error
 		if baselines {

@@ -158,12 +158,12 @@ func main() {
 	}
 	var profiler *telemetry.MemProfiler
 	if *memProf != "" {
-		// The runner reports the node count after every rebuild, and the
-		// profiler snapshots the heap profile at each new high, so the
-		// written profile shows the allocation stacks behind the e-graph's
-		// peak.
+		// The runner reports the node count when the saturation ends, with
+		// the e-graph at its largest, and the profiler snapshots the heap
+		// profile then, so the written profile shows the allocation stacks
+		// behind the e-graph's peak.
 		profiler = &telemetry.MemProfiler{}
-		opts.Progress = &egraph.Progress{OnRebuild: profiler.Observe}
+		opts.Progress = &egraph.Progress{OnEnd: profiler.Observe}
 	}
 	res, err := diospyros.CompileSourceContext(ctx, string(src), opts)
 	if profiler != nil {

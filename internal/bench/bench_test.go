@@ -7,6 +7,8 @@ import (
 	"time"
 
 	diospyros "diospyros"
+	"diospyros/internal/expr"
+	"diospyros/internal/frontend"
 )
 
 func quickOpts() diospyros.Options {
@@ -29,6 +31,40 @@ func TestSuiteHas21Kernels(t *testing.T) {
 	for f, n := range want {
 		if fams[f] != n {
 			t.Errorf("family %s has %d kernels, want %d", f, fams[f], n)
+		}
+	}
+}
+
+// TestSuiteLiftsItsNaiveSource checks that each kernel's Diospyros input
+// is the lift of the naive source its baselines compile, and that the
+// specification reads every input element through one shared Get node.
+func TestSuiteLiftsItsNaiveSource(t *testing.T) {
+	type elem struct {
+		array string
+		index int
+	}
+	for _, k := range Suite() {
+		l := k.Lift()
+		naive, err := frontend.Lift(frontend.MustParse(k.NaiveSrc))
+		if err != nil {
+			t.Fatalf("%s: %v", k.ID, err)
+		}
+		if expr.Dump(l.Spec) != expr.Dump(naive.Spec) {
+			t.Errorf("%s: the specification is not the lift of the naive source", k.ID)
+		}
+		gets := map[elem]int{} // distinct Get nodes per element
+		var m expr.Memo[struct{}]
+		m.Fold(l.Spec, func(e *expr.Expr, _ []struct{}) (struct{}, error) {
+			if e.Op == expr.OpGet {
+				gets[elem{e.Sym, e.Idx}]++
+			}
+			return struct{}{}, nil
+		})
+		for el, n := range gets {
+			if n != 1 {
+				t.Errorf("%s: %d Get nodes read %s[%d], want one", k.ID, n, el.array, el.index)
+				break
+			}
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"diospyros/internal/eigenlite"
 	"diospyros/internal/kernel"
 	"diospyros/internal/kernels"
 	"diospyros/internal/nature"
@@ -21,8 +22,8 @@ type Kernel struct {
 	Size   string // human-readable size, e.g. "3×5, 3×3"
 	RefLOC int    // reference-implementation length (Table 1 column)
 
-	Lift     func() *kernel.Lifted // Diospyros input
-	NaiveSrc string                // imperative reference for kcc
+	Lift     func() *kernel.Lifted // Diospyros input: the lift of NaiveSrc
+	NaiveSrc string                // naive source (package kernels), for kcc
 	Inputs   func(r *rand.Rand) map[string][]float64
 
 	HasNature bool // vendor library provides this kernel
@@ -43,13 +44,14 @@ func Suite() []Kernel {
 	}
 	for _, sz := range convSizes {
 		ir, ic, fr, fc := sz[0], sz[1], sz[2], sz[3]
+		src := kernels.Conv2DSrc(ir, ic, fr, fc)
 		out = append(out, Kernel{
 			ID:       fmt.Sprintf("2DConv %dx%d %dx%d", ir, ic, fr, fc),
 			Family:   "2DConv",
 			Size:     fmt.Sprintf("%d×%d, %d×%d", ir, ic, fr, fc),
-			RefLOC:   srcLOC(naiveConvSrc(ir, ic, fr, fc)),
+			RefLOC:   srcLOC(src),
 			Lift:     func() *kernel.Lifted { return kernels.Conv2D(ir, ic, fr, fc) },
-			NaiveSrc: naiveConvSrc(ir, ic, fr, fc),
+			NaiveSrc: src,
 			Inputs: func(r *rand.Rand) map[string][]float64 {
 				return map[string][]float64{
 					"i": randSlice(r, ir*ic),
@@ -65,7 +67,7 @@ func Suite() []Kernel {
 				}
 				return out, res.Cycles, nil
 			},
-			EigenSrc: eigenConvSrc(ir, ic, fr, fc),
+			EigenSrc: eigenlite.Conv2DSrc(ir, ic, fr, fc),
 		})
 	}
 
@@ -75,13 +77,14 @@ func Suite() []Kernel {
 	}
 	for _, sz := range mmSizes {
 		m, n, p := sz[0], sz[1], sz[2]
+		src := kernels.MatMulSrc(m, n, p)
 		out = append(out, Kernel{
 			ID:       fmt.Sprintf("MatMul %dx%d %dx%d", m, n, n, p),
 			Family:   "MatMul",
 			Size:     fmt.Sprintf("%d×%d, %d×%d", m, n, n, p),
-			RefLOC:   srcLOC(naiveMatMulSrc(m, n, p)),
+			RefLOC:   srcLOC(src),
 			Lift:     func() *kernel.Lifted { return kernels.MatMul(m, n, p) },
-			NaiveSrc: naiveMatMulSrc(m, n, p),
+			NaiveSrc: src,
 			Inputs: func(r *rand.Rand) map[string][]float64 {
 				return map[string][]float64{
 					"a": randSlice(r, m*n),
@@ -97,7 +100,7 @@ func Suite() []Kernel {
 				}
 				return out, res.Cycles, nil
 			},
-			EigenSrc: eigenMatMulSrc(m, n, p),
+			EigenSrc: eigenlite.MatMulSrc(m, n, p),
 		})
 	}
 
@@ -105,31 +108,31 @@ func Suite() []Kernel {
 		ID:       "QProd 4,3,4,3",
 		Family:   "QProd",
 		Size:     "4, 3, 4, 3",
-		RefLOC:   srcLOC(naiveQProdSrc),
-		Lift:     func() *kernel.Lifted { return kernels.QProd() },
-		NaiveSrc: naiveQProdSrc,
+		RefLOC:   srcLOC(kernels.QProdSrc),
+		Lift:     kernels.QProd,
+		NaiveSrc: kernels.QProdSrc,
 		Inputs: func(r *rand.Rand) map[string][]float64 {
 			return map[string][]float64{
 				"aq": randSlice(r, 4), "at": randSlice(r, 3),
 				"bq": randSlice(r, 4), "bt": randSlice(r, 3),
 			}
 		},
-		EigenSrc: naiveQProdSrc,
+		EigenSrc: kernels.QProdSrc,
 	})
 
 	for _, n := range []int{3, 4} {
-		n := n
+		src := kernels.QRDecompSrc(n)
 		out = append(out, Kernel{
 			ID:       fmt.Sprintf("QRDecomp %dx%d", n, n),
 			Family:   "QRDecomp",
 			Size:     fmt.Sprintf("%d×%d", n, n),
-			RefLOC:   srcLOC(naiveQRSrc(n)),
+			RefLOC:   srcLOC(src),
 			Lift:     func() *kernel.Lifted { return kernels.QRDecomp(n) },
-			NaiveSrc: naiveQRSrc(n),
+			NaiveSrc: src,
 			Inputs: func(r *rand.Rand) map[string][]float64 {
 				return map[string][]float64{"a": randSlice(r, n*n)}
 			},
-			EigenSrc: eigenQRSrc(n),
+			EigenSrc: eigenlite.QRSrc(n),
 		})
 	}
 

@@ -1,12 +1,12 @@
 // Package diff computes attributed deltas between two compilations of the
 // same kernel — the regression forensics layer behind cmd/diosdiff. Given
-// two compile artifacts (telemetry traces, simulator cycle profiles, or the
-// rows of a diosbench -bench-json array, which carry each kernel's trace;
-// only rows from an older diosbench are value-only) it produces a
-// structured Diff: the per-stage latency waterfall, per-rule divergence,
-// Backoff ban-timeline alignment, the first iteration where the best-cost
-// trajectories split, extraction decision flips, e-graph memory-component
-// deltas, and per-opcode/per-slot simulated cycle deltas.
+// two compile artifacts (telemetry traces, or the rows of a diosbench
+// -json/-bench-json array, which carry each kernel's trace and simulator
+// cycle profile) it produces a structured Diff: the per-stage latency
+// waterfall, per-rule divergence, Backoff ban-timeline alignment, the
+// first iteration where the best-cost trajectories split, extraction
+// decision flips, e-graph memory-component deltas, and per-opcode/per-slot
+// simulated cycle deltas.
 //
 // The determinism contract (DESIGN.md §9) is the package's correctness
 // anchor: identical compiles produce identical deterministic fields, so a
@@ -30,25 +30,22 @@ import (
 // identifies trace artifacts.
 const Schema = "diospyros/diff/v1"
 
-// Input is one side of a comparison. Trace and Profile are optional: a
-// value-only side (e.g. a committed bench baseline row) still diffs its
-// Cycles and PeakBytes, and the missing sections are surfaced as Notes on
-// the Diff rather than silently skipped.
+// Input is one side of a comparison: a compile trace, which every
+// artifact carries, and the simulation's cycles when the kernel ran. A
+// section one side lacks (a cycle profile, an extraction record) is
+// surfaced as a Note on the Diff rather than silently skipped.
 type Input struct {
 	// Label names the side in reports ("bench.json", "current").
 	Label string
 	// Kernel is the kernel ID both sides should share.
 	Kernel string
-	// Trace is the side's compile trace, when the artifact carries one.
+	// Trace is the side's compile trace. It must not be nil.
 	Trace *telemetry.Trace
 	// Profile is the side's simulated cycle profile, when available.
 	Profile *sim.Profile
 	// Cycles is the side's total simulated cycle count (0 when unknown;
 	// falls back to Profile.Cycles).
 	Cycles int64
-	// PeakBytes is the e-graph's peak logical footprint (0 when unknown;
-	// falls back to Trace.Memory.PeakBytes).
-	PeakBytes int64
 }
 
 // Pair is a baseline/current pair of integer readings.
@@ -245,8 +242,8 @@ type Diff struct {
 	Memory     *MemoryDiff     `json:"memory,omitempty"`
 	Cycles     *CycleDiff      `json:"cycles,omitempty"`
 
-	// Notes lists sections that could not be compared (e.g. the baseline
-	// artifact carries no trace) — context, not divergence.
+	// Notes lists sections that could not be compared (e.g. one side
+	// carries no cycle profile) — context, not divergence.
 	Notes []string `json:"notes,omitempty"`
 }
 
@@ -257,9 +254,8 @@ func (d *Diff) Empty() bool { return len(d.Divergences) == 0 }
 // JSON renders the diff artifact.
 func (d *Diff) JSON() ([]byte, error) { return json.MarshalIndent(d, "", "  ") }
 
-// Compare diffs two compilations of the same kernel. Either side may be
-// partial (no trace, no profile); whatever both sides carry is compared,
-// and one-sided sections become Notes.
+// Compare diffs two compilations of the same kernel. Whatever both sides
+// carry is compared, and sections one side lacks become Notes.
 func Compare(base, cur Input) *Diff {
 	d := &Diff{
 		Schema:    Schema,
@@ -267,26 +263,11 @@ func Compare(base, cur Input) *Diff {
 		BaseLabel: firstNonEmpty(base.Label, "baseline"),
 		CurLabel:  firstNonEmpty(cur.Label, "current"),
 	}
-	switch {
-	case base.Trace != nil && cur.Trace != nil:
-		comparePhases(d, base.Trace, cur.Trace)
-		compareSaturation(d, base.Trace, cur.Trace)
-		compareSearch(d, base.Trace, cur.Trace)
-		compareExtraction(d, base.Trace.Extraction, cur.Trace.Extraction)
-		compareMemory(d, base, cur)
-	case base.Trace == nil && cur.Trace == nil:
-		d.Notes = append(d.Notes, "neither artifact carries a compile trace; comparing cycles and footprint values only")
-		comparePeakValues(d, base, cur)
-	default:
-		side := d.BaseLabel
-		if cur.Trace == nil {
-			side = d.CurLabel
-		}
-		d.Notes = append(d.Notes,
-			fmt.Sprintf("%s carries no compile trace; stage, rule, and extraction divergence unavailable", side))
-		compareMemory(d, base, cur)
-	}
-
+	comparePhases(d, base.Trace, cur.Trace)
+	compareSaturation(d, base.Trace, cur.Trace)
+	compareSearch(d, base.Trace, cur.Trace)
+	compareExtraction(d, base.Trace.Extraction, cur.Trace.Extraction)
+	compareMemory(d, base.Trace.Memory, cur.Trace.Memory)
 	compareCycles(d, base, cur)
 	return d
 }
@@ -648,24 +629,19 @@ func compareExtraction(d *Diff, base, cur *telemetry.ExtractionTrace) {
 	}
 }
 
-// compareMemory diffs the e-graph peak footprints per component, falling
-// back to scalar peak values when a side lacks a memory trace.
-func compareMemory(d *Diff, base, cur Input) {
-	bm, cm := traceMemory(base), traceMemory(cur)
+// compareMemory diffs the e-graph peak footprints, per component when
+// both sides recorded one. A compile that stopped before saturating
+// records no memory trace.
+func compareMemory(d *Diff, bm, cm *telemetry.MemoryTrace) {
 	if bm == nil && cm == nil {
-		comparePeakValues(d, base, cur)
 		return
 	}
 	md := &MemoryDiff{}
 	if bm != nil {
 		md.PeakBytes.Base, md.PeakIteration.Base = bm.PeakBytes, int64(bm.PeakIteration)
-	} else {
-		md.PeakBytes.Base = base.PeakBytes
 	}
 	if cm != nil {
 		md.PeakBytes.Cur, md.PeakIteration.Cur = cm.PeakBytes, int64(cm.PeakIteration)
-	} else {
-		md.PeakBytes.Cur = cur.PeakBytes
 	}
 	if bm != nil && cm != nil {
 		curBy := map[string]telemetry.MemoryComponent{}
@@ -696,8 +672,8 @@ func compareMemory(d *Diff, base, cur Input) {
 		}
 	}
 	d.Memory = md
-	// A zero side means the value carrier predates the metric (a bench row
-	// without peak_egraph_bytes): informational, never a divergence.
+	// A zero side recorded no footprint: informational, never a
+	// divergence (the stage set already diverges).
 	if md.PeakBytes.Diverged() && md.PeakBytes.Base != 0 && md.PeakBytes.Cur != 0 {
 		d.diverge("memory", "", "peak e-graph footprint %d → %d bytes (%+d)",
 			md.PeakBytes.Base, md.PeakBytes.Cur, md.PeakBytes.Delta())
@@ -708,38 +684,6 @@ func compareMemory(d *Diff, base, cur Input) {
 				c.Component, c.Entries.Base, c.Bytes.Base, c.Entries.Cur, c.Bytes.Cur)
 		}
 	}
-}
-
-// comparePeakValues diffs the scalar peak-footprint values when at most
-// one side has a full memory trace.
-func comparePeakValues(d *Diff, base, cur Input) {
-	b, c := peakBytes(base), peakBytes(cur)
-	if b == 0 && c == 0 {
-		return
-	}
-	if d.Memory == nil {
-		d.Memory = &MemoryDiff{PeakBytes: Pair{b, c}}
-	}
-	if b != c && b != 0 && c != 0 {
-		d.diverge("memory", "", "peak e-graph footprint %d → %d bytes (%+d)", b, c, c-b)
-	}
-}
-
-// traceMemory returns the side's memory trace, if any.
-func traceMemory(in Input) *telemetry.MemoryTrace {
-	if in.Trace == nil {
-		return nil
-	}
-	return in.Trace.Memory
-}
-
-// peakBytes resolves the side's peak footprint from the trace or the
-// value-only field.
-func peakBytes(in Input) int64 {
-	if m := traceMemory(in); m != nil {
-		return m.PeakBytes
-	}
-	return in.PeakBytes
 }
 
 // compareCycles diffs the simulated cycle profiles per opcode and slot.
@@ -826,8 +770,8 @@ func compareCycles(d *Diff, base, cur Input) {
 	}
 }
 
-// totalCycles resolves the side's total simulated cycles from the
-// value-only field or the profile.
+// totalCycles resolves the side's total simulated cycles from Cycles or
+// the profile.
 func totalCycles(in Input) int64 {
 	if in.Cycles != 0 {
 		return in.Cycles

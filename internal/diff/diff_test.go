@@ -265,69 +265,6 @@ func TestCostTrajectorySplit(t *testing.T) {
 	}
 }
 
-// TestOneSidedJournalExclusion pins the forensics asymmetry: a value-only
-// baseline (measured journal-off) against a journal-armed recompile compares
-// raw peaks, because the flight recorder is excluded from the footprint by
-// construction — equal peaks agree, and any difference is a real one.
-func TestOneSidedJournalExclusion(t *testing.T) {
-	base := Input{Label: "BENCH.json", Kernel: "k", Cycles: 9, PeakBytes: 2000}
-	d := Compare(base, synthInput("current")) // peak 2000
-	if !d.Empty() {
-		t.Fatalf("equal peaks counted as divergence:\n%s", d.Format())
-	}
-	if d.Memory == nil || d.Memory.PeakBytes != (Pair{2000, 2000}) {
-		t.Fatalf("memory = %+v, want raw peaks {2000 2000}", d.Memory)
-	}
-	base.PeakBytes = 1400
-	if d := Compare(base, synthInput("current")); !kinds(d)["memory"] {
-		t.Fatalf("a 600-byte peak delta was not flagged: %+v", d.Divergences)
-	}
-}
-
-// TestOneSidedCyclesDivergence is the forensics happy path: a value-only
-// baseline that genuinely regressed produces exactly the cycles divergence.
-func TestOneSidedCyclesDivergence(t *testing.T) {
-	base := Input{Label: "BENCH.json", Kernel: "k", Cycles: 4, PeakBytes: 2000}
-	d := Compare(base, synthInput("current"))
-	if len(d.Divergences) != 1 || d.Divergences[0].Kind != "cycles" {
-		t.Fatalf("divergences = %+v, want exactly one cycles divergence", d.Divergences)
-	}
-	if !strings.Contains(d.Divergences[0].Detail, "4 → 9") {
-		t.Errorf("cycles detail = %q, want 4 → 9", d.Divergences[0].Detail)
-	}
-}
-
-// TestOneSidedZeroPeakIsInformational pins the no-baseline rule for memory:
-// an old value-only row without peak_egraph_bytes must not read as 0 → N.
-func TestOneSidedZeroPeakIsInformational(t *testing.T) {
-	base := Input{Label: "old.json", Kernel: "k", Cycles: 9} // no PeakBytes
-	d := Compare(base, synthInput("current"))
-	if !d.Empty() {
-		t.Fatalf("zero baseline peak counted as divergence:\n%s", d.Format())
-	}
-	if !strings.Contains(d.Format(), "old.json") {
-		t.Errorf("autopsy lost the value-only side's label:\n%s", d.Format())
-	}
-}
-
-func TestValueOnlyComparison(t *testing.T) {
-	base := Input{Label: "a", Kernel: "k", Cycles: 100, PeakBytes: 500}
-	cur := Input{Label: "b", Kernel: "k", Cycles: 100, PeakBytes: 600}
-	d := Compare(base, cur)
-	if !kinds(d)["memory"] {
-		t.Fatalf("peak-bytes delta not flagged: %+v", d.Divergences)
-	}
-	var noted bool
-	for _, n := range d.Notes {
-		if strings.Contains(n, "neither artifact carries a compile trace") {
-			noted = true
-		}
-	}
-	if !noted {
-		t.Errorf("missing value-only note in %v", d.Notes)
-	}
-}
-
 func TestProfileDeltasPerOpcodeAndSlot(t *testing.T) {
 	base, cur := synthInput("a"), synthInput("b")
 	cur.Cycles = 11

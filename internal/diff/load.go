@@ -45,23 +45,21 @@ func (a *Artifact) Kernels() []string {
 }
 
 // artifactRow is the part of one kernel's diosbench row (the -json and
-// -bench-json output, one shape) that a diff reads: id, cycles, profile,
-// peak_egraph_bytes and the compile trace. A row without a trace, from an
-// older diosbench, diffs by value only.
+// -bench-json output, one shape) that a diff reads: id, cycles, profile
+// and the compile trace.
 type artifactRow struct {
-	ID              string           `json:"id"`
-	Cycles          int64            `json:"cycles"`
-	Profile         *sim.Profile     `json:"profile"`
-	PeakEGraphBytes int64            `json:"peak_egraph_bytes"`
-	Trace           *telemetry.Trace `json:"trace"`
+	ID      string           `json:"id"`
+	Cycles  int64            `json:"cycles"`
+	Profile *sim.Profile     `json:"profile"`
+	Trace   *telemetry.Trace `json:"trace"`
 }
 
 // LoadArtifact parses a compile artifact from its raw bytes. It accepts a
-// single trace object or a bench row array, and rejects artifacts whose
-// embedded traces are missing the telemetry.TraceSchema stamp
-// (diospyros/trace/v2) or carry a different one, with an error naming the
-// expected schema — a stale artifact diffing cleanly would be worse than
-// no diff.
+// single trace object or a bench row array, and rejects a row without a
+// trace and a trace missing the telemetry.TraceSchema stamp
+// (diospyros/trace/v2) or carrying a different one, with an error naming
+// what to regenerate — a stale artifact diffing cleanly would be worse
+// than no diff.
 func LoadArtifact(label string, data []byte) (*Artifact, error) {
 	first, ok := firstJSONByte(data)
 	if !ok {
@@ -85,12 +83,11 @@ func LoadArtifact(label string, data []byte) (*Artifact, error) {
 				return nil, err
 			}
 			a.Inputs = append(a.Inputs, Input{
-				Label:     label,
-				Kernel:    r.ID,
-				Trace:     r.Trace,
-				Profile:   r.Profile,
-				Cycles:    r.Cycles,
-				PeakBytes: r.PeakEGraphBytes,
+				Label:   label,
+				Kernel:  r.ID,
+				Trace:   r.Trace,
+				Profile: r.Profile,
+				Cycles:  r.Cycles,
 			})
 		}
 	case '{':
@@ -108,19 +105,19 @@ func LoadArtifact(label string, data []byte) (*Artifact, error) {
 	return a, nil
 }
 
-// checkTraceSchema enforces the trace schema stamp on any embedded trace.
+// checkTraceSchema requires the trace, and its schema stamp.
 func checkTraceSchema(label, kernel string, tr *telemetry.Trace) error {
-	if tr == nil {
-		return nil
-	}
 	where := label
 	if kernel != "" {
 		where = fmt.Sprintf("%s (kernel %s)", label, kernel)
 	}
-	switch tr.Schema {
-	case telemetry.TraceSchema:
+	switch {
+	case tr == nil:
+		return fmt.Errorf("%s: row carries no compile trace — stale artifact; regenerate it with a build that writes %q",
+			where, telemetry.TraceSchema)
+	case tr.Schema == telemetry.TraceSchema:
 		return nil
-	case "":
+	case tr.Schema == "":
 		return fmt.Errorf("%s: trace carries no schema stamp — stale artifact; regenerate it with a build that writes %q",
 			where, telemetry.TraceSchema)
 	default:

@@ -29,10 +29,14 @@ func TestLoadArtifactTraceObject(t *testing.T) {
 }
 
 func TestLoadArtifactBenchRows(t *testing.T) {
-	raw := []byte(`[
-		{"id": "A", "cycles": 10, "peak_egraph_bytes": 100},
-		{"id": "B", "cycles": 20, "peak_egraph_bytes": 200}
-	]`)
+	tr, err := json.Marshal(synthTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := json.Marshal([]map[string]any{
+		{"id": "A", "cycles": 10, "trace": json.RawMessage(tr)},
+		{"id": "B", "cycles": 20, "trace": json.RawMessage(tr)},
+	})
 	a, err := LoadArtifact("bench.json", raw)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +45,7 @@ func TestLoadArtifactBenchRows(t *testing.T) {
 		t.Fatalf("kernels = %v, want [A B]", got)
 	}
 	in, ok := a.Find("B")
-	if !ok || in.Cycles != 20 || in.PeakBytes != 200 || in.Trace != nil {
+	if !ok || in.Cycles != 20 || in.Trace == nil {
 		t.Fatalf("Find(B) = %+v, %v", in, ok)
 	}
 }
@@ -64,6 +68,9 @@ func TestLoadArtifactRejectsStaleTraces(t *testing.T) {
 	row, _ := json.Marshal([]map[string]any{{"id": "MatMul 2x2 2x2", "cycles": 9,
 		"trace": json.RawMessage(staleRaw)}})
 
+	// A row without a trace is stale: every diosbench row carries one.
+	untraced := []byte(`[{"id": "QProd 4,3,4,3", "cycles": 9, "peak_egraph_bytes": 200}]`)
+
 	cases := []struct {
 		name string
 		raw  []byte
@@ -73,6 +80,7 @@ func TestLoadArtifactRejectsStaleTraces(t *testing.T) {
 		{"wrong version", wrongRaw, telemetry.TraceSchema},
 		{"v1 trace", v1Raw, telemetry.TraceSchema},
 		{"stale row trace", row, "MatMul 2x2 2x2"},
+		{"untraced row", untraced, "no compile trace"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -16,11 +16,11 @@ type Progress struct {
 	classes   atomic.Int64
 	bytes     atomic.Int64
 
-	// OnRebuild, if set before the run starts, is called on the run's
-	// goroutine with the node count after each iteration's rebuild and
-	// once more when the run ends: the points where the graph is largest.
+	// OnEnd, if set before the run starts, is called once on the run's
+	// goroutine when the run ends, with the final node count: the graph
+	// is then at its largest, and nothing has been extracted from it yet.
 	// telemetry.MemProfiler.Observe is one.
-	OnRebuild func(nodes int)
+	OnEnd func(nodes int)
 }
 
 // ProgressSnapshot is one consistent-enough read of a Progress: the four
@@ -57,11 +57,11 @@ func (p *Progress) publish(iteration, nodes, classes int, bytes int64) {
 	p.bytes.Store(bytes)
 }
 
-// rebuilt publishes the state after a rebuild and passes the node count to
-// OnRebuild. Nil-safe, like publish.
-func (p *Progress) rebuilt(iteration, nodes, classes int, bytes int64) {
+// ended publishes the run's final state and passes its node count to
+// OnEnd. Nil-safe, like publish.
+func (p *Progress) ended(iteration, nodes, classes int, bytes int64) {
 	p.publish(iteration, nodes, classes, bytes)
-	if p != nil && p.OnRebuild != nil {
-		p.OnRebuild(nodes)
+	if p != nil && p.OnEnd != nil {
+		p.OnEnd(nodes)
 	}
 }

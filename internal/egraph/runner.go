@@ -428,7 +428,7 @@ func RunContext(ctx context.Context, g *EGraph, rules []Rewrite, lim Limits) Rep
 			flushGauge(false)
 			break
 		}
-		lim.Progress.rebuilt(iter+1, g.NumNodes(), g.NumClasses(), g.FootprintBytes())
+		lim.Progress.publish(iter+1, g.NumNodes(), g.NumClasses(), g.FootprintBytes())
 		flushGauge(true)
 		if !changed && !ruleSkipped &&
 			(lim.Backoff == nil || !lim.Backoff.anyBanned(iter+1)) {
@@ -442,6 +442,6 @@ func RunContext(ctx context.Context, g *EGraph, rules []Rewrite, lim Limits) Rep
 	}
 	rep.Nodes = g.NumNodes()
 	rep.Classes = g.NumClasses()
-	lim.Progress.rebuilt(rep.Iterations, rep.Nodes, rep.Classes, g.FootprintBytes())
+	lim.Progress.ended(rep.Iterations, rep.Nodes, rep.Classes, g.FootprintBytes())
 	return rep
 }

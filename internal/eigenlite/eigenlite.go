@@ -4,7 +4,9 @@
 // the frontend language (instantiated per size, the way C++ templates are)
 // and compiled for FG3-lite by the baseline compiler; host float64
 // reference implementations back the numerical tests and the Theia case
-// study.
+// study. The library's quaternion product is the naive source itself
+// (kernels.QProdSrc): straight-line code leaves a template library
+// nothing to add.
 package eigenlite
 
 import "fmt"
@@ -55,30 +57,6 @@ kernel eigen_conv2d(i[%d][%d], f[%d][%d]) -> (o[%d][%d]) {
 }
 `, ir, ic, fr, fc, or, oc, or, oc, fr, fc, fr, fc, ir, ic)
 }
-
-// QProdSrc is the library's Euclidean Lie group product (two rigid
-// transforms as quaternion+translation; quaternions stored (w,x,y,z)).
-const QProdSrc = `
-kernel eigen_qprod(aq[4], at[3], bq[4], bt[3]) -> (rq[4], rt[3]) {
-    let w1 = aq[0]; let x1 = aq[1]; let y1 = aq[2]; let z1 = aq[3];
-    let w2 = bq[0]; let x2 = bq[1]; let y2 = bq[2]; let z2 = bq[3];
-    rq[0] = w1*w2 - x1*x2 - y1*y2 - z1*z2;
-    rq[1] = w1*x2 - z1*y2 + x1*w2 + y1*z2;
-    rq[2] = w1*y2 - x1*z2 + y1*w2 + z1*x2;
-    rq[3] = w1*z2 + x1*y2 - y1*x2 + z1*w2;
-    var inner[3];
-    inner[0] = y1*bt[2] - z1*bt[1] + w1*bt[0];
-    inner[1] = z1*bt[0] - x1*bt[2] + w1*bt[1];
-    inner[2] = x1*bt[1] - y1*bt[0] + w1*bt[2];
-    var outer[3];
-    outer[0] = y1*inner[2] - z1*inner[1];
-    outer[1] = z1*inner[0] - x1*inner[2];
-    outer[2] = x1*inner[1] - y1*inner[0];
-    for k in 0..3 {
-        rt[k] = bt[k] + 2.0*outer[k] + at[k];
-    }
-}
-`
 
 // QRSrc instantiates the library's n×n Householder QR decomposition
 // (A = Q·R), the same algorithm as the lifted Diospyros kernel (§5.7).

@@ -65,7 +65,7 @@ func TestConv2DRoutine(t *testing.T) {
 }
 
 func TestQProdRoutine(t *testing.T) {
-	rt, err := kcc.Build(QProdSrc, kcc.Parametric)
+	rt, err := kcc.Build(kernels.QProdSrc, kcc.Parametric)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"diospyros/internal/expr"
-	"diospyros/internal/kernels"
 )
 
 const matmulSrc = `
@@ -22,26 +21,6 @@ kernel matmul(a[2][3], b[3][3]) -> (c[2][3]) {
             c[i][j] = 0.0;
             for k in 0..3 {
                 c[i][j] = c[i][j] + a[i][k] * b[k][j];
-            }
-        }
-    }
-}
-`
-
-const convSrc = `
-kernel conv2d(i[3][5], f[3][3]) -> (o[5][7]) {
-    for oRow in 0..5 {
-        for oCol in 0..7 {
-            for fRow in 0..3 {
-                for fCol in 0..3 {
-                    let fRT = 3 - 1 - fRow;
-                    let fCT = 3 - 1 - fCol;
-                    let iRow = oRow - fRT;
-                    let iCol = oCol - fCT;
-                    if iRow >= 0 && iRow < 3 && iCol >= 0 && iCol < 5 {
-                        o[oRow][oCol] = o[oRow][oCol] + i[iRow][iCol] * f[fRT][fCT];
-                    }
-                }
             }
         }
     }
@@ -95,53 +74,6 @@ func TestParseErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("Parse(%q) error %q does not contain %q", c.src, err, c.wantSub)
 		}
-	}
-}
-
-func TestInterpMatmul(t *testing.T) {
-	k := MustParse(matmulSrc)
-	r := rand.New(rand.NewSource(1))
-	a := make([]float64, 6)
-	b := make([]float64, 9)
-	for i := range a {
-		a[i] = r.Float64()
-	}
-	for i := range b {
-		b[i] = r.Float64()
-	}
-	out, err := Interp(k, map[string][]float64{"a": a, "b": b}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := kernels.MatMulRef(2, 3, 3, a, b)
-	for i := range want {
-		if math.Abs(out["c"][i]-want[i]) > 1e-12 {
-			t.Fatalf("c[%d] = %g, want %g", i, out["c"][i], want[i])
-		}
-	}
-}
-
-func TestLiftMatmulMatchesBuilderKernel(t *testing.T) {
-	k := MustParse(matmulSrc)
-	lifted, err := Lift(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	builder := kernels.MatMul(2, 3, 3)
-	if got, want := lifted.Spec.String(), builder.Spec.String(); got != want {
-		t.Fatalf("frontend lift != builder lift:\n got %s\nwant %s", got, want)
-	}
-}
-
-func TestLiftConvMatchesBuilderKernel(t *testing.T) {
-	k := MustParse(convSrc)
-	lifted, err := Lift(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	builder := kernels.Conv2D(3, 5, 3, 3)
-	if got, want := lifted.Spec.String(), builder.Spec.String(); got != want {
-		t.Fatalf("frontend conv lift != builder lift")
 	}
 }
 

@@ -1,32 +1,53 @@
 // Package kernels defines the benchmark kernels of the paper's evaluation
 // (Table 1): fixed-size 2-D convolution, matrix multiply, quaternion
-// (Euclidean Lie group) product, and QR decomposition — each as a scalar
-// reference implementation over the symbolic kernel builder, which lifts it
-// to the vector DSL, plus plain float64 references for differential testing.
+// (Euclidean Lie group) product, and QR decomposition. Each kernel is one
+// naive frontend source, the straightforward loop nest that the paper's
+// Naive baselines compile with xt-xcc (§5.2) and that Diospyros lifts to
+// the vector DSL by symbolic evaluation (§3.1), so both see the same
+// program. Plain float64 references back differential testing.
 package kernels
 
 import (
 	"fmt"
 
+	"diospyros/internal/frontend"
 	"diospyros/internal/kernel"
 )
 
-// MatMul lifts an m×n by n×p matrix multiply.
-func MatMul(m, n, p int) *kernel.Lifted {
-	b := kernel.NewBuilder(fmt.Sprintf("matmul_%dx%d_%dx%d", m, n, n, p))
-	A := b.Input("a", m, n)
-	B := b.Input("b", n, p)
-	C := b.Output("c", m, p)
-	for i := 0; i < m; i++ {
-		for j := 0; j < p; j++ {
-			acc := kernel.Const(0)
-			for k := 0; k < n; k++ {
-				acc = kernel.Add(acc, kernel.Mul(A.At(i, k), B.At(k, j)))
-			}
-			C.Set(i, j, acc)
-		}
+// lift lifts one of the package's sources under the given name, which
+// becomes the C function name of the compiled kernel; the source keeps its
+// own name, which names its baseline program. The sources are fixed, so
+// an error is a bug in this package.
+func lift(name, src string) *kernel.Lifted {
+	l, err := frontend.Lift(frontend.MustParse(src))
+	if err != nil {
+		panic(fmt.Sprintf("kernels: %s: %v", name, err))
 	}
-	return b.Lift()
+	l.Name = name
+	return l
+}
+
+// MatMulSrc is the naive m×n by n×p matrix multiply. It accumulates
+// through memory, unlike eigenlite.MatMulSrc, which accumulates in a
+// register temporary.
+func MatMulSrc(m, n, p int) string {
+	return fmt.Sprintf(`
+kernel matmul(a[%d][%d], b[%d][%d]) -> (c[%d][%d]) {
+    for i in 0..%d {
+        for j in 0..%d {
+            c[i][j] = 0.0;
+            for k in 0..%d {
+                c[i][j] = c[i][j] + a[i][k] * b[k][j];
+            }
+        }
+    }
+}
+`, m, n, n, p, m, p, m, p, n)
+}
+
+// MatMul lifts MatMulSrc(m, n, p).
+func MatMul(m, n, p int) *kernel.Lifted {
+	return lift(fmt.Sprintf("matmul_%dx%d_%dx%d", m, n, n, p), MatMulSrc(m, n, p))
 }
 
 // MatMulRef computes the same product over concrete data (row-major).
@@ -44,33 +65,36 @@ func MatMulRef(m, n, p int, a, b []float64) []float64 {
 	return c
 }
 
-// Conv2D lifts the paper's §2 motivating kernel: 2-D convolution of an
+// Conv2DSrc is the paper's §2 motivating kernel: 2-D convolution of an
 // ir×ic input with an fr×fc filter, producing a padded
 // (ir+fr−1)×(ic+fc−1) output. The filter transposition (fRT, fCT) and the
 // boundary-condition if mirror the paper's C code exactly.
+func Conv2DSrc(ir, ic, fr, fc int) string {
+	or, oc := ir+fr-1, ic+fc-1
+	return fmt.Sprintf(`
+kernel conv2d(i[%d][%d], f[%d][%d]) -> (o[%d][%d]) {
+    for oRow in 0..%d {
+        for oCol in 0..%d {
+            for fRow in 0..%d {
+                for fCol in 0..%d {
+                    let fRT = %d - 1 - fRow;
+                    let fCT = %d - 1 - fCol;
+                    let iRow = oRow - fRT;
+                    let iCol = oCol - fCT;
+                    if iRow >= 0 && iRow < %d && iCol >= 0 && iCol < %d {
+                        o[oRow][oCol] = o[oRow][oCol] + i[iRow][iCol] * f[fRT][fCT];
+                    }
+                }
+            }
+        }
+    }
+}
+`, ir, ic, fr, fc, or, oc, or, oc, fr, fc, fr, fc, ir, ic)
+}
+
+// Conv2D lifts Conv2DSrc(ir, ic, fr, fc).
 func Conv2D(ir, ic, fr, fc int) *kernel.Lifted {
-	b := kernel.NewBuilder(fmt.Sprintf("conv2d_%dx%d_%dx%d", ir, ic, fr, fc))
-	in := b.Input("i", ir, ic)
-	f := b.Input("f", fr, fc)
-	oRows, oCols := ir+fr-1, ic+fc-1
-	out := b.Output("o", oRows, oCols)
-	for oRow := 0; oRow < oRows; oRow++ {
-		for oCol := 0; oCol < oCols; oCol++ {
-			for fRow := 0; fRow < fr; fRow++ {
-				for fCol := 0; fCol < fc; fCol++ {
-					fRT := fr - 1 - fRow
-					fCT := fc - 1 - fCol
-					iRow := oRow - fRT
-					iCol := oCol - fCT
-					if iRow >= 0 && iRow < ir && iCol >= 0 && iCol < ic {
-						out.Set(oRow, oCol, kernel.Add(out.At(oRow, oCol),
-							kernel.Mul(in.At(iRow, iCol), f.At(fRT, fCT))))
-					}
-				}
-			}
-		}
-	}
-	return b.Lift()
+	return lift(fmt.Sprintf("conv2d_%dx%d_%dx%d", ir, ic, fr, fc), Conv2DSrc(ir, ic, fr, fc))
 }
 
 // Conv2DRef computes the same convolution over concrete data.
@@ -95,55 +119,36 @@ func Conv2DRef(ir, ic, fr, fc int, in, f []float64) []float64 {
 	return out
 }
 
-// QProd lifts the Euclidean Lie group product (paper §5.3): the product of
+// QProdSrc is the Euclidean Lie group product (paper §5.3): the product of
 // two rigid transforms represented as quaternion+translation pairs
-// (q1, t1)·(q2, t2) = (q1⊗q2, q1·t2 + t1), where q1·t2 rotates t2 by q1.
-// Quaternions are stored (w, x, y, z). Sizes: 4, 3, 4, 3.
-func QProd() *kernel.Lifted {
-	b := kernel.NewBuilder("qprod")
-	q1 := b.InputVec("aq", 4)
-	t1 := b.InputVec("at", 3)
-	q2 := b.InputVec("bq", 4)
-	t2 := b.InputVec("bt", 3)
-	qo := b.OutputVec("rq", 4)
-	to := b.OutputVec("rt", 3)
-
-	w1, x1, y1, z1 := q1.AtVec(0), q1.AtVec(1), q1.AtVec(2), q1.AtVec(3)
-	w2, x2, y2, z2 := q2.AtVec(0), q2.AtVec(1), q2.AtVec(2), q2.AtVec(3)
-	add, sub, mul := kernel.Add, kernel.Sub, kernel.Mul
-
-	// Hamilton product q1 ⊗ q2.
-	qo.SetVec(0, sub(sub(sub(mul(w1, w2), mul(x1, x2)), mul(y1, y2)), mul(z1, z2)))
-	qo.SetVec(1, add(add(sub(mul(w1, x2), mul(z1, y2)), mul(x1, w2)), mul(y1, z2)))
-	qo.SetVec(2, add(add(sub(mul(w1, y2), mul(x1, z2)), mul(y1, w2)), mul(z1, x2)))
-	qo.SetVec(3, add(sub(add(mul(w1, z2), mul(x1, y2)), mul(y1, x2)), mul(z1, w2)))
-
-	// Rotate t2 by q1: t' = t2 + 2*(u × (u × t2 + w1*t2)), u = (x1,y1,z1),
-	// then translate by t1.
-	u := [3]kernel.Scalar{x1, y1, z1}
-	t := [3]kernel.Scalar{t2.AtVec(0), t2.AtVec(1), t2.AtVec(2)}
-	cross := func(a, b [3]kernel.Scalar) [3]kernel.Scalar {
-		return [3]kernel.Scalar{
-			sub(mul(a[1], b[2]), mul(a[2], b[1])),
-			sub(mul(a[2], b[0]), mul(a[0], b[2])),
-			sub(mul(a[0], b[1]), mul(a[1], b[0])),
-		}
-	}
-	var wt [3]kernel.Scalar
-	for i := range wt {
-		wt[i] = mul(w1, t[i])
-	}
-	inner := cross(u, t)
-	for i := range inner {
-		inner[i] = add(inner[i], wt[i])
-	}
-	outer := cross(u, inner)
-	two := kernel.Const(2)
-	for i := 0; i < 3; i++ {
-		to.SetVec(i, add(add(t[i], mul(two, outer[i])), t1.AtVec(i)))
-	}
-	return b.Lift()
+// (q1, t1)·(q2, t2) = (q1⊗q2, q1·t2 + t1), where q1·t2 rotates t2 by q1
+// as t2 + 2·(u × (u × t2 + w1·t2)) with u = (x1, y1, z1). Quaternions are
+// stored (w, x, y, z). The same source serves as the naive and the
+// Eigen-library baseline (package eigenlite).
+const QProdSrc = `
+kernel eigen_qprod(aq[4], at[3], bq[4], bt[3]) -> (rq[4], rt[3]) {
+    let w1 = aq[0]; let x1 = aq[1]; let y1 = aq[2]; let z1 = aq[3];
+    let w2 = bq[0]; let x2 = bq[1]; let y2 = bq[2]; let z2 = bq[3];
+    rq[0] = w1*w2 - x1*x2 - y1*y2 - z1*z2;
+    rq[1] = w1*x2 - z1*y2 + x1*w2 + y1*z2;
+    rq[2] = w1*y2 - x1*z2 + y1*w2 + z1*x2;
+    rq[3] = w1*z2 + x1*y2 - y1*x2 + z1*w2;
+    var inner[3];
+    inner[0] = y1*bt[2] - z1*bt[1] + w1*bt[0];
+    inner[1] = z1*bt[0] - x1*bt[2] + w1*bt[1];
+    inner[2] = x1*bt[1] - y1*bt[0] + w1*bt[2];
+    var outer[3];
+    outer[0] = y1*inner[2] - z1*inner[1];
+    outer[1] = z1*inner[0] - x1*inner[2];
+    outer[2] = x1*inner[1] - y1*inner[0];
+    for k in 0..3 {
+        rt[k] = bt[k] + 2.0*outer[k] + at[k];
+    }
 }
+`
+
+// QProd lifts QProdSrc.
+func QProd() *kernel.Lifted { return lift("qprod", QProdSrc) }
 
 // QProdRef computes the Euclidean Lie group product over concrete data.
 // Layout matches QProd: q = (w, x, y, z).

@@ -7,90 +7,75 @@ import (
 	"diospyros/internal/kernel"
 )
 
-// QRDecomp lifts an n×n Householder QR decomposition: A = Q·R with Q
-// orthogonal and R right-triangular (paper §5.7 uses the same Householder
-// algorithm). The fully unrolled symbolic form grows very quickly with n —
+// QRDecompSrc is the plain n×n Householder QR decomposition: A = Q·R with
+// Q orthogonal and R right-triangular (paper §5.7 uses the same Householder
+// algorithm; compare eigenlite.QRSrc, which adds Eigen's stable-norm
+// passes). The fully unrolled symbolic form grows very quickly with n —
 // the paper's 4×4 instance produced a 509 MB specification text and timed
-// out in saturation; here the expression is built as a shared DAG, but its
+// out in saturation; here the lifted expression is a shared DAG, but its
 // e-graph is still by far the largest of the suite.
+func QRDecompSrc(n int) string {
+	return fmt.Sprintf(`
+kernel qrdecomp(a[%d][%d]) -> (q[%d][%d], r[%d][%d]) {
+    for i in 0..%d {
+        for j in 0..%d {
+            r[i][j] = a[i][j];
+            if i == j {
+                q[i][j] = 1.0;
+            } else {
+                q[i][j] = 0.0;
+            }
+        }
+    }
+    var v[%d];
+    for k in 0..%d {
+        let norm2 = 0.0;
+        for i in k..%d {
+            norm2 = norm2 + r[i][k] * r[i][k];
+        }
+        let alpha = -(sgn(r[k][k]) * sqrt(norm2));
+        for i in 0..%d {
+            if i < k {
+                v[i] = 0.0;
+            } else if i == k {
+                v[i] = r[k][k] - alpha;
+            } else {
+                v[i] = r[i][k];
+            }
+        }
+        let vnorm2 = 0.0;
+        for i in k..%d {
+            vnorm2 = vnorm2 + v[i] * v[i];
+        }
+        let beta = 2.0 / vnorm2;
+        for j in 0..%d {
+            let dot = 0.0;
+            for i in k..%d {
+                dot = dot + v[i] * r[i][j];
+            }
+            let s = beta * dot;
+            for i in k..%d {
+                r[i][j] = r[i][j] - v[i] * s;
+            }
+        }
+        for i in 0..%d {
+            let dot = 0.0;
+            for j in k..%d {
+                dot = dot + q[i][j] * v[j];
+            }
+            let s = beta * dot;
+            for j in k..%d {
+                q[i][j] = q[i][j] - v[j] * s;
+            }
+        }
+    }
+}
+`, n, n, n, n, n, n, n, n, n, n-1, n, n, n, n, n, n, n, n, n)
+}
+
+// QRDecomp lifts QRDecompSrc(n).
 func QRDecomp(n int) *kernel.Lifted {
-	b := kernel.NewBuilder(fmt.Sprintf("qrdecomp_%dx%d", n, n))
-	A := b.Input("a", n, n)
-	Q := b.Output("q", n, n)
-	R := b.Output("r", n, n)
-
-	add, sub, mul, div := kernel.Add, kernel.Sub, kernel.Mul, kernel.DivS
-	// Working copies as Go matrices of symbolic scalars.
-	r := make([][]kernel.Scalar, n)
-	q := make([][]kernel.Scalar, n)
-	for i := 0; i < n; i++ {
-		r[i] = make([]kernel.Scalar, n)
-		q[i] = make([]kernel.Scalar, n)
-		for j := 0; j < n; j++ {
-			r[i][j] = A.At(i, j)
-			if i == j {
-				q[i][j] = kernel.Const(1)
-			} else {
-				q[i][j] = kernel.Const(0)
-			}
-		}
-	}
-
-	for k := 0; k < n-1; k++ {
-		// Householder vector v for column k below the diagonal.
-		norm2 := kernel.Const(0)
-		for i := k; i < n; i++ {
-			norm2 = add(norm2, mul(r[i][k], r[i][k]))
-		}
-		norm := kernel.SqrtS(norm2)
-		alpha := kernel.NegS(mul(kernel.SgnS(r[k][k]), norm))
-		v := make([]kernel.Scalar, n)
-		for i := 0; i < n; i++ {
-			switch {
-			case i < k:
-				v[i] = kernel.Const(0)
-			case i == k:
-				v[i] = sub(r[k][k], alpha)
-			default:
-				v[i] = r[i][k]
-			}
-		}
-		vnorm2 := kernel.Const(0)
-		for i := k; i < n; i++ {
-			vnorm2 = add(vnorm2, mul(v[i], v[i]))
-		}
-		beta := div(kernel.Const(2), vnorm2)
-
-		// R ← (I − β v vᵀ) R.
-		for j := 0; j < n; j++ {
-			dot := kernel.Const(0)
-			for i := k; i < n; i++ {
-				dot = add(dot, mul(v[i], r[i][j]))
-			}
-			s := mul(beta, dot)
-			for i := k; i < n; i++ {
-				r[i][j] = sub(r[i][j], mul(v[i], s))
-			}
-		}
-		// Q ← Q (I − β v vᵀ).
-		for i := 0; i < n; i++ {
-			dot := kernel.Const(0)
-			for j := k; j < n; j++ {
-				dot = add(dot, mul(q[i][j], v[j]))
-			}
-			s := mul(beta, dot)
-			for j := k; j < n; j++ {
-				q[i][j] = sub(q[i][j], mul(v[j], s))
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			Q.Set(i, j, q[i][j])
-			R.Set(i, j, r[i][j])
-		}
-	}
-	return b.Lift()
+	return lift(fmt.Sprintf("qrdecomp_%dx%d", n, n), QRDecompSrc(n))
 }
 
 // QRDecompRef computes the same Householder QR over concrete data,

@@ -79,19 +79,22 @@ func (m *MemoryTrace) Format() string {
 	return b.String()
 }
 
-// MemProfiler keeps the pprof heap profile captured at the peak of an
-// e-graph's node count: the allocation stacks behind the graph's largest
-// extent, which is what the memory-layout work needs to see. Set Observe
-// as the run's egraph.Progress.OnRebuild, so the runner reports the count
-// after every rebuild; Profile returns the profile. The zero value is
-// ready to use, and one profiler may watch several runs in turn or at once.
+// MemProfiler keeps the pprof heap profile captured at the end of the
+// saturation run with the most e-nodes: the allocation stacks behind the
+// largest graph, which is what the memory-layout work needs to see. Set
+// Observe as the run's egraph.Progress.OnEnd, so the runner reports each
+// run's final node count; a profile costs milliseconds, so it is taken at
+// most once per run, and only for a new high. Profile returns the
+// profile. The zero value is ready to use, and one profiler may watch
+// several runs in turn or at once.
 type MemProfiler struct {
 	mu       sync.Mutex
 	peak     int
 	snapshot []byte
 }
 
-// Observe captures the heap profile if nodes is a new high.
+// Observe captures the heap profile if nodes, a run's final node count, is
+// a new high.
 func (p *MemProfiler) Observe(nodes int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -105,8 +108,8 @@ func (p *MemProfiler) Observe(nodes int) {
 }
 
 // Profile returns the profile captured at the node-count peak, and that
-// peak. If no run reported a rebuild, it captures the heap now, so the
-// profile is never empty.
+// peak. If no run ended, it captures the heap now, so the profile is
+// never empty.
 func (p *MemProfiler) Profile() (profile []byte, peakNodes int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

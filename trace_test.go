@@ -171,6 +171,10 @@ func TestCompileContextCancelledBeforeStart(t *testing.T) {
 // Cancelling mid-saturation aborts the compile with an error wrapping
 // context.Canceled, attributed to the saturate stage, promptly.
 func TestCompileContextCancelledMidSaturation(t *testing.T) {
+	// The largest suite kernel: saturation runs for far longer than the
+	// cancellation delay, so the cancel lands mid-saturation. It is lifted
+	// before the delay starts, which lifting would otherwise use up.
+	l := kernels.MatMul(16, 16, 16)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
@@ -178,9 +182,7 @@ func TestCompileContextCancelledMidSaturation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	// The largest suite kernel: saturation runs for far longer than the
-	// cancellation delay, so the cancel lands mid-saturation.
-	_, err := CompileContext(ctx, kernels.MatMul(16, 16, 16), testOpts())
+	_, err := CompileContext(ctx, l, testOpts())
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Skip("kernel compiled before the cancellation landed")
