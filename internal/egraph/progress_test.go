@@ -125,11 +125,11 @@ func TestProgressNilSafeInRun(t *testing.T) {
 	}
 }
 
-// TestOnEndFeedsMemProfiler runs a saturation far shorter than any
-// polling interval and checks that OnEnd reports it once, with the run's
-// final node count, and that a MemProfiler fed by it captures a profile
-// at that count.
-func TestOnEndFeedsMemProfiler(t *testing.T) {
+// TestOnRebuildFeedsMemProfiler runs a saturation far shorter than any
+// polling interval and checks that OnEnd, called after the run's last
+// rebuild, reports it once with the run's final node count, and that a
+// MemProfiler fed by it captures a profile at that count.
+func TestOnRebuildFeedsMemProfiler(t *testing.T) {
 	g := New()
 	addSymChain(g, 4)
 	var counts []int

@@ -91,57 +91,3 @@ func TestArrayDeclLen(t *testing.T) {
 		t.Fatal("Len wrong")
 	}
 }
-
-func TestBuilderPanicsOnMisuse(t *testing.T) {
-	expectPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		f()
-	}
-	expectPanic("write to input", func() {
-		b := NewBuilder("bad")
-		in := b.Input("a", 2, 2)
-		in.Set(0, 0, Const(1))
-	})
-	expectPanic("duplicate name", func() {
-		b := NewBuilder("bad")
-		b.Input("a", 2, 2)
-		b.Input("a", 2, 2)
-	})
-	expectPanic("out of bounds", func() {
-		b := NewBuilder("bad")
-		in := b.Input("a", 2, 2)
-		in.At(2, 0)
-	})
-	expectPanic("no outputs", func() {
-		b := NewBuilder("bad")
-		b.Input("a", 2, 2)
-		b.Lift()
-	})
-}
-
-func TestBuilderPeephole(t *testing.T) {
-	z, one := Const(0), Const(1)
-	b := NewBuilder("peep")
-	in := b.Input("a", 1, 1)
-	v := in.At(0, 0)
-	if got := Add(z, v).Expr().String(); got != "(Get a 0)" {
-		t.Errorf("0+x = %s", got)
-	}
-	if got := Mul(one, v).Expr().String(); got != "(Get a 0)" {
-		t.Errorf("1*x = %s", got)
-	}
-	if got := Mul(z, v).Expr().String(); got != "0" {
-		t.Errorf("0*x = %s", got)
-	}
-	if got := Add(Const(2), Const(3)).Expr().String(); got != "5" {
-		t.Errorf("2+3 = %s", got)
-	}
-	if got := Call("rsqrt", v).Expr().String(); got != "(func rsqrt (Get a 0))" {
-		t.Errorf("call = %s", got)
-	}
-}
