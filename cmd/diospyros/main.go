@@ -29,6 +29,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -133,22 +134,9 @@ func main() {
 		}
 	}
 	if *dumpDot {
-		lifted, err := diospyros.Lift(string(src))
-		if err != nil {
+		if err := writeEGraph(ctx, os.Stdout, string(src), opts); err != nil {
 			fatal(err)
 		}
-		ruleSet, err := diospyros.RuleSet(opts)
-		if err != nil {
-			fatal(err)
-		}
-		lim := egraph.Limits{MaxIterations: 30, MaxNodes: 100_000, Timeout: *timeout}
-		if *backoff {
-			lim.Backoff = &egraph.Backoff{}
-		}
-		g := egraph.New()
-		g.AddExpr(lifted.Spec)
-		egraph.RunContext(ctx, g, ruleSet, lim)
-		fmt.Print(g.ToDot())
 		return
 	}
 	if *reportOut != "" {
@@ -322,6 +310,30 @@ func writeSpec(w io.Writer, src string) error {
 		return err
 	}
 	_, err = io.WriteString(w, expr.Dump(lifted.Spec))
+	return err
+}
+
+// writeEGraph saturates the lifted spec of src with the rule set opts
+// selects and prints the e-graph in dot syntax. The search stops after 30
+// iterations, at opts.Timeout, and at opts.NodeLimit nodes (100,000 when
+// unset, a graph dot can still lay out).
+func writeEGraph(ctx context.Context, w io.Writer, src string, opts diospyros.Options) error {
+	lifted, err := diospyros.Lift(src)
+	if err != nil {
+		return err
+	}
+	ruleSet, err := diospyros.RuleSet(opts)
+	if err != nil {
+		return err
+	}
+	lim := egraph.Limits{MaxIterations: 30, MaxNodes: cmp.Or(opts.NodeLimit, 100_000), Timeout: opts.Timeout}
+	if opts.UseBackoff {
+		lim.Backoff = &egraph.Backoff{}
+	}
+	g := egraph.New()
+	g.AddExpr(lifted.Spec)
+	egraph.RunContext(ctx, g, ruleSet, lim)
+	_, err = io.WriteString(w, g.ToDot())
 	return err
 }
 

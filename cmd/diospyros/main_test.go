@@ -1,8 +1,10 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -56,5 +58,33 @@ func TestErrorLineOnePrefix(t *testing.T) {
 	}
 	if got := errorLine(errors.New("open k.dios: no such file")); got != "diospyros: open k.dios: no such file" {
 		t.Errorf("errorLine = %q", got)
+	}
+}
+
+// TestDumpEGraphHonorsNodeLimit checks that -dump-egraph stops where a
+// compile with the same -node-limit stops, and that without the flag it
+// still grows well past that limit.
+func TestDumpEGraphHonorsNodeLimit(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/conv3x5.dios")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := func(opts diospyros.Options) int {
+		var out strings.Builder
+		if err := writeEGraph(context.Background(), &out, string(src), opts); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Count(out.String(), " [label=\"")
+	}
+	opts := diospyros.Options{NodeLimit: 200}
+	res, err := diospyros.CompileSource(string(src), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := nodes(opts); got != res.Saturation.Nodes {
+		t.Errorf("-node-limit 200: dump has %d nodes, the compile stopped at %d", got, res.Saturation.Nodes)
+	}
+	if got := nodes(diospyros.Options{}); got <= 2*res.Saturation.Nodes {
+		t.Errorf("default dump has %d nodes, want well over %d", got, res.Saturation.Nodes)
 	}
 }

@@ -3,9 +3,8 @@
 // reproduction of "Vectorization for Digital Signal Processors via Equality
 // Saturation" (VanHattum et al., ASPLOS 2021).
 //
-// A kernel is written either in the imperative text language (package
-// internal/frontend; see CompileSource) or against the embedded builder API
-// (package internal/kernel). The compiler:
+// A kernel is written in the imperative text language (package
+// internal/frontend; see CompileSource). The compiler:
 //
 //  1. lifts the kernel to a mathematical vector DSL by symbolic evaluation;
 //  2. searches for vectorizations by equality saturation over an e-graph,

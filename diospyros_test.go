@@ -239,34 +239,35 @@ func TestCompileTimeoutStillEmitsCode(t *testing.T) {
 
 // TestPipelinePropertyRandomKernels pushes randomly generated kernels
 // (ragged sums of products with shared subterms, the paper's problem
-// shape) through the complete pipeline — lift, saturate, extract, lower,
-// codegen, simulate — and compares against direct evaluation of the spec.
+// shape), written as kernel-language source, through the complete
+// pipeline — lift, saturate, extract, lower, codegen, simulate — and
+// compares against direct evaluation of the spec.
 func TestPipelinePropertyRandomKernels(t *testing.T) {
 	r := rand.New(rand.NewSource(2024))
 	for trial := 0; trial < 15; trial++ {
-		b := kernel.NewBuilder(fmt.Sprintf("fuzz%d", trial))
+		var src strings.Builder
 		na, nb := 4+r.Intn(8), 4+r.Intn(8)
-		A := b.InputVec("a", na)
-		B := b.InputVec("b", nb)
 		nOut := 1 + r.Intn(9)
-		O := b.OutputVec("o", nOut)
+		fmt.Fprintf(&src, "kernel fuzz%d(a[%d], b[%d]) -> (o[%d]) {\n", trial, na, nb, nOut)
 		for i := 0; i < nOut; i++ {
-			acc := kernel.Const(0)
 			terms := 1 + r.Intn(5)
 			for k := 0; k < terms; k++ {
-				p := kernel.Mul(A.AtVec(r.Intn(na)), B.AtVec(r.Intn(nb)))
+				p := fmt.Sprintf("a[%d] * b[%d]", r.Intn(na), r.Intn(nb))
 				switch r.Intn(3) {
 				case 0:
-					acc = kernel.Add(acc, p)
+					fmt.Fprintf(&src, "    o[%d] = o[%d] + %s;\n", i, i, p)
 				case 1:
-					acc = kernel.Sub(acc, p)
+					fmt.Fprintf(&src, "    o[%d] = o[%d] - %s;\n", i, i, p)
 				default:
-					acc = kernel.Add(acc, kernel.Mul(p, kernel.Const(float64(1+r.Intn(3)))))
+					fmt.Fprintf(&src, "    o[%d] = o[%d] + %s * %d.0;\n", i, i, p, 1+r.Intn(3))
 				}
 			}
-			O.SetVec(i, acc)
 		}
-		l := b.Lift()
+		src.WriteString("}\n")
+		l, err := Lift(src.String())
+		if err != nil {
+			t.Fatalf("%v\n%s", err, src.String())
+		}
 		opts := testOpts()
 		opts.Validate = true
 		checkCompiled(t, l, opts)

@@ -209,8 +209,10 @@ func TestPatternParse(t *testing.T) {
 			t.Errorf("Vars(%q) = %v, want %v", c.src, got, c.vars)
 		}
 	}
-	if _, err := ParsePattern("(bogus ?a)"); err == nil {
-		t.Error("expected error for unknown operator")
+	for _, src := range []string{"(bogus ?a)", "(+ ?a)", "(VecMAC ?a ?b)", "(Vec)", "(neg ?a ?b)"} {
+		if _, err := ParsePattern(src); err == nil {
+			t.Errorf("ParsePattern(%q) succeeded, want an error", src)
+		}
 	}
 }
 

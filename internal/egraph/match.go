@@ -166,6 +166,9 @@ func (p *patParser) parse() (*Pattern, error) {
 		return nil, fmt.Errorf("egraph: missing ')' in pattern")
 	}
 	p.pos++
+	if err := expr.CheckArity(op, len(pat.Args)); err != nil {
+		return nil, fmt.Errorf("egraph: pattern %w", err)
+	}
 	return pat, nil
 }
 

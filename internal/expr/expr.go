@@ -180,9 +180,6 @@ type Expr struct {
 // Lit constructs a literal.
 func Lit(v float64) *Expr { return &Expr{Op: OpLit, Lit: v} }
 
-// Zero is the literal 0, used pervasively for lane padding.
-func Zero() *Expr { return Lit(0) }
-
 // Sym constructs a free scalar variable.
 func Sym(name string) *Expr { return &Expr{Op: OpSym, Sym: name} }
 

@@ -17,7 +17,7 @@ func TestConstructorsAndString(t *testing.T) {
 		want string
 	}{
 		{Lit(1.5), "1.5"},
-		{Zero(), "0"},
+		{Lit(0), "0"},
 		{Sym("x"), "x"},
 		{Get("a", 3), "(Get a 3)"},
 		{Add(Get("a", 0), Get("b", 0)), "(+ (Get a 0) (Get b 0))"},

@@ -142,8 +142,8 @@ func (p *sexpParser) parseForm() (*Expr, error) {
 		return nil, fmt.Errorf("expr: missing ')' for %s", head)
 	}
 	p.pos++
-	if err := checkArity(e); err != nil {
-		return nil, err
+	if err := CheckArity(e.Op, len(e.Args)); err != nil {
+		return nil, fmt.Errorf("expr: %w", err)
 	}
 	return e, nil
 }
@@ -184,33 +184,17 @@ func Arity(op Op) int {
 	}
 }
 
-func checkArity(e *Expr) error {
-	want := Arity(e.Op)
-	if want >= 0 && len(e.Args) != want {
-		return fmt.Errorf("expr: %s expects %d args, got %d", e.Op, want, len(e.Args))
+// CheckArity reports whether op may take n arguments: exactly Arity(op)
+// for a fixed-arity operator, at least one for Vec, List and VecFunc, any
+// number for Func. Parse and egraph's pattern reader both apply it.
+func CheckArity(op Op, n int) error {
+	if want := Arity(op); want >= 0 && n != want {
+		return fmt.Errorf("%s expects %d args, got %d", op, want, n)
 	}
-	if (e.Op == OpVec || e.Op == OpList || e.Op == OpVecFunc) && len(e.Args) == 0 {
-		return fmt.Errorf("expr: %s expects at least one arg", e.Op)
+	if (op == OpVec || op == OpList || op == OpVecFunc) && n == 0 {
+		return fmt.Errorf("%s expects at least one arg", op)
 	}
 	return nil
-}
-
-// ParseList is a convenience for parsing several whitespace-separated
-// expressions (used by test fixtures).
-func ParseList(src string) ([]*Expr, error) {
-	p := &sexpParser{src: src}
-	var out []*Expr
-	for {
-		p.skipSpace()
-		if p.pos >= len(p.src) {
-			return out, nil
-		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
 }
 
 // Dump renders an expression as a let-bound DAG, for diagnostics and the

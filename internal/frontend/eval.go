@@ -10,8 +10,8 @@ import (
 // bounds, loop counters, conditions over them) are always concrete; float
 // data values are an F, and arrays of them are stored as the domain
 // chooses. Interp runs the walker over float64 (concrete), Lift over
-// kernel.Scalar (symbolic, paper §3.1), and kcc's FixedSize mode over
-// FG3-lite float registers.
+// *expr.Expr (symbolic, paper §3.1: the domain builds the DSL terms), and
+// kcc's FixedSize mode over FG3-lite float registers.
 type Domain[F any] interface {
 	// Num is the value of a float literal.
 	Num(v float64) F

@@ -55,6 +55,7 @@ func TestParseErrors(t *testing.T) {
 		{"kernel f(a[0]) -> (o[2]) { }", "positive"},
 		{"kernel f(a[2][2][2]) -> (o[2]) { }", "1 or 2 dimensions"},
 		{"kernel f(a[2], a[3]) -> (o[2]) { }", "duplicate"},
+		{"kernel k(a[2]) -> (a[2]) { }", "duplicate parameter"}, // output named like an input
 		{"kernel A()->(){}", "declares no outputs"},
 		{"kernel A(a[2])->(){}", "declares no outputs"},
 		{"kernel f(a[2]) -> (o[2]) { o[0] = sqrt(1.0, 2.0); }", "expects 1"},

@@ -1,19 +1,30 @@
 package frontend
 
 import (
+	"context"
 	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"diospyros/internal/expr"
 )
 
 // FuzzLift pins the frontend's contract on arbitrary source: Parse either
 // rejects it with an error, or Lift on the parsed kernel returns (with or
-// without an error) instead of panicking. The seeds are the repository's
-// example kernels, the empty-output kernel that once reached the builder's
-// "no outputs declared" panic, and the runaway loops the work budget
+// without an error) instead of panicking. It is also a differential check
+// of the symbolic domain's folds against the concrete one: when Lift and
+// Interp both succeed on a kernel that calls no user function, and every
+// value Interp computes is finite, the lifted spec evaluated on the same
+// seeded inputs must equal Interp's outputs to 1e-9 relative. (The folds
+// hold over ℝ; 0·x drops an x that may be Inf or NaN, and sgn maps NaN to
+// 1, so only finite runs compare.) The seeds are the repository's example
+// kernels, a kernel that meets every fold (foldsKernel), the empty-output
+// kernels the checker rejects, and the runaway loops the work budget
 // stops (hostileLoops).
 func FuzzLift(f *testing.F) {
 	paths, err := filepath.Glob("../../testdata/*.dios")
@@ -27,6 +38,7 @@ func FuzzLift(f *testing.F) {
 		}
 		f.Add(string(src))
 	}
+	f.Add(foldsKernel)
 	f.Add("kernel A()->(){}")
 	f.Add("kernel A(a[2])->(){}")
 	for _, h := range hostileLoops {
@@ -37,8 +49,81 @@ func FuzzLift(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_, _ = Lift(k)
+		lifted, err := Lift(k)
+		if err != nil || len(k.UserFuncs) > 0 {
+			return
+		}
+		r := rand.New(rand.NewSource(1))
+		env := expr.NewEnv()
+		arrays := map[string]Array[float64]{}
+		for _, p := range k.Params {
+			vals := make([]float64, p.Len())
+			for i := range vals {
+				vals[i] = r.Float64()*4 - 2
+			}
+			env.Arrays[p.Name] = vals
+			arrays[p.Name] = &slice[float64]{dims: p.Dims, vals: vals}
+		}
+		dom := &finite{ok: true}
+		outs := make([]*slice[float64], len(k.Outs))
+		for i, p := range k.Outs {
+			outs[i] = zeros[float64](dom, p.Dims)
+			arrays[p.Name] = outs[i]
+		}
+		if err := Run[float64](context.Background(), k, dom, arrays); err != nil || !dom.ok {
+			return
+		}
+		var want []float64
+		for _, o := range outs {
+			want = append(want, o.vals...)
+		}
+		v, err := lifted.Spec.Eval(env)
+		if err != nil {
+			t.Fatalf("lifted spec does not evaluate: %v\n%s", err, src)
+		}
+		for i, w := range want {
+			if got := v.Elems[i]; !(math.Abs(got-w) <= 1e-9*math.Max(1, math.Abs(w))) {
+				t.Fatalf("output %d: lift %g, Interp %g\n%s", i, got, w, src)
+			}
+		}
 	})
+}
+
+// foldsKernel meets each of the symbolic domain's folds at least once.
+const foldsKernel = `kernel folds(a[2]) -> (o[6]) {
+    o[0] = 0.0 + a[0] + 0.0 - 0.0;
+    o[1] = 1.0 * a[1] * 1.0 / 1.0 + 0.0 * a[0] + a[1] * 0.0 - a[0];
+    o[2] = (2.0 + 3.0) * (2.0 - 7.0) / (6.0 * 4.0) + o[0];
+    o[3] = -(2.0) + sqrt(0.0) + sqrt(1.0) + sqrt(4.0) + sqrt(a[0] * a[0]);
+    o[4] = sgn(-3.0) + sgn(0.0) + sgn(a[1]) + abs(a[0]) + abs(-2.5) + -a[1];
+    o[5] = o[5] + o[4] * o[3];
+}`
+
+// finite is Interp's domain, noting in ok whether every value it computes
+// is finite (a literal always is: the lexer rejects one out of range).
+type finite struct {
+	concrete
+	ok bool
+}
+
+func (d *finite) note(v float64) float64 {
+	d.ok = d.ok && !math.IsInf(v, 0) && !math.IsNaN(v)
+	return v
+}
+
+func (d *finite) Arith(op string, l, r float64, pos Pos) (float64, error) {
+	v, err := d.concrete.Arith(op, l, r, pos)
+	return d.note(v), err
+}
+
+func (d *finite) Neg(x float64, pos Pos) (float64, error) {
+	v, err := d.concrete.Neg(x, pos)
+	return d.note(v), err
+}
+
+func (d *finite) Call(name string, args []float64, pos Pos) (float64, error) {
+	v, err := d.concrete.Call(name, args, pos)
+	return d.note(v), err
 }
 
 // hostileLoops are kernels that need far more than maxWork (a long for,

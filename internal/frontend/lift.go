@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"diospyros/internal/expr"
 	"diospyros/internal/kernel"
 )
 
@@ -22,46 +23,40 @@ func LiftContext(ctx context.Context, k *Kernel) (*kernel.Lifted, error) {
 	if err := CheckShapes(k); err != nil {
 		return nil, err
 	}
-	b := kernel.NewBuilder(k.Name)
-	arrays := make(map[string]Array[kernel.Scalar], len(k.Params)+len(k.Outs))
+	dom := &symbolic{}
+	l := &kernel.Lifted{Name: k.Name}
+	arrays := make(map[string]Array[*expr.Expr], len(k.Params)+len(k.Outs))
 	for _, p := range k.Params {
-		rows, cols := dims2(p.Dims)
-		arrays[p.Name] = elements(b.Input(p.Name, rows, cols), p.Dims)
+		l.Inputs = append(l.Inputs, decl(p))
+		gets := &slice[*expr.Expr]{dims: p.Dims, vals: make([]*expr.Expr, p.Len())}
+		for i := range gets.vals {
+			gets.vals[i] = expr.Get(p.Name, i)
+		}
+		arrays[p.Name] = gets
 	}
-	outs := make([]*kernel.Matrix, len(k.Outs))
+	outs := make([]*slice[*expr.Expr], len(k.Outs))
 	for i, p := range k.Outs {
-		rows, cols := dims2(p.Dims)
-		outs[i] = b.Output(p.Name, rows, cols)
-		arrays[p.Name] = elements(outs[i], p.Dims)
+		l.Outputs = append(l.Outputs, decl(p))
+		outs[i] = zeros[*expr.Expr](dom, p.Dims)
+		arrays[p.Name] = outs[i]
 	}
-	if err := Run[kernel.Scalar](ctx, k, &symbolic{}, arrays); err != nil {
+	if err := Run[*expr.Expr](ctx, k, dom, arrays); err != nil {
 		return nil, err
 	}
-	for i, p := range k.Outs {
-		cols := outs[i].Decl().Cols
-		for j, v := range arrays[p.Name].(*slice[kernel.Scalar]).vals {
-			outs[i].Set(j/cols, j%cols, v)
-		}
+	elems := make([]*expr.Expr, 0, l.OutputLen())
+	for _, o := range outs {
+		elems = append(elems, o.vals...)
 	}
-	return b.Lift(), nil
+	l.Spec = expr.List(elems...)
+	return l, nil
 }
 
-// elements binds a builder matrix as a flat array of its current values:
-// one Get term per element of an input, zeros for an output.
-func elements(m *kernel.Matrix, dims []int) *slice[kernel.Scalar] {
-	cols := m.Decl().Cols
-	vals := make([]kernel.Scalar, m.Decl().Len())
-	for i := range vals {
-		vals[i] = m.At(i/cols, i%cols)
+// decl is the shape of parameter p: a vector is one column.
+func decl(p Param) kernel.ArrayDecl {
+	if len(p.Dims) == 1 {
+		return kernel.ArrayDecl{Name: p.Name, Rows: p.Dims[0], Cols: 1}
 	}
-	return &slice[kernel.Scalar]{dims: dims, vals: vals}
-}
-
-func dims2(dims []int) (rows, cols int) {
-	if len(dims) == 1 {
-		return dims[0], 1
-	}
-	return dims[0], dims[1]
+	return kernel.ArrayDecl{Name: p.Name, Rows: p.Dims[0], Cols: p.Dims[1]}
 }
 
 // MaxSpecNodes bounds the DSL nodes lifting one kernel may build (one per
@@ -82,15 +77,20 @@ func (e *ErrDataDependent) Error() string {
 }
 
 // symbolic is Lift's domain: float values are DSL expressions, built with
-// the kernel package's peephole simplification.
+// light peephole simplification (constant folding and identity
+// elimination) so that the spec matches the paper's examples, with no
+// `+ 0` noise from accumulators that start at zero. The folds are sound
+// over ℝ, the rewrite system's semantics. An identity returns its operand
+// itself and a fold a fresh literal, so sharing in the spec is exactly the
+// sharing of the kernel's values.
 type symbolic struct {
 	nodes int // DSL nodes built so far, against MaxSpecNodes
 }
 
-func (*symbolic) Num(v float64) kernel.Scalar { return kernel.Const(v) }
+func (*symbolic) Num(v float64) *expr.Expr { return expr.Lit(v) }
 
-func (s *symbolic) Local(_ string, dims []int) Array[kernel.Scalar] {
-	return zeros[kernel.Scalar](s, dims)
+func (s *symbolic) Local(_ string, dims []int) Array[*expr.Expr] {
+	return zeros[*expr.Expr](s, dims)
 }
 
 // node counts one DSL node built for the expression at pos.
@@ -101,43 +101,113 @@ func (s *symbolic) node(pos Pos) error {
 	return nil
 }
 
-func (s *symbolic) Arith(op string, l, r kernel.Scalar, pos Pos) (kernel.Scalar, error) {
+func (s *symbolic) Arith(op string, l, r *expr.Expr, pos Pos) (*expr.Expr, error) {
 	if err := s.node(pos); err != nil {
-		return kernel.Scalar{}, err
+		return nil, err
 	}
 	switch op {
 	case "+":
-		return kernel.Add(l, r), nil
+		return add(l, r), nil
 	case "-":
-		return kernel.Sub(l, r), nil
+		return sub(l, r), nil
 	case "*":
-		return kernel.Mul(l, r), nil
+		return mul(l, r), nil
 	}
-	return kernel.DivS(l, r), nil
+	return div(l, r), nil
 }
 
-func (s *symbolic) Neg(x kernel.Scalar, pos Pos) (kernel.Scalar, error) {
-	return kernel.NegS(x), s.node(pos)
-}
-
-func (s *symbolic) Call(name string, args []kernel.Scalar, pos Pos) (kernel.Scalar, error) {
+func (s *symbolic) Neg(x *expr.Expr, pos Pos) (*expr.Expr, error) {
 	if err := s.node(pos); err != nil {
-		return kernel.Scalar{}, err
+		return nil, err
+	}
+	if x.Op == expr.OpLit {
+		return expr.Lit(-x.Lit), nil
+	}
+	return expr.Neg(x), nil
+}
+
+func (s *symbolic) Call(name string, args []*expr.Expr, pos Pos) (*expr.Expr, error) {
+	if err := s.node(pos); err != nil {
+		return nil, err
 	}
 	switch name {
 	case "sqrt":
-		return kernel.SqrtS(args[0]), nil
+		if x := args[0]; x.IsZero() || x.IsLit(1) {
+			return expr.Lit(x.Lit), nil
+		}
+		return expr.Sqrt(args[0]), nil
 	case "abs":
 		// |x| = x · sgn(x) in the DSL (sgn ∈ {−1, +1}).
-		return kernel.Mul(args[0], kernel.SgnS(args[0])), nil
+		return mul(args[0], sgn(args[0])), nil
 	case "sgn":
-		return kernel.SgnS(args[0]), nil
+		return sgn(args[0]), nil
 	}
-	return kernel.Call(name, args...), nil
+	return expr.Func(name, args...), nil
 }
 
 // Compare rejects every float comparison: its outcome depends on the
 // input data, which lifting keeps symbolic.
-func (*symbolic) Compare(_ string, _, _ kernel.Scalar, pos Pos) (bool, error) {
+func (*symbolic) Compare(_ string, _, _ *expr.Expr, pos Pos) (bool, error) {
 	return false, &ErrDataDependent{Pos: pos}
+}
+
+// add, sub, mul and div build a binary term, folding as symbolic says:
+// 0+x, x+0, x-0, 1·x, x·1 and x/1 are x; 0·x and x·0 are 0; two literals
+// fold, except a division by zero.
+
+// lits reports whether a and b are both literals.
+func lits(a, b *expr.Expr) bool { return a.Op == expr.OpLit && b.Op == expr.OpLit }
+
+func add(a, b *expr.Expr) *expr.Expr {
+	switch {
+	case a.IsZero():
+		return b
+	case b.IsZero():
+		return a
+	case lits(a, b):
+		return expr.Lit(a.Lit + b.Lit)
+	}
+	return expr.Add(a, b)
+}
+
+func sub(a, b *expr.Expr) *expr.Expr {
+	switch {
+	case b.IsZero():
+		return a
+	case lits(a, b):
+		return expr.Lit(a.Lit - b.Lit)
+	}
+	return expr.Sub(a, b)
+}
+
+func mul(a, b *expr.Expr) *expr.Expr {
+	switch {
+	case a.IsZero() || b.IsZero():
+		return expr.Lit(0)
+	case a.IsLit(1):
+		return b
+	case b.IsLit(1):
+		return a
+	case lits(a, b):
+		return expr.Lit(a.Lit * b.Lit)
+	}
+	return expr.Mul(a, b)
+}
+
+func div(a, b *expr.Expr) *expr.Expr {
+	switch {
+	case b.IsLit(1):
+		return a
+	case lits(a, b) && b.Lit != 0:
+		return expr.Lit(a.Lit / b.Lit)
+	}
+	return expr.Div(a, b)
+}
+
+// sgn builds sgn(a), folding a literal to −1 if negative and +1 otherwise.
+func sgn(a *expr.Expr) *expr.Expr {
+	if a.Op == expr.OpLit {
+		return expr.Lit(expr.Sign(a.Lit))
+	}
+	return expr.Sgn(a)
 }

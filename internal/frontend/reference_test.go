@@ -5,55 +5,59 @@ import (
 	"math/rand"
 	"testing"
 
+	"diospyros/internal/expr"
 	"diospyros/internal/frontend"
-	"diospyros/internal/kernel"
 	"diospyros/internal/kernels"
 )
 
 // The suite kernels are frontend sources that package kernels lifts, so
 // these tests check the frontend against specifications written without
-// it: with the kernel builder, in Go.
+// it: built in Go from expr constructors, sharing neither the frontend's
+// walker nor its folds.
 
-// builderMatMul builds the m×n by n×p product with the kernel builder.
-func builderMatMul(m, n, p int) *kernel.Lifted {
-	b := kernel.NewBuilder("matmul")
-	A := b.Input("a", m, n)
-	B := b.Input("b", n, p)
-	C := b.Output("c", m, p)
+// buildMatMul is the spec of the m×n by n×p product a·b: each element of
+// c sums its products left to right, starting at the first.
+func buildMatMul(m, n, p int) *expr.Expr {
+	var elems []*expr.Expr
 	for i := 0; i < m; i++ {
 		for j := 0; j < p; j++ {
-			acc := kernel.Const(0)
-			for k := 0; k < n; k++ {
-				acc = kernel.Add(acc, kernel.Mul(A.At(i, k), B.At(k, j)))
+			acc := expr.Mul(expr.Get("a", i*n), expr.Get("b", j))
+			for k := 1; k < n; k++ {
+				acc = expr.Add(acc, expr.Mul(expr.Get("a", i*n+k), expr.Get("b", k*p+j)))
 			}
-			C.Set(i, j, acc)
+			elems = append(elems, acc)
 		}
 	}
-	return b.Lift()
+	return expr.List(elems...)
 }
 
-// builderConv2D builds the padded 2-D convolution of an ir×ic input with
-// an fr×fc filter with the kernel builder.
-func builderConv2D(ir, ic, fr, fc int) *kernel.Lifted {
-	b := kernel.NewBuilder("conv2d")
-	in := b.Input("i", ir, ic)
-	f := b.Input("f", fr, fc)
-	out := b.Output("o", ir+fr-1, ic+fc-1)
+// buildConv2D is the spec of the padded 2-D convolution of an ir×ic
+// input i with an fr×fc filter f: each output element sums the products
+// that land on it in loop order, starting at the first.
+func buildConv2D(ir, ic, fr, fc int) *expr.Expr {
+	var elems []*expr.Expr
 	for oRow := 0; oRow < ir+fr-1; oRow++ {
 		for oCol := 0; oCol < ic+fc-1; oCol++ {
+			var acc *expr.Expr
 			for fRow := 0; fRow < fr; fRow++ {
 				for fCol := 0; fCol < fc; fCol++ {
 					fRT, fCT := fr-1-fRow, fc-1-fCol
 					iRow, iCol := oRow-fRT, oCol-fCT
-					if iRow >= 0 && iRow < ir && iCol >= 0 && iCol < ic {
-						out.Set(oRow, oCol, kernel.Add(out.At(oRow, oCol),
-							kernel.Mul(in.At(iRow, iCol), f.At(fRT, fCT))))
+					if iRow < 0 || iRow >= ir || iCol < 0 || iCol >= ic {
+						continue
+					}
+					p := expr.Mul(expr.Get("i", iRow*ic+iCol), expr.Get("f", fRT*fc+fCT))
+					if acc == nil {
+						acc = p
+					} else {
+						acc = expr.Add(acc, p)
 					}
 				}
 			}
+			elems = append(elems, acc)
 		}
 	}
-	return b.Lift()
+	return expr.List(elems...)
 }
 
 func TestInterpMatmul(t *testing.T) {
@@ -84,8 +88,8 @@ func TestLiftMatmulMatchesBuilderKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := lifted.Spec.String(), builderMatMul(2, 3, 3).Spec.String(); got != want {
-		t.Fatalf("frontend lift != builder lift:\n got %s\nwant %s", got, want)
+	if got, want := lifted.Spec.String(), buildMatMul(2, 3, 3).String(); got != want {
+		t.Fatalf("frontend lift != reference spec:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -94,7 +98,7 @@ func TestLiftConvMatchesBuilderKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := lifted.Spec.String(), builderConv2D(3, 5, 3, 3).Spec.String(); got != want {
-		t.Fatalf("frontend conv lift != builder lift")
+	if got, want := lifted.Spec.String(), buildConv2D(3, 5, 3, 3).String(); got != want {
+		t.Fatalf("frontend conv lift != reference spec:\n got %s\nwant %s", got, want)
 	}
 }

@@ -1,22 +1,39 @@
-package kernel
+package kernel_test
 
 import (
 	"testing"
 
-	"diospyros/internal/expr"
+	"diospyros/internal/frontend"
+	"diospyros/internal/kernel"
 )
 
+// lift lifts the kernel-language source src, failing the test on error.
+func lift(t *testing.T, src string) *kernel.Lifted {
+	t.Helper()
+	k, err := frontend.Parse(src)
+	if err != nil {
+		t.Fatalf("%s: %v", src, err)
+	}
+	l, err := frontend.Lift(k)
+	if err != nil {
+		t.Fatalf("%s: %v", src, err)
+	}
+	return l
+}
+
+// TestBuilderLiftShapes checks the shapes a lifted kernel records and its
+// spec's layout: one element per output element, in declaration order,
+// row-major, each zero unless written.
 func TestBuilderLiftShapes(t *testing.T) {
-	b := NewBuilder("shapes")
-	b.Input("a", 2, 3)
-	b.InputVec("v", 5)
-	out := b.Output("o", 2, 2)
-	out2 := b.OutputVec("w", 3)
-	out.Set(1, 1, Const(7))
-	out2.SetVec(2, Const(9))
-	l := b.Lift()
+	l := lift(t, "kernel shapes(a[2][3], v[5]) -> (o[2][2], w[3]) { o[1][1] = 7.0; w[2] = 9.0; }")
 	if l.Name != "shapes" {
 		t.Fatalf("name = %q", l.Name)
+	}
+	want := []kernel.ArrayDecl{{Name: "a", Rows: 2, Cols: 3}, {Name: "v", Rows: 5, Cols: 1}}
+	for i, d := range want {
+		if l.Inputs[i] != d {
+			t.Errorf("input %d = %+v, want %+v", i, l.Inputs[i], d)
+		}
 	}
 	if l.InputLen() != 6+5 || l.OutputLen() != 4+3 {
 		t.Fatalf("lens = %d, %d", l.InputLen(), l.OutputLen())
@@ -24,70 +41,66 @@ func TestBuilderLiftShapes(t *testing.T) {
 	if len(l.Spec.Args) != 7 {
 		t.Fatalf("spec has %d elements", len(l.Spec.Args))
 	}
-	// Unwritten output elements default to 0; written ones carry values.
 	if !l.Spec.Args[3].IsLit(7) || !l.Spec.Args[6].IsLit(9) || !l.Spec.Args[0].IsZero() {
 		t.Fatalf("spec = %s", l.Spec)
 	}
 }
 
+// TestInputReadsAreGets checks that an input element reads as a Get of
+// its row-major offset, and that every read of one element is the same
+// node.
 func TestInputReadsAreGets(t *testing.T) {
-	b := NewBuilder("gets")
-	a := b.Input("a", 2, 3)
-	o := b.OutputVec("o", 1)
-	o.SetVec(0, a.At(1, 2))
-	l := b.Lift()
-	want := expr.Get("a", 1*3+2)
-	if !l.Spec.Args[0].Equal(want) {
-		t.Fatalf("got %s, want %s", l.Spec.Args[0], want)
+	l := lift(t, "kernel gets(a[2][3]) -> (o[2]) { o[0] = a[1][2]; o[1] = a[1][2]; }")
+	if got := l.Spec.Args[0].String(); got != "(Get a 5)" {
+		t.Fatalf("got %s, want (Get a 5)", got)
+	}
+	if l.Spec.Args[0] != l.Spec.Args[1] {
+		t.Fatal("two reads of a[1][2] are different nodes")
 	}
 }
 
+// TestAccumulatorReadBack checks that outputs are readable accumulators:
+// o += x twice yields (+ x x), the first sum folding 0 + x to x.
 func TestAccumulatorReadBack(t *testing.T) {
-	// Outputs are readable accumulators: o += x twice yields (+ x x) after
-	// peephole (0 + x = x).
-	b := NewBuilder("acc")
-	a := b.InputVec("a", 1)
-	o := b.OutputVec("o", 1)
-	o.SetVec(0, Add(o.AtVec(0), a.AtVec(0)))
-	o.SetVec(0, Add(o.AtVec(0), a.AtVec(0)))
-	l := b.Lift()
+	l := lift(t, "kernel acc(a[1]) -> (o[1]) { o[0] = o[0] + a[0]; o[0] = o[0] + a[0]; }")
 	if got := l.Spec.Args[0].String(); got != "(+ (Get a 0) (Get a 0))" {
 		t.Fatalf("accumulated spec = %s", got)
 	}
 }
 
+// TestScalarHelpers checks the term lift builds for each float operation,
+// and the literal folds it applies.
 func TestScalarHelpers(t *testing.T) {
-	b := NewBuilder("helpers")
-	a := b.InputVec("a", 2)
-	x, y := a.AtVec(0), a.AtVec(1)
-	cases := []struct {
-		got  Scalar
-		want string
-	}{
-		{Sub(x, y), "(- (Get a 0) (Get a 1))"},
-		{Sub(x, Const(0)), "(Get a 0)"},
-		{DivS(x, y), "(/ (Get a 0) (Get a 1))"},
-		{DivS(x, Const(1)), "(Get a 0)"},
-		{DivS(Const(6), Const(3)), "2"},
-		{NegS(x), "(neg (Get a 0))"},
-		{NegS(Const(2)), "-2"},
-		{SqrtS(x), "(sqrt (Get a 0))"},
-		{SqrtS(Const(0)), "0"},
-		{SqrtS(Const(1)), "1"},
-		{SgnS(x), "(sgn (Get a 0))"},
-		{SgnS(Const(-3)), "-1"},
-		{SgnS(Const(0)), "1"},
-		{Mul(Const(2), Const(3)), "6"},
+	cases := []struct{ body, want string }{
+		{"a[0] - a[1]", "(- (Get a 0) (Get a 1))"},
+		{"a[0] / a[1]", "(/ (Get a 0) (Get a 1))"},
+		{"6.0 / 3.0", "2"},
+		{"1.0 / 0.0", "(/ 1 0)"},
+		{"2.0 - 3.0", "-1"},
+		{"2.0 * 3.0", "6"},
+		{"-a[0]", "(neg (Get a 0))"},
+		{"-(2.0)", "-2"},
+		{"sqrt(a[0])", "(sqrt (Get a 0))"},
+		{"sqrt(0.0)", "0"},
+		{"sqrt(1.0)", "1"},
+		{"sqrt(4.0)", "(sqrt 4)"},
+		{"sgn(a[0])", "(sgn (Get a 0))"},
+		{"sgn(-3.0)", "-1"},
+		{"sgn(0.0)", "1"},
+		{"abs(a[0])", "(* (Get a 0) (sgn (Get a 0)))"},
+		{"abs(-2.0)", "2"},
+		{"rsqrt(a[0])", "(func rsqrt (Get a 0))"},
 	}
 	for _, c := range cases {
-		if got := c.got.Expr().String(); got != c.want {
-			t.Errorf("got %s, want %s", got, c.want)
+		l := lift(t, "kernel k(a[2]) -> (o[1]) { o[0] = "+c.body+"; }")
+		if got := l.Spec.Args[0].String(); got != c.want {
+			t.Errorf("%s: got %s, want %s", c.body, got, c.want)
 		}
 	}
 }
 
 func TestArrayDeclLen(t *testing.T) {
-	if (ArrayDecl{Name: "x", Rows: 3, Cols: 4}).Len() != 12 {
+	if (kernel.ArrayDecl{Name: "x", Rows: 3, Cols: 4}).Len() != 12 {
 		t.Fatal("Len wrong")
 	}
 }

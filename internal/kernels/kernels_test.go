@@ -235,56 +235,31 @@ func TestQRDecomp4x4LiftsWithoutBlowup(t *testing.T) {
 	}
 }
 
-func TestBuilderPanicsOnMisuse(t *testing.T) {
-	expectPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		f()
-	}
-	expectPanic("write to input", func() {
-		b := kernel.NewBuilder("bad")
-		in := b.Input("a", 2, 2)
-		in.Set(0, 0, kernel.Const(1))
-	})
-	expectPanic("duplicate name", func() {
-		b := kernel.NewBuilder("bad")
-		b.Input("a", 2, 2)
-		b.Input("a", 2, 2)
-	})
-	expectPanic("out of bounds", func() {
-		b := kernel.NewBuilder("bad")
-		in := b.Input("a", 2, 2)
-		in.At(2, 0)
-	})
-	expectPanic("no outputs", func() {
-		b := kernel.NewBuilder("bad")
-		b.Input("a", 2, 2)
-		b.Lift()
-	})
-}
-
+// TestBuilderPeephole checks the identity folds lift applies as it
+// builds a spec: an identity returns its operand itself (the same node)
+// and 0·x a fresh zero.
 func TestBuilderPeephole(t *testing.T) {
-	z, one := kernel.Const(0), kernel.Const(1)
-	b := kernel.NewBuilder("peep")
-	in := b.Input("a", 1, 1)
-	v := in.At(0, 0)
-	if got := kernel.Add(z, v).Expr().String(); got != "(Get a 0)" {
-		t.Errorf("0+x = %s", got)
+	cases := []struct{ body, want string }{
+		{"0.0 + a[0]", "(Get a 0)"},
+		{"a[0] + 0.0", "(Get a 0)"},
+		{"a[0] - 0.0", "(Get a 0)"},
+		{"0.0 - a[0]", "(- 0 (Get a 0))"},
+		{"1.0 * a[0]", "(Get a 0)"},
+		{"a[0] * 1.0", "(Get a 0)"},
+		{"a[0] / 1.0", "(Get a 0)"},
+		{"1.0 / a[0]", "(/ 1 (Get a 0))"},
+		{"0.0 * a[0]", "0"},
+		{"a[0] * 0.0", "0"},
+		{"2.0 + 3.0", "5"},
 	}
-	if got := kernel.Mul(one, v).Expr().String(); got != "(Get a 0)" {
-		t.Errorf("1*x = %s", got)
-	}
-	if got := kernel.Mul(z, v).Expr().String(); got != "0" {
-		t.Errorf("0*x = %s", got)
-	}
-	if got := kernel.Add(kernel.Const(2), kernel.Const(3)).Expr().String(); got != "5" {
-		t.Errorf("2+3 = %s", got)
-	}
-	if got := kernel.Call("rsqrt", v).Expr().String(); got != "(func rsqrt (Get a 0))" {
-		t.Errorf("call = %s", got)
+	for _, c := range cases {
+		l := lift("peep", "kernel peep(a[1]) -> (o[2]) { o[0] = "+c.body+"; o[1] = a[0]; }")
+		got := l.Spec.Args[0]
+		if got.String() != c.want {
+			t.Errorf("%s = %s, want %s", c.body, got, c.want)
+		}
+		if c.want == "(Get a 0)" && got != l.Spec.Args[1] {
+			t.Errorf("%s is not the node a[0] reads", c.body)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package diospyros
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"diospyros/internal/egraph"
 	"diospyros/internal/expr"
 	"diospyros/internal/kernels"
+	"diospyros/internal/pipeline"
 	"diospyros/internal/telemetry"
 	"diospyros/internal/vir"
 )
@@ -67,11 +69,21 @@ func TestExtraRulesRejectMalformed(t *testing.T) {
 		{"empty name", []RewriteRule{{LHS: "(/ 1 ?x)", RHS: "(func recip ?x)"}}, "(/ 1 ?x) => (func recip ?x)"},
 		{"built-in name", []RewriteRule{{Name: "vec-mac", LHS: "(/ 1 ?x)", RHS: "(func recip ?x)"}}, `"vec-mac"`},
 		{"repeated extra name", []RewriteRule{recip, recip}, `"one-over-to-recip"`},
+		// Patterns obey expr's arity rule: a one-argument sum on the right
+		// once built a node that crashed saturation, and on the left was
+		// accepted and never matched.
+		{"rhs arity", []RewriteRule{{Name: "bad-rhs", LHS: "(* ?a ?b)", RHS: "(+ ?a)"}}, "rule bad-rhs rhs"},
+		{"lhs arity", []RewriteRule{{Name: "bad-lhs", LHS: "(+ ?a)", RHS: "?a"}}, "rule bad-lhs lhs"},
+		{"VecMAC arity", []RewriteRule{{Name: "bad-mac", LHS: "(VecMAC ?a ?b)", RHS: "?a"}}, "rule bad-mac lhs"},
+		{"empty Vec", []RewriteRule{{Name: "empty-vec", LHS: "(* ?a ?b)", RHS: "(Vec)"}}, "rule empty-vec rhs"},
 	} {
 		opts.ExtraRules = tc.rules
 		_, err := Compile(kernels.MatMul(2, 2, 2), opts)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want an error naming %s", tc.name, err, tc.want)
+		}
+		if pe := (*pipeline.PanicError)(nil); errors.As(err, &pe) {
+			t.Errorf("%s: a stage panicked: %v", tc.name, err)
 		}
 	}
 }
