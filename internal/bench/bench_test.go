@@ -69,6 +69,25 @@ func TestSuiteLiftsItsNaiveSource(t *testing.T) {
 	}
 }
 
+// BenchmarkLift lifts the 21 suite kernels from their naive sources,
+// parsed and checked once outside the timer: the frontend's share of a
+// suite compile.
+func BenchmarkLift(b *testing.B) {
+	var ks []*frontend.Kernel
+	for _, k := range Suite() {
+		ks = append(ks, frontend.MustParse(k.NaiveSrc))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for _, k := range ks {
+			if _, err := frontend.Lift(k); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // TestFigure5SmallKernels runs the full five-system comparison on the small
 // kernels and asserts the paper's qualitative claims.
 func TestFigure5SmallKernels(t *testing.T) {

@@ -33,6 +33,12 @@ type Kernel struct {
 	// UserFuncs records uninterpreted functions used by the kernel
 	// (name → arity), filled in by the typechecker.
 	UserFuncs map[string]int
+	// Slots is the number of names the typechecker resolved: the
+	// parameters and outputs are slots 0..len(Params)+len(Outs)-1 in
+	// declaration order, then each let, loop variable and var array
+	// takes the next slot. Every declaration and use records its slot,
+	// so consumers index storage by slot and never look a name up.
+	Slots int
 }
 
 // Param is an input or output array. A scalar parameter is written a[1].
@@ -62,6 +68,7 @@ type Stmt interface{ StmtPos() Pos }
 // ForStmt is `for i in lo..hi { ... }` (hi exclusive).
 type ForStmt struct {
 	Var    string
+	Slot   int // the loop variable's slot, set by the typechecker
 	Lo, Hi Expr
 	Body   *Block
 	Pos    Pos
@@ -88,6 +95,7 @@ type LetStmt struct {
 	Name string
 	Val  Expr
 	Type Type // set by the typechecker
+	Slot int  // set by the typechecker
 	Pos  Pos
 }
 
@@ -95,12 +103,14 @@ type LetStmt struct {
 type VarArrayStmt struct {
 	Name string
 	Dims []int
+	Slot int // set by the typechecker
 	Pos  Pos
 }
 
 // AssignStmt assigns to a scalar local or an array element.
 type AssignStmt struct {
 	Name    string
+	Slot    int    // the slot of the variable or array, set by the typechecker
 	Indices []Expr // nil for scalar locals
 	Val     Expr
 	Pos     Pos
@@ -150,12 +160,14 @@ type NumLit struct {
 type VarRef struct {
 	exprBase
 	Name string
+	Slot int // set by the typechecker
 }
 
 // IndexExpr reads an array element: a[i] or a[i][j].
 type IndexExpr struct {
 	exprBase
 	Name    string
+	Slot    int // set by the typechecker
 	Indices []Expr
 }
 

@@ -106,61 +106,33 @@ func CheckShapes(k *Kernel) error {
 // polled as often as a long loop.
 const ctxPollWork = 1024
 
-// walker walks a typechecked kernel body over the domain F.
+// walker walks a typechecked kernel body over the domain F. It keeps one
+// value per slot Check numbered: ints, floats and arrays are indexed by
+// slot, and a slot uses the one its declaration's type names. Each
+// declaration has its own slot, so a declaration run again (a let in a
+// loop body) overwrites its value, and shadowing needs no scope chain.
 type walker[F any] struct {
 	dom  Domain[F]
 	ctx  context.Context // polled every ctxPollWork units of work
 	work int             // units of work done so far, against maxWork
 	poll int             // work at which spend next calls check
+
+	ints   []int
+	floats []F
+	arrays []Array[F]
 }
 
-// frame is one lexical scope of the walker. Its maps are allocated on
-// first write (bind).
-type frame[F any] struct {
-	parent *frame[F]
-	ints   map[string]int
-	floats map[string]F
-	arrays map[string]Array[F]
-}
-
-// reset empties the frame for a loop's next iteration, keeping its maps.
-func (f *frame[F]) reset() { clear(f.ints); clear(f.floats); clear(f.arrays) }
-
-// intVars returns the map of the innermost frame declaring int name.
-func (f *frame[F]) intVars(name string) map[string]int {
-	for c := f; c != nil; c = c.parent {
-		if _, ok := c.ints[name]; ok {
-			return c.ints
-		}
-	}
-	return nil
-}
-
-// floatVars returns the map of the innermost frame declaring float name.
-func (f *frame[F]) floatVars(name string) map[string]F {
-	for c := f; c != nil; c = c.parent {
-		if _, ok := c.floats[name]; ok {
-			return c.floats
-		}
-	}
-	return nil
-}
-
-// bind sets (*m)[name] = v, allocating the map on a frame's first write.
-func bind[V any](m *map[string]V, name string, v V) {
-	if *m == nil {
-		*m = map[string]V{}
-	}
-	(*m)[name] = v
-}
-
-// Run walks the body of the typechecked kernel k over dom, with each of
-// k's parameters and outputs bound to its array in arrays. It stops with
-// a positioned error once the work budget is spent, and with the
+// Run walks the body of the typechecked kernel k over dom, with k's
+// parameters and then its outputs bound, by position, to arrays. It stops
+// with a positioned error once the work budget is spent, and with the
 // context's cause once ctx is done.
-func Run[F any](ctx context.Context, k *Kernel, dom Domain[F], arrays map[string]Array[F]) error {
-	e := &walker[F]{dom: dom, ctx: ctx}
-	return e.block(k.Body, &frame[F]{parent: &frame[F]{arrays: arrays}})
+func Run[F any](ctx context.Context, k *Kernel, dom Domain[F], arrays []Array[F]) error {
+	if len(arrays) != len(k.Params)+len(k.Outs) {
+		return fmt.Errorf("frontend: kernel %s takes %d arrays, got %d", k.Name, len(k.Params)+len(k.Outs), len(arrays))
+	}
+	e := &walker[F]{dom: dom, ctx: ctx, ints: make([]int, k.Slots), floats: make([]F, k.Slots), arrays: make([]Array[F], k.Slots)}
+	copy(e.arrays, arrays)
+	return e.block(k.Body)
 }
 
 // spend counts n units of work at pos, calling check every ctxPollWork
@@ -185,118 +157,83 @@ func (e *walker[F]) check(pos Pos) error {
 	return nil
 }
 
-// block runs b's statements in sc.
-func (e *walker[F]) block(b *Block, sc *frame[F]) error {
+// block runs b's statements.
+func (e *walker[F]) block(b *Block) error {
 	for _, st := range b.Stmts {
 		if err := e.spend(1, st.StmtPos()); err != nil {
 			return err
 		}
-		if err := e.stmt(st, sc); err != nil {
+		if err := e.stmt(st); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (e *walker[F]) stmt(st Stmt, sc *frame[F]) error {
+func (e *walker[F]) stmt(st Stmt) error {
 	switch s := st.(type) {
 	case *ForStmt:
-		lo, err := e.intExpr(s.Lo, sc)
+		lo, err := e.intExpr(s.Lo)
 		if err != nil {
 			return err
 		}
-		hi, err := e.intExpr(s.Hi, sc)
+		hi, err := e.intExpr(s.Hi)
 		if err != nil {
 			return err
 		}
-		// One body frame serves every iteration, emptied each time.
-		body := &frame[F]{parent: sc}
 		for i := lo; i < hi; i++ {
 			if err := e.spend(1, s.Pos); err != nil {
 				return err
 			}
-			body.reset()
-			bind(&body.ints, s.Var, i)
-			if err := e.block(s.Body, body); err != nil {
+			e.ints[s.Slot] = i
+			if err := e.block(s.Body); err != nil {
 				return err
 			}
 		}
 		return nil
 	case *WhileStmt:
-		body := &frame[F]{parent: sc}
 		for {
 			if err := e.spend(1, s.Pos); err != nil {
 				return err
 			}
-			cond, err := e.boolExpr(s.Cond, sc)
+			cond, err := e.boolExpr(s.Cond)
 			if err != nil || !cond {
 				return err
 			}
-			body.reset()
-			if err := e.block(s.Body, body); err != nil {
+			if err := e.block(s.Body); err != nil {
 				return err
 			}
 		}
 	case *IfStmt:
-		cond, err := e.boolExpr(s.Cond, sc)
+		cond, err := e.boolExpr(s.Cond)
 		if err != nil {
 			return err
 		}
 		if cond {
-			return e.block(s.Then, &frame[F]{parent: sc})
+			return e.block(s.Then)
 		}
 		if s.Else != nil {
-			return e.block(s.Else, &frame[F]{parent: sc})
+			return e.block(s.Else)
 		}
 		return nil
 	case *LetStmt:
-		if s.Type == TypeInt {
-			v, err := e.intExpr(s.Val, sc)
-			if err != nil {
-				return err
-			}
-			bind(&sc.ints, s.Name, v)
-			return nil
-		}
-		v, err := e.floatExpr(s.Val, sc)
-		if err != nil {
-			return err
-		}
-		bind(&sc.floats, s.Name, v)
-		return nil
+		return e.scalar(s.Slot, s.Val)
 	case *VarArrayStmt:
 		// The zero fill is work, one unit per element.
 		if err := e.spend(shapeLen(s.Dims), s.Pos); err != nil {
 			return err
 		}
-		bind(&sc.arrays, s.Name, e.dom.Local(s.Name, s.Dims))
+		e.arrays[s.Slot] = e.dom.Local(s.Name, s.Dims)
 		return nil
 	case *AssignStmt:
 		if len(s.Indices) == 0 {
-			if vars := sc.intVars(s.Name); vars != nil {
-				v, err := e.intExpr(s.Val, sc)
-				if err != nil {
-					return err
-				}
-				vars[s.Name] = v
-				return nil
-			}
-			vars := sc.floatVars(s.Name)
-			if vars == nil {
-				return errf(s.Pos, "assignment to undefined %q", s.Name)
-			}
-			v, err := e.floatExpr(s.Val, sc)
-			if err != nil {
-				return err
-			}
-			vars[s.Name] = v
-			return nil
+			return e.scalar(s.Slot, s.Val)
 		}
-		arr, off, err := e.element(s.Name, s.Indices, s.Pos, sc)
+		arr, off, err := e.element(s.Name, s.Slot, s.Indices, s.Pos)
 		if err != nil {
 			return err
 		}
-		v, err := e.floatExpr(s.Val, sc)
+		v, err := e.floatExpr(s.Val)
 		if err != nil {
 			return err
 		}
@@ -306,20 +243,27 @@ func (e *walker[F]) stmt(st Stmt, sc *frame[F]) error {
 	return fmt.Errorf("frontend: unknown statement %T", st)
 }
 
-// element resolves the access name[indices...] at pos to its array and
-// flat offset, checking each index against its dimension as it is
-// evaluated.
-func (e *walker[F]) element(name string, indices []Expr, pos Pos, sc *frame[F]) (Array[F], int, error) {
-	var arr Array[F]
-	for c := sc; c != nil && arr == nil; c = c.parent {
-		arr = c.arrays[name]
+// scalar sets scalar slot to the value of val, which Check typed as the
+// slot's declaration.
+func (e *walker[F]) scalar(slot int, val Expr) error {
+	if val.ExprType() == TypeInt {
+		v, err := e.intExpr(val)
+		e.ints[slot] = v
+		return err
 	}
-	if arr == nil {
-		return nil, 0, errf(pos, "unknown array %q", name)
-	}
+	v, err := e.floatExpr(val)
+	e.floats[slot] = v
+	return err
+}
+
+// element resolves the access name[indices...] at pos, of the array in
+// slot, to its array and flat offset, checking each index against its
+// dimension as it is evaluated.
+func (e *walker[F]) element(name string, slot int, indices []Expr, pos Pos) (Array[F], int, error) {
+	arr := e.arrays[slot]
 	dims, off := arr.Dims(), 0
 	for d, ix := range indices {
-		i, err := e.intExpr(ix, sc)
+		i, err := e.intExpr(ix)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -331,7 +275,7 @@ func (e *walker[F]) element(name string, indices []Expr, pos Pos, sc *frame[F]) 
 	return arr, off, nil
 }
 
-func (e *walker[F]) intExpr(x Expr, sc *frame[F]) (int, error) {
+func (e *walker[F]) intExpr(x Expr) (int, error) {
 	if err := e.spend(1, x.ExprPos()); err != nil {
 		return 0, err
 	}
@@ -339,16 +283,13 @@ func (e *walker[F]) intExpr(x Expr, sc *frame[F]) (int, error) {
 	case *NumLit:
 		return int(v.I), nil
 	case *VarRef:
-		if vars := sc.intVars(v.Name); vars != nil {
-			return vars[v.Name], nil
-		}
-		return 0, errf(v.Pos, "undefined int variable %q", v.Name)
+		return e.ints[v.Slot], nil
 	case *BinExpr:
-		l, err := e.intExpr(v.L, sc)
+		l, err := e.intExpr(v.L)
 		if err != nil {
 			return 0, err
 		}
-		r, err := e.intExpr(v.R, sc)
+		r, err := e.intExpr(v.R)
 		if err != nil {
 			return 0, err
 		}
@@ -372,13 +313,13 @@ func (e *walker[F]) intExpr(x Expr, sc *frame[F]) (int, error) {
 		}
 		return 0, errf(v.Pos, "operator %q not an int operator", v.Op)
 	case *UnExpr:
-		val, err := e.intExpr(v.X, sc)
+		val, err := e.intExpr(v.X)
 		return -val, err
 	}
 	return 0, errf(x.ExprPos(), "expected integer expression")
 }
 
-func (e *walker[F]) floatExpr(x Expr, sc *frame[F]) (F, error) {
+func (e *walker[F]) floatExpr(x Expr) (F, error) {
 	var zero F
 	if err := e.spend(1, x.ExprPos()); err != nil {
 		return zero, err
@@ -390,18 +331,15 @@ func (e *walker[F]) floatExpr(x Expr, sc *frame[F]) (F, error) {
 		}
 		return e.dom.Num(v.F), nil
 	case *CastExpr:
-		i, err := e.intExpr(v.X, sc)
+		i, err := e.intExpr(v.X)
 		if err != nil {
 			return zero, err
 		}
 		return e.dom.Num(float64(i)), nil
 	case *VarRef:
-		if vars := sc.floatVars(v.Name); vars != nil {
-			return vars[v.Name], nil
-		}
-		return zero, errf(v.Pos, "undefined float variable %q", v.Name)
+		return e.floats[v.Slot], nil
 	case *IndexExpr:
-		arr, off, err := e.element(v.Name, v.Indices, v.Pos, sc)
+		arr, off, err := e.element(v.Name, v.Slot, v.Indices, v.Pos)
 		if err != nil {
 			return zero, err
 		}
@@ -412,17 +350,17 @@ func (e *walker[F]) floatExpr(x Expr, sc *frame[F]) (F, error) {
 		default:
 			return zero, errf(v.Pos, "operator %q not a float operator", v.Op)
 		}
-		l, err := e.floatExpr(v.L, sc)
+		l, err := e.floatExpr(v.L)
 		if err != nil {
 			return zero, err
 		}
-		r, err := e.floatExpr(v.R, sc)
+		r, err := e.floatExpr(v.R)
 		if err != nil {
 			return zero, err
 		}
 		return e.dom.Arith(v.Op, l, r, v.Pos)
 	case *UnExpr:
-		val, err := e.floatExpr(v.X, sc)
+		val, err := e.floatExpr(v.X)
 		if err != nil {
 			return zero, err
 		}
@@ -430,7 +368,7 @@ func (e *walker[F]) floatExpr(x Expr, sc *frame[F]) (F, error) {
 	case *CallExpr:
 		args := make([]F, len(v.Args))
 		for i, a := range v.Args {
-			av, err := e.floatExpr(a, sc)
+			av, err := e.floatExpr(a)
 			if err != nil {
 				return zero, err
 			}
@@ -441,7 +379,7 @@ func (e *walker[F]) floatExpr(x Expr, sc *frame[F]) (F, error) {
 	return zero, errf(x.ExprPos(), "expected float expression")
 }
 
-func (e *walker[F]) boolExpr(x Expr, sc *frame[F]) (bool, error) {
+func (e *walker[F]) boolExpr(x Expr) (bool, error) {
 	if err := e.spend(1, x.ExprPos()); err != nil {
 		return false, err
 	}
@@ -449,34 +387,34 @@ func (e *walker[F]) boolExpr(x Expr, sc *frame[F]) (bool, error) {
 	case *BinExpr:
 		switch v.Op {
 		case "&&":
-			l, err := e.boolExpr(v.L, sc)
+			l, err := e.boolExpr(v.L)
 			if err != nil || !l {
 				return false, err
 			}
-			return e.boolExpr(v.R, sc)
+			return e.boolExpr(v.R)
 		case "||":
-			l, err := e.boolExpr(v.L, sc)
+			l, err := e.boolExpr(v.L)
 			if err != nil || l {
 				return l, err
 			}
-			return e.boolExpr(v.R, sc)
+			return e.boolExpr(v.R)
 		case "<", "<=", ">", ">=", "==", "!=":
 			if v.L.ExprType() == TypeFloat {
-				l, err := e.floatExpr(v.L, sc)
+				l, err := e.floatExpr(v.L)
 				if err != nil {
 					return false, err
 				}
-				r, err := e.floatExpr(v.R, sc)
+				r, err := e.floatExpr(v.R)
 				if err != nil {
 					return false, err
 				}
 				return e.dom.Compare(v.Op, l, r, v.Pos)
 			}
-			l, err := e.intExpr(v.L, sc)
+			l, err := e.intExpr(v.L)
 			if err != nil {
 				return false, err
 			}
-			r, err := e.intExpr(v.R, sc)
+			r, err := e.intExpr(v.R)
 			if err != nil {
 				return false, err
 			}
@@ -484,7 +422,7 @@ func (e *walker[F]) boolExpr(x Expr, sc *frame[F]) (bool, error) {
 		}
 	case *UnExpr:
 		if v.Op == "!" {
-			b, err := e.boolExpr(v.X, sc)
+			b, err := e.boolExpr(v.X)
 			return !b, err
 		}
 	}

@@ -24,8 +24,8 @@ import (
 // hold over ℝ; 0·x drops an x that may be Inf or NaN, and sgn maps NaN to
 // 1, so only finite runs compare.) The seeds are the repository's example
 // kernels, a kernel that meets every fold (foldsKernel), the empty-output
-// kernels the checker rejects, and the runaway loops the work budget
-// stops (hostileLoops).
+// kernels the checker rejects, the runaway loops the work budget stops
+// (hostileLoops) and a float let shadowing an int one (shadowKernel).
 func FuzzLift(f *testing.F) {
 	paths, err := filepath.Glob("../../testdata/*.dios")
 	if err != nil || len(paths) == 0 {
@@ -44,6 +44,7 @@ func FuzzLift(f *testing.F) {
 	for _, h := range hostileLoops {
 		f.Add(h.src)
 	}
+	f.Add(shadowKernel)
 	f.Fuzz(func(t *testing.T, src string) {
 		k, err := Parse(src)
 		if err != nil {
@@ -55,20 +56,20 @@ func FuzzLift(f *testing.F) {
 		}
 		r := rand.New(rand.NewSource(1))
 		env := expr.NewEnv()
-		arrays := map[string]Array[float64]{}
+		var arrays []Array[float64]
 		for _, p := range k.Params {
 			vals := make([]float64, p.Len())
 			for i := range vals {
 				vals[i] = r.Float64()*4 - 2
 			}
 			env.Arrays[p.Name] = vals
-			arrays[p.Name] = &slice[float64]{dims: p.Dims, vals: vals}
+			arrays = append(arrays, &slice[float64]{dims: p.Dims, vals: vals})
 		}
 		dom := &finite{ok: true}
 		outs := make([]*slice[float64], len(k.Outs))
 		for i, p := range k.Outs {
 			outs[i] = zeros[float64](dom, p.Dims)
-			arrays[p.Name] = outs[i]
+			arrays = append(arrays, outs[i])
 		}
 		if err := Run[float64](context.Background(), k, dom, arrays); err != nil || !dom.ok {
 			return
@@ -97,6 +98,18 @@ const foldsKernel = `kernel folds(a[2]) -> (o[6]) {
     o[3] = -(2.0) + sqrt(0.0) + sqrt(1.0) + sqrt(4.0) + sqrt(a[0] * a[0]);
     o[4] = sgn(-3.0) + sgn(0.0) + sgn(a[1]) + abs(a[0]) + abs(-2.5) + -a[1];
     o[5] = o[5] + o[4] * o[3];
+}`
+
+// shadowKernel assigns a float let that shadows an int let of its name:
+// the assignment writes the float, and o is [3.5, a[0]].
+const shadowKernel = `kernel k(a[1]) -> (o[2]) {
+    let x = 1;
+    for i in 0..1 {
+        let x = 2.0;
+        x = 3.5;
+        o[0] = x;
+    }
+    o[x] = a[0];
 }`
 
 // finite is Interp's domain, noting in ok whether every value it computes

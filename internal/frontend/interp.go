@@ -17,7 +17,7 @@ func Interp(k *Kernel, inputs map[string][]float64, funcs map[string]func([]floa
 		return nil, err
 	}
 	dom := concrete{funcs: funcs}
-	arrays := make(map[string]Array[float64], len(k.Params)+len(k.Outs))
+	arrays := make([]Array[float64], 0, len(k.Params)+len(k.Outs))
 	for _, p := range k.Params {
 		data, ok := inputs[p.Name]
 		if !ok {
@@ -28,12 +28,12 @@ func Interp(k *Kernel, inputs map[string][]float64, funcs map[string]func([]floa
 		}
 		// The typechecker rejects writes to inputs, so the caller's slice
 		// is never written.
-		arrays[p.Name] = &slice[float64]{dims: p.Dims, vals: data}
+		arrays = append(arrays, &slice[float64]{dims: p.Dims, vals: data})
 	}
 	outputs := make(map[string][]float64, len(k.Outs))
 	for _, p := range k.Outs {
 		a := zeros[float64](dom, p.Dims)
-		arrays[p.Name], outputs[p.Name] = a, a.vals
+		arrays, outputs[p.Name] = append(arrays, a), a.vals
 	}
 	if err := Run[float64](context.Background(), k, dom, arrays); err != nil {
 		return nil, err

@@ -25,20 +25,20 @@ func LiftContext(ctx context.Context, k *Kernel) (*kernel.Lifted, error) {
 	}
 	dom := &symbolic{}
 	l := &kernel.Lifted{Name: k.Name}
-	arrays := make(map[string]Array[*expr.Expr], len(k.Params)+len(k.Outs))
+	arrays := make([]Array[*expr.Expr], 0, len(k.Params)+len(k.Outs))
 	for _, p := range k.Params {
 		l.Inputs = append(l.Inputs, decl(p))
 		gets := &slice[*expr.Expr]{dims: p.Dims, vals: make([]*expr.Expr, p.Len())}
 		for i := range gets.vals {
 			gets.vals[i] = expr.Get(p.Name, i)
 		}
-		arrays[p.Name] = gets
+		arrays = append(arrays, gets)
 	}
 	outs := make([]*slice[*expr.Expr], len(k.Outs))
 	for i, p := range k.Outs {
 		l.Outputs = append(l.Outputs, decl(p))
 		outs[i] = zeros[*expr.Expr](dom, p.Dims)
-		arrays[p.Name] = outs[i]
+		arrays = append(arrays, outs[i])
 	}
 	if err := Run[*expr.Expr](ctx, k, dom, arrays); err != nil {
 		return nil, err
@@ -79,10 +79,13 @@ func (e *ErrDataDependent) Error() string {
 // symbolic is Lift's domain: float values are DSL expressions, built with
 // light peephole simplification (constant folding and identity
 // elimination) so that the spec matches the paper's examples, with no
-// `+ 0` noise from accumulators that start at zero. The folds are sound
-// over ℝ, the rewrite system's semantics. An identity returns its operand
-// itself and a fold a fresh literal, so sharing in the spec is exactly the
-// sharing of the kernel's values.
+// `+ 0` noise from accumulators that start at zero. The folds and sgn
+// follow ℝ, the rewrite system's semantics, not IEEE: 0·x folds to 0
+// whatever x is, and sgn of NaN is +1. A kernel whose values become
+// non-finite is therefore outside the validated semantics, and FuzzLift
+// compares the spec with Interp on finite runs only. An identity returns
+// its operand itself and a fold a fresh literal, so sharing in the spec
+// is exactly the sharing of the kernel's values.
 type symbolic struct {
 	nodes int // DSL nodes built so far, against MaxSpecNodes
 }

@@ -1,72 +1,67 @@
 package frontend
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Check typechecks a kernel in place: it infers types for let bindings,
 // inserts implicit int→float promotions, verifies indexing arity, and
-// ensures inputs are read-only. It also records user-defined (uninterpreted)
-// function arities on the kernel. A kernel must declare at least one
-// output: with none there is nothing to lift.
+// ensures inputs are read-only. It is the kernel's only name resolver:
+// it numbers every declaration with a slot (Kernel.Slots) and records on
+// each use the slot the name resolves to, so the walker and kcc index
+// slots and never look a name up. It also records user-defined
+// (uninterpreted) function arities on the kernel. A kernel must declare
+// at least one output: with none there is nothing to lift.
 func Check(k *Kernel) error {
 	if len(k.Outs) == 0 {
 		return errf(k.Pos, "kernel %s declares no outputs", k.Name)
 	}
 	c := &checker{kernel: k}
 	k.UserFuncs = map[string]int{}
-	scope := newScope(nil)
-	seen := map[string]bool{}
-	declare := func(p Param, writable bool) error {
-		if seen[p.Name] {
+	k.Slots = 0
+	sc := newScope(nil)
+	for i, p := range slices.Concat(k.Params, k.Outs) {
+		if sc.definedHere(p.Name) {
 			return errf(p.Pos, "duplicate parameter %q", p.Name)
 		}
-		seen[p.Name] = true
-		scope.arrays[p.Name] = arrayInfo{dims: p.Dims, writable: writable}
-		return nil
+		sc.arrays[p.Name] = arrayInfo{slot: c.slot(), dims: p.Dims, writable: i >= len(k.Params)}
 	}
-	for _, p := range k.Params {
-		if err := declare(p, false); err != nil {
-			return err
-		}
-	}
-	for _, p := range k.Outs {
-		if err := declare(p, true); err != nil {
-			return err
-		}
-	}
-	return c.block(k.Body, scope)
+	return c.block(k.Body, sc)
 }
 
 type arrayInfo struct {
+	slot     int
 	dims     []int
 	writable bool
 }
 
+type scalarInfo struct {
+	slot int
+	typ  Type
+	loop bool // a loop variable: int, not assignable
+}
+
+// scope is one lexical scope. Scalars and arrays are looked up apart, so
+// an array does not hide an outer scalar of its name, nor a scalar an
+// outer array; one scope declares a name once.
 type scope struct {
 	parent  *scope
-	scalars map[string]Type
+	scalars map[string]scalarInfo
 	arrays  map[string]arrayInfo
-	loops   map[string]bool // loop variables: int, not assignable
 }
 
 func newScope(parent *scope) *scope {
-	return &scope{
-		parent:  parent,
-		scalars: map[string]Type{},
-		arrays:  map[string]arrayInfo{},
-		loops:   map[string]bool{},
-	}
+	return &scope{parent: parent, scalars: map[string]scalarInfo{}, arrays: map[string]arrayInfo{}}
 }
 
-func (s *scope) lookupScalar(name string) (Type, bool, bool) {
+func (s *scope) lookupScalar(name string) (scalarInfo, bool) {
 	for cur := s; cur != nil; cur = cur.parent {
-		if t, ok := cur.scalars[name]; ok {
-			return t, cur.loops[name], true
-		}
-		if cur.loops[name] {
-			return TypeInt, true, true
+		if v, ok := cur.scalars[name]; ok {
+			return v, true
 		}
 	}
-	return TypeInvalid, false, false
+	return scalarInfo{}, false
 }
 
 func (s *scope) lookupArray(name string) (arrayInfo, bool) {
@@ -79,17 +74,19 @@ func (s *scope) lookupArray(name string) (arrayInfo, bool) {
 }
 
 func (s *scope) definedHere(name string) bool {
-	if _, ok := s.scalars[name]; ok {
-		return true
-	}
-	if _, ok := s.arrays[name]; ok {
-		return true
-	}
-	return s.loops[name]
+	_, scalar := s.scalars[name]
+	_, array := s.arrays[name]
+	return scalar || array
 }
 
 type checker struct {
 	kernel *Kernel
+}
+
+// slot numbers the next declaration.
+func (c *checker) slot() int {
+	c.kernel.Slots++
+	return c.kernel.Slots - 1
 }
 
 func (c *checker) block(b *Block, parent *scope) error {
@@ -111,8 +108,9 @@ func (c *checker) stmt(st Stmt, sc *scope) error {
 		if err := c.exprWant(&s.Hi, sc, TypeInt); err != nil {
 			return err
 		}
+		s.Slot = c.slot()
 		body := newScope(sc)
-		body.loops[s.Var] = true
+		body.scalars[s.Var] = scalarInfo{slot: s.Slot, typ: TypeInt, loop: true}
 		for _, inner := range s.Body.Stmts {
 			if err := c.stmt(inner, body); err != nil {
 				return err
@@ -146,28 +144,30 @@ func (c *checker) stmt(st Stmt, sc *scope) error {
 		if t != TypeInt && t != TypeFloat {
 			return errf(s.Pos, "let %s: cannot bind a %s value", s.Name, t)
 		}
-		s.Type = t
-		sc.scalars[s.Name] = t
+		s.Type, s.Slot = t, c.slot()
+		sc.scalars[s.Name] = scalarInfo{slot: s.Slot, typ: t}
 		return nil
 	case *VarArrayStmt:
 		if sc.definedHere(s.Name) {
 			return errf(s.Pos, "redeclaration of %q", s.Name)
 		}
-		sc.arrays[s.Name] = arrayInfo{dims: s.Dims, writable: true}
+		s.Slot = c.slot()
+		sc.arrays[s.Name] = arrayInfo{slot: s.Slot, dims: s.Dims, writable: true}
 		return nil
 	case *AssignStmt:
 		if len(s.Indices) == 0 {
-			t, isLoop, ok := sc.lookupScalar(s.Name)
+			v, ok := sc.lookupScalar(s.Name)
 			if !ok {
 				if _, isArr := sc.lookupArray(s.Name); isArr {
 					return errf(s.Pos, "cannot assign whole array %q", s.Name)
 				}
 				return errf(s.Pos, "assignment to undeclared variable %q", s.Name)
 			}
-			if isLoop {
+			if v.loop {
 				return errf(s.Pos, "cannot assign to loop variable %q", s.Name)
 			}
-			return c.exprWant(&s.Val, sc, t)
+			s.Slot = v.slot
+			return c.exprWant(&s.Val, sc, v.typ)
 		}
 		info, ok := sc.lookupArray(s.Name)
 		if !ok {
@@ -179,6 +179,7 @@ func (c *checker) stmt(st Stmt, sc *scope) error {
 		if len(s.Indices) != len(info.dims) {
 			return errf(s.Pos, "array %q has %d dimensions, got %d indices", s.Name, len(info.dims), len(s.Indices))
 		}
+		s.Slot = info.slot
 		for i := range s.Indices {
 			if err := c.exprWant(&s.Indices[i], sc, TypeInt); err != nil {
 				return err
@@ -216,15 +217,15 @@ func (c *checker) expr(e *Expr, sc *scope) (Type, error) {
 		}
 		return x.Type, nil
 	case *VarRef:
-		t, _, ok := sc.lookupScalar(x.Name)
+		v, ok := sc.lookupScalar(x.Name)
 		if !ok {
 			if _, isArr := sc.lookupArray(x.Name); isArr {
 				return 0, errf(x.Pos, "array %q used without indices", x.Name)
 			}
 			return 0, errf(x.Pos, "undefined variable %q", x.Name)
 		}
-		x.Type = t
-		return t, nil
+		x.Type, x.Slot = v.typ, v.slot
+		return v.typ, nil
 	case *IndexExpr:
 		info, ok := sc.lookupArray(x.Name)
 		if !ok {
@@ -233,6 +234,7 @@ func (c *checker) expr(e *Expr, sc *scope) (Type, error) {
 		if len(x.Indices) != len(info.dims) {
 			return 0, errf(x.Pos, "array %q has %d dimensions, got %d indices", x.Name, len(info.dims), len(x.Indices))
 		}
+		x.Slot = info.slot
 		for i := range x.Indices {
 			if err := c.exprWant(&x.Indices[i], sc, TypeInt); err != nil {
 				return 0, err

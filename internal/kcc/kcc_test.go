@@ -6,10 +6,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"diospyros/internal/expr"
 	"diospyros/internal/frontend"
 	"diospyros/internal/isa"
 	"diospyros/internal/kernels"
@@ -334,6 +336,17 @@ func TestHugeShapeRejected(t *testing.T) {
 	}
 }
 
+// TestParametricVarArrayBudget checks that Parametric mode rejects, at
+// its declaration, a var array whose zero fill would pass the instruction
+// budget, even on a branch that never runs.
+func TestParametricVarArrayBudget(t *testing.T) {
+	k := frontend.MustParse("kernel k(a[1]) -> (o[1]) {\n    if 1 < 0 {\n        var t[100000][100000];\n    }\n    o[0] = a[0];\n}")
+	_, err := Compile(k, Parametric)
+	if err == nil || !strings.HasPrefix(err.Error(), "3:9:") || !strings.Contains(err.Error(), "budget of 100000 instructions") {
+		t.Fatalf("got %v, want the instruction budget at 3:9", err)
+	}
+}
+
 // TestRoutineRunChecksInputs checks that Routine.Run rejects a missing
 // input and an input of the wrong length before simulating.
 func TestRoutineRunChecksInputs(t *testing.T) {
@@ -355,6 +368,137 @@ func TestRoutineRunChecksInputs(t *testing.T) {
 	} {
 		if _, _, err := rt.Run(c.inputs); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Run(%v) = %v, want an error containing %q", c.inputs, err, c.want)
+		}
+	}
+}
+
+// siblingVarSrc declares a var array t in each of two consecutive loops:
+// two declarations, two slots, two regions.
+const siblingVarSrc = `kernel k(a[2]) -> (o[2]) {
+    for i in 0..2 {
+        var t[1];
+        t[0] = a[i];
+        o[i] = t[0];
+    }
+    for i in 0..2 {
+        var t[1];
+        t[0] = t[0] + a[i];
+        o[i] = o[i] + t[0];
+    }
+}`
+
+// TestSiblingVarArraysBothModes checks that var arrays of one name in
+// sibling scopes compile in both modes, to Interp's outputs.
+func TestSiblingVarArraysBothModes(t *testing.T) {
+	checkAgainstInterp(t, siblingVarSrc, map[string][]float64{"a": {3, 5}})
+}
+
+// scopingKernels are kernels whose names shadow, or are shadowed by, a
+// declaration of the same name, each with its input a and the output o
+// its scoping rules give, written out by hand.
+var scopingKernels = []struct {
+	name, src string
+	a, want   []float64
+}{
+	{"float let shadows int let, then is assigned", `kernel k(a[1]) -> (o[2]) {
+    let x = 1;
+    for i in 0..1 {
+        let x = 2.0;
+        x = 3.5;
+        o[0] = x;
+    }
+    o[x] = a[0];
+}`, []float64{10}, []float64{3.5, 10}},
+	{"int let shadows float let", `kernel k(a[1]) -> (o[4]) {
+    let x = 0.5;
+    for i in 0..2 {
+        let x = 2;
+        x = x + i;
+        o[x] = a[0];
+    }
+    x = x + 1.0;
+    o[0] = x;
+}`, []float64{7}, []float64{1.5, 0, 7, 7}},
+	{"outer variable read before the body's own let", `kernel k(a[1]) -> (o[2]) {
+    let x = a[0];
+    for i in 0..2 {
+        o[i] = x;
+        let x = 5.0;
+        o[i] = o[i] + x;
+        x = 0.0;
+    }
+}`, []float64{2}, []float64{7, 7}},
+	{"var array redeclared and zero-filled each iteration", `kernel k(a[3]) -> (o[3]) {
+    for i in 0..3 {
+        var t[3];
+        t[i] = t[i] + a[i];
+        for j in 0..3 {
+            o[i] = o[i] + t[j];
+        }
+    }
+}`, []float64{1, 2, 4}, []float64{1, 2, 4}},
+	{"scalar and array sharing a name in nested scopes", `kernel k(a[2]) -> (o[3]) {
+    let t = 2;
+    var s[1];
+    s[0] = a[0];
+    for i in 0..2 {
+        var t[2];
+        let s = 3.0;
+        t[i] = a[i] * s;
+        o[i] = t[i] + s[0];
+    }
+    o[t] = s[0];
+}`, []float64{1, 2}, []float64{4, 7, 1}},
+	{"loop bound read once though the body assigns it", `kernel k(a[1]) -> (o[4]) {
+    let n = 4;
+    for i in 0..n {
+        n = n - 1;
+        o[i] = a[0];
+    }
+}`, []float64{6}, []float64{6, 6, 6, 6}},
+}
+
+// TestScopingAcrossExecutors runs each scoping kernel through Interp, the
+// lifted specification, and both kcc modes: each must give the outputs
+// Check's resolution of the kernel's names means.
+func TestScopingAcrossExecutors(t *testing.T) {
+	for _, c := range scopingKernels {
+		k := frontend.MustParse(c.src)
+		in := map[string][]float64{"a": c.a}
+		got := map[string][]float64{}
+		if out, err := frontend.Interp(k, in, nil); err != nil {
+			t.Errorf("%s: Interp: %v", c.name, err)
+		} else {
+			got["Interp"] = out["o"]
+		}
+		if l, err := frontend.Lift(k); err != nil {
+			t.Errorf("%s: Lift: %v", c.name, err)
+		} else {
+			env := expr.NewEnv()
+			env.Arrays["a"] = c.a
+			v, err := l.Spec.Eval(env)
+			if err != nil {
+				t.Fatalf("%s: the lifted spec does not evaluate: %v", c.name, err)
+			}
+			got["Lift"] = v.Elems
+		}
+		for _, mode := range []Mode{Parametric, FixedSize} {
+			p, err := Compile(k, mode)
+			if err != nil {
+				t.Errorf("%s: %s: %v", c.name, mode, err)
+				continue
+			}
+			out, _, err := (&Routine{Kernel: k, Program: p}).Run(in)
+			if err != nil {
+				t.Errorf("%s: %s: %v", c.name, mode, err)
+				continue
+			}
+			got[mode.String()] = out["o"]
+		}
+		for by, o := range got {
+			if !slices.Equal(o, c.want) {
+				t.Errorf("%s: %s gives o = %v, want %v", c.name, by, o, c.want)
+			}
 		}
 	}
 }

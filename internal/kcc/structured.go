@@ -2,6 +2,7 @@ package kcc
 
 import (
 	"fmt"
+	"slices"
 
 	"diospyros/internal/frontend"
 	"diospyros/internal/isa"
@@ -13,76 +14,32 @@ import (
 type structured struct {
 	k *frontend.Kernel
 	b *isa.Builder
-	// Array metadata: base address register and dimensions.
-	arrays map[string]*sArrayInfo
-	scopes []*sScope
+	// slots holds one record per slot frontend.Check numbered.
+	slots []sSlot
 }
 
-type sArrayInfo struct {
-	baseReg int
-	dims    []int
-}
-
-type sScope struct {
-	ints   map[string]int // int variable -> i-register
-	floats map[string]int // float variable -> f-register
-	arrays map[string]*sArrayInfo
+// sSlot is a slot's storage: the register of a scalar, or the
+// base-address register and shape of an array.
+type sSlot struct {
+	reg  int
+	dims []int
 }
 
 func newStructured(k *frontend.Kernel, b *isa.Builder) *structured {
-	return &structured{k: k, b: b, arrays: map[string]*sArrayInfo{}}
-}
-
-func (c *structured) push() {
-	c.scopes = append(c.scopes, &sScope{ints: map[string]int{}, floats: map[string]int{}, arrays: map[string]*sArrayInfo{}})
-}
-func (c *structured) pop() { c.scopes = c.scopes[:len(c.scopes)-1] }
-
-func (c *structured) top() *sScope { return c.scopes[len(c.scopes)-1] }
-
-func (c *structured) findInt(name string) (int, bool) {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if r, ok := c.scopes[i].ints[name]; ok {
-			return r, true
-		}
-	}
-	return 0, false
-}
-
-func (c *structured) findFloat(name string) (int, bool) {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if r, ok := c.scopes[i].floats[name]; ok {
-			return r, true
-		}
-	}
-	return 0, false
-}
-
-func (c *structured) findArray(name string) (*sArrayInfo, bool) {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if a, ok := c.scopes[i].arrays[name]; ok {
-			return a, true
-		}
-	}
-	a, ok := c.arrays[name]
-	return a, ok
+	return &structured{k: k, b: b, slots: make([]sSlot, k.Slots)}
 }
 
 func (c *structured) run() error {
 	// Bind parameter/output arrays to base-address registers.
-	for _, p := range append(append([]frontend.Param{}, c.k.Params...), c.k.Outs...) {
+	for i, p := range slices.Concat(c.k.Params, c.k.Outs) {
 		reg := c.b.IReg()
 		c.b.Emit(isa.Instr{Op: isa.IConst, Dst: reg, IImm: c.b.Layout().Base(p.Name)})
-		c.arrays[p.Name] = &sArrayInfo{baseReg: reg, dims: p.Dims}
+		c.slots[i] = sSlot{reg: reg, dims: p.Dims}
 	}
-	c.push()
-	defer c.pop()
 	return c.block(c.k.Body)
 }
 
 func (c *structured) block(blk *frontend.Block) error {
-	c.push()
-	defer c.pop()
 	for _, st := range blk.Stmts {
 		if err := c.stmt(st); err != nil {
 			return err
@@ -102,17 +59,21 @@ func (c *structured) stmt(st frontend.Stmt) error {
 		if err != nil {
 			return err
 		}
+		if _, ok := s.Hi.(*frontend.VarRef); ok {
+			// The bound is evaluated once: copy a variable's register, so
+			// the body's assignments to the variable do not move it.
+			bound := c.b.IReg()
+			c.b.Emit(isa.Instr{Op: isa.IMov, Dst: bound, A: hi})
+			hi = bound
+		}
 		iv := c.b.IReg()
 		c.b.Emit(isa.Instr{Op: isa.IMov, Dst: iv, A: lo})
 		topL := c.b.FreshLabel("for")
 		endL := c.b.FreshLabel("endfor")
 		c.b.Label(topL)
 		c.b.Emit(isa.Instr{Op: isa.BrGE, A: iv, B: hi, Target: endL})
-		c.push()
-		c.top().ints[s.Var] = iv
-		err = c.block(s.Body)
-		c.pop()
-		if err != nil {
+		c.slots[s.Slot].reg = iv
+		if err := c.block(s.Body); err != nil {
 			return err
 		}
 		c.b.Emit(isa.Instr{Op: isa.IAddI, Dst: iv, A: iv, IImm: 1})
@@ -156,33 +117,20 @@ func (c *structured) stmt(st frontend.Stmt) error {
 		return nil
 
 	case *frontend.LetStmt:
-		if s.Type == frontend.TypeInt {
-			r, err := c.intExpr(s.Val)
-			if err != nil {
-				return err
-			}
-			reg := c.b.IReg()
-			c.b.Emit(isa.Instr{Op: isa.IMov, Dst: reg, A: r})
-			c.top().ints[s.Name] = reg
-			return nil
-		}
-		r, err := c.floatExpr(s.Val)
-		if err != nil {
-			return err
-		}
-		reg := c.b.FReg()
-		c.b.Emit(isa.Instr{Op: isa.SMov, Dst: reg, A: r})
-		c.top().floats[s.Name] = reg
-		return nil
+		return c.scalar(s.Slot, s.Val, true)
 
 	case *frontend.VarArrayStmt:
 		// Local arrays live in a dedicated memory region, zero-filled at
-		// the declaration point (declaration semantics in loops).
+		// the declaration point (declaration semantics in loops) by one
+		// store per element, so the fill is bounded like FixedSize code.
 		n := 1
 		for _, d := range s.Dims {
+			if d > frontend.MaxSpecNodes/n {
+				return &frontend.Error{Pos: s.Pos, Msg: fmt.Sprintf("kcc: var array %s exceeds the budget of %d instructions", s.Name, frontend.MaxSpecNodes)}
+			}
 			n *= d
 		}
-		name := fmt.Sprintf("%s$%d", s.Name, len(c.arrays))
+		name := fmt.Sprintf("%s$%d", s.Name, s.Slot)
 		w := c.b.VecWidth()
 		base := c.b.Layout().Add(name, (n+w-1)/w*w)
 		reg := c.b.IReg()
@@ -192,31 +140,14 @@ func (c *structured) stmt(st frontend.Stmt) error {
 		for i := 0; i < n; i++ {
 			c.b.Emit(isa.Instr{Op: isa.SStore, A: reg, IImm: i, B: zero})
 		}
-		c.top().arrays[s.Name] = &sArrayInfo{baseReg: reg, dims: s.Dims}
+		c.slots[s.Slot] = sSlot{reg: reg, dims: s.Dims}
 		return nil
 
 	case *frontend.AssignStmt:
 		if len(s.Indices) == 0 {
-			if reg, ok := c.findInt(s.Name); ok {
-				r, err := c.intExpr(s.Val)
-				if err != nil {
-					return err
-				}
-				c.b.Emit(isa.Instr{Op: isa.IMov, Dst: reg, A: r})
-				return nil
-			}
-			reg, ok := c.findFloat(s.Name)
-			if !ok {
-				return fmt.Errorf("kcc: assignment to undefined %q", s.Name)
-			}
-			r, err := c.floatExpr(s.Val)
-			if err != nil {
-				return err
-			}
-			c.b.Emit(isa.Instr{Op: isa.SMov, Dst: reg, A: r})
-			return nil
+			return c.scalar(s.Slot, s.Val, false)
 		}
-		addr, err := c.address(s.Name, s.Indices)
+		addr, err := c.address(s.Slot, s.Indices)
 		if err != nil {
 			return err
 		}
@@ -230,15 +161,28 @@ func (c *structured) stmt(st frontend.Stmt) error {
 	return fmt.Errorf("kcc: unknown statement %T", st)
 }
 
-// address computes base + flattened index into an i-register.
-func (c *structured) address(name string, indices []frontend.Expr) (int, error) {
-	info, ok := c.findArray(name)
-	if !ok {
-		return 0, fmt.Errorf("kcc: unknown array %q", name)
+// scalar moves the value of val, which Check typed as scalar slot, into
+// the slot's register; a declaration first gives the slot a fresh one.
+func (c *structured) scalar(slot int, val frontend.Expr, declare bool) error {
+	op, eval, fresh := isa.SMov, c.floatExpr, c.b.FReg
+	if val.ExprType() == frontend.TypeInt {
+		op, eval, fresh = isa.IMov, c.intExpr, c.b.IReg
 	}
-	if len(indices) != len(info.dims) {
-		return 0, fmt.Errorf("kcc: array %q expects %d indices", name, len(info.dims))
+	r, err := eval(val)
+	if err != nil {
+		return err
 	}
+	if declare {
+		c.slots[slot].reg = fresh()
+	}
+	c.b.Emit(isa.Instr{Op: op, Dst: c.slots[slot].reg, A: r})
+	return nil
+}
+
+// address computes base + flattened index into an i-register for the
+// array in slot.
+func (c *structured) address(slot int, indices []frontend.Expr) (int, error) {
+	info := c.slots[slot]
 	idx, err := c.intExpr(indices[0])
 	if err != nil {
 		return 0, err
@@ -257,7 +201,7 @@ func (c *structured) address(name string, indices []frontend.Expr) (int, error) 
 		idx = sum
 	}
 	addr := c.b.IReg()
-	c.b.Emit(isa.Instr{Op: isa.IAdd, Dst: addr, A: info.baseReg, B: idx})
+	c.b.Emit(isa.Instr{Op: isa.IAdd, Dst: addr, A: info.reg, B: idx})
 	return addr, nil
 }
 
@@ -268,11 +212,7 @@ func (c *structured) intExpr(x frontend.Expr) (int, error) {
 		c.b.Emit(isa.Instr{Op: isa.IConst, Dst: r, IImm: int(v.I)})
 		return r, nil
 	case *frontend.VarRef:
-		r, ok := c.findInt(v.Name)
-		if !ok {
-			return 0, fmt.Errorf("kcc: undefined int %q", v.Name)
-		}
-		return r, nil
+		return c.slots[v.Slot].reg, nil
 	case *frontend.BinExpr:
 		l, err := c.intExpr(v.L)
 		if err != nil {
@@ -333,13 +273,9 @@ func (c *structured) floatExpr(x frontend.Expr) (int, error) {
 		}
 		return 0, fmt.Errorf("kcc: runtime int→float casts are not supported; use float literals")
 	case *frontend.VarRef:
-		r, ok := c.findFloat(v.Name)
-		if !ok {
-			return 0, fmt.Errorf("kcc: undefined float %q", v.Name)
-		}
-		return r, nil
+		return c.slots[v.Slot].reg, nil
 	case *frontend.IndexExpr:
-		addr, err := c.address(v.Name, v.Indices)
+		addr, err := c.address(v.Slot, v.Indices)
 		if err != nil {
 			return 0, err
 		}
@@ -356,11 +292,7 @@ func (c *structured) floatExpr(x frontend.Expr) (int, error) {
 			return 0, err
 		}
 		d := c.b.FReg()
-		op := map[string]isa.Opcode{"+": isa.SAdd, "-": isa.SSub, "*": isa.SMul, "/": isa.SDiv}[v.Op]
-		if op == isa.Invalid {
-			return 0, fmt.Errorf("kcc: float operator %q unsupported", v.Op)
-		}
-		c.b.Emit(isa.Instr{Op: op, Dst: d, A: l, B: r})
+		c.b.Emit(isa.Instr{Op: arithOps[v.Op], Dst: d, A: l, B: r})
 		return d, nil
 	case *frontend.UnExpr:
 		r, err := c.floatExpr(v.X)
@@ -485,7 +417,20 @@ func (c *structured) cmpBranch(v *frontend.BinExpr, jumpIf bool, target string) 
 func branchFor(op string, jumpIf, isFloat bool) (isa.Opcode, bool) {
 	if !jumpIf {
 		// jump when condition is FALSE: invert the comparison.
-		op = map[string]string{"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}[op]
+		switch op {
+		case "<":
+			op = ">="
+		case "<=":
+			op = ">"
+		case ">":
+			op = "<="
+		case ">=":
+			op = "<"
+		case "==":
+			op = "!="
+		default:
+			op = "=="
+		}
 	}
 	if isFloat {
 		switch op {

@@ -50,9 +50,9 @@ func (r *region) Store(off, fr int) { r.cache.write(r, off, fr) }
 // unroll compiles k in FixedSize mode into b.
 func unroll(k *frontend.Kernel, b *isa.Builder) error {
 	u := &unroller{b: b, consts: map[float64]int{}, cache: promoCache{b: b, entries: map[promoKey]*promoEnt{}}}
-	arrays := make(map[string]frontend.Array[int], len(k.Params)+len(k.Outs))
+	var arrays []frontend.Array[int]
 	for _, p := range slices.Concat(k.Params, k.Outs) {
-		arrays[p.Name] = u.region(p.Name, b.Layout().Base(p.Name), p.Dims)
+		arrays = append(arrays, u.region(p.Name, b.Layout().Base(p.Name), p.Dims))
 	}
 	if err := frontend.Run[int](context.Background(), k, u, arrays); err != nil {
 		return err
