@@ -72,8 +72,7 @@ func FuzzKCC(f *testing.F) {
 }
 
 // finiteRun reports whether every value Interp computes on k over in is
-// finite, and its var arrays declare at most maxLocals elements in all,
-// which bounds the code FixedSize emits to zero-fill them.
+// finite.
 func finiteRun(k *frontend.Kernel, in map[string][]float64) bool {
 	var arrays []frontend.Array[float64]
 	for _, p := range k.Params {
@@ -84,18 +83,13 @@ func finiteRun(k *frontend.Kernel, in map[string][]float64) bool {
 	}
 	d := &finite{ok: true}
 	err := frontend.Run[float64](context.Background(), k, d, arrays)
-	return err == nil && d.ok && d.locals <= maxLocals
+	return err == nil && d.ok
 }
-
-const maxLocals = 1 << 16
 
 // finite is a float64 domain noting in ok whether every value it
 // computes is finite (a literal always is: the lexer rejects one out of
-// range), and counting in locals the var array elements it declares.
-type finite struct {
-	ok     bool
-	locals int
-}
+// range).
+type finite struct{ ok bool }
 
 // vals is a float64 array, flat.
 type vals struct {
@@ -154,11 +148,10 @@ func (*finite) Compare(op string, l, r float64, _ frontend.Pos) (bool, error) {
 	return l != r, nil
 }
 
-func (d *finite) Local(_ string, dims []int) frontend.Array[float64] {
+func (*finite) Local(_ string, dims []int) frontend.Array[float64] {
 	n := 1
 	for _, x := range dims {
 		n *= x
 	}
-	d.locals += n
 	return &vals{dims: dims, v: make([]float64, n)}
 }

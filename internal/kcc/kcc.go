@@ -24,6 +24,14 @@
 // compile in Parametric mode only, and FixedSize rejects them at the
 // first float condition with its position.
 //
+// Parametric compiles a float condition as a branch on its negation (the
+// jump around the then-arm), so when an operand is NaN it takes the other
+// arm than Interp: `if sqrt(a[0]) < 1.0` on a = [-1] runs the then-arm
+// here and the else-arm in Interp. Non-finite values are outside the
+// validated semantics (DESIGN.md §5), which is why FuzzKCC compares finite
+// runs only; a NaN-correct branch would add a jump to every float
+// condition and move the baselines' cycles.
+//
 // Build and Routine.Run are the one harness that simulates a kcc program:
 // the evaluation's baselines, the Eigen-like library routines and the
 // examples all run through it.

@@ -295,10 +295,13 @@ func TestTestdataKernelsBothModes(t *testing.T) {
 }
 
 // TestFixedSizeWorkBudgetTripsFast checks that FixedSize mode stops each
-// hostile loop within a second with a positioned budget error: a long
-// empty loop and a short loop over 300 integer lets exceed the frontend's
-// work budget, and a float accumulation loop exceeds the instruction
-// budget first.
+// hostile loop within a second with a budget error: a long empty loop and
+// a short loop over 300 integer lets exceed the frontend's work budget, at
+// their position, and a float accumulation loop exceeds the instruction
+// budget first. Every emitted instruction counts against that budget, not
+// only arithmetic: a var array's zero fill, and the promotion cache's
+// loads and evicting stores in a copy loop, stop the walk with it (no
+// position: the walk stops at its next context poll).
 func TestFixedSizeWorkBudgetTripsFast(t *testing.T) {
 	var lets strings.Builder
 	lets.WriteString("kernel k(a[1]) -> (o[1]) {\n    for i in 0..499000 {\n")
@@ -310,6 +313,8 @@ func TestFixedSizeWorkBudgetTripsFast(t *testing.T) {
 		{"kernel k(a[1]) -> (o[1]) {\n    for i in 0..2000000000 {}\n}", "2:5:", "work budget"},
 		{lets.String(), "150:24:", "work budget"},
 		{"kernel k(a[1]) -> (o[1]) {\n    for i in 0..2000000000 { o[0] = o[0] + a[0]; }\n}", "2:42:", "budget of 100000 instructions"},
+		{"kernel k(a[1]) -> (o[1]) { for i in 0..30 { var t[10000]; } o[0] = a[0]; }", "", "budget of 100000 instructions"},
+		{"kernel k(a[64]) -> (o[64]) { for i in 0..400000 { o[i % 64] = a[(i * 7) % 64]; } }", "", "budget of 100000 instructions"},
 	} {
 		k := frontend.MustParse(h.src)
 		start := time.Now()

@@ -24,7 +24,7 @@ import (
 // Float arithmetic is *not* value numbered; recovering that CSE via
 // symbolic evaluation is Diospyros's §5.6 advantage.
 type unroller struct {
-	b      *isa.Builder
+	b      capped
 	consts map[float64]int // literal -> f-register
 	cache  promoCache
 	locals int // counter for var-array region names
@@ -49,16 +49,42 @@ func (r *region) Store(off, fr int) { r.cache.write(r, off, fr) }
 
 // unroll compiles k in FixedSize mode into b.
 func unroll(k *frontend.Kernel, b *isa.Builder) error {
-	u := &unroller{b: b, consts: map[float64]int{}, cache: promoCache{b: b, entries: map[promoKey]*promoEnt{}}}
+	ctx, stop := context.WithCancelCause(context.Background())
+	defer stop(nil)
+	cb := capped{b, stop}
+	u := &unroller{b: cb, consts: map[float64]int{}, cache: promoCache{b: cb, entries: map[promoKey]*promoEnt{}}}
 	var arrays []frontend.Array[int]
 	for _, p := range slices.Concat(k.Params, k.Outs) {
 		arrays = append(arrays, u.region(p.Name, b.Layout().Base(p.Name), p.Dims))
 	}
-	if err := frontend.Run[int](context.Background(), k, u, arrays); err != nil {
+	if err := frontend.Run[int](ctx, k, u, arrays); err != nil {
 		return err
 	}
 	u.cache.flush()
-	return nil
+	return context.Cause(ctx)
+}
+
+// errTooLong is the error of a program past the instruction budget.
+var errTooLong = fmt.Errorf("kcc: fixed-size program exceeded the budget of %d instructions", frontend.MaxSpecNodes)
+
+// capped is the builder FixedSize emits every instruction through: the
+// program holds at most frontend.MaxSpecNodes instructions, the cap Lift
+// puts on the nodes it builds. A float loop, a var array's zero fill or
+// the promotion cache's loads and stores that stay inside the walker's
+// work budget still cannot emit more. Emit past the cap drops the
+// instruction and stops the walk with errTooLong, which the walker
+// returns at its next context poll.
+type capped struct {
+	*isa.Builder
+	stop context.CancelCauseFunc
+}
+
+func (b capped) Emit(in isa.Instr) {
+	if b.Len() >= frontend.MaxSpecNodes {
+		b.stop(errTooLong)
+		return
+	}
+	b.Builder.Emit(in)
 }
 
 // region binds a register to the base address of the named region.
@@ -130,13 +156,11 @@ func (u *unroller) Local(name string, dims []int) frontend.Array[int] {
 }
 
 // emit emits in, for the expression at pos, with a fresh destination
-// register and returns it. A program past frontend.MaxSpecNodes
-// instructions is an error at pos: a float loop that stays inside the
-// walker's work budget still cannot emit more code than Lift may build
-// nodes.
+// register and returns it. A program at the instruction budget is an
+// error at pos.
 func (u *unroller) emit(in isa.Instr, pos frontend.Pos) (int, error) {
 	if u.b.Len() >= frontend.MaxSpecNodes {
-		return 0, &frontend.Error{Pos: pos, Msg: fmt.Sprintf("kcc: fixed-size program exceeded the budget of %d instructions", frontend.MaxSpecNodes)}
+		return 0, &frontend.Error{Pos: pos, Msg: errTooLong.Error()}
 	}
 	in.Dst = u.b.FReg()
 	u.b.Emit(in)
@@ -145,7 +169,7 @@ func (u *unroller) emit(in isa.Instr, pos frontend.Pos) (int, error) {
 
 // promoCache is the bounded element-promotion cache.
 type promoCache struct {
-	b       *isa.Builder
+	b       capped
 	entries map[promoKey]*promoEnt
 	clock   int
 }

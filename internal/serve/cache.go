@@ -21,12 +21,17 @@ import (
 //   - the cache key is a SHA-256 over the normalized kernel source and a
 //     canonical rendering of every Options field that can change the
 //     compiled output;
-//   - a byte-budgeted LRU bounds memory: each stored Result is charged an
-//     estimated response size and the least-recently-used entries are
-//     evicted until the new one fits;
+//   - a byte-budgeted LRU bounds memory: each entry is the finished reply
+//     (CompileResponse), charged the length of the body its leader
+//     marshalled, and the least-recently-used entries are evicted until the
+//     new one fits;
 //   - an in-flight table coalesces concurrent identical requests
 //     (singleflight): the first request becomes the leader and compiles,
-//     later ones wait for its result instead of compiling again.
+//     later ones wait for its reply instead of compiling again.
+//
+// A hit or a follower answers with a copy of the stored reply under its
+// own request ID, so it neither rebuilds the reply nor keeps the compile's
+// Result (spec, e-graph extractions, programs) alive.
 //
 // The response carries the decision in an X-Dios-Cache header (hit, miss,
 // or coalesced) and the diospyros_serve_cache_*_total counters aggregate
@@ -47,15 +52,15 @@ type compileCache struct {
 
 type cacheEntry struct {
 	key  string
-	res  *diospyros.Result
+	resp *CompileResponse
 	size int64
 }
 
 // cacheFlight is one in-flight compile that followers may wait on. The
-// leader sets res (nil on failure) and closes done exactly once.
+// leader sets resp (nil on failure) and closes done exactly once.
 type cacheFlight struct {
 	done chan struct{}
-	res  *diospyros.Result
+	resp *CompileResponse
 }
 
 func newCompileCache(budget int64) *compileCache {
@@ -71,7 +76,7 @@ func newCompileCache(budget int64) *compileCache {
 type acquireState int
 
 const (
-	cacheHit      acquireState = iota // res is the stored result
+	cacheHit      acquireState = iota // the stored reply is returned
 	cacheLeader                       // caller must compile and call finish
 	cacheFollower                     // caller waits on the returned flight
 )
@@ -79,12 +84,12 @@ const (
 // acquire resolves a key under one lock pass: a stored entry wins (and is
 // refreshed in the LRU), else an in-flight leader is joined, else the
 // caller becomes the leader of a new flight.
-func (c *compileCache) acquire(key string) (*diospyros.Result, *cacheFlight, acquireState) {
+func (c *compileCache) acquire(key string) (*CompileResponse, *cacheFlight, acquireState) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)
-		return el.Value.(*cacheEntry).res, nil, cacheHit
+		return el.Value.(*cacheEntry).resp, nil, cacheHit
 	}
 	if fl, ok := c.flights[key]; ok {
 		return nil, fl, cacheFollower
@@ -95,30 +100,29 @@ func (c *compileCache) acquire(key string) (*diospyros.Result, *cacheFlight, acq
 }
 
 // wait blocks until the flight's leader finishes or ctx is cancelled,
-// returning the leader's result (nil on leader failure or cancellation).
-func (fl *cacheFlight) wait(ctx context.Context) *diospyros.Result {
+// returning the leader's reply (nil on leader failure or cancellation).
+func (fl *cacheFlight) wait(ctx context.Context) *CompileResponse {
 	select {
 	case <-fl.done:
-		return fl.res
+		return fl.resp
 	case <-ctx.Done():
 		return nil
 	}
 }
 
-// finish completes a leader's flight: a non-nil result is published to
-// waiting followers and stored in the LRU; nil (failed compile) just
-// releases the followers to compile for themselves. Returns the number of
-// entries evicted to make room.
-func (c *compileCache) finish(key string, fl *cacheFlight, res *diospyros.Result) (evicted int) {
+// finish completes a leader's flight: a non-nil reply, whose body is size
+// bytes, is published to waiting followers and stored in the LRU; nil
+// (failed compile) just releases the followers to compile for themselves.
+// Returns the number of entries evicted to make room.
+func (c *compileCache) finish(key string, fl *cacheFlight, resp *CompileResponse, size int64) (evicted int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	fl.res = res
+	fl.resp = resp
 	close(fl.done)
 	delete(c.flights, key)
-	if res == nil {
+	if resp == nil {
 		return 0
 	}
-	size := resultSize(res)
 	if size > c.budget {
 		return 0 // larger than the whole cache; serve it but never store it
 	}
@@ -137,7 +141,7 @@ func (c *compileCache) finish(key string, fl *cacheFlight, res *diospyros.Result
 		c.bytes -= old.size
 		evicted++
 	}
-	c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, res: res, size: size})
+	c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, resp: resp, size: size})
 	c.bytes += size
 	return evicted
 }
@@ -147,30 +151,6 @@ func (c *compileCache) sizeBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
-}
-
-// resultSize estimates what caching a Result costs: the dominant response
-// payloads (C text, assembly, trace JSON) plus a fixed overhead for the
-// structs themselves. An estimate is fine — the budget bounds order of
-// magnitude, not bytes.
-func resultSize(res *diospyros.Result) int64 {
-	size := int64(len(res.C)) + 1024
-	if res.Program != nil {
-		size += int64(len(res.Program.Disassemble()))
-	}
-	for i := range res.Targets {
-		tr := &res.Targets[i]
-		size += int64(len(tr.C)) + 256
-		if tr.Program != nil {
-			size += int64(len(tr.Program.Disassemble()))
-		}
-	}
-	if res.Trace != nil {
-		if raw, err := res.Trace.JSON(); err == nil {
-			size += int64(len(raw))
-		}
-	}
-	return size
 }
 
 // cacheableRequest reports whether a compile may be served from (and

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -46,7 +49,7 @@ func TestCanonicalOptionsOrderIndependent(t *testing.T) {
 	}
 }
 
-// fakeResult builds a Result whose resultSize is dominated by n bytes of C.
+// fakeResult builds a Result carrying n bytes of C.
 func fakeResult(n int) *diospyros.Result {
 	return &diospyros.Result{
 		Kernel: &kernel.Lifted{Name: "stub"},
@@ -56,15 +59,16 @@ func fakeResult(n int) *diospyros.Result {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	res := fakeResult(1 << 10)
-	budget := 3 * resultSize(res) // room for three entries
+	reply := &CompileResponse{C: strings.Repeat("x", 1<<10)}
+	size := int64(1 << 10)
+	budget := 3 * size // room for three entries
 	c := newCompileCache(budget)
 	store := func(key string) int {
 		_, fl, state := c.acquire(key)
 		if state != cacheLeader {
 			t.Fatalf("acquire(%s) = %v, want leader", key, state)
 		}
-		return c.finish(key, fl, res)
+		return c.finish(key, fl, reply, size)
 	}
 	for _, k := range []string{"a", "b", "c"} {
 		if ev := store(k); ev != 0 {
@@ -88,9 +92,8 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Errorf("cache holds %d bytes, budget %d", got, budget)
 	}
 	// An entry larger than the whole budget is served but never stored.
-	huge := fakeResult(int(budget))
 	_, fl, _ := c.acquire("huge")
-	c.finish("huge", fl, huge)
+	c.finish("huge", fl, reply, budget+1)
 	if _, _, state := c.acquire("huge"); state == cacheHit {
 		t.Error("over-budget entry was stored")
 	}
@@ -360,5 +363,51 @@ func TestStreamingBypassesCache(t *testing.T) {
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/event-stream") {
 		t.Errorf("Content-Type = %q", ct)
+	}
+}
+
+// TestCacheChargesReplyBody pins the cache's accounting: an entry is
+// charged exactly the body its miss answered, and a repeat is a hit that
+// answers the same body under its own request ID.
+func TestCacheChargesReplyBody(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/dotprod8.dios")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Workers: 1})
+	post := func() (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/compile", "text/plain", bytes.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, read error %v: %s", resp.StatusCode, err, body)
+		}
+		return resp, body
+	}
+
+	miss, missBody := post()
+	if got := miss.Header.Get("X-Dios-Cache"); got != "miss" {
+		t.Fatalf("first compile X-Dios-Cache = %q, want miss", got)
+	}
+	want := fmt.Sprintf("\ndiospyros_serve_cache_bytes %d\n", len(missBody))
+	if m := scrape(t, ts.URL); !strings.Contains(m, want) {
+		i := strings.Index(m, "\ndiospyros_serve_cache_bytes ") + 1
+		t.Errorf("cache gauge %q, want %d, the miss's body", m[i:i+strings.IndexByte(m[i:], '\n')], len(missBody))
+	}
+
+	hit, hitBody := post()
+	if got := hit.Header.Get("X-Dios-Cache"); got != "hit" {
+		t.Fatalf("repeat X-Dios-Cache = %q, want hit", got)
+	}
+	missID, hitID := miss.Header.Get("X-Request-Id"), hit.Header.Get("X-Request-Id")
+	if missID == hitID {
+		t.Fatalf("miss and hit share request ID %q", missID)
+	}
+	if got := bytes.Replace(hitBody, []byte(`"`+hitID+`"`), []byte(`"`+missID+`"`), 1); !bytes.Equal(got, missBody) {
+		t.Errorf("hit body differs from the miss body beyond request_id:\nmiss %d bytes, hit %d bytes", len(missBody), len(hitBody))
 	}
 }

@@ -14,14 +14,16 @@
 //     file, one thread lane per request (traces.go);
 //   - GET /debug/pprof/...: live CPU/heap/goroutine profiles;
 //   - GET /healthz and /readyz: liveness and readiness probes;
-//   - a saturation watchdog per request (watchdog.go) sampling the running
-//     e-graph's gauges and aborting compiles that blow a node or
-//     wall-clock budget;
+//   - one compile loop per request (watchdog.go): the compile runs on its
+//     own goroutine while the handler samples the running e-graph's gauges
+//     on one ticker, aborting compiles that blow the node or heap budget
+//     (RequestTimeout bounds wall time) and relaying a streamed compile's
+//     iterations as Server-Sent Events (stream.go);
 //   - a content-addressed compile cache (cache.go): repeat requests with
 //     identical normalized source and output-affecting options are served
-//     from a byte-budgeted LRU, concurrent identical requests coalesce
-//     into one compile, and the X-Dios-Cache response header reports the
-//     outcome (hit, miss, coalesced);
+//     from a byte-budgeted LRU of finished replies, concurrent identical
+//     requests coalesce into one compile, and the X-Dios-Cache response
+//     header reports the outcome (hit, miss, coalesced);
 //   - a per-request phase path (phases.go): queue, cache, compile with
 //     its compile.<stage> and compile.saturate.* children, and serialize,
 //     reported on every compile reply as the X-Dios-Server-Timing header
@@ -46,7 +48,6 @@ import (
 
 	diospyros "diospyros"
 	"diospyros/internal/buildinfo"
-	"diospyros/internal/egraph"
 	"diospyros/internal/pipeline"
 	"diospyros/internal/telemetry"
 )
@@ -72,8 +73,6 @@ type Config struct {
 	// guarding the resource that actually OOMs a replica. 0 disables the
 	// heap budget.
 	WatchdogHeap int64
-	// WatchdogPoll is the watchdog sampling interval. 0 means 10 ms.
-	WatchdogPoll time.Duration
 	// StreamHeartbeat is the SSE keep-alive comment interval for streaming
 	// compiles (stream.go). 0 means 15 s.
 	StreamHeartbeat time.Duration
@@ -131,9 +130,6 @@ func New(cfg Config) *Server {
 		cfg.RequestTimeout = 120 * time.Second
 	case cfg.RequestTimeout < 0:
 		cfg.RequestTimeout = 0
-	}
-	if cfg.WatchdogPoll <= 0 {
-		cfg.WatchdogPoll = 10 * time.Millisecond
 	}
 	if cfg.StreamHeartbeat <= 0 {
 		cfg.StreamHeartbeat = 15 * time.Second
@@ -219,15 +215,8 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// Flush forwards to the wrapped writer so the SSE stream (stream.go) still
-// sees a flushable connection through the instrumentation layer.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// Unwrap lets http.NewResponseController reach the underlying writer.
+// Unwrap lets http.NewResponseController reach the underlying writer, so
+// the SSE stream (stream.go) can flush through the instrumentation layer.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // instrument wraps the mux with per-request structured logging and the
@@ -345,7 +334,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil && !wantsStream(r) && cacheableRequest(opts) {
 		flightKey = compileCacheKey(src, opts)
 		lookupStart := time.Now()
-		res, fl, state := s.cache.acquire(flightKey)
+		stored, fl, state := s.cache.acquire(flightKey)
 		lookup := time.Since(lookupStart)
 		tm.add("cache", lookup)
 		switch state {
@@ -353,15 +342,15 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 			// A hit's "compile" latency is the lookup itself — what the
 			// cache label of diospyros_phase_seconds makes visible.
 			tm.add("compile", lookup)
-			s.serveCached(w, r, id, res, "hit", tm)
+			s.serveCached(w, r, id, stored, "hit", tm)
 			return
 		case cacheFollower:
 			waitStart := time.Now()
-			res := fl.wait(ctx)
+			stored := fl.wait(ctx)
 			wait := time.Since(waitStart)
-			if res != nil {
+			if stored != nil {
 				tm.add("compile", wait)
-				s.serveCached(w, r, id, res, "coalesced", tm)
+				s.serveCached(w, r, id, stored, "coalesced", tm)
 				return
 			}
 			if ctx.Err() != nil {
@@ -376,7 +365,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 			flight = fl
 			defer func() {
 				if flight != nil {
-					s.finishFlight(flightKey, flight, nil)
+					s.finishFlight(flightKey, flight, nil, 0)
 				}
 			}()
 		}
@@ -431,8 +420,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 			"Compiles currently executing.", nil, -1)
 	}()
 
-	// Per-request compile context: deadline, cancellation cause for the
-	// watchdog, and the live e-graph gauge feed it samples.
+	// Per-request compile context: deadline, and the cancellation cause
+	// the compile loop (watchdog.go) sets when a budget is exceeded.
 	cctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 	if s.cfg.RequestTimeout > 0 {
@@ -440,57 +429,75 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		cctx, cancelT = context.WithTimeout(cctx, s.cfg.RequestTimeout)
 		defer cancelT()
 	}
-	prog := &egraph.Progress{}
-	opts.Progress = prog
-	stopWatch := s.startWatchdog(cctx, prog, cancel, log)
-	defer stopWatch()
-
-	if wantsStream(r) && s.streamCompile(w, r, cctx, id, src, opts, tm) {
-		return
+	var sse *sseRelay
+	if wantsStream(r) {
+		sse = s.openStream(ctx, w, tm)
+		opts.Journal = sse.jr
 	}
 
-	log.Info("compile start", "bytes", len(src))
+	log.Info("compile start", "bytes", len(src), "stream", sse != nil)
 	started := time.Now()
-	res, err := s.compile(cctx, src, opts)
-	elapsed := time.Since(started)
-	stopWatch()
+	res, err := s.watch(cctx, cancel, src, opts, sse)
 
+	// One tail for both reply forms. A stream has already stamped its
+	// header, so only the compile's own phases remain to observe.
 	trace := traceOf(res)
-	tm.addCompile(elapsed, trace)
+	committed := len(tm.phases)
+	tm.addCompile(time.Since(started), trace)
 	if res != nil {
 		s.observeCompile(trace)
 		s.traces.record(id, kernelName(res), started, trace)
 	}
+	if sse != nil {
+		s.observePhases(tm.cache, tm.phases[committed:])
+		if ctx.Err() != nil {
+			// The client hung up mid-stream, the SSE twin of the plain
+			// path's 499; nobody is listening for the result event.
+			s.countCancelled("streaming")
+			log.Info("compile stream client went away")
+			return
+		}
+	}
+	var resp *CompileResponse
+	code := http.StatusOK
 	if err != nil {
-		resp, code := s.classifyError(r, id, err, trace)
-		s.writePhased(w, code, resp, tm)
+		resp, code = s.classifyError(r, id, err, trace)
+	} else {
+		resp = s.successResponse(r, id, res)
+	}
+	if sse != nil {
+		sse.result(resp, code)
 		return
 	}
-	if flight != nil { // publish to the cache and any coalesced followers
-		s.finishFlight(flightKey, flight, res)
+	reply, err := encode(resp, tm)
+	if err == nil && flight != nil && code == http.StatusOK {
+		// Publish to the cache and any coalesced followers, charged the
+		// body just marshalled.
+		s.finishFlight(flightKey, flight, resp, int64(len(reply)))
 		flight = nil
 	}
-	resp := s.successResponse(r, id, res)
-	s.writePhased(w, http.StatusOK, resp, tm)
+	s.writePhased(w, code, reply, err, tm)
 }
 
-// finishFlight completes a cache leader's flight with res (nil when the
-// compile failed) and refreshes the cache metrics.
-func (s *Server) finishFlight(key string, fl *cacheFlight, res *diospyros.Result) {
-	if evicted := s.cache.finish(key, fl, res); evicted > 0 {
+// finishFlight completes a cache leader's flight with resp, a body of
+// size bytes (nil when the compile failed), and refreshes the cache
+// metrics.
+func (s *Server) finishFlight(key string, fl *cacheFlight, resp *CompileResponse, size int64) {
+	if evicted := s.cache.finish(key, fl, resp, size); evicted > 0 {
 		s.cacheCount("evictions", float64(evicted))
 	}
 	s.reg.GaugeSet("diospyros_serve_cache_bytes",
-		"Estimated bytes held by the compile cache.", nil,
+		"Bytes of reply body held by the compile cache.", nil,
 		float64(s.cache.sizeBytes()))
 }
 
-// serveCached answers a compile request from a cached Result, marking the
-// response with how the cache resolved it ("hit" or "coalesced"). Cached
-// responses skip trace aggregation — the pipeline did not run — and report
-// only the four top-level phases, whose compile phase is the lookup (hit)
-// or the coalesced wait (follower).
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, id string, res *diospyros.Result, how string, tm *timing) {
+// serveCached answers a compile request with a copy of a stored reply
+// under the request's own ID, marking the response with how the cache
+// resolved it ("hit" or "coalesced"). Cached responses skip trace
+// aggregation — the pipeline did not run — and report only the four
+// top-level phases, whose compile phase is the lookup (hit) or the
+// coalesced wait (follower).
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, id string, stored *CompileResponse, how string, tm *timing) {
 	tm.cache = how
 	w.Header().Set("X-Dios-Cache", how)
 	if how == "hit" {
@@ -499,18 +506,26 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, id string, 
 		s.cacheCount("coalesced", 1)
 	}
 	telemetry.LoggerFrom(r.Context()).Info("compile served from cache",
-		"kernel", res.Kernel.Name, "cache", how)
-	s.writePhased(w, http.StatusOK, s.successResponse(r, id, res), tm)
+		"kernel", stored.Kernel, "cache", how)
+	resp := *stored
+	resp.RequestID = id
+	body, err := encode(&resp, tm)
+	s.writePhased(w, http.StatusOK, body, err, tm)
 }
 
-// writePhased is writeJSON with the request's phase path attached: it
-// marshals the response (timing the serialize phase), stamps the timing,
-// and writes the body. Every compile reply that got as far as a compile
-// result funnels through here.
-func (s *Server) writePhased(w http.ResponseWriter, code int, v any, tm *timing) {
-	serStart := time.Now()
-	body, err := json.MarshalIndent(v, "", "  ")
-	tm.add("serialize", time.Since(serStart))
+// encode marshals a compile reply's body, newline-terminated, timing the
+// serialize phase.
+func encode(resp *CompileResponse, tm *timing) ([]byte, error) {
+	start := time.Now()
+	body, err := json.MarshalIndent(resp, "", "  ")
+	tm.add("serialize", time.Since(start))
+	return append(body, '\n'), err
+}
+
+// writePhased writes an encoded compile reply with the request's phase
+// path attached; a reply that failed to encode answers 500 instead. Every
+// compile reply that got as far as a compile result funnels through here.
+func (s *Server) writePhased(w http.ResponseWriter, code int, body []byte, err error, tm *timing) {
 	if err != nil { // a Trace that cannot marshal; vanishingly unlikely
 		s.writeTimedError(w, http.StatusInternalServerError, "", "response marshalling failed: "+err.Error(), tm)
 		return
@@ -519,7 +534,6 @@ func (s *Server) writePhased(w http.ResponseWriter, code int, v any, tm *timing)
 	s.stamp(w.Header(), tm)
 	w.WriteHeader(code)
 	_, _ = w.Write(body)
-	_, _ = w.Write([]byte("\n"))
 }
 
 // cacheCount bumps one of the diospyros_serve_cache_*_total counters.
@@ -571,10 +585,8 @@ func (s *Server) successResponse(r *http.Request, id string, res *diospyros.Resu
 // compile runs s.compileFn and recovers a panic into a
 // *pipeline.PanicError, the error a panicking compile stage returns
 // wrapped in its *pipeline.StageError. The server answers the one request
-// with 500 instead of ending the process. Both call sites go through it:
-// the plain path, where net/http would otherwise recover the handler and
-// reset the client's connection, and the SSE path, whose compile
-// goroutine nothing else recovers.
+// with 500 instead of ending the process: the compile runs on its own
+// goroutine (watchdog.go), which nothing else recovers.
 func (s *Server) compile(ctx context.Context, src string, opts diospyros.Options) (res *diospyros.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {

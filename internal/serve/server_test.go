@@ -142,7 +142,6 @@ func TestWatchdogNodeBudgetAbort(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers:       1,
 		WatchdogNodes: 10,
-		WatchdogPoll:  time.Millisecond,
 		Options:       diospyros.Options{ExtraRules: diospyros.ACRules(), Timeout: 10 * time.Second},
 	})
 
@@ -175,7 +174,6 @@ func TestWatchdogHeapBudgetAbort(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers:      1,
 		WatchdogHeap: 1,
-		WatchdogPoll: time.Millisecond,
 		Options:      diospyros.Options{ExtraRules: diospyros.ACRules(), Timeout: 10 * time.Second},
 	})
 
@@ -202,7 +200,7 @@ func TestWatchdogHeapBudgetAbort(t *testing.T) {
 // mid-compile sample (which used to make an idle server look busy).
 func TestWatchdogLiveGaugesResetAfterCompile(t *testing.T) {
 	// No budgets: the sampler must run for pure observability.
-	_, ts := newTestServer(t, Config{Workers: 1, WatchdogPoll: time.Millisecond})
+	_, ts := newTestServer(t, Config{Workers: 1})
 	resp, cr := postCompile(t, ts.URL, dotprod, "text/plain")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d (%s)", resp.StatusCode, cr.Error)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"os"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -272,5 +273,48 @@ func TestStreamHeartbeat(t *testing.T) {
 	}
 	if !sawHeartbeat {
 		t.Error("no heartbeat comment while the compile was stalled")
+	}
+}
+
+// TestStreamWatchdogAbort is TestWatchdogNodeBudgetAbort over SSE: the
+// compile loop's watchdog aborts a streamed compile too, which ends with
+// one result event carrying the 422, the abort reason and the trace's
+// stop reason, and counts once in the aborts counter.
+func TestStreamWatchdogAbort(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/conv3x5.dios")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{
+		Workers:       1,
+		WatchdogNodes: 10,
+		Options:       diospyros.Options{ExtraRules: diospyros.ACRules(), Timeout: 10 * time.Second},
+	})
+
+	resp := openStream(t, ts.URL, string(src))
+	events := readSSE(t, bufio.NewReader(resp.Body))
+	resp.Body.Close()
+	var results []sseEvent
+	for _, ev := range events {
+		if ev.Name == "result" {
+			results = append(results, ev)
+		}
+	}
+	if len(results) != 1 || events[len(events)-1].Name != "result" {
+		t.Fatalf("want one result event, last; got %d result events in %d", len(results), len(events))
+	}
+	var final streamResult
+	if err := json.Unmarshal([]byte(results[0].Data), &final); err != nil {
+		t.Fatal(err)
+	}
+	if final.Status != http.StatusUnprocessableEntity || final.Aborted != "node-budget" {
+		t.Fatalf("result status=%d aborted=%q, want 422 node-budget", final.Status, final.Aborted)
+	}
+	if final.Trace == nil || final.Trace.StopReason != "aborted:node-budget" {
+		t.Fatalf("trace stop reason = %+v", final.Trace)
+	}
+	if m := scrape(t, ts.URL); !strings.Contains(m,
+		`diospyros_serve_saturation_aborts_total{reason="node-budget"} 1`+"\n") {
+		t.Errorf("abort counter missing:\n%s", m)
 	}
 }
