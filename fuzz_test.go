@@ -14,7 +14,7 @@ import (
 // fail (the source does not parse or lift, a budget stops it, a target
 // cannot lower it), but no stage may panic and translation validation may
 // never reject the program a target extracted. The seeds are the kernels
-// under testdata, which plain go test runs.
+// under testdata, which plain go test runs, and infSeed.
 func FuzzCompile(f *testing.F) {
 	paths, err := filepath.Glob("testdata/*.dios")
 	if err != nil || len(paths) == 0 {
@@ -27,6 +27,7 @@ func FuzzCompile(f *testing.F) {
 		}
 		f.Add(string(src))
 	}
+	f.Add(infSeed)
 	opts := Options{
 		NodeLimit:     20000,
 		MaxIterations: 8,
@@ -46,3 +47,8 @@ func FuzzCompile(f *testing.F) {
 		}
 	})
 }
+
+// infSeed multiplies two literals to a product past float64's range: lift
+// must keep the product a term, not fold it to a +Inf literal that
+// validation rejects.
+const infSeed = `kernel k(a[4]) -> (o[4]) { for i in 0..4 { o[i] = a[i] + 1e308 * 10.0; } }`

@@ -435,3 +435,33 @@ func TestLiftInterpAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestLiftFolds pins the scalar identities the symbolic domain folds as it
+// builds the spec, the only place they are applied: each row lifts a
+// one-line kernel and compares its spec exactly. The last rows stay
+// unfolded, because folding them would put Inf or NaN in the spec or drop
+// a subtraction of two different values.
+func TestLiftFolds(t *testing.T) {
+	for _, tc := range []struct{ body, want string }{
+		{"a[0] + 0.0", "(List (Get a 0))"},
+		{"a[0] * 1.0", "(List (Get a 0))"},
+		{"a[0] * 0.0", "(List 0)"},
+		{"a[0] - a[0]", "(List 0)"},
+		{"-(-a[0])", "(List (Get a 0))"},
+		{"2.0 + 3.0", "(List 5)"},
+		{"sqrt(9.0)", "(List 3)"},
+
+		{"1.0 / 0.0", "(List (/ 1 0))"},
+		{"sqrt(-1.0)", "(List (sqrt -1))"},
+		{"1e308 * 10.0", "(List (* 1e+308 10))"},
+		{"a[0] - a[1]", "(List (- (Get a 0) (Get a 1)))"},
+	} {
+		l, err := Lift(MustParse("kernel k(a[2]) -> (o[1]) { o[0] = " + tc.body + "; }"))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.body, err)
+		}
+		if got := l.Spec.String(); got != tc.want {
+			t.Errorf("%s: spec %s, want %s", tc.body, got, tc.want)
+		}
+	}
+}

@@ -21,7 +21,7 @@ import (
 // Interp both succeed on a kernel that calls no user function, and every
 // value Interp computes is finite, the lifted spec evaluated on the same
 // seeded inputs must equal Interp's outputs to 1e-9 relative. (The folds
-// hold over ℝ; 0·x drops an x that may be Inf or NaN, and sgn maps NaN to
+// hold over ℝ; 0·x and x-x drop an x that may be Inf or NaN, and sgn maps NaN to
 // 1, so only finite runs compare.) The seeds are the repository's example
 // kernels, a kernel that meets every fold (foldsKernel), the empty-output
 // kernels the checker rejects, the runaway loops the work budget stops
@@ -91,13 +91,14 @@ func FuzzLift(f *testing.F) {
 }
 
 // foldsKernel meets each of the symbolic domain's folds at least once.
-const foldsKernel = `kernel folds(a[2]) -> (o[6]) {
+const foldsKernel = `kernel folds(a[2]) -> (o[7]) {
     o[0] = 0.0 + a[0] + 0.0 - 0.0;
     o[1] = 1.0 * a[1] * 1.0 / 1.0 + 0.0 * a[0] + a[1] * 0.0 - a[0];
     o[2] = (2.0 + 3.0) * (2.0 - 7.0) / (6.0 * 4.0) + o[0];
     o[3] = -(2.0) + sqrt(0.0) + sqrt(1.0) + sqrt(4.0) + sqrt(a[0] * a[0]);
     o[4] = sgn(-3.0) + sgn(0.0) + sgn(a[1]) + abs(a[0]) + abs(-2.5) + -a[1];
     o[5] = o[5] + o[4] * o[3];
+    o[6] = -(-a[0]) + (a[1] - a[1]) + sqrt(9.0) + sqrt(2.0);
 }`
 
 // shadowKernel assigns a float let that shadows an int let of its name:

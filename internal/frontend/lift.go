@@ -3,6 +3,7 @@ package frontend
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"diospyros/internal/expr"
 	"diospyros/internal/kernel"
@@ -77,15 +78,25 @@ func (e *ErrDataDependent) Error() string {
 }
 
 // symbolic is Lift's domain: float values are DSL expressions, built with
-// light peephole simplification (constant folding and identity
-// elimination) so that the spec matches the paper's examples, with no
-// `+ 0` noise from accumulators that start at zero. The folds and sgn
-// follow ℝ, the rewrite system's semantics, not IEEE: 0·x folds to 0
-// whatever x is, and sgn of NaN is +1. A kernel whose values become
-// non-finite is therefore outside the validated semantics, and FuzzLift
-// compares the spec with Interp on finite runs only. An identity returns
-// its operand itself and a fold a fresh literal, so sharing in the spec
-// is exactly the sharing of the kernel's values.
+// light peephole simplification so that the spec matches the paper's
+// examples, with no `+ 0` noise from accumulators that start at zero. It is
+// the one place scalar identities are applied; the e-graph's rules keep only
+// the rewrites that need a search. The folds are:
+//
+//   - 0+x, x+0, x-0, 1·x, x·1 and x/1 are x, and -(-x) is x;
+//   - 0·x and x·0 are 0, and x-x is 0 when both operands are one value
+//     (one *expr.Expr: Lift shares one Get per input element, and a
+//     variable read returns the value stored);
+//   - two literals fold under + - · /, a literal under negation and sgn,
+//     and a non-negative literal under sqrt, but only to a finite result:
+//     1/0, 0/0 and 1e308·10 stay terms, so the spec holds no Inf or NaN.
+//
+// The folds and sgn follow ℝ, the rewrite system's semantics, not IEEE:
+// 0·x and x-x fold to 0 whatever x is, and sgn of NaN is +1. A kernel whose
+// values become non-finite is therefore outside the validated semantics, and
+// FuzzLift compares the spec with Interp on finite runs only. An identity
+// returns its operand itself and a fold a fresh literal, so sharing in the
+// spec is exactly the sharing of the kernel's values.
 type symbolic struct {
 	nodes int // DSL nodes built so far, against MaxSpecNodes
 }
@@ -123,8 +134,11 @@ func (s *symbolic) Neg(x *expr.Expr, pos Pos) (*expr.Expr, error) {
 	if err := s.node(pos); err != nil {
 		return nil, err
 	}
-	if x.Op == expr.OpLit {
+	switch x.Op {
+	case expr.OpLit:
 		return expr.Lit(-x.Lit), nil
+	case expr.OpNeg:
+		return x.Args[0], nil
 	}
 	return expr.Neg(x), nil
 }
@@ -135,8 +149,8 @@ func (s *symbolic) Call(name string, args []*expr.Expr, pos Pos) (*expr.Expr, er
 	}
 	switch name {
 	case "sqrt":
-		if x := args[0]; x.IsZero() || x.IsLit(1) {
-			return expr.Lit(x.Lit), nil
+		if x := args[0]; x.Op == expr.OpLit && x.Lit >= 0 {
+			return expr.Lit(math.Sqrt(x.Lit)), nil
 		}
 		return expr.Sqrt(args[0]), nil
 	case "abs":
@@ -154,12 +168,14 @@ func (*symbolic) Compare(_ string, _, _ *expr.Expr, pos Pos) (bool, error) {
 	return false, &ErrDataDependent{Pos: pos}
 }
 
-// add, sub, mul and div build a binary term, folding as symbolic says:
-// 0+x, x+0, x-0, 1·x, x·1 and x/1 are x; 0·x and x·0 are 0; two literals
-// fold, except a division by zero.
+// add, sub, mul and div build a binary term, folding as symbolic says.
 
 // lits reports whether a and b are both literals.
 func lits(a, b *expr.Expr) bool { return a.Op == expr.OpLit && b.Op == expr.OpLit }
+
+// isFinite reports whether v is neither infinite nor NaN: a literal pair
+// folds only to a finite value.
+func isFinite(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }
 
 func add(a, b *expr.Expr) *expr.Expr {
 	switch {
@@ -167,7 +183,7 @@ func add(a, b *expr.Expr) *expr.Expr {
 		return b
 	case b.IsZero():
 		return a
-	case lits(a, b):
+	case lits(a, b) && isFinite(a.Lit+b.Lit):
 		return expr.Lit(a.Lit + b.Lit)
 	}
 	return expr.Add(a, b)
@@ -177,7 +193,9 @@ func sub(a, b *expr.Expr) *expr.Expr {
 	switch {
 	case b.IsZero():
 		return a
-	case lits(a, b):
+	case a == b:
+		return expr.Lit(0)
+	case lits(a, b) && isFinite(a.Lit-b.Lit):
 		return expr.Lit(a.Lit - b.Lit)
 	}
 	return expr.Sub(a, b)
@@ -191,7 +209,7 @@ func mul(a, b *expr.Expr) *expr.Expr {
 		return b
 	case b.IsLit(1):
 		return a
-	case lits(a, b):
+	case lits(a, b) && isFinite(a.Lit*b.Lit):
 		return expr.Lit(a.Lit * b.Lit)
 	}
 	return expr.Mul(a, b)
@@ -201,7 +219,7 @@ func div(a, b *expr.Expr) *expr.Expr {
 	switch {
 	case b.IsLit(1):
 		return a
-	case lits(a, b) && b.Lit != 0:
+	case lits(a, b) && isFinite(a.Lit/b.Lit):
 		return expr.Lit(a.Lit / b.Lit)
 	}
 	return expr.Div(a, b)

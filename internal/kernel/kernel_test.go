@@ -83,7 +83,7 @@ func TestScalarHelpers(t *testing.T) {
 		{"sqrt(a[0])", "(sqrt (Get a 0))"},
 		{"sqrt(0.0)", "0"},
 		{"sqrt(1.0)", "1"},
-		{"sqrt(4.0)", "(sqrt 4)"},
+		{"sqrt(4.0)", "2"},
 		{"sgn(a[0])", "(sgn (Get a 0))"},
 		{"sgn(-3.0)", "-1"},
 		{"sgn(0.0)", "1"},

@@ -69,18 +69,6 @@ func TestReadDepthReachesTheChange(t *testing.T) {
 			},
 		},
 		{
-			// (+ x 2), and x becomes 3: folding reads one hop down.
-			rule: constFoldRule{},
-			setup: func(g *egraph.EGraph) egraph.ClassID {
-				x := sym(g, "x")
-				node(g, expr.OpAdd, x, g.AddLit(2))
-				return x
-			},
-			change: func(g *egraph.EGraph, at egraph.ClassID) bool {
-				return union(at, func(g *egraph.EGraph) egraph.ClassID { return g.AddLit(3) })(g)
-			},
-		},
-		{
 			// (Vec s (+ a b) (+ a b) (+ a b)), and lane s gains a + node.
 			rule: newVectorizeRule(cfg),
 			setup: func(g *egraph.EGraph) egraph.ClassID {

@@ -9,9 +9,13 @@
 //     against (+ a (* b c)), (+ (* b c) a), (* b c), or 0 and combines the
 //     per-lane results into a VecMAC — the paper's workaround for the
 //     NP-complete AC-matching problem;
-//   - scalar simplifications and constant folding.
+//   - three scalar rules that move negation: (- 0 a) is (neg a), and a neg
+//     moves between a product and its left factor.
 //
-// The full associativity/commutativity rules are not built in: a compile
+// Scalar identities (x+0, x·1, x-x, -(-x), literal arithmetic) are not
+// rules: Lift folds them as it builds the spec (frontend's symbolic
+// domain), so the e-graph never holds a term they would match. The full
+// associativity/commutativity rules are not built in either: a compile
 // that wants them passes diospyros.ACRules as extra rules.
 package rules
 
@@ -32,8 +36,7 @@ type Config struct {
 	// width via the cost model (cost.Diospyros.Width). The list is
 	// deduplicated and sorted, so the rule set — and therefore the e-graph
 	// — is identical regardless of request order. An empty list means no
-	// vector rules: only the scalar rules and constant folding, the §5.6
-	// ablation.
+	// vector rules: only the scalar negation rules, the §5.6 ablation.
 	Widths []int
 
 	// Width is ignored.
@@ -76,7 +79,6 @@ func (c Config) widths() []int {
 func (c Config) Rules() []egraph.Rewrite {
 	widths := c.widths()
 	out := scalarRules()
-	out = append(out, constFoldRule{})
 	if len(widths) > 0 {
 		for _, w := range widths {
 			out = append(out, chunkRule{width: w})
@@ -105,20 +107,13 @@ func Builtin(name string) bool { return builtinNames()[name] }
 
 // scalarRules are sound syntactic identities over the reals (§3.4 notes the
 // rules are correct over ℝ, not IEEE floats, like other kernel compilers).
+// Unlike an identity, neither side of one is always the cheaper (a lane of
+// subtractions vectorizes with (- 0 a), a lane of negations with (neg a)),
+// so the choice is left to extraction.
 func scalarRules() []egraph.Rewrite {
 	mk := egraph.MustRewrite
 	return []egraph.Rewrite{
-		mk("add-0-r", "(+ ?a 0)", "?a"),
-		mk("add-0-l", "(+ 0 ?a)", "?a"),
-		mk("sub-0-r", "(- ?a 0)", "?a"),
-		mk("sub-self", "(- ?a ?a)", "0"),
 		mk("sub-0-l", "(- 0 ?a)", "(neg ?a)"),
-		mk("mul-1-r", "(* ?a 1)", "?a"),
-		mk("mul-1-l", "(* 1 ?a)", "?a"),
-		mk("mul-0-r", "(* ?a 0)", "0"),
-		mk("mul-0-l", "(* 0 ?a)", "0"),
-		mk("div-1", "(/ ?a 1)", "?a"),
-		mk("neg-neg", "(neg (neg ?a))", "?a"),
 		mk("neg-mul", "(* (neg ?a) ?b)", "(neg (* ?a ?b))"),
 		mk("mul-neg", "(neg (* ?a ?b))", "(* (neg ?a) ?b)"),
 	}

@@ -261,38 +261,6 @@ func TestDisableVectorAblation(t *testing.T) {
 	}
 }
 
-func TestScalarSimplification(t *testing.T) {
-	cases := []struct {
-		src, wantContains string
-	}{
-		{"(List (+ (Get a 0) 0))", "(Get a 0)"},
-		{"(List (* (Get a 0) 1))", "(Get a 0)"},
-		{"(List (* (Get a 0) 0))", "0"},
-		{"(List (- (Get a 0) (Get a 0)))", "0"},
-		{"(List (neg (neg (Get a 0))))", "(Get a 0)"},
-		{"(List (+ 2 3))", "5"},
-		{"(List (sqrt 9))", "3"},
-	}
-	cfg := Config{}
-	for _, c := range cases {
-		out, _ := saturateAndExtract(t, c.src, cfg)
-		if !strings.Contains(out.String(), c.wantContains) {
-			t.Errorf("simplify %s: got %s, want to contain %s", c.src, out, c.wantContains)
-		}
-	}
-}
-
-func TestConstFoldSkipsUnsound(t *testing.T) {
-	cfg := Config{}
-	// 1/0 and sqrt(-1) must not fold.
-	for _, src := range []string{"(List (/ 1 0))", "(List (sqrt (neg 1)))"} {
-		out, _ := saturateAndExtract(t, src, cfg)
-		if out.Op == expr.OpLit {
-			t.Errorf("unsound fold of %s to %s", src, out)
-		}
-	}
-}
-
 // Property-style soundness: for random sum-of-products specs, the extracted
 // program always evaluates to the same outputs as the spec.
 func TestRandomSpecSoundness(t *testing.T) {

@@ -13,7 +13,6 @@ const (
 	KindVectorization = "vectorization" // vec-lanewise, vec-mac
 	KindChunking      = "chunking"      // list-chunk (List → Concat of Vecs)
 	KindShuffle       = "shuffle"       // data movement synthesized by lowering
-	KindConstFold     = "constant-folding"
 	KindReassociation = "reassociation" // assoc-*/comm-* (diospyros.ACRules)
 	KindSimplify      = "simplification"
 )
@@ -27,8 +26,6 @@ func ClassifyRule(rule string) string {
 		return KindVectorization
 	case "list-chunk":
 		return KindChunking
-	case "const-fold":
-		return KindConstFold
 	case "lower-shuffle", "lower-select":
 		return KindShuffle
 	}

@@ -340,7 +340,6 @@ func TestExplanationClassifyRule(t *testing.T) {
 		"vec-lanewise":  KindVectorization,
 		"vec-mac":       KindVectorization,
 		"list-chunk":    KindChunking,
-		"const-fold":    KindConstFold,
 		"lower-shuffle": KindShuffle,
 		"lower-select":  KindShuffle,
 		"assoc-add":     KindReassociation,
@@ -365,7 +364,7 @@ func TestExplanationSortAndFormat(t *testing.T) {
 	if got := e.Rules(); got[0] != "list-chunk" || got[1] != "vec-mac" || got[2] != "lower-shuffle" {
 		t.Fatalf("sorted rules = %v; want saturation order then lowering last", got)
 	}
-	if !e.HasKind(KindShuffle) || e.HasKind(KindConstFold) {
+	if !e.HasKind(KindShuffle) || e.HasKind(KindReassociation) {
 		t.Error("HasKind misreports")
 	}
 	out := e.Format()

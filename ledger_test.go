@@ -43,11 +43,23 @@ var ledgerTargetSets = [][]string{
 // any artifact moves a line; the failure names each moved line's changed
 // columns with old → new values. Regenerate with go test -run
 // ArtifactLedger -update and say which line moved and why.
+//
+// The same compiles check that every built-in rule of the ledger's target
+// sets matches somewhere: a rule that never does is searched on every
+// iteration for nothing, and the failure names it.
 func TestArtifactLedger(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and validates the suite and testdata sources at two target sets")
 	}
 	var got []string
+	matches := map[string]int{}
+	tally := func(res *diospyros.Result) {
+		for _, g := range res.Trace.Iterations {
+			for _, s := range g.Rules {
+				matches[s.Rule] += s.Matches
+			}
+		}
+	}
 	for _, k := range bench.Suite() {
 		for _, targets := range ledgerTargetSets {
 			res, err := diospyros.Compile(k.Lift(), diospyros.Options{Targets: targets})
@@ -55,6 +67,7 @@ func TestArtifactLedger(t *testing.T) {
 				t.Fatalf("%s: %v", k.ID, err)
 			}
 			got = append(got, ledgerLines(k.ID, targets, res)...)
+			tally(res)
 		}
 	}
 	srcs, err := filepath.Glob("testdata/*.dios")
@@ -72,7 +85,11 @@ func TestArtifactLedger(t *testing.T) {
 				t.Fatalf("%s: %v", path, err)
 			}
 			got = append(got, ledgerLines(filepath.Base(path), targets, res)...)
+			tally(res)
 		}
+	}
+	if dead := deadRules(t, matches); len(dead) > 0 {
+		t.Errorf("built-in rules that never matched on the ledger's compiles: %s", strings.Join(dead, ", "))
 	}
 
 	if *update {
@@ -92,6 +109,26 @@ func TestArtifactLedger(t *testing.T) {
 	}
 	t.Errorf("%s does not match the compile (regenerate with -update after a deliberate move):\n  %s",
 		ledgerPath, strings.Join(report, "\n  "))
+}
+
+// deadRules returns, sorted, the rules of the ledger's target sets' rule
+// sets that matches counts no match for.
+func deadRules(t *testing.T, matches map[string]int) []string {
+	t.Helper()
+	var dead []string
+	for _, targets := range ledgerTargetSets {
+		rs, err := diospyros.RuleSet(diospyros.Options{Targets: targets})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rs {
+			if matches[r.Name()] == 0 && !slices.Contains(dead, r.Name()) {
+				dead = append(dead, r.Name())
+			}
+		}
+	}
+	slices.Sort(dead)
+	return dead
 }
 
 // ledgerDiff reports how got differs from want, one entry per line key
