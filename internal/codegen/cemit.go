@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"bytes"
 	"strconv"
 	"strings"
 
@@ -51,8 +52,16 @@ func (t *cText) str(s string) {
 
 func (t *cText) int(v int) { t.bytes(strconv.AppendInt(t.num[:0], int64(v), 10)) }
 
-// float writes v as fmt's %g would.
-func (t *cText) float(v float64) { t.bytes(strconv.AppendFloat(t.num[:0], v, 'g', -1, 64)) }
+// float writes v as a C float literal: fmt's %g text, then ".0" when that
+// has no '.' or exponent (C reads 1f as an integer with a bad suffix), then
+// f.
+func (t *cText) float(v float64) {
+	s := strconv.AppendFloat(t.num[:0], v, 'g', -1, 64)
+	if bytes.IndexAny(s, ".e") < 0 {
+		s = append(s, ".0"...)
+	}
+	t.bytes(append(s, 'f'))
+}
 
 // reg writes the C variable of value id: s_<id> for a scalar (kind 's'),
 // v_<id> for a vector (kind 'v').
@@ -141,7 +150,7 @@ func (t *cText) render(p *vir.Program) {
 		case vir.ConstS:
 			t.def('s', in.ID)
 			t.float(in.F)
-			t.str("f;\n")
+			t.str(";\n")
 		case vir.LoadS:
 			t.def('s', in.ID)
 			t.str(in.Array)
@@ -193,7 +202,6 @@ func (t *cText) render(p *vir.Program) {
 					t.str(", ")
 				}
 				t.float(v)
-				t.str("f")
 			}
 			t.str("});\n")
 		case vir.LoadV:

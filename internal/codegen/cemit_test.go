@@ -10,6 +10,15 @@ import (
 	"diospyros/internal/vir"
 )
 
+// cFloat is v as a C float literal: %g, with ".0" when that is an integer.
+func cFloat(v float64) string {
+	s := fmt.Sprintf("%g", v)
+	if !strings.ContainsAny(s, ".e") {
+		s += ".0"
+	}
+	return s + "f"
+}
+
 // fmtToC is ToC as it was written with fmt. It survives here only as the
 // oracle TestToCMatchesFmtRendering holds ToC's strconv rendering to.
 func fmtToC(p *vir.Program) string {
@@ -36,7 +45,7 @@ func fmtToC(p *vir.Program) string {
 	valLit := func(vals []float64) string {
 		parts := make([]string, len(vals))
 		for i, v := range vals {
-			parts[i] = fmt.Sprintf("%gf", v)
+			parts[i] = cFloat(v)
 		}
 		return "{" + strings.Join(parts, ", ") + "}"
 	}
@@ -56,7 +65,7 @@ func fmtToC(p *vir.Program) string {
 	for _, in := range p.Instrs {
 		switch in.Op {
 		case vir.ConstS:
-			fmt.Fprintf(&b, "    float s_%d = %gf;\n", in.ID, in.F)
+			fmt.Fprintf(&b, "    float s_%d = %s;\n", in.ID, cFloat(in.F))
 		case vir.LoadS:
 			fmt.Fprintf(&b, "    float s_%d = %s[%d];\n", in.ID, in.Array, in.Off)
 		case vir.AddS, vir.SubS, vir.MulS, vir.DivS:

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -232,4 +235,41 @@ func appendCap[T any](n int) int {
 		s = append(s, *new(T))
 	}
 	return cap(s)
+}
+
+// TestScalarCCompiles hands the scalar target's C for each testdata source
+// to the host C compiler's syntax check, with an empty fg3_intrinsics.h
+// (scalar code calls no intrinsic). It skips when no C compiler is on PATH.
+func TestScalarCCompiles(t *testing.T) {
+	cc, err := exec.LookPath("gcc")
+	if err != nil {
+		if cc, err = exec.LookPath("cc"); err != nil {
+			t.Skip("no C compiler on PATH")
+		}
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "fg3_intrinsics.h"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srcs, err := filepath.Glob("testdata/*.dios")
+	if err != nil || len(srcs) == 0 {
+		t.Fatalf("testdata sources: %v (found %d)", err, len(srcs))
+	}
+	for _, path := range srcs {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := CompileSource(string(src), Options{Targets: []string{"scalar"}})
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		c := filepath.Join(dir, filepath.Base(path)+".c")
+		if err := os.WriteFile(c, []byte(res.Targets[0].C), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if out, err := exec.Command(cc, "-fsyntax-only", c).CombinedOutput(); err != nil {
+			t.Errorf("%s: %s -fsyntax-only: %v\n%s", path, cc, err, out)
+		}
+	}
 }
