@@ -107,9 +107,8 @@ func Builtin(name string) bool { return builtinNames()[name] }
 
 // scalarRules are sound syntactic identities over the reals (§3.4 notes the
 // rules are correct over ℝ, not IEEE floats, like other kernel compilers).
-// Unlike an identity, neither side of one is always the cheaper (a lane of
-// subtractions vectorizes with (- 0 a), a lane of negations with (neg a)),
-// so the choice is left to extraction.
+// Unlike an identity, neither side of one is always the cheaper: which form
+// vectorizes depends on the neighbouring lanes, so extraction chooses.
 func scalarRules() []egraph.Rewrite {
 	mk := egraph.MustRewrite
 	return []egraph.Rewrite{

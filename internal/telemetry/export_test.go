@@ -344,7 +344,7 @@ func TestExplanationClassifyRule(t *testing.T) {
 		"lower-select":  KindShuffle,
 		"assoc-add":     KindReassociation,
 		"comm-mul":      KindReassociation,
-		"add-0-r":       KindSimplify,
+		"sub-0-l":       KindSimplify,
 		"user-rule":     KindSimplify,
 	}
 	for rule, want := range cases {
