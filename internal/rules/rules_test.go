@@ -10,6 +10,7 @@ import (
 	"diospyros/internal/egraph"
 	"diospyros/internal/expr"
 	"diospyros/internal/extract"
+	"diospyros/internal/frontend"
 )
 
 // saturateAndExtract runs the full rule set and extracts the best program.
@@ -258,6 +259,59 @@ func TestDisableVectorAblation(t *testing.T) {
 	}
 	if ops[expr.OpAdd] != 4 {
 		t.Fatalf("expected 4 scalar adds, got %v", ops)
+	}
+}
+
+// liftOne lifts the one-line kernel o[0] = body over a[2] and returns its
+// spec as text, ready for saturateAndExtract.
+func liftOne(t *testing.T, body string) string {
+	t.Helper()
+	l, err := frontend.Lift(frontend.MustParse("kernel k(a[2]) -> (o[1]) { o[0] = " + body + "; }"))
+	if err != nil {
+		t.Fatalf("lift %s: %v", body, err)
+	}
+	return l.Spec.String()
+}
+
+// TestScalarSimplification checks that scalar identities in a kernel's
+// source reach the extracted program simplified: Lift folds them as it
+// builds the spec, and saturation with the scalar rules keeps that form.
+func TestScalarSimplification(t *testing.T) {
+	cases := []struct {
+		body, want string
+	}{
+		{"a[0] + 0.0", "(List (Get a 0))"},
+		{"a[0] * 1.0", "(List (Get a 0))"},
+		{"a[0] * 0.0", "(List 0)"},
+		{"a[0] - a[0]", "(List 0)"},
+		{"-(-a[0])", "(List (Get a 0))"},
+		{"2.0 + 3.0", "(List 5)"},
+		{"sqrt(9.0)", "(List 3)"},
+	}
+	cfg := Config{}
+	for _, c := range cases {
+		out, _ := saturateAndExtract(t, liftOne(t, c.body), cfg)
+		if got := out.String(); got != c.want {
+			t.Errorf("simplify %s: got %s, want %s", c.body, got, c.want)
+		}
+	}
+}
+
+// TestConstFoldSkipsUnsound checks that no literal operation whose value
+// is undefined or non-finite becomes a literal, neither in Lift nor under
+// any built-in rule: the extracted lane keeps its operator.
+func TestConstFoldSkipsUnsound(t *testing.T) {
+	specs := []string{"(List (/ 1 0))", "(List (sqrt (neg 1)))", "(List (* 1e+308 10))"}
+	for _, body := range []string{"1.0 / 0.0", "sqrt(-1.0)", "1e308 * 10.0"} {
+		specs = append(specs, liftOne(t, body))
+	}
+	for _, cfg := range []Config{{}, {Widths: []int{4}}} {
+		for _, src := range specs {
+			out, _ := saturateAndExtract(t, src, cfg)
+			if len(out.Args) != 1 || out.Args[0].Op == expr.OpLit {
+				t.Errorf("widths %v: unsound fold of %s to %s", cfg.Widths, src, out)
+			}
+		}
 	}
 }
 
